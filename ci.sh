@@ -15,7 +15,9 @@ echo "==> cargo build --release"
 cargo build --release "${CARGO_FLAGS[@]}"
 
 echo "==> cargo test"
-cargo test -q --release "${CARGO_FLAGS[@]}"
+# --no-fail-fast: a red test binary must not hide the results of the
+# binaries after it.
+cargo test -q --release --no-fail-fast "${CARGO_FLAGS[@]}"
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy"
@@ -65,7 +67,7 @@ echo "==> kernel perf gate (burst + range FFT vs committed baseline)"
 # Re-times just the localization burst and the range-FFT kernel at full
 # reps (matching how the baseline was recorded; ~4 s) and fails if
 # either regressed more than 10% against the committed BENCH_6.json.
-# Comparisons are calibration-normalized (DESIGN.md §17.4) so shared-
+# Comparisons are calibration-normalized (DESIGN.md §17.3) so shared-
 # host load cannot trip the gate, with bounded re-measures on a miss.
 cargo run --release --offline -p milback-bench --bin bench_engine -- \
     --kernels-only --check-against BENCH_6.json

@@ -14,22 +14,6 @@ use milback_dsp::signal::Signal;
 use milback_dsp::window::{apply_window_cached, Window};
 use milback_rf::geometry::SPEED_OF_LIGHT;
 
-/// Numeric tier for magnitude-only range sweeps (DESIGN.md §17).
-///
-/// `Reference` is the f64 pipeline every bitwise contract is pinned
-/// against. `Sweep` opts in to the f32 transform tier
-/// ([`milback_dsp::plan32::Fft32Plan`]) for workloads that scan many
-/// poses and only consume detection power — bounded by the
-/// `accuracy_bound_versus_f64` test (≤1e-4·peak per bin) rather than
-/// bitwise identity, and never selected by default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fidelity {
-    /// Full f64 transform — the bitwise reference path.
-    Reference,
-    /// Single-precision transform tier for sweep workloads.
-    Sweep,
-}
-
 /// Range-processing parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct RangeProcessor {
@@ -93,61 +77,14 @@ impl RangeProcessor {
     /// The pre-FFT half of [`RangeProcessor::range_spectrum_into`]:
     /// window (via the per-thread coefficient cache — bitwise identical
     /// to the per-sample formula) and zero-pad to `fft_len`, without
-    /// transforming. The batched burst path uses this to stage all five
-    /// chirps before one `forward_many_in_place` traversal.
-    pub fn window_and_pad_into(&self, dechirped: &[Cpx], out: &mut Vec<Cpx>) {
+    /// transforming.
+    fn window_and_pad_into(&self, dechirped: &[Cpx], out: &mut Vec<Cpx>) {
         milback_telemetry::counter_add("ap.dechirp.spectra", 1);
         buffer::track_growth(out, self.fft_len.max(dechirped.len()));
         out.clear();
         out.extend_from_slice(dechirped);
         apply_window_cached(out, self.window);
         out.resize(self.fft_len, ZERO);
-    }
-
-    /// Windowed, zero-padded range spectrum of a **real** dechirped
-    /// sequence (real-IF / video capture, as a real-mixer front end
-    /// produces), through the half-length [`milback_dsp::realfft`] plan:
-    /// ~2× fewer butterfly flops than the complex path. The output is
-    /// the full `fft_len`-bin spectrum (upper half by conjugate
-    /// symmetry), so downstream profile/flip handling is unchanged.
-    ///
-    /// The default complex-baseband pipeline stays on
-    /// [`RangeProcessor::range_spectrum_into`] — its dechirp products
-    /// are genuinely complex and that path is the bitwise reference;
-    /// this entry point serves real-capture and sweep workloads.
-    pub fn range_spectrum_real_into(
-        &self,
-        dechirped: &[f64],
-        scratch: &mut Vec<f64>,
-        out: &mut Vec<Cpx>,
-    ) {
-        milback_telemetry::counter_add("ap.dechirp.spectra_real", 1);
-        buffer::track_growth(scratch, self.fft_len.max(dechirped.len()));
-        scratch.clear();
-        scratch.extend_from_slice(dechirped);
-        let n = scratch.len();
-        if n > 1 {
-            let w = milback_dsp::window::cached_coeffs(self.window, n);
-            for (s, k) in scratch.iter_mut().zip(w.iter()) {
-                *s *= *k;
-            }
-        }
-        scratch.resize(self.fft_len, 0.0);
-        milback_dsp::realfft::with_real_plan(self.fft_len, |p| p.forward_full_into(scratch, out));
-    }
-
-    /// Real-input counterpart of [`RangeProcessor::range_profile_into`]:
-    /// real-IF samples → [`RangeProcessor::range_spectrum_real_into`] →
-    /// delay-axis flip.
-    pub fn range_profile_real_into(
-        &self,
-        dechirped: &[f64],
-        scratch: &mut Vec<f64>,
-        fft_buf: &mut Vec<Cpx>,
-        out: &mut Vec<Cpx>,
-    ) {
-        self.range_spectrum_real_into(dechirped, scratch, fft_buf);
-        flip_spectrum_into(fft_buf, out);
     }
 
     /// Complex range profile (allocating wrapper over
@@ -178,45 +115,6 @@ impl RangeProcessor {
     ) {
         self.range_spectrum_into(dechirped, fft_buf);
         flip_spectrum_into(fft_buf, out);
-    }
-
-    /// Range-profile **power** (|profile|² per bin, delay order) at a
-    /// selectable fidelity tier. `stage` holds the windowed/padded
-    /// input, `spec32` the f32 spectrum when `Fidelity::Sweep` is
-    /// chosen; all buffers reuse capacity, so warmed sweeps are
-    /// allocation-free at either tier.
-    pub fn range_power_into(
-        &self,
-        dechirped: &[Cpx],
-        fidelity: Fidelity,
-        stage: &mut Vec<Cpx>,
-        spec32: &mut Vec<milback_dsp::num32::Cpx32>,
-        out: &mut Vec<f64>,
-    ) {
-        self.window_and_pad_into(dechirped, stage);
-        let n = self.fft_len;
-        buffer::track_growth(out, n);
-        match fidelity {
-            Fidelity::Reference => {
-                with_plan(n, |p| p.forward_in_place(stage));
-                out.clear();
-                out.push(stage[0].norm_sq());
-                out.extend(stage[1..].iter().rev().map(|c| c.norm_sq()));
-            }
-            Fidelity::Sweep => {
-                milback_dsp::plan32::with_plan32(n, |p| p.forward_narrow_into(stage, spec32));
-                out.clear();
-                out.push(spec32[0].norm_sq() as f64);
-                out.extend(spec32[1..].iter().rev().map(|c| c.norm_sq() as f64));
-            }
-        }
-    }
-
-    /// Flips a spectrum into delay order: see
-    /// [`RangeProcessor::range_profile_into`]. Public so the batched
-    /// burst path can flip after a `forward_many_in_place` traversal.
-    pub fn flip_into(&self, spectrum: &[Cpx], out: &mut Vec<Cpx>) {
-        flip_spectrum_into(spectrum, out);
     }
 
     /// Beat frequency of range-FFT bin `k` (fractional bins allowed),
@@ -389,93 +287,6 @@ mod tests {
         assert_eq!(golden, out);
         flip_spectrum_into(&[], &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn real_input_path_matches_complex_path() {
-        // A real-IF capture: the real part of the complex dechirp (what a
-        // real-mixer front end would digitize, up to the factor 2 image).
-        let cfg = test_chirp();
-        let proc = RangeProcessor::new(cfg, 2);
-        let tx = cfg.sawtooth();
-        let tau = 2.0 * 3.0 / SPEED_OF_LIGHT;
-        let mut rx = tx.delayed(tau);
-        rx.rotate(Cpx::cis(-2.0 * std::f64::consts::PI * tx.fc * tau));
-        let de = proc.dechirp(&rx, &tx);
-        let real_if: Vec<f64> = de.samples.iter().map(|c| c.re).collect();
-
-        // Reference: the complex plan fed the same real sequence.
-        let complex_in: Vec<Cpx> = real_if.iter().map(|&v| Cpx::new(v, 0.0)).collect();
-        let mut reference = Vec::new();
-        proc.range_spectrum_into(&complex_in, &mut reference);
-        let peak = reference.iter().map(|c| c.abs()).fold(1e-300, f64::max);
-
-        let mut scratch = Vec::new();
-        let mut got = Vec::new();
-        // Twice through reused buffers: stable, equivalent results.
-        for _ in 0..2 {
-            proc.range_spectrum_real_into(&real_if, &mut scratch, &mut got);
-            assert_eq!(got.len(), reference.len());
-            for (k, (r, g)) in reference.iter().zip(&got).enumerate() {
-                assert!((*r - *g).abs() <= 1e-12 * peak, "bin {k}");
-            }
-        }
-
-        // Profile variant flips exactly like the complex profile.
-        let mut ref_flip = Vec::new();
-        flip_spectrum_into(&reference, &mut ref_flip);
-        let mut fft_buf = Vec::new();
-        let mut prof = Vec::new();
-        proc.range_profile_real_into(&real_if, &mut scratch, &mut fft_buf, &mut prof);
-        let peak2 = peak.max(1e-300);
-        for (r, g) in ref_flip.iter().zip(&prof) {
-            assert!((*r - *g).abs() <= 1e-12 * peak2);
-        }
-    }
-
-    #[test]
-    fn sweep_tier_power_within_accuracy_bound() {
-        let cfg = test_chirp();
-        let proc = RangeProcessor::new(cfg, 2);
-        let tx = cfg.sawtooth();
-        let tau = 2.0 * 4.0 / SPEED_OF_LIGHT;
-        let mut rx = tx.delayed(tau);
-        rx.rotate(Cpx::cis(-2.0 * std::f64::consts::PI * tx.fc * tau));
-        let de = proc.dechirp(&rx, &tx);
-
-        let mut stage = Vec::new();
-        let mut spec32 = Vec::new();
-        let mut reference = Vec::new();
-        proc.range_power_into(
-            &de.samples,
-            Fidelity::Reference,
-            &mut stage,
-            &mut spec32,
-            &mut reference,
-        );
-        // The reference tier is the profile power, bit for bit.
-        let profile = proc.range_profile(&de);
-        let ref_powers: Vec<f64> = profile.iter().map(|c| c.norm_sq()).collect();
-        assert_eq!(reference, ref_powers);
-
-        let mut sweep = Vec::new();
-        proc.range_power_into(
-            &de.samples,
-            Fidelity::Sweep,
-            &mut stage,
-            &mut spec32,
-            &mut sweep,
-        );
-        assert_eq!(sweep.len(), reference.len());
-        let peak = reference.iter().cloned().fold(f64::MIN_POSITIVE, f64::max);
-        // Amplitude bound 1e-4·|X|max ⇒ power bound ~3e-4·peak power.
-        for (k, (r, g)) in reference.iter().zip(&sweep).enumerate() {
-            assert!((r - g).abs() <= 3e-4 * peak, "bin {k}: {r} vs {g}");
-        }
-        // The peaks agree on location.
-        let argmax_ref = argmax(&reference[..reference.len() / 2]).unwrap();
-        let argmax_sweep = argmax(&sweep[..sweep.len() / 2]).unwrap();
-        assert_eq!(argmax_ref, argmax_sweep);
     }
 
     #[test]

@@ -107,15 +107,6 @@ impl Localizer {
     /// Workspace variant of [`Localizer::profile_diffs`]: fills
     /// `ws.profiles` and `ws.diffs` per antenna, allocation-free on a
     /// warmed workspace, bitwise identical to the allocating path.
-    ///
-    /// Per antenna, all chirps are dechirped and windowed into
-    /// `ws.batch`, the range FFTs run as **one batched plan traversal**
-    /// ([`milback_dsp::plan::FftPlan::forward_many_in_place`]), and the
-    /// spectra are flipped into the profile pool. Each chirp's profile
-    /// is an independent FP computation performed by the same kernels,
-    /// so batching changes nothing numerically (pinned by the
-    /// golden-vector tests in `milback_dsp::plan` and the
-    /// `process_with == process` test below).
     pub fn profile_diffs_with(
         &self,
         ws: &mut DspWorkspace,
@@ -123,21 +114,7 @@ impl Localizer {
         captures: &[[Signal; 2]],
     ) {
         assert!(captures.len() >= 2, "need at least two chirps");
-        for ant in 0..2 {
-            DspWorkspace::ensure_pool(&mut ws.profiles[ant], captures.len());
-            DspWorkspace::ensure_pool(&mut ws.batch, captures.len());
-            for (i, pair) in captures.iter().enumerate() {
-                self.proc.dechirp_into(&pair[ant], tx_ref, &mut ws.dechirp);
-                self.proc.window_and_pad_into(&ws.dechirp, &mut ws.batch[i]);
-            }
-            milback_dsp::plan::with_plan(self.proc.fft_len, |p| {
-                p.forward_many_in_place(&mut ws.batch)
-            });
-            for (spec, prof) in ws.batch.iter().zip(ws.profiles[ant].iter_mut()) {
-                self.proc.flip_into(spec, prof);
-            }
-            pairwise_diff_spectra_into(&ws.profiles[ant], &mut ws.diffs[ant]);
-        }
+        self.diffs_of(ws, tx_ref, captures, None);
     }
 
     /// Masked variant of [`Localizer::profile_diffs_with`]: processes
@@ -158,17 +135,31 @@ impl Localizer {
         assert_eq!(alive.len(), captures.len(), "mask length mismatch");
         let n_alive = alive.iter().filter(|&&a| a).count();
         assert!(n_alive >= 2, "need at least two live chirps");
+        self.diffs_of(ws, tx_ref, captures, Some(alive));
+    }
+
+    /// Shared body of the workspace paths: per antenna, each live chirp
+    /// (all of them when `alive` is `None`) is dechirped and
+    /// range-transformed into the profile pool, one FFT per chirp, then
+    /// background-subtracted.
+    fn diffs_of(
+        &self,
+        ws: &mut DspWorkspace,
+        tx_ref: &Signal,
+        captures: &[[Signal; 2]],
+        alive: Option<&[bool]>,
+    ) {
+        let live = |i: usize| match alive {
+            Some(mask) => mask[i],
+            None => true,
+        };
+        let n = (0..captures.len()).filter(|&i| live(i)).count();
         for ant in 0..2 {
-            DspWorkspace::ensure_pool(&mut ws.profiles[ant], n_alive);
-            let mut k = 0;
-            for (pair, &live) in captures.iter().zip(alive) {
-                if !live {
-                    continue;
-                }
+            DspWorkspace::ensure_pool(&mut ws.profiles[ant], n);
+            let chirps = captures.iter().enumerate().filter(|&(i, _)| live(i));
+            for ((_, pair), prof) in chirps.zip(ws.profiles[ant].iter_mut()) {
                 self.proc.dechirp_into(&pair[ant], tx_ref, &mut ws.dechirp);
-                self.proc
-                    .range_profile_into(&ws.dechirp, &mut ws.fft, &mut ws.profiles[ant][k]);
-                k += 1;
+                self.proc.range_profile_into(&ws.dechirp, &mut ws.fft, prof);
             }
             pairwise_diff_spectra_into(&ws.profiles[ant], &mut ws.diffs[ant]);
         }

@@ -45,10 +45,6 @@ pub struct DspWorkspace {
     pub fft: Vec<Cpx>,
     /// Per-antenna complex range profiles, one inner buffer per chirp.
     pub profiles: [Vec<Vec<Cpx>>; 2],
-    /// Staging buffers for the batched range FFT: each chirp's windowed,
-    /// zero-padded input, transformed in one
-    /// `FftPlan::forward_many_in_place` traversal (DESIGN.md §17).
-    pub batch: Vec<Vec<Cpx>>,
     /// Per-antenna background-subtraction differences (the history of
     /// consecutive-chirp subtractions).
     pub diffs: [Vec<Vec<Cpx>>; 2],
@@ -62,10 +58,6 @@ pub struct DspWorkspace {
     pub cfar_floors: Vec<f64>,
     /// CFAR hit indices.
     pub cfar_hits: Vec<usize>,
-    /// f32 spectrum buffer for the opt-in `Fidelity::Sweep` tier.
-    pub spec32: Vec<milback_dsp::num32::Cpx32>,
-    /// Range-power buffer for the sweep tier.
-    pub power: Vec<f64>,
 }
 
 impl DspWorkspace {

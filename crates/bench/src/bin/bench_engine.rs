@@ -93,10 +93,7 @@ use milback_ap::cfar::CfarDetector;
 use milback_ap::waveform::TxConfig;
 use milback_ap::workspace::DspWorkspace;
 use milback_dsp::num::Cpx;
-use milback_dsp::num32::Cpx32;
 use milback_dsp::plan::{with_plan, FftPlan};
-use milback_dsp::plan32::with_plan32;
-use milback_dsp::realfft::with_real_plan;
 use milback_dsp::signal::Signal;
 use milback_dsp::template;
 use milback_rf::channel::{FreqProfile, NodeInterface, TxComponent};
@@ -701,26 +698,6 @@ fn kernel_json(name: &str, desc: &str, reps: usize, leg: (f64, f64, f64)) -> Str
     )
 }
 
-/// Like [`kernel_json`] for legs whose fast path is *not* bitwise equal
-/// to the reference (real-input untangling, the f32 sweep tier): reports
-/// the measured worst-case relative error instead.
-fn kernel_json_tol(
-    name: &str,
-    desc: &str,
-    reps: usize,
-    leg: (f64, f64, f64),
-    err_field: &str,
-    err: f64,
-) -> String {
-    format!(
-        "    \"{name}\": {{\n      \"workload\": \"{desc}\",\n      \"reps\": {reps},\n      \"allocating_us\": {},\n      \"fast_us\": {},\n      \"speedup\": {},\n      \"bitwise_identical\": false,\n      \"{err_field}\": {}\n    }}",
-        json_f(leg.0),
-        json_f(leg.1),
-        json_f(leg.2),
-        json_f(err),
-    )
-}
-
 /// Results of the FFT-plan, per-kernel and five-chirp-burst legs — the
 /// transform-core region that `--kernels-only` runs on its own (and that
 /// `--check-against` gates on).
@@ -743,11 +720,9 @@ struct CoreLegs {
     calib_us: f64,
 }
 
-/// Runs the FFT-plan comparison, the per-kernel A/B legs (including the
-/// batched, real-input and f32-sweep transform legs of DESIGN.md §17)
-/// and the five-chirp localization burst. Every f64 fast path is
-/// asserted bitwise identical to its allocating twin before timing; the
-/// two approximate legs assert their documented accuracy bounds.
+/// Runs the FFT-plan comparison, the per-kernel A/B legs and the
+/// five-chirp localization burst. Every fast path is asserted bitwise
+/// identical to its allocating twin before timing.
 fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
     // FFT-plan comparison: the 8192-point range FFT. "Unplanned" rebuilds
     // the twiddle/bit-reversal tables per call — exactly what the
@@ -842,115 +817,6 @@ fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
     println!(
         "  range fft:  {:.1} µs -> {:.1} µs ({:.2}x, {fft_n}-point)",
         fft_leg.0, fft_leg.1, fft_leg.2
-    );
-
-    // Batched range FFTs: the five Field-2 chirps as five sequential
-    // forward_into calls vs one forward_many_into plan traversal.
-    let batch_inputs: Vec<Vec<Cpx>> = (0..5)
-        .map(|c| {
-            (0..fft_n)
-                .map(|i| Cpx::cis(i as f64 * 0.11 + c as f64) * (i as f64 * 0.003).cos())
-                .collect()
-        })
-        .collect();
-    let batch_refs: Vec<&[Cpx]> = batch_inputs.iter().map(|v| v.as_slice()).collect();
-    let mut seq_outs: Vec<Vec<Cpx>> = vec![Vec::new(); 5];
-    let mut many_outs: Vec<Vec<Cpx>> = vec![Vec::new(); 5];
-    with_plan(fft_n, |p| {
-        for (inp, out) in batch_refs.iter().zip(seq_outs.iter_mut()) {
-            p.forward_into(inp, out);
-        }
-        p.forward_many_into(&batch_refs, &mut many_outs);
-    });
-    assert_eq!(seq_outs, many_outs, "forward_many_into diverged");
-    let batch_leg = time_pair(
-        kernel_reps,
-        || {
-            with_plan(fft_n, |p| {
-                for (inp, out) in batch_refs.iter().zip(seq_outs.iter_mut()) {
-                    p.forward_into(inp, out);
-                }
-            });
-            std::hint::black_box(&seq_outs);
-        },
-        || {
-            with_plan(fft_n, |p| p.forward_many_into(&batch_refs, &mut many_outs));
-            std::hint::black_box(&many_outs);
-        },
-    );
-    println!(
-        "  batch fft:  {:.1} µs -> {:.1} µs ({:.2}x, 5 x {fft_n}-point)",
-        batch_leg.0, batch_leg.1, batch_leg.2
-    );
-
-    // Real-input FFT: an N-point real capture through the full complex
-    // plan vs the packed N/2 + untangling real plan. Not bitwise (the
-    // untangling reassociates); assert the documented 1e-12 bound.
-    let real_input: Vec<f64> = (0..fft_n)
-        .map(|i| (i as f64 * 0.11).sin() * (i as f64 * 0.003).cos())
-        .collect();
-    let real_as_cpx: Vec<Cpx> = real_input.iter().map(|&v| Cpx::new(v, 0.0)).collect();
-    let mut real_out = Vec::new();
-    with_real_plan(fft_n, |p| p.forward_full_into(&real_input, &mut real_out));
-    let real_ref = with_plan(fft_n, |p| p.forward(&real_as_cpx));
-    let peak = real_ref.iter().map(|c| c.abs()).fold(0.0f64, f64::max);
-    let real_max_rel = real_ref
-        .iter()
-        .zip(&real_out)
-        .map(|(a, b)| (*a - *b).abs())
-        .fold(0.0f64, f64::max)
-        / peak;
-    assert!(
-        real_max_rel <= 1e-12,
-        "real FFT outside its accuracy bound: {real_max_rel:.3e}"
-    );
-    let mut real_cpx_buf = Vec::new();
-    let real_leg = time_pair(
-        kernel_reps,
-        || {
-            with_plan(fft_n, |p| p.forward_into(&real_as_cpx, &mut real_cpx_buf));
-            std::hint::black_box(&real_cpx_buf);
-        },
-        || {
-            with_real_plan(fft_n, |p| p.forward_full_into(&real_input, &mut real_out));
-            std::hint::black_box(&real_out);
-        },
-    );
-    println!(
-        "  real fft:   {:.1} µs -> {:.1} µs ({:.2}x, {fft_n}-point, max rel err {real_max_rel:.1e})",
-        real_leg.0, real_leg.1, real_leg.2
-    );
-
-    // f32 sweep tier: the same spectrum through the f64 reference plan vs
-    // the opt-in Fft32Plan (narrowing on the gather). Accuracy-bounded,
-    // never on the bitwise reference path.
-    let mut spec32: Vec<Cpx32> = Vec::new();
-    with_plan32(fft_n, |p| p.forward_narrow_into(&fft_input, &mut spec32));
-    let peak32 = fft_ref.iter().map(|c| c.abs()).fold(0.0f64, f64::max);
-    let sweep_max_rel = fft_ref
-        .iter()
-        .zip(&spec32)
-        .map(|(a, b)| (*a - b.to_f64()).abs())
-        .fold(0.0f64, f64::max)
-        / peak32;
-    assert!(
-        sweep_max_rel <= 1e-4,
-        "f32 sweep tier outside its accuracy bound: {sweep_max_rel:.3e}"
-    );
-    let sweep_leg = time_pair(
-        kernel_reps,
-        || {
-            with_plan(fft_n, |p| p.forward_into(&fft_input, &mut fft_buf));
-            std::hint::black_box(&fft_buf);
-        },
-        || {
-            with_plan32(fft_n, |p| p.forward_narrow_into(&fft_input, &mut spec32));
-            std::hint::black_box(&spec32);
-        },
-    );
-    println!(
-        "  sweep f32:  {:.1} µs -> {:.1} µs ({:.2}x, {fft_n}-point, max rel err {sweep_max_rel:.1e})",
-        sweep_leg.0, sweep_leg.1, sweep_leg.2
     );
 
     // CFAR over a detection-spectrum-sized power vector with a few
@@ -1083,28 +949,6 @@ fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
             "16384-point cached-plan FFT, forward vs forward_into",
             kernel_reps,
             fft_leg,
-        ),
-        kernel_json(
-            "range_fft_batched",
-            "5 x 16384-point FFTs, sequential forward_into vs forward_many_into",
-            kernel_reps,
-            batch_leg,
-        ),
-        kernel_json_tol(
-            "real_fft",
-            "16384-point real capture, complex plan vs packed half-length real plan",
-            kernel_reps,
-            real_leg,
-            "max_rel_err_vs_complex",
-            real_max_rel,
-        ),
-        kernel_json_tol(
-            "sweep_fft32",
-            "16384-point FFT, f64 reference plan vs opt-in f32 sweep tier",
-            kernel_reps,
-            sweep_leg,
-            "max_rel_err_vs_f64",
-            sweep_max_rel,
         ),
         kernel_json(
             "cfar",

@@ -1,13 +1,11 @@
-//! Link adaptation and reliable delivery (DESIGN.md §18): the
-//! closed-loop [`LinkPolicy`] controller, per-transfer rate fallback
-//! driven by the measured decision SNR, stop-and-wait ARQ over the
-//! simulated channel, and the adaptive-vs-fixed chaos evaluation behind
+//! Link adaptation (DESIGN.md §18): the closed-loop [`LinkPolicy`]
+//! controller and the adaptive-vs-fixed chaos evaluation behind
 //! `bench_engine --adaptive`.
 //!
 //! The paper reports fixed-rate curves (Figs. 14/15); a deployed network
-//! needs the loop that *chooses* the rate — provided here — and recovery
-//! when a frame still dies (the [`milback_proto::arq`] machine, driven
-//! end-to-end).
+//! needs the loop that *chooses* the rate — provided here — while the
+//! session supervisor's ARQ loop ([`milback_proto::arq`], driven by
+//! [`Session`]) recovers frames that still die.
 //!
 //! [`LinkPolicy`] is the per-node controller: it consumes one
 //! [`PolicyFeedback`] per supervised exchange (built from the
@@ -23,14 +21,13 @@
 
 use crate::batch;
 use crate::config::Fidelity;
-use crate::link::{UplinkReport, MIN_TONE_SEPARATION};
+use crate::link::MIN_TONE_SEPARATION;
 use crate::network::Network;
 use crate::session::{
     Degradation, FailureKind, Session, SessionConfig, SessionCtx, SessionError, SessionReport,
 };
 use milback_ap::tone_select::{select_tones, ToneSelection};
 use milback_hw::power::{NodeMode, PowerModel};
-use milback_proto::arq::{parse_header, ArqReceiver, ArqSender, ArqVerdict};
 use milback_proto::packet::{LinkMode, Packet, PacketConfig};
 use milback_rf::faults::{FaultEvent, FaultKind, FaultPlan};
 use milback_rf::geometry::{deg_to_rad, Pose};
@@ -42,83 +39,6 @@ pub const UPLINK_RATES: [f64; 4] = [40e6, 20e6, 10e6, 5e6];
 /// Decision-SNR margin (linear) required to accept a rate: ~13 dB keeps
 /// the analytic BER under 1e-5.
 pub const SNR_ACCEPT: f64 = 20.0;
-
-/// Outcome of an adaptive uplink transfer.
-#[derive(Debug, Clone)]
-pub struct AdaptiveReport {
-    /// The rate that was accepted, bits/s.
-    pub bit_rate: f64,
-    /// Rates that were probed and rejected, fastest first.
-    pub rejected: Vec<f64>,
-    /// The transfer at the accepted rate.
-    pub report: UplinkReport,
-}
-
-impl Network {
-    /// Uplink with rate fallback: probe from the fastest candidate down,
-    /// accept the first rate whose frame decodes cleanly with SNR margin.
-    /// Returns `None` when even the slowest rate fails (out of range).
-    pub fn uplink_adaptive(&mut self, payload: &[u8]) -> Option<AdaptiveReport> {
-        let mut rejected = Vec::new();
-        for &rate in &UPLINK_RATES {
-            let symbol_rate = rate / 2.0;
-            if let Some(report) = self.uplink(payload, symbol_rate, true) {
-                if report.bit_errors == 0 && report.payload.is_ok() && report.snr >= SNR_ACCEPT {
-                    return Some(AdaptiveReport {
-                        bit_rate: rate,
-                        rejected,
-                        report,
-                    });
-                }
-            }
-            rejected.push(rate);
-        }
-        None
-    }
-
-    /// Reliable uplink: stop-and-wait ARQ over the real simulated link.
-    /// Each attempt is a full uplink transfer; the "ACK" is the AP's CRC
-    /// verdict (the downlink ACK itself is assumed reliable — it enjoys
-    /// one-way path loss). Returns the number of transmissions used, or
-    /// `None` if the sender gave up.
-    pub fn uplink_reliable(
-        &mut self,
-        payload: &[u8],
-        symbol_rate: f64,
-        max_attempts: usize,
-    ) -> Option<usize> {
-        let mut tx = ArqSender::new(max_attempts);
-        let mut rx = ArqReceiver::new();
-        // The verdict API keeps one header+payload buffer inside the
-        // sender for the whole retry loop — no per-retry clone, which
-        // keeps this path on the zero-alloc budget of DESIGN.md §12.
-        tx.start(payload);
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            // One over-the-air transfer of the in-flight ARQ frame,
-            // borrowed straight out of the sender.
-            let outcome = self.uplink(tx.frame()?, symbol_rate, true)?;
-            let ack = match outcome.payload {
-                Ok(received) => {
-                    // AP got a CRC-valid frame: run the receiver side.
-                    rx.on_frame(&received).map(|(ack, _)| ack)
-                }
-                Err(_) => None, // corrupted: no ACK
-            };
-            match tx.on_ack_verdict(ack) {
-                ArqVerdict::Delivered => return Some(attempts),
-                ArqVerdict::GiveUp => return None,
-                ArqVerdict::Retry => {}
-            }
-        }
-    }
-}
-
-/// Sanity helper for tests: the ARQ frame's header survives the trip.
-pub fn arq_payload_of(frame: &[u8]) -> Option<&[u8]> {
-    parse_header(frame).map(|(_, p)| p)
-}
 
 // ---------------------------------------------------------------------
 // Closed-loop link policy (DESIGN.md §18)
@@ -931,54 +851,6 @@ pub fn adaptive_sweep_with_threads(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Fidelity;
-    use milback_rf::geometry::{deg_to_rad, Pose};
-
-    #[test]
-    fn adaptive_picks_fast_rate_up_close() {
-        let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(15.0));
-        let mut net = Network::new(pose, Fidelity::Fast, 71);
-        let r = net.uplink_adaptive(&[0x42; 12]).expect("no link at 2 m");
-        assert_eq!(r.bit_rate, 40e6, "rejected: {:?}", r.rejected);
-        assert!(r.rejected.is_empty());
-    }
-
-    #[test]
-    fn adaptive_falls_back_at_range() {
-        let pose = Pose::facing_ap(9.0, 0.0, deg_to_rad(15.0));
-        let mut net = Network::new(pose, Fidelity::Fast, 72);
-        let r = net.uplink_adaptive(&[0x42; 12]).expect("no link at 9 m");
-        assert!(r.bit_rate < 40e6, "should have fallen back from 40 Mbps");
-        assert!(!r.rejected.is_empty());
-        assert_eq!(r.report.bit_errors, 0);
-    }
-
-    #[test]
-    fn reliable_uplink_single_attempt_when_clean() {
-        let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(15.0));
-        let mut net = Network::new(pose, Fidelity::Fast, 73);
-        let attempts = net.uplink_reliable(&[0x10; 8], 5e6, 4).expect("gave up");
-        assert_eq!(attempts, 1);
-    }
-
-    #[test]
-    fn reliable_uplink_retries_then_succeeds_or_gives_up() {
-        // Push the link to a regime with occasional frame loss.
-        let pose = Pose::facing_ap(11.0, 0.0, deg_to_rad(15.0));
-        let mut net = Network::new(pose, Fidelity::Fast, 74);
-        // Either it delivers (possibly with retries) or honestly gives up;
-        // both are legitimate — what must not happen is a panic or a
-        // false "delivered" with corrupted bytes (the CRC gate prevents
-        // that by construction).
-        let _ = net.uplink_reliable(&[0x99; 16], 20e6, 3);
-    }
-
-    #[test]
-    fn arq_header_helper() {
-        let mut tx = milback_proto::arq::ArqSender::new(2);
-        let frame = tx.send(b"zz");
-        assert_eq!(arq_payload_of(&frame), Some(&b"zz"[..]));
-    }
 
     // --- LinkPolicy state machine ---
 

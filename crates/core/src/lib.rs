@@ -8,21 +8,19 @@
 //! * [`network`] — the single-node [`Network`]: localization (§5.1) and
 //!   orientation sensing at both ends (§5.2),
 //! * [`link`] — OAQFM downlink and backscatter uplink (§6),
-//! * [`protocol`] — the full packet exchange (§7): mode signalling,
-//!   preamble, payload,
-//! * [`multinode`] — SDM multi-node deployments with a polling MAC,
+//! * [`protocol`] — Field-1 mode signalling (§7),
 //! * [`dense_link`] — multi-amplitude "dense OAQFM" (§9.4 extension),
 //! * [`adaptation`] — the closed-loop [`adaptation::LinkPolicy`]
-//!   controller (rate/OOK/chirp/ARQ levers), rate fallback,
-//!   stop-and-wait ARQ delivery, and the adaptive-vs-fixed chaos
-//!   evaluation,
-//! * [`session`] — the self-healing session supervisor: bounded retry,
-//!   backoff, reduced-chirp fallback, typed degradation reports,
+//!   controller (rate/OOK/chirp/ARQ levers) and the adaptive-vs-fixed
+//!   chaos evaluation,
+//! * [`session`] — the self-healing session supervisor running the full
+//!   packet exchange (§7): bounded retry, backoff, reduced-chirp
+//!   fallback, ARQ payload delivery, typed degradation reports,
 //! * [`serve`] — the session-serving engine: work-stealing pool over
 //!   per-node FIFO chains, bounded submission queues with backpressure,
 //!   telemetry-driven load shedding,
-//! * [`net`] — the dense-network fabric: slotted polling MAC across
-//!   multi-AP coverage cells, inter-node interference through the
+//! * [`net`] — the dense-network fabric (one or more APs serving many
+//!   nodes by SDM): slotted polling MAC across coverage cells, inter-node interference through the
 //!   cached ray tables, deterministic handoffs, density sweeps,
 //! * [`chaos`] — deterministic chaos sweeps over sampled fault plans,
 //! * [`tracking`] — Kalman tracking over per-packet fixes,
@@ -48,7 +46,7 @@
 //!
 //! The whole pipeline is instrumented with `milback-telemetry`: set
 //! `MILBACK_TELEMETRY=1` (or call `milback_telemetry::set_enabled(true)`)
-//! and every [`link`] transfer, [`protocol`] packet, [`experiments`]
+//! and every [`link`] transfer, [`session`] exchange, [`experiments`]
 //! driver and [`batch`] run records counters, histograms and spans into
 //! a process-wide registry. `milback_telemetry::snapshot()` drains it;
 //! the `bench_engine` binary embeds the snapshot in its `BENCH_*.json`
@@ -66,7 +64,6 @@ pub mod config;
 pub mod dense_link;
 pub mod experiments;
 pub mod link;
-pub mod multinode;
 pub mod net;
 pub mod network;
 pub mod protocol;
@@ -77,21 +74,19 @@ pub mod tracking;
 pub mod velocity;
 
 pub use adaptation::{
-    adaptive_sweep_with_threads, AdaptiveComparison, AdaptiveOutcome, AdaptiveReport, LinkPolicy,
-    PolicyConfig, PolicyFeedback, ScenarioKind, SessionPlan, SCENARIOS,
+    adaptive_sweep_with_threads, AdaptiveComparison, AdaptiveOutcome, LinkPolicy, PolicyConfig,
+    PolicyFeedback, ScenarioKind, SessionPlan, SCENARIOS,
 };
 pub use batch::{derive_seed, run_trials, sweep, Trial};
 pub use chaos::{chaos_sweep, ChaosOutcome, ChaosPoint};
 pub use config::{ApParams, Fidelity};
 pub use dense_link::DenseDownlinkReport;
 pub use link::{DownlinkReport, UplinkReport};
-pub use multinode::{MultiNetwork, SlotResult};
 pub use net::{
     ap_line, density_sweep, net_roster, DensityPoint, Fabric, NetConfig, RoundReport,
     RoundSchedule, Slot, SlotOutcome,
 };
 pub use network::{Interferer, Network};
-pub use protocol::PacketOutcome;
 pub use serve::{
     Outcome, Resolution, ServeConfig, ServeEngine, ServeReport, SessionRequest, TrafficConfig,
     TrafficSchedule, Workload,

@@ -155,29 +155,6 @@ impl Network {
         }
     }
 
-    /// Assembles a network from explicit parts (used by the multi-node
-    /// deployment to create per-slot single-node views).
-    pub fn from_parts(
-        scene: Scene,
-        node: BackscatterNode,
-        ap: ApParams,
-        fidelity: Fidelity,
-        seed: u64,
-    ) -> Self {
-        Self {
-            scene,
-            node,
-            ap,
-            fidelity,
-            faults: FaultPlan::none(),
-            clock_s: 0.0,
-            interferers: Vec::new(),
-            force_single_tone: false,
-            rng: StdRng::seed_from_u64(seed),
-            link_scratch: LinkScratch::default(),
-        }
-    }
-
     /// Builds a clutter-free network (for microbenchmarks).
     pub fn free_space(pose: Pose, fidelity: Fidelity, seed: u64) -> Self {
         let mut scene = Scene::free_space();

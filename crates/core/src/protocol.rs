@@ -1,34 +1,15 @@
-//! The full MilBack packet protocol (paper §7): Field 1 (mode signalling
-//! plus node-side orientation), Field 2 (localization plus AP-side
-//! orientation), then the payload in whichever direction Field 1
-//! announced.
+//! Field-1 mode signalling of the MilBack packet protocol (paper §7):
+//! the AP announces the payload direction by chirp count and the node
+//! decodes it with its energy detector. The full exchange — Field 1,
+//! Field 2 localization and orientation, then the payload in whichever
+//! direction Field 1 announced — is run by [`crate::session::Session`].
 
-use crate::link::{DownlinkReport, UplinkReport};
 use crate::network::Network;
-use milback_ap::ranging::LocalizationResult;
 
 use milback_node::mode_detect::ModeDetector;
-use milback_node::orientation::NodeOrientationEstimator;
-use milback_proto::packet::{LinkMode, Packet};
+use milback_proto::packet::LinkMode;
 use milback_rf::channel::{FreqProfile, TxComponent};
 use milback_rf::fsa::Port;
-
-/// Everything that happened during one packet exchange.
-#[derive(Debug, Clone)]
-pub struct PacketOutcome {
-    /// The mode the node decoded from Field 1 (`None` = detection failed).
-    pub mode_detected: Option<LinkMode>,
-    /// The node's own orientation estimate from Field 1, radians.
-    pub node_orientation: Option<f64>,
-    /// The AP's localization fix from Field 2.
-    pub fix: Option<LocalizationResult>,
-    /// The AP's orientation estimate from Field 2, radians.
-    pub ap_orientation: Option<f64>,
-    /// Downlink result (when the packet was downlink).
-    pub downlink: Option<DownlinkReport>,
-    /// Uplink result (when the packet was uplink).
-    pub uplink: Option<UplinkReport>,
-}
 
 impl Network {
     /// Transmits Field 1 for `mode` and lets the node detect the mode by
@@ -87,60 +68,15 @@ impl Network {
         let sigma = 2f64.sqrt() * self.node.detector.output_noise_rms();
         det.detect_with_floor(&combined, 0.0, sigma)
     }
-
-    /// Runs a complete packet exchange:
-    ///
-    /// 1. Field 1 — the AP announces the mode; the node counts chirps and
-    ///    estimates its own orientation from the first chirp.
-    /// 2. Field 2 — five sawtooth chirps; the AP localizes the node and
-    ///    estimates its orientation.
-    /// 3. Payload — downlink or uplink per the packet's mode, with OAQFM
-    ///    carriers chosen from the AP's orientation estimate.
-    pub fn run_packet(&mut self, packet: &Packet, symbol_rate: f64) -> PacketOutcome {
-        let _span = milback_telemetry::span("core.protocol.packet.ns");
-        // --- Field 1 ---------------------------------------------------
-        let mode_detected = self.signal_mode(packet.mode);
-        let (cap_a, cap_b) = self.field1_node_captures();
-        let mut est = NodeOrientationEstimator::milback();
-        est.chirp = self.fidelity.triangular();
-        est.sample_rate = self.node.adc.sample_rate;
-        let node_orientation = est.estimate(&self.node.fsa, &cap_a, &cap_b);
-
-        // --- Field 2 ---------------------------------------------------
-        let fix = self.localize();
-        let ap_orientation = self.sense_orientation_at_ap();
-
-        // --- Payload ---------------------------------------------------
-        let mut outcome = PacketOutcome {
-            mode_detected,
-            node_orientation,
-            fix,
-            ap_orientation,
-            downlink: None,
-            uplink: None,
-        };
-        // The payload proceeds only if the node heard the right mode.
-        if mode_detected != Some(packet.mode) {
-            milback_telemetry::counter_add("core.protocol.mode_mismatch", 1);
-            return outcome;
-        }
-        milback_telemetry::counter_add("core.protocol.mode_ok", 1);
-        match packet.mode {
-            LinkMode::Downlink => {
-                outcome.downlink = self.downlink(&packet.payload, symbol_rate, false);
-            }
-            LinkMode::Uplink => {
-                outcome.uplink = self.uplink(&packet.payload, symbol_rate, false);
-            }
-        }
-        outcome
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Fidelity;
+    use crate::session::{FailureKind, Session, SessionConfig};
+    use milback_proto::arq::parse_header;
+    use milback_proto::packet::Packet;
     use milback_rf::geometry::{deg_to_rad, Pose};
 
     #[test]
@@ -154,17 +90,30 @@ mod tests {
         );
     }
 
+    /// One-shot exchange: a session with no retry budget at either
+    /// stage, at the given payload symbol rate.
+    fn one_shot(symbol_rate: f64) -> Session {
+        Session::new(SessionConfig {
+            mode_attempts: 1,
+            payload_attempts: 1,
+            symbol_rate,
+            ..SessionConfig::milback()
+        })
+    }
+
     #[test]
     fn full_downlink_packet() {
         let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0));
         let mut net = Network::new(pose, Fidelity::Fast, 22);
         let packet = Packet::downlink((0..16).collect());
-        let outcome = net.run_packet(&packet, 1e6);
-        assert_eq!(outcome.mode_detected, Some(LinkMode::Downlink));
-        assert!(outcome.fix.is_some());
-        assert!(outcome.node_orientation.is_some());
-        assert!(outcome.ap_orientation.is_some());
-        let dl = outcome.downlink.expect("downlink did not run");
+        let report = one_shot(1e6)
+            .run(&mut net, &packet)
+            .expect("exchange failed");
+        assert_eq!(report.mode, LinkMode::Downlink);
+        assert!(report.fix.is_some());
+        assert!(report.node_orientation.is_some());
+        assert!(report.ap_orientation.is_some());
+        let dl = report.downlink.expect("downlink did not run");
         assert_eq!(dl.payload.as_deref().unwrap(), &packet.payload[..]);
     }
 
@@ -173,10 +122,17 @@ mod tests {
         let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0));
         let mut net = Network::new(pose, Fidelity::Fast, 23);
         let packet = Packet::uplink(vec![0xC3; 16]);
-        let outcome = net.run_packet(&packet, 5e6);
-        assert_eq!(outcome.mode_detected, Some(LinkMode::Uplink));
-        let ul = outcome.uplink.expect("uplink did not run");
-        assert_eq!(ul.payload.as_deref().unwrap(), &packet.payload[..]);
+        let report = one_shot(5e6)
+            .run(&mut net, &packet)
+            .expect("exchange failed");
+        assert_eq!(report.mode, LinkMode::Uplink);
+        let ul = report.uplink.expect("uplink did not run");
+        // The uplink frame carries the session's ARQ header.
+        let frame = ul.payload.as_deref().unwrap();
+        assert_eq!(
+            parse_header(frame).map(|(_, p)| p),
+            Some(&packet.payload[..])
+        );
     }
 
     #[test]
@@ -186,9 +142,12 @@ mod tests {
         let mut net = Network::new(pose, Fidelity::Fast, 24);
         // Out of localizer range too — everything degrades gracefully.
         let packet = Packet::downlink(vec![1, 2, 3]);
-        let outcome = net.run_packet(&packet, 1e6);
-        if outcome.mode_detected != Some(LinkMode::Downlink) {
-            assert!(outcome.downlink.is_none());
+        if let Err(e) = one_shot(1e6).run(&mut net, &packet) {
+            if e.kind == FailureKind::ModeDetect {
+                // Only the one Field-1 transmission went on air.
+                assert_eq!(e.attempts, 1);
+                assert_eq!(net.clock_s, net.fidelity.packet().field1_duration());
+            }
         }
     }
 }

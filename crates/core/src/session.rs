@@ -1,9 +1,7 @@
 //! Self-healing packet sessions (DESIGN.md §14).
 //!
-//! [`crate::protocol::PacketOutcome`] reports what happened in one shot
-//! of the paper's §7 exchange — and under impairments it degrades to a
-//! fistful of silent `None`s. This module is the supervisor a deployment
-//! would actually run: bounded retry with exponential backoff on Field-1
+//! This module runs the paper's §7 packet exchange the way a deployment
+//! would: bounded retry with exponential backoff on Field-1
 //! mode detection, localization fallback to a reduced-chirp
 //! background-subtraction estimate when Field-2 chirps die, ARQ-budgeted
 //! payload delivery driven by the same [`Backoff`] policy, and a typed
@@ -291,10 +289,12 @@ impl Session {
 
     /// Runs one supervised exchange of `packet` over `net`.
     ///
-    /// The happy path is bitwise identical to
-    /// [`crate::protocol`]'s un-supervised flow with an empty
-    /// [`milback_rf::faults::FaultPlan`]: same render order, same RNG
-    /// draws, no retries. Under faults the supervisor retries Field 1
+    /// On a clean channel with an empty
+    /// [`milback_rf::faults::FaultPlan`] every stage runs once: Field-1
+    /// mode signalling ([`crate::protocol`]) and node orientation,
+    /// Field-2 localization and AP orientation, then the payload. A
+    /// one-shot exchange is a session with `mode_attempts` and
+    /// `payload_attempts` of 1. Under faults the supervisor retries Field 1
     /// with backoff, triages dead Field-2 chirps before localization,
     /// and drives the payload through its ARQ budget; it returns
     /// `Err(SessionError)` only when a budget is exhausted.

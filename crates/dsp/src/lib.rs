@@ -18,16 +18,11 @@
 //! * [`goertzel`] — single-bin DFT for cheap tone-power probes,
 //! * [`stft`] — short-time Fourier transform (spectrograms),
 //! * [`plan`] — cached FFT plans (precomputed twiddles, bit-reversal
-//!   tables, Bluestein kernels, fused radix-4 butterflies, batched
-//!   execution) backing the [`fft`] free functions,
-//! * [`realfft`] — real-input FFT via a packed half-length complex
-//!   transform + untangling pass (DESIGN.md §17),
+//!   tables, Bluestein kernels, fused radix-4 butterflies) backing the
+//!   [`fft`] free functions,
 //! * [`simd`] — runtime-dispatched AVX butterfly kernels, bitwise
 //!   identical to the scalar loops (x86-64 only; scalar fallback
 //!   everywhere else),
-//! * [`num32`] / [`plan32`] — the opt-in f32 sweep tier
-//!   ([`num32::Cpx32`], [`plan32::Fft32Plan`]): accuracy-bounded, never
-//!   on the bitwise reference path,
 //! * [`buffer`] — reusable-buffer helpers for the zero-allocation
 //!   `_into` hot paths (DESIGN.md §12),
 //! * [`phasor`] — phasor-recurrence carrier rotation with periodic
@@ -47,9 +42,10 @@
 //! ## Telemetry
 //!
 //! The plan cache reports `dsp.plan_cache.hit.local` /
-//! `dsp.plan_cache.miss.local` counters and a `dsp.fft.size` histogram
-//! through `milback-telemetry` when `MILBACK_TELEMETRY=1`; recording is
-//! a no-op branch otherwise (README §Observability).
+//! `dsp.plan_cache.miss.local` counters and the plans a `dsp.fft.size`
+//! histogram (one sample per transform, valued at its length) through
+//! `milback-telemetry` when `MILBACK_TELEMETRY=1`; recording is a no-op
+//! branch otherwise (README §Observability).
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
@@ -61,11 +57,8 @@ pub mod filter;
 pub mod goertzel;
 pub mod noise;
 pub mod num;
-pub mod num32;
 pub mod phasor;
 pub mod plan;
-pub mod plan32;
-pub mod realfft;
 pub mod resample;
 pub mod signal;
 pub mod simd;

@@ -18,20 +18,14 @@
 //! kernel synthesis per call.
 //!
 //! Execution fuses radix-2 stage pairs into radix-4 passes over four
-//! equal-length slice lanes (bounds-check-free, autovectorizable), tiles
-//! the low stages to L1, and — in the batched
-//! [`FftPlan::forward_many_into`] path — runs the large-stride tail
-//! stages once for a whole batch of buffers. Every fused pass performs
-//! exactly the floating-point expressions of the two radix-2 stages it
-//! replaces, so all of these paths are **bitwise identical** to the
-//! plain radix-2 reference (pinned by golden-vector tests). True
-//! split-radix was evaluated and rejected: its rearranged twiddle
-//! algebra changes rounding, which would break the bitwise contract the
-//! rest of the workspace is pinned against. See `DESIGN.md` §17.
-//!
-//! The siblings of this module: [`crate::realfft`] (N-point real
-//! transform via an N/2 complex plan + untangling) and [`crate::plan32`]
-//! (opt-in f32 sweep tier, accuracy-bounded rather than bitwise).
+//! equal-length slice lanes (bounds-check-free, autovectorizable) and
+//! tiles the low stages to L1. Every fused pass performs exactly the
+//! floating-point expressions of the two radix-2 stages it replaces, so
+//! the fast path is **bitwise identical** to the plain radix-2 reference
+//! (pinned by golden-vector tests). True split-radix was evaluated and
+//! rejected: its rearranged twiddle algebra changes rounding, which
+//! would break the bitwise contract the rest of the workspace is pinned
+//! against. See `DESIGN.md` §17.
 //!
 //! [`with_plan`]/[`with_bluestein`] memoize plans in a thread-local cache
 //! keyed by size, so callers never manage plan lifetimes; the free
@@ -127,6 +121,15 @@ impl FftPlan {
     /// # Panics
     /// Panics if `data.len()` differs from the plan length.
     pub fn forward_in_place(&self, data: &mut [Cpx]) {
+        telemetry::observe("dsp.fft.size", self.n as u64);
+        self.transform_in_place(data);
+    }
+
+    /// [`FftPlan::forward_in_place`] without the `dsp.fft.size` sample:
+    /// the building block of the public transforms, each of which
+    /// records exactly one sample (Bluestein's internal convolution
+    /// transforms are part of its own one).
+    fn transform_in_place(&self, data: &mut [Cpx]) {
         assert_eq!(data.len(), self.n, "buffer length != plan length");
         if self.n <= 1 {
             return;
@@ -260,10 +263,11 @@ impl FftPlan {
         if self.n == 0 {
             return;
         }
+        telemetry::observe("dsp.fft.size", self.n as u64);
         for c in data.iter_mut() {
             *c = c.conj();
         }
-        self.forward_in_place(data);
+        self.transform_in_place(data);
         let inv_n = 1.0 / self.n as f64;
         for c in data.iter_mut() {
             *c = c.conj() * inv_n;
@@ -282,6 +286,7 @@ impl FftPlan {
     /// fixed the BENCH_3 `forward_into` regression at 16384 points.
     pub fn forward_into(&self, input: &[Cpx], out: &mut Vec<Cpx>) {
         assert_eq!(input.len(), self.n, "buffer length != plan length");
+        telemetry::observe("dsp.fft.size", self.n as u64);
         crate::buffer::track_growth(out, self.n);
         out.clear();
         if self.n <= 1 {
@@ -290,91 +295,6 @@ impl FftPlan {
         }
         out.extend(self.bitrev.iter().map(|&j| input[j as usize]));
         self.butterflies(out);
-    }
-
-    /// Batched in-place forward DFT: every buffer is permuted and tiled
-    /// through the low stages, then the large-stride tail stages run in
-    /// **one traversal of the plan's stage list** with each stage's
-    /// twiddle block applied to all buffers while it is cache-hot. Per
-    /// buffer the floating-point work is identical to
-    /// [`FftPlan::forward_in_place`] (buffers are independent), so the
-    /// batch is bitwise identical to sequential calls.
-    ///
-    /// # Panics
-    /// Panics if any buffer length differs from the plan length.
-    pub fn forward_many_in_place(&self, bufs: &mut [Vec<Cpx>]) {
-        for b in bufs.iter_mut() {
-            assert_eq!(b.len(), self.n, "buffer length != plan length");
-            if self.n <= 1 {
-                continue;
-            }
-            for i in 0..self.n {
-                let j = self.bitrev[i] as usize;
-                if i < j {
-                    b.swap(i, j);
-                }
-            }
-        }
-        self.many_butterflies(bufs);
-    }
-
-    /// Batched forward DFT into caller-owned buffers: each `inputs[i]` is
-    /// gathered bit-reversed into `outs[i]` (capacity reused, zero
-    /// steady-state allocation) and the butterfly stages run as in
-    /// [`FftPlan::forward_many_in_place`]. Bitwise identical to `n`
-    /// sequential [`FftPlan::forward_into`] calls.
-    ///
-    /// # Panics
-    /// Panics on batch-size or buffer-length mismatch.
-    pub fn forward_many_into(&self, inputs: &[&[Cpx]], outs: &mut [Vec<Cpx>]) {
-        assert_eq!(inputs.len(), outs.len(), "batch size mismatch");
-        for (input, out) in inputs.iter().zip(outs.iter_mut()) {
-            assert_eq!(input.len(), self.n, "buffer length != plan length");
-            crate::buffer::track_growth(out, self.n);
-            out.clear();
-            if self.n <= 1 {
-                out.extend_from_slice(input);
-            } else {
-                out.extend(self.bitrev.iter().map(|&j| input[j as usize]));
-            }
-        }
-        self.many_butterflies(outs);
-    }
-
-    /// Butterfly stages for a batch of bit-reversed buffers: low stages
-    /// L1-tiled per buffer, tail stages stage-outer / buffer-inner.
-    fn many_butterflies(&self, bufs: &mut [Vec<Cpx>]) {
-        let n = self.n;
-        if n <= 1 {
-            return;
-        }
-        if n <= Self::TILE {
-            for b in bufs.iter_mut() {
-                self.stages(b, 2, n);
-            }
-            return;
-        }
-        for b in bufs.iter_mut() {
-            for chunk in b.chunks_exact_mut(Self::TILE) {
-                self.stages(chunk, 2, Self::TILE);
-            }
-        }
-        // Single traversal of the tail stages, shared across the batch.
-        let from_len = 2 * Self::TILE;
-        let n_stages = (n.trailing_zeros() + 1 - from_len.trailing_zeros()) as usize;
-        let mut len = from_len;
-        if n_stages % 2 == 1 {
-            for b in bufs.iter_mut() {
-                self.radix2_stage(b, len);
-            }
-            len <<= 1;
-        }
-        while len <= n {
-            for b in bufs.iter_mut() {
-                self.radix4_pair(b, len);
-            }
-            len <<= 2;
-        }
     }
 
     /// Inverse DFT (normalized) into a caller-owned buffer; the
@@ -442,7 +362,7 @@ impl BluesteinPlan {
             filter[k] = c;
             filter[m - k] = c;
         }
-        inner.forward_in_place(&mut filter);
+        inner.transform_in_place(&mut filter);
         Self {
             n,
             m,
@@ -474,6 +394,7 @@ impl BluesteinPlan {
     /// happen from the public API.
     pub fn transform_into(&self, input: &[Cpx], inverse: bool, out: &mut Vec<Cpx>) {
         assert_eq!(input.len(), self.n, "buffer length != plan length");
+        telemetry::observe("dsp.fft.size", self.n as u64);
         let n = self.n;
         let m = self.m;
         let mut scratch = self.scratch.borrow_mut();
@@ -491,7 +412,7 @@ impl BluesteinPlan {
         for k in 0..n {
             scratch[k] = input[k] * chirp(k);
         }
-        self.inner.forward_in_place(&mut scratch);
+        self.inner.transform_in_place(&mut scratch);
         if inverse {
             // conv filter for the inverse kernel is the conjugate of the
             // forward filter's *time response*, whose spectrum is the
@@ -509,7 +430,7 @@ impl BluesteinPlan {
         for c in scratch.iter_mut() {
             *c = c.conj();
         }
-        self.inner.forward_in_place(&mut scratch);
+        self.inner.transform_in_place(&mut scratch);
         let inv_m = 1.0 / m as f64;
         crate::buffer::track_growth(out, n);
         out.clear();
@@ -570,7 +491,6 @@ fn pow2_plan(cache: &mut PlanCache, n: usize) -> Rc<FftPlan> {
 /// # Panics
 /// Panics if `n` is not a power of two.
 pub fn with_plan<R>(n: usize, f: impl FnOnce(&FftPlan) -> R) -> R {
-    telemetry::observe("dsp.fft.size", n as u64);
     let plan = PLAN_CACHE.with(|c| pow2_plan(&mut c.borrow_mut(), n));
     f(&plan)
 }
@@ -604,7 +524,6 @@ pub fn with_bluestein<R>(n: usize, f: impl FnOnce(&BluesteinPlan) -> R) -> R {
 /// re-enters the cache.
 pub(crate) fn bluestein_cached_into(input: &[Cpx], inverse: bool, out: &mut Vec<Cpx>) {
     let n = input.len();
-    telemetry::observe("dsp.fft.size", n as u64);
     PLAN_CACHE.with(|c| {
         let mut cache = c.borrow_mut();
         if let Some(p) = cache.bluestein.get(&n) {
@@ -797,34 +716,6 @@ mod tests {
             let mut fast = x.clone();
             plan.forward_in_place(&mut fast);
             assert_eq!(golden, fast, "n={n}");
-        }
-    }
-
-    #[test]
-    fn forward_many_matches_sequential_bitwise() {
-        for n in [8usize, 1024, 4096] {
-            let plan = FftPlan::new(n);
-            let inputs: Vec<Vec<Cpx>> = (0..5)
-                .map(|c| {
-                    (0..n)
-                        .map(|i| Cpx::cis((c * n + i) as f64 * 0.013) * (1.0 + i as f64 * 1e-3))
-                        .collect()
-                })
-                .collect();
-            let sequential: Vec<Vec<Cpx>> = inputs.iter().map(|x| plan.forward(x)).collect();
-
-            // In-place batch.
-            let mut bufs = inputs.clone();
-            plan.forward_many_in_place(&mut bufs);
-            assert_eq!(sequential, bufs, "in-place n={n}");
-
-            // Into-buffer batch, twice through reused outs.
-            let refs: Vec<&[Cpx]> = inputs.iter().map(|v| v.as_slice()).collect();
-            let mut outs = vec![Vec::new(); 5];
-            for _ in 0..2 {
-                plan.forward_many_into(&refs, &mut outs);
-                assert_eq!(sequential, outs, "into n={n}");
-            }
         }
     }
 

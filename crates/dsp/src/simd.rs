@@ -4,13 +4,13 @@
 //! array-of-structs complex multiply — a shape LLVM's autovectorizer
 //! handles poorly (it scalarizes the shuffle between the `re`/`im`
 //! lanes). Hand-written AVX closes that gap while staying **bitwise
-//! identical** to the scalar kernels in [`crate::plan`] / [`crate::plan32`]:
+//! identical** to the scalar kernels in [`crate::plan`]:
 //!
 //! * Only `mul`/`add`/`sub`/`addsub` vector instructions are used —
 //!   never FMA, whose fused rounding would change results.
 //! * The complex product is assembled as
 //!   `(x.re·t.re − x.im·t.im, x.re·t.im + x.im·t.re)` — the *exact*
-//!   expressions (operands and order) of `Cpx::mul` / `Cpx32::mul` —
+//!   expressions (operands and order) of `Cpx::mul` —
 //!   by duplicating the data lanes and swapping the twiddle lanes, so
 //!   each output element is produced by the same IEEE 754 operation
 //!   sequence as the scalar path. `vaddsubpd` subtracts in even lanes
@@ -22,8 +22,8 @@
 //! universal fallback, so plans behave identically — bit for bit — on
 //! every host. The `unsafe` here is confined to (a) the `avx`
 //! target-feature contract, discharged by the runtime check, and (b)
-//! reinterpreting `&[Cpx]`/`&[Cpx32]` as packed scalars, discharged by
-//! the `repr(C)` layout of both types.
+//! reinterpreting `&[Cpx]` as packed scalars, discharged by the
+//! `repr(C)` layout of [`Cpx`].
 
 #![cfg(target_arch = "x86_64")]
 // `usize::is_multiple_of` needs Rust 1.87; the workspace declares
@@ -31,21 +31,13 @@
 #![allow(clippy::manual_is_multiple_of)]
 
 use crate::num::Cpx;
-use crate::num32::Cpx32;
 use core::arch::x86_64::*;
 
 /// Whether the AVX kernels may run on this host. The detection macro
-/// caches its CPUID probe, so calling this per stage is free. Setting
-/// `MILBACK_FORCE_SCALAR=1` disables the vector kernels — used to
-/// exercise (and A/B against) the scalar fallback on x86 hosts; results
-/// are bitwise identical either way.
+/// caches its CPUID probe, so calling this per stage is free.
 #[inline]
 pub fn avx_available() -> bool {
-    use std::sync::OnceLock;
-    static FORCE_SCALAR: OnceLock<bool> = OnceLock::new();
-    let forced =
-        *FORCE_SCALAR.get_or_init(|| std::env::var("MILBACK_FORCE_SCALAR").is_ok_and(|v| v == "1"));
-    !forced && std::arch::is_x86_feature_detected!("avx")
+    std::arch::is_x86_feature_detected!("avx")
 }
 
 /// Packed complex multiply `x * t` for two f64 pairs: the exact scalar
@@ -132,89 +124,6 @@ pub unsafe fn radix4_pair_pd(
             _mm256_storeu_pd(x2.add(i), _mm256_sub_pd(a, eb));
             _mm256_storeu_pd(x1.add(i), _mm256_add_pd(c, gb));
             _mm256_storeu_pd(x3.add(i), _mm256_sub_pd(c, gb));
-        }
-    }
-}
-
-/// Packed complex multiply `x * t` for four f32 pairs: the exact scalar
-/// expressions of `Cpx32::mul` per pair.
-#[inline]
-#[target_feature(enable = "avx")]
-unsafe fn cmul_ps(x: __m256, t: __m256) -> __m256 {
-    let x_re = _mm256_moveldup_ps(x);
-    let x_im = _mm256_movehdup_ps(x);
-    let t_swap = _mm256_permute_ps(t, 0b10_11_00_01);
-    let p1 = _mm256_mul_ps(x_re, t);
-    let p2 = _mm256_mul_ps(x_im, t_swap);
-    _mm256_addsub_ps(p1, p2)
-}
-
-/// One radix-2 stage of span `len` over f32 data.
-///
-/// # Safety
-/// As [`radix2_stage_pd`] but with `len/2 ≥ 4` (four pairs per vector).
-#[target_feature(enable = "avx")]
-pub unsafe fn radix2_stage_ps(data: &mut [Cpx32], tw: &[Cpx32], len: usize) {
-    let half = len / 2;
-    debug_assert!(half >= 4 && tw.len() == half && data.len() % len == 0);
-    let tw_p = tw.as_ptr() as *const f32;
-    for block in data.chunks_exact_mut(len) {
-        let (lo, hi) = block.split_at_mut(half);
-        let lo_p = lo.as_mut_ptr() as *mut f32;
-        let hi_p = hi.as_mut_ptr() as *mut f32;
-        for k in (0..half).step_by(4) {
-            let i = 2 * k;
-            let u = _mm256_loadu_ps(lo_p.add(i));
-            let v = _mm256_loadu_ps(hi_p.add(i));
-            let t = _mm256_loadu_ps(tw_p.add(i));
-            let b = cmul_ps(v, t);
-            _mm256_storeu_ps(lo_p.add(i), _mm256_add_ps(u, b));
-            _mm256_storeu_ps(hi_p.add(i), _mm256_sub_ps(u, b));
-        }
-    }
-}
-
-/// Two fused radix-2 stages over f32 data.
-///
-/// # Safety
-/// As [`radix4_pair_pd`] but with `len/2 ≥ 4` (four pairs per vector).
-#[target_feature(enable = "avx")]
-pub unsafe fn radix4_pair_ps(
-    data: &mut [Cpx32],
-    twa: &[Cpx32],
-    tb_lo: &[Cpx32],
-    tb_hi: &[Cpx32],
-    len: usize,
-) {
-    let half = len / 2;
-    debug_assert!(half >= 4 && twa.len() == half && tb_lo.len() == half && tb_hi.len() == half);
-    debug_assert!(data.len() % (2 * len) == 0);
-    let ta_p = twa.as_ptr() as *const f32;
-    let tl_p = tb_lo.as_ptr() as *const f32;
-    let th_p = tb_hi.as_ptr() as *const f32;
-    for block in data.chunks_exact_mut(2 * len) {
-        let p = block.as_mut_ptr() as *mut f32;
-        let x0 = p;
-        let x1 = p.add(2 * half);
-        let x2 = p.add(4 * half);
-        let x3 = p.add(6 * half);
-        for k in (0..half).step_by(4) {
-            let i = 2 * k;
-            let ta = _mm256_loadu_ps(ta_p.add(i));
-            let u0 = _mm256_loadu_ps(x0.add(i));
-            let v0 = cmul_ps(_mm256_loadu_ps(x1.add(i)), ta);
-            let u1 = _mm256_loadu_ps(x2.add(i));
-            let v1 = cmul_ps(_mm256_loadu_ps(x3.add(i)), ta);
-            let a = _mm256_add_ps(u0, v0);
-            let c = _mm256_sub_ps(u0, v0);
-            let e = _mm256_add_ps(u1, v1);
-            let g = _mm256_sub_ps(u1, v1);
-            let eb = cmul_ps(e, _mm256_loadu_ps(tl_p.add(i)));
-            let gb = cmul_ps(g, _mm256_loadu_ps(th_p.add(i)));
-            _mm256_storeu_ps(x0.add(i), _mm256_add_ps(a, eb));
-            _mm256_storeu_ps(x2.add(i), _mm256_sub_ps(a, eb));
-            _mm256_storeu_ps(x1.add(i), _mm256_add_ps(c, gb));
-            _mm256_storeu_ps(x3.add(i), _mm256_sub_ps(c, gb));
         }
     }
 }
@@ -306,66 +215,5 @@ mod tests {
             unsafe { radix4_pair_pd(&mut vector, &twa, tb_lo, tb_hi, len) };
             assert_eq!(scalar, vector, "len={len}");
         }
-    }
-
-    #[test]
-    fn avx_f32_kernels_match_scalar_bitwise() {
-        if !avx_available() {
-            return;
-        }
-        let len = 64usize;
-        let half = len / 2;
-        let tw32: Vec<Cpx32> = twiddles(len).iter().map(|&c| Cpx32::from_f64(c)).collect();
-        let twb32: Vec<Cpx32> = twiddles(2 * len)
-            .iter()
-            .map(|&c| Cpx32::from_f64(c))
-            .collect();
-        let (tb_lo, tb_hi) = twb32.split_at(half);
-        let base: Vec<Cpx32> = (0..4 * len)
-            .map(|i| Cpx32::new((i as f32 * 0.7).sin(), (i as f32 * 0.3).cos()))
-            .collect();
-
-        // radix-2: scalar twin inline.
-        let mut scalar = base.clone();
-        for block in scalar.chunks_exact_mut(len) {
-            let (lo, hi) = block.split_at_mut(half);
-            for ((u, v), t) in lo.iter_mut().zip(hi.iter_mut()).zip(&tw32) {
-                let a = *u;
-                let b = *v * *t;
-                *u = a + b;
-                *v = a - b;
-            }
-        }
-        let mut vector = base.clone();
-        unsafe { radix2_stage_ps(&mut vector, &tw32, len) };
-        assert_eq!(scalar, vector);
-
-        // radix-4: scalar twin inline.
-        let mut scalar = base.clone();
-        for block in scalar.chunks_exact_mut(2 * len) {
-            let (x01, x23) = block.split_at_mut(len);
-            let (x0, x1) = x01.split_at_mut(half);
-            let (x2, x3) = x23.split_at_mut(half);
-            for k in 0..half {
-                let ta = tw32[k];
-                let u0 = x0[k];
-                let v0 = x1[k] * ta;
-                let u1 = x2[k];
-                let v1 = x3[k] * ta;
-                let a = u0 + v0;
-                let c = u0 - v0;
-                let e = u1 + v1;
-                let g = u1 - v1;
-                let eb = e * tb_lo[k];
-                let gb = g * tb_hi[k];
-                x0[k] = a + eb;
-                x2[k] = a - eb;
-                x1[k] = c + gb;
-                x3[k] = c - gb;
-            }
-        }
-        let mut vector = base;
-        unsafe { radix4_pair_ps(&mut vector, &tw32, tb_lo, tb_hi, len) };
-        assert_eq!(scalar, vector);
     }
 }

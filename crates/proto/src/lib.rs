@@ -8,7 +8,6 @@
 //! * [`dense`] — multi-amplitude "dense OAQFM" constellations (§9.4),
 //! * [`fec`] — Hamming(7,4) forward error correction,
 //! * [`frame`] — payload ↔ symbol-stream framing,
-//! * [`mac`] — a polling MAC for multi-node deployments,
 //! * [`multiframe`] — fragmentation/reassembly for large messages,
 //! * [`packet`] — packet structure and preamble timing (Field 1 mode
 //!   signalling, Field 2 localization chirps, payload).
@@ -21,8 +20,7 @@
 //! that structure and [`bits`] the 2-bit OAQFM alphabet of §6. The rest
 //! is the link-layer machinery a deployment needs where the paper stops:
 //! [`crc`] integrity, [`fec`] coding at the range edge, [`arq`]
-//! retransmission, [`mac`] polling for the §8 multi-node case and
-//! [`dense`] for the §9.4 multi-amplitude extension.
+//! retransmission and [`dense`] for the §9.4 multi-amplitude extension.
 //!
 //! ## Telemetry
 //!
@@ -39,7 +37,6 @@ pub mod crc;
 pub mod dense;
 pub mod fec;
 pub mod frame;
-pub mod mac;
 pub mod multiframe;
 pub mod packet;
 
@@ -47,5 +44,4 @@ pub use arq::{ArqReceiver, ArqSender, SenderAction, SeqBit};
 pub use bits::OaqfmSymbol;
 pub use dense::{DenseConstellation, DenseSymbol};
 pub use frame::{decode_frame, encode_frame, FrameError};
-pub use mac::{NodeId, PollSchedule, PollSlot};
 pub use packet::{LinkMode, Packet, PacketConfig};

@@ -3,19 +3,17 @@
 //! the full per-node procedure. Nodes outside the steered beam contribute
 //! only side-lobe energy, so the links stay isolated.
 //!
-//! At deployment scale the same idea becomes the dense-network fabric
-//! (`milback::net`, DESIGN.md §16): several APs, slotted polling rounds
-//! per coverage cell, parked-neighbor interference and deterministic
-//! handoffs. The last part of this example runs a small fabric round.
+//! Polling runs on the dense-network fabric (`milback::net`, DESIGN.md
+//! §16): first a single-AP fabric polling three nodes, then two APs with
+//! slotted polling rounds per coverage cell, parked-neighbor
+//! interference and deterministic handoffs.
 //!
 //! ```sh
 //! cargo run --release --example multi_node_sdm
 //! ```
 
-use milback::multinode::MultiNetwork;
 use milback::net::{ap_line, net_roster, Fabric, NetConfig};
 use milback::{Fidelity, Network};
-use milback_proto::mac::PollSchedule;
 use milback_rf::geometry::{deg_to_rad, Pose};
 
 fn main() {
@@ -33,40 +31,39 @@ fn main() {
         "MilBack SDM demo: one AP polling {} co-present nodes",
         poses.len()
     );
-    let mut net = MultiNetwork::new(poses, Fidelity::Fast, 4000);
-    let schedule = PollSchedule::round_robin_uplink(3);
-    let payloads: Vec<Vec<u8>> = names
-        .iter()
-        .map(|n| format!("{}:report", n.trim()).into_bytes())
-        .collect();
-    let results = net.run_round(&schedule, &payloads, 5e6);
+    // One AP, one cell: every slot is an uplink session with the other
+    // two nodes parked absorptive in the capture.
+    let mut cfg = NetConfig::milback(Fidelity::Fast);
+    cfg.localize_fraction = 0.0;
+    cfg.uplink_fraction = 1.0;
+    let mut fabric = Fabric::new(&ap_line(1, 0.0), &poses, cfg);
+    fabric.reseed(4000);
+    let round = fabric.run_round(1);
 
     println!(
-        "{:<10} {:>9} {:>10} {:>10} {:>9}",
-        "node", "true_m", "est_m", "UL SNR", "UL ok"
+        "{:<10} {:>9} {:>10} {:>12} {:>9}",
+        "node", "true_m", "est_m", "interferers", "UL ok"
     );
-    for r in &results {
-        let est = r
-            .fix
-            .map(|f| format!("{:.2}", f.range))
-            .unwrap_or_else(|| "miss".into());
-        let (snr, ok) = match &r.uplink {
-            Some(u) => (
-                format!("{:.1} dB", 10.0 * u.snr.log10()),
-                if u.payload.is_ok() { "yes" } else { "crc!" },
-            ),
-            None => ("-".to_string(), "no"),
+    for (k, name) in names.iter().enumerate() {
+        let slot = fabric.outcome(k);
+        let est = if slot.fix_range_bits == u64::MAX {
+            "miss".to_string()
+        } else {
+            format!("{:.2}", f64::from_bits(slot.fix_range_bits))
         };
         println!(
-            "{:<10} {:>9.2} {:>10} {:>10} {:>9}",
-            names[r.node], truths[r.node], est, snr, ok
+            "{:<10} {:>9.2} {:>10} {:>12} {:>9}",
+            name,
+            truths[k],
+            est,
+            slot.interferers,
+            if slot.delivered { "yes" } else { "no" }
         );
     }
-    // Per-node throughput under this schedule.
-    let pkt = net.fidelity.packet();
+    // Per-node uplink goodput under this round-robin.
     println!(
-        "per-node uplink throughput in this round-robin: {:.2} Mbps",
-        schedule.per_node_uplink_throughput(0, &pkt, 1e-3) / 1e6
+        "per-node uplink goodput in this round-robin: {:.0} bit/s",
+        round.goodput_bps / poses.len() as f64
     );
 
     println!();

@@ -5,7 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use milback::{Fidelity, Network};
+use milback::{Fidelity, Network, Session, SessionConfig};
+use milback_proto::arq::parse_header;
 use milback_proto::packet::Packet;
 use milback_rf::geometry::{deg_to_rad, rad_to_deg, Pose};
 
@@ -46,33 +47,52 @@ fn main() {
 
     // 3. A full downlink packet: Field 1 signals the mode, Field 2
     //    localizes, then the payload rides on orientation-selected tones.
+    //    One shot: the session gets a single attempt per stage.
+    let one_shot = |symbol_rate| {
+        Session::new(SessionConfig {
+            mode_attempts: 1,
+            payload_attempts: 1,
+            symbol_rate,
+            ..SessionConfig::milback()
+        })
+    };
     let downlink = Packet::downlink(b"hello node, please report".to_vec());
-    let outcome = net.run_packet(&downlink, 1e6);
-    let dl = outcome.downlink.expect("downlink did not run");
-    println!(
-        "downlink: tones {:?}, SINR {:.1} dB, {} bit errors, payload {:?}",
-        dl.tones,
-        10.0 * dl.sinr.log10(),
-        dl.bit_errors,
-        dl.payload
-            .as_ref()
-            .map(|p| String::from_utf8_lossy(p).into_owned())
-    );
+    match one_shot(1e6).run(&mut net, &downlink) {
+        Ok(report) => {
+            let dl = report.downlink.expect("downlink did not run");
+            println!(
+                "downlink: tones {:?}, SINR {:.1} dB, {} bit errors, payload {:?}",
+                dl.tones,
+                10.0 * dl.sinr.log10(),
+                dl.bit_errors,
+                dl.payload
+                    .as_ref()
+                    .map(|p| String::from_utf8_lossy(p).into_owned())
+            );
+        }
+        Err(e) => println!("downlink: {e}"),
+    }
 
     // 4. A full uplink packet: the node backscatters its data on the
-    //    two-tone query.
+    //    two-tone query, inside the session's ARQ frame.
     let uplink = Packet::uplink(b"temp=23C batt=97% status=ok".to_vec());
-    let outcome = net.run_packet(&uplink, 5e6);
-    let ul = outcome.uplink.expect("uplink did not run");
-    println!(
-        "uplink:   tones {:?}, SNR {:.1} dB, {} bit errors, payload {:?}",
-        ul.tones,
-        10.0 * ul.snr.log10(),
-        ul.bit_errors,
-        ul.payload
-            .as_ref()
-            .map(|p| String::from_utf8_lossy(p).into_owned())
-    );
+    match one_shot(5e6).run(&mut net, &uplink) {
+        Ok(report) => {
+            let ul = report.uplink.expect("uplink did not run");
+            println!(
+                "uplink:   tones {:?}, SNR {:.1} dB, {} bit errors, payload {:?}",
+                ul.tones,
+                10.0 * ul.snr.log10(),
+                ul.bit_errors,
+                ul.payload
+                    .as_ref()
+                    .ok()
+                    .and_then(|f| parse_header(f))
+                    .map(|(_, p)| String::from_utf8_lossy(p).into_owned())
+            );
+        }
+        Err(e) => println!("uplink: {e}"),
+    }
 
     // 5. What it costs the node (paper §9.6).
     use milback_hw::power::NodeMode;

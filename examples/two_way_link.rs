@@ -7,7 +7,8 @@
 //! cargo run --release --example two_way_link
 //! ```
 
-use milback::{Fidelity, Network};
+use milback::{Fidelity, Network, Session, SessionConfig};
+use milback_proto::arq::parse_header;
 use milback_proto::packet::Packet;
 use milback_rf::geometry::{deg_to_rad, Pose};
 
@@ -26,34 +27,48 @@ fn main() {
     println!("MilBack two-way link demo (node at 4 m)");
     println!("========================================");
 
+    // One shot per packet: a session with a single attempt per stage.
+    let one_shot = |symbol_rate| {
+        Session::new(SessionConfig {
+            mode_attempts: 1,
+            payload_attempts: 1,
+            symbol_rate,
+            ..SessionConfig::milback()
+        })
+    };
+
     // Round 1: AP → node configuration.
     let config = b"cfg:rate=10Mbps;led=on;interval=50ms".to_vec();
-    let outcome = net.run_packet(&Packet::downlink(config.clone()), 1e6);
-    let dl = outcome.downlink.expect("downlink did not run");
-    println!(
-        "[AP → node] {} bytes, SINR {:.1} dB, {} — node heard mode {:?}",
-        config.len(),
-        10.0 * dl.sinr.log10(),
-        checksum_ok(&dl.payload),
-        outcome.mode_detected
-    );
-    if let Ok(p) = &dl.payload {
-        println!("            node decoded: {:?}", String::from_utf8_lossy(p));
+    match one_shot(1e6).run(&mut net, &Packet::downlink(config.clone())) {
+        Ok(report) => {
+            let dl = report.downlink.expect("downlink did not run");
+            println!(
+                "[AP → node] {} bytes, SINR {:.1} dB, {} — node heard mode {:?}",
+                config.len(),
+                10.0 * dl.sinr.log10(),
+                checksum_ok(&dl.payload),
+                report.mode
+            );
+            if let Ok(p) = &dl.payload {
+                println!("            node decoded: {:?}", String::from_utf8_lossy(p));
+            }
+        }
+        Err(e) => println!("[AP → node] {e}"),
     }
 
     // Rounds 2-4: node → AP sensor reports at 10 Mbps (5 Msym/s).
     for round in 0..3 {
         let report = format!("report#{round}:imu=ok;temp={}C", 21 + round).into_bytes();
-        let outcome = net.run_packet(&Packet::uplink(report.clone()), 5e6);
-        let Some(ul) = outcome.uplink else {
-            // Mode signalling or orientation sensing missed this packet —
-            // a real deployment would simply retransmit.
-            println!(
-                "[node → AP] packet missed (mode {:?}) — retrying next round",
-                outcome.mode_detected
-            );
-            continue;
+        let outcome = match one_shot(5e6).run(&mut net, &Packet::uplink(report.clone())) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                // Mode signalling or the payload missed this packet — a
+                // real deployment would simply retransmit.
+                println!("[node → AP] packet missed ({e}) — retrying next round");
+                continue;
+            }
         };
+        let ul = outcome.uplink.expect("uplink did not run");
         println!(
             "[node → AP] {} bytes, SNR {:.1} dB, {} bit errors, {}",
             report.len(),
@@ -61,7 +76,7 @@ fn main() {
             ul.bit_errors,
             checksum_ok(&ul.payload)
         );
-        if let Ok(p) = &ul.payload {
+        if let Some((_, p)) = ul.payload.as_deref().ok().and_then(parse_header) {
             println!("            AP decoded:  {:?}", String::from_utf8_lossy(p));
         }
         // Each packet re-localizes the node for free (Field 2).

@@ -2,7 +2,8 @@
 //! orientation sensing at both ends, downlink and uplink — running through
 //! the cluttered indoor channel.
 
-use milback::{Fidelity, Network};
+use milback::{Fidelity, Network, Session, SessionConfig};
+use milback_proto::arq::parse_header;
 use milback_proto::packet::{LinkMode, Packet};
 use milback_rf::geometry::{deg_to_rad, rad_to_deg, Pose};
 
@@ -48,14 +49,26 @@ fn complete_session_at_3m() {
     assert_eq!(ul.payload.as_deref().unwrap(), b"uplink payload!!!");
 }
 
+/// One-shot exchange: a session with no retry budget at either stage.
+fn one_shot(symbol_rate: f64) -> Session {
+    Session::new(SessionConfig {
+        mode_attempts: 1,
+        payload_attempts: 1,
+        symbol_rate,
+        ..SessionConfig::milback()
+    })
+}
+
 #[test]
 fn full_packet_round_trip_both_modes() {
     let pose = Pose::facing_ap(2.5, 0.0, deg_to_rad(-10.0));
     let mut net = Network::new(pose, Fidelity::Fast, 1001);
 
     let down = Packet::downlink((0u8..32).collect());
-    let out = net.run_packet(&down, 1e6);
-    assert_eq!(out.mode_detected, Some(LinkMode::Downlink));
+    let out = one_shot(1e6)
+        .run(&mut net, &down)
+        .expect("downlink exchange failed");
+    assert_eq!(out.mode, LinkMode::Downlink);
     assert!(out.fix.is_some(), "no localization in packet");
     assert_eq!(
         out.downlink
@@ -67,15 +80,15 @@ fn full_packet_round_trip_both_modes() {
     );
 
     let up = Packet::uplink((100u8..132).collect());
-    let out = net.run_packet(&up, 5e6);
-    assert_eq!(out.mode_detected, Some(LinkMode::Uplink));
+    let out = one_shot(5e6)
+        .run(&mut net, &up)
+        .expect("uplink exchange failed");
+    assert_eq!(out.mode, LinkMode::Uplink);
+    let frame = out.uplink.expect("uplink skipped").payload.unwrap();
+    // The uplink frame carries the session's ARQ header.
     assert_eq!(
-        out.uplink
-            .expect("uplink skipped")
-            .payload
-            .as_deref()
-            .unwrap(),
-        &(100u8..132).collect::<Vec<u8>>()[..]
+        parse_header(&frame).map(|(_, p)| p),
+        Some(&(100u8..132).collect::<Vec<u8>>()[..])
     );
 }
 

@@ -2,11 +2,11 @@
 //! paper's core: dense OAQFM, multi-node SDM, velocity measurement,
 //! reliable delivery and large-message transfer.
 
-use milback::multinode::MultiNetwork;
-use milback::{Fidelity, Network};
+use milback::net::{ap_line, Fabric, NetConfig};
+use milback::{Fidelity, Interferer, Network, Session, SessionConfig, Workload};
 use milback_proto::dense::DenseConstellation;
-use milback_proto::mac::PollSchedule;
 use milback_proto::multiframe::{fragment, Reassembler};
+use milback_proto::packet::Packet;
 use milback_rf::geometry::{deg_to_rad, Pose};
 
 #[test]
@@ -30,24 +30,30 @@ fn dense_oaqfm_rate_range_tradeoff() {
     assert_eq!(dense.bit_rate, 2.0 * 1e6 * 2.0);
 }
 
+/// SDM with one AP: a single-cell fabric polls both nodes in turn, each
+/// slot a full uplink session with the other node parked in the capture.
 #[test]
 fn multinode_round_localizes_and_delivers_all() {
     let poses = vec![
         Pose::facing_ap(2.0, deg_to_rad(-15.0), deg_to_rad(8.0)),
         Pose::facing_ap(4.0, deg_to_rad(10.0), deg_to_rad(-10.0)),
     ];
-    let mut net = MultiNetwork::new(poses, Fidelity::Fast, 5002);
-    let schedule = PollSchedule::round_robin_uplink(2);
-    let payloads = vec![vec![0xAA; 8], vec![0x55; 8]];
-    let results = net.run_round(&schedule, &payloads, 5e6);
-    for (k, r) in results.iter().enumerate() {
-        assert!(r.fix.is_some(), "node {k} not localized");
-        let ul = r
-            .uplink
-            .as_ref()
-            .unwrap_or_else(|| panic!("node {k} no uplink"));
-        assert_eq!(ul.payload.as_deref().unwrap(), &payloads[k][..]);
+    let mut cfg = NetConfig::milback(Fidelity::Fast);
+    cfg.localize_fraction = 0.0;
+    cfg.uplink_fraction = 1.0;
+    let mut fabric = Fabric::new(&ap_line(1, 0.0), &poses, cfg);
+    fabric.reseed(5002);
+    let round = fabric.run_round(1);
+    for (k, truth) in [2.0, 4.0].into_iter().enumerate() {
+        let slot = fabric.outcome(k);
+        assert_eq!(slot.workload, Workload::Uplink);
+        assert_eq!(slot.interferers, 1, "node {k}: neighbor not parked in");
+        assert_ne!(slot.fix_range_bits, u64::MAX, "node {k} not localized");
+        let range = f64::from_bits(slot.fix_range_bits);
+        assert!((range - truth).abs() < 0.3, "node {k} at {range} m");
+        assert!(slot.delivered, "node {k} uplink not delivered");
     }
+    assert_eq!(round.delivered, 2);
 }
 
 #[test]
@@ -88,10 +94,17 @@ fn reliable_large_message_transfer() {
 fn arq_delivers_over_real_channel() {
     let pose = Pose::facing_ap(3.0, 0.0, deg_to_rad(12.0));
     let mut net = Network::new(pose, Fidelity::Fast, 5200);
-    let attempts = net
-        .uplink_reliable(&[0xF0; 12], 5e6, 4)
+    let session = Session::new(SessionConfig {
+        symbol_rate: 5e6,
+        ..SessionConfig::milback()
+    });
+    let report = session
+        .run(&mut net, &Packet::uplink(vec![0xF0; 12]))
         .expect("ARQ gave up at 3 m");
-    assert_eq!(attempts, 1, "clean link should deliver first try");
+    assert_eq!(
+        report.payload_attempts, 1,
+        "clean link should deliver first try"
+    );
 }
 
 #[test]
@@ -137,8 +150,19 @@ fn coverage_map_matches_adaptive_rates() {
                     .map(|s| s >= milback::adaptation::SNR_ACCEPT)
                     .unwrap_or(false)
             });
+        // Achieved: the fastest rate whose frame decodes cleanly with the
+        // same SNR margin, probed fastest first on one network.
         let mut net = Network::new(pose, Fidelity::Fast, 5400 + d as u64);
-        let achieved = net.uplink_adaptive(&[0x11; 8]).map(|r| r.bit_rate);
+        let achieved = milback::adaptation::UPLINK_RATES
+            .iter()
+            .copied()
+            .find(|&r| {
+                net.uplink(&[0x11; 8], r / 2.0, true).is_some_and(|u| {
+                    u.bit_errors == 0
+                        && u.payload.is_ok()
+                        && u.snr >= milback::adaptation::SNR_ACCEPT
+                })
+            });
         // Allow one rate step of disagreement (the plan is analytic).
         match (planned, achieved) {
             (Some(p), Some(a)) => {
@@ -157,18 +181,23 @@ fn coverage_map_matches_adaptive_rates() {
 /// but localization must find the *modulating* node, not the parked one.
 #[test]
 fn sdm_separates_target_from_coazimuth_neighbor() {
-    let poses = vec![
+    let poses = [
         Pose::facing_ap(2.5, deg_to_rad(2.0), deg_to_rad(8.0)),
         Pose::facing_ap(5.0, deg_to_rad(-2.0), deg_to_rad(-8.0)), // nearly co-azimuth
     ];
-    let mut net = MultiNetwork::new(poses, Fidelity::Fast, 5500);
-    // Localizing node 0 must return ~2.5 m, not the neighbor's 5 m:
-    // the neighbor is parked absorptive, so background subtraction
-    // removes what little it reflects.
-    let fix0 = net.localize_node(0).expect("node 0 lost");
-    assert!((fix0.range - 2.5).abs() < 0.3, "node 0 at {}", fix0.range);
-    let fix1 = net.localize_node(1).expect("node 1 lost");
-    assert!((fix1.range - 5.0).abs() < 0.3, "node 1 at {}", fix1.range);
+    // Localizing each node must return its own range, not the
+    // neighbor's: the neighbor is parked absorptive, so background
+    // subtraction removes what little it reflects.
+    for (k, truth) in [2.5, 5.0].into_iter().enumerate() {
+        let mut net = Network::new(poses[k], Fidelity::Fast, 5500 + k as u64);
+        net.interferers.push(Interferer {
+            pose: poses[1 - k],
+            fsa: net.node.fsa,
+            gamma: net.node.parked_gamma(),
+        });
+        let fix = net.localize().unwrap_or_else(|| panic!("node {k} lost"));
+        assert!((fix.range - truth).abs() < 0.3, "node {k} at {}", fix.range);
+    }
 }
 
 /// FEC extends usable range: at a distance where the uncoded link drops

@@ -269,16 +269,3 @@ fn transient_clock_drift_is_tolerated() {
     assert!(report.downlink.is_some());
     assert_eq!(report.payload_attempts, 1);
 }
-
-/// Rate adaptation never accepts a rate it then fails at.
-#[test]
-fn adaptive_rate_is_self_consistent() {
-    for d in [2.0, 5.0, 8.0] {
-        let pose = Pose::facing_ap(d, 0.0, deg_to_rad(15.0));
-        let mut net = Network::new(pose, Fidelity::Fast, 3000 + d as u64);
-        if let Some(r) = net.uplink_adaptive(&[0x77; 12]) {
-            assert_eq!(r.report.bit_errors, 0, "accepted rate errored at {d} m");
-            assert!(r.report.payload.is_ok());
-        }
-    }
-}

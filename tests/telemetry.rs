@@ -5,16 +5,19 @@
 //! deterministic subset of a snapshot (everything except `.ns` wall-clock
 //! spans, `.local` per-thread caches, and gauges) must come out identical
 //! whether a batch ran with one worker (`MILBACK_THREADS=1` equivalent)
-//! or many. This file is the acceptance test for that contract.
+//! or many. This file is the acceptance test for that contract, and
+//! for the meaning of the work counters (one `dsp.fft.size` sample per
+//! transform).
 
 use milback::batch::run_trials_with_threads;
+use milback::chaos::{chaos_sweep_with_threads, ChaosPoint};
 use milback::{batch, Fidelity, Network};
 use milback_rf::geometry::{deg_to_rad, Pose};
 use milback_telemetry as telemetry;
 use std::sync::{Mutex, MutexGuard};
 
-/// Both tests mutate the process-global registry and enabled flag, so
-/// they must not interleave.
+/// Every test here mutates the process-global registry and enabled
+/// flag, so they must not interleave.
 fn registry_lock() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(|e| e.into_inner())
@@ -91,4 +94,61 @@ fn disabled_pipeline_records_nothing() {
         "disabled run recorded histograms"
     );
     telemetry::set_enabled(true);
+}
+
+fn chaos_points() -> Vec<ChaosPoint> {
+    vec![
+        ChaosPoint {
+            intensity: 0.6,
+            range_m: 2.0,
+        },
+        ChaosPoint {
+            intensity: 0.9,
+            range_m: 2.5,
+        },
+    ]
+}
+
+/// The telemetry deterministic views of a serial and a parallel chaos
+/// run are byte-identical: fault and recovery counters depend only on
+/// the injected schedule, not on thread interleaving.
+#[test]
+fn chaos_telemetry_views_are_byte_identical() {
+    let _gate = registry_lock();
+    let was = telemetry::enabled();
+    telemetry::set_enabled(true);
+
+    telemetry::reset();
+    let serial = chaos_sweep_with_threads(&chaos_points(), 2, 0xC4A1, 1);
+    let view_serial = telemetry::snapshot().deterministic_view().to_json(2);
+
+    telemetry::reset();
+    let parallel = chaos_sweep_with_threads(&chaos_points(), 2, 0xC4A1, 4);
+    let view_parallel = telemetry::snapshot().deterministic_view().to_json(2);
+
+    telemetry::set_enabled(was);
+    assert_eq!(serial, parallel, "outcomes diverged");
+    assert_eq!(view_serial, view_parallel, "deterministic views diverged");
+}
+
+/// `dsp.fft.size` records one sample per transform: a localization
+/// burst runs one range FFT per windowed range spectrum (five chirps ×
+/// two antennas), and each of them is counted.
+#[test]
+fn localize_records_one_fft_sample_per_range_spectrum() {
+    let _gate = registry_lock();
+    let was = telemetry::enabled();
+    telemetry::set_enabled(true);
+    let pose = Pose::facing_ap(2.5, 0.0, deg_to_rad(8.0));
+    let mut net = Network::new(pose, Fidelity::Fast, 0xF17);
+    telemetry::reset();
+    let fix = net.localize();
+    let snap = telemetry::snapshot();
+    telemetry::set_enabled(was);
+
+    assert!(fix.is_some(), "no fix at 2.5 m");
+    let spectra = snap.counters.get("ap.dechirp.spectra").copied();
+    let ffts = snap.histograms.get("dsp.fft.size").map(|h| h.count);
+    assert_eq!(spectra, Some(10), "five chirps x two antennas");
+    assert_eq!(ffts, spectra, "dsp.fft.size must count every range FFT");
 }
