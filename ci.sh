@@ -72,58 +72,23 @@ echo "==> kernel perf gate (burst + range FFT vs committed baseline)"
 cargo run --release --offline -p milback-bench --bin bench_engine -- \
     --kernels-only --check-against BENCH_6.json
 
-echo "==> chaos smoke (fault-injection determinism)"
-# The chaos leg (DESIGN.md §14) runs supervised sessions under sampled
-# fault plans serially and in parallel, asserting identical outcomes and
-# byte-identical telemetry deterministic views inside one process. Two
-# back-to-back runs then pin cross-process determinism: same seeds, same
-# faults, same recoveries — the view files must compare equal with cmp.
-MILBACK_TELEMETRY=1 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --smoke --chaos-only --chaos-view target/chaos_view_1.json >/dev/null
-MILBACK_TELEMETRY=1 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --smoke --chaos-only --chaos-view target/chaos_view_2.json >/dev/null
-cmp target/chaos_view_1.json target/chaos_view_2.json
-
-echo "==> serve smoke (serving-pool soak determinism)"
-# The serving soak (DESIGN.md §15) pushes a seeded Poisson schedule past
-# the virtual server's capacity through the work-stealing session pool,
-# serially and in parallel, asserting identical resolutions and
-# byte-identical deterministic telemetry views inside one process. The
-# two runs below additionally pin cross-process AND cross-thread-count
-# determinism: one capped at a single worker, one at four — the
-# deterministic-view files must still compare equal with cmp.
-MILBACK_TELEMETRY=1 MILBACK_THREADS=1 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --smoke --serve --serve-only --serve-view target/serve_view_1.json >/dev/null
-MILBACK_TELEMETRY=1 MILBACK_THREADS=4 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --smoke --serve --serve-only --serve-view target/serve_view_2.json >/dev/null
-cmp target/serve_view_1.json target/serve_view_2.json
-
-echo "==> net smoke (dense-network fabric determinism)"
-# The net leg (DESIGN.md §16) sweeps the dense-network fabric across
-# node densities — two APs, slotted polling rounds with drift, handoffs
-# and parked-neighbor interference — serially and in parallel, asserting
-# per-density digest equality and byte-identical deterministic telemetry
-# views inside one process. The two runs below pin cross-process AND
-# cross-thread-count determinism: the deterministic per-density tables
-# (and views) must compare equal with cmp at 1 and at 4 workers.
-MILBACK_TELEMETRY=1 MILBACK_THREADS=1 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --smoke --net --net-only --net-view target/net_view_1.json >/dev/null
-MILBACK_TELEMETRY=1 MILBACK_THREADS=4 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --smoke --net --net-only --net-view target/net_view_2.json >/dev/null
-cmp target/net_view_1.json target/net_view_2.json
-
-echo "==> adaptive smoke (closed-loop controller determinism)"
-# The adaptive leg (DESIGN.md §18) runs the adaptive-vs-fixed scenario
-# sweep — every §14 stressor fixed and closed-loop on paired seeds —
-# through the batch engine; inside one process it already asserts the
-# 1-thread and N-thread sweeps bitwise equal. The two runs below pin
-# cross-process AND cross-thread-count determinism: the deterministic
-# per-scenario tables must compare equal with cmp at 1 and at 4 workers.
-MILBACK_TELEMETRY=1 MILBACK_THREADS=1 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --smoke --adaptive-only --adaptive-view target/adaptive_view_1.txt >/dev/null
-MILBACK_TELEMETRY=1 MILBACK_THREADS=4 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --smoke --adaptive-only --adaptive-view target/adaptive_view_2.txt >/dev/null
-cmp target/adaptive_view_1.txt target/adaptive_view_2.txt
+echo "==> determinism legs (cross-process, cross-thread-count views)"
+# Each bench_engine leg runs its workload serially and in parallel and
+# asserts identical outcomes and byte-identical telemetry deterministic
+# views inside one process: chaos (sessions under sampled fault plans,
+# DESIGN.md §14), serve (a Poisson schedule past the virtual server's
+# capacity, §15), net (the 2-AP fabric density sweep with drift,
+# handoffs and interference, §16) and adaptive (the adaptive-vs-fixed
+# scenario sweep, §18). Running each leg again in a fresh process at one
+# worker and at four pins cross-process AND cross-thread-count
+# determinism: the two view files must compare equal with cmp.
+for leg in chaos serve net adaptive; do
+    for t in 1 4; do
+        MILBACK_TELEMETRY=1 MILBACK_THREADS=$t cargo run --release --offline -p milback-bench \
+            --bin bench_engine -- --smoke --leg "$leg" --view "target/${leg}_view_$t.txt" >/dev/null
+    done
+    cmp "target/${leg}_view_1.txt" "target/${leg}_view_4.txt"
+done
 
 echo "==> docs freshness (ARCHITECTURE/README section refs resolve in DESIGN.md)"
 # Every "DESIGN.md §N" reference in the top-level maps must point at a

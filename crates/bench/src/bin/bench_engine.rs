@@ -55,33 +55,27 @@
 //! take their no-op branches.
 //!
 //! Usage: `cargo run --release -p milback-bench --bin bench_engine
-//! [-- --smoke] [-- --out path.json] [-- --chaos-only]
-//! [-- --chaos-view path.json] [-- --serve] [-- --serve-only]
-//! [-- --serve-view path.json]`.
+//! [-- --smoke] [-- --out path.json] [-- --leg <chaos|serve|net|adaptive>
+//! [--view path]] [-- --kernels-only [--check-against BENCH_N.json]]`.
 //!
-//! The chaos leg runs supervised sessions under sampled fault plans
-//! (DESIGN.md §14) serially and in parallel, asserting identical
-//! per-trial outcomes and byte-identical telemetry deterministic views.
-//! `--chaos-only` runs just that leg (the CI determinism check);
-//! `--chaos-view <path>` writes the serial run's deterministic-view
-//! JSON so two invocations can be compared byte-for-byte.
+//! Four determinism legs run ahead of the measured region, each serially
+//! and at the host's thread count, asserting identical outcomes and
+//! byte-identical telemetry deterministic views inside one process:
 //!
-//! The serve leg mirrors that for the serving engine: `--serve` is an
-//! explicit opt-in marker (the leg runs in every full invocation),
-//! `--serve-only` runs just the serving soak, and `--serve-view <path>`
-//! writes its serial deterministic view for cross-process, cross-
-//! thread-count comparison (ci.sh runs it at `MILBACK_THREADS=1` and
-//! `=4` and `cmp`s the files).
+//! * `chaos` — supervised sessions under sampled fault plans (DESIGN.md
+//!   §14),
+//! * `serve` — a seeded Poisson schedule past the virtual server's
+//!   capacity through the serving engine (§15),
+//! * `net` — the dense-network fabric swept across node densities: two
+//!   APs, slotted polling rounds with drift, handoffs and
+//!   parked-neighbor interference (§16),
+//! * `adaptive` — the adaptive-vs-fixed scenario sweep of the closed-loop
+//!   link controller (§18).
 //!
-//! The net leg (DESIGN.md §16) sweeps the dense-network fabric across
-//! node densities — two APs, slotted polling rounds with drift,
-//! handoffs and parked-neighbor interference — serially and in
-//! parallel, asserting per-density digest equality and byte-identical
-//! deterministic telemetry views, then reporting sessions/sec and
-//! aggregate goodput per density. `--net` is the opt-in marker (the leg
-//! runs in every full invocation), `--net-only` runs just the density
-//! sweep, and `--net-view <path>` writes a deterministic per-density
-//! table plus the telemetry view for cross-process comparison.
+//! `--leg <name>` runs just that leg and exits; `--view <path>` then
+//! writes its deterministic view (no wall-clock content), so two
+//! invocations can be compared byte-for-byte. ci.sh runs every leg at
+//! `MILBACK_THREADS=1` and `=4` and `cmp`s the two files.
 
 use milback::adaptation::{adaptive_sweep_with_threads, AdaptiveComparison};
 use milback::batch;
@@ -1057,94 +1051,53 @@ fn check_regression(baseline_path: &str, legs: &CoreLegs) -> bool {
     ok
 }
 
+/// A determinism leg: `(smoke, threads, view path) -> JSON fragment`.
+type Leg = fn(bool, usize, Option<&str>) -> String;
+
+/// The determinism legs, in the order a full run takes them.
+const LEGS: [(&str, Leg); 4] = [
+    ("chaos", chaos_leg),
+    ("serve", serve_leg),
+    ("net", net_leg),
+    ("adaptive", adaptive_leg),
+];
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("bench_engine: {msg}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let (
-        out_path,
-        smoke,
-        chaos_only,
-        chaos_view,
-        serve_only,
-        serve_view,
-        net_only,
-        net_view,
-        adaptive_only,
-        adaptive_view,
-        kernels_only,
-        check_against,
-    ) = {
-        let mut args = std::env::args().skip(1);
-        let mut path = None;
-        let mut smoke = false;
-        let mut chaos_only = false;
-        let mut chaos_view = None;
-        let mut serve_only = false;
-        let mut serve_view = None;
-        let mut net_only = false;
-        let mut net_view = None;
-        let mut adaptive_only = false;
-        let mut adaptive_view = None;
-        let mut kernels_only = false;
-        let mut check_against = None;
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--out" => {
-                    if let Some(p) = args.next() {
-                        path = Some(p);
-                    }
+    let mut args = std::env::args().skip(1);
+    let mut out_path = None;
+    let mut smoke = false;
+    let mut leg = None;
+    let mut view = None;
+    let mut kernels_only = false;
+    let mut check_against = None;
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--out" => out_path = args.next(),
+            "--smoke" => smoke = true,
+            "--leg" => {
+                let name = args.next().unwrap_or_default();
+                match LEGS.iter().find(|(n, _)| *n == name) {
+                    Some(&l) => leg = Some(l),
+                    None => usage_error(&format!(
+                        "--leg takes one of chaos|serve|net|adaptive, got {name:?}"
+                    )),
                 }
-                "--smoke" => smoke = true,
-                "--chaos-only" => chaos_only = true,
-                "--chaos-view" => {
-                    if let Some(p) = args.next() {
-                        chaos_view = Some(p);
-                    }
-                }
-                // Accepted as the documented opt-in markers; the serving
-                // soak and the density sweep run in every full
-                // invocation regardless.
-                "--serve" | "--net" | "--adaptive" => {}
-                "--serve-only" => serve_only = true,
-                "--serve-view" => {
-                    if let Some(p) = args.next() {
-                        serve_view = Some(p);
-                    }
-                }
-                "--net-only" => net_only = true,
-                "--net-view" => {
-                    if let Some(p) = args.next() {
-                        net_view = Some(p);
-                    }
-                }
-                "--adaptive-only" => adaptive_only = true,
-                "--adaptive-view" => {
-                    if let Some(p) = args.next() {
-                        adaptive_view = Some(p);
-                    }
-                }
-                "--kernels-only" => kernels_only = true,
-                "--check-against" => {
-                    if let Some(p) = args.next() {
-                        check_against = Some(p);
-                    }
-                }
-                _ => {}
             }
+            "--view" => view = args.next(),
+            "--kernels-only" => kernels_only = true,
+            "--check-against" => check_against = args.next(),
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
-        (
-            path.unwrap_or_else(|| next_bench_path(std::path::Path::new("."))),
-            smoke,
-            chaos_only,
-            chaos_view,
-            serve_only,
-            serve_view,
-            net_only,
-            net_view,
-            adaptive_only,
-            adaptive_view,
-            kernels_only,
-            check_against,
-        )
-    };
+    }
+    if view.is_some() && leg.is_none() {
+        usage_error("--view needs --leg");
+    }
+    let out_path = out_path.unwrap_or_else(|| next_bench_path(std::path::Path::new(".")));
 
     // The transform-core region on its own: the CI regression gate runs
     // this at full rep counts (stable timings) without paying for the
@@ -1186,37 +1139,17 @@ fn main() {
     let seed = 0xB16B_00B5;
     let threads = batch::thread_count();
 
-    // Chaos, serve and net legs first: each resets telemetry for its own
+    // One leg on its own: the cross-process determinism check ci.sh
+    // runs at 1 and at 4 worker threads.
+    if let Some((_, run)) = leg {
+        run(smoke, threads, view.as_deref());
+        return;
+    }
+    // The determinism legs first: each resets telemetry for its own
     // serial/parallel view comparison, so they have to run before (not
     // inside) the measured region below.
-    let chaos_json = if serve_only || net_only || adaptive_only {
-        String::new()
-    } else {
-        chaos_leg(smoke, threads, chaos_view.as_deref())
-    };
-    if chaos_only {
-        return;
-    }
-    let serve_json = if net_only || adaptive_only {
-        String::new()
-    } else {
-        serve_leg(smoke, threads, serve_view.as_deref())
-    };
-    if serve_only {
-        return;
-    }
-    let net_json = if adaptive_only {
-        String::new()
-    } else {
-        net_leg(smoke, threads, net_view.as_deref())
-    };
-    if net_only {
-        return;
-    }
-    let adaptive_json = adaptive_leg(smoke, threads, adaptive_view.as_deref());
-    if adaptive_only {
-        return;
-    }
+    let [chaos_json, serve_json, net_json, adaptive_json] =
+        LEGS.map(|(_, run)| run(smoke, threads, None));
 
     // Warm each thread's plan cache so the engine comparison measures
     // scheduling, not first-use table construction.

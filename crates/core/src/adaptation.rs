@@ -1,6 +1,6 @@
 //! Link adaptation (DESIGN.md §18): the closed-loop [`LinkPolicy`]
-//! controller and the adaptive-vs-fixed chaos evaluation behind
-//! `bench_engine --adaptive`.
+//! controller and the adaptive-vs-fixed chaos evaluation behind the
+//! `bench_engine` adaptive leg (`--leg adaptive`).
 //!
 //! The paper reports fixed-rate curves (Figs. 14/15); a deployed network
 //! needs the loop that *chooses* the rate — provided here — while the
@@ -16,8 +16,9 @@
 //! dying, a 5→3 Field-2 chirp trim when the reduced-chirp fallback keeps
 //! winning, and a loss-driven ARQ budget/[`milback_proto::arq::Backoff`] stretch. Every
 //! decision is a pure integer-counter function of the feedback history —
-//! no RNG, no clock — so threading the policy through the serving lanes
-//! keeps the parallel==serial bitwise guarantee.
+//! no RNG, no clock — so [`adaptive_trial`], which carries one policy
+//! through a node's sessions, keeps the batch engine's parallel==serial
+//! bitwise guarantee in [`adaptive_sweep_with_threads`].
 
 use crate::batch;
 use crate::config::Fidelity;
@@ -112,7 +113,7 @@ pub struct SessionPlan {
 }
 
 /// One exchange's evidence, compressed from the session supervisor's
-/// report. Plain `Copy` data — the serving lanes record it without
+/// report. Plain `Copy` data — recorded per session without
 /// allocating, and [`LinkPolicy::observe`] is a pure function of it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyFeedback {
@@ -193,8 +194,8 @@ impl PolicyFeedback {
 ///
 /// State is a handful of integer streak counters — a pure function of
 /// the observed feedback sequence, with no RNG and no wall clock — so a
-/// policy carried on a per-node serving lane preserves the engine's
-/// thread-invariance and parallel==serial guarantees. A freshly built
+/// policy carried through one node's sessions preserves the batch
+/// engine's thread-invariance and parallel==serial guarantees. A freshly built
 /// (or [`LinkPolicy::reset`]) policy plans exactly the base
 /// configuration, so the fixed and adaptive paths are bitwise identical
 /// until the first trouble is observed.
@@ -242,8 +243,8 @@ impl LinkPolicy {
         }
     }
 
-    /// Back to the neutral state (serving epochs reset per-lane policies
-    /// here so epoch digests stay a function of the epoch seed alone).
+    /// Back to the neutral state: the policy then plans exactly the base
+    /// configuration again, as a fresh one does.
     pub fn reset(&mut self) {
         *self = Self::new(self.config);
     }
@@ -396,7 +397,7 @@ impl LinkPolicy {
 }
 
 // ---------------------------------------------------------------------
-// Adaptive-vs-fixed chaos evaluation (bench_engine --adaptive)
+// Adaptive-vs-fixed chaos evaluation (the bench_engine adaptive leg)
 // ---------------------------------------------------------------------
 
 /// The §14 fault menagerie as named scenarios: each one is a

@@ -63,6 +63,7 @@ pub mod chaos;
 pub mod config;
 pub mod dense_link;
 pub mod experiments;
+mod lanes;
 pub mod link;
 pub mod net;
 pub mod network;

@@ -6,7 +6,7 @@
 //! that scale-out. One [`Fabric`] owns a whole deployment:
 //!
 //! * **Slotted polling MAC** — every round, each coverage cell polls its
-//!   members in fixed slots ([`RoundSchedule::slotted`]): member `j` of
+//!   members in fixed slots ([`RoundSchedule::fill`]): member `j` of
 //!   a cell owns the airtime window `[j·(slot+guard), j·(slot+guard) +
 //!   slot)`. Cells transmit concurrently (each AP's steered horn beams
 //!   suppress other cells' traffic below the noise floor — the same
@@ -26,9 +26,15 @@
 //!   per-round pose drift moves border nodes across cells and every
 //!   crossing is a deterministic handoff event.
 //! * **Sharded sweeps** — [`density_sweep`] scales the §10 batch engine
-//!   across *node count* instead of trial count, feeding the
-//!   `bench_engine --net` leg (sessions/sec and aggregate goodput vs
-//!   density in `BENCH_5.json`).
+//!   across *node count* instead of trial count, feeding `bench_engine`'s
+//!   net leg (sessions/sec and aggregate goodput vs density in
+//!   `BENCH_5.json`).
+//!
+//! The fabric is a scheduler over the crate's lane pool, the same one
+//! the §15 serving engine runs on: per-node lanes, pooled scratch
+//! contexts, work stealing and the one session body both engines share.
+//! What the fabric adds is the round: pose drift, cell assignment, the
+//! slot layout, the interferer pick and the workload draw.
 //!
 //! ## Determinism
 //!
@@ -47,9 +53,11 @@
 //! ```
 //! use milback::net::RoundSchedule;
 //!
-//! // Six nodes across two cells (0 and 1), 100 µs slots, 10 µs guard.
+//! // Six nodes across two cells (0 and 1), 100 µs slots, 10 µs guard,
+//! // laid out by the same in-place fill every fabric round runs.
 //! let assignment = [0, 1, 0, 1, 1, 0];
-//! let sched = RoundSchedule::slotted(&assignment, 2, 100e-6, 10e-6);
+//! let mut sched = RoundSchedule::default();
+//! sched.fill(&assignment, 2, 100e-6, 10e-6);
 //! assert_eq!(sched.slots.len(), 6);
 //! // Same-cell slots are disjoint: sorted by start, each ends (plus its
 //! // guard) before the next begins.
@@ -84,20 +92,18 @@
 //! assert!(cells.contains(&0) && cells.contains(&1));
 //! ```
 
-use crate::adaptation::{LinkPolicy, PolicyFeedback};
-use crate::batch::{derive_seed, run_stealing_with_threads, Mix, StealQueue};
+use crate::batch::{derive_seed, Mix};
 use crate::config::Fidelity;
-use crate::network::{Interferer, Network};
-use crate::serve::{fnv_word, workload_code, Workload};
+use crate::lanes::{serve_session, Lane, LanePool};
+use crate::network::Interferer;
+use crate::serve::{fnv_word, workload_code, Outcome, Resolution, Workload};
 use crate::session::{Session, SessionConfig, SessionCtx};
 use milback_ap::coverage;
 use milback_dsp::num::Cpx;
 use milback_node::node::BackscatterNode;
-use milback_proto::packet::{LinkMode, Packet};
 use milback_rf::fsa::DualPortFsa;
 use milback_rf::geometry::{deg_to_rad, Point, Pose};
 use milback_telemetry as telemetry;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Salts for the per-round index-keyed input streams (kept distinct so
@@ -116,17 +122,15 @@ const WORK_SALT: u64 = 0x3108_AD00;
 pub struct NetConfig {
     /// Session supervisor budgets for every scheduled session.
     pub session: SessionConfig,
-    /// Channel fidelity for every lane's [`Network`].
+    /// Channel fidelity for every lane's [`Network`](crate::Network).
     pub fidelity: Fidelity,
     /// Airtime slot length, seconds. Sessions that outrun it are counted
     /// as overruns, never clipped.
     pub slot_s: f64,
     /// Guard time between same-cell slots (beam re-steering), seconds.
     pub guard_s: f64,
-    /// Whether scheduled captures accumulate parked-neighbor clutter.
-    /// `false` is bitwise identical to `max_interferers == 0`.
-    pub interference: bool,
-    /// Strongest same-cell neighbors layered into a scheduled capture.
+    /// Strongest same-cell neighbors layered into a scheduled capture
+    /// as parked-neighbor clutter; `0` turns interference off.
     pub max_interferers: usize,
     /// Handoff hysteresis, dB: a node moves cells only when another AP
     /// beats its current response by more than this.
@@ -141,13 +145,6 @@ pub struct NetConfig {
     pub uplink_fraction: f64,
     /// Payload bytes per exchange slot.
     pub payload_len: usize,
-    /// Enables the per-lane closed-loop [`LinkPolicy`] controller
-    /// (DESIGN.md §18): each node's lane carries a policy whose state
-    /// persists across that node's slots within a run, adapting uplink
-    /// rate, OOK fallback, Field-2 chirp count and ARQ budgets from
-    /// observed outcomes. `false` (the default) keeps round digests
-    /// bitwise identical to the fixed-configuration fabric.
-    pub adaptive: bool,
 }
 
 impl NetConfig {
@@ -162,14 +159,12 @@ impl NetConfig {
             fidelity,
             slot_s: 3.0 * pkt.total_duration(),
             guard_s: 1e-3,
-            interference: true,
             max_interferers: 3,
             handoff_margin_db: 1.0,
             drift_step_m: 0.0,
             localize_fraction: 0.6,
             uplink_fraction: 0.4,
             payload_len: 16,
-            adaptive: false,
         }
     }
 }
@@ -253,43 +248,44 @@ pub struct Slot {
     pub airtime_s: f64,
 }
 
-/// A materialized slotted round: per-cell back-to-back polling, cells
-/// concurrent. See the module docs for the no-double-booking doctest.
-#[derive(Debug, Clone, PartialEq)]
+/// A slotted round: per-cell back-to-back polling, cells concurrent.
+/// The fabric refills one schedule in place every round; see the module
+/// docs for the no-double-booking doctest.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundSchedule {
     /// One slot per node, in node order.
     pub slots: Vec<Slot>,
     /// Round span: the longest cell's polling sequence, seconds.
     pub round_s: f64,
+    /// Per-cell polling counters (scratch, pooled across fills).
+    next: Vec<usize>,
 }
 
 impl RoundSchedule {
-    /// Lays out one polling round: the `j`-th member of each cell owns
-    /// `[j·(slot+guard), j·(slot+guard) + slot)`. Deterministic in the
-    /// assignment; same-cell windows are disjoint by construction
-    /// (property-tested in `tests/net.rs`).
-    pub fn slotted(assignment: &[usize], n_cells: usize, slot_s: f64, guard_s: f64) -> Self {
+    /// Lays out one polling round in place, reusing this schedule's
+    /// buffers: the `j`-th member of each cell owns `[j·(slot+guard),
+    /// j·(slot+guard) + slot)`. Deterministic in the assignment; same-cell
+    /// windows are disjoint by construction (property-tested in
+    /// `tests/net.rs`).
+    pub fn fill(&mut self, assignment: &[usize], n_cells: usize, slot_s: f64, guard_s: f64) {
         assert!(n_cells >= 1, "need at least one cell");
         assert!(slot_s > 0.0, "slots need positive airtime");
-        let mut next = vec![0usize; n_cells];
         let pitch = slot_s + guard_s;
-        let slots = assignment
-            .iter()
-            .enumerate()
-            .map(|(node, &cell)| {
-                assert!(cell < n_cells, "node {node} assigned to unknown cell");
-                let j = next[cell];
-                next[cell] += 1;
-                Slot {
-                    node,
-                    cell,
-                    start_s: j as f64 * pitch,
-                    airtime_s: slot_s,
-                }
-            })
-            .collect();
-        let round_s = next.iter().max().copied().unwrap_or(0) as f64 * pitch;
-        Self { slots, round_s }
+        self.next.clear();
+        self.next.resize(n_cells, 0);
+        self.slots.clear();
+        for (node, &cell) in assignment.iter().enumerate() {
+            assert!(cell < n_cells, "node {node} assigned to unknown cell");
+            let j = self.next[cell];
+            self.next[cell] += 1;
+            self.slots.push(Slot {
+                node,
+                cell,
+                start_s: j as f64 * pitch,
+                airtime_s: slot_s,
+            });
+        }
+        self.round_s = self.next.iter().max().copied().unwrap_or(0) as f64 * pitch;
     }
 }
 
@@ -379,17 +375,6 @@ pub struct RoundReport {
 // The fabric
 // ---------------------------------------------------------------------
 
-/// Per-node lane: the node's [`Network`] in its serving AP's local frame
-/// plus a pooled packet buffer. Mirrors the §15 serving engine's lanes.
-struct NetLane {
-    net: Network,
-    packet: Packet,
-    /// Closed-loop link controller for this node. Only consulted when
-    /// [`NetConfig::adaptive`] is set; reset on [`Fabric::reseed`] so
-    /// runs stay independent.
-    policy: LinkPolicy,
-}
-
 /// A dense-network deployment: many nodes, several APs, one slotted MAC.
 /// Owns every pooled resource (lanes, scratch contexts, claim flags,
 /// outcome slots, per-round scratch) and reuses all of them round after
@@ -408,16 +393,13 @@ pub struct Fabric {
     response_db: Vec<f64>,
     /// Scratch: per-AP responses for one node.
     resp_scratch: Vec<f64>,
-    /// Per-cell member lists, node order.
-    members: Vec<Vec<usize>>,
     /// Per-cell members sorted by descending response (interferer pick).
     order: Vec<Vec<usize>>,
-    /// Per-node slot start within the round, seconds.
-    slot_start: Vec<f64>,
-    lanes: Vec<Mutex<NetLane>>,
-    ctxs: Vec<Mutex<SessionCtx>>,
-    claims: StealQueue,
-    records: Vec<Mutex<SlotOutcome>>,
+    /// This round's slot layout.
+    schedule: RoundSchedule,
+    /// Node lanes, each holding its node's last slot outcome. Lane
+    /// networks live in the serving AP's local frame.
+    pool: LanePool<SlotOutcome>,
     session: Session,
     /// One scene in the home frame for closed-form response evaluation.
     eval_scene: milback_rf::channel::Scene,
@@ -438,19 +420,11 @@ impl Fabric {
         let proto_node = BackscatterNode::milback(Pose::facing_ap(2.0, 0.0, 0.0));
         let parked = proto_node.parked_gamma();
         let fsa = proto_node.fsa;
-        let lanes = poses
-            .iter()
-            .map(|&pose| {
-                Mutex::new(NetLane {
-                    net: Network::new(local_pose(pose, aps[0]), config.fidelity, 0),
-                    packet: Packet {
-                        mode: LinkMode::Downlink,
-                        payload: Vec::new(),
-                    },
-                    policy: LinkPolicy::default(),
-                })
-            })
-            .collect();
+        let pool = LanePool::new(
+            poses.iter().map(|&pose| local_pose(pose, aps[0])),
+            config.fidelity,
+            SlotOutcome::empty,
+        );
         Self {
             config,
             aps: aps.to_vec(),
@@ -459,15 +433,9 @@ impl Fabric {
             assignment: vec![usize::MAX; poses.len()],
             response_db: vec![f64::NEG_INFINITY; poses.len()],
             resp_scratch: Vec::with_capacity(aps.len()),
-            members: (0..aps.len()).map(|_| Vec::new()).collect(),
             order: (0..aps.len()).map(|_| Vec::new()).collect(),
-            slot_start: vec![0.0; poses.len()],
-            lanes,
-            ctxs: Vec::new(),
-            claims: StealQueue::new(),
-            records: (0..poses.len())
-                .map(|_| Mutex::new(SlotOutcome::empty()))
-                .collect(),
+            schedule: RoundSchedule::default(),
+            pool,
             session: Session::new(config.session),
             eval_scene: milback_rf::channel::Scene::milback_indoor(),
             fsa,
@@ -481,7 +449,7 @@ impl Fabric {
 
     /// Nodes in the fabric.
     pub fn nodes(&self) -> usize {
-        self.lanes.len()
+        self.pool.len()
     }
 
     /// Coverage cells (APs) in the fabric.
@@ -502,7 +470,7 @@ impl Fabric {
 
     /// The resolved outcome of `node`'s slot in the last round.
     pub fn outcome(&self, node: usize) -> SlotOutcome {
-        *self.records[node].lock().unwrap_or_else(|e| e.into_inner())
+        self.pool.lock(node).state
     }
 
     /// Re-keys the fabric: resets the round counter, the shared clock
@@ -515,18 +483,16 @@ impl Fabric {
         self.assignment.fill(usize::MAX);
         self.response_db.fill(f64::NEG_INFINITY);
         self.poses.copy_from_slice(&self.base);
-        for lane in &mut self.lanes {
-            let lane = lane.get_mut().unwrap_or_else(|e| e.into_inner());
+        for lane in self.pool.lanes_mut() {
             lane.net.clock_s = 0.0;
             lane.net.reseed(master_seed);
             lane.net.interferers.clear();
-            lane.policy.reset();
         }
     }
 
     /// Assigns every node to its strongest-response cell (with the
     /// hysteresis of [`NetConfig::handoff_margin_db`]) from the current
-    /// poses, rebuilding the per-cell member and interference orderings.
+    /// poses, rebuilding the per-cell interference orderings.
     /// Returns the number of handoffs (re-assignments of an already
     /// assigned node). Pure closed-form math — no signal rendering — and
     /// deterministic in the pose set.
@@ -554,19 +520,17 @@ impl Fabric {
         self.total_handoffs += handoffs as u64;
         telemetry::counter_add("net.handoff", handoffs as u64);
 
-        for cell in &mut self.members {
-            cell.clear();
-        }
-        for (i, &cell) in self.assignment.iter().enumerate() {
-            self.members[cell].push(i);
-        }
         // Interference ordering: members by descending serving response,
         // ties broken by node index — deterministic, so every slot's
         // neighbor list is too.
-        for (cell, order) in self.order.iter_mut().enumerate() {
+        for order in &mut self.order {
             order.clear();
-            order.extend_from_slice(&self.members[cell]);
-            let resp = &self.response_db;
+        }
+        for (i, &cell) in self.assignment.iter().enumerate() {
+            self.order[cell].push(i);
+        }
+        let resp = &self.response_db;
+        for order in &mut self.order {
             order.sort_unstable_by(|&a, &b| resp[b].total_cmp(&resp[a]).then(a.cmp(&b)));
         }
         handoffs
@@ -603,52 +567,26 @@ impl Fabric {
         // 2. Cells, handoffs, interference ordering.
         let handoffs = self.assign_cells();
 
-        // 3. Slot layout (pooled twin of `RoundSchedule::slotted`).
-        let pitch = self.config.slot_s + self.config.guard_s;
-        let mut longest = 0usize;
-        for (cell, members) in self.members.iter().enumerate() {
-            longest = longest.max(members.len());
-            for (j, &node) in members.iter().enumerate() {
-                self.slot_start[node] = j as f64 * pitch;
-            }
-            let _ = cell;
-        }
-        let round_airtime_s = longest as f64 * pitch;
+        // 3. Slot layout.
+        let cfg = &self.config;
+        self.schedule
+            .fill(&self.assignment, self.aps.len(), cfg.slot_s, cfg.guard_s);
+        let round_airtime_s = self.schedule.round_s;
 
-        // 4. Dispatch: one job per node over the work-stealing pool.
-        let workers = threads.max(1).min(n.max(1));
-        while self.ctxs.len() < workers {
-            self.ctxs.push(Mutex::new(SessionCtx::new()));
-        }
-        self.claims.reset(n);
+        // 4. Dispatch: one job per node, each against its own lane.
+        let workers = self.pool.prepare(n, threads);
         telemetry::counter_add("net.round.slots", n as u64);
         let span = telemetry::span("net.round.ns");
         let t0 = Instant::now();
-        {
-            let fabric = &*self;
-            run_stealing_with_threads(&self.claims, n, workers, |i| {
-                let mut lane = fabric.lanes[i].lock().unwrap_or_else(|e| e.into_inner());
-                // Scratch checkout mirrors the serving engine: start at
-                // this job's slot, take the first free context; with one
-                // worker slot 0 is always free and the loop stays inline.
-                let n_ctx = fabric.ctxs.len();
-                let mut ctx = None;
-                for k in 0..n_ctx {
-                    if let Ok(g) = fabric.ctxs[(i + k) % n_ctx].try_lock() {
-                        ctx = Some(g);
-                        break;
-                    }
-                }
-                let mut ctx = match ctx {
-                    Some(g) => g,
-                    None => fabric.ctxs[i % n_ctx]
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner()),
-                };
-                let rec = fabric.run_slot(round_seed, i, &mut lane, &mut ctx);
-                *fabric.records[i].lock().unwrap_or_else(|e| e.into_inner()) = rec;
-            });
-        }
+        let fabric = &*self;
+        fabric.pool.run(
+            n,
+            workers,
+            |i| i,
+            |i, lane, ctx| {
+                lane.state = fabric.run_slot(round_seed, i, lane, ctx);
+            },
+        );
         let wall_s = t0.elapsed().as_secs_f64();
         span.end();
 
@@ -667,8 +605,8 @@ impl Fabric {
             digest: 0xcbf2_9ce4_8422_2325_u64,
             wall_s,
         };
-        for rec in &mut self.records {
-            let r = *rec.get_mut().unwrap_or_else(|e| e.into_inner());
+        for lane in self.pool.lanes_mut() {
+            let r = lane.state;
             report.completed += r.completed as usize;
             report.delivered += r.delivered as usize;
             report.fixes += (r.fix_range_bits != u64::MAX) as usize;
@@ -709,42 +647,37 @@ impl Fabric {
         &self,
         round_seed: u64,
         i: usize,
-        lane: &mut NetLane,
+        lane: &mut Lane<SlotOutcome>,
         ctx: &mut SessionCtx,
     ) -> SlotOutcome {
         let cfg = &self.config;
-        let cell = self.assignment[i];
-        let ap = self.aps[cell];
+        let slot = self.schedule.slots[i];
+        let ap = self.aps[slot.cell];
         let net = &mut lane.net;
 
         net.set_node_pose(local_pose(self.poses[i], ap));
-        net.reseed(derive_seed(round_seed, i as u64));
-        let slot_abs_start = self.clock_s + self.slot_start[i];
+        let slot_abs_start = self.clock_s + slot.start_s;
         net.clock_s = slot_abs_start;
 
         // Interference: the strongest parked same-cell neighbors, in the
         // deterministic per-round response order, translated into this
         // AP's local frame. Pooled: clear + push within capacity.
         net.interferers.clear();
-        if cfg.interference && cfg.max_interferers > 0 {
-            for &j in &self.order[cell] {
-                if j == i {
-                    continue;
-                }
-                if net.interferers.len() >= cfg.max_interferers {
-                    break;
-                }
-                net.interferers.push(Interferer {
+        net.interferers.extend(
+            self.order[slot.cell]
+                .iter()
+                .filter(|&&j| j != i)
+                .take(cfg.max_interferers)
+                .map(|&j| Interferer {
                     pose: local_pose(self.poses[j], ap),
                     fsa: self.fsa,
                     gamma: self.parked,
-                });
-            }
-            if !net.interferers.is_empty() {
-                telemetry::counter_add("net.interference.slots", 1);
-            }
+                }),
+        );
+        if !net.interferers.is_empty() {
+            telemetry::counter_add("net.interference.slots", 1);
         }
-        let n_itf = net.interferers.len();
+        let interferers = net.interferers.len().min(255) as u8;
 
         let mut mix = Mix::new(derive_seed(round_seed ^ WORK_SALT, i as u64));
         let workload = if mix.unit() < cfg.localize_fraction {
@@ -755,76 +688,36 @@ impl Fabric {
             Workload::Downlink
         };
 
-        let mut rec = SlotOutcome {
+        let mut res = Resolution::unresolved(i, i, workload);
+        let seed = derive_seed(round_seed, i as u64);
+        serve_session(
+            &self.session,
+            ctx,
+            net,
+            &mut lane.packet,
+            cfg.payload_len,
+            seed,
+            &mut res,
+        );
+        let airtime_s = net.clock_s - slot_abs_start;
+        let payload_bits = (cfg.payload_len * 8).min(u32::MAX as usize) as u32;
+        SlotOutcome {
             node: i,
-            cell,
+            cell: slot.cell,
             workload,
-            interferers: n_itf.min(255) as u8,
-            ..SlotOutcome::empty()
-        };
-        match workload {
-            Workload::Localize => {
-                let s = if cfg.adaptive {
-                    let mut scfg = self.session.config;
-                    scfg.field2_chirps = lane.policy.field2_chirps();
-                    Session::new(scfg).localize_in(ctx, net)
-                } else {
-                    self.session.localize_in(ctx, net)
-                };
-                rec.completed = true;
-                rec.delivered = s.fix.is_some();
-                rec.degradations =
-                    (s.dropped > 0) as u8 + s.fell_back as u8 + s.fix.is_none() as u8;
-                rec.fix_range_bits = s.fix.map_or(u64::MAX, |f| f.range.to_bits());
-            }
-            Workload::Downlink | Workload::Uplink => {
-                let seed = derive_seed(round_seed, i as u64);
-                lane.packet.mode = if workload == Workload::Downlink {
-                    LinkMode::Downlink
-                } else {
-                    LinkMode::Uplink
-                };
-                lane.packet.payload.clear();
-                lane.packet.payload.extend(
-                    (0..cfg.payload_len)
-                        .map(|b| (seed.rotate_left(((b % 8) * 8) as u32) as u8) ^ (b as u8)),
-                );
-                let outcome = if cfg.adaptive {
-                    let sp = lane.policy.plan(&self.session.config, lane.packet.mode);
-                    net.force_single_tone = sp.force_ook;
-                    let out = Session::new(sp.config).run_in(ctx, net, &lane.packet, false);
-                    net.force_single_tone = false;
-                    let fb = PolicyFeedback::from_outcome(&out, lane.policy.config.snr_floor);
-                    lane.policy.observe(&fb);
-                    out
-                } else {
-                    self.session.run_in(ctx, net, &lane.packet, false)
-                };
-                match outcome {
-                    Ok(r) => {
-                        rec.completed = true;
-                        rec.degradations = r.degradations.len().min(255) as u8;
-                        rec.delivered = match workload {
-                            Workload::Downlink => {
-                                r.downlink.as_ref().is_some_and(|d| d.payload.is_ok())
-                            }
-                            _ => r.uplink.as_ref().is_some_and(|u| u.payload.is_ok()),
-                        };
-                        if rec.delivered {
-                            rec.delivered_bits =
-                                (cfg.payload_len * 8).min(u32::MAX as usize) as u32;
-                        }
-                        rec.fix_range_bits = r.fix.map_or(u64::MAX, |f| f.range.to_bits());
-                    }
-                    Err(e) => {
-                        rec.degradations = e.degradations.len().min(255) as u8;
-                    }
-                }
-            }
+            interferers,
+            completed: res.outcome == Outcome::Completed,
+            delivered: res.delivered,
+            delivered_bits: if res.delivered && workload != Workload::Localize {
+                payload_bits
+            } else {
+                0
+            },
+            degradations: res.degradations,
+            fix_range_bits: res.fix_range_bits,
+            airtime_s,
+            overrun: airtime_s > slot.airtime_s,
         }
-        rec.airtime_s = net.clock_s - slot_abs_start;
-        rec.overrun = rec.airtime_s > cfg.slot_s;
-        rec
     }
 }
 
@@ -951,7 +844,8 @@ mod tests {
     #[test]
     fn slotted_schedule_serializes_cells() {
         let assignment = [0usize, 0, 1, 0, 1];
-        let s = RoundSchedule::slotted(&assignment, 2, 1e-3, 1e-4);
+        let mut s = RoundSchedule::default();
+        s.fill(&assignment, 2, 1e-3, 1e-4);
         // Cell 0 members poll at 0, 1.1 ms, 2.2 ms; cell 1 at 0, 1.1 ms.
         assert_eq!(s.slots[0].start_s, 0.0);
         assert!((s.slots[1].start_s - 1.1e-3).abs() < 1e-12);

@@ -11,11 +11,13 @@
 //!   of [`crate::batch::run_stealing_with_threads`]. Stealing moves
 //!   whole chains between workers, so per-node FIFO order holds by
 //!   construction while uneven chain costs still balance.
-//! * **Pooled session state** — every reusable buffer a session touches
-//!   ([`SessionCtx`]: DSP workspace, channel cache, Field-2 render
-//!   buffers, triage scratch) lives in pool slots checked out per chain;
-//!   per-node [`Network`]s, packet buffers and fault plans live in the
-//!   lanes. The steady-state `Localize` serving loop performs **zero
+//! * **Pooled session state** — the engine is a scheduler over the
+//!   crate's lane pool, shared with the [`crate::net`] fabric: every
+//!   reusable buffer a session touches ([`SessionCtx`]: DSP workspace,
+//!   channel cache, Field-2 render buffers, triage scratch) lives in
+//!   scratch contexts checked out per chain; per-node
+//!   [`Network`](crate::Network)s, packet buffers and fault plans live
+//!   in the lanes. The steady-state `Localize` serving loop performs **zero
 //!   heap allocations** (pinned by `tests/zero_alloc.rs`; the `Downlink`
 //!   / `Uplink` classes still allocate inside the link layer's
 //!   modulator, documented in DESIGN.md §15).
@@ -41,7 +43,7 @@
 //! * Admission is a pure function of the submission sequence and
 //!   [`ServeConfig`] — it models time from request *arrival stamps*,
 //!   never the wall clock.
-//! * Each session reseeds its lane's [`Network`] from
+//! * Each session reseeds its lane's [`Network`](crate::Network) from
 //!   [`derive_seed`]`(epoch_seed, ticket)` and advances the lane clock
 //!   to `max(lane clock, arrival)`, so an outcome depends only on the
 //!   request, its ticket, and its lane predecessors — never on which
@@ -52,12 +54,10 @@
 //!   counts; [`ServeReport::outcome_digest`] fingerprints the resolved
 //!   outcomes for cheap two-run comparison.
 
-use crate::adaptation::{LinkPolicy, PolicyFeedback};
-use crate::batch::{derive_seed, run_stealing_with_threads, Mix, StealQueue};
+use crate::batch::{derive_seed, Mix};
 use crate::config::Fidelity;
-use crate::network::Network;
+use crate::lanes::{serve_session, Lane, LanePool};
 use crate::session::{FailureKind, Session, SessionConfig, SessionCtx};
-use milback_proto::packet::{LinkMode, Packet};
 use milback_rf::faults::FaultPlan;
 use milback_rf::geometry::{deg_to_rad, Pose};
 use milback_telemetry as telemetry;
@@ -214,7 +214,7 @@ pub fn roster(n: usize, seed: u64) -> Vec<Pose> {
 pub struct ServeConfig {
     /// Session supervisor budgets ([`SessionConfig`]).
     pub session: SessionConfig,
-    /// Channel fidelity for every lane's [`Network`].
+    /// Channel fidelity for every lane's [`Network`](crate::Network).
     pub fidelity: Fidelity,
     /// Submission buffer bound (≥ 1): [`ServeEngine::try_submit`]
     /// refuses past this, [`ServeEngine::submit`] drains first.
@@ -230,13 +230,6 @@ pub struct ServeConfig {
     pub shed_service_s: f64,
     /// Modeled parallel servers draining the admission backlog.
     pub virtual_workers: usize,
-    /// Enables the per-lane closed-loop [`LinkPolicy`] controller
-    /// (DESIGN.md §18): each node's lane carries a policy whose state
-    /// persists across that node's sessions within an epoch, adapting
-    /// uplink rate, OOK fallback, Field-2 chirp count and ARQ budgets
-    /// from observed outcomes. `false` (the default) keeps every epoch
-    /// digest bitwise identical to the fixed-configuration engine.
-    pub adaptive: bool,
 }
 
 impl ServeConfig {
@@ -253,7 +246,6 @@ impl ServeConfig {
             virtual_service_s: 0.030,
             shed_service_s: 0.010,
             virtual_workers: 1,
-            adaptive: false,
         }
     }
 }
@@ -323,12 +315,12 @@ pub struct Resolution {
 }
 
 impl Resolution {
-    fn unresolved(ticket: usize, req: &SessionRequest) -> Self {
+    pub(crate) fn unresolved(ticket: usize, node: usize, workload: Workload) -> Self {
         Self {
             ticket,
-            node: req.node,
+            node,
             node_seq: u32::MAX,
-            workload: req.workload,
+            workload,
             outcome: Outcome::Pending,
             shed: false,
             mode_attempts: 0,
@@ -393,19 +385,11 @@ enum Admission {
     Reject,
 }
 
-/// Per-node serving lane: the node's [`Network`] (whose session clock
-/// and RNG persist across the node's sessions), a pooled packet buffer
-/// and a pooled fault plan. Chains execute against their lane serially,
-/// which is what makes per-node FIFO meaningful.
-struct NodeLane {
-    net: Network,
-    packet: Packet,
+/// Serve's own state on each lane, beside the lane's network and
+/// packet buffer: a pooled fault plan and the node's FIFO counter.
+struct ServeLane {
     plan: FaultPlan,
     served: u32,
-    /// Closed-loop link controller for this node. Only consulted when
-    /// [`ServeConfig::adaptive`] is set; reset at every epoch boundary
-    /// so epochs stay independent.
-    policy: LinkPolicy,
 }
 
 /// One request waiting in the bounded submission buffer.
@@ -439,9 +423,7 @@ pub struct ServeEngine {
     config: ServeConfig,
     session: Session,
     epoch_seed: u64,
-    lanes: Vec<Mutex<NodeLane>>,
-    ctxs: Vec<Mutex<SessionCtx>>,
-    claims: StealQueue,
+    pool: LanePool<ServeLane>,
     pending: Vec<PendingEntry>,
     chains: Vec<Vec<ChainEntry>>,
     active: Vec<usize>,
@@ -467,28 +449,15 @@ impl ServeEngine {
             config.virtual_service_s > 0.0,
             "virtual_service_s must be positive"
         );
-        let lanes = poses
-            .iter()
-            .map(|&pose| {
-                Mutex::new(NodeLane {
-                    net: Network::new(pose, config.fidelity, 0),
-                    packet: Packet {
-                        mode: LinkMode::Downlink,
-                        payload: Vec::new(),
-                    },
-                    plan: FaultPlan::none(),
-                    served: 0,
-                    policy: LinkPolicy::default(),
-                })
-            })
-            .collect();
+        let pool = LanePool::new(poses.iter().copied(), config.fidelity, || ServeLane {
+            plan: FaultPlan::none(),
+            served: 0,
+        });
         Self {
             config,
             session: Session::new(config.session),
             epoch_seed: 0,
-            lanes,
-            ctxs: Vec::new(),
-            claims: StealQueue::new(),
+            pool,
             pending: Vec::with_capacity(config.queue_capacity),
             chains: (0..poses.len()).map(|_| Vec::new()).collect(),
             active: Vec::new(),
@@ -506,7 +475,7 @@ impl ServeEngine {
 
     /// Number of serving lanes (roster size).
     pub fn nodes(&self) -> usize {
-        self.lanes.len()
+        self.pool.len()
     }
 
     /// Starts a fresh epoch keyed by `master_seed`: lane clocks, FIFO
@@ -525,12 +494,10 @@ impl ServeEngine {
         self.wall_s = 0.0;
         self.resolutions.clear();
         self.latencies.clear();
-        for lane in &mut self.lanes {
-            let lane = lane.get_mut().unwrap_or_else(|e| e.into_inner());
+        for lane in self.pool.lanes_mut() {
             lane.net.clock_s = 0.0;
             lane.net.reseed(master_seed);
-            lane.served = 0;
-            lane.policy.reset();
+            lane.state.served = 0;
         }
     }
 
@@ -568,7 +535,7 @@ impl ServeEngine {
     /// is a promise: the request will resolve exactly once, visible in
     /// [`ServeEngine::resolutions`] after the drain that runs it.
     pub fn try_submit(&mut self, req: SessionRequest) -> Result<usize, SessionRequest> {
-        assert!(req.node < self.lanes.len(), "request targets unknown node");
+        assert!(req.node < self.nodes(), "request targets unknown node");
         if self.pending.len() >= self.config.queue_capacity {
             telemetry::counter_add("core.serve.queue_full", 1);
             return Err(req);
@@ -611,16 +578,14 @@ impl ServeEngine {
         }
         self.active.clear();
         for &PendingEntry { ticket, req, adm } in &self.pending {
+            let res = Resolution::unresolved(ticket, req.node, req.workload);
             while self.slots.len() <= ticket {
-                self.slots.push(Mutex::new(Slot {
-                    res: Resolution::unresolved(0, &req),
-                    latency_ns: 0,
-                }));
+                self.slots.push(Mutex::new(Slot { res, latency_ns: 0 }));
             }
             let slot = self.slots[ticket]
                 .get_mut()
                 .unwrap_or_else(|e| e.into_inner());
-            slot.res = Resolution::unresolved(ticket, &req);
+            slot.res = res;
             slot.latency_ns = 0;
             match adm {
                 Admission::Reject => slot.res.outcome = Outcome::Rejected,
@@ -640,44 +605,22 @@ impl ServeEngine {
             }
         }
 
-        // Scratch pool: one context per worker that can actually run.
+        // One job per active node: its whole chain, against its lane.
         let n_jobs = self.active.len();
-        let workers = threads.max(1).min(n_jobs.max(1));
-        while self.ctxs.len() < workers {
-            self.ctxs.push(Mutex::new(SessionCtx::new()));
-        }
-        self.claims.reset(n_jobs);
-
-        if n_jobs > 0 {
-            let active = &self.active;
-            let chains = &self.chains;
-            let lanes = &self.lanes;
-            let ctxs = &self.ctxs;
-            let slots = &self.slots;
-            let session = self.session;
-            let epoch_seed = self.epoch_seed;
-            let adaptive = self.config.adaptive;
-            run_stealing_with_threads(&self.claims, n_jobs, workers, |job| {
-                let node = active[job];
-                let mut lane = lanes[node].lock().unwrap_or_else(|e| e.into_inner());
-                // Check out a scratch context: start at this job's slot
-                // and take the first free one; with `threads == 1` slot
-                // 0 is always free and the whole loop stays inline.
-                let n_ctx = ctxs.len();
-                let mut ctx = None;
-                for k in 0..n_ctx {
-                    if let Ok(g) = ctxs[(job + k) % n_ctx].try_lock() {
-                        ctx = Some(g);
-                        break;
-                    }
-                }
-                let mut ctx = match ctx {
-                    Some(g) => g,
-                    None => ctxs[job % n_ctx].lock().unwrap_or_else(|e| e.into_inner()),
-                };
+        let workers = self.pool.prepare(n_jobs, threads);
+        let active = &self.active;
+        let chains = &self.chains;
+        let slots = &self.slots;
+        let session = &self.session;
+        let epoch_seed = self.epoch_seed;
+        self.pool.run(
+            n_jobs,
+            workers,
+            |job| active[job],
+            |node, lane, ctx| {
                 for entry in &chains[node] {
                     let t0 = Instant::now();
-                    let res = run_one(&session, adaptive, epoch_seed, &mut lane, &mut ctx, entry);
+                    let res = run_one(session, epoch_seed, lane, ctx, entry);
                     let ns = t0.elapsed().as_nanos() as u64;
                     telemetry::observe("core.serve.session.ns", ns);
                     let mut slot = slots[entry.ticket]
@@ -691,8 +634,8 @@ impl ServeEngine {
                     slot.res = res;
                     slot.latency_ns = ns;
                 }
-            });
-        }
+            },
+        );
 
         // Copy resolutions out in ticket order (tickets in the pending
         // buffer are consecutive by construction).
@@ -809,27 +752,20 @@ impl ServeEngine {
 /// Runs one chained session against its lane. Everything that decides
 /// the outcome — seed, clock, fault plan — derives from `(epoch_seed,
 /// ticket, lane history)`, never from the worker or the wall clock.
-/// With `adaptive` set the lane's [`LinkPolicy`] plans each session and
-/// observes its outcome; the policy state is part of the lane history,
-/// so the determinism contract is unchanged.
 fn run_one(
     session: &Session,
-    adaptive: bool,
     epoch_seed: u64,
-    lane: &mut NodeLane,
+    lane: &mut Lane<ServeLane>,
     ctx: &mut SessionCtx,
     entry: &ChainEntry,
 ) -> Resolution {
     let ChainEntry { ticket, req, shed } = *entry;
-    let NodeLane {
+    let Lane {
         net,
         packet,
-        plan,
-        served,
-        policy,
+        state: ServeLane { plan, served },
     } = lane;
     let seed = derive_seed(epoch_seed, ticket as u64);
-    net.reseed(seed);
     let t0 = net.clock_s.max(req.arrival_s);
     net.clock_s = t0;
 
@@ -847,77 +783,14 @@ fn run_one(
     }
     std::mem::swap(&mut net.faults, plan);
 
-    let node_seq = *served;
+    let mut res = Resolution::unresolved(ticket, req.node, req.workload);
+    res.node_seq = *served;
     *served += 1;
-    let mut res = Resolution::unresolved(ticket, &req);
-    res.node_seq = node_seq;
-
-    match req.workload {
-        Workload::Localize => {
-            let s = if adaptive {
-                let mut cfg = session.config;
-                cfg.field2_chirps = policy.field2_chirps();
-                Session::new(cfg).localize_in(ctx, net)
-            } else {
-                session.localize_in(ctx, net)
-            };
-            res.outcome = Outcome::Completed;
-            res.chirps_used = s.chirps_used.min(255) as u8;
-            res.degradations = (s.dropped > 0) as u8 + s.fell_back as u8 + s.fix.is_none() as u8;
-            res.delivered = s.fix.is_some();
-            res.fix_range_bits = s.fix.map_or(u64::MAX, |f| f.range.to_bits());
-            telemetry::counter_add("core.serve.completed", 1);
-        }
-        Workload::Downlink | Workload::Uplink => {
-            packet.mode = if req.workload == Workload::Downlink {
-                LinkMode::Downlink
-            } else {
-                LinkMode::Uplink
-            };
-            packet.payload.clear();
-            packet.payload.extend(
-                (0..req.payload_len)
-                    .map(|i| (seed.rotate_left(((i % 8) * 8) as u32) as u8) ^ (i as u8)),
-            );
-            res.shed = shed;
-            let outcome = if adaptive {
-                let sp = policy.plan(&session.config, packet.mode);
-                net.force_single_tone = sp.force_ook;
-                let out = Session::new(sp.config).run_in(ctx, net, packet, shed);
-                net.force_single_tone = false;
-                let fb = PolicyFeedback::from_outcome(&out, policy.config.snr_floor);
-                policy.observe(&fb);
-                out
-            } else {
-                session.run_in(ctx, net, packet, shed)
-            };
-            match outcome {
-                Ok(r) => {
-                    res.outcome = Outcome::Completed;
-                    res.mode_attempts = r.mode_attempts.min(255) as u8;
-                    res.payload_attempts = r.payload_attempts.min(255) as u8;
-                    res.chirps_used = r.chirps_used.min(255) as u8;
-                    res.degradations = r.degradations.len().min(255) as u8;
-                    res.delivered = match req.workload {
-                        Workload::Downlink => {
-                            r.downlink.as_ref().is_some_and(|d| d.payload.is_ok())
-                        }
-                        _ => r.uplink.as_ref().is_some_and(|u| u.payload.is_ok()),
-                    };
-                    res.fix_range_bits = r.fix.map_or(u64::MAX, |f| f.range.to_bits());
-                    telemetry::counter_add("core.serve.completed", 1);
-                }
-                Err(e) => {
-                    res.outcome = Outcome::Failed(e.kind);
-                    res.degradations = e.degradations.len().min(255) as u8;
-                    match e.kind {
-                        FailureKind::ModeDetect => res.mode_attempts = e.attempts.min(255) as u8,
-                        FailureKind::Payload => res.payload_attempts = e.attempts.min(255) as u8,
-                    }
-                    telemetry::counter_add("core.serve.failed", 1);
-                }
-            }
-        }
+    res.shed = shed;
+    serve_session(session, ctx, net, packet, req.payload_len, seed, &mut res);
+    match res.outcome {
+        Outcome::Failed(_) => telemetry::counter_add("core.serve.failed", 1),
+        _ => telemetry::counter_add("core.serve.completed", 1),
     }
     std::mem::swap(&mut net.faults, plan);
     res
