@@ -19,6 +19,13 @@ echo "==> cargo test"
 # binaries after it.
 cargo test -q --release --no-fail-fast "${CARGO_FLAGS[@]}"
 
+echo "==> sessbench self-tests"
+# The session benchmark is a standalone package (empty [workspace],
+# path dependencies on crates/*), so the workspace build above never
+# compiles it. Testing it here makes an rf/core API change that breaks
+# the benchmark's build fail CI instead of the next benchmark run.
+cargo test --release --offline --manifest-path sessbench/Cargo.toml
+
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy"
     # The allow-by-default lints guard the zero-allocation hot paths

@@ -90,7 +90,9 @@ use milback_dsp::num::Cpx;
 use milback_dsp::plan::{with_plan, FftPlan};
 use milback_dsp::signal::Signal;
 use milback_dsp::template;
-use milback_rf::channel::{FreqProfile, NodeInterface, TxComponent};
+use milback_hw::switch::{SwitchSchedule, SwitchState};
+use milback_node::node::fill_gamma_runs;
+use milback_rf::channel::{FreqProfile, GammaRun, NodeInterface, TxComponent};
 use milback_rf::geometry::{deg_to_rad, Pose};
 use milback_rf::{wave_fingerprint, ChannelWorkspace};
 use milback_telemetry as telemetry;
@@ -1193,28 +1195,30 @@ fn main() {
         profile: FreqProfile::Sawtooth(chan_cfg),
     };
     let chan_fp = wave_fingerprint(&chan_comp);
-    let mod_freq = chan_net.fidelity.localization_mod_freq();
-    // Representative localization Γ schedule: port A square-wave
-    // modulated, port B absorptive (the cache never keys on Γ — it is
-    // evaluated per sample on every render, hit or miss).
-    let gamma_at = move |t: f64| -> [Cpx; 2] {
-        let state = if (t * mod_freq).fract() < 0.5 {
-            0.6
-        } else {
-            -0.6
-        };
-        [Cpx::new(state, 0.0), Cpx::new(0.05, 0.0)]
+    // Representative localization Γ: port A square-wave modulated, port
+    // B absorptive, filled into runs per chirp offset (the cache never
+    // keys on Γ — the runs are replayed on every render, hit or miss).
+    let sched_a = SwitchSchedule::SquareWave {
+        freq_hz: chan_net.fidelity.localization_mod_freq(),
+        first: SwitchState::Reflective,
+    };
+    let sched_b = SwitchSchedule::Constant(SwitchState::Absorptive);
+    let (chan_fs, chan_n) = (chan_comp.signal.fs, chan_comp.signal.len());
+    let fill_runs = |t_off: f64, runs: &mut Vec<GammaRun>| {
+        let gamma = |state| chan_net.node.switch.gamma(state);
+        fill_gamma_runs(&sched_a, &sched_b, gamma, t_off, chan_fs, chan_n, runs);
     };
     let scene = &chan_net.scene;
     let mut cw = ChannelWorkspace::default();
     let mut chan_out = Signal::zeros(chan_comp.signal.fs, chan_comp.signal.fc, 0);
 
     // Bitwise check + warm-up for both antennas.
-    let gamma0 = |t: f64| gamma_at(t);
+    let mut chan_runs = Vec::new();
+    fill_runs(0.0, &mut chan_runs);
     let node_if = NodeInterface {
         pose: chan_net.node.pose,
         fsa: &chan_net.node.fsa,
-        gamma: &gamma0,
+        gamma: &chan_runs,
     };
     for ant in 0..2 {
         let reference =
@@ -1273,39 +1277,40 @@ fn main() {
     );
     println!("  speedup: {chan_speedup:.2}x (bitwise identical: true)");
 
-    // Burst-shaped workload: five chirps × two antennas with per-chirp
-    // Γ offsets, exactly the renders behind one Field-2 capture.
+    // Burst-shaped workload: five chirps × two antennas with one Γ-run
+    // fill per chirp offset, exactly the renders behind one Field-2
+    // capture.
     let chirp_t = chan_cfg.duration;
-    let burst_render_cached = |cw: &mut ChannelWorkspace, out: &mut Signal| {
-        for chirp in 0..5 {
-            let t_off = chirp as f64 * chirp_t;
-            let gamma = |t: f64| gamma_at(t_off + t);
-            let node_if = NodeInterface {
-                pose: chan_net.node.pose,
-                fsa: &chan_net.node.fsa,
-                gamma: &gamma,
-            };
-            for ant in 0..2 {
-                scene.monostatic_rx_multi_into(
-                    cw,
-                    &chan_comp,
-                    chan_fp,
-                    std::slice::from_ref(&node_if),
-                    ant,
-                    out,
-                );
-                std::hint::black_box(&out);
+    let burst_render_cached =
+        |cw: &mut ChannelWorkspace, runs: &mut Vec<GammaRun>, out: &mut Signal| {
+            for chirp in 0..5 {
+                fill_runs(chirp as f64 * chirp_t, runs);
+                let node_if = NodeInterface {
+                    pose: chan_net.node.pose,
+                    fsa: &chan_net.node.fsa,
+                    gamma: runs,
+                };
+                for ant in 0..2 {
+                    scene.monostatic_rx_multi_into(
+                        cw,
+                        &chan_comp,
+                        chan_fp,
+                        std::slice::from_ref(&node_if),
+                        ant,
+                        out,
+                    );
+                    std::hint::black_box(&out);
+                }
             }
-        }
-    };
+        };
     let burst_render_uncached = || {
         for chirp in 0..5 {
-            let t_off = chirp as f64 * chirp_t;
-            let gamma = |t: f64| gamma_at(t_off + t);
+            let mut runs = Vec::new();
+            fill_runs(chirp as f64 * chirp_t, &mut runs);
             let node_if = NodeInterface {
                 pose: chan_net.node.pose,
                 fsa: &chan_net.node.fsa,
-                gamma: &gamma,
+                gamma: &runs,
             };
             for ant in 0..2 {
                 std::hint::black_box(scene.monostatic_rx_multi_uncached(
@@ -1326,7 +1331,7 @@ fn main() {
     let a0 = alloc_count();
     let t0 = Instant::now();
     for _ in 0..chan_reps {
-        burst_render_cached(&mut cw, &mut chan_out);
+        burst_render_cached(&mut cw, &mut chan_runs, &mut chan_out);
     }
     let chan_burst_cached_s = t0.elapsed().as_secs_f64() / chan_reps as f64;
     let chan_burst_allocs = (alloc_count() - a0) / chan_reps as u64;
@@ -1377,7 +1382,7 @@ fn main() {
 
     let calib_us_str = json_f(legs.calib_us);
     let json = format!(
-        "{{\n  \"bench\": \"{bench_name}\",\n  \"description\": \"Batch-engine, FFT-plan, per-kernel and five-chirp-burst timings on a Fig. 12a localization workload, plus a short end-to-end link leg and the chaos and serving-soak determinism legs\",\n  \"host_threads\": {threads},\n  \"smoke\": {smoke},\n  \"timing_calibration\": {{\n    \"workload\": \"fixed pure-FP recurrence; host-speed reference for the CI ratio gate\",\n    \"calib_us\": {calib_us_str}\n  }},\n  \"engine\": {{\n    \"workload\": \"localization trial, node at 3 m, Fidelity::Fast\",\n    \"trials\": {trials},\n    \"serial_s\": {},\n    \"parallel_s\": {},\n    \"speedup\": {},\n    \"deterministic\": true\n  }},\n  \"fft_plan\": {{\n    \"size\": {},\n    \"reps\": {},\n    \"unplanned_us_per_fft\": {},\n    \"planned_us_per_fft\": {},\n    \"speedup\": {},\n    \"bitwise_identical\": {}\n  }},\n  \"kernels\": {{\n{}\n  }},\n  \"localization_burst\": {{\n    \"workload\": \"five-chirp Field-2 burst, 2 RX antennas, Fidelity::Fast\",\n    \"reps\": {},\n    \"allocating_ms_per_burst\": {},\n    \"workspace_ms_per_burst\": {},\n    \"speedup\": {},\n    \"allocating_allocs_per_burst\": {},\n    \"workspace_allocs_per_burst\": {},\n    \"bitwise_identical\": {},\n    \"deterministic\": true\n  }},\n  \"channel_render\": {{\n    \"workload\": \"single monostatic render, milback_indoor scene, node at 3 m\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_render\": {},\n    \"cached_ms_per_render\": {},\n    \"speedup\": {},\n    \"uncached_allocs_per_render\": {chan_uncached_allocs},\n    \"cached_allocs_per_render\": {chan_cached_allocs},\n    \"bitwise_identical\": true\n  }},\n  \"channel_burst\": {{\n    \"workload\": \"five-chirp x two-antenna Field-2 channel render, per-chirp gamma schedules\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_burst\": {},\n    \"cached_ms_per_burst\": {},\n    \"speedup\": {},\n    \"cached_allocs_per_burst\": {chan_burst_allocs}\n  }},\n  \"end_to_end_trial\": {{\n    \"workload\": \"warm Fig. 12a localization trial: channel render + DSP pipeline through every cache\",\n    \"reps\": {e2e_reps},\n    \"ms_per_trial\": {},\n    \"allocs_per_trial\": {e2e_allocs}\n  }},\n  \"link_leg\": {{\n    \"trials\": {link_trials},\n    \"elapsed_s\": {},\n    \"total_bit_errors\": {total_errors}\n  }},\n  \"adaptive\": {adaptive_json},\n  \"net\": {net_json},\n  \"serve\": {serve_json},\n  \"chaos\": {chaos_json},\n  \"telemetry\": {telemetry_json}\n}}\n",
+        "{{\n  \"bench\": \"{bench_name}\",\n  \"description\": \"Batch-engine, FFT-plan, per-kernel and five-chirp-burst timings on a Fig. 12a localization workload, plus a short end-to-end link leg and the chaos and serving-soak determinism legs\",\n  \"host_threads\": {threads},\n  \"smoke\": {smoke},\n  \"timing_calibration\": {{\n    \"workload\": \"fixed pure-FP recurrence; host-speed reference for the CI ratio gate\",\n    \"calib_us\": {calib_us_str}\n  }},\n  \"engine\": {{\n    \"workload\": \"localization trial, node at 3 m, Fidelity::Fast\",\n    \"trials\": {trials},\n    \"serial_s\": {},\n    \"parallel_s\": {},\n    \"speedup\": {},\n    \"deterministic\": true\n  }},\n  \"fft_plan\": {{\n    \"size\": {},\n    \"reps\": {},\n    \"unplanned_us_per_fft\": {},\n    \"planned_us_per_fft\": {},\n    \"speedup\": {},\n    \"bitwise_identical\": {}\n  }},\n  \"kernels\": {{\n{}\n  }},\n  \"localization_burst\": {{\n    \"workload\": \"five-chirp Field-2 burst, 2 RX antennas, Fidelity::Fast\",\n    \"reps\": {},\n    \"allocating_ms_per_burst\": {},\n    \"workspace_ms_per_burst\": {},\n    \"speedup\": {},\n    \"allocating_allocs_per_burst\": {},\n    \"workspace_allocs_per_burst\": {},\n    \"bitwise_identical\": {},\n    \"deterministic\": true\n  }},\n  \"channel_render\": {{\n    \"workload\": \"single monostatic render, milback_indoor scene, node at 3 m\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_render\": {},\n    \"cached_ms_per_render\": {},\n    \"speedup\": {},\n    \"uncached_allocs_per_render\": {chan_uncached_allocs},\n    \"cached_allocs_per_render\": {chan_cached_allocs},\n    \"bitwise_identical\": true\n  }},\n  \"channel_burst\": {{\n    \"workload\": \"five-chirp x two-antenna Field-2 channel render, per-chirp gamma runs\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_burst\": {},\n    \"cached_ms_per_burst\": {},\n    \"speedup\": {},\n    \"cached_allocs_per_burst\": {chan_burst_allocs}\n  }},\n  \"end_to_end_trial\": {{\n    \"workload\": \"warm Fig. 12a localization trial: channel render + DSP pipeline through every cache\",\n    \"reps\": {e2e_reps},\n    \"ms_per_trial\": {},\n    \"allocs_per_trial\": {e2e_allocs}\n  }},\n  \"link_leg\": {{\n    \"trials\": {link_trials},\n    \"elapsed_s\": {},\n    \"total_bit_errors\": {total_errors}\n  }},\n  \"adaptive\": {adaptive_json},\n  \"net\": {net_json},\n  \"serve\": {serve_json},\n  \"chaos\": {chaos_json},\n  \"telemetry\": {telemetry_json}\n}}\n",
         json_f(serial_s),
         json_f(parallel_s),
         json_f(engine_speedup),

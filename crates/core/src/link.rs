@@ -22,7 +22,7 @@ use milback_node::demod::{
 use milback_node::modulator::modulate_uplink_into;
 use milback_proto::bits::{bit_errors, bits_to_symbols_into, symbols_to_bits_into, OaqfmSymbol};
 use milback_proto::frame::{decode_frame_with, encode_frame_into, FrameError, FrameScratch};
-use milback_rf::channel::{NodeInterface, TxComponent};
+use milback_rf::channel::{GammaRun, NodeInterface, TxComponent};
 use milback_rf::fsa::Port;
 use milback_rf::{wave_fingerprint, with_channel_workspace};
 use milback_telemetry as telemetry;
@@ -101,6 +101,9 @@ pub(crate) struct LinkScratch {
     /// `modulate_uplink_into`).
     sched_a: SwitchSchedule,
     sched_b: SwitchSchedule,
+    /// The uplink's Γ runs, filled once per transfer from the schedules
+    /// and shared by its four channel renders.
+    gamma_runs: Vec<GammaRun>,
     /// AP capture buffers, one per RX antenna.
     rx0: Signal,
     rx1: Signal,
@@ -134,6 +137,7 @@ impl Default for LinkScratch {
             codec: FrameScratch::default(),
             sched_a: SwitchSchedule::Constant(SwitchState::Absorptive),
             sched_b: SwitchSchedule::Constant(SwitchState::Absorptive),
+            gamma_runs: Vec::new(),
             rx0: sig(),
             rx1: sig(),
             uplink: UplinkScratch::default(),
@@ -617,14 +621,16 @@ impl Network {
             return None;
         }
         // Four monostatic renders (two tones × two RX antennas) share one
-        // workspace borrow; the per-tone ray tables and static responses
-        // are built once and replayed for the other antenna/transfer.
+        // workspace borrow and one Γ-run fill; the per-tone ray tables and
+        // static responses are built once and replayed for the other
+        // antenna/transfer.
         {
-            let gamma = self.node.gamma_schedule(&scr.sched_a, &scr.sched_b);
+            self.node
+                .gamma_runs_into(&scr.sched_a, &scr.sched_b, fs, n, &mut scr.gamma_runs);
             let node_if = NodeInterface {
                 pose: self.node.pose,
                 fsa: &self.node.fsa,
-                gamma: &gamma,
+                gamma: &scr.gamma_runs,
             };
             let nodes = std::slice::from_ref(&node_if);
             with_channel_workspace(|ws| {

@@ -15,9 +15,9 @@ use milback_dsp::noise::{add_awgn, thermal_noise_power};
 use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
 use milback_hw::switch::{SwitchSchedule, SwitchState};
-use milback_node::node::BackscatterNode;
+use milback_node::node::{fill_gamma_runs, BackscatterNode};
 use milback_node::orientation::NodeOrientationEstimator;
-use milback_rf::channel::{FreqProfile, NodeInterface, Scene, TxComponent};
+use milback_rf::channel::{FreqProfile, GammaRun, NodeInterface, Scene, TxComponent};
 use milback_rf::faults::FaultPlan;
 use milback_rf::fsa::{DualPortFsa, Port};
 use milback_rf::geometry::Pose;
@@ -46,8 +46,9 @@ pub struct Interferer {
 
 /// Reusable buffers and cached identity for a Field-2 render
 /// (DESIGN.md §13). Holds the TX reference, the per-chirp capture
-/// pairs, and the channel component with its waveform fingerprint so a
-/// warmed burst re-renders with **zero** heap allocations
+/// pairs, the node's Γ runs, and the channel component with its
+/// waveform fingerprint so a warmed burst re-renders with **zero** heap
+/// allocations
 /// (`tests/zero_alloc.rs`).
 #[derive(Debug)]
 pub struct Field2Burst {
@@ -62,6 +63,9 @@ pub struct Field2Burst {
     wave_fp: u64,
     /// The chirp config `comp`/`wave_fp` were built for.
     comp_cfg: Option<ChirpConfig>,
+    /// The node's Γ runs for the chirp being rendered, refilled per
+    /// chirp and shared by both antennas.
+    gamma_runs: Vec<GammaRun>,
 }
 
 /// Placeholder for not-yet-rendered capture slots (`Signal` requires a
@@ -79,6 +83,7 @@ impl Default for Field2Burst {
             comp: None,
             wave_fp: 0,
             comp_cfg: None,
+            gamma_runs: Vec::new(),
         }
     }
 }
@@ -252,10 +257,10 @@ impl Network {
         // The TX chirp is loop-invariant across chirps AND trials: fetch it
         // from the process-wide template cache (bitwise identical to fresh
         // synthesis) instead of re-synthesizing 6400 samples per burst.
-        // One channel component serves every chirp; only the node's switch
-        // schedule (captured in `gamma`) varies with the chirp index — so
-        // the component and its waveform fingerprint are cached in the
-        // burst and rebuilt only when the chirp config changes.
+        // One channel component serves every chirp; only the node's Γ
+        // runs vary with the chirp index — so the component and its
+        // waveform fingerprint are cached in the burst and rebuilt only
+        // when the chirp config changes.
         let template = milback_dsp::template::sawtooth(&chirp_cfg);
         burst.tx.copy_from(template.as_ref());
         let comp: &TxComponent = if burst.comp_cfg == Some(chirp_cfg) && burst.comp.is_some() {
@@ -274,6 +279,7 @@ impl Network {
             burst.comp.insert(fresh)
         };
         let wave_fp = burst.wave_fp;
+        let (fs, n) = (comp.signal.fs, comp.signal.len());
 
         let mod_freq = self.fidelity.localization_mod_freq();
         let schedule_a = SwitchSchedule::SquareWave {
@@ -288,7 +294,9 @@ impl Network {
         while burst.captures.len() < n_chirps {
             burst.captures.push([empty_signal(), empty_signal()]);
         }
-        // Backscatter passes the node's implementation loss twice.
+        // Backscatter passes the node's implementation loss twice. This
+        // expression can differ from the node's own `impl_loss_amp()²` in
+        // the last bit, and every Field-2 digest depends on it.
         let two_way_loss = 10f64.powf(-2.0 * self.node.impl_loss_db / 20.0);
         // Inter-node interference accounting (DESIGN.md §16). The loop
         // below adds each parked neighbor's reflection into every
@@ -304,19 +312,17 @@ impl Network {
                 (n_chirps * 2 * self.interferers.len()) as u64,
             );
         }
+        let switch = self.node.switch;
+        let gamma = |state| switch.gamma(state) * two_way_loss;
         for (i, pair) in burst.captures.iter_mut().enumerate() {
+            // One Γ-run fill per chirp, shared by both antennas.
             let t_off = i as f64 * chirp_cfg.duration;
-            let switch = self.node.switch;
-            let gamma = |t: f64| -> [Cpx; 2] {
-                [
-                    switch.gamma(schedule_a.state_at(t_off + t)) * two_way_loss,
-                    switch.gamma(schedule_b.state_at(t_off + t)) * two_way_loss,
-                ]
-            };
+            let runs = &mut burst.gamma_runs;
+            fill_gamma_runs(&schedule_a, &schedule_b, gamma, t_off, fs, n, runs);
             let node_if = NodeInterface {
                 pose: self.node.pose,
                 fsa: &self.node.fsa,
-                gamma: &gamma,
+                gamma: runs,
             };
             // Common trigger jitter for both antennas of this chirp. The
             // TX and RX share the synthesizer, so jitter shifts only the
@@ -336,11 +342,13 @@ impl Network {
                 // Parked neighbors' residual reflections layer in next —
                 // after the target's return (matching the multi-node
                 // slice order) and before jitter/noise, so the clutter
-                // rides the same capture window. Constant Γ per
+                // rides the same capture window. One constant Γ run per
                 // neighbor, no RNG draws: an empty list is bitwise free.
                 for itf in &self.interferers {
-                    let parked = itf.gamma;
-                    let parked_gamma = move |_t: f64| parked;
+                    let parked = [GammaRun {
+                        end: n,
+                        gamma: itf.gamma,
+                    }];
                     self.scene.accumulate_backscatter_into(
                         cw,
                         comp,
@@ -348,7 +356,7 @@ impl Network {
                         &NodeInterface {
                             pose: itf.pose,
                             fsa: &itf.fsa,
-                            gamma: &parked_gamma,
+                            gamma: &parked,
                         },
                         ant,
                         rx,

@@ -13,7 +13,7 @@ use crate::network::Network;
 use milback_ap::doppler::DopplerProcessor;
 use milback_dsp::noise::{add_awgn, thermal_noise_power};
 use milback_dsp::num::Cpx;
-use milback_rf::channel::{FreqProfile, NodeInterface, TxComponent};
+use milback_rf::channel::{FreqProfile, GammaRun, NodeInterface, TxComponent};
 use milback_rf::geometry::{Point, Pose};
 
 /// Result of a velocity measurement.
@@ -59,7 +59,10 @@ impl Network {
                 .switch
                 .gamma(milback_hw::switch::SwitchState::Reflective);
             let loss = 10f64.powf(-2.0 * self.node.impl_loss_db / 20.0);
-            move |_t: f64| [g * loss, Cpx::new(0.0, 0.0)]
+            [GammaRun {
+                end: tx.len(),
+                gamma: [g * loss, Cpx::new(0.0, 0.0)],
+            }]
         };
 
         let localizer = self.localizer();

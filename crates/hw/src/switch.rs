@@ -120,8 +120,13 @@ pub enum SwitchSchedule {
         /// State during the first half-cycle.
         first: SwitchState,
     },
-    /// Explicit `(start_time_s, state)` entries, time-sorted; each state
-    /// holds until the next entry. Used for data symbols.
+    /// Explicit `(start_time_s, state)` entries; each state holds until
+    /// the next entry. Used for data symbols.
+    ///
+    /// The entries must be time-sorted (non-decreasing start times):
+    /// [`SwitchSchedule::from_events`] asserts it, and both
+    /// [`SwitchSchedule::state_at`]'s binary search and the forward
+    /// cursor of [`for_each_state_run`] rely on it.
     Events(Vec<(f64, SwitchState)>),
 }
 
@@ -150,24 +155,11 @@ impl SwitchSchedule {
         match self {
             SwitchSchedule::Constant(s) => *s,
             SwitchSchedule::SquareWave { freq_hz, first } => {
-                let half_period = 0.5 / freq_hz;
-                let phase = (t / half_period).floor() as i64;
-                if phase.rem_euclid(2) == 0 {
-                    *first
-                } else {
-                    first.toggled()
-                }
+                square_state(*first, square_phase(0.5 / freq_hz, t))
             }
             SwitchSchedule::Events(events) => {
-                let mut state = events[0].1;
-                for (ts, s) in events {
-                    if *ts <= t {
-                        state = *s;
-                    } else {
-                        break;
-                    }
-                }
-                state
+                let started = events.partition_point(|(ts, _)| *ts <= t);
+                events[started.saturating_sub(1)].1
             }
         }
     }
@@ -185,6 +177,179 @@ impl SwitchSchedule {
                 .count(),
         }
     }
+}
+
+/// Index of the half-period a square wave is in at `t`.
+#[inline]
+fn square_phase(half_period: f64, t: f64) -> i64 {
+    (t / half_period).floor() as i64
+}
+
+/// A square wave's state in half-period `phase`.
+#[inline]
+fn square_state(first: SwitchState, phase: i64) -> SwitchState {
+    if phase.rem_euclid(2) == 0 {
+        first
+    } else {
+        first.toggled()
+    }
+}
+
+/// Forward cursor over one schedule for non-decreasing query times.
+/// It sits in one *segment* — a stretch of constant state: a square
+/// wave's half-period, the span between two event starts — and answers
+/// "has `t` left it?" with one evaluation of [`SwitchSchedule::state_at`]'s
+/// own arithmetic (the `ts <= t` predicate, the half-period floor), so
+/// segment boundaries are found, never computed from event times.
+enum Cursor<'a> {
+    Constant(SwitchState),
+    Square {
+        half_period: f64,
+        first: SwitchState,
+        phase: i64,
+    },
+    Events {
+        events: &'a [(f64, SwitchState)],
+        /// Number of events started (`ts <= t`) at the cursor's time.
+        started: usize,
+    },
+}
+
+impl<'a> Cursor<'a> {
+    fn new(schedule: &'a SwitchSchedule, t: f64) -> Self {
+        let mut cursor = match schedule {
+            SwitchSchedule::Constant(s) => Cursor::Constant(*s),
+            SwitchSchedule::SquareWave { freq_hz, first } => Cursor::Square {
+                half_period: 0.5 / freq_hz,
+                first: *first,
+                phase: 0,
+            },
+            SwitchSchedule::Events(events) => {
+                debug_assert!(
+                    events.windows(2).all(|w| w[0].0 <= w[1].0),
+                    "events must be time-sorted"
+                );
+                Cursor::Events { events, started: 0 }
+            }
+        };
+        cursor.advance_to(t);
+        cursor
+    }
+
+    /// The state of the current segment.
+    fn state(&self) -> SwitchState {
+        match self {
+            Cursor::Constant(s) => *s,
+            Cursor::Square { first, phase, .. } => square_state(*first, *phase),
+            Cursor::Events { events, started } => events[started.saturating_sub(1)].1,
+        }
+    }
+
+    /// Whether `t` lies past the current segment. Once true for some
+    /// `t`, it stays true for every later `t`.
+    #[inline]
+    fn left_by(&self, t: f64) -> bool {
+        match self {
+            Cursor::Constant(_) => false,
+            Cursor::Square {
+                half_period, phase, ..
+            } => square_phase(*half_period, t) != *phase,
+            Cursor::Events { events, started } => events.get(*started).is_some_and(|e| e.0 <= t),
+        }
+    }
+
+    /// Moves to the segment holding `t`.
+    fn advance_to(&mut self, t: f64) {
+        match self {
+            Cursor::Constant(_) => {}
+            Cursor::Square {
+                half_period, phase, ..
+            } => *phase = square_phase(*half_period, t),
+            Cursor::Events { events, started } => {
+                while events.get(*started).is_some_and(|e| e.0 <= t) {
+                    *started += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Walks the joint `[port A, port B]` switch state over `n` samples at
+/// the instants `t_off + i as f64 / fs`, calling `emit(end, states)` once
+/// per run of equal states: the runs tile `0..n` in order, each covering
+/// `previous end..end`, and none is empty.
+///
+/// Every run boundary is located by evaluating the schedules at sample
+/// instants with [`SwitchSchedule::state_at`]'s own arithmetic, never
+/// computed from event times, so expanding the runs reproduces a
+/// per-sample `state_at` bit for bit. Sample instants never decrease
+/// and a schedule never returns to a segment it left, so the next
+/// boundary is found by a galloping search: a run of `L` samples costs
+/// `O(log L)` evaluations, not `L`.
+pub fn for_each_state_run(
+    port_a: &SwitchSchedule,
+    port_b: &SwitchSchedule,
+    t_off: f64,
+    fs: f64,
+    n: usize,
+    mut emit: impl FnMut(usize, [SwitchState; 2]),
+) {
+    assert!(fs > 0.0, "sample rate must be positive");
+    if n == 0 {
+        return;
+    }
+    let at = |i: usize| t_off + i as f64 / fs;
+    let mut cursors = [Cursor::new(port_a, at(0)), Cursor::new(port_b, at(0))];
+    let mut run = [cursors[0].state(), cursors[1].state()];
+    let mut start = 0;
+    loop {
+        let left = |i: usize| {
+            let t = at(i);
+            cursors[0].left_by(t) || cursors[1].left_by(t)
+        };
+        let next = first_where(start, n, left);
+        if next == n {
+            emit(n, run);
+            return;
+        }
+        let t = at(next);
+        cursors[0].advance_to(t);
+        cursors[1].advance_to(t);
+        let states = [cursors[0].state(), cursors[1].state()];
+        if states != run {
+            emit(next, run);
+            run = states;
+        }
+        start = next;
+    }
+}
+
+/// The first `i` in `from + 1..n` with `pred(i)`, or `n` if none, for a
+/// `pred` that is false at `from` and, once true, stays true: doubling
+/// steps bracket the change, then bisection pins it.
+fn first_where(from: usize, n: usize, pred: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut step) = (from, 1);
+    let mut hi = loop {
+        let probe = lo.saturating_add(step);
+        if probe >= n {
+            break n;
+        }
+        if pred(probe) {
+            break probe;
+        }
+        lo = probe;
+        step *= 2;
+    };
+    // pred(lo) is false; pred(hi) is true, or hi == n.
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
 }
 
 #[cfg(test)]

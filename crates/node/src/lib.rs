@@ -3,7 +3,8 @@
 //! The MilBack backscatter node:
 //!
 //! * [`node`] — the node itself: dual-port FSA + switches + envelope
-//!   detectors + ADC, and the channel-facing `Γ(t)` schedules,
+//!   detectors + ADC, and the channel-facing Γ runs filled from its
+//!   switch schedules,
 //! * [`orientation`] — node-side orientation sensing from triangular-chirp
 //!   peak separation (paper §5.2(b)),
 //! * [`demod`] — downlink OAQFM / fallback-OOK demodulation (§6.1–6.2),

@@ -9,8 +9,9 @@
 //! The struct here owns the hardware models and exposes the two things the
 //! rest of the system needs:
 //!
-//! * a reflection-coefficient schedule `Γ(t)` for the channel, derived
-//!   from per-port [`SwitchSchedule`]s, and
+//! * the reflection coefficients `Γ` the channel renders, as
+//!   piecewise-constant runs filled from per-port [`SwitchSchedule`]s
+//!   ([`fill_gamma_runs`]), and
 //! * the receive path: FSA port → switch through-loss → envelope
 //!   detector → ADC.
 
@@ -19,7 +20,8 @@ use milback_dsp::signal::Signal;
 use milback_hw::adc::Adc;
 use milback_hw::envelope::EnvelopeDetector;
 use milback_hw::power::PowerModel;
-use milback_hw::switch::{SpdtSwitch, SwitchSchedule, SwitchState};
+use milback_hw::switch::{for_each_state_run, SpdtSwitch, SwitchSchedule, SwitchState};
+use milback_rf::channel::GammaRun;
 use milback_rf::fsa::{DualPortFsa, Port};
 use milback_rf::geometry::Pose;
 use rand::Rng;
@@ -89,20 +91,22 @@ impl BackscatterNode {
         [g, g]
     }
 
-    /// Builds the channel-facing `Γ(t)` closure from per-port schedules.
-    pub fn gamma_schedule<'a>(
-        &'a self,
-        port_a: &'a SwitchSchedule,
-        port_b: &'a SwitchSchedule,
-    ) -> impl Fn(f64) -> [Cpx; 2] + 'a {
+    /// Fills `runs` with the channel-facing Γ runs of per-port
+    /// schedules over `n` samples at `fs`, starting at node time 0: each
+    /// throw's switch reflection coefficient through the two-way
+    /// implementation loss. See [`fill_gamma_runs`].
+    pub fn gamma_runs_into(
+        &self,
+        port_a: &SwitchSchedule,
+        port_b: &SwitchSchedule,
+        fs: f64,
+        n: usize,
+        runs: &mut Vec<GammaRun>,
+    ) {
         // Backscatter passes the implementation loss twice (in and out).
         let two_way = self.impl_loss_amp() * self.impl_loss_amp();
-        move |t| {
-            [
-                self.switch.gamma(port_a.state_at(t)) * two_way,
-                self.switch.gamma(port_b.state_at(t)) * two_way,
-            ]
-        }
+        let gamma = |state| self.switch.gamma(state) * two_way;
+        fill_gamma_runs(port_a, port_b, gamma, 0.0, fs, n, runs);
     }
 
     /// The node's receive path for one port: the RF signal at the FSA port
@@ -176,6 +180,40 @@ impl BackscatterNode {
     }
 }
 
+/// Fills `runs` (cleared first, capacity reused) with the `[Γ_A, Γ_B]`
+/// runs of two port schedules over `n` samples at the instants
+/// `t_off + i as f64 / fs`, ready for a
+/// [`milback_rf::channel::NodeInterface`].
+///
+/// `gamma` maps a switch throw to the port's reflection coefficient; it
+/// is called once per throw per fill, not per sample. Each run's states
+/// come from [`for_each_state_run`], so expanding the runs gives, bit
+/// for bit, `gamma(schedule.state_at(t_off + i as f64 / fs))` per port
+/// and sample.
+pub fn fill_gamma_runs(
+    port_a: &SwitchSchedule,
+    port_b: &SwitchSchedule,
+    gamma: impl Fn(SwitchState) -> Cpx,
+    t_off: f64,
+    fs: f64,
+    n: usize,
+    runs: &mut Vec<GammaRun>,
+) {
+    let reflective = gamma(SwitchState::Reflective);
+    let absorptive = gamma(SwitchState::Absorptive);
+    let of = |state| match state {
+        SwitchState::Reflective => reflective,
+        SwitchState::Absorptive => absorptive,
+    };
+    runs.clear();
+    for_each_state_run(port_a, port_b, t_off, fs, n, |end, [a, b]| {
+        runs.push(GammaRun {
+            end,
+            gamma: [of(a), of(b)],
+        });
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,13 +225,25 @@ mod tests {
         BackscatterNode::milback(Pose::facing_ap(2.0, 0.0, 0.0))
     }
 
+    /// Expands runs back to one `[Γ_A, Γ_B]` per sample.
+    fn expand(runs: &[GammaRun]) -> Vec<[Cpx; 2]> {
+        let mut out = Vec::new();
+        for run in runs {
+            out.resize(run.end, run.gamma);
+        }
+        out
+    }
+
     #[test]
-    fn gamma_schedule_tracks_states() {
+    fn gamma_runs_track_states() {
         let n = node();
         let a = SwitchSchedule::Constant(SwitchState::Reflective);
         let b = SwitchSchedule::Constant(SwitchState::Absorptive);
-        let g = n.gamma_schedule(&a, &b);
-        let [ga, gb] = g(0.0);
+        let mut runs = Vec::new();
+        n.gamma_runs_into(&a, &b, 1e8, 500, &mut runs);
+        assert_eq!(runs.len(), 1, "constant ports are one run");
+        assert_eq!(runs[0].end, 500);
+        let [ga, gb] = runs[0].gamma;
         // Two-way implementation loss scales both, but the reflective
         // port must stay far stronger than the absorptive one.
         let two_way = 10f64.powf(-2.0 * n.impl_loss_db / 20.0);
@@ -202,17 +252,61 @@ mod tests {
     }
 
     #[test]
-    fn gamma_schedule_follows_square_wave() {
+    fn gamma_runs_follow_square_wave() {
         let n = node();
         let a = SwitchSchedule::milback_localization();
         let b = SwitchSchedule::Constant(SwitchState::Absorptive);
-        let g = n.gamma_schedule(&a, &b);
-        let [g0, _] = g(0.0);
-        let [g1, _] = g(60e-6); // past the 50 µs half-period
+        let mut runs = Vec::new();
+        // 200 µs at 1 MHz: four 50 µs half-periods. Boundaries follow
+        // the schedule's own floating-point arithmetic, so one may land
+        // a sample late (i/fs just below a multiple of 50 µs).
+        n.gamma_runs_into(&a, &b, 1e6, 200, &mut runs);
+        assert_eq!(runs.len(), 4);
+        for (k, run) in runs.iter().enumerate() {
+            assert!(
+                run.end.abs_diff(50 * (k + 1)) <= 1,
+                "run {k} ends at {}",
+                run.end
+            );
+        }
+        assert_eq!(runs[3].end, 200);
+        let (g0, g1) = (runs[0].gamma[0], runs[1].gamma[0]);
         assert!(
             g0.abs() / g1.abs() > 5.0,
             "square wave lost: {g0:?} vs {g1:?}"
         );
+        assert_eq!(runs[0].gamma, runs[2].gamma);
+    }
+
+    #[test]
+    fn filled_runs_expand_to_per_sample_gamma() {
+        // Every sample of the expansion equals Γ of that instant's
+        // switch state, computed the per-sample way.
+        let n = node();
+        let two_way = 10f64.powf(-2.0 * n.impl_loss_db / 20.0);
+        let per_state = |s| n.switch.gamma(s) * two_way;
+        let a = SwitchSchedule::from_events(vec![
+            (0.0, SwitchState::Absorptive),
+            (1e-6, SwitchState::Reflective),
+            (1e-6, SwitchState::Absorptive),
+            (2.5e-6, SwitchState::Reflective),
+        ]);
+        let b = SwitchSchedule::SquareWave {
+            freq_hz: 300e3,
+            first: SwitchState::Absorptive,
+        };
+        let (t_off, fs, len) = (0.4e-6, 20e6, 90);
+        let mut runs = Vec::new();
+        fill_gamma_runs(&a, &b, per_state, t_off, fs, len, &mut runs);
+        let expanded = expand(&runs);
+        assert_eq!(expanded.len(), len);
+        for (i, g) in expanded.iter().enumerate() {
+            let t = t_off + i as f64 / fs;
+            assert_eq!(*g, [per_state(a.state_at(t)), per_state(b.state_at(t))]);
+        }
+        // Refilling reuses the buffer and replaces its contents.
+        fill_gamma_runs(&a, &a, per_state, 0.0, fs, 10, &mut runs);
+        assert_eq!(runs.last().map(|r| r.end), Some(10));
     }
 
     #[test]

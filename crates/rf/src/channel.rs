@@ -201,26 +201,41 @@ impl MirrorReflection {
     }
 }
 
-/// Reflection coefficients of the node's two FSA ports at node-local time
-/// `t`: `[Γ_A, Γ_B]` as complex voltage ratios.
-pub type GammaSchedule<'a> = dyn Fn(f64) -> [Cpx; 2] + 'a;
+/// One stretch of constant port reflection coefficients: `gamma =
+/// [Γ_A, Γ_B]` (complex voltage ratios) holds for every sample from the
+/// previous run's `end` (0 for the first run) up to, not including,
+/// `end`.
+///
+/// The node's SPDT switches have two throws, so its Γ is piecewise
+/// constant by construction. A render takes the whole capture as a slice
+/// of runs that tiles `0..n` in order; `milback_node::node` fills one
+/// from the two ports' switch schedules.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GammaRun {
+    /// One past the last sample index of the run.
+    pub end: usize,
+    /// `[Γ_A, Γ_B]` over the run.
+    pub gamma: [Cpx; 2],
+}
 
 /// The node as seen by the channel: where it is, how it is oriented, which
-/// FSA it carries, and how its port reflection coefficients evolve in time.
+/// FSA it carries, and how its port reflection coefficients evolve over
+/// the capture.
 pub struct NodeInterface<'a> {
     /// Node pose.
     pub pose: Pose,
     /// The node's dual-port FSA.
     pub fsa: &'a DualPortFsa,
-    /// Port reflection coefficients over time.
-    pub gamma: &'a GammaSchedule<'a>,
+    /// Port reflection coefficients as runs in sample-index space; the
+    /// last run must end at the rendered capture's sample count.
+    pub gamma: &'a [GammaRun],
 }
 
 /// Hoisted per-ray synthesis tables for one (scene, waveform, node
 /// geometry, RX antenna) tuple: everything in `add_node_backscatter`'s
-/// inner loop that does not depend on the reflection-coefficient
-/// schedule. Built once, then replayed per chirp with only the gamma
-/// evaluation and three multiply-adds per sample.
+/// inner loop that does not depend on the reflection coefficients.
+/// Built once, then replayed per chirp run by run with three
+/// multiply-adds per sample.
 #[derive(Debug, Clone)]
 pub struct RayTables {
     /// Envelope delayed by the round-trip time.
@@ -530,8 +545,8 @@ impl Scene {
     /// workspace is warm (same scene, waveform and node geometry), a
     /// render performs **zero** heap allocations: the static-scene
     /// response is copied from cache and each node's hoisted ray tables
-    /// are replayed with only the Γ-schedule evaluated per sample
-    /// (pinned by `tests/zero_alloc.rs`).
+    /// are replayed against each node's Γ runs (pinned by
+    /// `tests/zero_alloc.rs`).
     pub fn monostatic_rx_multi_into(
         &self,
         ws: &mut ChannelWorkspace,
@@ -578,7 +593,7 @@ impl Scene {
                 fsa: fsa_fingerprint(node.fsa),
             };
             let tables = ws.ray_tables(key, || self.build_ray_tables(comp, node, rx_idx));
-            accumulate_node(tables, node.gamma, fs, &mut out.samples);
+            accumulate_node(tables, node.gamma, &mut out.samples);
         }
     }
 
@@ -618,7 +633,7 @@ impl Scene {
             fsa: fsa_fingerprint(node.fsa),
         };
         let tables = ws.ray_tables(key, || self.build_ray_tables(comp, node, rx_idx));
-        accumulate_node(tables, node.gamma, comp.signal.fs, &mut out.samples);
+        accumulate_node(tables, node.gamma, &mut out.samples);
     }
 
     /// Reference monostatic render that bypasses every cache: fresh
@@ -637,7 +652,7 @@ impl Scene {
         self.add_static_paths(comp, rx_idx, &mut acc.samples);
         for node in nodes {
             let tables = self.build_ray_tables(comp, node, rx_idx);
-            accumulate_node(&tables, node.gamma, fs, &mut acc.samples);
+            accumulate_node(&tables, node.gamma, &mut acc.samples);
         }
         acc
     }
@@ -787,25 +802,54 @@ impl Scene {
     }
 }
 
-/// Replays one node's hoisted [`RayTables`] against a Γ-schedule,
-/// accumulating into `acc`. This is the only per-sample loop left on
-/// the monostatic path: one schedule evaluation and three
-/// multiply-adds per sample, no trigonometry, no LUT walks. Both the
-/// cached and the uncached render call it, so they agree bitwise.
-fn accumulate_node(tables: &RayTables, gamma: &GammaSchedule<'_>, fs: f64, acc: &mut [Cpx]) {
-    for (i, &s) in tables.delayed.iter().enumerate() {
-        let t = i as f64 / fs;
-        let gammas = gamma(t);
-        let coeff = gammas[0] * tables.amp[0][i] + gammas[1] * tables.amp[1][i];
-        acc[i] += s * coeff * tables.rt_phase;
+/// Replays one node's hoisted [`RayTables`] against its Γ runs,
+/// accumulating into `acc`. This is the only per-sample loop left on the
+/// monostatic path: per run, the mirror's switch-coupling gain is
+/// hoisted and each sample costs three multiply-adds — no schedule
+/// lookup, no trigonometry, no LUT walks. Both the cached and the
+/// uncached render call it, so they agree bitwise.
+///
+/// Panics unless the runs tile the whole capture: ends must not
+/// decrease and the last must equal the sample count.
+fn accumulate_node(tables: &RayTables, runs: &[GammaRun], acc: &mut [Cpx]) {
+    let n = tables.delayed.len();
+    assert_eq!(
+        runs.last().map(|r| r.end),
+        Some(n),
+        "Γ runs must cover the capture"
+    );
+    let rt_phase = tables.rt_phase;
+    let mut start = 0;
+    for run in runs {
+        let span = start..run.end;
+        let [ga, gb] = run.gamma;
+        let delayed = &tables.delayed[span.clone()];
+        let samples = delayed
+            .iter()
+            .zip(&tables.amp[0][span.clone()])
+            .zip(&tables.amp[1][span.clone()])
+            .zip(&mut acc[span.clone()]);
+        for (((&s, &amp_a), &amp_b), out) in samples {
+            let coeff = ga * amp_a + gb * amp_b;
+            *out += s * coeff * rt_phase;
+        }
 
         // --- Mirror (structural) reflection, switch-coupled ----------
+        // Added after the port term, sample by sample, exactly as a
+        // single fused loop would.
         if let Some((coupling, phase)) = tables.mirror {
             // Weak coupling to port A's switch state.
-            let state = 2.0 * gammas[0].abs() - 1.0;
-            let amp = tables.amp_mirror[i] * (1.0 + coupling * state);
-            acc[i] += s * tables.rt_phase * phase * amp;
+            let state = 2.0 * ga.abs() - 1.0;
+            let gain = 1.0 + coupling * state;
+            let samples = delayed
+                .iter()
+                .zip(&tables.amp_mirror[span.clone()])
+                .zip(&mut acc[span]);
+            for ((&s, &amp_m), out) in samples {
+                *out += s * rt_phase * phase * (amp_m * gain);
+            }
         }
+        start = run.end;
     }
 }
 
@@ -815,14 +859,17 @@ mod tests {
     use crate::geometry::deg_to_rad;
     use milback_dsp::noise::ratio_to_db;
 
-    fn static_gamma(reflective: bool) -> impl Fn(f64) -> [Cpx; 2] {
-        move |_t| {
-            if reflective {
-                [Cpx::new(-0.94, 0.0), Cpx::new(-0.94, 0.0)]
-            } else {
-                [Cpx::new(0.05, 0.0), Cpx::new(0.05, 0.0)]
-            }
-        }
+    /// One constant Γ run over the whole of `comp`.
+    fn static_gamma(reflective: bool, comp: &TxComponent) -> [GammaRun; 1] {
+        let g = if reflective {
+            Cpx::new(-0.94, 0.0)
+        } else {
+            Cpx::new(0.05, 0.0)
+        };
+        [GammaRun {
+            end: comp.signal.len(),
+            gamma: [g, g],
+        }]
     }
 
     #[test]
@@ -913,8 +960,8 @@ mod tests {
         let fs = 1e8;
         let sig = Signal::tone(fs, f, 0.0, 1.0, 2000);
         let comp = TxComponent::tone(sig, f);
-        let g_refl = static_gamma(true);
-        let g_abs = static_gamma(false);
+        let g_refl = static_gamma(true, &comp);
+        let g_abs = static_gamma(false, &comp);
         let node_r = NodeInterface {
             pose,
             fsa: &fsa,
@@ -943,7 +990,10 @@ mod tests {
         let fs = 1e8;
         let comp = TxComponent::tone(Signal::tone(fs, f, 0.0, 1.0, 4000), f);
         // Only port A reflective, |Γ| = 1, port B perfectly absorbing.
-        let g = |_t: f64| [Cpx::new(-1.0, 0.0), Cpx::new(0.0, 0.0)];
+        let g = [GammaRun {
+            end: comp.signal.len(),
+            gamma: [Cpx::new(-1.0, 0.0), Cpx::new(0.0, 0.0)],
+        }];
         let node = NodeInterface {
             pose,
             fsa: &fsa,
@@ -968,7 +1018,7 @@ mod tests {
         let pose = Pose::facing_ap(2.0, deg_to_rad(80.0), 0.0);
         let f = 28e9;
         let comp = TxComponent::tone(Signal::tone(1e8, f, 0.0, 1.0, 2000), f);
-        let g = static_gamma(false);
+        let g = static_gamma(false, &comp);
         let node = NodeInterface {
             pose,
             fsa: &fsa,
@@ -988,7 +1038,7 @@ mod tests {
         let pose = Pose::facing_ap(8.0, 0.0, 0.0);
         let f = fsa.frequency_for_angle(Port::A, 0.0).unwrap();
         let comp = TxComponent::tone(Signal::tone(1e8, f, 0.0, 1.0, 2000), f);
-        let g = static_gamma(true);
+        let g = static_gamma(true, &comp);
         let node = NodeInterface {
             pose,
             fsa: &fsa,
@@ -1011,8 +1061,8 @@ mod tests {
         let pose2 = Pose::facing_ap(4.0, deg_to_rad(15.0), 0.0);
         let f = fsa.frequency_for_angle(Port::A, 0.0).unwrap();
         let comp = TxComponent::tone(Signal::tone(1e8, f, 0.0, 1.0, 1000), f);
-        let g1 = static_gamma(true);
-        let g2 = static_gamma(true);
+        let g1 = static_gamma(true, &comp);
+        let g2 = static_gamma(true, &comp);
         let n1 = NodeInterface {
             pose: pose1,
             fsa: &fsa,
@@ -1024,8 +1074,8 @@ mod tests {
             gamma: &g2,
         };
         let both = scene.monostatic_rx_multi(&comp, &[n1, n2], 0);
-        let g1 = static_gamma(true);
-        let g2 = static_gamma(true);
+        let g1 = static_gamma(true, &comp);
+        let g2 = static_gamma(true, &comp);
         let n1 = NodeInterface {
             pose: pose1,
             fsa: &fsa,
@@ -1060,8 +1110,8 @@ mod tests {
             profile: FreqProfile::Sawtooth(cfg),
         };
         let wave_fp = crate::workspace::wave_fingerprint(&comp);
-        let g_t = static_gamma(true);
-        let g_n = static_gamma(false);
+        let g_t = static_gamma(true, &comp);
+        let g_n = static_gamma(false, &comp);
         let node_t = NodeInterface {
             pose: target,
             fsa: &fsa,
@@ -1146,7 +1196,7 @@ mod tests {
         let pose = Pose::facing_ap(3.0, phi, 0.0);
         let f = fsa.frequency_for_angle(Port::A, 0.0).unwrap();
         let comp = TxComponent::tone(Signal::tone(1e8, f, 0.0, 1.0, 1000), f);
-        let g = static_gamma(true);
+        let g = static_gamma(true, &comp);
         let node = NodeInterface {
             pose,
             fsa: &fsa,

@@ -6,9 +6,10 @@
 //! reflected on the very next render, with no stale cache reuse.
 
 use milback_dsp::chirp::ChirpConfig;
-use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
-use milback_rf::channel::{FreqProfile, NodeInterface, Scene, TxComponent};
+use milback_hw::switch::{SpdtSwitch, SwitchSchedule, SwitchState};
+use milback_node::node::fill_gamma_runs;
+use milback_rf::channel::{FreqProfile, GammaRun, NodeInterface, Scene, TxComponent};
 use milback_rf::fsa::DualPortFsa;
 use milback_rf::geometry::{deg_to_rad, Point, Pose};
 use milback_rf::{wave_fingerprint, ChannelWorkspace};
@@ -29,17 +30,21 @@ fn test_component() -> TxComponent {
     }
 }
 
-/// Square-wave port-A modulation at `freq` with a small port-B residual,
-/// offset by `t_off` — the shape of the localization Γ schedule.
-fn gamma_square(freq: f64, t_off: f64) -> impl Fn(f64) -> [Cpx; 2] {
-    move |t: f64| {
-        let s = if ((t + t_off) * freq).fract() < 0.5 {
-            0.6
-        } else {
-            -0.6
-        };
-        [Cpx::new(s, 0.0), Cpx::new(0.05, 0.0)]
-    }
+/// Γ runs over `comp` for port A square-wave modulated at `freq` from
+/// node time `t_off`, port B parked absorptive, through the prototype
+/// switch — the shape of the localization modulation.
+fn square_runs(freq: f64, t_off: f64, comp: &TxComponent) -> Vec<GammaRun> {
+    let a = SwitchSchedule::SquareWave {
+        freq_hz: freq,
+        first: SwitchState::Reflective,
+    };
+    let b = SwitchSchedule::Constant(SwitchState::Absorptive);
+    let switch = SpdtSwitch::adrf5020();
+    let gamma = |state| switch.gamma(state);
+    let (fs, n) = (comp.signal.fs, comp.signal.len());
+    let mut runs = Vec::new();
+    fill_gamma_runs(&a, &b, gamma, t_off, fs, n, &mut runs);
+    runs
 }
 
 fn render_cached(
@@ -64,8 +69,8 @@ fn cached_render_matches_uncached_across_scene_variants() {
     let fsa = DualPortFsa::milback();
     let pose_a = Pose::facing_ap(3.0, deg_to_rad(5.0), deg_to_rad(8.0));
     let pose_b = Pose::facing_ap(4.5, deg_to_rad(-10.0), 0.0);
-    let gamma_a = gamma_square(40e6, 0.0);
-    let gamma_b = gamma_square(25e6, 0.1e-6);
+    let gamma_a = square_runs(40e6, 0.0, &comp);
+    let gamma_b = square_runs(25e6, 0.1e-6, &comp);
     let nodes = [
         NodeInterface {
             pose: pose_a,
@@ -111,12 +116,11 @@ fn cached_render_matches_uncached_across_scene_variants() {
     }
 }
 
-/// Γ schedules are deliberately outside the cache keys (they are
-/// evaluated per sample on every render): two chirps of the same burst
-/// must reuse the hoisted tables yet produce different, each-correct
-/// output.
+/// Γ runs are deliberately outside the cache keys (they are replayed on
+/// every render): two chirps of the same burst must reuse the hoisted
+/// tables yet produce different, each-correct output.
 #[test]
-fn gamma_schedule_is_applied_per_render_not_cached() {
+fn gamma_runs_are_applied_per_render_not_cached() {
     let comp = test_component();
     let fsa = DualPortFsa::milback();
     let pose = Pose::facing_ap(3.0, 0.0, deg_to_rad(5.0));
@@ -126,7 +130,7 @@ fn gamma_schedule_is_applied_per_render_not_cached() {
     let mut ws = ChannelWorkspace::default();
     let mut chirps = Vec::new();
     for chirp in 0..3 {
-        let gamma = gamma_square(40e6, chirp as f64 * 0.5e-6);
+        let gamma = square_runs(40e6, chirp as f64 * 0.31e-6, &comp);
         let node = NodeInterface {
             pose,
             fsa: &fsa,
@@ -139,8 +143,57 @@ fn gamma_schedule_is_applied_per_render_not_cached() {
     }
     assert_ne!(
         chirps[0].samples, chirps[1].samples,
-        "distinct gamma offsets must yield distinct renders"
+        "distinct chirp offsets must yield distinct renders"
     );
+}
+
+/// Run granularity is invisible: the same Γ split into one-sample runs
+/// renders the same capture bit for bit, cached and uncached, so the
+/// per-run hoisting in the replay loop changes no arithmetic.
+#[test]
+fn run_granularity_does_not_change_the_render() {
+    let comp = test_component();
+    let fsa = DualPortFsa::milback();
+    let pose = Pose::facing_ap(3.0, deg_to_rad(-3.0), deg_to_rad(-4.0));
+    let mut scene = Scene::milback_indoor();
+    scene.steer_towards(&pose.position);
+
+    let runs = square_runs(25e6, 0.07e-6, &comp);
+    assert!(runs.len() > 10, "want many runs, got {}", runs.len());
+    let mut per_sample = Vec::new();
+    let mut start = 0;
+    for run in &runs {
+        per_sample.extend((start..run.end).map(|i| GammaRun {
+            end: i + 1,
+            gamma: run.gamma,
+        }));
+        start = run.end;
+    }
+    assert_eq!(per_sample.len(), comp.signal.len());
+
+    let node = |gamma| NodeInterface {
+        pose,
+        fsa: &fsa,
+        gamma,
+    };
+    let mut ws = ChannelWorkspace::default();
+    for rx_idx in 0..2 {
+        let whole = [node(&runs)];
+        let split = [node(&per_sample)];
+        let reference = scene.monostatic_rx_multi_uncached(&comp, &whole, rx_idx);
+        assert_eq!(
+            reference.samples,
+            scene
+                .monostatic_rx_multi_uncached(&comp, &split, rx_idx)
+                .samples,
+            "rx{rx_idx}: one-sample runs diverged (uncached)"
+        );
+        assert_eq!(
+            reference.samples,
+            render_cached(&mut ws, &scene, &comp, &split, rx_idx).samples,
+            "rx{rx_idx}: one-sample runs diverged (cached)"
+        );
+    }
 }
 
 /// Moving the node or re-steering the AP mid-burst must invalidate the
@@ -150,7 +203,7 @@ fn gamma_schedule_is_applied_per_render_not_cached() {
 fn scene_and_node_mutations_invalidate_the_cache() {
     let comp = test_component();
     let fsa = DualPortFsa::milback();
-    let gamma = gamma_square(40e6, 0.0);
+    let gamma = square_runs(40e6, 0.0, &comp);
     let pose0 = Pose::facing_ap(3.0, 0.0, deg_to_rad(5.0));
     let mut scene = Scene::milback_indoor();
     scene.steer_towards(&pose0.position);
