@@ -1,78 +1,86 @@
-//! Bitwise equivalence of the workspace/template fast paths against the
-//! allocating reference paths, exercised at the network level
-//! (DESIGN.md §12). The per-kernel equivalences live next to each
+//! Literal pins on the workspace/template fast paths, exercised at the
+//! network level (DESIGN.md §12). The per-kernel pins live next to each
 //! kernel's unit tests; this file pins the end-to-end compositions the
 //! pipeline actually runs.
+//!
+//! The localization and orientation constants were recorded from the
+//! allocating reference pipeline (per-chirp `dechirp` → `range_profile`
+//! → pairwise spectrum differences → detection spectrum), which the
+//! workspace path reproduced bit for bit, in debug and release builds
+//! alike. A deliberate change to the render or the DSP re-records them;
+//! a refactor must keep them unchanged.
 
 use milback::{Fidelity, Network};
-use milback_ap::orientation::ApOrientationEstimator;
-use milback_ap::{background, with_workspace};
+use milback_ap::ranging::LocalizationResult;
+use milback_ap::with_workspace;
 use milback_dsp::signal::Signal;
 use milback_dsp::template;
-use milback_rf::fsa::Port;
 use milback_rf::geometry::{deg_to_rad, Pose};
 
-/// `Network::localize` (which routes through the thread-local workspace
-/// and `Localizer::process_with`) must reproduce the allocating
-/// `Localizer::process` bit for bit on identically-seeded captures.
+/// Bit patterns of a fix: `range`, `angle` and `peak_power`.
+type FixBits = (u64, Option<u64>, u64);
+
+fn bits(fix: Option<LocalizationResult>) -> Option<FixBits> {
+    fix.map(|r| {
+        (
+            r.range.to_bits(),
+            r.angle.map(f64::to_bits),
+            r.peak_power.to_bits(),
+        )
+    })
+}
+
+/// `Network::localize` (the thread-local workspace and
+/// `Localizer::process_with`) must reproduce the fixes the allocating
+/// pipeline recorded, on a cold workspace and on a warmed one.
 #[test]
 fn network_localize_matches_allocating_process() {
+    const PINS: [(u64, FixBits); 3] = [
+        (
+            1,
+            (
+                0x4008_07f0_3555_6417,
+                Some(0x3fbc_2e66_86dc_b0a9),
+                0x3f35_fc85_1941_963b,
+            ),
+        ),
+        (
+            9,
+            (
+                0x4008_1ce4_8fa8_6f47,
+                Some(0x3fba_630a_f04e_7e85),
+                0x3f35_79ab_f875_bd5e,
+            ),
+        ),
+        (
+            42,
+            (
+                0x4008_1ae3_e2a8_77df,
+                Some(0x3fb8_5569_0042_8652),
+                0x3f35_c43c_e799_567e,
+            ),
+        ),
+    ];
     let pose = Pose::facing_ap(3.0, deg_to_rad(6.0), 0.0);
-    for seed in [1u64, 9, 42] {
-        let mut reference = Network::new(pose, Fidelity::Fast, seed);
-        let (tx, captures) = reference.field2_captures();
-        let expect = reference.localizer().process(&tx, &captures);
-
-        let mut fast = Network::new(pose, Fidelity::Fast, seed);
-        assert_eq!(fast.localize(), expect, "seed {seed}");
+    for (seed, expect) in PINS {
+        let mut cold = Network::new(pose, Fidelity::Fast, seed);
+        assert_eq!(bits(cold.localize()), Some(expect), "seed {seed}");
         // A second network on the same thread reuses the now-warmed
-        // workspace — still bitwise identical.
-        let mut again = Network::new(pose, Fidelity::Fast, seed);
-        assert_eq!(again.localize(), expect, "seed {seed} (warmed)");
+        // workspace: still the same bits.
+        let mut warm = Network::new(pose, Fidelity::Fast, seed);
+        assert_eq!(bits(warm.localize()), Some(expect), "seed {seed} (warmed)");
     }
 }
 
-/// AP-side orientation sensing through the workspace must match a
-/// replica of the historical allocating flow (profile diffs → detection
-/// spectrum → node bin → gated estimate).
+/// AP-side orientation sensing through the workspace must reproduce the
+/// estimate of the allocating flow (profile diffs → detection spectrum
+/// → node bin → gated estimate).
 #[test]
 fn sense_orientation_matches_allocating_flow() {
     let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(10.0));
-    let seed = 3;
-    let mut fast = Network::new(pose, Fidelity::Fast, seed);
-    let got = fast.sense_orientation_at_ap();
-
-    let mut reference = Network::new(pose, Fidelity::Fast, seed);
-    let (tx, captures) = reference.field2_captures();
-    let localizer = reference.localizer();
-    let (d0, d1) = localizer.profile_diffs(&tx, &captures);
-    let det0 = background::detection_spectrum(&d0);
-    let det1 = background::detection_spectrum(&d1);
-    let det: Vec<f64> = det0.iter().zip(&det1).map(|(a, b)| a + b).collect();
-    let node_bin = localizer.find_node_bin(&det, tx.fs).expect("no node bin");
-    let best = (0..d0.len())
-        .max_by(|&i, &j| {
-            let e = |k: usize| -> f64 {
-                let lo = node_bin.saturating_sub(2);
-                let hi = (node_bin + 3).min(d0[k].len());
-                d0[k][lo..hi].iter().map(|c| c.norm_sq()).sum()
-            };
-            e(i).partial_cmp(&e(j)).unwrap()
-        })
-        .expect("no difference pairs");
-    let est = ApOrientationEstimator::new(Fidelity::Fast.sawtooth());
-    let half = (localizer.proc.fft_len / 100).max(16);
-    let expect = est.estimate_gated(
-        &d0[best],
-        node_bin,
-        half,
-        tx.fs,
-        tx.len(),
-        &reference.node.fsa,
-        Port::A,
-    );
-
-    assert_eq!(got, expect);
+    let mut net = Network::new(pose, Fidelity::Fast, 3);
+    let got = net.sense_orientation_at_ap().map(f64::to_bits);
+    assert_eq!(got, Some(0xbfc4_3dd8_32e3_e42b), "{got:#018x?}");
 }
 
 /// Template fetches are bitwise identical to fresh synthesis for every
@@ -100,17 +108,21 @@ fn templates_match_fresh_synthesis_bitwise() {
 
 /// The nested-checkout fallback of `with_workspace` stays bitwise
 /// equivalent: running a localization inside an outer checkout lands on
-/// a fresh temporary workspace and must produce the same fix.
+/// a fresh temporary workspace and must produce the recorded fix.
 #[test]
 fn nested_workspace_checkout_is_equivalent() {
     let pose = Pose::facing_ap(2.5, 0.0, 0.0);
     let mut net = Network::new(pose, Fidelity::Fast, 7);
     let (tx, captures) = net.field2_captures();
     let localizer = net.localizer();
-    let expect = localizer.process(&tx, &captures);
     let got = with_workspace(|_outer| {
         // `localize`-style inner checkout while the outer one is held.
         with_workspace(|ws| localizer.process_with(ws, &tx, &captures))
     });
-    assert_eq!(got, expect);
+    let expect = (
+        0x4004_13d1_1a47_3638,
+        Some(0xbf7d_ffa2_dbc2_24f4),
+        0x3f45_de51_557e_0958,
+    );
+    assert_eq!(bits(got), Some(expect));
 }

@@ -73,12 +73,24 @@ fn warmed_hot_paths_perform_zero_heap_allocations() {
     let mut ws = DspWorkspace::new();
 
     // Warm-up: grows the workspace buffers, builds the cached FFT plan
-    // and checks the fast path against the allocating reference.
-    let expect = localizer.process(&tx, &captures);
-    assert!(expect.is_some(), "reference localization failed");
-    for _ in 0..2 {
-        assert_eq!(localizer.process_with(&mut ws, &tx, &captures), expect);
-    }
+    // and checks the fix against the bits the allocating reference
+    // pipeline recorded for this capture.
+    let expect = localizer.process_with(&mut ws, &tx, &captures);
+    let fix = expect.expect("warm-up localization failed");
+    assert_eq!(
+        (
+            fix.range.to_bits(),
+            fix.angle.map(f64::to_bits),
+            fix.peak_power.to_bits()
+        ),
+        (
+            0x4007_bf0f_1fb3_7abc,
+            Some(0x3fb2_5e20_3547_b15c),
+            0x3f34_dd8b_51c1_10aa
+        ),
+        "warm-up fix moved"
+    );
+    assert_eq!(localizer.process_with(&mut ws, &tx, &captures), expect);
 
     let before = allocs();
     for _ in 0..5 {
