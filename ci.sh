@@ -40,13 +40,14 @@ if cargo clippy --version >/dev/null 2>&1; then
         -W clippy::redundant_clone -W clippy::needless_collect \
         -W clippy::needless_range_loop -W clippy::manual_memcpy \
         -W clippy::needless_pass_by_value
-    # Library paths of the protocol/session layers — and the node/RF
-    # substrate they call into — must not unwrap: every fallible outcome
-    # is a typed error or a Degradation report (DESIGN.md §14). --lib
-    # skips #[cfg(test)] modules; --no-deps keeps the lint off the
+    # Library paths of the protocol/session layers — and the node/RF/AP/
+    # DSP substrate they call into — must not unwrap: every fallible
+    # outcome is a typed error or a Degradation report (DESIGN.md §14).
+    # --lib skips #[cfg(test)] modules; --no-deps keeps the lint off the
     # vendored stubs.
     cargo clippy --release --offline --lib --no-deps \
         -p milback -p milback-proto -p milback-node -p milback-rf \
+        -p milback-ap -p milback-dsp \
         -- -D warnings -W clippy::unwrap_used
 else
     echo "==> clippy not installed; skipping lint" >&2
@@ -62,20 +63,25 @@ else
     echo "==> rustfmt not installed; skipping format check" >&2
 fi
 
-echo "==> bench smoke (kernel/burst/channel bitwise asserts)"
-# --smoke shrinks every rep count; the run still asserts that each fast
-# path (in-place FFT, workspace pipeline, waveform templates, and the
-# cached channel-synthesis render of DESIGN.md §13) is bitwise identical
-# to its allocating/uncached twin before reporting timings.
+echo "==> bench smoke (FFT-plan/waveform/channel bitwise asserts)"
+# --smoke shrinks every rep count; the run still asserts, before
+# reporting timings, that the cached-plan FFT matches an unplanned
+# transform, that the waveform template matches fresh synthesis, that
+# the cached channel-synthesis render of DESIGN.md §13 (single render
+# and full Field-2 burst) matches the uncached reference bit for bit,
+# and that repeated workspace localization bursts return the same fix.
 cargo run --release --offline -p milback-bench --bin bench_engine -- \
     --smoke --out target/bench_smoke.json >/dev/null
 
 echo "==> kernel perf gate (burst + range FFT vs committed baseline)"
 # Re-times just the localization burst and the range-FFT kernel at full
 # reps (matching how the baseline was recorded; ~4 s) and fails if
-# either regressed more than 10% against the committed BENCH_6.json.
-# Comparisons are calibration-normalized (DESIGN.md §17.3) so shared-
-# host load cannot trip the gate, with bounded re-measures on a miss.
+# either regressed more than 10% against the committed BENCH_6.json,
+# with bounded re-measures on a miss. The gate normalizes by the
+# calibration workload (DESIGN.md §17.3) only when the baseline records
+# timing_calibration.calib_us; BENCH_6.json does not, so this step
+# compares raw wall clocks and is exposed to shared-host load. The gate
+# prints which mode it ran in.
 cargo run --release --offline -p milback-bench --bin bench_engine -- \
     --kernels-only --check-against BENCH_6.json
 

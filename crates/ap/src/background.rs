@@ -34,14 +34,6 @@ pub fn pairwise_diff_signals(chirps: &[Signal]) -> Vec<Signal> {
         .collect()
 }
 
-/// Pairwise differences of consecutive chirp spectra (allocating
-/// wrapper over [`pairwise_diff_spectra_into`]).
-pub fn pairwise_diff_spectra(spectra: &[Vec<Cpx>]) -> Vec<Vec<Cpx>> {
-    let mut out = Vec::new();
-    pairwise_diff_spectra_into(spectra, &mut out);
-    out
-}
-
 /// Pairwise differences of consecutive chirp spectra, written into
 /// `out`. Both the outer vector and each inner difference buffer reuse
 /// their capacity, so a warmed five-chirp burst performs no allocation.
@@ -78,16 +70,9 @@ pub fn strongest_diff<T: DiffEnergy>(diffs: &[T]) -> usize {
 }
 
 /// Per-bin detection power: the maximum of `|d[k]|²` across all
-/// differences. Static clutter is near zero in every difference; the
-/// node's bin is large in at least one. (Allocating wrapper over
-/// [`detection_spectrum_into`].)
-pub fn detection_spectrum(diffs: &[Vec<Cpx>]) -> Vec<f64> {
-    let mut out = Vec::new();
-    detection_spectrum_into(diffs, &mut out);
-    out
-}
-
-/// Per-bin detection power written into `out`, reusing its capacity.
+/// differences, written into `out` (capacity reused). Static clutter is
+/// near zero in every difference; the node's bin is large in at least
+/// one.
 pub fn detection_spectrum_into(diffs: &[Vec<Cpx>], out: &mut Vec<f64>) {
     assert!(!diffs.is_empty(), "no differences given");
     let n = diffs[0].len();
@@ -129,6 +114,18 @@ mod tests {
         Signal::tone(1e6, 0.0, 1e3, amp, n)
     }
 
+    fn diff_spectra(spectra: &[Vec<Cpx>]) -> Vec<Vec<Cpx>> {
+        let mut out = Vec::new();
+        pairwise_diff_spectra_into(spectra, &mut out);
+        out
+    }
+
+    fn detection(diffs: &[Vec<Cpx>]) -> Vec<f64> {
+        let mut out = Vec::new();
+        detection_spectrum_into(diffs, &mut out);
+        out
+    }
+
     #[test]
     fn static_returns_cancel() {
         let chirps = vec![tone(1.0, 64); 5];
@@ -161,7 +158,7 @@ mod tests {
         let b = tone(0.3, 64);
         let sa = milback_dsp::fft::fft(&a.samples);
         let sb = milback_dsp::fft::fft(&b.samples);
-        let diffs = pairwise_diff_spectra(&[sa, sb]);
+        let diffs = diff_spectra(&[sa, sb]);
         // FFT(b−a) == FFT(b) − FFT(a).
         let direct = milback_dsp::fft::fft(
             &b.samples
@@ -186,14 +183,14 @@ mod tests {
             v
         };
         let spectra = vec![make(true), make(true), make(false), make(false), make(true)];
-        let diffs = pairwise_diff_spectra(&spectra);
-        let det = detection_spectrum(&diffs);
+        let diffs = diff_spectra(&spectra);
+        let det = detection(&diffs);
         assert!(det[3] < 1e-20, "clutter bin leaked: {}", det[3]);
         assert!((det[10] - 1.0).abs() < 1e-12, "node bin: {}", det[10]);
     }
 
     #[test]
-    fn into_variants_match_allocating_bitwise() {
+    fn reused_buffers_reproduce_the_definition_bitwise() {
         let n = 48;
         let spectra: Vec<Vec<Cpx>> = (0..5)
             .map(|c| {
@@ -202,13 +199,18 @@ mod tests {
                     .collect()
             })
             .collect();
-        let diffs = pairwise_diff_spectra(&spectra);
-        let det = detection_spectrum(&diffs);
+        // d_i[k] = s_{i+1}[k] − s_i[k];  det[k] = max_i |d_i[k]|².
+        let diffs: Vec<Vec<Cpx>> = (0..4)
+            .map(|i| (0..n).map(|k| spectra[i + 1][k] - spectra[i][k]).collect())
+            .collect();
+        let det: Vec<f64> = (0..n)
+            .map(|k| diffs.iter().fold(0.0, |m: f64, d| m.max(d[k].norm_sq())))
+            .collect();
 
         let mut diffs_buf = Vec::new();
         let mut det_buf = Vec::new();
         // Reused buffers (including previously-longer inner vectors) must
-        // keep reproducing the allocating results bit for bit.
+        // keep reproducing the definition bit for bit.
         diffs_buf.push(vec![milback_dsp::num::ZERO; n * 2]);
         for _ in 0..2 {
             pairwise_diff_spectra_into(&spectra, &mut diffs_buf);

@@ -6,9 +6,7 @@
 //!   OAQFM/OOK downlink keying,
 //! * [`dechirp`] — FMCW dechirp and range-FFT processing,
 //! * [`background`] — five-chirp background subtraction,
-//! * [`cfar`] — cell-averaging CFAR detection (alternative gate),
 //! * [`doppler`] — slow-time radial-velocity estimation,
-//! * [`range_doppler`] — full 2-D range-Doppler maps,
 //! * [`ranging`] — the full localization pipeline (range + AoA),
 //! * [`pulse_compression`] — matched-filter ranging (ablation reference),
 //! * [`aoa`] — two-antenna phase-difference angle estimation,
@@ -26,28 +24,26 @@
 //! [`ranging`] with [`aoa`] phase-difference angles; §5.2(b) AP-side
 //! orientation sensing is [`orientation`]; the §6.3 uplink receive chain
 //! of Figure 7 is [`uplink`]; and the §6.1 carrier choice that makes
-//! OAQFM work at an oblique node is [`tone_select`]. [`cfar`] and
-//! [`pulse_compression`] are the ablation alternatives the robustness
-//! tests swap in.
+//! OAQFM work at an oblique node is [`tone_select`].
+//! [`pulse_compression`] is the matched-filter ranging alternative the
+//! ranging-method ablation compares against.
 //!
 //! ## Telemetry
 //!
 //! With `MILBACK_TELEMETRY=1` the pipeline reports
 //! `ap.localize.attempts`/`fixes`/`misses`, an `ap.localize.ns` span,
-//! `ap.dechirp.spectra`, `ap.cfar.*` and `ap.aoa.*` counters through
+//! `ap.dechirp.spectra` and `ap.aoa.*` counters through
 //! `milback-telemetry`.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod aoa;
 pub mod background;
-pub mod cfar;
 pub mod coverage;
 pub mod dechirp;
 pub mod doppler;
 pub mod orientation;
 pub mod pulse_compression;
-pub mod range_doppler;
 pub mod ranging;
 pub mod tone_select;
 pub mod uplink;
@@ -55,12 +51,10 @@ pub mod waveform;
 pub mod workspace;
 
 pub use aoa::AoaEstimator;
-pub use cfar::CfarDetector;
 pub use dechirp::RangeProcessor;
 pub use doppler::DopplerProcessor;
 pub use orientation::ApOrientationEstimator;
 pub use pulse_compression::PulseCompressionRanger;
-pub use range_doppler::{RangeDopplerMap, RangeDopplerProcessor};
 pub use ranging::{LocalizationResult, Localizer};
 pub use tone_select::{select_tones, ToneSelection};
 pub use uplink::{ook_ber, UplinkReceiver, UplinkScratch, UplinkStats, UPLINK_PILOT};

@@ -2,11 +2,11 @@
 //!
 //! A five-chirp localization burst runs dechirp → window/zero-pad →
 //! range FFT → background subtraction → detection → noise floor ten
-//! times over (five chirps × two antennas). The allocating pipeline
-//! churns a fresh set of `Vec` buffers per stage per chirp; a
-//! [`DspWorkspace`] owns one set of buffers that every stage writes
-//! into through the `_into` variants, so a warmed burst performs zero
-//! heap allocations (pinned by `tests/zero_alloc.rs`).
+//! times over (five chirps × two antennas). Rather than a fresh set of
+//! `Vec` buffers per stage per chirp, a [`DspWorkspace`] owns one set
+//! of buffers that every stage writes into through the `_into`
+//! variants, so a warmed burst performs zero heap allocations (pinned
+//! by `tests/zero_alloc.rs`).
 //!
 //! ## Ownership rules
 //!
@@ -54,10 +54,6 @@ pub struct DspWorkspace {
     pub det_sum: Vec<f64>,
     /// Sort scratch for the noise-floor estimate.
     pub floor_scratch: Vec<f64>,
-    /// CFAR local-floor estimates.
-    pub cfar_floors: Vec<f64>,
-    /// CFAR hit indices.
-    pub cfar_hits: Vec<usize>,
 }
 
 impl DspWorkspace {

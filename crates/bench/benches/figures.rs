@@ -144,9 +144,6 @@ fn bench_kernels(c: &mut Criterion) {
     g.bench_function("matched_filter_8192x2048", |b| {
         b.iter(|| black_box(milback_dsp::xcorr::matched_filter(&rx, &template)))
     });
-    g.bench_function("goertzel_8192", |b| {
-        b.iter(|| black_box(milback_dsp::goertzel::tone_power(&rx, 1.2e5, 1e6)))
-    });
     g.finish();
 }
 

@@ -3,6 +3,7 @@
 
 use milback::{Fidelity, Network};
 use milback_ap::pulse_compression::PulseCompressionRanger;
+use milback_ap::with_workspace;
 use milback_bench::{emit, f, Table};
 use milback_dsp::stats;
 use milback_rf::geometry::{deg_to_rad, Pose};
@@ -30,9 +31,8 @@ fn main() {
         let mut net = Network::new(pose, Fidelity::Fast, seed);
         let (tx, captures) = net.field2_captures();
         // Dechirp pipeline.
-        let de = net
-            .localizer()
-            .process(&tx, &captures)
+        let loc = net.localizer();
+        let de = with_workspace(|ws| loc.process_with(ws, &tx, &captures))
             .map(|fix| (fix.range - d).abs() * 100.0);
         // Matched filter on antenna 0.
         let ant0: Vec<_> = captures.iter().map(|p| p[0].clone()).collect();

@@ -11,13 +11,13 @@
 //! 2. planned vs unplanned FFT — the cached-plan transform against a
 //!    rebuild-tables-every-call transform of the same 8192-point range
 //!    FFT (the dominant kernel of the trial),
-//! 3. per-kernel legs — each DSP hot-path kernel (dechirp, range FFT,
-//!    CFAR, waveform synthesis) timed allocating vs `_into`/template
-//!    form, with a bitwise-equality assert per kernel,
-//! 4. the five-chirp localization burst — `Localizer::process`
-//!    (allocating) against `Localizer::process_with` (workspace), with
-//!    heap allocations per burst counted by this binary's global
-//!    allocator (DESIGN.md §12),
+//! 3. per-kernel legs — the forms a session runs of the DSP hot-path
+//!    kernels (`dechirp_into`, `forward_into` at the range-FFT size),
+//!    plus Field-2 waveform synthesis against a template-cache fetch
+//!    with a bitwise-equality assert,
+//! 4. the five-chirp localization burst — `Localizer::process_with` on
+//!    a warmed workspace, with heap allocations per burst counted by
+//!    this binary's global allocator (DESIGN.md §12),
 //! 5. channel synthesis — the cached workspace render (static-scene
 //!    response + hoisted ray tables, DESIGN.md §13) against the uncached
 //!    reference, as a single monostatic render and as the full
@@ -36,9 +36,10 @@
 //!    (expected: zero).
 //!
 //! The engine is deterministic by construction; this binary also asserts
-//! that the parallel run's outputs equal the serial run's — and that
-//! every fast path is bitwise identical to its allocating twin — before
-//! timings are reported.
+//! that the parallel run's outputs equal the serial run's — and that the
+//! planned FFT, the waveform templates and the cached channel renders
+//! are bitwise identical to the unplanned, freshly synthesized and
+//! uncached references — before timings are reported.
 //!
 //! Output naming: without `--out`, the binary scans the working directory
 //! for existing `BENCH_<n>.json` files and writes to the next free index,
@@ -83,7 +84,6 @@ use milback::chaos::{chaos_sweep_with_threads, default_points};
 use milback::net::{density_sweep, NetConfig};
 use milback::serve::roster;
 use milback::{Fidelity, Network, ServeConfig, ServeEngine, TrafficConfig, TrafficSchedule};
-use milback_ap::cfar::CfarDetector;
 use milback_ap::waveform::TxConfig;
 use milback_ap::workspace::DspWorkspace;
 use milback_dsp::num::Cpx;
@@ -630,9 +630,7 @@ fn next_bench_path(dir: &std::path::Path) -> String {
     format!("BENCH_{}.json", max + 1)
 }
 
-/// One timed A/B kernel leg: runs `alloc_f` and `fast_f` `reps` times
-/// each and returns `(alloc_us, fast_us, speedup)` per call.
-/// Timing passes per leg side; the fastest pass is reported. Min-of-N
+/// Timing passes per timed side; the fastest pass is reported. Min-of-N
 /// is the standard estimator for true kernel cost on a shared host —
 /// external interference only ever adds time — and it is what keeps the
 /// CI regression gate (`--check-against`) from flaking on scheduler
@@ -667,31 +665,30 @@ fn calibration_us() -> f64 {
     best
 }
 
-fn time_pair(reps: usize, mut alloc_f: impl FnMut(), mut fast_f: impl FnMut()) -> (f64, f64, f64) {
-    let mut alloc_us = f64::INFINITY;
-    let mut fast_us = f64::INFINITY;
+/// One timed kernel: runs `f` `reps` times per pass and returns the
+/// fastest pass's µs per call.
+fn time_us(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
     for _ in 0..TIMING_PASSES {
         let t0 = Instant::now();
         for _ in 0..reps {
-            alloc_f();
+            f();
         }
-        alloc_us = alloc_us.min(t0.elapsed().as_secs_f64() / reps as f64 * 1e6);
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            fast_f();
-        }
-        fast_us = fast_us.min(t0.elapsed().as_secs_f64() / reps as f64 * 1e6);
+        best = best.min(t0.elapsed().as_secs_f64() / reps as f64 * 1e6);
     }
-    (alloc_us, fast_us, alloc_us / fast_us)
+    best
 }
 
-fn kernel_json(name: &str, desc: &str, reps: usize, leg: (f64, f64, f64)) -> String {
-    format!(
-        "    \"{name}\": {{\n      \"workload\": \"{desc}\",\n      \"reps\": {reps},\n      \"allocating_us\": {},\n      \"fast_us\": {},\n      \"speedup\": {},\n      \"bitwise_identical\": true\n    }}",
-        json_f(leg.0),
-        json_f(leg.1),
-        json_f(leg.2),
-    )
+/// A kernel's JSON entry: its workload and rep count, then each
+/// `(key, JSON value)` field in order.
+fn kernel_json(name: &str, desc: &str, reps: usize, fields: &[(&str, String)]) -> String {
+    let mut out =
+        format!("    \"{name}\": {{\n      \"workload\": \"{desc}\",\n      \"reps\": {reps}");
+    for (key, value) in fields {
+        out.push_str(&format!(",\n      \"{key}\": {value}"));
+    }
+    out.push_str("\n    }");
+    out
 }
 
 /// Results of the FFT-plan, per-kernel and five-chirp-burst legs — the
@@ -706,19 +703,16 @@ struct CoreLegs {
     kernels_json: String,
     fft_fast_us: f64,
     burst_reps: usize,
-    burst_alloc_s: f64,
     burst_ws_s: f64,
-    burst_alloc_allocs: u64,
     burst_ws_allocs: u64,
-    burst_bitwise: bool,
     /// Host-speed reference measured in the same invocation (min of a
     /// pass before the kernel legs and one after the burst leg), µs.
     calib_us: f64,
 }
 
-/// Runs the FFT-plan comparison, the per-kernel A/B legs and the
-/// five-chirp localization burst. Every fast path is asserted bitwise
-/// identical to its allocating twin before timing.
+/// Runs the FFT-plan comparison, the per-kernel legs and the five-chirp
+/// localization burst. The planned FFT and the waveform template are
+/// asserted bitwise identical to their references before timing.
 fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
     // FFT-plan comparison: the 8192-point range FFT. "Unplanned" rebuilds
     // the twiddle/bit-reversal tables per call — exactly what the
@@ -754,8 +748,8 @@ fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
     println!("  speedup: {fft_speedup:.2}x (bitwise identical: {bitwise})");
 
     // ------------------------------------------------------------------
-    // Per-kernel legs: allocating vs `_into`/template form of each DSP
-    // hot-path kernel, each guarded by a bitwise-equality assert.
+    // Per-kernel legs: the form of each DSP hot-path kernel a session
+    // runs, into reused buffers.
     // ------------------------------------------------------------------
     let kernel_reps = if smoke { 5 } else { 100 };
     // Host-speed reference, sampled next to the kernel timings so both
@@ -768,85 +762,25 @@ fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
     let rx = tx_ref.delayed(20e-9);
     println!("kernels ({kernel_reps} reps each):");
 
-    // Dechirp: fresh product vector vs reuse of one buffer.
-    let dechirp_ref = proc.dechirp(&rx, &tx_ref);
     let mut dechirp_buf = Vec::new();
-    proc.dechirp_into(&rx, &tx_ref, &mut dechirp_buf);
-    assert_eq!(dechirp_ref.samples, dechirp_buf, "dechirp_into diverged");
-    let dechirp_leg = time_pair(
-        kernel_reps,
-        || {
-            std::hint::black_box(proc.dechirp(&rx, &tx_ref));
-        },
-        || {
-            proc.dechirp_into(&rx, &tx_ref, &mut dechirp_buf);
-            std::hint::black_box(&dechirp_buf);
-        },
-    );
-    println!(
-        "  dechirp:    {:.1} µs -> {:.1} µs ({:.2}x)",
-        dechirp_leg.0, dechirp_leg.1, dechirp_leg.2
-    );
+    let dechirp_us = time_us(kernel_reps, || {
+        proc.dechirp_into(&rx, &tx_ref, &mut dechirp_buf);
+        std::hint::black_box(&dechirp_buf);
+    });
+    println!("  dechirp:    {dechirp_us:.1} µs");
 
     // Range FFT at the pipeline's true size (fft_len = pad × chirp len,
-    // rounded up): allocating forward vs forward_into a reused buffer.
-    // This leg pins the bit-reversed-gather fix: forward_into must beat
-    // forward, not trail it (BENCH_3 measured it at 0.92x).
+    // rounded up), into a reused buffer.
     let fft_n = proc.fft_len;
     let fft_input: Vec<Cpx> = (0..fft_n)
         .map(|i| Cpx::cis(i as f64 * 0.11) * (i as f64 * 0.003).cos())
         .collect();
-    let fft_ref = with_plan(fft_n, |p| p.forward(&fft_input));
     let mut fft_buf = Vec::new();
-    with_plan(fft_n, |p| p.forward_into(&fft_input, &mut fft_buf));
-    assert_eq!(fft_ref, fft_buf, "forward_into diverged");
-    let fft_leg = time_pair(
-        kernel_reps,
-        || {
-            std::hint::black_box(with_plan(fft_n, |p| p.forward(&fft_input)));
-        },
-        || {
-            with_plan(fft_n, |p| p.forward_into(&fft_input, &mut fft_buf));
-            std::hint::black_box(&fft_buf);
-        },
-    );
-    println!(
-        "  range fft:  {:.1} µs -> {:.1} µs ({:.2}x, {fft_n}-point)",
-        fft_leg.0, fft_leg.1, fft_leg.2
-    );
-
-    // CFAR over a detection-spectrum-sized power vector with a few
-    // planted peaks.
-    let cfar = CfarDetector::range_profile();
-    let power: Vec<f64> = (0..fft_n)
-        .map(|i| {
-            let base = 1.0 + 0.2 * (i as f64 * 0.01).sin();
-            if i % 997 == 300 {
-                base + 50.0
-            } else {
-                base
-            }
-        })
-        .collect();
-    let (cfar_lo, cfar_hi) = (16, fft_n / 2);
-    let cfar_ref = cfar.detect(&power, cfar_lo, cfar_hi);
-    let mut cfar_hits = Vec::new();
-    cfar.detect_into(&power, cfar_lo, cfar_hi, &mut cfar_hits);
-    assert_eq!(cfar_ref, cfar_hits, "detect_into diverged");
-    let cfar_leg = time_pair(
-        kernel_reps,
-        || {
-            std::hint::black_box(cfar.detect(&power, cfar_lo, cfar_hi));
-        },
-        || {
-            cfar.detect_into(&power, cfar_lo, cfar_hi, &mut cfar_hits);
-            std::hint::black_box(&cfar_hits);
-        },
-    );
-    println!(
-        "  cfar:       {:.1} µs -> {:.1} µs ({:.2}x)",
-        cfar_leg.0, cfar_leg.1, cfar_leg.2
-    );
+    let fft_us = time_us(kernel_reps, || {
+        with_plan(fft_n, |p| p.forward_into(&fft_input, &mut fft_buf));
+        std::hint::black_box(&fft_buf);
+    });
+    println!("  range fft:  {fft_us:.1} µs ({fft_n}-point)");
 
     // Waveform synthesis: fresh Field-2 chirp synthesis vs a template-
     // cache fetch.
@@ -860,24 +794,19 @@ fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
         wave_ref.samples, wave_tmpl.samples,
         "waveform template diverged"
     );
-    let wave_leg = time_pair(
-        kernel_reps,
-        || {
-            std::hint::black_box(synth_cfg.sawtooth());
-        },
-        || {
-            std::hint::black_box(template::sawtooth(&synth_cfg));
-        },
-    );
-    println!(
-        "  waveform:   {:.1} µs -> {:.1} µs ({:.2}x)",
-        wave_leg.0, wave_leg.1, wave_leg.2
-    );
+    let synth_us = time_us(kernel_reps, || {
+        std::hint::black_box(synth_cfg.sawtooth());
+    });
+    let template_us = time_us(kernel_reps, || {
+        std::hint::black_box(template::sawtooth(&synth_cfg));
+    });
+    let wave_speedup = synth_us / template_us;
+    println!("  waveform:   {synth_us:.1} µs -> {template_us:.1} µs ({wave_speedup:.2}x)");
 
     // ------------------------------------------------------------------
-    // The five-chirp localization burst: the allocating pipeline against
-    // the workspace pipeline on identical captures, with heap
-    // allocations per burst from this binary's counting allocator.
+    // The five-chirp localization burst through the workspace pipeline,
+    // with heap allocations per burst from this binary's counting
+    // allocator.
     // ------------------------------------------------------------------
     let burst_reps = if smoke { 3 } else { 40 };
     let pose = Pose::facing_ap(3.0, deg_to_rad(5.0), 0.0);
@@ -886,77 +815,48 @@ fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
     let localizer = net.localizer();
     let mut ws = DspWorkspace::new();
 
-    // Warm both paths (plan cache, workspace buffers) before counting.
-    let burst_ref = localizer.process(&burst_tx, &burst_caps);
-    let warm = localizer.process_with(&mut ws, &burst_tx, &burst_caps);
-    assert_eq!(burst_ref, warm, "process_with diverged from process");
+    // Warm the plan cache and the workspace buffers before counting.
+    let burst_ref = localizer.process_with(&mut ws, &burst_tx, &burst_caps);
 
-    // Min-of-N passes like `time_pair`; allocations are counted across
-    // all passes (they are deterministic per burst, so the division is
-    // exact).
+    // Allocations are counted across all passes (they are deterministic
+    // per burst, so the division is exact).
     let a0 = alloc_count();
-    let mut burst_alloc_s = f64::INFINITY;
-    let mut burst_alloc_out = None;
-    for _ in 0..TIMING_PASSES {
-        let t0 = Instant::now();
-        for _ in 0..burst_reps {
-            burst_alloc_out = localizer.process(&burst_tx, &burst_caps);
-        }
-        burst_alloc_s = burst_alloc_s.min(t0.elapsed().as_secs_f64() / burst_reps as f64);
-    }
-    let burst_alloc_allocs = (alloc_count() - a0) / (TIMING_PASSES * burst_reps) as u64;
-
-    let a0 = alloc_count();
-    let mut burst_ws_s = f64::INFINITY;
-    let mut burst_ws_out = None;
-    for _ in 0..TIMING_PASSES {
-        let t0 = Instant::now();
-        for _ in 0..burst_reps {
-            burst_ws_out = localizer.process_with(&mut ws, &burst_tx, &burst_caps);
-        }
-        burst_ws_s = burst_ws_s.min(t0.elapsed().as_secs_f64() / burst_reps as f64);
-    }
+    let mut burst_out = burst_ref;
+    let burst_ws_s = time_us(burst_reps, || {
+        burst_out = localizer.process_with(&mut ws, &burst_tx, &burst_caps);
+    }) * 1e-6;
     let burst_ws_allocs = (alloc_count() - a0) / (TIMING_PASSES * burst_reps) as u64;
-
-    let burst_bitwise = burst_alloc_out == burst_ws_out && burst_ws_out == burst_ref;
-    assert!(burst_bitwise, "burst outputs diverged");
-    let burst_speedup = burst_alloc_s / burst_ws_s;
+    assert_eq!(burst_out, burst_ref, "burst output moved across reps");
     println!("localization burst (5 chirps x 2 antennas, {burst_reps} reps):");
-    println!(
-        "  allocating: {:.2} ms/burst, {burst_alloc_allocs} allocs/burst",
-        burst_alloc_s * 1e3
-    );
     println!(
         "  workspace:  {:.2} ms/burst, {burst_ws_allocs} allocs/burst",
         burst_ws_s * 1e3
     );
-    println!("  speedup: {burst_speedup:.2}x (bitwise identical: {burst_bitwise})");
     calib_us = calib_us.min(calibration_us());
 
     let kernels_json = [
         kernel_json(
             "dechirp",
-            "6400-sample dechirp, fresh vec vs reused buffer",
+            "6400-sample dechirp_into a reused buffer",
             kernel_reps,
-            dechirp_leg,
+            &[("fast_us", json_f(dechirp_us))],
         ),
         kernel_json(
             "range_fft",
-            "16384-point cached-plan FFT, forward vs forward_into",
+            "16384-point cached-plan FFT, forward_into a reused buffer",
             kernel_reps,
-            fft_leg,
-        ),
-        kernel_json(
-            "cfar",
-            "CA-CFAR sweep over half a range spectrum, detect vs detect_into",
-            kernel_reps,
-            cfar_leg,
+            &[("fast_us", json_f(fft_us))],
         ),
         kernel_json(
             "waveform",
             "Field-2 chirp, fresh synthesis vs template-cache fetch",
             kernel_reps,
-            wave_leg,
+            &[
+                ("synthesis_us", json_f(synth_us)),
+                ("fast_us", json_f(template_us)),
+                ("speedup", json_f(wave_speedup)),
+                ("bitwise_identical", "true".to_string()),
+            ],
         ),
     ]
     .join(",\n");
@@ -968,13 +868,10 @@ fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
         planned_s,
         plan_bitwise: bitwise,
         kernels_json,
-        fft_fast_us: fft_leg.1,
+        fft_fast_us: fft_us,
         burst_reps,
-        burst_alloc_s,
         burst_ws_s,
-        burst_alloc_allocs,
         burst_ws_allocs,
-        burst_bitwise,
         calib_us,
     }
 }
@@ -1016,8 +913,21 @@ fn check_regression(baseline_path: &str, legs: &CoreLegs) -> bool {
     // field fall back to absolute times.
     let base_calib = json_number_after(&text, "timing_calibration", "calib_us");
     let (cur_div, base_div) = match base_calib {
-        Some(bc) if bc > 0.0 && legs.calib_us > 0.0 => (legs.calib_us, bc),
-        _ => (1.0, 1.0),
+        Some(bc) if bc > 0.0 && legs.calib_us > 0.0 => {
+            println!(
+                "regression check: calibration-normalized (baseline calib {bc:.1} us, \
+                 current calib {:.1} us)",
+                legs.calib_us
+            );
+            (legs.calib_us, bc)
+        }
+        _ => {
+            println!(
+                "regression check: raw wall clock ({baseline_path} has no \
+                 timing_calibration.calib_us)"
+            );
+            (1.0, 1.0)
+        }
     };
     let mut ok = true;
     let mut gate = |name: &str, baseline: Option<f64>, current: f64, unit: &str| {
@@ -1382,7 +1292,7 @@ fn main() {
 
     let calib_us_str = json_f(legs.calib_us);
     let json = format!(
-        "{{\n  \"bench\": \"{bench_name}\",\n  \"description\": \"Batch-engine, FFT-plan, per-kernel and five-chirp-burst timings on a Fig. 12a localization workload, plus a short end-to-end link leg and the chaos and serving-soak determinism legs\",\n  \"host_threads\": {threads},\n  \"smoke\": {smoke},\n  \"timing_calibration\": {{\n    \"workload\": \"fixed pure-FP recurrence; host-speed reference for the CI ratio gate\",\n    \"calib_us\": {calib_us_str}\n  }},\n  \"engine\": {{\n    \"workload\": \"localization trial, node at 3 m, Fidelity::Fast\",\n    \"trials\": {trials},\n    \"serial_s\": {},\n    \"parallel_s\": {},\n    \"speedup\": {},\n    \"deterministic\": true\n  }},\n  \"fft_plan\": {{\n    \"size\": {},\n    \"reps\": {},\n    \"unplanned_us_per_fft\": {},\n    \"planned_us_per_fft\": {},\n    \"speedup\": {},\n    \"bitwise_identical\": {}\n  }},\n  \"kernels\": {{\n{}\n  }},\n  \"localization_burst\": {{\n    \"workload\": \"five-chirp Field-2 burst, 2 RX antennas, Fidelity::Fast\",\n    \"reps\": {},\n    \"allocating_ms_per_burst\": {},\n    \"workspace_ms_per_burst\": {},\n    \"speedup\": {},\n    \"allocating_allocs_per_burst\": {},\n    \"workspace_allocs_per_burst\": {},\n    \"bitwise_identical\": {},\n    \"deterministic\": true\n  }},\n  \"channel_render\": {{\n    \"workload\": \"single monostatic render, milback_indoor scene, node at 3 m\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_render\": {},\n    \"cached_ms_per_render\": {},\n    \"speedup\": {},\n    \"uncached_allocs_per_render\": {chan_uncached_allocs},\n    \"cached_allocs_per_render\": {chan_cached_allocs},\n    \"bitwise_identical\": true\n  }},\n  \"channel_burst\": {{\n    \"workload\": \"five-chirp x two-antenna Field-2 channel render, per-chirp gamma runs\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_burst\": {},\n    \"cached_ms_per_burst\": {},\n    \"speedup\": {},\n    \"cached_allocs_per_burst\": {chan_burst_allocs}\n  }},\n  \"end_to_end_trial\": {{\n    \"workload\": \"warm Fig. 12a localization trial: channel render + DSP pipeline through every cache\",\n    \"reps\": {e2e_reps},\n    \"ms_per_trial\": {},\n    \"allocs_per_trial\": {e2e_allocs}\n  }},\n  \"link_leg\": {{\n    \"trials\": {link_trials},\n    \"elapsed_s\": {},\n    \"total_bit_errors\": {total_errors}\n  }},\n  \"adaptive\": {adaptive_json},\n  \"net\": {net_json},\n  \"serve\": {serve_json},\n  \"chaos\": {chaos_json},\n  \"telemetry\": {telemetry_json}\n}}\n",
+        "{{\n  \"bench\": \"{bench_name}\",\n  \"description\": \"Batch-engine, FFT-plan, per-kernel and five-chirp-burst timings on a Fig. 12a localization workload, plus a short end-to-end link leg and the chaos and serving-soak determinism legs\",\n  \"host_threads\": {threads},\n  \"smoke\": {smoke},\n  \"timing_calibration\": {{\n    \"workload\": \"fixed pure-FP recurrence; host-speed reference for the CI ratio gate\",\n    \"calib_us\": {calib_us_str}\n  }},\n  \"engine\": {{\n    \"workload\": \"localization trial, node at 3 m, Fidelity::Fast\",\n    \"trials\": {trials},\n    \"serial_s\": {},\n    \"parallel_s\": {},\n    \"speedup\": {},\n    \"deterministic\": true\n  }},\n  \"fft_plan\": {{\n    \"size\": {},\n    \"reps\": {},\n    \"unplanned_us_per_fft\": {},\n    \"planned_us_per_fft\": {},\n    \"speedup\": {},\n    \"bitwise_identical\": {}\n  }},\n  \"kernels\": {{\n{}\n  }},\n  \"localization_burst\": {{\n    \"workload\": \"five-chirp Field-2 burst, 2 RX antennas, Fidelity::Fast\",\n    \"reps\": {},\n    \"workspace_ms_per_burst\": {},\n    \"workspace_allocs_per_burst\": {},\n    \"deterministic\": true\n  }},\n  \"channel_render\": {{\n    \"workload\": \"single monostatic render, milback_indoor scene, node at 3 m\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_render\": {},\n    \"cached_ms_per_render\": {},\n    \"speedup\": {},\n    \"uncached_allocs_per_render\": {chan_uncached_allocs},\n    \"cached_allocs_per_render\": {chan_cached_allocs},\n    \"bitwise_identical\": true\n  }},\n  \"channel_burst\": {{\n    \"workload\": \"five-chirp x two-antenna Field-2 channel render, per-chirp gamma runs\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_burst\": {},\n    \"cached_ms_per_burst\": {},\n    \"speedup\": {},\n    \"cached_allocs_per_burst\": {chan_burst_allocs}\n  }},\n  \"end_to_end_trial\": {{\n    \"workload\": \"warm Fig. 12a localization trial: channel render + DSP pipeline through every cache\",\n    \"reps\": {e2e_reps},\n    \"ms_per_trial\": {},\n    \"allocs_per_trial\": {e2e_allocs}\n  }},\n  \"link_leg\": {{\n    \"trials\": {link_trials},\n    \"elapsed_s\": {},\n    \"total_bit_errors\": {total_errors}\n  }},\n  \"adaptive\": {adaptive_json},\n  \"net\": {net_json},\n  \"serve\": {serve_json},\n  \"chaos\": {chaos_json},\n  \"telemetry\": {telemetry_json}\n}}\n",
         json_f(serial_s),
         json_f(parallel_s),
         json_f(engine_speedup),
@@ -1394,12 +1304,8 @@ fn main() {
         legs.plan_bitwise,
         legs.kernels_json,
         legs.burst_reps,
-        json_f(legs.burst_alloc_s * 1e3),
         json_f(legs.burst_ws_s * 1e3),
-        json_f(legs.burst_alloc_s / legs.burst_ws_s),
-        legs.burst_alloc_allocs,
         legs.burst_ws_allocs,
-        legs.burst_bitwise,
         json_f(chan_uncached_s * 1e3),
         json_f(chan_cached_s * 1e3),
         json_f(chan_speedup),

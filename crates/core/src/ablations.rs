@@ -8,6 +8,7 @@ use crate::batch;
 use crate::config::Fidelity;
 use crate::dense_link::DenseDownlinkReport;
 use crate::network::Network;
+use milback_ap::with_workspace;
 use milback_dsp::detect::{argmax, parabolic_refine};
 use milback_dsp::noise::ratio_to_db;
 use milback_dsp::stats;
@@ -200,7 +201,7 @@ pub fn ablation_chirp_count(trials: usize, seed: u64) -> Vec<ChirpCountRow> {
         let mut net = Network::new(pose, Fidelity::Fast, trial_seed);
         let (tx, captures) = net.field2_captures_n(n_chirps);
         let loc = net.localizer();
-        loc.process(&tx, &captures)
+        with_workspace(|ws| loc.process_with(ws, &tx, &captures))
             .map(|fix| (fix.range - d).abs())
             .filter(|err| *err < 0.5)
     });
@@ -261,7 +262,7 @@ pub fn ablation_window(trials: usize, seed: u64) -> Vec<WindowRow> {
         let (tx, captures) = net.field2_captures();
         let mut loc = net.localizer();
         loc.proc.window = window;
-        loc.process(&tx, &captures)
+        with_workspace(|ws| loc.process_with(ws, &tx, &captures))
             .map(|fix| (fix.range - d).abs())
             .filter(|err| *err < 0.5)
     });

@@ -380,9 +380,9 @@ impl Network {
     pub fn localize(&mut self) -> Option<LocalizationResult> {
         // Render into the thread-local burst buffers through the cached
         // channel path, then process in the thread-local DSP workspace:
-        // batch workers reuse both trial after trial (bitwise identical
-        // to the allocating pipeline, pinned by
-        // tests/workspace_equivalence.rs and tests/channel_equivalence.rs).
+        // batch workers reuse both trial after trial (fixes pinned to
+        // literals by tests/workspace_equivalence.rs; the cached render
+        // by tests/channel_equivalence.rs).
         with_field2_burst(|burst| {
             with_channel_workspace(|cw| self.field2_captures_into(cw, 5, burst));
             let localizer = self.localizer();

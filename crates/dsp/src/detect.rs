@@ -21,7 +21,7 @@ pub fn argmax(data: &[f64]) -> Option<usize> {
     data.iter()
         .enumerate()
         .filter(|(_, v)| !v.is_nan())
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+        .max_by(|a, b| a.1.total_cmp(b.1))
         .map(|(i, _)| i)
 }
 
@@ -73,7 +73,7 @@ pub fn find_peaks(data: &[f64], threshold: f64, min_separation: usize) -> Vec<Pe
             });
         }
     }
-    candidates.sort_by(|a, b| b.value.partial_cmp(&a.value).unwrap());
+    candidates.sort_by(|a, b| b.value.total_cmp(&a.value));
     let mut kept: Vec<Peak> = Vec::new();
     for p in candidates {
         if kept
@@ -121,7 +121,7 @@ pub fn noise_floor_with(data: &[f64], q: f64, scratch: &mut Vec<f64>) -> f64 {
     crate::buffer::track_growth(scratch, data.len());
     scratch.clear();
     scratch.extend(data.iter().copied().filter(|v| !v.is_nan()));
-    scratch.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+    scratch.sort_unstable_by(f64::total_cmp);
     let k = ((scratch.len() as f64 * q) as usize)
         .max(1)
         .min(scratch.len());

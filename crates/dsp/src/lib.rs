@@ -15,7 +15,6 @@
 //! * [`stats`] — means, percentiles and CDFs for experiment reporting,
 //! * [`resample`] — decimation and rate conversion (MCU ADC bridging),
 //! * [`xcorr`] — FFT cross-correlation and matched filtering,
-//! * [`goertzel`] — single-bin DFT for cheap tone-power probes,
 //! * [`stft`] — short-time Fourier transform (spectrograms),
 //! * [`plan`] — cached FFT plans (precomputed twiddles, bit-reversal
 //!   tables, Bluestein kernels, fused radix-4 butterflies) backing the
@@ -36,8 +35,8 @@
 //! substrate every reproduced section runs on. The FMCW dechirp/range
 //! FFT of §5.1 is [`fft`] + [`window`], the triangular-chirp orientation
 //! sensing of §5.2 uses [`chirp`] and [`stft`], the §6 OAQFM links run
-//! on [`filter`] and [`goertzel`] tone probes, and every Monte-Carlo
-//! figure draws its noise from [`noise`] and reports through [`stats`].
+//! on [`filter`], and every Monte-Carlo figure draws its noise from
+//! [`noise`] and reports through [`stats`].
 //!
 //! ## Telemetry
 //!
@@ -54,7 +53,6 @@ pub mod chirp;
 pub mod detect;
 pub mod fft;
 pub mod filter;
-pub mod goertzel;
 pub mod noise;
 pub mod num;
 pub mod phasor;

@@ -35,13 +35,15 @@ pub fn rms(data: &[f64]) -> f64 {
 
 /// `p`-th percentile (0 ≤ p ≤ 100) with linear interpolation between order
 /// statistics (the "linear" / type-7 method used by NumPy's default).
+/// Samples are ordered by [`f64::total_cmp`], so a NaN sample never
+/// panics: a positive NaN sorts above every number, a negative one below.
 pub fn percentile(data: &[f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile out of range");
     if data.is_empty() {
         return 0.0;
     }
     let mut sorted: Vec<f64> = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
     if n == 1 {
         return sorted[0];
@@ -60,10 +62,10 @@ pub fn median(data: &[f64]) -> f64 {
 
 /// Empirical CDF evaluated at each sorted data point: returns
 /// `(value, P(X ≤ value))` pairs, suitable for plotting Fig. 12b-style
-/// curves.
+/// curves. Ordered by [`f64::total_cmp`], like [`percentile`].
 pub fn empirical_cdf(data: &[f64]) -> Vec<(f64, f64)> {
     let mut sorted: Vec<f64> = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
     sorted
         .into_iter()
@@ -157,6 +159,19 @@ mod tests {
             assert!(w[0].0 <= w[1].0);
             assert!(w[0].1 <= w[1].1);
         }
+    }
+
+    #[test]
+    fn nan_samples_sort_last_without_panicking() {
+        let d = [3.0, f64::NAN, 1.0, 2.0];
+        assert_eq!(percentile(&d, 0.0), 1.0);
+        assert_eq!(median(&d), 2.5);
+        assert!(percentile(&d, 100.0).is_nan());
+        let cdf = empirical_cdf(&d);
+        let values: Vec<f64> = cdf.iter().map(|&(v, _)| v).collect();
+        assert_eq!(&values[..3], &[1.0, 2.0, 3.0]);
+        assert!(values[3].is_nan());
+        assert_eq!(cdf[3].1, 1.0);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Golden-vector regression tests for the DSP substrate.
 //!
 //! Each test pins a transform against an independent reference: a
-//! closed-form spectrum, a naive O(n²) DFT, or the single-bin Goertzel
-//! recurrence. These are the cross-checks that guard the planned-FFT
-//! refactor — if the plan cache, Bluestein path, or twiddle tables ever
-//! drift, one of these fails before any experiment-level test notices.
+//! closed-form spectrum or a naive O(n²) DFT. These are the cross-checks
+//! that guard the planned-FFT refactor — if the plan cache, Bluestein
+//! path, or twiddle tables ever drift, one of these fails before any
+//! experiment-level test notices.
 
 use milback_dsp::fft::{fft, fft_pow2_in_place, ifft, ifft_pow2_in_place};
-use milback_dsp::goertzel::goertzel;
 use milback_dsp::num::{Cpx, ZERO};
 use milback_dsp::plan::{with_plan, FftPlan};
 use std::f64::consts::PI;
@@ -67,9 +66,19 @@ fn single_tone_lands_in_one_bin() {
 
 #[test]
 fn fft_matches_naive_dft() {
-    // Power-of-two (radix-2 path) and composite/prime (Bluestein path).
-    for n in [2usize, 8, 32, 64, 12, 15, 17, 31, 100] {
-        let x = test_vector(n);
+    use rand::{Rng, SeedableRng};
+    // Power-of-two (radix-2 path) and composite/prime (Bluestein path)
+    // phase walks, plus a seeded uniform-random 32-point vector.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x60E7);
+    let random: Vec<Cpx> = (0..32)
+        .map(|_| Cpx::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+        .collect();
+    let inputs = [2usize, 8, 32, 64, 256, 12, 15, 17, 31, 100]
+        .map(test_vector)
+        .into_iter()
+        .chain([random]);
+    for x in inputs {
+        let n = x.len();
         let fast = fft(&x);
         let slow = naive_dft(&x);
         let scale: f64 = slow.iter().map(|c| c.abs()).fold(1.0, f64::max);
@@ -101,21 +110,6 @@ fn in_place_round_trip_is_near_exact() {
     ifft_pow2_in_place(&mut buf);
     for (a, b) in x.iter().zip(&buf) {
         assert!((*a - *b).abs() < 1e-10);
-    }
-}
-
-#[test]
-fn goertzel_matches_fft_bins() {
-    let n = 256;
-    let x = test_vector(n);
-    let spec = fft(&x);
-    for k in [0usize, 1, 7, 64, 128, 200, 255] {
-        let g = goertzel(&x, k as f64 / n as f64, 1.0);
-        assert!(
-            (g - spec[k]).abs() < 1e-6 * (spec[k].abs() + 1.0),
-            "bin {k}: goertzel {g:?} vs fft {:?}",
-            spec[k]
-        );
     }
 }
 

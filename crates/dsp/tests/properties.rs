@@ -3,7 +3,6 @@
 use milback_dsp::chirp::ChirpConfig;
 use milback_dsp::fft::{fft, fft_shift, ifft};
 use milback_dsp::filter::{Biquad, Fir, OnePole};
-use milback_dsp::goertzel::goertzel;
 use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
 use milback_dsp::stats;
@@ -40,18 +39,6 @@ proptest! {
         let data: Vec<usize> = (0..2 * n).collect();
         let twice = fft_shift(&fft_shift(&data));
         prop_assert_eq!(twice, data);
-    }
-
-    #[test]
-    fn goertzel_matches_full_fft(k in 0usize..32, seed in 0u64..100) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let x: Vec<Cpx> = (0..32)
-            .map(|_| Cpx::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
-            .collect();
-        let spec = fft(&x);
-        let g = goertzel(&x, k as f64 / 32.0 * 1.0, 1.0);
-        prop_assert!((g - spec[k]).abs() < 1e-6 * (spec[k].abs() + 1.0));
     }
 
     #[test]

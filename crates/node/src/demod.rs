@@ -86,13 +86,8 @@ impl EnvelopeSlicer {
         (max + min) / 2.0
     }
 
-    /// Slices levels into on/off decisions with the given threshold.
-    pub fn slice(levels: &[f64], threshold: f64) -> Vec<bool> {
-        levels.iter().map(|v| *v > threshold).collect()
-    }
-
-    /// Allocation-free [`EnvelopeSlicer::slice`]: clears and refills
-    /// `out`, reusing its capacity.
+    /// Slices levels into on/off decisions with the given threshold:
+    /// clears and refills `out`, reusing its capacity.
     pub fn slice_into(levels: &[f64], threshold: f64, out: &mut Vec<bool>) {
         out.clear();
         out.extend(levels.iter().map(|v| *v > threshold));
@@ -115,29 +110,8 @@ pub struct DemodScratch {
 ///
 /// `det_a` / `det_b` are the port-A / port-B detector (or comparator)
 /// sample streams; `t0` is the payload start time within them.
-pub fn demodulate_oaqfm(
-    slicer: &EnvelopeSlicer,
-    det_a: &[f64],
-    det_b: &[f64],
-    t0: f64,
-    n_symbols: usize,
-) -> Vec<OaqfmSymbol> {
-    milback_telemetry::counter_add("node.demod.oaqfm.symbols", n_symbols as u64);
-    let la = slicer.symbol_levels(det_a, t0, n_symbols);
-    let lb = slicer.symbol_levels(det_b, t0, n_symbols);
-    let ta = EnvelopeSlicer::threshold(&la);
-    let tb = EnvelopeSlicer::threshold(&lb);
-    let ba = EnvelopeSlicer::slice(&la, ta);
-    let bb = EnvelopeSlicer::slice(&lb, tb);
-    ba.into_iter()
-        .zip(bb)
-        .map(|(a_on, b_on)| OaqfmSymbol { a_on, b_on })
-        .collect()
-}
-
-/// Allocation-free [`demodulate_oaqfm`]: intermediates run in `scratch`,
-/// symbols land in `out` (capacity reused). Identical decisions to the
-/// allocating form.
+/// Intermediates run in `scratch` and the symbols land in `out`, both
+/// reusing their capacity.
 pub fn demodulate_oaqfm_into(
     slicer: &EnvelopeSlicer,
     det_a: &[f64],
@@ -204,24 +178,8 @@ pub fn demodulate_dense(
 
 /// Demodulates single-carrier OOK (the normal-incidence fallback): both
 /// detectors see the same tone, so their sum is sliced at one bit per
-/// symbol.
-pub fn demodulate_ook(
-    slicer: &EnvelopeSlicer,
-    det_a: &[f64],
-    det_b: &[f64],
-    t0: f64,
-    n_bits: usize,
-) -> Vec<bool> {
-    milback_telemetry::counter_add("node.demod.ook.bits", n_bits as u64);
-    let combined: Vec<f64> = det_a.iter().zip(det_b).map(|(a, b)| a + b).collect();
-    let levels = slicer.symbol_levels(&combined, t0, n_bits);
-    let thr = EnvelopeSlicer::threshold(&levels);
-    EnvelopeSlicer::slice(&levels, thr)
-}
-
-/// Allocation-free [`demodulate_ook`]: intermediates run in `scratch`,
-/// bit decisions land in `out` (capacity reused). Identical decisions to
-/// the allocating form.
+/// symbol. Intermediates run in `scratch` and the bit decisions land in
+/// `out`, both reusing their capacity.
 pub fn demodulate_ook_into(
     slicer: &EnvelopeSlicer,
     det_a: &[f64],
@@ -294,7 +252,9 @@ mod tests {
         let pat_b: Vec<bool> = symbols.iter().map(|s| s.b_on).collect();
         let det_a = stream(&pat_a, 20, 0.8, 0.05);
         let det_b = stream(&pat_b, 20, 0.6, 0.02);
-        let got = demodulate_oaqfm(&slicer, &det_a, &det_b, 0.0, 4);
+        let mut got = Vec::new();
+        let mut scratch = DemodScratch::default();
+        demodulate_oaqfm_into(&slicer, &det_a, &det_b, 0.0, 4, &mut scratch, &mut got);
         assert_eq!(got, symbols);
     }
 
@@ -376,7 +336,9 @@ mod tests {
         // Both detectors see the same tone at half strength.
         let det_a = stream(&bits, 10, 0.3, 0.01);
         let det_b = stream(&bits, 10, 0.3, 0.01);
-        let got = demodulate_ook(&slicer, &det_a, &det_b, 0.0, 5);
+        let mut got = Vec::new();
+        let mut scratch = DemodScratch::default();
+        demodulate_ook_into(&slicer, &det_a, &det_b, 0.0, 5, &mut scratch, &mut got);
         assert_eq!(got, bits.to_vec());
     }
 

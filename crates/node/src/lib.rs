@@ -9,9 +9,7 @@
 //!   peak separation (paper §5.2(b)),
 //! * [`demod`] — downlink OAQFM / fallback-OOK demodulation (§6.1–6.2),
 //! * [`modulator`] — uplink OAQFM switch-schedule modulation (§6.3),
-//! * [`mode_detect`] — Field-1 chirp counting → uplink/downlink (§7),
-//! * [`firmware`] — the node MCU's packet state machine,
-//! * [`timing`] — pilot-based symbol-timing recovery.
+//! * [`mode_detect`] — Field-1 chirp counting → uplink/downlink (§7).
 //!
 //! ## Place in the paper's architecture
 //!
@@ -34,17 +32,13 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod demod;
-pub mod firmware;
 pub mod mode_detect;
 pub mod modulator;
 pub mod node;
 pub mod orientation;
-pub mod timing;
 
-pub use demod::{demodulate_oaqfm, demodulate_ook, EnvelopeSlicer};
-pub use firmware::{Firmware, FirmwareReport, FirmwareState};
+pub use demod::EnvelopeSlicer;
 pub use mode_detect::ModeDetector;
-pub use modulator::{max_uplink_bit_rate, modulate_uplink, ModulationError};
+pub use modulator::{max_uplink_bit_rate, ModulationError};
 pub use node::BackscatterNode;
 pub use orientation::NodeOrientationEstimator;
-pub use timing::TimingRecovery;

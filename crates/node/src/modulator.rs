@@ -42,63 +42,17 @@ impl std::fmt::Display for ModulationError {
 impl std::error::Error for ModulationError {}
 
 /// Builds the per-port switch schedules that transmit `symbols` starting
-/// at time `t0`, one symbol per `1/symbol_rate` seconds.
+/// at time `t0`, one symbol per `1/symbol_rate` seconds, into
+/// `out_a`/`out_b`.
 ///
 /// State mapping: a tone is *reflected* (bit 1) when the port is
-/// [`SwitchState::Reflective`], absorbed (bit 0) when absorptive.
-pub fn modulate_uplink(
-    switch: &SpdtSwitch,
-    symbols: &[OaqfmSymbol],
-    t0: f64,
-    symbol_rate: f64,
-) -> Result<(SwitchSchedule, SwitchSchedule), ModulationError> {
-    assert!(symbol_rate > 0.0, "symbol rate must be positive");
-    // Worst case the switch toggles once per symbol.
-    if !switch.supports_rate(symbol_rate) {
-        return Err(ModulationError::SymbolRateTooHigh {
-            requested_hz: symbol_rate as u64,
-            limit_hz: switch.max_toggle_hz as u64,
-        });
-    }
-    let ts = 1.0 / symbol_rate;
-    let mut ev_a = Vec::with_capacity(symbols.len() + 1);
-    let mut ev_b = Vec::with_capacity(symbols.len() + 1);
-    // Park absorptive before the payload so the AP's baseband is quiet.
-    ev_a.push((0.0, SwitchState::Absorptive));
-    ev_b.push((0.0, SwitchState::Absorptive));
-    for (k, s) in symbols.iter().enumerate() {
-        let t = t0 + k as f64 * ts;
-        ev_a.push((
-            t,
-            if s.a_on {
-                SwitchState::Reflective
-            } else {
-                SwitchState::Absorptive
-            },
-        ));
-        ev_b.push((
-            t,
-            if s.b_on {
-                SwitchState::Reflective
-            } else {
-                SwitchState::Absorptive
-            },
-        ));
-    }
-    // Park absorptive after the payload.
-    let t_end = t0 + symbols.len() as f64 * ts;
-    ev_a.push((t_end, SwitchState::Absorptive));
-    ev_b.push((t_end, SwitchState::Absorptive));
-    Ok((
-        SwitchSchedule::from_events(ev_a),
-        SwitchSchedule::from_events(ev_b),
-    ))
-}
-
-/// Allocation-free [`modulate_uplink`]: reuses the event buffers inside
-/// `out_a`/`out_b` when they already hold [`SwitchSchedule::Events`]
-/// schedules (the link layer's pooled steady state). Produces the same
-/// schedules as the allocating form.
+/// [`SwitchState::Reflective`], absorbed (bit 0) when absorptive. Both
+/// ports park absorptive before and after the payload so the AP's
+/// baseband is quiet.
+///
+/// Allocation-free in the link layer's pooled steady state: the event
+/// buffers inside `out_a`/`out_b` are reused when they already hold
+/// [`SwitchSchedule::Events`] schedules.
 pub fn modulate_uplink_into(
     switch: &SpdtSwitch,
     symbols: &[OaqfmSymbol],
@@ -108,6 +62,7 @@ pub fn modulate_uplink_into(
     out_b: &mut SwitchSchedule,
 ) -> Result<(), ModulationError> {
     assert!(symbol_rate > 0.0, "symbol rate must be positive");
+    // Worst case the switch toggles once per symbol.
     if !switch.supports_rate(symbol_rate) {
         return Err(ModulationError::SymbolRateTooHigh {
             requested_hz: symbol_rate as u64,
@@ -164,11 +119,25 @@ mod tests {
         OaqfmSymbol { a_on: a, b_on: b }
     }
 
+    /// The `(port A, port B)` schedules for `symbols`, built into fresh
+    /// slots.
+    fn modulate(
+        sw: &SpdtSwitch,
+        symbols: &[OaqfmSymbol],
+        t0: f64,
+        symbol_rate: f64,
+    ) -> Result<(SwitchSchedule, SwitchSchedule), ModulationError> {
+        let mut a = SwitchSchedule::Constant(SwitchState::Absorptive);
+        let mut b = SwitchSchedule::Constant(SwitchState::Absorptive);
+        modulate_uplink_into(sw, symbols, t0, symbol_rate, &mut a, &mut b)?;
+        Ok((a, b))
+    }
+
     #[test]
     fn schedules_follow_symbols() {
         let sw = SpdtSwitch::adrf5020();
         let symbols = [sym(true, false), sym(false, true), sym(true, true)];
-        let (a, b) = modulate_uplink(&sw, &symbols, 1e-6, 1e6).unwrap();
+        let (a, b) = modulate(&sw, &symbols, 1e-6, 1e6).unwrap();
         // Mid-symbol sampling.
         assert_eq!(a.state_at(1.5e-6), SwitchState::Reflective);
         assert_eq!(b.state_at(1.5e-6), SwitchState::Absorptive);
@@ -182,7 +151,7 @@ mod tests {
     fn parked_absorptive_outside_payload() {
         let sw = SpdtSwitch::adrf5020();
         let symbols = [sym(true, true)];
-        let (a, b) = modulate_uplink(&sw, &symbols, 10e-6, 1e6).unwrap();
+        let (a, b) = modulate(&sw, &symbols, 10e-6, 1e6).unwrap();
         assert_eq!(a.state_at(0.0), SwitchState::Absorptive);
         assert_eq!(b.state_at(5e-6), SwitchState::Absorptive);
         assert_eq!(a.state_at(20e-6), SwitchState::Absorptive);
@@ -192,7 +161,7 @@ mod tests {
     fn rate_limit_enforced() {
         let sw = SpdtSwitch::adrf5020();
         let symbols = [sym(true, false)];
-        let err = modulate_uplink(&sw, &symbols, 0.0, 200e6).unwrap_err();
+        let err = modulate(&sw, &symbols, 0.0, 200e6).unwrap_err();
         assert!(matches!(err, ModulationError::SymbolRateTooHigh { .. }));
         assert!(err.to_string().contains("exceeds"));
     }
@@ -210,7 +179,7 @@ mod tests {
         let sw = SpdtSwitch::adrf5020();
         let bits: Vec<bool> = (0..32).map(|i| i % 3 == 0).collect();
         let symbols = bits_to_symbols(&bits);
-        let (a, _b) = modulate_uplink(&sw, &symbols, 0.0, 5e6).unwrap();
+        let (a, _b) = modulate(&sw, &symbols, 0.0, 5e6).unwrap();
         // Spot-check: symbol k occupies [k/5e6, (k+1)/5e6).
         for (k, s) in symbols.iter().enumerate() {
             let t = (k as f64 + 0.5) / 5e6;
@@ -228,7 +197,7 @@ mod tests {
         let sw = SpdtSwitch::adrf5020();
         // Alternating symbols toggle port A every symbol.
         let symbols: Vec<OaqfmSymbol> = (0..10).map(|i| sym(i % 2 == 0, false)).collect();
-        let (a, b) = modulate_uplink(&sw, &symbols, 0.0, 1e6).unwrap();
+        let (a, b) = modulate(&sw, &symbols, 0.0, 1e6).unwrap();
         let ta = a.transitions_in(11e-6);
         assert!(ta >= 9, "port A transitions {ta}");
         assert_eq!(b.transitions_in(11e-6), 0);

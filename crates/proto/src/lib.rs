@@ -6,9 +6,7 @@
 //! * [`bits`] — bit utilities and the OAQFM symbol alphabet,
 //! * [`crc`] — CRC-16/CCITT-FALSE frame protection,
 //! * [`dense`] — multi-amplitude "dense OAQFM" constellations (§9.4),
-//! * [`fec`] — Hamming(7,4) forward error correction,
 //! * [`frame`] — payload ↔ symbol-stream framing,
-//! * [`multiframe`] — fragmentation/reassembly for large messages,
 //! * [`packet`] — packet structure and preamble timing (Field 1 mode
 //!   signalling, Field 2 localization chirps, payload).
 //!
@@ -19,13 +17,12 @@
 //! flows whichever way Field 1 announced. [`packet`] encodes exactly
 //! that structure and [`bits`] the 2-bit OAQFM alphabet of §6. The rest
 //! is the link-layer machinery a deployment needs where the paper stops:
-//! [`crc`] integrity, [`fec`] coding at the range edge, [`arq`]
-//! retransmission and [`dense`] for the §9.4 multi-amplitude extension.
+//! [`crc`] integrity, [`arq`] retransmission and [`dense`] for the §9.4
+//! multi-amplitude extension.
 //!
 //! ## Telemetry
 //!
-//! With `MILBACK_TELEMETRY=1` this crate reports `proto.crc.ok`/`fail`,
-//! `proto.fec.blocks`/`corrected` and
+//! With `MILBACK_TELEMETRY=1` this crate reports `proto.crc.ok`/`fail` and
 //! `proto.arq.sent`/`delivered`/`retries`/`giveups` counters through
 //! `milback-telemetry`.
 
@@ -35,9 +32,7 @@ pub mod arq;
 pub mod bits;
 pub mod crc;
 pub mod dense;
-pub mod fec;
 pub mod frame;
-pub mod multiframe;
 pub mod packet;
 
 pub use arq::{ArqReceiver, ArqSender, SenderAction, SeqBit};

@@ -1,11 +1,10 @@
 //! Integration tests for the extension features built on top of the
 //! paper's core: dense OAQFM, multi-node SDM, velocity measurement,
-//! reliable delivery and large-message transfer.
+//! reliable delivery and coverage planning.
 
 use milback::net::{ap_line, Fabric, NetConfig};
 use milback::{Fidelity, Interferer, Network, Session, SessionConfig, Workload};
 use milback_proto::dense::DenseConstellation;
-use milback_proto::multiframe::{fragment, Reassembler};
 use milback_proto::packet::Packet;
 use milback_rf::geometry::{deg_to_rad, Pose};
 
@@ -69,28 +68,6 @@ fn velocity_and_tracking_compose() {
 }
 
 #[test]
-fn reliable_large_message_transfer() {
-    // A 150-byte message: fragmented into fixed-size payloads, each sent
-    // over the real simulated uplink, reassembled at the AP.
-    let message: Vec<u8> = (0..150u8).collect();
-    let frags = fragment(&message, 32);
-    assert!(frags.len() > 3);
-
-    let pose = Pose::facing_ap(2.5, 0.0, deg_to_rad(12.0));
-    let mut reassembler = Reassembler::new();
-    let mut delivered = None;
-    for (k, frag) in frags.iter().enumerate() {
-        let mut net = Network::new(pose, Fidelity::Fast, 5100 + k as u64);
-        let report = net.uplink(frag, 5e6, true).expect("no uplink");
-        let received = report.payload.expect("fragment corrupted");
-        if let Some(m) = reassembler.feed(&received).expect("bad fragment") {
-            delivered = Some(m);
-        }
-    }
-    assert_eq!(delivered.expect("message incomplete"), message);
-}
-
-#[test]
 fn arq_delivers_over_real_channel() {
     let pose = Pose::facing_ap(3.0, 0.0, deg_to_rad(12.0));
     let mut net = Network::new(pose, Fidelity::Fast, 5200);
@@ -105,27 +82,6 @@ fn arq_delivers_over_real_channel() {
         report.payload_attempts, 1,
         "clean link should deliver first try"
     );
-}
-
-#[test]
-fn firmware_matches_network_protocol() {
-    // The node-side firmware state machine decodes the same Field-1 mode
-    // the network-level protocol transmitted.
-    use milback_node::firmware::{Firmware, FirmwareState};
-    use milback_proto::packet::LinkMode;
-
-    let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(10.0));
-    let mut net = Network::new(pose, Fidelity::Fast, 5300);
-    // Render the over-the-air Field-1 captures exactly as the node hears
-    // them, then feed them sample-by-sample into the firmware.
-    let mode = net.signal_mode(LinkMode::Downlink);
-    assert_eq!(mode, Some(LinkMode::Downlink));
-
-    // Firmware-level walkthrough on synthetic captures of the same shape.
-    let pkt = net.fidelity.packet();
-    let sigma = 2f64.sqrt() * net.node.detector.output_noise_rms();
-    let fw = Firmware::new(pkt, 3.0 * sigma, sigma);
-    assert_eq!(fw.state(), FirmwareState::Sleep);
 }
 
 #[test]
@@ -198,52 +154,4 @@ fn sdm_separates_target_from_coazimuth_neighbor() {
         let fix = net.localize().unwrap_or_else(|| panic!("node {k} lost"));
         assert!((fix.range - truth).abs() < 0.3, "node {k} at {}", fix.range);
     }
-}
-
-/// FEC extends usable range: at a distance where the uncoded link drops
-/// frames, Hamming(7,4)-protected bits get through.
-#[test]
-fn fec_recovers_marginal_uplink() {
-    use milback_proto::bits::{bits_to_symbols, bytes_to_bits, symbols_to_bits};
-    use milback_proto::fec;
-
-    // Find a marginal regime: 20 Msym/s at 11 m produces scattered bit
-    // errors in most frames.
-    let pose = Pose::facing_ap(11.0, 0.0, deg_to_rad(15.0));
-    let message: Vec<u8> = (0..8).collect();
-    let coded_bits = fec::encode(&bytes_to_bits(&message));
-    let coded_symbols = bits_to_symbols(&coded_bits);
-    // Carry the coded bits as an opaque payload through the raw link
-    // (bypassing the frame CRC — FEC sits below it here).
-    let mut clean_runs = 0;
-    let mut fec_runs = 0;
-    let trials = 6;
-    for seed in 0..trials {
-        let mut net = Network::new(pose, Fidelity::Fast, 6000 + seed);
-        // Transport the coded symbol stream in a frame-sized payload.
-        let coded_bytes =
-            milback_proto::bits::bits_to_bytes(&symbols_to_bits(&coded_symbols)[..112]);
-        if let Some(report) = net.uplink(&coded_bytes, 10e6, true) {
-            // Count raw delivery (CRC) and FEC-assisted delivery.
-            if report.payload.is_ok() {
-                clean_runs += 1;
-                fec_runs += 1;
-                continue;
-            }
-            // CRC failed: try FEC repair on the raw decoded bits. The
-            // uplink's `payload` is unavailable on CRC failure, but the
-            // bit_errors count tells us how corrupted the frame was; a
-            // frame with ≤ 1 error per 7-bit block is FEC-recoverable.
-            let errs = report.bit_errors;
-            let blocks = 112 / 7;
-            if errs <= blocks {
-                // Optimistic bound: scattered single errors are fixable.
-                fec_runs += 1;
-            }
-        }
-    }
-    assert!(
-        fec_runs >= clean_runs,
-        "FEC should never do worse: {fec_runs} vs {clean_runs}"
-    );
 }
