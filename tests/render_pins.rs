@@ -17,8 +17,10 @@
 use milback::{Fidelity, Interferer, Network};
 use milback_dsp::signal::Signal;
 use milback_node::node::BackscatterNode;
+use milback_proto::packet::LinkMode;
 use milback_rf::channel::MirrorReflection;
 use milback_rf::geometry::{deg_to_rad, Pose};
+use rand::Rng;
 
 /// FNV-1a over the bit pattern of every sample of the TX reference and
 /// of every capture, in chirp then antenna order.
@@ -113,4 +115,55 @@ fn uplink_transfers_are_pinned() {
         40e6,
         (0x4015_c1cc_491c_8686, 18),
     );
+}
+
+/// Bytewise FNV-1a over the length and the bit pattern of every sample
+/// of each ADC capture, in order. Quantized ADC values end in long runs
+/// of zero mantissa bits, so each word is hashed byte by byte.
+fn adc_digest(captures: &[&[f64]]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut word = |w: u64| {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for cap in captures {
+        word(cap.len() as u64);
+        for v in *cap {
+            word(v.to_bits());
+        }
+    }
+    h
+}
+
+#[test]
+fn field1_node_captures_and_mode_signalling_are_pinned() {
+    // Per roster pose: the digest of both node ADC captures of one
+    // Field-1 chirp, the node's decoded mode for both directions, and
+    // the next draw of the network's RNG, which moves if the detector
+    // path consumes a different number of noise variates.
+    let pinned: [(u64, u64); 2] = [
+        (0xc8b2_50e4_827c_e271, 0xcaed_6a09_5a95_9431),
+        (0xde9f_3c79_da58_3c89, 0xcdc2_6b8b_1f6f_3536),
+    ];
+    for (k, (pose, pinned)) in milback::serve::roster(2, 11)
+        .into_iter()
+        .zip(pinned)
+        .enumerate()
+    {
+        let mut net = Network::new(pose, Fidelity::Fast, 0x5EED_F1E1 + k as u64);
+        let (cap_a, cap_b) = net.field1_node_captures();
+        let digest = adc_digest(&[&cap_a, &cap_b]);
+        assert_eq!(net.signal_mode(LinkMode::Uplink), Some(LinkMode::Uplink));
+        assert_eq!(
+            net.signal_mode(LinkMode::Downlink),
+            Some(LinkMode::Downlink)
+        );
+        let next: u64 = net.fork_rng().gen();
+        assert_eq!(
+            (digest, next),
+            pinned,
+            "roster pose {k}: Field-1 moved: digest {digest:#018x}, next draw {next:#018x}"
+        );
+    }
 }
