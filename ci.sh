@@ -63,9 +63,11 @@ else
     echo "==> rustfmt not installed; skipping format check" >&2
 fi
 
-echo "==> bench smoke (FFT-plan/waveform/channel bitwise asserts)"
+echo "==> bench smoke (uplink-decimation/FFT-plan/waveform/channel bitwise asserts)"
 # --smoke shrinks every rep count; the run still asserts, before
-# reporting timings, that the cached-plan FFT matches an unplanned
+# reporting timings, that each stage of the uplink receiver's decimating
+# FIR on a real Network::uplink capture matches the full-rate filter
+# plus stride (DESIGN.md §17.2), that the cached-plan FFT matches an unplanned
 # transform, that the waveform template matches fresh synthesis, that
 # the cached channel-synthesis render of DESIGN.md §13 (single render
 # and full Field-2 burst) matches the uncached reference bit for bit,

@@ -17,7 +17,7 @@
 
 use milback_dsp::filter::Fir;
 use milback_dsp::noise::thermal_noise_power;
-use milback_dsp::num::Cpx;
+use milback_dsp::num::{Cpx, ZERO};
 use milback_dsp::phasor;
 use milback_dsp::signal::Signal;
 use milback_dsp::window::Window;
@@ -79,24 +79,29 @@ pub struct UplinkScratch {
     /// On/off level clusters for the SNR estimate.
     on: Vec<f64>,
     off: Vec<f64>,
-    /// Anti-alias FIR designs keyed by `(cutoff, fs)` bit patterns.
+    /// Anti-alias FIR designs keyed by `(new_fs, fs)` bit patterns.
     /// The decimation cascade reuses a handful of designs per symbol
     /// rate (a few stages x the adaptive rate ladder), so the cache
     /// stays small and a warmed chain stops designing filters.
     firs: Vec<((u64, u64), Fir)>,
 }
 
-/// Index of the cached anti-alias design for `(cutoff, fs)`, building
+/// The anti-alias low-pass of one decimation stage from `fs` to
+/// `new_fs`: Blackman-Harris, whose stopband must crush the cross-tone
+/// clutter (up to ~60 dB above the node's signal), which a standard
+/// Hamming design cannot.
+pub fn anti_alias_fir(new_fs: f64, fs: f64) -> Fir {
+    Fir::lowpass_with_window(0.35 * new_fs, fs, 127, Window::BlackmanHarris)
+}
+
+/// Index of the cached [`anti_alias_fir`] for `(new_fs, fs)`, building
 /// and inserting it on first use.
-fn cached_fir(firs: &mut Vec<((u64, u64), Fir)>, cutoff: f64, fs: f64) -> usize {
-    let key = (cutoff.to_bits(), fs.to_bits());
+fn cached_fir(firs: &mut Vec<((u64, u64), Fir)>, new_fs: f64, fs: f64) -> usize {
+    let key = (new_fs.to_bits(), fs.to_bits());
     if let Some(i) = firs.iter().position(|(k, _)| *k == key) {
         return i;
     }
-    firs.push((
-        key,
-        Fir::lowpass_with_window(cutoff, fs, 127, Window::BlackmanHarris),
-    ));
+    firs.push((key, anti_alias_fir(new_fs, fs)));
     firs.len() - 1
 }
 
@@ -129,22 +134,20 @@ impl UplinkReceiver {
         self.symbol_rate * self.samples_per_symbol as f64
     }
 
-    /// One branch of the Figure-7 chain: antenna capture → LNA (adds
-    /// thermal noise) → mix with the tone at `f_tone` → decimate → DC
-    /// block. Returns the complex baseband decision stream and its rate.
-    pub fn branch<R: Rng + ?Sized>(&self, rx: &Signal, f_tone: f64, rng: &mut R) -> Signal {
-        let mut scr = UplinkScratch::default();
-        let fs = self.branch_pooled(&mut scr, rx, f_tone, rng);
-        Signal::new(fs, rx.fc, scr.work)
+    /// The factor of the decimation stage that follows a stream at rate
+    /// `fs`, or `None` once `fs` is within 2× of the processing rate.
+    /// Each stage filters with [`anti_alias_fir`] to `fs / factor`.
+    pub fn decimation_factor(&self, fs: f64) -> Option<usize> {
+        let ratio = fs / self.target_fs();
+        (ratio >= 2.0).then(|| (ratio.floor() as usize).clamp(2, 8))
     }
 
-    /// [`UplinkReceiver::branch`] into the scratch's working buffer
-    /// (`scr.work` holds the decision stream on return; the returned
-    /// value is its sample rate). Identical arithmetic — LNA noise
-    /// draws, mixer products, anti-alias accumulation, decimation
-    /// phase, DC-block mean — so the pooled chain is bitwise-identical
-    /// to the allocating one.
-    fn branch_pooled<R: Rng + ?Sized>(
+    /// One branch of the Figure-7 chain into the scratch's working
+    /// buffer: antenna capture → LNA (adds thermal noise) → mix with the
+    /// tone at `f_tone` → decimate → DC block. `scr.work` holds the
+    /// complex baseband decision stream on return; the returned value is
+    /// its sample rate.
+    fn branch<R: Rng + ?Sized>(
         &self,
         scr: &mut UplinkScratch,
         rx: &Signal,
@@ -161,25 +164,20 @@ impl UplinkReceiver {
         // Mix with the query tone (the LO phasor ramp of Signal::tone).
         let w = 2.0 * std::f64::consts::PI * (f_tone - sig.fc) / sig.fs;
         scr.lo.clear();
-        scr.lo.resize(sig.len(), milback_dsp::num::ZERO);
+        scr.lo.resize(sig.len(), ZERO);
         phasor::fill_linear(1.0, 0.0, w, &mut scr.lo);
         self.mixer.downconvert_in_place(&mut sig, &scr.lo);
-        // Cascaded decimation down to the processing rate, with
-        // Blackman-Harris anti-alias filters: the stopband must crush
-        // the cross-tone clutter (up to ~60 dB above the node's
-        // signal), which a standard Hamming design cannot. Filter
-        // designs are cached per (cutoff, rate) in the scratch.
-        loop {
-            let ratio = sig.fs / self.target_fs();
-            if ratio < 2.0 {
-                break;
-            }
-            let factor = (ratio.floor() as usize).clamp(2, 8);
+        // Cascaded decimation down to the processing rate through the
+        // anti-alias filters, whose designs are cached per (new rate,
+        // rate) in the scratch. Only the kept outputs are computed
+        // (bitwise the full-rate filter strided by `factor`).
+        while let Some(factor) = self.decimation_factor(sig.fs) {
             let new_fs = sig.fs / factor as f64;
-            let idx = cached_fir(&mut scr.firs, 0.35 * new_fs, sig.fs);
-            scr.firs[idx].1.apply_into(&sig.samples, &mut scr.filt);
+            let idx = cached_fir(&mut scr.firs, new_fs, sig.fs);
+            let fir = &scr.firs[idx].1;
+            fir.decimate_into(&sig.samples, factor, &mut scr.filt);
             sig.samples.clear();
-            sig.samples.extend(scr.filt.iter().step_by(factor).copied());
+            sig.samples.extend_from_slice(&scr.filt);
             sig.fs = new_fs;
         }
         // DC block (the band-pass filter of Fig. 7): remove the capture
@@ -187,10 +185,15 @@ impl UplinkReceiver {
         // The mean is estimated over the central 80% of the capture —
         // the decimation filters' edge transients attenuate the clutter DC
         // near the capture boundaries and would bias a full-span mean.
+        // An empty stream (empty capture) has a zero mean.
         let n = sig.len();
         let trim = n / 10;
-        let core = &sig.samples[trim..n.saturating_sub(trim).max(trim + 1)];
-        let mean: Cpx = core.iter().copied().sum::<Cpx>() / core.len().max(1) as f64;
+        let mean = if n == 0 {
+            ZERO
+        } else {
+            let core = &sig.samples[trim..(n - trim).max(trim + 1)];
+            core.iter().copied().sum::<Cpx>() / core.len() as f64
+        };
         for c in sig.samples.iter_mut() {
             *c -= mean;
         }
@@ -207,7 +210,7 @@ impl UplinkReceiver {
             let start = ((t0 * fs) + (k as f64 + 0.25) * sps) as usize;
             let end = (((t0 * fs) + (k as f64 + 0.95) * sps) as usize).min(stream.len());
             if start >= end {
-                out.push(milback_dsp::num::ZERO);
+                out.push(ZERO);
                 continue;
             }
             let sum: Cpx = stream[start..end].iter().copied().sum();
@@ -329,13 +332,13 @@ impl UplinkReceiver {
             pilot_b[i] = s.b_on;
         }
 
-        let fs_a = self.branch_pooled(scr, rx0, f_a, rng);
+        let fs_a = self.branch(scr, rx0, f_a, rng);
         self.symbol_points_into(fs_a, &scr.work, t0, n_symbols, &mut scr.pts);
         Self::project_into(&scr.pts, &pilot_a, &mut scr.lev_a);
         Self::slice_into(&scr.lev_a, &mut scr.dec_a);
         let snr_a = Self::level_snr(&scr.lev_a, &scr.dec_a, &mut scr.on, &mut scr.off);
 
-        let fs_b = self.branch_pooled(scr, rx1, f_b, rng);
+        let fs_b = self.branch(scr, rx1, f_b, rng);
         self.symbol_points_into(fs_b, &scr.work, t0, n_symbols, &mut scr.pts);
         Self::project_into(&scr.pts, &pilot_b, &mut scr.lev_b);
         Self::slice_into(&scr.lev_b, &mut scr.dec_b);
@@ -399,7 +402,7 @@ mod tests {
         for (k, (&dm, &do2)) in data_mine.iter().zip(data_other).enumerate() {
             for i in 0..sps {
                 let t = (k * sps + i) as f64;
-                let mut v = milback_dsp::num::ZERO;
+                let mut v = ZERO;
                 if dm {
                     v += Cpx::from_polar(amp_node, w_m * t + 0.8);
                 }
@@ -482,6 +485,17 @@ mod tests {
         let (symbols, _) = rxr.demodulate(&rx0, &rx1, f_a, f_b, t0, full_a.len(), &mut rng);
         let got_a: Vec<bool> = symbols.iter().map(|s| s.a_on).collect();
         assert_eq!(got_a, full_a);
+    }
+
+    #[test]
+    fn empty_captures_demodulate_to_zero_snr() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let rxr = UplinkReceiver::milback(10e6);
+        let empty = Signal::new(2e9, 28e9, Vec::new());
+        let (symbols, stats) = rxr.demodulate(&empty, &empty, 27.6e9, 28.4e9, 0.0, 8, &mut rng);
+        assert_eq!(symbols.len(), 8);
+        assert_eq!(stats.snr, 0.0);
+        assert_eq!(stats.branch_snr, [0.0, 0.0]);
     }
 
     #[test]

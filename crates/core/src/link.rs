@@ -85,8 +85,6 @@ pub(crate) struct LinkScratch {
     at_b: Signal,
     /// Spare render target (cross-tone leakage / second query tone).
     port_tmp: Signal,
-    /// Scaled-RF copy inside the node's receive path.
-    rf: Signal,
     /// Detector video streams, one per port.
     det_a: Vec<f64>,
     det_b: Vec<f64>,
@@ -127,7 +125,6 @@ impl Default for LinkScratch {
             at_a: sig(),
             at_b: sig(),
             port_tmp: sig(),
-            rf: sig(),
             det_a: Vec::new(),
             det_b: Vec::new(),
             got: Vec::new(),
@@ -396,8 +393,8 @@ impl Network {
         );
 
         // Node receive + demodulate.
-        self.node_video_into(&scr.at_a, &mut scr.rf, &mut scr.det_a);
-        self.node_video_into(&scr.at_b, &mut scr.rf, &mut scr.det_b);
+        self.node_video_into(&scr.at_a, &mut scr.det_a);
+        self.node_video_into(&scr.at_b, &mut scr.det_b);
         let slicer = EnvelopeSlicer::new(fs, symbol_rate);
         demodulate_oaqfm_into(
             &slicer,
@@ -474,8 +471,8 @@ impl Network {
         let integration = self.node.detector.video_bandwidth / symbol_rate;
         let decision_snr = branch_decision_snr(v_sig, 0.0, noise, integration);
 
-        self.node_video_into(&scr.at_a, &mut scr.rf, &mut scr.det_a);
-        self.node_video_into(&scr.at_b, &mut scr.rf, &mut scr.det_b);
+        self.node_video_into(&scr.at_a, &mut scr.det_a);
+        self.node_video_into(&scr.at_b, &mut scr.det_b);
         let slicer = EnvelopeSlicer::new(fs, symbol_rate);
         let n_bits = scr.bits_a.len();
         demodulate_ook_into(
@@ -505,12 +502,10 @@ impl Network {
     /// Runs a full uplink transfer of `payload` at `symbol_rate`
     /// symbols/s.
     ///
-    /// Steady-state allocations: the decoded payload `Vec<u8>` plus the
-    /// AP receiver's internal demodulation buffers
-    /// ([`UplinkReceiver::demodulate`] mixes, decimates and projects per
-    /// branch into fresh vectors) — everything node-side and channel-side
-    /// is pooled in `LinkScratch`. `tests/zero_alloc.rs` pins the
-    /// total with an upper bound.
+    /// Steady-state allocations: the decoded payload `Vec<u8>`; the
+    /// node, channel and AP receiver buffers are pooled in
+    /// `LinkScratch`. `tests/zero_alloc.rs` pins the total with an upper
+    /// bound.
     pub fn uplink(
         &mut self,
         payload: &[u8],
@@ -523,6 +518,14 @@ impl Network {
         let report = self.uplink_transfer(&mut scr, payload, symbol_rate, tones);
         self.link_scratch = scr;
         report
+    }
+
+    /// The AP's two RX-antenna captures (channel output with any
+    /// scheduled impairments, before the receiver's LNA) of the most
+    /// recent [`Network::uplink`] transfer; empty before the first. For
+    /// checks that replay the receiver's stages on a real capture.
+    pub fn uplink_captures(&self) -> [&Signal; 2] {
+        [&self.link_scratch.rx0, &self.link_scratch.rx1]
     }
 
     fn uplink_transfer(
@@ -735,11 +738,10 @@ impl Network {
     }
 
     /// Renders one port's video-rate detector output for a signal at the
-    /// port, into a pooled buffer (`rf` holds the scaled RF copy).
-    fn node_video_into(&mut self, at_port: &Signal, rf: &mut Signal, out: &mut Vec<f64>) {
+    /// port, into a pooled buffer.
+    fn node_video_into(&mut self, at_port: &Signal, out: &mut Vec<f64>) {
         let mut rng = self.fork_rng();
-        self.node
-            .receive_port_video_into(at_port, &mut rng, rf, out);
+        self.node.receive_port_video_into(at_port, &mut rng, out);
         // Node-side impairments on the detector output (no-op when the
         // fault plan is empty).
         self.faults.apply_to_video(self.clock_s, at_port.fs, out);

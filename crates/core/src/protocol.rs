@@ -43,13 +43,9 @@ impl Network {
                 }
                 Slot::Gap => {
                     // Silence: the detectors see only their own noise.
-                    let silent = milback_dsp::signal::Signal::zeros(
-                        chirp_cfg.fs,
-                        chirp_cfg.center(),
-                        chirp_cfg.n_samples(),
-                    );
-                    let cap_a = self.node.receive_port(&silent, &mut rng);
-                    let cap_b = self.node.receive_port(&silent, &mut rng);
+                    let n = chirp_cfg.n_samples();
+                    let cap_a = self.node.receive_silence(n, chirp_cfg.fs, &mut rng);
+                    let cap_b = self.node.receive_silence(n, chirp_cfg.fs, &mut rng);
                     combined.extend(cap_a.iter().zip(&cap_b).map(|(a, b)| a + b));
                 }
             }

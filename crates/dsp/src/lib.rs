@@ -13,7 +13,8 @@
 //! * [`noise`] — seeded Gaussian noise and thermal-noise arithmetic,
 //! * [`detect`] — peak detection with sub-sample refinement,
 //! * [`stats`] — means, percentiles and CDFs for experiment reporting,
-//! * [`resample`] — decimation and rate conversion (MCU ADC bridging),
+//! * [`resample`] — block-average decimation and arbitrary-time sampling
+//!   (MCU ADC bridging),
 //! * [`xcorr`] — FFT cross-correlation and matched filtering,
 //! * [`stft`] — short-time Fourier transform (spectrograms),
 //! * [`plan`] — cached FFT plans (precomputed twiddles, bit-reversal

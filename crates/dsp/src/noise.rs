@@ -24,6 +24,16 @@ pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * PI * u2).cos()
 }
 
+/// Advances `rng` past `k` standard-normal variates without computing
+/// them: the same two uniforms per variate that [`gaussian`] consumes,
+/// so the RNG ends in the state `k` calls to [`gaussian`] leave it in.
+pub fn skip_gaussians<R: Rng + ?Sized>(rng: &mut R, k: usize) {
+    for _ in 0..k {
+        let _: f64 = rng.gen();
+        let _: f64 = rng.gen();
+    }
+}
+
 /// Draws a circularly-symmetric complex Gaussian with total variance
 /// `variance` (i.e. `variance/2` per component).
 pub fn complex_gaussian<R: Rng + ?Sized>(rng: &mut R, variance: f64) -> Cpx {
@@ -115,6 +125,24 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.01, "mean {mean}");
         assert!((var - 1.0).abs() < 0.02, "var {var}");
+    }
+
+    #[test]
+    fn skipping_gaussians_matches_drawing_them() {
+        for k in [0, 1, 2, 7, 1000] {
+            let mut drawn = StdRng::seed_from_u64(0x5EED ^ k as u64);
+            let mut skipped = drawn.clone();
+            for _ in 0..k {
+                gaussian(&mut drawn);
+            }
+            skip_gaussians(&mut skipped, k);
+            let next = |rng: &mut StdRng| -> [u64; 4] { std::array::from_fn(|_| rng.gen()) };
+            assert_eq!(
+                next(&mut skipped),
+                next(&mut drawn),
+                "RNG state differs after {k} variates"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! for downlink data. The model captures sample-rate conversion,
 //! quantization and clipping.
 
-use milback_dsp::resample::sample_at;
+use milback_dsp::resample::{sample_at, sample_at_reads};
 
 /// A successive-approximation ADC as found on a low-power MCU.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,14 +53,32 @@ impl Adc {
     /// quantized samples at the ADC's own rate.
     pub fn capture(&self, analog: &[f64], fs_in: f64) -> Vec<f64> {
         assert!(fs_in > 0.0, "input rate must be positive");
-        if analog.is_empty() {
-            return Vec::new();
-        }
-        let duration = analog.len() as f64 / fs_in;
-        let n = (duration * self.sample_rate).floor() as usize;
-        (0..n)
-            .map(|i| self.quantize(sample_at(analog, fs_in, i as f64 / self.sample_rate)))
+        self.instants(analog.len(), fs_in)
+            .map(|t| self.quantize(sample_at(analog, fs_in, t)))
             .collect()
+    }
+
+    /// The input indices [`Adc::capture`] reads from an `n_in`-sample
+    /// waveform at `fs_in`, ascending and without repeats: the samples
+    /// each conversion instant interpolates between. A capture of a
+    /// waveform that differs only at other indices is bitwise the same.
+    pub fn read_indices(&self, n_in: usize, fs_in: f64) -> impl Iterator<Item = usize> {
+        let mut next = 0;
+        self.instants(n_in, fs_in)
+            .flat_map(move |t| sample_at_reads(n_in, fs_in, t))
+            .filter(move |&i| {
+                let fresh = i >= next;
+                next = next.max(i + 1);
+                fresh
+            })
+    }
+
+    /// Conversion instants (seconds) over an `n_in`-sample waveform at
+    /// `fs_in`: every ADC period that fits in its duration.
+    fn instants(&self, n_in: usize, fs_in: f64) -> impl Iterator<Item = f64> {
+        let rate = self.sample_rate;
+        let n = (n_in as f64 / fs_in * rate).floor() as usize;
+        (0..n).map(move |i| i as f64 / rate)
     }
 }
 
@@ -96,6 +114,31 @@ mod tests {
         assert_eq!(out.len(), 10_000);
         // Mid-capture value ≈ 1.0 V.
         assert!((out[5000] - 1.0).abs() < 0.01);
+    }
+
+    #[test]
+    fn capture_reads_only_the_read_indices() {
+        // Rates that put instants on, between and (at the fast rate)
+        // sharing input samples.
+        for (rate, fs_in, n_in) in [(1e6, 3.3e6, 100), (1e6, 1e8, 1000), (3e6, 2e6, 41)] {
+            let adc = Adc {
+                sample_rate: rate,
+                ..Adc::msp430()
+            };
+            let analog: Vec<f64> = (0..n_in).map(|i| 0.3 + (i as f64 * 0.37).sin()).collect();
+            let reads: Vec<usize> = adc.read_indices(n_in, fs_in).collect();
+            assert!(reads.windows(2).all(|w| w[0] < w[1]), "not ascending");
+            let mut poisoned = vec![f64::NAN; n_in];
+            for &i in &reads {
+                poisoned[i] = analog[i];
+            }
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(adc.capture(&poisoned, fs_in)),
+                bits(adc.capture(&analog, fs_in)),
+                "rate {rate}, fs_in {fs_in}"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   downlink SINR of Figure 14.
 
 use milback_dsp::filter::OnePole;
-use milback_dsp::noise::add_real_noise;
+use milback_dsp::noise::{add_real_noise, gaussian, skip_gaussians};
+use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
 use rand::Rng;
 
@@ -72,18 +73,24 @@ impl EnvelopeDetector {
     /// input impedance, so instantaneous input power is `|x|²/R`.
     pub fn detect<R: Rng + ?Sized>(&self, input: &Signal, rng: &mut R) -> Vec<f64> {
         let mut out = Vec::new();
-        self.detect_into(input, rng, &mut out);
+        self.detect_into(&input.samples, 1.0, input.fs, rng, &mut out);
         out
     }
 
-    /// Allocation-free [`EnvelopeDetector::detect`]: clears and refills
-    /// `out`, reusing its capacity. Bitwise identical (same filter state
-    /// progression and noise draw order) to the allocating form.
-    pub fn detect_into<R: Rng + ?Sized>(&self, input: &Signal, rng: &mut R, out: &mut Vec<f64>) {
-        let mut lp = OnePole::new(self.video_bandwidth, input.fs);
-        out.clear();
-        out.reserve(input.samples.len());
-        out.extend(input.samples.iter().map(|c| lp.step(self.slope * c.abs())));
+    /// Allocation-free [`EnvelopeDetector::detect`] of complex samples
+    /// at rate `fs`, each scaled by the amplitude `gain` first (see
+    /// [`EnvelopeDetector::video_into`]): clears and refills `out`,
+    /// reusing its capacity, with the same filter state progression and
+    /// noise draw order.
+    pub fn detect_into<R: Rng + ?Sized>(
+        &self,
+        samples: &[Cpx],
+        gain: f64,
+        fs: f64,
+        rng: &mut R,
+        out: &mut Vec<f64>,
+    ) {
+        self.video_into(samples, gain, fs, out);
         // Noise within the video bandwidth, as seen at the output sample
         // rate: the density integrates to σ² = e_n²·BW regardless of fs.
         add_real_noise(out, self.output_noise_rms(), rng);
@@ -91,12 +98,51 @@ impl EnvelopeDetector {
 
     /// Detects without noise (for calibration / unit tests).
     pub fn detect_clean(&self, input: &Signal) -> Vec<f64> {
-        let mut lp = OnePole::new(self.video_bandwidth, input.fs);
-        input
-            .samples
-            .iter()
-            .map(|c| lp.step(self.slope * c.abs()))
-            .collect()
+        let mut out = Vec::new();
+        self.video_into(&input.samples, 1.0, input.fs, &mut out);
+        out
+    }
+
+    /// The noiseless video output for complex samples at rate `fs`, each
+    /// scaled by the amplitude `gain` before detection: `|gain·x|` →
+    /// slope → video low-pass, into `out` (cleared first, capacity
+    /// reused). A gain applied here is bitwise the same as scaling the
+    /// signal first, without the scaled copy.
+    pub fn video_into(&self, samples: &[Cpx], gain: f64, fs: f64, out: &mut Vec<f64>) {
+        let mut lp = OnePole::new(self.video_bandwidth, fs);
+        out.clear();
+        out.reserve(samples.len());
+        out.extend(
+            samples
+                .iter()
+                .map(|c| lp.step(self.slope * (*c * gain).abs())),
+        );
+    }
+
+    /// Adds the output noise of [`EnvelopeDetector::detect`] to `video`
+    /// at the indices `reads` only, which must ascend without repeats.
+    /// The noise is additive and independent per sample, so each read
+    /// sample gets exactly the variate full-rate noising would give it:
+    /// the RNG skips the variates of the samples in between (and after
+    /// the last read) and ends in the same state. Samples not in `reads`
+    /// stay noiseless.
+    pub fn add_noise_at<R: Rng + ?Sized>(
+        &self,
+        video: &mut [f64],
+        reads: impl IntoIterator<Item = usize>,
+        rng: &mut R,
+    ) {
+        let sigma = self.output_noise_rms();
+        if sigma <= 0.0 {
+            return;
+        }
+        let mut next = 0;
+        for i in reads {
+            skip_gaussians(rng, i - next);
+            video[i] += gaussian(rng) * sigma;
+            next = i + 1;
+        }
+        skip_gaussians(rng, video.len() - next);
     }
 
     /// Output SNR (linear power ratio) for an RF input of power `p_in`

@@ -109,15 +109,46 @@ impl BackscatterNode {
         fill_gamma_runs(port_a, port_b, gamma, 0.0, fs, n, runs);
     }
 
+    /// Amplitude gain from the FSA port to the detector input: the
+    /// switch's absorptive through-loss and the one-way implementation
+    /// loss.
+    fn rx_gain(&self) -> f64 {
+        self.switch.through_gain().sqrt() * self.impl_loss_amp()
+    }
+
     /// The node's receive path for one port: the RF signal at the FSA port
     /// (as produced by `Scene::to_node_port`) through the switch's
     /// absorptive through-loss and the envelope detector, sampled by the
     /// MCU ADC. Returns ADC samples (volts at `adc.sample_rate`).
+    ///
+    /// The video low-pass runs over every sample (it is recursive), but
+    /// detector noise is drawn only at the samples the ADC reads; see
+    /// [`Self::receive_silence`].
     pub fn receive_port<R: Rng + ?Sized>(&self, at_port: &Signal, rng: &mut R) -> Vec<f64> {
-        let mut sig = at_port.clone();
-        sig.scale(self.switch.through_gain().sqrt() * self.impl_loss_amp());
-        let video = self.detector.detect(&sig, rng);
-        self.adc.capture(&video, at_port.fs)
+        let mut video = Vec::new();
+        self.detector
+            .video_into(&at_port.samples, self.rx_gain(), at_port.fs, &mut video);
+        self.sample_video(video, at_port.fs, rng)
+    }
+
+    /// [`Self::receive_port`] for a port that receives nothing for `n`
+    /// samples at `fs`: the detector output rests at exactly 0 V (a zero
+    /// envelope through the one-pole filter from rest), so only its
+    /// noise reaches the ADC. Bitwise the same as `receive_port` on a
+    /// zero signal, without rendering one.
+    pub fn receive_silence<R: Rng + ?Sized>(&self, n: usize, fs: f64, rng: &mut R) -> Vec<f64> {
+        self.sample_video(vec![0.0; n], fs, rng)
+    }
+
+    /// Adds detector noise to a noiseless video stream at `fs` and
+    /// samples it with the ADC. The noise is additive, so only the
+    /// samples the ADC interpolates between get a variate; the RNG
+    /// still advances past every other sample's variate, ending where
+    /// noising the whole stream would leave it.
+    fn sample_video<R: Rng + ?Sized>(&self, mut video: Vec<f64>, fs: f64, rng: &mut R) -> Vec<f64> {
+        let reads = self.adc.read_indices(video.len(), fs);
+        self.detector.add_noise_at(&mut video, reads, rng);
+        self.adc.capture(&video, fs)
     }
 
     /// Like [`Self::receive_port`] but keeps the detector's full video
@@ -125,29 +156,22 @@ impl BackscatterNode {
     /// at the symbol rate via a comparator rather than the slow ADC.
     pub fn receive_port_video<R: Rng + ?Sized>(&self, at_port: &Signal, rng: &mut R) -> Vec<f64> {
         let mut out = Vec::new();
-        self.receive_port_video_into(
-            at_port,
-            rng,
-            &mut Signal::new(at_port.fs, 0.0, Vec::new()),
-            &mut out,
-        );
+        self.receive_port_video_into(at_port, rng, &mut out);
         out
     }
 
-    /// Allocation-free [`Self::receive_port_video`]: the scaled RF copy
-    /// lands in `rf_scratch` (a pooled `Signal`; the scale must apply to
-    /// the complex samples *before* envelope detection to stay bitwise
-    /// identical) and the video stream in `out`, both reusing capacity.
+    /// Allocation-free [`Self::receive_port_video`]: the video stream
+    /// lands in `out`, reusing its capacity. The port gain scales each
+    /// complex sample before envelope detection, bitwise as scaling a
+    /// copy of the signal would.
     pub fn receive_port_video_into<R: Rng + ?Sized>(
         &self,
         at_port: &Signal,
         rng: &mut R,
-        rf_scratch: &mut Signal,
         out: &mut Vec<f64>,
     ) {
-        rf_scratch.copy_from(at_port);
-        rf_scratch.scale(self.switch.through_gain().sqrt() * self.impl_loss_amp());
-        self.detector.detect_into(rf_scratch, rng, out);
+        self.detector
+            .detect_into(&at_port.samples, self.rx_gain(), at_port.fs, rng, out);
     }
 
     /// Convenience: the constant absorptive schedule (both ports
@@ -317,6 +341,40 @@ mod tests {
         let sig = Signal::tone(1e8, 28e9, 0.0, 1e-3, 10_000);
         let out = n.receive_port(&sig, &mut rng);
         assert_eq!(out.len(), 100);
+    }
+
+    #[test]
+    fn receive_port_matches_full_rate_detection_bitwise() {
+        // The reference path: scale a copy of the signal, detect with
+        // noise on every sample, then let the ADC read it.
+        let n = node();
+        let fs = 3.3e8;
+        let samples = (0..20_001)
+            .map(|i| {
+                let amp = 1e-2 * (1.0 + (i as f64 * 1e-3).sin());
+                Cpx::from_polar(amp, i as f64 * 0.1)
+            })
+            .collect();
+        let sig = Signal::new(fs, 28e9, samples);
+        let reference = |sig: &Signal, rng: &mut StdRng| {
+            let mut scaled = sig.clone();
+            scaled.scale(n.rx_gain());
+            n.adc.capture(&n.detector.detect(&scaled, rng), sig.fs)
+        };
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut ref_rng = rng.clone();
+        assert_eq!(
+            bits(n.receive_port(&sig, &mut rng)),
+            bits(reference(&sig, &mut ref_rng))
+        );
+        let silence = Signal::zeros(fs, 28e9, 7_000);
+        assert_eq!(
+            bits(n.receive_silence(silence.len(), fs, &mut rng)),
+            bits(reference(&silence, &mut ref_rng))
+        );
+        // Both paths consumed the same number of variates.
+        assert_eq!(rng.gen::<u64>(), ref_rng.gen::<u64>());
     }
 
     #[test]
