@@ -16,14 +16,14 @@
 //! pilot, which fixes the sign.
 
 use milback_dsp::filter::Fir;
-use milback_dsp::noise::thermal_noise_power;
+use milback_dsp::noise::{skip_gaussians, thermal_noise_power};
 use milback_dsp::num::{Cpx, ZERO};
-use milback_dsp::phasor;
 use milback_dsp::signal::Signal;
 use milback_dsp::window::Window;
+use milback_dsp::{par, phasor};
 use milback_proto::bits::OaqfmSymbol;
 use milback_rf::frontend::{Lna, Mixer};
-use rand::Rng;
+use rand::rngs::StdRng;
 
 /// Known pilot prefix for uplink payloads: both ports alternate
 /// reflect/absorb, giving each branch the pattern `1,0,1,0`.
@@ -57,11 +57,19 @@ pub struct UplinkStats {
 }
 
 /// Pooled working buffers for [`UplinkReceiver::demodulate_into`]:
-/// the branch decision stream, mixer LO, anti-alias filter output,
-/// per-symbol points, decision levels and the cached FIR designs. A
-/// warmed scratch makes repeated demodulations allocation-free.
+/// one working set per antenna branch, so the two branches can run at
+/// once. A warmed scratch makes repeated demodulations allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct UplinkScratch {
+    /// Branch A (RX antenna 0) and branch B (RX antenna 1).
+    branches: [BranchScratch; 2],
+}
+
+/// One branch's buffers: the decision stream, mixer LO, anti-alias
+/// filter output, per-symbol points, decision levels and slices, and
+/// the cached FIR designs.
+#[derive(Debug, Clone, Default)]
+struct BranchScratch {
     /// Branch working signal samples (filtered/decimated in place).
     work: Vec<Cpx>,
     /// Anti-alias filter output (ping-pong with `work`).
@@ -70,12 +78,10 @@ pub struct UplinkScratch {
     lo: Vec<Cpx>,
     /// Per-symbol complex means.
     pts: Vec<Cpx>,
-    /// Projected decision levels, per branch.
-    lev_a: Vec<f64>,
-    lev_b: Vec<f64>,
-    /// Sliced decisions, per branch.
-    dec_a: Vec<bool>,
-    dec_b: Vec<bool>,
+    /// Projected decision levels.
+    lev: Vec<f64>,
+    /// Sliced decisions.
+    dec: Vec<bool>,
     /// On/off level clusters for the SNR estimate.
     on: Vec<f64>,
     off: Vec<f64>,
@@ -142,17 +148,21 @@ impl UplinkReceiver {
         (ratio >= 2.0).then(|| (ratio.floor() as usize).clamp(2, 8))
     }
 
-    /// One branch of the Figure-7 chain into the scratch's working
-    /// buffer: antenna capture → LNA (adds thermal noise) → mix with the
-    /// tone at `f_tone` → decimate → DC block. `scr.work` holds the
-    /// complex baseband decision stream on return; the returned value is
-    /// its sample rate.
-    fn branch<R: Rng + ?Sized>(
+    /// One branch of the Figure-7 chain, end to end: antenna capture →
+    /// LNA (adds thermal noise) → mix with the tone at `f_tone` →
+    /// decimate → DC block → per-symbol points → projection (sign fixed
+    /// by `pilot_on`) → slicing. `scr.lev`/`scr.dec` hold the levels and
+    /// decisions on return; the returned value is the branch SNR.
+    #[allow(clippy::too_many_arguments)] // one argument per physical input
+    fn branch(
         &self,
-        scr: &mut UplinkScratch,
+        scr: &mut BranchScratch,
         rx: &Signal,
         f_tone: f64,
-        rng: &mut R,
+        t0: f64,
+        n_symbols: usize,
+        pilot_on: &[bool],
+        rng: &mut StdRng,
     ) -> f64 {
         let work = std::mem::take(&mut scr.work);
         let mut sig = Signal::new(rx.fs, rx.fc, work);
@@ -199,7 +209,10 @@ impl UplinkReceiver {
         }
         let fs = sig.fs;
         scr.work = sig.samples;
-        fs
+        self.symbol_points_into(fs, &scr.work, t0, n_symbols, &mut scr.pts);
+        Self::project_into(&scr.pts, pilot_on, &mut scr.lev);
+        Self::slice_into(&scr.lev, &mut scr.dec);
+        Self::level_snr(&scr.lev, &scr.dec, &mut scr.on, &mut scr.off)
     }
 
     /// Per-symbol complex means of a decision stream starting at `t0`.
@@ -288,7 +301,7 @@ impl UplinkReceiver {
     /// * `t0` — time of the first (pilot) symbol within the capture,
     /// * `n_symbols` — total symbols including the 4-symbol pilot.
     #[allow(clippy::too_many_arguments)] // one argument per physical input
-    pub fn demodulate<R: Rng + ?Sized>(
+    pub fn demodulate(
         &self,
         rx0: &Signal,
         rx1: &Signal,
@@ -296,7 +309,7 @@ impl UplinkReceiver {
         f_b: f64,
         t0: f64,
         n_symbols: usize,
-        rng: &mut R,
+        rng: &mut StdRng,
     ) -> (Vec<OaqfmSymbol>, UplinkStats) {
         let mut scr = UplinkScratch::default();
         let mut out = Vec::new();
@@ -307,13 +320,15 @@ impl UplinkReceiver {
 
     /// [`UplinkReceiver::demodulate`] through pooled buffers: a warmed
     /// scratch makes the whole demodulation chain allocation-free
-    /// (pinned by `tests/zero_alloc.rs`). Each branch runs end-to-end
-    /// (chain → points → levels → decisions) before the other so one
-    /// working buffer serves both; the LNA of branch A draws from `rng`
-    /// before branch B exactly as in the two-pass form, so results are
-    /// bitwise identical.
+    /// (pinned by `tests/zero_alloc.rs`).
+    ///
+    /// Branch A's LNA draws from `rng` before branch B's, and `rng` ends
+    /// past both. When [`par::claim`] finds an idle core, branch B runs
+    /// on it at the same time as branch A, from a clone of `rng` that
+    /// skips branch A's variates, and `rng` takes that clone's end state
+    /// afterwards — bitwise the serial result (DESIGN.md §17.4).
     #[allow(clippy::too_many_arguments)] // one argument per physical input
-    pub fn demodulate_into<R: Rng + ?Sized>(
+    pub fn demodulate_into(
         &self,
         scr: &mut UplinkScratch,
         rx0: &Signal,
@@ -322,7 +337,27 @@ impl UplinkReceiver {
         f_b: f64,
         t0: f64,
         n_symbols: usize,
-        rng: &mut R,
+        rng: &mut StdRng,
+        out: &mut Vec<OaqfmSymbol>,
+    ) -> UplinkStats {
+        let claim = par::claim();
+        self.demodulate_with(claim, scr, rx0, rx1, f_a, f_b, t0, n_symbols, rng, out)
+    }
+
+    /// [`UplinkReceiver::demodulate_into`] with the helper claim (or
+    /// `None`) chosen by the caller: both branches at once, or in turn.
+    #[allow(clippy::too_many_arguments)] // one argument per physical input
+    fn demodulate_with(
+        &self,
+        claim: Option<par::Claim>,
+        scr: &mut UplinkScratch,
+        rx0: &Signal,
+        rx1: &Signal,
+        f_a: f64,
+        f_b: f64,
+        t0: f64,
+        n_symbols: usize,
+        rng: &mut StdRng,
         out: &mut Vec<OaqfmSymbol>,
     ) -> UplinkStats {
         let mut pilot_a = [false; UPLINK_PILOT.len()];
@@ -331,24 +366,34 @@ impl UplinkReceiver {
             pilot_a[i] = s.a_on;
             pilot_b[i] = s.b_on;
         }
-
-        let fs_a = self.branch(scr, rx0, f_a, rng);
-        self.symbol_points_into(fs_a, &scr.work, t0, n_symbols, &mut scr.pts);
-        Self::project_into(&scr.pts, &pilot_a, &mut scr.lev_a);
-        Self::slice_into(&scr.lev_a, &mut scr.dec_a);
-        let snr_a = Self::level_snr(&scr.lev_a, &scr.dec_a, &mut scr.on, &mut scr.off);
-
-        let fs_b = self.branch(scr, rx1, f_b, rng);
-        self.symbol_points_into(fs_b, &scr.work, t0, n_symbols, &mut scr.pts);
-        Self::project_into(&scr.pts, &pilot_b, &mut scr.lev_b);
-        Self::slice_into(&scr.lev_b, &mut scr.dec_b);
-        let snr_b = Self::level_snr(&scr.lev_b, &scr.dec_b, &mut scr.on, &mut scr.off);
+        let [scr_a, scr_b] = &mut scr.branches;
+        let (snr_a, snr_b) = match claim {
+            Some(claim) => {
+                let skip = self.lna.noise_variates(rx0.len(), rx0.fs);
+                let mut rng_b = rng.clone();
+                let (snr_a, (snr_b, rng_b)) = claim.join(
+                    || self.branch(scr_a, rx0, f_a, t0, n_symbols, &pilot_a, rng),
+                    || {
+                        skip_gaussians(&mut rng_b, skip);
+                        let snr = self.branch(scr_b, rx1, f_b, t0, n_symbols, &pilot_b, &mut rng_b);
+                        (snr, rng_b)
+                    },
+                );
+                *rng = rng_b;
+                (snr_a, snr_b)
+            }
+            None => (
+                self.branch(scr_a, rx0, f_a, t0, n_symbols, &pilot_a, rng),
+                self.branch(scr_b, rx1, f_b, t0, n_symbols, &pilot_b, rng),
+            ),
+        };
 
         out.clear();
         out.extend(
-            scr.dec_a
+            scr_a
+                .dec
                 .iter()
-                .zip(&scr.dec_b)
+                .zip(&scr_b.dec)
                 .map(|(&a_on, &b_on)| OaqfmSymbol { a_on, b_on }),
         );
         UplinkStats {
@@ -374,8 +419,7 @@ pub fn ook_ber(snr: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Builds a synthetic capture: DC clutter + keyed node tone + the
     /// other tone keyed with different data, at the capture rate.
@@ -496,6 +540,69 @@ mod tests {
         assert_eq!(symbols.len(), 8);
         assert_eq!(stats.snr, 0.0);
         assert_eq!(stats.branch_snr, [0.0, 0.0]);
+    }
+
+    /// A short two-tone capture pair for the RNG-bookkeeping tests.
+    fn capture_pair(rxr: &UplinkReceiver) -> (Signal, Signal, f64, usize) {
+        let (fs, fc, f_a, f_b) = (2e9, 28e9, 27.6e9, 28.4e9);
+        let pilot_a: Vec<bool> = UPLINK_PILOT.iter().map(|s| s.a_on).collect();
+        let full_a = with_pilot(&[true, false, true, true], &pilot_a);
+        let full_b: Vec<bool> = full_a.iter().map(|b| !b).collect();
+        let tx_a = with_guard(&full_a, GUARD);
+        let tx_b = with_guard(&full_b, GUARD);
+        let sr = rxr.symbol_rate;
+        let rx0 = synthetic_rx(fs, fc, f_a, f_b, &tx_a, &tx_b, sr, 1e-5, 1e-3);
+        let rx1 = synthetic_rx(fs, fc, f_b, f_a, &tx_b, &tx_a, sr, 1e-5, 1e-3);
+        (rx0, rx1, GUARD as f64 / sr, full_a.len())
+    }
+
+    fn next4(rng: &mut StdRng) -> [u64; 4] {
+        std::array::from_fn(|_| rng.gen())
+    }
+
+    #[test]
+    fn demodulation_leaves_rng_past_both_branches_noise() {
+        let rxr = UplinkReceiver::milback(10e6);
+        let (rx0, rx1, t0, n) = capture_pair(&rxr);
+        let mut rng = StdRng::seed_from_u64(0xB0B);
+        let mut skipped = rng.clone();
+        let mut scr = UplinkScratch::default();
+        let mut out = Vec::new();
+        rxr.demodulate_into(
+            &mut scr, &rx0, &rx1, 27.6e9, 28.4e9, t0, n, &mut rng, &mut out,
+        );
+        skip_gaussians(&mut skipped, 2 * (rx0.len() + rx1.len()));
+        assert_eq!(next4(&mut rng), next4(&mut skipped));
+    }
+
+    /// A helper claim, waiting out other tests that hold it; `None` on
+    /// a 1-core host.
+    fn forced_claim() -> Option<par::Claim> {
+        if par::cores() < 2 {
+            return None;
+        }
+        loop {
+            if let Some(c) = par::claim() {
+                return Some(c);
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn branches_at_once_match_serial_branches() {
+        let rxr = UplinkReceiver::milback(10e6);
+        let (rx0, rx1, t0, n) = capture_pair(&rxr);
+        let run = |claim: Option<par::Claim>| {
+            let mut rng = StdRng::seed_from_u64(0xB0C);
+            let mut scr = UplinkScratch::default();
+            let mut out = Vec::new();
+            let stats = rxr.demodulate_with(
+                claim, &mut scr, &rx0, &rx1, 27.6e9, 28.4e9, t0, n, &mut rng, &mut out,
+            );
+            (out, stats.branch_snr.map(f64::to_bits), next4(&mut rng))
+        };
+        assert_eq!(run(forced_claim()), run(None));
     }
 
     #[test]

@@ -90,6 +90,7 @@ use milback_ap::uplink::{anti_alias_fir, UplinkReceiver};
 use milback_ap::waveform::TxConfig;
 use milback_ap::workspace::DspWorkspace;
 use milback_dsp::num::Cpx;
+use milback_dsp::par;
 use milback_dsp::plan::{with_plan, FftPlan};
 use milback_dsp::signal::Signal;
 use milback_dsp::template;
@@ -756,6 +757,10 @@ fn check_uplink_decimation(seed: u64) -> usize {
 /// localization burst. The planned FFT and the waveform template are
 /// asserted bitwise identical to their references before timing.
 fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
+    // The committed baselines time one core: with every core counted
+    // busy, no noise fill or receive chain claims the two-core helper
+    // (DESIGN.md §17.4) while these legs run.
+    let _one_core = par::occupy(par::cores());
     // FFT-plan comparison: the 8192-point range FFT. "Unplanned" rebuilds
     // the twiddle/bit-reversal tables per call — exactly what the
     // pre-plan-cache implementation did on every transform.

@@ -25,7 +25,13 @@
 //! later trial in the batch runs allocation-free through the hot pipeline
 //! (DESIGN.md §12). Buffer placement never changes FP values, so the
 //! determinism contract above is unaffected.
+//!
+//! Cores: while scoped workers run, the engine holds a
+//! [`par::occupy`]`(threads)` guard, so a trial's receive chains use the
+//! two-core helper of DESIGN.md §17.4 only when a core is left idle —
+//! never in a full-width run. Outputs are bitwise the same either way.
 
+use milback_dsp::par;
 use milback_telemetry as telemetry;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -145,6 +151,9 @@ where
     } else {
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        // The workers hold `threads` cores: a trial's receive chains
+        // claim the two-core helper only if a core is still idle.
+        let _busy = par::occupy(threads);
         std::thread::scope(|s| {
             for _ in 0..threads {
                 s.spawn(|| loop {
@@ -253,6 +262,7 @@ where
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
     };
+    let _busy = par::occupy(threads);
     std::thread::scope(|s| {
         for w in 0..threads {
             let f = &f;

@@ -13,6 +13,7 @@ use crate::network::Network;
 use milback_ap::tone_select::{select_tones, ToneSelection};
 use milback_ap::uplink::{UplinkReceiver, UplinkScratch, UPLINK_PILOT};
 use milback_ap::waveform;
+use milback_dsp::par;
 use milback_dsp::signal::Signal;
 use milback_hw::power::NodeMode;
 use milback_hw::switch::{SwitchSchedule, SwitchState};
@@ -26,6 +27,7 @@ use milback_rf::channel::{GammaRun, NodeInterface, TxComponent};
 use milback_rf::fsa::Port;
 use milback_rf::{wave_fingerprint, with_channel_workspace};
 use milback_telemetry as telemetry;
+use rand::rngs::StdRng;
 
 /// Minimum tone separation before falling back to single-carrier OOK:
 /// the two envelope-detector branches stop being separable when the tones
@@ -35,6 +37,24 @@ pub const MIN_TONE_SEPARATION: f64 = 100e6;
 /// Guard symbols (query running, node silent) before the pilot, so the
 /// receiver's filter transients settle outside the payload.
 pub const GUARD_SYMBOLS: usize = 6;
+
+/// Lowest simulation rate of a dual-tone downlink (see
+/// `Network::downlink_fs`); the OOK fallback runs at 16× the symbol
+/// rate.
+const MIN_DOWNLINK_FS: f64 = 200e6;
+
+/// Whether a downlink at `symbol_rate` gets at least the 2 samples per
+/// symbol its waveform needs at every simulation rate it may run at.
+fn downlink_rate_ok(symbol_rate: f64) -> bool {
+    symbol_rate > 0.0 && (MIN_DOWNLINK_FS / symbol_rate).round() >= 2.0
+}
+
+/// Whether `symbol_rate` can size an uplink capture at all: finite and
+/// positive. (Rates past the node switch's toggle limit are rejected
+/// after tone planning, by the modulator.)
+fn uplink_rate_ok(symbol_rate: f64) -> bool {
+    symbol_rate.is_finite() && symbol_rate > 0.0
+}
 
 /// Key identifying a cached uplink query-tone pair: every parameter the
 /// tone synthesis depends on, with `f64`s compared by bit pattern so the
@@ -278,6 +298,11 @@ impl Network {
     /// symbols/s. `use_truth` short-circuits orientation sensing (for
     /// microbenchmarks); the end-to-end path senses first.
     ///
+    /// Returns `None` (and counts `core.link.downlink.rejected`) for a
+    /// symbol rate that is NaN, not positive, or too fast for 2 samples
+    /// per symbol at the 200 MHz minimum simulation rate, before any
+    /// sensing; and `None` when no carrier plan exists.
+    ///
     /// Steady-state allocations: only the decoded payload `Vec<u8>` in
     /// the report — all working buffers are pooled in the network's
     /// `LinkScratch`.
@@ -288,6 +313,10 @@ impl Network {
         use_truth: bool,
     ) -> Option<DownlinkReport> {
         let _span = telemetry::span("core.link.downlink.ns");
+        if !downlink_rate_ok(symbol_rate) {
+            telemetry::counter_add("core.link.downlink.rejected", 1);
+            return None;
+        }
         let tones = self.plan_tones(use_truth)?;
         let mut scr = std::mem::take(&mut self.link_scratch);
         encode_frame_into(payload, &mut scr.codec, &mut scr.frame);
@@ -393,8 +422,7 @@ impl Network {
         );
 
         // Node receive + demodulate.
-        self.node_video_into(&scr.at_a, &mut scr.det_a);
-        self.node_video_into(&scr.at_b, &mut scr.det_b);
+        self.node_videos_into(&scr.at_a, &scr.at_b, &mut scr.det_a, &mut scr.det_b);
         let slicer = EnvelopeSlicer::new(fs, symbol_rate);
         demodulate_oaqfm_into(
             &slicer,
@@ -471,8 +499,7 @@ impl Network {
         let integration = self.node.detector.video_bandwidth / symbol_rate;
         let decision_snr = branch_decision_snr(v_sig, 0.0, noise, integration);
 
-        self.node_video_into(&scr.at_a, &mut scr.det_a);
-        self.node_video_into(&scr.at_b, &mut scr.det_b);
+        self.node_videos_into(&scr.at_a, &scr.at_b, &mut scr.det_a, &mut scr.det_b);
         let slicer = EnvelopeSlicer::new(fs, symbol_rate);
         let n_bits = scr.bits_a.len();
         demodulate_ook_into(
@@ -502,6 +529,11 @@ impl Network {
     /// Runs a full uplink transfer of `payload` at `symbol_rate`
     /// symbols/s.
     ///
+    /// Returns `None` (and counts `core.link.uplink.rejected`) for a
+    /// symbol rate that is not finite and positive, before any sensing;
+    /// for a rate past the node switch's toggle limit, after tone
+    /// planning; and when no carrier plan exists.
+    ///
     /// Steady-state allocations: the decoded payload `Vec<u8>`; the
     /// node, channel and AP receiver buffers are pooled in
     /// `LinkScratch`. `tests/zero_alloc.rs` pins the total with an upper
@@ -513,6 +545,10 @@ impl Network {
         use_truth: bool,
     ) -> Option<UplinkReport> {
         let _span = telemetry::span("core.link.uplink.ns");
+        if !uplink_rate_ok(symbol_rate) {
+            telemetry::counter_add("core.link.uplink.rejected", 1);
+            return None;
+        }
         let tones = self.plan_tones(use_truth)?;
         let mut scr = std::mem::take(&mut self.link_scratch);
         let report = self.uplink_transfer(&mut scr, payload, symbol_rate, tones);
@@ -737,14 +773,38 @@ impl Network {
         self.node.switch.through_gain() * 10f64.powf(-self.node.impl_loss_db / 10.0)
     }
 
-    /// Renders one port's video-rate detector output for a signal at the
-    /// port, into a pooled buffer.
-    fn node_video_into(&mut self, at_port: &Signal, out: &mut Vec<f64>) {
-        let mut rng = self.fork_rng();
-        self.node.receive_port_video_into(at_port, &mut rng, out);
-        // Node-side impairments on the detector output (no-op when the
-        // fault plan is empty).
-        self.faults.apply_to_video(self.clock_s, at_port.fs, out);
+    /// Renders both ports' video-rate detector outputs for the signals
+    /// at the ports into pooled buffers: detector → noise → node-side
+    /// impairments (a no-op when the fault plan is empty). Each port
+    /// draws from its own RNG, forked port A first; when [`par::claim`]
+    /// finds an idle core the two ports run at once, bitwise the same
+    /// as one after the other (DESIGN.md §17.4).
+    fn node_videos_into(
+        &mut self,
+        at_a: &Signal,
+        at_b: &Signal,
+        out_a: &mut Vec<f64>,
+        out_b: &mut Vec<f64>,
+    ) {
+        let mut rng_a = self.fork_rng();
+        let mut rng_b = self.fork_rng();
+        let (node, faults, clock_s) = (&self.node, &self.faults, self.clock_s);
+        let port = |at: &Signal, rng: &mut StdRng, out: &mut Vec<f64>| {
+            node.receive_port_video_into(at, rng, out);
+            faults.apply_to_video(clock_s, at.fs, out);
+        };
+        match par::claim() {
+            Some(claim) => {
+                claim.join(
+                    || port(at_a, &mut rng_a, out_a),
+                    || port(at_b, &mut rng_b, out_b),
+                );
+            }
+            None => {
+                port(at_a, &mut rng_a, out_a);
+                port(at_b, &mut rng_b, out_b);
+            }
+        }
     }
 }
 
@@ -809,6 +869,44 @@ mod tests {
             snrs.push(report.snr);
         }
         assert!(snrs[0] > snrs[1] && snrs[1] > snrs[2], "{snrs:?}");
+    }
+
+    #[test]
+    fn bad_symbol_rates_return_none_instead_of_panicking() {
+        let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0));
+        for rate in [f64::NAN, -1e6, 0.0, 1e12] {
+            let mut net = Network::new(pose, Fidelity::Fast, 41);
+            assert!(
+                net.downlink(&[1, 2, 3], rate, true).is_none(),
+                "downlink at {rate}"
+            );
+            assert!(
+                net.uplink(&[1, 2, 3], rate, true).is_none(),
+                "uplink at {rate}"
+            );
+        }
+    }
+
+    #[test]
+    fn port_videos_match_ports_in_turn() {
+        // The serial reference: fork port A's RNG, detect A, then fork
+        // port B's and detect B. Long enough to split the noise fills.
+        let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0));
+        let mut reference = Network::new(pose, Fidelity::Fast, 52);
+        let mut net = Network::new(pose, Fidelity::Fast, 52);
+        let at_a = Signal::tone(200e6, 28e9, 3e6, 1e-3, 20_000);
+        let at_b = Signal::tone(200e6, 28e9, -5e6, 2e-3, 20_000);
+        let mut rng = reference.fork_rng();
+        let want_a = reference.node.receive_port_video(&at_a, &mut rng);
+        let mut rng = reference.fork_rng();
+        let want_b = reference.node.receive_port_video(&at_b, &mut rng);
+
+        let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
+        net.node_videos_into(&at_a, &at_b, &mut got_a, &mut got_b);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got_a), bits(&want_a), "port A video");
+        assert_eq!(bits(&got_b), bits(&want_b), "port B video");
+        assert_eq!(net.fork_rng(), reference.fork_rng(), "network RNG");
     }
 
     #[test]

@@ -25,6 +25,9 @@
 //!   everywhere else),
 //! * [`buffer`] — reusable-buffer helpers for the zero-allocation
 //!   `_into` hot paths (DESIGN.md §12),
+//! * [`par`] — the two-core fork/join helper that splits long noise
+//!   fills and runs paired receive chains at once, bit for bit
+//!   (DESIGN.md §17.4),
 //! * [`phasor`] — phasor-recurrence carrier rotation with periodic
 //!   exact re-anchoring (DESIGN.md §13),
 //! * [`template`] — thread-local cache of synthesized reference
@@ -56,6 +59,7 @@ pub mod fft;
 pub mod filter;
 pub mod noise;
 pub mod num;
+pub mod par;
 pub mod phasor;
 pub mod plan;
 pub mod resample;

@@ -4,9 +4,18 @@
 //! through caller-provided seeded RNGs, so runs are reproducible. Gaussian
 //! variates are produced with the Box-Muller transform to avoid pulling in
 //! `rand_distr`.
+//!
+//! Long fills ([`add_awgn`], [`add_real_noise`]) split across two cores
+//! when [`par::claim`] finds one idle: the helper fills the head from a
+//! clone of the starting RNG while the caller skips the head's variates
+//! and fills the tail. Every sample gets the uniforms the serial loop
+//! would give it, and the caller's RNG ends where the serial loop leaves
+//! it, so the output is bitwise the same (DESIGN.md §17.4).
 
 use crate::num::Cpx;
+use crate::par;
 use crate::signal::Signal;
+use rand::rngs::StdRng;
 use rand::Rng;
 use std::f64::consts::PI;
 
@@ -75,39 +84,90 @@ pub fn db_to_ratio(db: f64) -> f64 {
     10f64.powf(db / 10.0)
 }
 
-/// Adds complex AWGN of total power `noise_power` (watts, i.e. |n|² mean) to
-/// every sample of `sig`.
-pub fn add_awgn<R: Rng + ?Sized>(sig: &mut Signal, noise_power: f64, rng: &mut R) {
-    if noise_power <= 0.0 {
+/// Fills shorter than this run serially: below it the two-core
+/// handshake costs a large share of what the split saves.
+pub const SPLIT_MIN: usize = 2048;
+
+/// The helper claim a fill of `n` samples splits with: `None` below
+/// [`SPLIT_MIN`] or when [`par::claim`] fails.
+fn split_claim(n: usize) -> Option<par::Claim> {
+    (n >= SPLIT_MIN).then(par::claim).flatten()
+}
+
+/// Adds `add(x, rng)` to every sample, where each call draws exactly
+/// `variates` standard normals. Without a claim this is the serial
+/// loop. With one, the helper fills the head from a clone of `rng`
+/// while the caller skips the head's variates and fills the tail: the
+/// same draws per sample, and `rng` ends where the serial loop leaves
+/// it.
+fn noise_fill<T: Send>(
+    claim: Option<par::Claim>,
+    xs: &mut [T],
+    variates: usize,
+    rng: &mut StdRng,
+    add: impl Fn(&mut T, &mut StdRng) + Sync,
+) {
+    let Some(claim) = claim else {
+        for x in xs.iter_mut() {
+            add(x, rng);
+        }
         return;
-    }
-    for c in sig.samples.iter_mut() {
-        *c += complex_gaussian(rng, noise_power);
+    };
+    let (head, tail) = xs.split_at_mut(xs.len() / 2);
+    let head_variates = variates * head.len();
+    let mut head_rng = rng.clone();
+    let add = &add;
+    claim.join(
+        || {
+            skip_gaussians(rng, head_variates);
+            for x in tail {
+                add(x, rng);
+            }
+        },
+        || {
+            for x in head {
+                add(x, &mut head_rng);
+            }
+        },
+    );
+}
+
+/// Standard normals [`add_awgn`] draws for `n` samples at `noise_power`:
+/// two per sample, or none when the power is at most zero.
+pub fn awgn_variates(n: usize, noise_power: f64) -> usize {
+    if noise_power <= 0.0 {
+        0
+    } else {
+        2 * n
     }
 }
 
-/// Generates a pure complex-AWGN signal of `n` samples with total power
-/// `noise_power` watts.
-pub fn awgn_signal<R: Rng + ?Sized>(
-    fs: f64,
-    fc: f64,
-    n: usize,
-    noise_power: f64,
-    rng: &mut R,
-) -> Signal {
-    let samples = (0..n).map(|_| complex_gaussian(rng, noise_power)).collect();
-    Signal::new(fs, fc, samples)
+/// Adds complex AWGN of total power `noise_power` (watts, i.e. |n|² mean) to
+/// every sample of `sig`.
+pub fn add_awgn(sig: &mut Signal, noise_power: f64, rng: &mut StdRng) {
+    awgn_fill(split_claim(sig.len()), &mut sig.samples, noise_power, rng);
+}
+
+fn awgn_fill(claim: Option<par::Claim>, xs: &mut [Cpx], noise_power: f64, rng: &mut StdRng) {
+    if awgn_variates(xs.len(), noise_power) == 0 {
+        return;
+    }
+    noise_fill(claim, xs, 2, rng, |c, rng| {
+        *c += complex_gaussian(rng, noise_power);
+    });
 }
 
 /// Adds real-valued Gaussian noise with standard deviation `sigma` to a real
 /// sample vector (e.g. an envelope-detector output).
-pub fn add_real_noise<R: Rng + ?Sized>(samples: &mut [f64], sigma: f64, rng: &mut R) {
+pub fn add_real_noise(samples: &mut [f64], sigma: f64, rng: &mut StdRng) {
+    real_noise_fill(split_claim(samples.len()), samples, sigma, rng);
+}
+
+fn real_noise_fill(claim: Option<par::Claim>, xs: &mut [f64], sigma: f64, rng: &mut StdRng) {
     if sigma <= 0.0 {
         return;
     }
-    for v in samples.iter_mut() {
-        *v += gaussian(rng) * sigma;
-    }
+    noise_fill(claim, xs, 1, rng, |v, rng| *v += gaussian(rng) * sigma);
 }
 
 #[cfg(test)]
@@ -207,9 +267,104 @@ mod tests {
 
     #[test]
     fn seeded_noise_is_reproducible() {
-        let a = awgn_signal(1e6, 0.0, 64, 1.0, &mut StdRng::seed_from_u64(7));
-        let b = awgn_signal(1e6, 0.0, 64, 1.0, &mut StdRng::seed_from_u64(7));
-        assert_eq!(a, b);
+        let fill = || {
+            let mut s = Signal::zeros(1e6, 0.0, 64);
+            add_awgn(&mut s, 1.0, &mut StdRng::seed_from_u64(7));
+            s
+        };
+        assert_eq!(fill(), fill());
+    }
+
+    fn next4(rng: &mut StdRng) -> [u64; 4] {
+        std::array::from_fn(|_| rng.gen())
+    }
+
+    /// A helper claim, waiting out other tests that hold it; `None` on
+    /// a 1-core host.
+    fn forced_claim() -> Option<par::Claim> {
+        if par::cores() < 2 {
+            return None;
+        }
+        loop {
+            if let Some(c) = par::claim() {
+                return Some(c);
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// Every fill path — the public function (split or not, as the
+    /// helper allows), a forced split and the serial loop — against a
+    /// per-sample reference loop: sample bits and the next four RNG
+    /// outputs.
+    #[test]
+    fn split_fills_match_a_per_sample_loop() {
+        type Fill<T> = fn(&mut [T], &mut StdRng, u8);
+        let awgn: Fill<Cpx> = |xs, rng, path| match path {
+            0 => {
+                let mut sig = Signal::new(1e9, 0.0, xs.to_vec());
+                add_awgn(&mut sig, 0.3, rng);
+                xs.copy_from_slice(&sig.samples);
+            }
+            1 => awgn_fill(forced_claim(), xs, 0.3, rng),
+            _ => awgn_fill(None, xs, 0.3, rng),
+        };
+        let real: Fill<f64> = |xs, rng, path| match path {
+            0 => add_real_noise(xs, 0.7, rng),
+            1 => real_noise_fill(forced_claim(), xs, 0.7, rng),
+            _ => real_noise_fill(None, xs, 0.7, rng),
+        };
+        for n in [0, 1, SPLIT_MIN - 1, SPLIT_MIN + 1, 10_001, 323_572] {
+            let seed = 0xF111 ^ n as u64;
+            let start: Vec<Cpx> = (0..n).map(|i| Cpx::new(i as f64, -(i as f64))).collect();
+            let mut reference = start.clone();
+            let mut ref_rng = StdRng::seed_from_u64(seed);
+            for c in reference.iter_mut() {
+                let s = (0.3f64 / 2.0).sqrt();
+                let re = gaussian(&mut ref_rng) * s;
+                let im = gaussian(&mut ref_rng) * s;
+                *c += Cpx::new(re, im);
+            }
+            let ref_next = next4(&mut ref_rng);
+            let bits = |xs: &[Cpx]| -> Vec<(u64, u64)> {
+                xs.iter()
+                    .map(|c| (c.re.to_bits(), c.im.to_bits()))
+                    .collect()
+            };
+            for path in 0..3 {
+                let mut xs = start.clone();
+                let mut rng = StdRng::seed_from_u64(seed);
+                awgn(&mut xs, &mut rng, path);
+                assert!(
+                    bits(&xs) == bits(&reference),
+                    "AWGN bits, n={n} path {path}"
+                );
+                assert_eq!(next4(&mut rng), ref_next, "AWGN RNG, n={n} path {path}");
+            }
+
+            let start: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
+            let mut reference = start.clone();
+            let mut ref_rng = StdRng::seed_from_u64(seed);
+            for v in reference.iter_mut() {
+                *v += gaussian(&mut ref_rng) * 0.7;
+            }
+            let ref_next = next4(&mut ref_rng);
+            let bits = |xs: &[f64]| -> Vec<u64> { xs.iter().map(|v| v.to_bits()).collect() };
+            for path in 0..3 {
+                let mut xs = start.clone();
+                let mut rng = StdRng::seed_from_u64(seed);
+                real(&mut xs, &mut rng, path);
+                assert!(
+                    bits(&xs) == bits(&reference),
+                    "real-noise bits, n={n} path {path}"
+                );
+                assert_eq!(
+                    next4(&mut rng),
+                    ref_next,
+                    "real-noise RNG, n={n} path {path}"
+                );
+            }
+        }
     }
 
     #[test]

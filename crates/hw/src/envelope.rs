@@ -16,6 +16,7 @@ use milback_dsp::filter::OnePole;
 use milback_dsp::noise::{add_real_noise, gaussian, skip_gaussians};
 use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// An envelope detector.
@@ -71,7 +72,7 @@ impl EnvelopeDetector {
     ///
     /// The input samples are interpreted as volts across the detector's
     /// input impedance, so instantaneous input power is `|x|²/R`.
-    pub fn detect<R: Rng + ?Sized>(&self, input: &Signal, rng: &mut R) -> Vec<f64> {
+    pub fn detect(&self, input: &Signal, rng: &mut StdRng) -> Vec<f64> {
         let mut out = Vec::new();
         self.detect_into(&input.samples, 1.0, input.fs, rng, &mut out);
         out
@@ -82,12 +83,12 @@ impl EnvelopeDetector {
     /// [`EnvelopeDetector::video_into`]): clears and refills `out`,
     /// reusing its capacity, with the same filter state progression and
     /// noise draw order.
-    pub fn detect_into<R: Rng + ?Sized>(
+    pub fn detect_into(
         &self,
         samples: &[Cpx],
         gain: f64,
         fs: f64,
-        rng: &mut R,
+        rng: &mut StdRng,
         out: &mut Vec<f64>,
     ) {
         self.video_into(samples, gain, fs, out);
@@ -157,7 +158,6 @@ impl EnvelopeDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]

@@ -24,6 +24,7 @@ use milback_hw::switch::{for_each_state_run, SpdtSwitch, SwitchSchedule, SwitchS
 use milback_rf::channel::GammaRun;
 use milback_rf::fsa::{DualPortFsa, Port};
 use milback_rf::geometry::Pose;
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// A complete MilBack backscatter node.
@@ -154,7 +155,7 @@ impl BackscatterNode {
     /// Like [`Self::receive_port`] but keeps the detector's full video
     /// rate (no ADC) — used for payload demodulation where the MCU samples
     /// at the symbol rate via a comparator rather than the slow ADC.
-    pub fn receive_port_video<R: Rng + ?Sized>(&self, at_port: &Signal, rng: &mut R) -> Vec<f64> {
+    pub fn receive_port_video(&self, at_port: &Signal, rng: &mut StdRng) -> Vec<f64> {
         let mut out = Vec::new();
         self.receive_port_video_into(at_port, rng, &mut out);
         out
@@ -164,12 +165,7 @@ impl BackscatterNode {
     /// lands in `out`, reusing its capacity. The port gain scales each
     /// complex sample before envelope detection, bitwise as scaling a
     /// copy of the signal would.
-    pub fn receive_port_video_into<R: Rng + ?Sized>(
-        &self,
-        at_port: &Signal,
-        rng: &mut R,
-        out: &mut Vec<f64>,
-    ) {
+    pub fn receive_port_video_into(&self, at_port: &Signal, rng: &mut StdRng, out: &mut Vec<f64>) {
         self.detector
             .detect_into(&at_port.samples, self.rx_gain(), at_port.fs, rng, out);
     }
@@ -242,7 +238,6 @@ pub fn fill_gamma_runs(
 mod tests {
     use super::*;
     use milback_rf::geometry::{deg_to_rad, Point};
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn node() -> BackscatterNode {

@@ -8,10 +8,10 @@
 //! rejection) comes from the mixer/BPF arithmetic, which is exact.
 
 use milback_dsp::filter::Fir;
-use milback_dsp::noise::{add_awgn, thermal_noise_power};
+use milback_dsp::noise::{add_awgn, awgn_variates, thermal_noise_power};
 use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
-use rand::Rng;
+use rand::rngs::StdRng;
 
 /// Low-noise amplifier (ADL8142-style).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,11 +33,16 @@ impl Lna {
 
     /// Amplifies the signal in place and adds the LNA's referred-to-input
     /// thermal noise over bandwidth `bw` Hz.
-    pub fn apply<R: Rng + ?Sized>(&self, sig: &mut Signal, bw: f64, rng: &mut R) {
+    pub fn apply(&self, sig: &mut Signal, bw: f64, rng: &mut StdRng) {
         // Noise added at the input, then everything amplified.
-        let n_in = thermal_noise_power(bw, self.nf_db);
-        add_awgn(sig, n_in, rng);
+        add_awgn(sig, self.input_noise_power(bw), rng);
         sig.scale_db(self.gain_db);
+    }
+
+    /// Standard normals [`Lna::apply`] draws from its RNG for a signal
+    /// of `n` samples over bandwidth `bw`.
+    pub fn noise_variates(&self, n: usize, bw: f64) -> usize {
+        awgn_variates(n, self.input_noise_power(bw))
     }
 
     /// Equivalent input noise power (watts) over bandwidth `bw`.
@@ -123,7 +128,6 @@ impl BasebandBpf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
