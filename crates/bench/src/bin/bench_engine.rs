@@ -37,11 +37,12 @@
 //!
 //! The engine is deterministic by construction; this binary also asserts
 //! that the parallel run's outputs equal the serial run's — and that the
-//! uplink receiver's decimating FIR stages on a real uplink capture, the
-//! planned FFT, the waveform templates and the cached channel renders
-//! are bitwise identical to the full-rate filter plus stride, the
-//! unplanned, freshly synthesized and uncached references — before
-//! timings are reported.
+//! uplink receiver's decimating FIR stages on a real uplink capture, a
+//! cold fabric-style Field-2 burst (target plus three parked
+//! neighbours), the planned FFT, the waveform templates and the cached
+//! channel renders are bitwise identical to the full-rate filter plus
+//! stride, the uncached per-point-gain render, the unplanned, freshly
+//! synthesized and uncached references — before timings are reported.
 //!
 //! Output naming: without `--out`, the binary scans the working directory
 //! for existing `BENCH_<n>.json` files and writes to the next free index,
@@ -753,6 +754,90 @@ fn check_uplink_decimation(seed: u64) -> usize {
     stages
 }
 
+/// Asserts that a cold fabric-style Field-2 burst is bitwise the
+/// uncached reference, and panics at the first sample that differs.
+///
+/// The burst is what a dense-network slot renders: five chirps × two
+/// RX antennas of the target's localization return, with three parked
+/// neighbours layered in per capture, through a fresh
+/// [`ChannelWorkspace`]. Ray tables and gain curves are built cold and
+/// then shared across chirps, antennas and nodes; the reference
+/// evaluates every gain point per point. Returns the captures checked.
+fn check_fabric_burst(seed: u64) -> usize {
+    let target = Pose::facing_ap(3.2, deg_to_rad(-6.0), deg_to_rad(9.0));
+    let net = Network::new(target, Fidelity::Fast, seed);
+    let mut cfg = net.fidelity.sawtooth();
+    cfg.amplitude = net.ap.tx.amplitude();
+    let comp = TxComponent {
+        signal: cfg.sawtooth(),
+        profile: FreqProfile::Sawtooth(cfg),
+    };
+    let (fs, n) = (comp.signal.fs, comp.signal.len());
+    let fp = wave_fingerprint(&comp);
+    let sched_a = SwitchSchedule::SquareWave {
+        freq_hz: net.fidelity.localization_mod_freq(),
+        first: SwitchState::Reflective,
+    };
+    let sched_b = SwitchSchedule::Constant(SwitchState::Absorptive);
+    let parked = [GammaRun {
+        end: n,
+        gamma: net.node.parked_gamma(),
+    }];
+    let neighbours = [
+        Pose::facing_ap(2.6, deg_to_rad(4.0), deg_to_rad(-7.0)),
+        Pose::facing_ap(4.1, deg_to_rad(-14.0), deg_to_rad(3.0)),
+        Pose::facing_ap(3.6, deg_to_rad(11.0), deg_to_rad(15.0)),
+    ];
+    let mut cw = ChannelWorkspace::default();
+    let mut runs = Vec::new();
+    let mut out = Signal::zeros(fs, comp.signal.fc, 0);
+    let mut captures = 0;
+    for chirp in 0..5 {
+        let gamma = |state| net.node.switch.gamma(state);
+        let t_off = chirp as f64 * cfg.duration;
+        fill_gamma_runs(&sched_a, &sched_b, gamma, t_off, fs, n, &mut runs);
+        let node = |pose, gamma| NodeInterface {
+            pose,
+            fsa: &net.node.fsa,
+            gamma,
+        };
+        let all = [
+            node(target, &runs[..]),
+            node(neighbours[0], &parked),
+            node(neighbours[1], &parked),
+            node(neighbours[2], &parked),
+        ];
+        let [target_if, parked_ifs @ ..] = &all;
+        for ant in 0..2 {
+            let only = std::slice::from_ref(target_if);
+            net.scene
+                .monostatic_rx_multi_into(&mut cw, &comp, fp, only, ant, &mut out);
+            for nb in parked_ifs {
+                net.scene
+                    .accumulate_backscatter_into(&mut cw, &comp, fp, nb, ant, &mut out);
+            }
+            let reference = net.scene.monostatic_rx_multi_uncached(&comp, &all, ant);
+            let same = |(x, y): (&Cpx, &Cpx)| {
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()
+            };
+            if let Some(i) = out
+                .samples
+                .iter()
+                .zip(&reference.samples)
+                .position(|p| !same(p))
+            {
+                panic!(
+                    "cold fabric burst chirp {chirp} antenna {ant} diverged from the uncached \
+                     reference at sample {i}: {:?} vs {:?}",
+                    out.samples[i], reference.samples[i]
+                );
+            }
+            captures += 1;
+        }
+    }
+    captures
+}
+
 /// Runs the FFT-plan comparison, the per-kernel legs and the five-chirp
 /// localization burst. The planned FFT and the waveform template are
 /// asserted bitwise identical to their references before timing.
@@ -1108,6 +1193,11 @@ fn main() {
     println!(
         "uplink decimation: {stages} stages of a real capture, decimate_into bitwise \
          identical to filter + stride"
+    );
+    let captures = check_fabric_burst(seed);
+    println!(
+        "fabric burst: {captures} cold captures of a target plus 3 parked neighbours, \
+         bitwise identical to the uncached reference"
     );
 
     // The determinism legs first: each resets telemetry for its own

@@ -375,9 +375,32 @@ impl Network {
         }
     }
 
+    /// Whether the Field-2 render cannot run: the node or a parked
+    /// interferer sits at an AP antenna or has a NaN coordinate (see
+    /// [`Scene::can_render_at`]). Counts `core.network.field2.rejected`
+    /// when so. Draws nothing from the RNG.
+    fn field2_rejected(&self) -> bool {
+        let renderable = self.scene.can_render_at(&self.node.pose.position)
+            && self
+                .interferers
+                .iter()
+                .all(|itf| self.scene.can_render_at(&itf.pose.position));
+        if !renderable {
+            telemetry::counter_add("core.network.field2.rejected", 1);
+        }
+        !renderable
+    }
+
     /// Runs the full §5.1 localization: Field-2 capture → dechirp →
     /// background subtraction → range + angle.
+    ///
+    /// Returns `None` when there is no fix, and on entry, before any RNG
+    /// draw, when the node or a parked interferer cannot be rendered
+    /// (counted as `core.network.field2.rejected`).
     pub fn localize(&mut self) -> Option<LocalizationResult> {
+        if self.field2_rejected() {
+            return None;
+        }
         // Render into the thread-local burst buffers through the cached
         // channel path, then process in the thread-local DSP workspace:
         // batch workers reuse both trial after trial (fixes pinned to
@@ -400,7 +423,13 @@ impl Network {
     /// Runs §5.2(a): AP-side orientation sensing — the paper's FFT →
     /// background subtraction → gate → IFFT flow. Returns the estimated
     /// incidence angle (radians).
+    ///
+    /// Returns `None` on entry, before any RNG draw, when the node or a
+    /// parked interferer cannot be rendered, as [`Self::localize`] does.
     pub fn sense_orientation_at_ap(&mut self) -> Option<f64> {
+        if self.field2_rejected() {
+            return None;
+        }
         with_field2_burst(|burst| {
             with_channel_workspace(|cw| self.field2_captures_into(cw, 5, burst));
             let tx = &burst.tx;

@@ -101,12 +101,20 @@ impl Default for PatchElement {
     }
 }
 
-impl Antenna for PatchElement {
-    fn gain(&self, theta: f64, _f: f64) -> f64 {
+impl PatchElement {
+    /// Linear power gain at azimuth `theta`. The patch pattern does not
+    /// depend on frequency.
+    pub fn pattern(&self, theta: f64) -> f64 {
         let t = wrap_angle(theta);
         let c = t.cos().max(0.0);
         let pattern = c.powf(self.q).max(dbi_to_linear(self.floor_db));
         dbi_to_linear(self.peak_dbi) * pattern
+    }
+}
+
+impl Antenna for PatchElement {
+    fn gain(&self, theta: f64, _f: f64) -> f64 {
+        self.pattern(theta)
     }
 }
 

@@ -19,8 +19,8 @@ use crate::fsa::{DualPortFsa, Port};
 use crate::geometry::{Point, Pose, SPEED_OF_LIGHT};
 use crate::propagation::{backscatter_rx_power, fspl, one_way_rx_power, radar_rx_power};
 use crate::workspace::{
-    fsa_fingerprint, pose_bits, wave_fingerprint, with_channel_workspace, ChannelWorkspace, Fnv,
-    PortKey, RayKey, StaticKey,
+    fsa_fingerprint, pose_bits, wave_fingerprint, with_channel_workspace, ChannelWorkspace,
+    CurveKey, CurvePair, Fnv, GainCurves, PortKey, RayKey, StaticKey,
 };
 use milback_dsp::chirp::ChirpConfig;
 use milback_dsp::noise::db_to_ratio;
@@ -104,10 +104,14 @@ pub(crate) fn fold_profile(h: &mut Fnv, p: &FreqProfile) {
 }
 
 /// Precomputed frequency→value lookup table over a component's swept
-/// band. FSA gains are evaluated per output sample; evaluating the
-/// 12-element array factor millions of times dominates the simulation, so
-/// the channel tabulates each needed gain curve once per render and
-/// linearly interpolates.
+/// band. Per-sample amplitudes are read from it by linear interpolation
+/// instead of evaluating the link budget at every sample's
+/// instantaneous frequency.
+///
+/// A LUT is built once per ray- or port-table build (a cache miss in
+/// [`ChannelWorkspace`]). Its FSA gain factor comes by grid index from
+/// the workspace's gain-curve cache, which computes each (FSA,
+/// incidence, band) curve once (DESIGN.md §13.5).
 struct FreqLut {
     f_lo: f64,
     step: f64,
@@ -117,17 +121,22 @@ struct FreqLut {
 impl FreqLut {
     const POINTS: usize = 2048;
 
-    fn build(f_lo: f64, f_hi: f64, mut eval: impl FnMut(f64) -> f64) -> Self {
+    /// `(step, points)` of the grid over `f_lo..=f_hi`: point `i` sits
+    /// at `f_lo + i·step`. A degenerate band (`f_hi <= f_lo`) is the
+    /// single point `f_lo`.
+    fn grid(f_lo: f64, f_hi: f64) -> (f64, usize) {
         if f_hi <= f_lo {
-            return Self {
-                f_lo,
-                step: 1.0,
-                values: vec![eval(f_lo)],
-            };
+            (1.0, 1)
+        } else {
+            ((f_hi - f_lo) / (Self::POINTS - 1) as f64, Self::POINTS)
         }
-        let step = (f_hi - f_lo) / (Self::POINTS - 1) as f64;
-        let values = (0..Self::POINTS)
-            .map(|i| eval(f_lo + i as f64 * step))
+    }
+
+    /// Tabulates `eval(i, f_i)` at every grid point `i`.
+    fn build(f_lo: f64, f_hi: f64, mut eval: impl FnMut(usize, f64) -> f64) -> Self {
+        let (step, points) = Self::grid(f_lo, f_hi);
+        let values = (0..points)
+            .map(|i| eval(i, f_lo + i as f64 * step))
             .collect();
         Self { f_lo, step, values }
     }
@@ -386,6 +395,16 @@ impl Scene {
         h.finish()
     }
 
+    /// Whether a node at `p` can be rendered: every ray leg from the
+    /// AP's TX and RX antennas to `p` has a positive length. False at an
+    /// antenna position and for a NaN coordinate, where the path loss
+    /// of [`fspl`] is undefined.
+    pub fn can_render_at(&self, p: &Point) -> bool {
+        [self.tx_pos, self.rx_pos[0], self.rx_pos[1]]
+            .iter()
+            .all(|a| a.distance_to(p) > 0.0)
+    }
+
     /// AP TX antenna gain toward `target` given current steering.
     fn tx_gain_towards(&self, target: &Point, f: f64) -> f64 {
         let bearing = self.tx_pos.bearing_to(target);
@@ -451,14 +470,19 @@ impl Scene {
         port: Port,
         out: &mut Signal,
     ) {
+        let fsa_fp = fsa_fingerprint(fsa);
         let key = PortKey {
             scene: self.static_fingerprint(),
             wave: wave_fp,
             pose: pose_bits(pose),
-            fsa: fsa_fingerprint(fsa),
+            fsa: fsa_fp,
             port,
         };
-        let tables = ws.port_tables(key, || self.build_port_tables(comp, pose, fsa, port));
+        let tables = ws.port_tables(key, |curves| {
+            let inc = pose.incidence_from(&self.tx_pos);
+            let pair = cached_curves(curves, fsa, fsa_fp, inc, comp.freq_range());
+            self.build_port_tables(comp, pose, &pair[port as usize])
+        });
         out.fs = comp.signal.fs;
         out.fc = comp.signal.fc;
         comp.signal.delayed_into(tables.tau, &mut out.samples);
@@ -469,25 +493,19 @@ impl Scene {
 
     /// Builds the hoisted [`PortTables`] for one downlink ray: the
     /// amplitude LUT evaluated at every sample's instantaneous emitted
-    /// frequency, plus the carrier phasor and delay.
-    fn build_port_tables(
-        &self,
-        comp: &TxComponent,
-        pose: &Pose,
-        fsa: &DualPortFsa,
-        port: Port,
-    ) -> PortTables {
+    /// frequency, plus the carrier phasor and delay. `curve` is the
+    /// port's FSA gain on the LUT grid at the node's incidence.
+    fn build_port_tables(&self, comp: &TxComponent, pose: &Pose, curve: &[f64]) -> PortTables {
         let d = self.tx_pos.distance_to(&pose.position);
         let tau = d / SPEED_OF_LIGHT;
-        let inc = pose.incidence_from(&self.tx_pos);
         let fc = comp.signal.fc;
         let fs = comp.signal.fs;
         let g_tx = self.tx_gain_towards(&pose.position, fc);
         let carrier_phase = Cpx::cis(-2.0 * PI * fc * tau);
 
         let (f_lo, f_hi) = comp.freq_range();
-        let amp_lut = FreqLut::build(f_lo, f_hi, |f| {
-            one_way_rx_power(1.0, g_tx, fsa.gain(port, inc, f), d, f).sqrt()
+        let amp_lut = FreqLut::build(f_lo, f_hi, |i, f| {
+            one_way_rx_power(1.0, g_tx, curve[i], d, f).sqrt()
         });
         let amp = (0..comp.signal.len())
             .map(|i| {
@@ -585,14 +603,7 @@ impl Scene {
         }
 
         for node in nodes {
-            let key = RayKey {
-                scene: scene_fp,
-                wave: wave_fp,
-                rx_idx,
-                pose: pose_bits(&node.pose),
-                fsa: fsa_fingerprint(node.fsa),
-            };
-            let tables = ws.ray_tables(key, || self.build_ray_tables(comp, node, rx_idx));
+            let tables = self.cached_ray_tables(ws, comp, wave_fp, scene_fp, node, rx_idx);
             accumulate_node(tables, node.gamma, &mut out.samples);
         }
     }
@@ -625,18 +636,39 @@ impl Scene {
             comp.signal.len(),
             "accumulate over an already-rendered capture"
         );
-        let key = RayKey {
-            scene: self.static_fingerprint(),
-            wave: wave_fp,
-            rx_idx,
-            pose: pose_bits(&node.pose),
-            fsa: fsa_fingerprint(node.fsa),
-        };
-        let tables = ws.ray_tables(key, || self.build_ray_tables(comp, node, rx_idx));
+        let scene_fp = self.static_fingerprint();
+        let tables = self.cached_ray_tables(ws, comp, wave_fp, scene_fp, node, rx_idx);
         accumulate_node(tables, node.gamma, &mut out.samples);
     }
 
-    /// Reference monostatic render that bypasses every cache: fresh
+    /// One node's [`RayTables`] from `ws`, built on a miss from the
+    /// workspace's cached gain curves.
+    fn cached_ray_tables<'w>(
+        &self,
+        ws: &'w mut ChannelWorkspace,
+        comp: &TxComponent,
+        wave_fp: u64,
+        scene_fp: u64,
+        node: &NodeInterface<'_>,
+        rx_idx: usize,
+    ) -> &'w RayTables {
+        let fsa_fp = fsa_fingerprint(node.fsa);
+        let key = RayKey {
+            scene: scene_fp,
+            wave: wave_fp,
+            rx_idx,
+            pose: pose_bits(&node.pose),
+            fsa: fsa_fp,
+        };
+        ws.ray_tables(key, |curves| {
+            let inc = node.pose.incidence_from(&self.tx_pos);
+            let pair = cached_curves(curves, node.fsa, fsa_fp, inc, comp.freq_range());
+            self.build_ray_tables(comp, node, rx_idx, pair)
+        })
+    }
+
+    /// Reference monostatic render that bypasses every cache: gain
+    /// evaluated point by point through [`DualPortFsa::gain`], fresh
     /// LUTs, fresh ray tables, fresh buffers. The fast path is asserted
     /// bitwise against this in `tests/channel_equivalence.rs` and the
     /// bench A/B leg.
@@ -651,7 +683,9 @@ impl Scene {
         let mut acc = Signal::zeros(fs, comp.signal.fc, comp.signal.len());
         self.add_static_paths(comp, rx_idx, &mut acc.samples);
         for node in nodes {
-            let tables = self.build_ray_tables(comp, node, rx_idx);
+            let inc = node.pose.incidence_from(&self.tx_pos);
+            let curves = per_point_curves(node.fsa, inc, comp.freq_range());
+            let tables = self.build_ray_tables(comp, node, rx_idx, &curves);
             accumulate_node(&tables, node.gamma, &mut acc.samples);
         }
         acc
@@ -660,12 +694,14 @@ impl Scene {
     /// Builds the hoisted [`RayTables`] for one node's backscatter rays
     /// (both ports + its mirror reflection): the round-trip-delayed
     /// envelope and, per sample, every frequency-LUT amplitude the
-    /// historical inner loop evaluated on the fly.
+    /// historical inner loop evaluated on the fly. `curves` holds both
+    /// ports' FSA gain on the LUT grid at the node's incidence.
     fn build_ray_tables(
         &self,
         comp: &TxComponent,
         node: &NodeInterface<'_>,
         rx_idx: usize,
+        curves: &CurvePair,
     ) -> RayTables {
         let fc = comp.signal.fc;
         let fs = comp.signal.fs;
@@ -679,29 +715,22 @@ impl Scene {
         let rt_phase = Cpx::cis(-2.0 * PI * fc * tau_rt);
 
         let (f_lo, f_hi) = comp.freq_range();
-        let port_luts: [FreqLut; 2] = [
-            FreqLut::build(f_lo, f_hi, |f| {
-                (backscatter_rx_power(1.0, g_tx, g_rx, node.fsa.gain(Port::A, inc, f), 1.0, 1.0, f)
+        let port_luts = curves.each_ref().map(|curve| {
+            FreqLut::build(f_lo, f_hi, |i, f| {
+                (backscatter_rx_power(1.0, g_tx, g_rx, curve[i], 1.0, 1.0, f)
                     * fspl(d_tx, f)
                     * fspl(d_rx, f)
                     / fspl(1.0, f).powi(2))
                 .sqrt()
-            }),
-            FreqLut::build(f_lo, f_hi, |f| {
-                (backscatter_rx_power(1.0, g_tx, g_rx, node.fsa.gain(Port::B, inc, f), 1.0, 1.0, f)
-                    * fspl(d_tx, f)
-                    * fspl(d_rx, f)
-                    / fspl(1.0, f).powi(2))
-                .sqrt()
-            }),
-        ];
+            })
+        });
         let mirror_lut = self.mirror.as_ref().map(|m| {
             let sigma = m.rcs_at(inc);
             // The extra 2·depth path shows up as a carrier phase rotation
             // (the mm-scale envelope delay is far below range resolution).
             let phase = Cpx::cis(-2.0 * PI * fc * 2.0 * m.depth_offset / SPEED_OF_LIGHT);
             (
-                FreqLut::build(f_lo, f_hi, |f| {
+                FreqLut::build(f_lo, f_hi, |_, f| {
                     (radar_rx_power(1.0, g_tx, g_rx, sigma, 1.0, f) * fspl(d_tx, f) * fspl(d_rx, f)
                         / fspl(1.0, f).powi(2))
                     .sqrt()
@@ -800,6 +829,43 @@ impl Scene {
         (self.tx_pos.distance_to(&pose.position) + self.rx_pos[rx_idx].distance_to(&pose.position))
             / SPEED_OF_LIGHT
     }
+}
+
+/// Both ports' FSA gain at incidence `inc` on the LUT grid of the band
+/// `f_lo..=f_hi`, from the workspace's gain-curve cache: built once per
+/// (FSA, incidence, band) by [`DualPortFsa::gain_curve_into`].
+fn cached_curves<'c>(
+    curves: &'c mut GainCurves,
+    fsa: &DualPortFsa,
+    fsa_fp: u64,
+    inc: f64,
+    (f_lo, f_hi): (f64, f64),
+) -> &'c CurvePair {
+    let key = CurveKey {
+        fsa: fsa_fp,
+        incidence: inc.to_bits(),
+        f_lo: f_lo.to_bits(),
+        f_hi: f_hi.to_bits(),
+    };
+    curves.get_or_build(key, || {
+        let (step, points) = FreqLut::grid(f_lo, f_hi);
+        Port::BOTH.map(|port| {
+            let mut curve = vec![0.0; points];
+            fsa.gain_curve_into(port, inc, f_lo, step, &mut curve);
+            curve
+        })
+    })
+}
+
+/// The uncached reference of [`cached_curves`]: [`DualPortFsa::gain`]
+/// evaluated point by point.
+fn per_point_curves(fsa: &DualPortFsa, inc: f64, (f_lo, f_hi): (f64, f64)) -> CurvePair {
+    let (step, points) = FreqLut::grid(f_lo, f_hi);
+    Port::BOTH.map(|port| {
+        (0..points)
+            .map(|i| fsa.gain(port, inc, f_lo + i as f64 * step))
+            .collect()
+    })
 }
 
 /// Replays one node's hoisted [`RayTables`] against its Γ runs,

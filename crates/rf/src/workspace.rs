@@ -14,7 +14,11 @@
 //! * per-node **ray tables** (delayed envelope + per-sample LUT
 //!   amplitude products + round-trip phasor) per (scene, waveform,
 //!   pose, FSA, RX antenna),
-//! * per-port **downlink tables** for `Scene::to_node_port`.
+//! * per-port **downlink tables** for `Scene::to_node_port`,
+//! * per-(FSA, incidence, band) **gain curves**: both ports' FSA gain
+//!   on the frequency-LUT grid, shared by every ray and port table
+//!   built at that incidence — whatever the steer, the RX antenna or
+//!   the waveform's samples.
 //!
 //! ## Invalidation
 //!
@@ -41,6 +45,8 @@
 //!   tables,
 //! * `rf.port.cache.hit.local` / `rf.port.cache.miss.local` — downlink
 //!   port tables,
+//! * `rf.gain.cache.hit.local` / `rf.gain.cache.miss.local` — FSA gain
+//!   curves, looked up once per ray- or port-table build,
 //! * `rf.workspace.grow.local` — one count per cache entry built
 //!   (insert or LRU replacement).
 //!
@@ -151,6 +157,20 @@ pub(crate) struct RayKey {
     pub fsa: u64,
 }
 
+/// Key of one gain-curve pair. The curve depends only on the FSA
+/// design, the incidence angle and the swept band: not on the AP's
+/// steer, the RX antenna, the node's range or the waveform samples.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CurveKey {
+    pub fsa: u64,
+    pub incidence: u64,
+    pub f_lo: u64,
+    pub f_hi: u64,
+}
+
+/// Both ports' gain curves, `[A, B]`, on the frequency-LUT grid.
+pub(crate) type CurvePair = [Vec<f64>; 2];
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PortKey {
     pub scene: u64,
@@ -168,9 +188,10 @@ struct Entry<K, V> {
 
 /// Tiny stamp-LRU: linear scan (a handful of entries), min-stamp
 /// replacement when full. `hit`/`miss` name the telemetry counters.
-struct Lru<K, V> {
+pub(crate) struct Lru<K, V> {
     entries: Vec<Entry<K, V>>,
     cap: usize,
+    clock: u64,
     hit: &'static str,
     miss: &'static str,
 }
@@ -180,12 +201,15 @@ impl<K: PartialEq + Copy, V> Lru<K, V> {
         Self {
             entries: Vec::new(),
             cap,
+            clock: 0,
             hit,
             miss,
         }
     }
 
-    fn get_or_build(&mut self, key: K, stamp: u64, build: impl FnOnce() -> V) -> &V {
+    pub(crate) fn get_or_build(&mut self, key: K, build: impl FnOnce() -> V) -> &V {
+        self.clock += 1;
+        let stamp = self.clock;
         let idx = match self.entries.iter().position(|e| e.key == key) {
             Some(i) => {
                 telemetry::counter_add(self.hit, 1);
@@ -232,8 +256,12 @@ pub struct ChannelWorkspace {
     statics: Lru<StaticKey, Vec<Cpx>>,
     rays: Lru<RayKey, RayTables>,
     ports: Lru<PortKey, PortTables>,
-    clock: u64,
+    curves: GainCurves,
 }
+
+/// The gain-curve cache, handed to ray- and port-table builds so they
+/// read their FSA gain points from it.
+pub(crate) type GainCurves = Lru<CurveKey, CurvePair>;
 
 impl ChannelWorkspace {
     /// An empty workspace; caches fill on first use.
@@ -242,13 +270,8 @@ impl ChannelWorkspace {
             statics: Lru::new(8, "rf.scene.cache.hit.local", "rf.scene.cache.miss.local"),
             rays: Lru::new(16, "rf.ray.cache.hit.local", "rf.ray.cache.miss.local"),
             ports: Lru::new(8, "rf.port.cache.hit.local", "rf.port.cache.miss.local"),
-            clock: 0,
+            curves: Lru::new(16, "rf.gain.cache.hit.local", "rf.gain.cache.miss.local"),
         }
-    }
-
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
     }
 
     pub(crate) fn static_response(
@@ -256,31 +279,33 @@ impl ChannelWorkspace {
         key: StaticKey,
         build: impl FnOnce() -> Vec<Cpx>,
     ) -> &[Cpx] {
-        let stamp = self.tick();
-        self.statics.get_or_build(key, stamp, build)
+        self.statics.get_or_build(key, build)
     }
 
     pub(crate) fn ray_tables(
         &mut self,
         key: RayKey,
-        build: impl FnOnce() -> RayTables,
+        build: impl FnOnce(&mut GainCurves) -> RayTables,
     ) -> &RayTables {
-        let stamp = self.tick();
-        self.rays.get_or_build(key, stamp, build)
+        let curves = &mut self.curves;
+        self.rays.get_or_build(key, || build(curves))
     }
 
     pub(crate) fn port_tables(
         &mut self,
         key: PortKey,
-        build: impl FnOnce() -> PortTables,
+        build: impl FnOnce(&mut GainCurves) -> PortTables,
     ) -> &PortTables {
-        let stamp = self.tick();
-        self.ports.get_or_build(key, stamp, build)
+        let curves = &mut self.curves;
+        self.ports.get_or_build(key, || build(curves))
     }
 
     /// Number of cached entries across all caches (test/diagnostic aid).
     pub fn cached_entries(&self) -> usize {
-        self.statics.entries.len() + self.rays.entries.len() + self.ports.entries.len()
+        self.statics.entries.len()
+            + self.rays.entries.len()
+            + self.ports.entries.len()
+            + self.curves.entries.len()
     }
 }
 
@@ -317,11 +342,11 @@ mod tests {
     #[test]
     fn lru_replaces_least_recently_used() {
         let mut lru: Lru<u64, u64> = Lru::new(2, "t.hit.local", "t.miss.local");
-        lru.get_or_build(1, 1, || 10);
-        lru.get_or_build(2, 2, || 20);
-        lru.get_or_build(1, 3, || 99); // hit: keeps 10
-        assert_eq!(*lru.get_or_build(1, 4, || 99), 10);
-        lru.get_or_build(3, 5, || 30); // evicts key 2 (stamp 2)
+        lru.get_or_build(1, || 10);
+        lru.get_or_build(2, || 20);
+        lru.get_or_build(1, || 99); // hit: keeps 10
+        assert_eq!(*lru.get_or_build(1, || 99), 10);
+        lru.get_or_build(3, || 30); // evicts key 2, the least recently used
         assert_eq!(lru.entries.len(), 2);
         assert!(lru.entries.iter().any(|e| e.key == 1));
         assert!(lru.entries.iter().any(|e| e.key == 3));

@@ -43,6 +43,40 @@ proptest! {
     }
 
     #[test]
+    fn fsa_gain_curve_matches_per_point_gain(
+        // Clamping an overhanging range puts θ exactly at ±90° in some
+        // cases.
+        deg in (-95.0f64..95.0).prop_map(|d| d.clamp(-90.0, 90.0)),
+        f_lo_ghz in 20.0f64..36.0,
+        // A width ≤ 0 is a degenerate band: one point at `f_lo`.
+        width_ghz in -1.0f64..4.0,
+        long in any::<bool>(),
+    ) {
+        let fsa = DualPortFsa::milback();
+        let theta = deg_to_rad(deg);
+        let f_lo = f_lo_ghz * 1e9;
+        let f_hi = f_lo + width_ghz * 1e9;
+        let (step, points) = if f_hi <= f_lo {
+            (1.0, 1)
+        } else {
+            ((f_hi - f_lo) / 2047.0, if long { 2048 } else { 1 })
+        };
+        for port in Port::BOTH {
+            let mut curve = vec![f64::NAN; points];
+            fsa.gain_curve_into(port, theta, f_lo, step, &mut curve);
+            for (i, g) in curve.iter().enumerate() {
+                let want = fsa.gain(port, theta, f_lo + i as f64 * step);
+                prop_assert_eq!(
+                    g.to_bits(),
+                    want.to_bits(),
+                    "{:?} θ={} point {} of {}: {} vs {}",
+                    port, theta, i, points, g, want
+                );
+            }
+        }
+    }
+
+    #[test]
     fn fsa_ports_are_mirrors(deg in -40.0f64..40.0, f_ghz in 26.5f64..29.5) {
         // G_A(θ, f) == G_B(−θ, f): the two feeds see mirrored worlds.
         let fsa = DualPortFsa::milback();

@@ -287,3 +287,89 @@ fn to_node_port_cache_is_transparent() {
         assert_eq!(cold.samples, warm.samples, "warm {port:?} render diverged");
     }
 }
+
+/// The gain-curve cache keys on (FSA, incidence, band), not on the
+/// steer: after a warm render at one steer, a render at another steer
+/// misses every ray table but hits every curve, and must still equal
+/// the uncached per-point reference bit for bit. The neighbours are
+/// chosen so a key missing a field collides: one shares the target's
+/// pose (so its incidence bits) on a different FSA, one shares the
+/// target's FSA at another incidence.
+#[test]
+fn gain_curves_are_shared_across_steers_and_keyed_on_fsa_and_incidence() {
+    use milback_rf::fsa::FsaConfig;
+    use milback_telemetry as telemetry;
+
+    let comp = test_component();
+    let n = comp.signal.len();
+    let fsa = DualPortFsa::milback();
+    let other_fsa = DualPortFsa::new(FsaConfig {
+        n_elements: 10,
+        ..FsaConfig::milback()
+    });
+    let target = Pose::facing_ap(3.0, deg_to_rad(4.0), deg_to_rad(7.0));
+    let gamma = square_runs(40e6, 0.0, &comp);
+    let parked = [GammaRun {
+        end: n,
+        gamma: [milback_dsp::num::Cpx::new(0.21, -0.05); 2],
+    }];
+    // (pose, FSA, Γ runs): the target first, then three parked
+    // neighbours.
+    let nodes: [(Pose, &DualPortFsa, &[GammaRun]); 4] = [
+        (target, &fsa, &gamma),
+        (target, &other_fsa, &parked),
+        (
+            Pose::facing_ap(2.4, deg_to_rad(-9.0), deg_to_rad(-11.0)),
+            &fsa,
+            &parked,
+        ),
+        (
+            Pose::facing_ap(4.2, deg_to_rad(13.0), deg_to_rad(2.0)),
+            &other_fsa,
+            &parked,
+        ),
+    ];
+    let interfaces = || nodes.map(|(pose, fsa, gamma)| NodeInterface { pose, fsa, gamma });
+
+    telemetry::set_enabled(true);
+    let hits = || {
+        telemetry::snapshot()
+            .counters
+            .get("rf.gain.cache.hit.local")
+            .copied()
+            .unwrap_or(0)
+    };
+    let hits_before = hits();
+    let mut ws = ChannelWorkspace::default();
+    let mut entries = Vec::new();
+    for steer_at in [target.position, Point::new(2.0, -1.5)] {
+        let mut scene = Scene::milback_indoor();
+        scene.steer_towards(&steer_at);
+        for rx_idx in 0..2 {
+            let fp = wave_fingerprint(&comp);
+            let mut out = Signal::zeros(comp.signal.fs, comp.signal.fc, 0);
+            let [target_if, neighbour_ifs @ ..] = interfaces();
+            let target_only = std::slice::from_ref(&target_if);
+            scene.monostatic_rx_multi_into(&mut ws, &comp, fp, target_only, rx_idx, &mut out);
+            for node in &neighbour_ifs {
+                scene.accumulate_backscatter_into(&mut ws, &comp, fp, node, rx_idx, &mut out);
+            }
+            let reference = scene.monostatic_rx_multi_uncached(&comp, &interfaces(), rx_idx);
+            if let Some(i) = (0..n).find(|&i| out.samples[i] != reference.samples[i]) {
+                panic!(
+                    "steer at {steer_at:?} rx{rx_idx}: sample {i} is {:?}, reference {:?}",
+                    out.samples[i], reference.samples[i]
+                );
+            }
+        }
+        entries.push(ws.cached_entries());
+    }
+    // The re-steer adds two static responses and eight ray tables (four
+    // nodes × two antennas) but no gain curve.
+    assert_eq!(
+        entries[1] - entries[0],
+        2 + 8,
+        "re-steer rebuilt gain curves"
+    );
+    assert!(hits() > hits_before, "no gain-curve cache hit was counted");
+}

@@ -113,6 +113,46 @@ fn absent_node_yields_no_fix() {
     assert!(net.localize().is_none(), "phantom node detected");
 }
 
+/// A Field-2 render needs a positive distance from every AP antenna to
+/// every node it draws. A node at the AP's TX antenna, a node with a NaN
+/// coordinate, and a parked interferer at the AP make both Field-2 entry
+/// points return `None` on entry — no panic, and no RNG draw, so the
+/// next draw matches a fresh network's.
+#[test]
+fn unrenderable_field2_poses_return_none_instead_of_panicking() {
+    use milback::Interferer;
+    use rand::Rng;
+    let at_ap = Pose::new(Point::new(0.0, 0.0), 0.0);
+    let nan = Pose::new(Point::new(f64::NAN, 1.0), 0.0);
+    let good = Pose::facing_ap(3.0, deg_to_rad(4.0), deg_to_rad(6.0));
+    let cases: [(&str, Pose, Option<Pose>); 3] = [
+        ("node at the AP", at_ap, None),
+        ("NaN node coordinate", nan, None),
+        ("interferer at the AP", good, Some(at_ap)),
+    ];
+    for (name, pose, interferer) in cases {
+        let fresh = |seed| {
+            let mut net = Network::new(pose, Fidelity::Fast, seed);
+            if let Some(itf) = interferer {
+                net.interferers.push(Interferer {
+                    pose: itf,
+                    fsa: net.node.fsa,
+                    gamma: net.node.parked_gamma(),
+                });
+            }
+            net
+        };
+        let mut net = fresh(2600);
+        assert!(net.localize().is_none(), "{name}: localize");
+        assert!(
+            net.sense_orientation_at_ap().is_none(),
+            "{name}: AP orientation"
+        );
+        let next: u64 = net.rng().gen();
+        assert_eq!(next, fresh(2600).rng().gen::<u64>(), "{name}: RNG advanced");
+    }
+}
+
 /// Uplink symbol rates beyond the switch's capability are rejected up
 /// front (§9.5's 160 Mbps cap) with a graceful `None` — not a panic,
 /// not silently mangled bytes.
