@@ -79,9 +79,12 @@ cargo run --release --offline -p milback-bench --bin bench_engine -- \
     --smoke --out target/bench_smoke.json >/dev/null
 
 echo "==> kernel perf gate (burst + range FFT vs committed baseline)"
-# Re-times just the localization burst and the range-FFT kernel at full
-# reps (matching how the baseline was recorded; ~4 s) and fails if
-# either regressed more than 10% against the committed BENCH_6.json,
+# First checks a host-independent work count: one warmed, untimed
+# localization burst must record the committed number and total size
+# of FFTs (DESIGN.md §17.3). Then re-times just the localization burst
+# and the range-FFT kernel at full reps (matching how the baseline was
+# recorded; ~4 s) and fails if either regressed more than 10% against
+# the committed BENCH_6.json (an unreadable baseline fails at once),
 # with bounded re-measures on a miss. The gate normalizes by the
 # calibration workload (DESIGN.md §17.3) only when the baseline records
 # timing_calibration.calib_us; BENCH_6.json does not, so this step

@@ -1,95 +1,64 @@
-//! Batch-engine, FFT-plan, per-kernel and allocation benchmark with an
-//! optional telemetry snapshot: times the workspace's performance layers
-//! and writes the result to the next free `BENCH_N.json`.
+//! The workspace's timing harness. Writes the next free `BENCH_N.json`
+//! (or `--out path`), in run order:
 //!
-//! Measurements:
+//! 1. bitwise checks, each panicking with the index of the first
+//!    differing sample: the uplink receiver's decimating FIR on a real
+//!    uplink capture against the full-rate filter plus stride, and a cold
+//!    fabric-style Field-2 burst (target plus three parked neighbours)
+//!    against the uncached per-point-gain render;
+//! 2. four determinism legs, each run at one worker and at the host's
+//!    thread count with identical outcomes and byte-identical telemetry
+//!    deterministic views asserted: `chaos` (sessions under sampled fault
+//!    plans, DESIGN.md §14), `serve` (a Poisson schedule past the virtual
+//!    server's capacity, §15, plus a steady-state epoch whose heap
+//!    allocations are counted), `net` (the 2-AP fabric density sweep with
+//!    drift, handoffs and interference, §16) and `adaptive` (the
+//!    adaptive-vs-fixed scenario sweep, §18; full runs require adaptive to
+//!    win under at least three scenarios and write
+//!    `results/adaptive_chaos.{csv,txt}`);
+//! 3. the batch engine at one worker against the host's thread count on
+//!    the Fig. 12a localization trial;
+//! 4. the transform core: the cached-plan FFT against an unplanned one,
+//!    `dechirp_into` and `forward_into` at the range-FFT size, waveform
+//!    synthesis against a template fetch, and the five-chirp localization
+//!    burst with its heap allocations (DESIGN.md §12);
+//! 5. channel synthesis: the cached workspace render against the uncached
+//!    reference (DESIGN.md §13), as one render and as a Field-2 burst,
+//!    then the warm end-to-end localization trial;
+//! 6. a short downlink + uplink link leg.
 //!
-//! 1. `serial` vs `parallel` — the batch engine at one worker thread (the
-//!    historical execution model) against the machine's thread count, on
-//!    a representative localization workload (the Fig. 12a trial —
-//!    dechirp, five range FFTs, background subtraction, peak search),
-//! 2. planned vs unplanned FFT — the cached-plan transform against a
-//!    rebuild-tables-every-call transform of the same 8192-point range
-//!    FFT (the dominant kernel of the trial),
-//! 3. per-kernel legs — the forms a session runs of the DSP hot-path
-//!    kernels (`dechirp_into`, `forward_into` at the range-FFT size),
-//!    plus Field-2 waveform synthesis against a template-cache fetch
-//!    with a bitwise-equality assert,
-//! 4. the five-chirp localization burst — `Localizer::process_with` on
-//!    a warmed workspace, with heap allocations per burst counted by
-//!    this binary's global allocator (DESIGN.md §12),
-//! 5. channel synthesis — the cached workspace render (static-scene
-//!    response + hoisted ray tables, DESIGN.md §13) against the uncached
-//!    reference, as a single monostatic render and as the full
-//!    five-chirp × two-antenna Field-2 burst, with a bitwise-equality
-//!    assert and allocation counts; plus the warm end-to-end
-//!    localization trial (render + process through every cache),
-//! 6. a short full-stack link leg — OAQFM downlink + uplink transfers
-//!    through the batch engine, so the telemetry snapshot covers the
-//!    node/proto/link stages too,
-//! 7. the serving soak (DESIGN.md §15) — a seeded Poisson schedule
-//!    through the session-serving engine's work-stealing pool, serially
-//!    and in parallel, asserting identical resolutions and
-//!    byte-identical deterministic telemetry views, then reporting
-//!    p50/p99 session latency and sessions/sec, plus a localize-only
-//!    soak whose steady-state epoch's heap allocations are counted
-//!    (expected: zero).
+//! The planned FFT, the waveform template and the cached channel renders
+//! are asserted bitwise equal to their references before they are timed.
+//! `--smoke` shrinks every rep count (the asserts still run).
 //!
-//! The engine is deterministic by construction; this binary also asserts
-//! that the parallel run's outputs equal the serial run's — and that the
-//! uplink receiver's decimating FIR stages on a real uplink capture, a
-//! cold fabric-style Field-2 burst (target plus three parked
-//! neighbours), the planned FFT, the waveform templates and the cached
-//! channel renders are bitwise identical to the full-rate filter plus
-//! stride, the uncached per-point-gain render, the unplanned, freshly
-//! synthesized and uncached references — before timings are reported.
+//! `--kernels-only` runs the transform core alone. With `--check-against
+//! BENCH_N.json` it is the CI kernel gate: one warmed, untimed burst must
+//! run the recorded number and total size of FFTs (a host-independent
+//! work count), then the range FFT and the burst must be within 10% of
+//! the baseline's timings, with up to two re-measures (DESIGN.md §17.3).
 //!
-//! Output naming: without `--out`, the binary scans the working directory
-//! for existing `BENCH_<n>.json` files and writes to the next free index,
-//! so successive runs never clobber earlier results. `--smoke` shrinks
-//! every rep count to a CI-friendly size (the asserts still run; the
-//! timings are then only indicative).
+//! `--leg <name>` runs one determinism leg; `--view <path>` writes its
+//! deterministic view, which ci.sh compares across `MILBACK_THREADS=1`
+//! and `=4`.
 //!
-//! Telemetry: with `MILBACK_TELEMETRY=1` (see README §Observability), the
-//! registry is reset after warm-up and the end-of-run snapshot is
-//! embedded under the `"telemetry"` key of the output JSON — per-stage
-//! counters and histograms from `dsp` (plan cache, workspace reuse), `ap`
-//! (localization), `node`/`proto` (demod, CRC), and `core` (batch, link).
-//! Without the variable the key is `null` and the instrumented code paths
-//! take their no-op branches.
+//! With `MILBACK_TELEMETRY=1` (README §Observability) the registry is
+//! reset after warm-up and the snapshot of the measured region is
+//! embedded under the report's `"telemetry"` key; otherwise it is `null`.
 //!
 //! Usage: `cargo run --release -p milback-bench --bin bench_engine
 //! [-- --smoke] [-- --out path.json] [-- --leg <chaos|serve|net|adaptive>
 //! [--view path]] [-- --kernels-only [--check-against BENCH_N.json]]`.
-//!
-//! Four determinism legs run ahead of the measured region, each serially
-//! and at the host's thread count, asserting identical outcomes and
-//! byte-identical telemetry deterministic views inside one process:
-//!
-//! * `chaos` — supervised sessions under sampled fault plans (DESIGN.md
-//!   §14),
-//! * `serve` — a seeded Poisson schedule past the virtual server's
-//!   capacity through the serving engine (§15),
-//! * `net` — the dense-network fabric swept across node densities: two
-//!   APs, slotted polling rounds with drift, handoffs and
-//!   parked-neighbor interference (§16),
-//! * `adaptive` — the adaptive-vs-fixed scenario sweep of the closed-loop
-//!   link controller (§18).
-//!
-//! `--leg <name>` runs just that leg and exits; `--view <path>` then
-//! writes its deterministic view (no wall-clock content), so two
-//! invocations can be compared byte-for-byte. ci.sh runs every leg at
-//! `MILBACK_THREADS=1` and `=4` and `cmp`s the two files.
 
-use milback::adaptation::{adaptive_sweep_with_threads, AdaptiveComparison};
+use milback::adaptation::adaptive_sweep_with_threads;
 use milback::batch;
 use milback::chaos::{chaos_sweep_with_threads, default_points};
-use milback::net::{density_sweep, NetConfig};
+use milback::net::{density_sweep, DensityPoint, NetConfig};
 use milback::serve::roster;
 use milback::{Fidelity, Network, ServeConfig, ServeEngine, TrafficConfig, TrafficSchedule};
 use milback_ap::uplink::{anti_alias_fir, UplinkReceiver};
 use milback_ap::waveform::TxConfig;
 use milback_ap::workspace::DspWorkspace;
+use milback_ap::Localizer;
 use milback_dsp::num::Cpx;
 use milback_dsp::par;
 use milback_dsp::plan::{with_plan, FftPlan};
@@ -102,11 +71,13 @@ use milback_rf::geometry::{deg_to_rad, Pose};
 use milback_rf::{wave_fingerprint, ChannelWorkspace};
 use milback_telemetry as telemetry;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::fmt::Debug;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// A pass-through allocator that counts heap acquisitions, so the burst
-/// leg can report allocations-per-burst alongside the timings. Matches
+/// A pass-through allocator that counts heap acquisitions, so the timed
+/// legs can report allocations per call alongside the timings. Matches
 /// the accounting in `tests/zero_alloc.rs`: `alloc`, `alloc_zeroed` and
 /// `realloc` each count one; `dealloc` is free.
 struct CountingAlloc;
@@ -141,6 +112,45 @@ fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// Master seed of the engine, kernel and channel legs.
+const SEED: u64 = 0xB16B_00B5;
+
+/// Timing passes per gated kernel; the fastest pass is reported. Min-of-N
+/// is the standard estimator for true kernel cost on a shared host —
+/// external interference only ever adds time — and it is what keeps the
+/// CI regression gate (`--check-against`) from flaking on scheduler
+/// noise.
+const TIMING_PASSES: usize = 3;
+
+/// Runs `f` `reps` times per pass for `passes` passes. Returns the
+/// fastest pass's seconds per call and the heap allocations per call,
+/// counted across all passes (they are deterministic per call, so the
+/// division is exact).
+fn time_calls(passes: usize, reps: usize, mut f: impl FnMut()) -> (f64, u64) {
+    let a0 = alloc_count();
+    let mut best = f64::INFINITY;
+    for _ in 0..passes {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            f();
+        }
+        best = best.min(t0.elapsed().as_secs_f64() / reps as f64);
+    }
+    (best, (alloc_count() - a0) / (passes * reps) as u64)
+}
+
+/// Asserts that `got` and `want` hold the same samples bit for bit
+/// (`0.0` and `-0.0` differ) and panics with `what` and the index of
+/// the first sample that differs.
+fn assert_bitwise(what: &str, got: &[Cpx], want: &[Cpx]) {
+    assert_eq!(got.len(), want.len(), "{what}: length differs");
+    let bits = |c: &Cpx| (c.re.to_bits(), c.im.to_bits());
+    if let Some(i) = got.iter().zip(want).position(|(a, b)| bits(a) != bits(b)) {
+        let (got, want) = (got[i], want[i]);
+        panic!("{what} diverged at sample {i}: {got:?} vs {want:?}");
+    }
+}
+
 /// One Fig.-12a-style trial: localize a node at 3 m with per-trial noise.
 fn trial(t: batch::Trial) -> Option<u64> {
     let phi = deg_to_rad((t.index as f64 % 19.0) - 9.0);
@@ -162,6 +172,8 @@ fn link_trial(t: batch::Trial) -> u64 {
         + ul.map(|r| r.bit_errors as u64).unwrap_or(u64::MAX / 2)
 }
 
+/// A finite float as 6-decimal JSON, `null` otherwise (bare `inf` or
+/// `NaN` is not valid JSON).
 fn json_f(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.6}")
@@ -170,42 +182,63 @@ fn json_f(v: f64) -> String {
     }
 }
 
+/// Runs `run` at one worker and at `threads`, each after a telemetry
+/// reset, and asserts that the two runs agree through `project` and
+/// that their telemetry deterministic views are byte-identical. Returns
+/// both outcomes, their wall times and the (shared) view. Resets
+/// telemetry; callers run it outside their own measured region.
+fn serial_vs_parallel<T, K: PartialEq + Debug>(
+    leg: &str,
+    threads: usize,
+    run: impl Fn(usize) -> T,
+    project: impl Fn(&T) -> K,
+) -> (T, T, [f64; 2], String) {
+    let side = |t| {
+        telemetry::reset();
+        let t0 = Instant::now();
+        let out = run(t);
+        let wall_s = t0.elapsed().as_secs_f64();
+        let view = telemetry::snapshot().deterministic_view().to_json(2);
+        (out, wall_s, view)
+    };
+    let (serial, serial_s, view) = side(1);
+    let (parallel, parallel_s, parallel_view) = side(threads);
+    assert_eq!(
+        project(&serial),
+        project(&parallel),
+        "{leg} leg lost determinism across thread counts"
+    );
+    assert_eq!(
+        view, parallel_view,
+        "{leg} telemetry deterministic views diverged"
+    );
+    (serial, parallel, [serial_s, parallel_s], view)
+}
+
+/// Writes a leg's deterministic view to `path`, when one was given.
+fn write_view(leg: &str, path: Option<&str>, view: &str) {
+    if let Some(path) = path {
+        std::fs::write(path, view)
+            .unwrap_or_else(|e| panic!("failed to write {leg} deterministic view: {e}"));
+        println!("{leg} leg: wrote deterministic view to {path}");
+    }
+}
+
 /// The chaos leg (DESIGN.md §14): a small chaos sweep run serially and
-/// in parallel. Asserts per-trial outcome equality and byte-identical
-/// telemetry deterministic views, optionally writing the serial view to
-/// `view_path` for cross-process comparison. Returns the JSON fragment
-/// for the report. Resets telemetry; callers run it outside their own
-/// measured region.
+/// in parallel, with per-trial outcomes and telemetry views compared.
+/// Returns the JSON fragment for the report.
 fn chaos_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     let points = default_points();
     let trials = if smoke { 3 } else { 12 };
     let seed = 0xC4A0_5EED;
 
-    telemetry::reset();
-    let t0 = Instant::now();
-    let serial = chaos_sweep_with_threads(&points, trials, seed, 1);
-    let serial_s = t0.elapsed().as_secs_f64();
-    let serial_view = telemetry::snapshot().deterministic_view().to_json(2);
-
-    telemetry::reset();
-    let t0 = Instant::now();
-    let parallel = chaos_sweep_with_threads(&points, trials, seed, threads);
-    let parallel_s = t0.elapsed().as_secs_f64();
-    let parallel_view = telemetry::snapshot().deterministic_view().to_json(2);
-
-    assert_eq!(
-        serial, parallel,
-        "chaos sweep lost determinism across thread counts"
+    let (serial, _, [serial_s, parallel_s], view) = serial_vs_parallel(
+        "chaos",
+        threads,
+        |t| chaos_sweep_with_threads(&points, trials, seed, t),
+        Clone::clone,
     );
-    assert_eq!(
-        serial_view, parallel_view,
-        "chaos telemetry deterministic views diverged"
-    );
-
-    if let Some(path) = view_path {
-        std::fs::write(path, &serial_view).expect("failed to write chaos deterministic view");
-        println!("chaos leg: wrote deterministic view to {path}");
-    }
+    write_view("chaos", view_path, &view);
 
     let flat: Vec<_> = serial.iter().flatten().collect();
     let delivered = flat.iter().filter(|o| o.delivered).count();
@@ -231,14 +264,11 @@ fn chaos_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
 /// The serving soak (DESIGN.md §15): a seeded Poisson schedule of mixed
 /// sessions — offered load past the virtual server's capacity, so the
 /// shedding policy engages — served by the work-stealing pool serially
-/// and at `threads` workers. Asserts identical resolution sequences,
-/// identical outcome digests and byte-identical deterministic telemetry
-/// views, optionally writing the serial view to `view_path` for
-/// cross-process comparison, then reports p50/p99 session latency and
+/// and at `threads` workers, with resolution sequences, outcome digests
+/// and telemetry views compared; then p50/p99 session latency and
 /// sessions/sec from the parallel epoch. A second, localize-only soak
 /// measures steady-state heap allocations on a repeat epoch (expected:
-/// zero). Returns the JSON fragment for the report. Resets telemetry;
-/// callers run it outside their own measured region.
+/// zero). Returns the JSON fragment for the report.
 fn serve_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     let traffic = TrafficConfig {
         nodes: 4,
@@ -252,34 +282,17 @@ fn serve_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     let poses = roster(traffic.nodes, seed);
     let cfg = ServeConfig::milback();
 
-    telemetry::reset();
-    let mut serial_engine = ServeEngine::new(&poses, cfg);
-    let serial = serial_engine.serve_schedule(&schedule, 1);
-    let serial_view = telemetry::snapshot().deterministic_view().to_json(2);
-
-    telemetry::reset();
-    let mut parallel_engine = ServeEngine::new(&poses, cfg);
-    let parallel = parallel_engine.serve_schedule(&schedule, threads);
-    let parallel_view = telemetry::snapshot().deterministic_view().to_json(2);
-
-    assert_eq!(
-        serial_engine.resolutions(),
-        parallel_engine.resolutions(),
-        "serving soak lost determinism across thread counts"
+    let ((_, serial), (_, parallel), _, view) = serial_vs_parallel(
+        "serve",
+        threads,
+        |t| {
+            let mut engine = ServeEngine::new(&poses, cfg);
+            let report = engine.serve_schedule(&schedule, t);
+            (engine, report)
+        },
+        |(engine, report)| (engine.resolutions().to_vec(), report.outcome_digest),
     );
-    assert_eq!(
-        serial.outcome_digest, parallel.outcome_digest,
-        "serving soak outcome digests diverged"
-    );
-    assert_eq!(
-        serial_view, parallel_view,
-        "serving telemetry deterministic views diverged"
-    );
-
-    if let Some(path) = view_path {
-        std::fs::write(path, &serial_view).expect("failed to write serve deterministic view");
-        println!("serve leg: wrote deterministic view to {path}");
-    }
+    write_view("serve", view_path, &view);
 
     println!(
         "serve leg: {} sessions, {} nodes, {:.0} Hz offered (load past capacity)",
@@ -319,13 +332,13 @@ fn serve_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     let soak_schedule = TrafficSchedule::generate(&soak_traffic, seed ^ 0xA110C);
     let mut soak_engine = ServeEngine::new(&roster(soak_traffic.nodes, seed ^ 0xA110C), cfg);
     let warm = soak_engine.serve_schedule(&soak_schedule, 1);
-    let a0 = alloc_count();
-    let steady = soak_engine.serve_schedule(&soak_schedule, 1);
-    let steady_allocs = alloc_count() - a0;
-    assert_eq!(
-        warm.outcome_digest, steady.outcome_digest,
-        "serving soak epochs diverged"
-    );
+    let (_, steady_allocs) = time_calls(1, 1, || {
+        let steady = soak_engine.serve_schedule(&soak_schedule, 1);
+        assert_eq!(
+            warm.outcome_digest, steady.outcome_digest,
+            "serving soak epochs diverged"
+        );
+    });
     println!(
         "  steady-state epoch ({} localize sessions): {steady_allocs} heap allocations",
         soak_traffic.sessions
@@ -356,13 +369,10 @@ fn serve_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
 /// The net leg (DESIGN.md §16): the dense-network fabric swept across
 /// node densities — two APs, two slotted polling rounds per density,
 /// per-round drift, handoffs and parked-neighbor interference — run
-/// serially and at `threads` workers. Asserts that every deterministic
-/// per-density field (digest, delivery counts, goodput) is identical
-/// across thread counts and that the telemetry deterministic views are
-/// byte-identical, optionally writing a deterministic per-density table
-/// plus the view to `view_path` for cross-process comparison. Reports
-/// sessions/sec and aggregate goodput per density. Resets telemetry;
-/// callers run it outside their own measured region.
+/// serially and at `threads` workers, with every deterministic
+/// per-density field and the telemetry views compared. Its view is a
+/// per-density table followed by the telemetry view. Reports
+/// sessions/sec and aggregate goodput per density.
 fn net_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     let densities: &[usize] = if smoke { &[4, 8, 16] } else { &[10, 100, 1000] };
     let (n_aps, spacing_m, rounds) = (2, 4.0, 2);
@@ -372,56 +382,38 @@ fn net_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     };
     let seed = 0xDE4E_5EED;
 
-    telemetry::reset();
-    let serial = density_sweep(densities, n_aps, spacing_m, rounds, cfg, seed, 1);
-    let serial_view = telemetry::snapshot().deterministic_view().to_json(2);
-
-    telemetry::reset();
-    let parallel = density_sweep(densities, n_aps, spacing_m, rounds, cfg, seed, threads);
-    let parallel_view = telemetry::snapshot().deterministic_view().to_json(2);
-
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.digest, p.digest, "density {} digest diverged", s.nodes);
-        assert_eq!(s.completed, p.completed);
-        assert_eq!(s.delivered, p.delivered);
-        assert_eq!(s.fixes, p.fixes);
-        assert_eq!(s.handoffs, p.handoffs);
-        assert_eq!(s.overruns, p.overruns);
-        assert_eq!(s.delivered_bits, p.delivered_bits);
-        assert_eq!(s.goodput_bps.to_bits(), p.goodput_bps.to_bits());
-    }
-    assert_eq!(
-        serial_view, parallel_view,
-        "net telemetry deterministic views diverged"
+    // One deterministic-view row per density; with the goodput's bits it
+    // is what the serial and parallel sweeps must agree on.
+    let row = |p: &DensityPoint| {
+        format!(
+            "nodes={} aps={} rounds={} sessions={} completed={} delivered={} fixes={} \
+             handoffs={} overruns={} bits={} goodput_bps={} digest={:#018x}\n",
+            p.nodes,
+            p.aps,
+            p.rounds,
+            p.sessions,
+            p.completed,
+            p.delivered,
+            p.fixes,
+            p.handoffs,
+            p.overruns,
+            p.delivered_bits,
+            json_f(p.goodput_bps),
+            p.digest,
+        )
+    };
+    let witness = |p: &DensityPoint| (row(p), p.goodput_bps.to_bits());
+    let (serial, parallel, _, view) = serial_vs_parallel(
+        "net",
+        threads,
+        |t| density_sweep(densities, n_aps, spacing_m, rounds, cfg, seed, t),
+        |points| points.iter().map(witness).collect::<Vec<_>>(),
     );
 
-    // The view file holds only deterministic content: the per-density
-    // table and the telemetry view, so two runs at different thread
-    // counts (or in different processes) must produce identical bytes.
-    if let Some(path) = view_path {
-        let mut table = String::from("dense-network density sweep (deterministic view)\n");
-        for p in &serial {
-            table.push_str(&format!(
-                "nodes={} aps={} rounds={} sessions={} completed={} delivered={} fixes={} \
-                 handoffs={} overruns={} bits={} goodput_bps={} digest={:#018x}\n",
-                p.nodes,
-                p.aps,
-                p.rounds,
-                p.sessions,
-                p.completed,
-                p.delivered,
-                p.fixes,
-                p.handoffs,
-                p.overruns,
-                p.delivered_bits,
-                json_f(p.goodput_bps),
-                p.digest,
-            ));
-        }
-        table.push_str(&serial_view);
-        std::fs::write(path, &table).expect("failed to write net deterministic view");
-        println!("net leg: wrote deterministic view to {path}");
-    }
+    let mut table = String::from("dense-network density sweep (deterministic view)\n");
+    table.extend(serial.iter().map(row));
+    table.push_str(&view);
+    write_view("net", view_path, &table);
 
     println!("net leg: {n_aps} APs, {rounds} rounds/density, densities {densities:?}");
     let mut points = Vec::new();
@@ -464,40 +456,6 @@ fn net_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     )
 }
 
-/// A finite float as 6-decimal JSON, `null` otherwise (the fixed arm
-/// of a scenario that delivers nothing has infinite energy-per-byte,
-/// and bare `inf` is not valid JSON).
-fn json_f_or_null(v: f64) -> String {
-    if v.is_finite() {
-        json_f(v)
-    } else {
-        "null".to_string()
-    }
-}
-
-/// One adaptive-leg CSV row (also reused for the deterministic view).
-fn adaptive_csv_row(scenario: &str, variant: &str, o: &milback::AdaptiveOutcome) -> String {
-    let epb = o.energy_per_byte_uj();
-    format!(
-        "{scenario},{variant},{},{},{},{},{},{},{},{},{},{},{}\n",
-        o.sessions_ok + o.sessions_failed,
-        o.delivered_bytes,
-        o.offered_bytes,
-        o.sessions_failed,
-        json_f(o.elapsed_s),
-        json_f(o.energy_uj),
-        json_f(o.goodput_kbps()),
-        if epb.is_finite() {
-            json_f(epb)
-        } else {
-            "inf".to_string()
-        },
-        o.ook_sessions,
-        o.trimmed_sessions,
-        o.slowed_sessions,
-    )
-}
-
 const ADAPTIVE_CSV_HEADER: &str = "scenario,variant,sessions,delivered_bytes,offered_bytes,\
      sessions_failed,elapsed_s,energy_uj,goodput_kbps,energy_per_byte_uj,ook_sessions,\
      trimmed_sessions,slowed_sessions\n";
@@ -505,20 +463,20 @@ const ADAPTIVE_CSV_HEADER: &str = "scenario,variant,sessions,delivered_bytes,off
 /// Adaptive-link leg: the closed-loop [`milback::LinkPolicy`] controller
 /// against the fixed configuration across the §14 fault menagerie
 /// (DESIGN.md §18). Runs the paired sweep serially and at `threads`
-/// workers, asserts the comparisons are identical (thread invariance),
-/// and in full (non-smoke) runs writes `results/adaptive_chaos.{csv,txt}`
-/// and requires adaptive to win on both metrics under >= 3 scenarios.
+/// workers, asserts the comparisons and telemetry views are identical
+/// (thread invariance), and in full (non-smoke) runs writes
+/// `results/adaptive_chaos.{csv,txt}` and requires adaptive to win on
+/// both metrics under >= 3 scenarios.
 fn adaptive_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     let (n_sessions, trials) = if smoke { (6, 1) } else { (20, 2) };
     let seed = 0xADA9_7001;
 
-    let t0 = Instant::now();
-    let serial = adaptive_sweep_with_threads(n_sessions, trials, seed, 1);
-    let serial_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let parallel = adaptive_sweep_with_threads(n_sessions, trials, seed, threads);
-    let parallel_s = t0.elapsed().as_secs_f64();
-    assert_eq!(serial, parallel, "adaptive sweep lost thread invariance");
+    let (serial, _, [serial_s, parallel_s], _) = serial_vs_parallel(
+        "adaptive",
+        threads,
+        |t| adaptive_sweep_with_threads(n_sessions, trials, seed, t),
+        Clone::clone,
+    );
 
     let mut csv = String::from(ADAPTIVE_CSV_HEADER);
     let mut table = String::from(
@@ -528,19 +486,31 @@ fn adaptive_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String 
     let mut wins = 0usize;
     for c in &serial {
         let name = c.scenario.name();
-        csv.push_str(&adaptive_csv_row(name, "fixed", &c.fixed));
-        csv.push_str(&adaptive_csv_row(name, "adaptive", &c.adaptive));
         for (variant, o) in [("fixed", &c.fixed), ("adaptive", &c.adaptive)] {
-            table.push_str(&format!(
-                "{name:<17} {variant:<9} {:>5}/{:<5}  {:>12}  {:>11}  {:>3} {:>4} {:>4}\n",
+            // An arm that delivered nothing has infinite energy per byte.
+            let epb = o.energy_per_byte_uj();
+            let epb = if epb.is_finite() {
+                json_f(epb)
+            } else {
+                "inf".to_string()
+            };
+            let goodput = json_f(o.goodput_kbps());
+            csv.push_str(&format!(
+                "{name},{variant},{},{},{},{},{},{},{goodput},{epb},{},{},{}\n",
+                o.sessions_ok + o.sessions_failed,
                 o.delivered_bytes,
                 o.offered_bytes,
-                json_f(o.goodput_kbps()),
-                if o.energy_per_byte_uj().is_finite() {
-                    json_f(o.energy_per_byte_uj())
-                } else {
-                    "inf".to_string()
-                },
+                o.sessions_failed,
+                json_f(o.elapsed_s),
+                json_f(o.energy_uj),
+                o.ook_sessions,
+                o.trimmed_sessions,
+                o.slowed_sessions,
+            ));
+            table.push_str(&format!(
+                "{name:<17} {variant:<9} {:>5}/{:<5}  {goodput:>12}  {epb:>11}  {:>3} {:>4} {:>4}\n",
+                o.delivered_bytes,
+                o.offered_bytes,
                 o.ook_sessions,
                 o.trimmed_sessions,
                 o.slowed_sessions,
@@ -576,15 +546,11 @@ fn adaptive_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String 
 
     // Deterministic view: CSV + table only (no wall timings), so two
     // runs at any thread counts must produce identical bytes.
-    if let Some(path) = view_path {
-        let view = format!("{csv}\n{table}");
-        std::fs::write(path, &view).expect("failed to write adaptive deterministic view");
-        println!("adaptive leg: wrote deterministic view to {path}");
-    }
+    write_view("adaptive", view_path, &format!("{csv}\n{table}"));
 
     let scenario_json: Vec<String> = serial
         .iter()
-        .map(|c: &AdaptiveComparison| {
+        .map(|c| {
             let fixed = &c.fixed;
             let adaptive = &c.adaptive;
             format!(
@@ -594,12 +560,12 @@ fn adaptive_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String 
                 fixed.offered_bytes,
                 fixed.sessions_failed,
                 json_f(fixed.goodput_kbps()),
-                json_f_or_null(fixed.energy_per_byte_uj()),
+                json_f(fixed.energy_per_byte_uj()),
                 adaptive.delivered_bytes,
                 adaptive.offered_bytes,
                 adaptive.sessions_failed,
                 json_f(adaptive.goodput_kbps()),
-                json_f_or_null(adaptive.energy_per_byte_uj()),
+                json_f(adaptive.energy_per_byte_uj()),
                 adaptive.ook_sessions,
                 adaptive.trimmed_sessions,
                 adaptive.slowed_sessions,
@@ -614,33 +580,22 @@ fn adaptive_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String 
     )
 }
 
-/// The next free `BENCH_<n>.json` name in `dir`: one past the highest
-/// existing index (starting at 1).
-fn next_bench_path(dir: &std::path::Path) -> String {
-    let mut max = 0u64;
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(num) = name
-                .strip_prefix("BENCH_")
-                .and_then(|rest| rest.strip_suffix(".json"))
-            {
-                if let Ok(n) = num.parse::<u64>() {
-                    max = max.max(n);
-                }
-            }
-        }
-    }
+/// The next free `BENCH_<n>.json` name in the working directory: one
+/// past the highest existing index (starting at 1).
+fn next_bench_path() -> String {
+    let index = |name: &str| {
+        name.strip_prefix("BENCH_")?
+            .strip_suffix(".json")?
+            .parse()
+            .ok()
+    };
+    let entries = std::fs::read_dir(".").into_iter().flatten().flatten();
+    let max: u64 = entries
+        .filter_map(|e| index(e.file_name().to_str()?))
+        .max()
+        .unwrap_or(0);
     format!("BENCH_{}.json", max + 1)
 }
-
-/// Timing passes per timed side; the fastest pass is reported. Min-of-N
-/// is the standard estimator for true kernel cost on a shared host —
-/// external interference only ever adds time — and it is what keeps the
-/// CI regression gate (`--check-against`) from flaking on scheduler
-/// noise.
-const TIMING_PASSES: usize = 3;
 
 /// Fixed pure-FP calibration workload, min-of-5 µs: a recurrence swept
 /// over a 64 Ki buffer, independent of every library kernel. Its wall
@@ -653,9 +608,7 @@ fn calibration_us() -> f64 {
     const N: usize = 1 << 16;
     const SWEEPS: usize = 16;
     let mut buf: Vec<f64> = (0..N).map(|i| (i as f64 * 0.001).sin()).collect();
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let t0 = Instant::now();
+    let (best_s, _) = time_calls(5, 1, || {
         for _ in 0..SWEEPS {
             let mut acc = 0.0f64;
             for v in buf.iter_mut() {
@@ -664,24 +617,9 @@ fn calibration_us() -> f64 {
             }
             std::hint::black_box(acc);
         }
-        best = best.min(t0.elapsed().as_secs_f64() * 1e6);
         std::hint::black_box(&mut buf);
-    }
-    best
-}
-
-/// One timed kernel: runs `f` `reps` times per pass and returns the
-/// fastest pass's µs per call.
-fn time_us(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..TIMING_PASSES {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        best = best.min(t0.elapsed().as_secs_f64() / reps as f64 * 1e6);
-    }
-    best
+    });
+    best_s * 1e6
 }
 
 /// A kernel's JSON entry: its workload and rep count, then each
@@ -700,16 +638,11 @@ fn kernel_json(name: &str, desc: &str, reps: usize, fields: &[(&str, String)]) -
 /// transform-core region that `--kernels-only` runs on its own (and that
 /// `--check-against` gates on).
 struct CoreLegs {
-    plan_n: usize,
-    plan_reps: usize,
-    unplanned_s: f64,
-    planned_s: f64,
-    plan_bitwise: bool,
-    kernels_json: String,
-    fft_fast_us: f64,
-    burst_reps: usize,
-    burst_ws_s: f64,
-    burst_ws_allocs: u64,
+    /// The `fft_plan`, `kernels` and `localization_burst` report entries.
+    json: String,
+    /// The gated timings, in `GATED` order: range-FFT µs per call and
+    /// burst ms per burst.
+    gated: [f64; 2],
     /// Host-speed reference measured in the same invocation (min of a
     /// pass before the kernel legs and one after the burst leg), µs.
     calib_us: f64,
@@ -736,22 +669,81 @@ fn check_uplink_decimation(seed: u64) -> usize {
         fir.apply_into(&stream, &mut full);
         fir.decimate_into(&stream, factor, &mut decimated);
         let strided: Vec<Cpx> = full.iter().step_by(factor).copied().collect();
-        let stage = format!("uplink decimation stage {stages} (x{factor} from {fs} S/s)");
-        assert_eq!(decimated.len(), strided.len(), "{stage}: length differs");
-        let same = |(a, b): (&Cpx, &Cpx)| {
-            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
-        };
-        if let Some(i) = decimated.iter().zip(&strided).position(|p| !same(p)) {
-            panic!(
-                "{stage} diverged from filter + stride at output {i}: {:?} vs {:?}",
-                decimated[i], strided[i]
-            );
-        }
+        assert_bitwise(
+            &format!(
+                "uplink decimation stage {stages} (x{factor} from {fs} S/s) vs filter + stride"
+            ),
+            &decimated,
+            &strided,
+        );
         (fs, stream) = (new_fs, strided);
         stages += 1;
     }
     assert!(stages > 0, "uplink capture at {fs} S/s needs no decimation");
     stages
+}
+
+/// One node's five-chirp Field-2 localization burst as the channel
+/// renders it: the AP's sawtooth chirp and, per chirp, the node's Γ runs
+/// (port A square-wave modulated, port B absorptive). The cache never
+/// keys on Γ: the runs are replayed on every render, hit or miss.
+struct LocBurst<'a> {
+    net: &'a Network,
+    comp: TxComponent,
+    chirp_s: f64,
+}
+
+impl<'a> LocBurst<'a> {
+    fn new(net: &'a Network) -> Self {
+        let mut cfg = net.fidelity.sawtooth();
+        cfg.amplitude = net.ap.tx.amplitude();
+        let comp = TxComponent {
+            signal: cfg.sawtooth(),
+            profile: FreqProfile::Sawtooth(cfg),
+        };
+        Self {
+            net,
+            comp,
+            chirp_s: cfg.duration,
+        }
+    }
+
+    /// Fills `runs` with the node's Γ over chirp `chirp` of the burst.
+    fn fill_runs(&self, chirp: usize, runs: &mut Vec<GammaRun>) {
+        let sched_a = SwitchSchedule::SquareWave {
+            freq_hz: self.net.fidelity.localization_mod_freq(),
+            first: SwitchState::Reflective,
+        };
+        let sched_b = SwitchSchedule::Constant(SwitchState::Absorptive);
+        let gamma = |state| self.net.node.switch.gamma(state);
+        let t_off = chirp as f64 * self.chirp_s;
+        let (fs, n) = (self.comp.signal.fs, self.comp.signal.len());
+        fill_gamma_runs(&sched_a, &sched_b, gamma, t_off, fs, n, runs);
+    }
+
+    /// A node carrying this network's FSA at `pose`, with Γ `runs`.
+    fn node<'b>(&'b self, pose: Pose, runs: &'b [GammaRun]) -> NodeInterface<'b> {
+        NodeInterface {
+            pose,
+            fsa: &self.net.node.fsa,
+            gamma: runs,
+        }
+    }
+
+    /// Every capture of the burst: per chirp, fills `runs` and calls
+    /// `render(chirp, antenna, runs)` for both RX antennas.
+    fn for_each_capture(
+        &self,
+        runs: &mut Vec<GammaRun>,
+        mut render: impl FnMut(usize, usize, &[GammaRun]),
+    ) {
+        for chirp in 0..5 {
+            self.fill_runs(chirp, runs);
+            for ant in 0..2 {
+                render(chirp, ant, runs);
+            }
+        }
+    }
 }
 
 /// Asserts that a cold fabric-style Field-2 burst is bitwise the
@@ -764,78 +756,80 @@ fn check_uplink_decimation(seed: u64) -> usize {
 /// then shared across chirps, antennas and nodes; the reference
 /// evaluates every gain point per point. Returns the captures checked.
 fn check_fabric_burst(seed: u64) -> usize {
-    let target = Pose::facing_ap(3.2, deg_to_rad(-6.0), deg_to_rad(9.0));
-    let net = Network::new(target, Fidelity::Fast, seed);
-    let mut cfg = net.fidelity.sawtooth();
-    cfg.amplitude = net.ap.tx.amplitude();
-    let comp = TxComponent {
-        signal: cfg.sawtooth(),
-        profile: FreqProfile::Sawtooth(cfg),
-    };
-    let (fs, n) = (comp.signal.fs, comp.signal.len());
-    let fp = wave_fingerprint(&comp);
-    let sched_a = SwitchSchedule::SquareWave {
-        freq_hz: net.fidelity.localization_mod_freq(),
-        first: SwitchState::Reflective,
-    };
-    let sched_b = SwitchSchedule::Constant(SwitchState::Absorptive);
-    let parked = [GammaRun {
-        end: n,
-        gamma: net.node.parked_gamma(),
-    }];
-    let neighbours = [
+    let poses = [
+        Pose::facing_ap(3.2, deg_to_rad(-6.0), deg_to_rad(9.0)),
         Pose::facing_ap(2.6, deg_to_rad(4.0), deg_to_rad(-7.0)),
         Pose::facing_ap(4.1, deg_to_rad(-14.0), deg_to_rad(3.0)),
         Pose::facing_ap(3.6, deg_to_rad(11.0), deg_to_rad(15.0)),
     ];
+    let net = Network::new(poses[0], Fidelity::Fast, seed);
+    let burst = LocBurst::new(&net);
+    let (comp, fp) = (&burst.comp, wave_fingerprint(&burst.comp));
+    let parked = [GammaRun {
+        end: comp.signal.len(),
+        gamma: net.node.parked_gamma(),
+    }];
     let mut cw = ChannelWorkspace::default();
-    let mut runs = Vec::new();
-    let mut out = Signal::zeros(fs, comp.signal.fc, 0);
+    let mut out = Signal::zeros(comp.signal.fs, comp.signal.fc, 0);
     let mut captures = 0;
-    for chirp in 0..5 {
-        let gamma = |state| net.node.switch.gamma(state);
-        let t_off = chirp as f64 * cfg.duration;
-        fill_gamma_runs(&sched_a, &sched_b, gamma, t_off, fs, n, &mut runs);
-        let node = |pose, gamma| NodeInterface {
-            pose,
-            fsa: &net.node.fsa,
-            gamma,
-        };
-        let all = [
-            node(target, &runs[..]),
-            node(neighbours[0], &parked),
-            node(neighbours[1], &parked),
-            node(neighbours[2], &parked),
-        ];
-        let [target_if, parked_ifs @ ..] = &all;
-        for ant in 0..2 {
-            let only = std::slice::from_ref(target_if);
+    burst.for_each_capture(&mut Vec::new(), |chirp, ant, runs| {
+        // The target carries the burst's Γ; its neighbours sit parked.
+        let all: [NodeInterface; 4] =
+            std::array::from_fn(|i| burst.node(poses[i], if i == 0 { runs } else { &parked }));
+        let (target, neighbours) = all.split_at(1);
+        net.scene
+            .monostatic_rx_multi_into(&mut cw, comp, fp, target, ant, &mut out);
+        for nb in neighbours {
             net.scene
-                .monostatic_rx_multi_into(&mut cw, &comp, fp, only, ant, &mut out);
-            for nb in parked_ifs {
-                net.scene
-                    .accumulate_backscatter_into(&mut cw, &comp, fp, nb, ant, &mut out);
-            }
-            let reference = net.scene.monostatic_rx_multi_uncached(&comp, &all, ant);
-            let same = |(x, y): (&Cpx, &Cpx)| {
-                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()
-            };
-            if let Some(i) = out
-                .samples
-                .iter()
-                .zip(&reference.samples)
-                .position(|p| !same(p))
-            {
-                panic!(
-                    "cold fabric burst chirp {chirp} antenna {ant} diverged from the uncached \
-                     reference at sample {i}: {:?} vs {:?}",
-                    out.samples[i], reference.samples[i]
-                );
-            }
-            captures += 1;
+                .accumulate_backscatter_into(&mut cw, comp, fp, nb, ant, &mut out);
         }
-    }
+        let reference = net.scene.monostatic_rx_multi_uncached(comp, &all, ant);
+        assert_bitwise(
+            &format!("cold fabric burst chirp {chirp} antenna {ant} vs the uncached reference"),
+            &out.samples,
+            &reference.samples,
+        );
+        captures += 1;
+    });
     captures
+}
+
+/// The gated localization burst's inputs: five chirps × two antennas
+/// rendered once for a node at 3 m, and the localizer that processes
+/// them.
+fn burst_fixture(seed: u64) -> (Localizer, Signal, Vec<[Signal; 2]>) {
+    let pose = Pose::facing_ap(3.0, deg_to_rad(5.0), 0.0);
+    let mut net = Network::new(pose, Fidelity::Fast, seed ^ 0xBEEF);
+    let (tx, captures) = net.field2_captures();
+    (net.localizer(), tx, captures)
+}
+
+/// `dsp.fft.size` (count, sum) of one gated localization burst: one
+/// 16384-point range FFT per chirp and antenna.
+const BURST_FFT_WORK: (u64, u128) = (10, 163_840);
+
+/// The kernel gate's host-independent half: one warmed, untimed gated
+/// burst with telemetry switched on must run exactly the recorded
+/// number and total size of FFTs. Wall clocks swing with host load;
+/// this count does not.
+fn check_burst_fft_work(seed: u64) {
+    let (localizer, tx, captures) = burst_fixture(seed);
+    let mut ws = DspWorkspace::new();
+    localizer.process_with(&mut ws, &tx, &captures);
+    let was = telemetry::enabled();
+    telemetry::set_enabled(true);
+    telemetry::reset();
+    localizer.process_with(&mut ws, &tx, &captures);
+    let snap = telemetry::snapshot();
+    telemetry::set_enabled(was);
+    let fft = snap.histograms.get("dsp.fft.size");
+    let work = fft.map(|h| (h.count, h.sum));
+    assert_eq!(
+        work,
+        Some(BURST_FFT_WORK),
+        "gated burst's dsp.fft.size (count, sum) moved"
+    );
+    println!("burst fft work: (transforms, points) = {BURST_FFT_WORK:?}, as recorded");
 }
 
 /// Runs the FFT-plan comparison, the per-kernel legs and the five-chirp
@@ -856,34 +850,28 @@ fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
         .collect();
 
     let reference = FftPlan::new(n).forward(&input);
-
-    let t0 = Instant::now();
     let mut unplanned_out = Vec::new();
-    for _ in 0..reps {
+    let (unplanned_s, _) = time_calls(1, reps, || {
         unplanned_out = FftPlan::new(n).forward(&input);
-    }
-    let unplanned_s = t0.elapsed().as_secs_f64() / reps as f64;
-
-    let t0 = Instant::now();
+    });
     let mut planned_out = Vec::new();
-    for _ in 0..reps {
+    let (planned_s, _) = time_calls(1, reps, || {
         planned_out = with_plan(n, |p| p.forward(&input));
-    }
-    let planned_s = t0.elapsed().as_secs_f64() / reps as f64;
-
-    let bitwise = unplanned_out == planned_out && planned_out == reference;
-    assert!(bitwise, "planned and unplanned FFT disagree");
+    });
+    assert_bitwise("unplanned FFT", &unplanned_out, &reference);
+    assert_bitwise("planned FFT", &planned_out, &reference);
     let fft_speedup = unplanned_s / planned_s;
     println!("fft plan ({n}-point, {reps} reps):");
     println!("  unplanned: {:.1} µs/fft", unplanned_s * 1e6);
     println!("  planned:   {:.1} µs/fft", planned_s * 1e6);
-    println!("  speedup: {fft_speedup:.2}x (bitwise identical: {bitwise})");
+    println!("  speedup: {fft_speedup:.2}x (bitwise identical: true)");
 
     // ------------------------------------------------------------------
     // Per-kernel legs: the form of each DSP hot-path kernel a session
     // runs, into reused buffers.
     // ------------------------------------------------------------------
     let kernel_reps = if smoke { 5 } else { 100 };
+    let kernel_us = |f: &mut dyn FnMut()| time_calls(TIMING_PASSES, kernel_reps, f).0 * 1e6;
     // Host-speed reference, sampled next to the kernel timings so both
     // sit in the same interference window (windows on the shared host
     // last seconds; a second sample after the burst leg takes the min).
@@ -895,7 +883,7 @@ fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
     println!("kernels ({kernel_reps} reps each):");
 
     let mut dechirp_buf = Vec::new();
-    let dechirp_us = time_us(kernel_reps, || {
+    let dechirp_us = kernel_us(&mut || {
         proc.dechirp_into(&rx, &tx_ref, &mut dechirp_buf);
         std::hint::black_box(&dechirp_buf);
     });
@@ -908,7 +896,7 @@ fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
         .map(|i| Cpx::cis(i as f64 * 0.11) * (i as f64 * 0.003).cos())
         .collect();
     let mut fft_buf = Vec::new();
-    let fft_us = time_us(kernel_reps, || {
+    let fft_us = kernel_us(&mut || {
         with_plan(fft_n, |p| p.forward_into(&fft_input, &mut fft_buf));
         std::hint::black_box(&fft_buf);
     });
@@ -922,14 +910,11 @@ fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
     synth_cfg.amplitude = tx_cfg.amplitude();
     let wave_ref = synth_cfg.sawtooth();
     let wave_tmpl = template::sawtooth(&synth_cfg);
-    assert_eq!(
-        wave_ref.samples, wave_tmpl.samples,
-        "waveform template diverged"
-    );
-    let synth_us = time_us(kernel_reps, || {
+    assert_bitwise("waveform template", &wave_tmpl.samples, &wave_ref.samples);
+    let synth_us = kernel_us(&mut || {
         std::hint::black_box(synth_cfg.sawtooth());
     });
-    let template_us = time_us(kernel_reps, || {
+    let template_us = kernel_us(&mut || {
         std::hint::black_box(template::sawtooth(&synth_cfg));
     });
     let wave_speedup = synth_us / template_us;
@@ -941,23 +926,15 @@ fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
     // allocator.
     // ------------------------------------------------------------------
     let burst_reps = if smoke { 3 } else { 40 };
-    let pose = Pose::facing_ap(3.0, deg_to_rad(5.0), 0.0);
-    let mut net = Network::new(pose, Fidelity::Fast, seed ^ 0xBEEF);
-    let (burst_tx, burst_caps) = net.field2_captures();
-    let localizer = net.localizer();
+    let (localizer, burst_tx, burst_caps) = burst_fixture(seed);
     let mut ws = DspWorkspace::new();
 
     // Warm the plan cache and the workspace buffers before counting.
     let burst_ref = localizer.process_with(&mut ws, &burst_tx, &burst_caps);
-
-    // Allocations are counted across all passes (they are deterministic
-    // per burst, so the division is exact).
-    let a0 = alloc_count();
     let mut burst_out = burst_ref;
-    let burst_ws_s = time_us(burst_reps, || {
+    let (burst_ws_s, burst_ws_allocs) = time_calls(TIMING_PASSES, burst_reps, || {
         burst_out = localizer.process_with(&mut ws, &burst_tx, &burst_caps);
-    }) * 1e-6;
-    let burst_ws_allocs = (alloc_count() - a0) / (TIMING_PASSES * burst_reps) as u64;
+    });
     assert_eq!(burst_out, burst_ref, "burst output moved across reps");
     println!("localization burst (5 chirps x 2 antennas, {burst_reps} reps):");
     println!(
@@ -966,7 +943,7 @@ fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
     );
     calib_us = calib_us.min(calibration_us());
 
-    let kernels_json = [
+    let kernels = [
         kernel_json(
             "dechirp",
             "6400-sample dechirp_into a reused buffer",
@@ -993,17 +970,16 @@ fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
     ]
     .join(",\n");
 
+    let json = format!(
+        "  \"fft_plan\": {{\n    \"size\": {n},\n    \"reps\": {reps},\n    \"unplanned_us_per_fft\": {},\n    \"planned_us_per_fft\": {},\n    \"speedup\": {},\n    \"bitwise_identical\": true\n  }},\n  \"kernels\": {{\n{kernels}\n  }},\n  \"localization_burst\": {{\n    \"workload\": \"five-chirp Field-2 burst, 2 RX antennas, Fidelity::Fast\",\n    \"reps\": {burst_reps},\n    \"workspace_ms_per_burst\": {},\n    \"workspace_allocs_per_burst\": {burst_ws_allocs},\n    \"deterministic\": true\n  }}",
+        json_f(unplanned_s * 1e6),
+        json_f(planned_s * 1e6),
+        json_f(fft_speedup),
+        json_f(burst_ws_s * 1e3),
+    );
     CoreLegs {
-        plan_n: n,
-        plan_reps: reps,
-        unplanned_s,
-        planned_s,
-        plan_bitwise: bitwise,
-        kernels_json,
-        fft_fast_us: fft_us,
-        burst_reps,
-        burst_ws_s,
-        burst_ws_allocs,
+        json,
+        gated: [fft_us, burst_ws_s * 1e3],
         calib_us,
     }
 }
@@ -1024,26 +1000,47 @@ fn json_number_after(text: &str, section: &str, field: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// The CI regression gate: compares the range-FFT and burst legs against
-/// a committed `BENCH_N.json` baseline and fails (returns false) if
-/// either regressed by more than `REGRESSION_TOLERANCE`.
+/// The CI regression gate's limit: a gated timing fails when it is more
+/// than this fraction slower than the committed baseline.
 const REGRESSION_TOLERANCE: f64 = 0.10;
 
-fn check_regression(baseline_path: &str, legs: &CoreLegs) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("regression check: cannot read {baseline_path}: {e}");
-            return false;
-        }
-    };
+/// The timings the regression gate compares: (report section, field,
+/// label, unit).
+const GATED: [(&str, &str, &str, &str); 2] = [
+    ("range_fft", "fast_us", "range_fft fast path", "us"),
+    (
+        "localization_burst",
+        "workspace_ms_per_burst",
+        "localization burst (workspace)",
+        "ms",
+    ),
+];
+
+/// Reads the gated timings and the calibration time (if recorded) from
+/// the baseline at `path`, or says why it cannot: an unreadable file or
+/// a missing field is not a regression and is not retried.
+fn read_baseline(path: &str) -> Result<([f64; 2], Option<f64>), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let mut gated = [0.0; 2];
+    for (value, (section, field, ..)) in gated.iter_mut().zip(GATED) {
+        *value = json_number_after(&text, section, field)
+            .ok_or_else(|| format!("{section}.{field} missing from {path}"))?;
+    }
+    Ok((
+        gated,
+        json_number_after(&text, "timing_calibration", "calib_us"),
+    ))
+}
+
+/// Whether the gated timings of `legs` are within `REGRESSION_TOLERANCE`
+/// of the baseline's, printing the mode and one verdict per timing.
+fn within_limits(path: &str, (base, base_calib): ([f64; 2], Option<f64>), legs: &CoreLegs) -> bool {
     // When the baseline recorded a calibration time, gate on the kernel-
     // to-calibration ratio: absolute wall clocks on the shared CI host
     // swing 2x with neighbor load, but the fixed calibration workload
     // (see `calibration_us`) inflates right alongside the kernels, so
     // the ratio isolates genuine code slowdowns. Baselines without the
     // field fall back to absolute times.
-    let base_calib = json_number_after(&text, "timing_calibration", "calib_us");
     let (cur_div, base_div) = match base_calib {
         Some(bc) if bc > 0.0 && legs.calib_us > 0.0 => {
             println!(
@@ -1055,19 +1052,14 @@ fn check_regression(baseline_path: &str, legs: &CoreLegs) -> bool {
         }
         _ => {
             println!(
-                "regression check: raw wall clock ({baseline_path} has no \
+                "regression check: raw wall clock ({path} has no \
                  timing_calibration.calib_us)"
             );
             (1.0, 1.0)
         }
     };
-    let mut ok = true;
-    let mut gate = |name: &str, baseline: Option<f64>, current: f64, unit: &str| {
-        let Some(base) = baseline else {
-            eprintln!("regression check: {name} missing from {baseline_path}");
-            ok = false;
-            return;
-        };
+    let within = [0, 1].map(|i| {
+        let ((_, _, name, unit), base, current) = (GATED[i], base[i], legs.gated[i]);
         let cur_n = current / cur_div;
         let base_n = base / base_div;
         let limit = base_n * (1.0 + REGRESSION_TOLERANCE);
@@ -1076,23 +1068,44 @@ fn check_regression(baseline_path: &str, legs: &CoreLegs) -> bool {
             "regression check: {name}: {current:.3} {unit} (normalized {cur_n:.4}) vs \
              baseline {base:.3} {unit} (normalized {base_n:.4}, limit {limit:.4}) -- {verdict}"
         );
-        if cur_n > limit {
-            ok = false;
-        }
+        cur_n <= limit
+    });
+    within == [true; 2]
+}
+
+/// The CI regression gate: reads the baseline at `path`, compares the
+/// `measured` legs (or, without them, a fresh measurement) against it
+/// and exits 1 if either gated timing regressed. Shared-host
+/// interference windows last several seconds and can inflate a whole
+/// invocation (even the normalized ratio moves when a neighbor evicts
+/// the kernels' working set), so a timing over the limit is re-measured
+/// up to twice: a real regression fails every time, a noisy window lands
+/// clean on a retry. A baseline that cannot be read fails at once,
+/// before anything is timed.
+fn regression_gate(path: &str, smoke: bool, measured: Option<CoreLegs>) {
+    let fail = |why: &str| -> ! {
+        eprintln!("regression check FAILED against {path}{why}");
+        std::process::exit(1);
     };
-    gate(
-        "range_fft fast path",
-        json_number_after(&text, "range_fft", "fast_us"),
-        legs.fft_fast_us,
-        "us",
+    let base = read_baseline(path).unwrap_or_else(|e| fail(&format!(": {e}")));
+    let mut ok = within_limits(
+        path,
+        base,
+        &measured.unwrap_or_else(|| core_legs(smoke, SEED)),
     );
-    gate(
-        "localization burst (workspace)",
-        json_number_after(&text, "localization_burst", "workspace_ms_per_burst"),
-        legs.burst_ws_s * 1e3,
-        "ms",
-    );
-    ok
+    for attempt in 2..=3 {
+        if ok {
+            break;
+        }
+        println!(
+            "regression check failed; re-measuring (attempt {attempt}/3) to rule out host noise"
+        );
+        ok = within_limits(path, base, &core_legs(smoke, SEED));
+    }
+    if !ok {
+        fail("");
+    }
+    println!("regression check passed against {path}");
 }
 
 /// A determinism leg: `(smoke, threads, view path) -> JSON fragment`.
@@ -1106,95 +1119,85 @@ const LEGS: [(&str, Leg); 4] = [
     ("adaptive", adaptive_leg),
 ];
 
-fn usage_error(msg: &str) -> ! {
-    eprintln!("bench_engine: {msg}");
-    std::process::exit(2);
+/// The parsed command line.
+#[derive(Default)]
+struct Args {
+    out: Option<String>,
+    smoke: bool,
+    leg: Option<Leg>,
+    view: Option<String>,
+    kernels_only: bool,
+    check_against: Option<String>,
+}
+
+/// Parses the arguments after the program name. A value flag without its
+/// value, an unknown flag, `--view` without `--leg` and `--leg` with
+/// `--kernels-only` are usage errors.
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args::default();
+    while let Some(flag) = argv.next() {
+        let mut value = || argv.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--out" => args.out = Some(value()?),
+            "--smoke" => args.smoke = true,
+            "--leg" => {
+                let name = value()?;
+                let leg = LEGS.iter().find(|(n, _)| *n == name);
+                let err = || format!("--leg takes one of chaos|serve|net|adaptive, got {name:?}");
+                args.leg = Some(leg.ok_or_else(err)?.1);
+            }
+            "--view" => args.view = Some(value()?),
+            "--kernels-only" => args.kernels_only = true,
+            "--check-against" => args.check_against = Some(value()?),
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    match (&args.leg, &args.view, args.kernels_only) {
+        (None, Some(_), _) => Err("--view needs --leg".into()),
+        (Some(_), _, true) => Err("--leg and --kernels-only cannot be combined".into()),
+        _ => Ok(args),
+    }
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut out_path = None;
-    let mut smoke = false;
-    let mut leg = None;
-    let mut view = None;
-    let mut kernels_only = false;
-    let mut check_against = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out_path = args.next(),
-            "--smoke" => smoke = true,
-            "--leg" => {
-                let name = args.next().unwrap_or_default();
-                match LEGS.iter().find(|(n, _)| *n == name) {
-                    Some(&l) => leg = Some(l),
-                    None => usage_error(&format!(
-                        "--leg takes one of chaos|serve|net|adaptive, got {name:?}"
-                    )),
-                }
-            }
-            "--view" => view = args.next(),
-            "--kernels-only" => kernels_only = true,
-            "--check-against" => check_against = args.next(),
-            other => usage_error(&format!("unknown argument {other:?}")),
-        }
-    }
-    if view.is_some() && leg.is_none() {
-        usage_error("--view needs --leg");
-    }
-    let out_path = out_path.unwrap_or_else(|| next_bench_path(std::path::Path::new(".")));
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| {
+        eprintln!("bench_engine: {msg}");
+        std::process::exit(2);
+    });
+    let smoke = args.smoke;
 
     // The transform-core region on its own: the CI regression gate runs
     // this at full rep counts (stable timings) without paying for the
-    // chaos/serve/net determinism legs.
-    if kernels_only {
-        let legs = core_legs(smoke, 0xB16B_00B5);
-        if let Some(baseline) = check_against.as_deref() {
-            let mut ok = check_regression(baseline, &legs);
-            // Shared-host interference windows last several seconds and
-            // can inflate a whole invocation (even the normalized ratio
-            // moves when a neighbor evicts the kernels' working set);
-            // bounded re-measures distinguish a real regression (fails
-            // every time) from a noisy window (a retry lands clean).
-            for attempt in 2..=3 {
-                if ok {
-                    break;
-                }
-                println!(
-                    "regression check failed; re-measuring (attempt {attempt}/3) \
-                     to rule out host noise"
-                );
-                let legs = core_legs(smoke, 0xB16B_00B5);
-                ok = check_regression(baseline, &legs);
-            }
-            if !ok {
-                eprintln!("regression check FAILED against {baseline}");
-                std::process::exit(1);
-            }
-            println!("regression check passed against {baseline}");
+    // determinism legs.
+    if args.kernels_only {
+        check_burst_fft_work(SEED);
+        match &args.check_against {
+            Some(baseline) => regression_gate(baseline, smoke, None),
+            None => drop(core_legs(smoke, SEED)),
         }
         return;
     }
-    let bench_name = std::path::Path::new(&out_path)
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "BENCH".to_string());
 
     let trials = if smoke { 4 } else { 24 };
-    let seed = 0xB16B_00B5;
     let threads = batch::thread_count();
 
     // One leg on its own: the cross-process determinism check ci.sh
     // runs at 1 and at 4 worker threads.
-    if let Some((_, run)) = leg {
-        run(smoke, threads, view.as_deref());
+    if let Some(run) = args.leg {
+        run(smoke, threads, args.view.as_deref());
         return;
     }
-    let stages = check_uplink_decimation(seed);
+    let out_path = args.out.unwrap_or_else(next_bench_path);
+    let bench_name = Path::new(&out_path)
+        .file_stem()
+        .map_or("BENCH".into(), |s| s.to_string_lossy().into_owned());
+
+    let stages = check_uplink_decimation(SEED);
     println!(
         "uplink decimation: {stages} stages of a real capture, decimate_into bitwise \
          identical to filter + stride"
     );
-    let captures = check_fabric_burst(seed);
+    let captures = check_fabric_burst(SEED);
     println!(
         "fabric burst: {captures} cold captures of a target plus 3 parked neighbours, \
          bitwise identical to the uncached reference"
@@ -1208,19 +1211,19 @@ fn main() {
 
     // Warm each thread's plan cache so the engine comparison measures
     // scheduling, not first-use table construction.
-    let _ = batch::run_trials_with_threads(threads.max(2), seed, threads, trial);
+    let _ = batch::run_trials_with_threads(threads.max(2), SEED, threads, trial);
 
     // The telemetry snapshot should describe the measured region only.
     telemetry::reset();
 
     println!("batch engine: {trials} localization trials, {threads} worker thread(s)");
     let t0 = Instant::now();
-    let serial = batch::run_trials_with_threads(trials, seed, 1, trial);
+    let serial = batch::run_trials_with_threads(trials, SEED, 1, trial);
     let serial_s = t0.elapsed().as_secs_f64();
     println!("  serial   (1 thread): {serial_s:.3} s");
 
     let t0 = Instant::now();
-    let parallel = batch::run_trials_with_threads(trials, seed, threads, trial);
+    let parallel = batch::run_trials_with_threads(trials, SEED, threads, trial);
     let parallel_s = t0.elapsed().as_secs_f64();
     println!("  parallel ({threads} threads): {parallel_s:.3} s");
 
@@ -1229,7 +1232,7 @@ fn main() {
     println!("  speedup: {engine_speedup:.2}x (deterministic: outputs identical)");
 
     // FFT-plan comparison, per-kernel legs and the five-chirp burst.
-    let legs = core_legs(smoke, seed);
+    let legs = core_legs(smoke, SEED);
 
     // ------------------------------------------------------------------
     // Channel synthesis: the cached workspace render (DESIGN.md §13)
@@ -1240,84 +1243,36 @@ fn main() {
     // ------------------------------------------------------------------
     let chan_reps = if smoke { 3 } else { 40 };
     let chan_pose = Pose::facing_ap(3.0, deg_to_rad(5.0), 0.0);
-    let chan_net = Network::new(chan_pose, Fidelity::Fast, seed ^ 0xC0FFEE);
-    let mut chan_cfg = chan_net.fidelity.sawtooth();
-    chan_cfg.amplitude = chan_net.ap.tx.amplitude();
-    let chan_comp = TxComponent {
-        signal: chan_cfg.sawtooth(),
-        profile: FreqProfile::Sawtooth(chan_cfg),
-    };
-    let chan_fp = wave_fingerprint(&chan_comp);
-    // Representative localization Γ: port A square-wave modulated, port
-    // B absorptive, filled into runs per chirp offset (the cache never
-    // keys on Γ — the runs are replayed on every render, hit or miss).
-    let sched_a = SwitchSchedule::SquareWave {
-        freq_hz: chan_net.fidelity.localization_mod_freq(),
-        first: SwitchState::Reflective,
-    };
-    let sched_b = SwitchSchedule::Constant(SwitchState::Absorptive);
-    let (chan_fs, chan_n) = (chan_comp.signal.fs, chan_comp.signal.len());
-    let fill_runs = |t_off: f64, runs: &mut Vec<GammaRun>| {
-        let gamma = |state| chan_net.node.switch.gamma(state);
-        fill_gamma_runs(&sched_a, &sched_b, gamma, t_off, chan_fs, chan_n, runs);
-    };
-    let scene = &chan_net.scene;
+    let chan_net = Network::new(chan_pose, Fidelity::Fast, SEED ^ 0xC0FFEE);
+    let burst = LocBurst::new(&chan_net);
+    let (scene, comp) = (&chan_net.scene, &burst.comp);
+    let fp = wave_fingerprint(comp);
     let mut cw = ChannelWorkspace::default();
-    let mut chan_out = Signal::zeros(chan_comp.signal.fs, chan_comp.signal.fc, 0);
+    let mut chan_out = Signal::zeros(comp.signal.fs, comp.signal.fc, 0);
 
     // Bitwise check + warm-up for both antennas.
     let mut chan_runs = Vec::new();
-    fill_runs(0.0, &mut chan_runs);
-    let node_if = NodeInterface {
-        pose: chan_net.node.pose,
-        fsa: &chan_net.node.fsa,
-        gamma: &chan_runs,
-    };
+    burst.fill_runs(0, &mut chan_runs);
+    let node_if = burst.node(chan_pose, &chan_runs);
+    let only = std::slice::from_ref(&node_if);
     for ant in 0..2 {
-        let reference =
-            scene.monostatic_rx_multi_uncached(&chan_comp, std::slice::from_ref(&node_if), ant);
-        scene.monostatic_rx_multi_into(
-            &mut cw,
-            &chan_comp,
-            chan_fp,
-            std::slice::from_ref(&node_if),
-            ant,
-            &mut chan_out,
-        );
-        assert_eq!(
-            reference.samples, chan_out.samples,
-            "cached channel render diverged from uncached (antenna {ant})"
+        let reference = scene.monostatic_rx_multi_uncached(comp, only, ant);
+        scene.monostatic_rx_multi_into(&mut cw, comp, fp, only, ant, &mut chan_out);
+        assert_bitwise(
+            &format!("cached channel render (antenna {ant}) vs uncached"),
+            &chan_out.samples,
+            &reference.samples,
         );
     }
 
     // Single render (antenna 0) A/B with allocation counts.
-    let a0 = alloc_count();
-    let t0 = Instant::now();
-    for _ in 0..chan_reps {
-        std::hint::black_box(scene.monostatic_rx_multi_uncached(
-            &chan_comp,
-            std::slice::from_ref(&node_if),
-            0,
-        ));
-    }
-    let chan_uncached_s = t0.elapsed().as_secs_f64() / chan_reps as f64;
-    let chan_uncached_allocs = (alloc_count() - a0) / chan_reps as u64;
-
-    let a0 = alloc_count();
-    let t0 = Instant::now();
-    for _ in 0..chan_reps {
-        scene.monostatic_rx_multi_into(
-            &mut cw,
-            &chan_comp,
-            chan_fp,
-            std::slice::from_ref(&node_if),
-            0,
-            &mut chan_out,
-        );
+    let (chan_uncached_s, chan_uncached_allocs) = time_calls(1, chan_reps, || {
+        std::hint::black_box(scene.monostatic_rx_multi_uncached(comp, only, 0));
+    });
+    let (chan_cached_s, chan_cached_allocs) = time_calls(1, chan_reps, || {
+        scene.monostatic_rx_multi_into(&mut cw, comp, fp, only, 0, &mut chan_out);
         std::hint::black_box(&chan_out);
-    }
-    let chan_cached_s = t0.elapsed().as_secs_f64() / chan_reps as f64;
-    let chan_cached_allocs = (alloc_count() - a0) / chan_reps as u64;
+    });
     let chan_speedup = chan_uncached_s / chan_cached_s;
     println!("channel render (1 chirp, milback_indoor scene, {chan_reps} reps):");
     println!(
@@ -1330,64 +1285,22 @@ fn main() {
     );
     println!("  speedup: {chan_speedup:.2}x (bitwise identical: true)");
 
-    // Burst-shaped workload: five chirps × two antennas with one Γ-run
-    // fill per chirp offset, exactly the renders behind one Field-2
-    // capture.
-    let chirp_t = chan_cfg.duration;
-    let burst_render_cached =
-        |cw: &mut ChannelWorkspace, runs: &mut Vec<GammaRun>, out: &mut Signal| {
-            for chirp in 0..5 {
-                fill_runs(chirp as f64 * chirp_t, runs);
-                let node_if = NodeInterface {
-                    pose: chan_net.node.pose,
-                    fsa: &chan_net.node.fsa,
-                    gamma: runs,
-                };
-                for ant in 0..2 {
-                    scene.monostatic_rx_multi_into(
-                        cw,
-                        &chan_comp,
-                        chan_fp,
-                        std::slice::from_ref(&node_if),
-                        ant,
-                        out,
-                    );
-                    std::hint::black_box(&out);
-                }
-            }
-        };
-    let burst_render_uncached = || {
-        for chirp in 0..5 {
-            let mut runs = Vec::new();
-            fill_runs(chirp as f64 * chirp_t, &mut runs);
-            let node_if = NodeInterface {
-                pose: chan_net.node.pose,
-                fsa: &chan_net.node.fsa,
-                gamma: &runs,
-            };
-            for ant in 0..2 {
-                std::hint::black_box(scene.monostatic_rx_multi_uncached(
-                    &chan_comp,
-                    std::slice::from_ref(&node_if),
-                    ant,
-                ));
-            }
-        }
-    };
-
-    let t0 = Instant::now();
-    for _ in 0..chan_reps {
-        burst_render_uncached();
-    }
-    let chan_burst_uncached_s = t0.elapsed().as_secs_f64() / chan_reps as f64;
-
-    let a0 = alloc_count();
-    let t0 = Instant::now();
-    for _ in 0..chan_reps {
-        burst_render_cached(&mut cw, &mut chan_runs, &mut chan_out);
-    }
-    let chan_burst_cached_s = t0.elapsed().as_secs_f64() / chan_reps as f64;
-    let chan_burst_allocs = (alloc_count() - a0) / chan_reps as u64;
+    // Burst-shaped workload: the ten renders behind one Field-2 capture,
+    // through one capture loop on both sides.
+    let mut uncached_runs = Vec::new();
+    let (chan_burst_uncached_s, _) = time_calls(1, chan_reps, || {
+        burst.for_each_capture(&mut uncached_runs, |_, ant, runs| {
+            let node = [burst.node(chan_pose, runs)];
+            std::hint::black_box(scene.monostatic_rx_multi_uncached(comp, &node, ant));
+        });
+    });
+    let (chan_burst_cached_s, chan_burst_allocs) = time_calls(1, chan_reps, || {
+        burst.for_each_capture(&mut chan_runs, |_, ant, runs| {
+            let node = [burst.node(chan_pose, runs)];
+            scene.monostatic_rx_multi_into(&mut cw, comp, fp, &node, ant, &mut chan_out);
+            std::hint::black_box(&chan_out);
+        });
+    });
     let chan_burst_speedup = chan_burst_uncached_s / chan_burst_cached_s;
     println!("channel burst (5 chirps x 2 antennas, {chan_reps} reps):");
     println!("  uncached: {:.2} ms/burst", chan_burst_uncached_s * 1e3);
@@ -1401,18 +1314,14 @@ fn main() {
     // search through every cache (the quantity a batch worker pays per
     // Fig. 12a trial once its thread-locals are warm).
     let e2e_reps = if smoke { 3 } else { 40 };
-    let mut e2e_net = Network::new(chan_pose, Fidelity::Fast, seed ^ 0xE2E);
+    let mut e2e_net = Network::new(chan_pose, Fidelity::Fast, SEED ^ 0xE2E);
     assert!(
         e2e_net.localize().is_some(),
         "end-to-end trial found no node"
     );
-    let a0 = alloc_count();
-    let t0 = Instant::now();
-    for _ in 0..e2e_reps {
+    let (e2e_s, e2e_allocs) = time_calls(1, e2e_reps, || {
         std::hint::black_box(e2e_net.localize());
-    }
-    let e2e_s = t0.elapsed().as_secs_f64() / e2e_reps as f64;
-    let e2e_allocs = (alloc_count() - a0) / e2e_reps as u64;
+    });
     println!("end-to-end trial (render + process, warm, {e2e_reps} reps):");
     println!("  {:.2} ms/trial, {e2e_allocs} allocs/trial", e2e_s * 1e3);
 
@@ -1420,35 +1329,25 @@ fn main() {
     // node/proto/link counters alongside the localization stages.
     let link_trials = if smoke { 1 } else { 4 };
     let t0 = Instant::now();
-    let link_errors = batch::run_trials(link_trials, seed ^ 0x1111, link_trial);
+    let link_errors = batch::run_trials(link_trials, SEED ^ 0x1111, link_trial);
     let link_s = t0.elapsed().as_secs_f64();
     let total_errors: u64 = link_errors.iter().sum();
     println!("link leg: {link_trials} downlink+uplink transfers in {link_s:.3} s ({total_errors} bit errors)");
 
+    // Indent the snapshot to sit two levels deep in the output object.
     let telemetry_json = if telemetry::enabled() {
-        let snap = telemetry::snapshot();
-        // Indent the snapshot to sit two levels deep in the output object.
-        snap.to_json(2).replace('\n', "\n  ")
+        telemetry::snapshot().to_json(2).replace('\n', "\n  ")
     } else {
         "null".to_string()
     };
 
     let calib_us_str = json_f(legs.calib_us);
     let json = format!(
-        "{{\n  \"bench\": \"{bench_name}\",\n  \"description\": \"Batch-engine, FFT-plan, per-kernel and five-chirp-burst timings on a Fig. 12a localization workload, plus a short end-to-end link leg and the chaos and serving-soak determinism legs\",\n  \"host_threads\": {threads},\n  \"smoke\": {smoke},\n  \"timing_calibration\": {{\n    \"workload\": \"fixed pure-FP recurrence; host-speed reference for the CI ratio gate\",\n    \"calib_us\": {calib_us_str}\n  }},\n  \"engine\": {{\n    \"workload\": \"localization trial, node at 3 m, Fidelity::Fast\",\n    \"trials\": {trials},\n    \"serial_s\": {},\n    \"parallel_s\": {},\n    \"speedup\": {},\n    \"deterministic\": true\n  }},\n  \"fft_plan\": {{\n    \"size\": {},\n    \"reps\": {},\n    \"unplanned_us_per_fft\": {},\n    \"planned_us_per_fft\": {},\n    \"speedup\": {},\n    \"bitwise_identical\": {}\n  }},\n  \"kernels\": {{\n{}\n  }},\n  \"localization_burst\": {{\n    \"workload\": \"five-chirp Field-2 burst, 2 RX antennas, Fidelity::Fast\",\n    \"reps\": {},\n    \"workspace_ms_per_burst\": {},\n    \"workspace_allocs_per_burst\": {},\n    \"deterministic\": true\n  }},\n  \"channel_render\": {{\n    \"workload\": \"single monostatic render, milback_indoor scene, node at 3 m\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_render\": {},\n    \"cached_ms_per_render\": {},\n    \"speedup\": {},\n    \"uncached_allocs_per_render\": {chan_uncached_allocs},\n    \"cached_allocs_per_render\": {chan_cached_allocs},\n    \"bitwise_identical\": true\n  }},\n  \"channel_burst\": {{\n    \"workload\": \"five-chirp x two-antenna Field-2 channel render, per-chirp gamma runs\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_burst\": {},\n    \"cached_ms_per_burst\": {},\n    \"speedup\": {},\n    \"cached_allocs_per_burst\": {chan_burst_allocs}\n  }},\n  \"end_to_end_trial\": {{\n    \"workload\": \"warm Fig. 12a localization trial: channel render + DSP pipeline through every cache\",\n    \"reps\": {e2e_reps},\n    \"ms_per_trial\": {},\n    \"allocs_per_trial\": {e2e_allocs}\n  }},\n  \"link_leg\": {{\n    \"trials\": {link_trials},\n    \"elapsed_s\": {},\n    \"total_bit_errors\": {total_errors}\n  }},\n  \"adaptive\": {adaptive_json},\n  \"net\": {net_json},\n  \"serve\": {serve_json},\n  \"chaos\": {chaos_json},\n  \"telemetry\": {telemetry_json}\n}}\n",
+        "{{\n  \"bench\": \"{bench_name}\",\n  \"description\": \"Batch-engine, FFT-plan, per-kernel and five-chirp-burst timings on a Fig. 12a localization workload, plus a short end-to-end link leg and the chaos and serving-soak determinism legs\",\n  \"host_threads\": {threads},\n  \"smoke\": {smoke},\n  \"timing_calibration\": {{\n    \"workload\": \"fixed pure-FP recurrence; host-speed reference for the CI ratio gate\",\n    \"calib_us\": {calib_us_str}\n  }},\n  \"engine\": {{\n    \"workload\": \"localization trial, node at 3 m, Fidelity::Fast\",\n    \"trials\": {trials},\n    \"serial_s\": {},\n    \"parallel_s\": {},\n    \"speedup\": {},\n    \"deterministic\": true\n  }},\n{},\n  \"channel_render\": {{\n    \"workload\": \"single monostatic render, milback_indoor scene, node at 3 m\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_render\": {},\n    \"cached_ms_per_render\": {},\n    \"speedup\": {},\n    \"uncached_allocs_per_render\": {chan_uncached_allocs},\n    \"cached_allocs_per_render\": {chan_cached_allocs},\n    \"bitwise_identical\": true\n  }},\n  \"channel_burst\": {{\n    \"workload\": \"five-chirp x two-antenna Field-2 channel render, per-chirp gamma runs\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_burst\": {},\n    \"cached_ms_per_burst\": {},\n    \"speedup\": {},\n    \"cached_allocs_per_burst\": {chan_burst_allocs}\n  }},\n  \"end_to_end_trial\": {{\n    \"workload\": \"warm Fig. 12a localization trial: channel render + DSP pipeline through every cache\",\n    \"reps\": {e2e_reps},\n    \"ms_per_trial\": {},\n    \"allocs_per_trial\": {e2e_allocs}\n  }},\n  \"link_leg\": {{\n    \"trials\": {link_trials},\n    \"elapsed_s\": {},\n    \"total_bit_errors\": {total_errors}\n  }},\n  \"adaptive\": {adaptive_json},\n  \"net\": {net_json},\n  \"serve\": {serve_json},\n  \"chaos\": {chaos_json},\n  \"telemetry\": {telemetry_json}\n}}\n",
         json_f(serial_s),
         json_f(parallel_s),
         json_f(engine_speedup),
-        legs.plan_n,
-        legs.plan_reps,
-        json_f(legs.unplanned_s * 1e6),
-        json_f(legs.planned_s * 1e6),
-        json_f(legs.unplanned_s / legs.planned_s),
-        legs.plan_bitwise,
-        legs.kernels_json,
-        legs.burst_reps,
-        json_f(legs.burst_ws_s * 1e3),
-        legs.burst_ws_allocs,
+        legs.json,
         json_f(chan_uncached_s * 1e3),
         json_f(chan_cached_s * 1e3),
         json_f(chan_speedup),
@@ -1461,11 +1360,130 @@ fn main() {
     std::fs::write(&out_path, &json).expect("failed to write benchmark JSON");
     println!("wrote {out_path}");
 
-    if let Some(baseline) = check_against.as_deref() {
-        if !check_regression(baseline, &legs) {
-            eprintln!("regression check FAILED against {baseline}");
-            std::process::exit(1);
+    if let Some(baseline) = &args.check_against {
+        regression_gate(baseline, smoke, Some(legs));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed baseline the CI kernel gate reads.
+    const BENCH_6: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_6.json");
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    #[should_panic(expected = "probe diverged at sample 1: ")]
+    fn bitwise_check_names_the_first_differing_sample_and_splits_signed_zeros() {
+        let want = [Cpx::new(1.0, 2.0), Cpx::new(0.0, 0.0), Cpx::new(3.0, 4.0)];
+        let mut got = want;
+        got[1].im = -0.0;
+        got[2].re = 3.5;
+        assert_bitwise("probe", &got, &want);
+    }
+
+    #[test]
+    fn bitwise_check_passes_identical_samples() {
+        let samples = [Cpx::new(-0.0, f64::NAN), Cpx::new(1e-300, -7.0)];
+        assert_bitwise("probe", &samples, &samples);
+    }
+
+    #[test]
+    #[should_panic(expected = "probe: length differs")]
+    fn bitwise_check_rejects_a_length_mismatch() {
+        assert_bitwise("probe", &[Cpx::new(1.0, 0.0)], &[]);
+    }
+
+    #[test]
+    fn json_f_prints_null_for_non_finite_values() {
+        assert_eq!(json_f(f64::NAN), "null");
+        assert_eq!(json_f(f64::INFINITY), "null");
+        assert_eq!(json_f(f64::NEG_INFINITY), "null");
+        assert_eq!(json_f(-1.25), "-1.250000");
+    }
+
+    #[test]
+    fn json_number_after_reads_the_gated_fields_of_the_committed_baseline() {
+        let text = std::fs::read_to_string(BENCH_6).expect("BENCH_6.json");
+        assert_eq!(
+            json_number_after(&text, "range_fft", "fast_us"),
+            Some(93.01574)
+        );
+        let burst = json_number_after(&text, "localization_burst", "workspace_ms_per_burst");
+        assert_eq!(burst, Some(2.13585));
+        assert_eq!(
+            json_number_after(&text, "timing_calibration", "calib_us"),
+            None
+        );
+        assert_eq!(read_baseline(BENCH_6), Ok(([93.01574, 2.13585], None)));
+    }
+
+    #[test]
+    fn json_number_after_reads_back_kernel_json() {
+        let entry = kernel_json("range_fft", "probe", 7, &[("fast_us", json_f(12.5))]);
+        let text = format!("{{\n{entry}\n}}");
+        assert_eq!(json_number_after(&text, "range_fft", "fast_us"), Some(12.5));
+        assert_eq!(json_number_after(&text, "range_fft", "reps"), Some(7.0));
+        assert_eq!(json_number_after(&text, "range_fft", "slow_us"), None);
+    }
+
+    #[test]
+    fn unreadable_or_incomplete_baselines_are_reported_not_retried() {
+        let missing = read_baseline("no/such/BENCH_0.json").unwrap_err();
+        assert!(
+            missing.starts_with("cannot read no/such/BENCH_0.json"),
+            "{missing}"
+        );
+        let bench_1 = BENCH_6.replace("BENCH_6", "BENCH_1");
+        let incomplete = read_baseline(&bench_1).unwrap_err();
+        assert!(
+            incomplete.starts_with("range_fft.fast_us missing from"),
+            "{incomplete}"
+        );
+    }
+
+    #[test]
+    fn a_value_flag_without_its_value_is_a_usage_error() {
+        for flag in ["--out", "--view", "--check-against", "--leg"] {
+            let err = parse(&["--smoke", flag]).err();
+            assert_eq!(err, Some(format!("{flag} needs a value")));
         }
-        println!("regression check passed against {baseline}");
+        let err = parse(&["--kernels-only", "--check-against"]).err();
+        assert_eq!(err.as_deref(), Some("--check-against needs a value"));
+    }
+
+    #[test]
+    fn leg_and_kernels_only_cannot_be_combined() {
+        let err = parse(&["--kernels-only", "--leg", "chaos"]).err();
+        assert_eq!(
+            err.as_deref(),
+            Some("--leg and --kernels-only cannot be combined")
+        );
+    }
+
+    #[test]
+    fn unknown_flags_legs_and_a_view_without_a_leg_are_usage_errors() {
+        assert!(parse(&["--fast"]).is_err());
+        assert!(parse(&["--leg", "cfar"]).is_err());
+        assert!(parse(&["--view", "v.txt"]).is_err());
+    }
+
+    #[test]
+    fn the_ci_invocations_parse() {
+        let gate = parse(&["--kernels-only", "--check-against", "BENCH_6.json"]).unwrap();
+        assert!(gate.kernels_only && gate.leg.is_none());
+        assert_eq!(gate.check_against.as_deref(), Some("BENCH_6.json"));
+        let smoke = parse(&["--smoke", "--out", "target/b.json"]).unwrap();
+        assert!(smoke.smoke && !smoke.kernels_only);
+        assert_eq!(smoke.out.as_deref(), Some("target/b.json"));
+        for (name, _) in LEGS {
+            let leg = parse(&["--smoke", "--leg", name, "--view", "v.txt"]).unwrap();
+            assert!(leg.leg.is_some());
+            assert_eq!(leg.view.as_deref(), Some("v.txt"));
+        }
     }
 }

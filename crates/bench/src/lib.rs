@@ -2,19 +2,18 @@
 //!
 //! Benchmark/reproduction harness for the MilBack paper. Each `fig*` /
 //! `table*` binary regenerates one figure or table of the evaluation
-//! section and prints the series the paper reports; `cargo bench` runs
-//! Criterion timings of the underlying pipelines.
+//! section and prints the series the paper reports.
 //!
 //! Binaries write machine-readable CSV next to the human-readable table
 //! when `--csv <path>` is given.
 //!
-//! The `bench_engine` binary is the performance harness: it times the
-//! localization and link pipelines serially and in parallel, and writes
-//! an auto-numbered `BENCH_<n>.json` report. Run it with
+//! The `bench_engine` binary is the repository's one timing harness: it
+//! times the batch engine, the DSP kernels, channel synthesis and the
+//! determinism legs, asserts them bitwise against their references, and
+//! writes an auto-numbered `BENCH_<n>.json` report; `--kernels-only
+//! --check-against` is the CI kernel gate. Run it with
 //! `MILBACK_TELEMETRY=1` and the report additionally embeds a
-//! `milback-telemetry` snapshot — per-stage counters and histograms from
-//! the dsp/ap/node/proto/core layers (workflow documented in
-//! EXPERIMENTS.md).
+//! `milback-telemetry` snapshot (workflow documented in EXPERIMENTS.md).
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
