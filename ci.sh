@@ -63,14 +63,18 @@ else
     echo "==> rustfmt not installed; skipping format check" >&2
 fi
 
-echo "==> bench smoke (uplink-decimation/fabric-burst/FFT-plan/waveform/channel bitwise asserts)"
+echo "==> bench smoke (uplink-decimation/fabric-burst/two-core-burst/FFT-plan/waveform/channel bitwise asserts)"
 # --smoke shrinks every rep count; the run still asserts, before
 # reporting timings, that each stage of the uplink receiver's decimating
 # FIR on a real Network::uplink capture matches the full-rate filter
 # plus stride (DESIGN.md §17.2), that a cold fabric-style Field-2 burst
 # (target plus 3 parked neighbours through a fresh ChannelWorkspace,
 # check_fabric_burst) matches the uncached per-point-gain reference and
-# panics at the first differing sample (§13.5), that the cached-plan FFT matches an unplanned
+# panics at the first differing sample (§13.5), that the gated
+# localization burst with the two antennas' chains at once (two-core
+# helper claimed, check_two_core_burst) matches the same burst under
+# par::occupy(cores()) in every banded diff and the fix (§17.4, serial
+# == two-core localization), that the cached-plan FFT matches an unplanned
 # transform, that the waveform template matches fresh synthesis, that
 # the cached channel-synthesis render of DESIGN.md §13 (single render
 # and full Field-2 burst) matches the uncached reference bit for bit,

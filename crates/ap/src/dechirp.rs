@@ -8,10 +8,10 @@
 
 use milback_dsp::buffer;
 use milback_dsp::chirp::ChirpConfig;
-use milback_dsp::num::{Cpx, ZERO};
-use milback_dsp::plan::with_plan;
+use milback_dsp::num::Cpx;
+use milback_dsp::plan::{with_plan, FftPlan};
 use milback_dsp::signal::Signal;
-use milback_dsp::window::{apply_window_cached, Window};
+use milback_dsp::window::{cached_coeffs, Window};
 use milback_rf::geometry::SPEED_OF_LIGHT;
 
 /// Range-processing parameters.
@@ -65,56 +65,91 @@ impl RangeProcessor {
 
     /// Windowed, zero-padded complex range spectrum, written into `out`.
     ///
-    /// `fft_len` is a power of two by construction, so this runs through
-    /// the cached in-place plan for that size — the twiddle/bit-reversal
-    /// tables are built once per thread and amortized across every chirp,
-    /// and a warmed `out` buffer makes the whole call allocation-free.
+    /// One [`FftPlan::forward_padded_into`] on the cached plan for
+    /// `fft_len` (a power of two by construction) and the cached window
+    /// coefficients: the windowed samples are gathered straight into
+    /// bit-reversed order with zeros past the chirp, bitwise the same as
+    /// windowing a copy, zero-padding it and transforming in place.
+    /// Samples past `fft_len` are dropped after windowing. A warmed
+    /// `out` makes the call allocation-free.
     pub fn range_spectrum_into(&self, dechirped: &[Cpx], out: &mut Vec<Cpx>) {
-        self.window_and_pad_into(dechirped, out);
-        with_plan(self.fft_len, |p| p.forward_in_place(out));
+        self.with_tables(dechirped.len(), |t| self.spectrum_with(t, dechirped, out));
     }
 
-    /// The pre-FFT half of [`RangeProcessor::range_spectrum_into`]:
-    /// window (via the per-thread coefficient cache — bitwise identical
-    /// to the per-sample formula) and zero-pad to `fft_len`, without
-    /// transforming.
-    fn window_and_pad_into(&self, dechirped: &[Cpx], out: &mut Vec<Cpx>) {
+    /// Runs `f` with the range-transform tables for `m`-sample dechirps.
+    pub(crate) fn with_tables<R>(&self, m: usize, f: impl FnOnce(RangeTables<'_>) -> R) -> R {
+        let window = cached_coeffs(self.window, m);
+        with_plan(self.fft_len, |plan| {
+            f(RangeTables {
+                plan,
+                window: &window,
+            })
+        })
+    }
+
+    /// [`RangeProcessor::range_spectrum_into`] on tables looked up by
+    /// the caller. A dechirp whose length differs from the tables'
+    /// window looks its own window up on the running thread.
+    fn spectrum_with(&self, t: RangeTables<'_>, dechirped: &[Cpx], out: &mut Vec<Cpx>) {
         milback_telemetry::counter_add("ap.dechirp.spectra", 1);
-        buffer::track_growth(out, self.fft_len.max(dechirped.len()));
-        out.clear();
-        out.extend_from_slice(dechirped);
-        apply_window_cached(out, self.window);
-        out.resize(self.fft_len, ZERO);
+        let own;
+        let window: &[f64] = if t.window.len() == dechirped.len() {
+            t.window
+        } else {
+            own = cached_coeffs(self.window, dechirped.len());
+            &own
+        };
+        let m = dechirped.len().min(self.fft_len);
+        t.plan
+            .forward_padded_into(&dechirped[..m], &window[..m], out);
     }
 
-    /// Complex range profile (allocating wrapper over
-    /// [`RangeProcessor::range_profile_into`]).
+    /// Complex range profile, all `fft_len` bins (allocating wrapper
+    /// over [`RangeProcessor::range_profile_into`]).
     pub fn range_profile(&self, dechirped: &Signal) -> Vec<Cpx> {
         let mut fft_buf = Vec::new();
         let mut out = Vec::new();
-        self.range_profile_into(&dechirped.samples, &mut fft_buf, &mut out);
+        self.range_profile_into(&dechirped.samples, self.fft_len, &mut fft_buf, &mut out);
         out
     }
 
     /// Complex range profile: the range spectrum re-indexed so that bin
-    /// `k` corresponds to round-trip delay `k·fs/(fft_len·slope)`.
+    /// `k` corresponds to round-trip delay `k·fs/(fft_len·slope)`, kept
+    /// for bins `[0, bins)` only (`bins` is capped at `fft_len`).
     ///
     /// Dechirping `rx·tx*` puts a delay-τ echo at beat frequency `−slope·τ`
     /// (the delayed chirp lags the reference), i.e. in the
     /// negative-frequency half of the FFT; this profile flips the axis so
     /// increasing bin = increasing range, without conjugating (the complex
-    /// values keep the carrier phase used for AoA).
+    /// values keep the carrier phase used for AoA). Each kept bin holds
+    /// the same bits whatever `bins` is.
     ///
     /// The spectrum lands in `fft_buf`, the flipped profile in `out`;
     /// both reuse their capacity across calls.
     pub fn range_profile_into(
         &self,
         dechirped: &[Cpx],
+        bins: usize,
         fft_buf: &mut Vec<Cpx>,
         out: &mut Vec<Cpx>,
     ) {
-        self.range_spectrum_into(dechirped, fft_buf);
-        flip_spectrum_into(fft_buf, out);
+        self.with_tables(dechirped.len(), |t| {
+            self.profile_with(t, dechirped, bins, fft_buf, out);
+        });
+    }
+
+    /// [`RangeProcessor::range_profile_into`] on tables looked up by the
+    /// caller.
+    pub(crate) fn profile_with(
+        &self,
+        t: RangeTables<'_>,
+        dechirped: &[Cpx],
+        bins: usize,
+        fft_buf: &mut Vec<Cpx>,
+        out: &mut Vec<Cpx>,
+    ) {
+        self.spectrum_with(t, dechirped, fft_buf);
+        flip_spectrum_into(fft_buf, bins, out);
     }
 
     /// Beat frequency of range-FFT bin `k` (fractional bins allowed),
@@ -148,19 +183,31 @@ impl RangeProcessor {
     }
 }
 
-/// Profile flip `out[k] = spec[(n−k) mod n]` written as bin 0 plus a
-/// reversed-slice copy — same values as the modulo form (it's a pure
-/// permutation) without a `%` per element, which kept the old loop from
-/// vectorizing.
-fn flip_spectrum_into(spectrum: &[Cpx], out: &mut Vec<Cpx>) {
+/// The tables one range transform runs on: the cached FFT plan and the
+/// window coefficients for one dechirp length. Looked up once on the
+/// calling thread and borrowed by every chirp of both antennas' chains,
+/// so a chain on the `par` helper never touches its own thread-local
+/// caches.
+#[derive(Clone, Copy)]
+pub(crate) struct RangeTables<'a> {
+    plan: &'a FftPlan,
+    window: &'a [f64],
+}
+
+/// Profile flip `out[k] = spec[(n−k) mod n]` for `k < bins` (capped at
+/// `n`), written as bin 0 plus a reversed-slice copy — same values as
+/// the modulo form (it's a pure permutation) without a `%` per element,
+/// which kept the old loop from vectorizing.
+fn flip_spectrum_into(spectrum: &[Cpx], bins: usize, out: &mut Vec<Cpx>) {
     let n = spectrum.len();
-    buffer::track_growth(out, n);
+    let bins = bins.min(n);
+    buffer::track_growth(out, bins);
     out.clear();
-    if n == 0 {
+    if bins == 0 {
         return;
     }
     out.push(spectrum[0]);
-    out.extend(spectrum[1..].iter().rev());
+    out.extend(spectrum[n + 1 - bins..].iter().rev());
 }
 
 #[cfg(test)]
@@ -268,10 +315,28 @@ mod tests {
         }
 
         let profile = proc.range_profile(&de);
+        assert_eq!(profile.len(), proc.fft_len);
         let mut fft_buf = Vec::new();
         let mut prof_buf = Vec::new();
-        proc.range_profile_into(&de_buf, &mut fft_buf, &mut prof_buf);
+        proc.range_profile_into(&de_buf, proc.fft_len, &mut fft_buf, &mut prof_buf);
         assert_eq!(profile, prof_buf);
+        assert_eq!(
+            fft_buf, spec,
+            "the profile's spectrum is the range spectrum"
+        );
+
+        // A banded profile is the full profile's prefix, bit for bit,
+        // through buffers that held a wider band before.
+        let bits = |xs: &[Cpx]| -> Vec<(u64, u64)> {
+            xs.iter()
+                .map(|c| (c.re.to_bits(), c.im.to_bits()))
+                .collect()
+        };
+        for bins in [0, 1, 2, 930, proc.fft_len - 1, proc.fft_len + 5] {
+            proc.range_profile_into(&de_buf, bins, &mut fft_buf, &mut prof_buf);
+            let kept = bins.min(proc.fft_len);
+            assert_eq!(bits(&prof_buf), bits(&profile[..kept]), "bins {bins}");
+        }
     }
 
     #[test]
@@ -283,9 +348,11 @@ mod tests {
             .map(|k| spec[(spec.len() - k) % spec.len()])
             .collect();
         let mut out = Vec::new();
-        flip_spectrum_into(&spec, &mut out);
-        assert_eq!(golden, out);
-        flip_spectrum_into(&[], &mut out);
+        for bins in 0..=spec.len() + 1 {
+            flip_spectrum_into(&spec, bins, &mut out);
+            assert_eq!(golden[..bins.min(spec.len())], out[..], "bins {bins}");
+        }
+        flip_spectrum_into(&[], 4, &mut out);
         assert!(out.is_empty());
     }
 

@@ -70,13 +70,17 @@ impl ApOrientationEstimator {
     /// realistic SNR.
     ///
     /// * `diff_profile` — one background-subtracted range-profile
-    ///   difference (see `Localizer::profile_diffs`),
+    ///   difference (see `Localizer::profile_diffs_with`); it may be
+    ///   banded (hold only the leading bins), as long as it covers the
+    ///   gate,
     /// * `node_bin` — the node's range-profile bin,
     /// * `half_width` — gate half-width in bins (cover the bump's
     ///   spectral spread),
     /// * `fs` — capture sample rate,
     /// * `n_time` — chirp length in samples (the IFFT output beyond it is
-    ///   zero-padding).
+    ///   zero-padding),
+    /// * `fft_len` — the range transform's length: the gated spectrum
+    ///   is this long whatever `diff_profile`'s length.
     #[allow(clippy::too_many_arguments)] // mirrors the paper's pipeline stages
     pub fn estimate_gated(
         &self,
@@ -85,18 +89,20 @@ impl ApOrientationEstimator {
         half_width: usize,
         fs: f64,
         n_time: usize,
+        fft_len: usize,
         fsa: &DualPortFsa,
         toggling_port: Port,
     ) -> Option<f64> {
-        let n = diff_profile.len();
-        if n == 0 || node_bin >= n {
+        let n = fft_len;
+        let kept = diff_profile.len().min(n);
+        if node_bin >= kept {
             return None;
         }
         // Gate in the profile domain, then map back to spectrum order
         // (profile bin k holds spectrum bin (n−k) mod n).
         let mut spec = vec![milback_dsp::num::ZERO; n];
         let lo = node_bin.saturating_sub(half_width);
-        let hi = (node_bin + half_width + 1).min(n);
+        let hi = (node_bin + half_width + 1).min(kept);
         for k in lo..hi {
             spec[(n - k) % n] = diff_profile[k];
         }

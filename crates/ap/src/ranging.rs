@@ -5,10 +5,11 @@
 use crate::aoa::AoaEstimator;
 use crate::background::{detection_spectrum_into, pairwise_diff_spectra_into};
 use crate::dechirp::RangeProcessor;
-use crate::workspace::DspWorkspace;
+use crate::workspace::{AntennaBuffers, DspWorkspace};
 use milback_dsp::buffer;
 use milback_dsp::detect::{argmax, parabolic_refine};
 use milback_dsp::num::Cpx;
+use milback_dsp::par;
 use milback_dsp::signal::Signal;
 
 /// A localization fix produced by the AP.
@@ -42,6 +43,17 @@ pub struct Localizer {
     pub sub_bin: bool,
 }
 
+/// Where the node sits in a burst's detection spectrum: its range bin,
+/// and the consecutive-chirp difference with the most energy there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeDetection {
+    /// The node's range-profile bin.
+    pub bin: usize,
+    /// Index of the difference pair with the most energy in the bins
+    /// `[bin−2, bin+2]` (the first such pair on a tie).
+    pub pair: usize,
+}
+
 impl Localizer {
     /// Builds a localizer for the given chirp, searching 0.5–15 m.
     pub fn new(proc: RangeProcessor) -> Self {
@@ -61,35 +73,36 @@ impl Localizer {
         (beat * self.proc.fft_len as f64 / fs) as usize
     }
 
-    /// Index of the difference with the largest energy in the bins
-    /// `[peak−half, peak+half]`.
-    fn strongest_at_bin(diffs: &[Vec<Cpx>], peak: usize, half: usize) -> usize {
-        let mut best = 0;
-        let mut best_e = f64::MIN;
-        for (i, d) in diffs.iter().enumerate() {
-            let lo = peak.saturating_sub(half);
-            let hi = (peak + half + 1).min(d.len());
-            let e: f64 = d[lo..hi].iter().map(|c| c.norm_sq()).sum();
-            if e > best_e {
-                best_e = e;
-                best = i;
-            }
-        }
-        best
+    /// Half-width, in range bins, of the gate AP orientation sensing
+    /// puts around the node's bin (`ApOrientationEstimator::estimate_gated`):
+    /// the beam bump's spectral spread is a few tens of bins at these
+    /// chirp lengths.
+    pub fn gate_half_width(&self) -> usize {
+        (self.proc.fft_len / 100).max(16)
+    }
+
+    /// Number of leading range-profile bins a burst keeps, `B`: the
+    /// search window ends below bin `range_to_bin(max_range)`, and the
+    /// widest read around a bin found there is the orientation gate's
+    /// [`Localizer::gate_half_width`] (the ±1 refinement and ±2 AoA
+    /// windows lie inside it). Capped at `fft_len`.
+    pub fn profile_bins(&self, fs: f64) -> usize {
+        let last_searched = self.range_to_bin(self.max_range, fs);
+        (last_searched + self.gate_half_width()).min(self.proc.fft_len)
     }
 
     /// Dechirps, FFTs and background-subtracts a multi-chirp capture:
-    /// fills `ws.profiles` and `ws.diffs` per antenna with the complex
-    /// range profiles and their consecutive-chirp differences,
-    /// allocation-free on a warmed workspace.
+    /// fills each antenna's banded `profiles` (the first
+    /// [`Localizer::profile_bins`] bins) and their consecutive-chirp
+    /// `diffs` in `ws.antennas`, allocation-free on a warmed workspace.
+    /// The two antennas run at once when a core is idle.
     pub fn profile_diffs_with(
         &self,
         ws: &mut DspWorkspace,
         tx_ref: &Signal,
         captures: &[[Signal; 2]],
     ) {
-        assert!(captures.len() >= 2, "need at least two chirps");
-        self.diffs_of(ws, tx_ref, captures, None);
+        self.diffs_of(par::claim(), ws, tx_ref, captures, None);
     }
 
     /// Masked variant of [`Localizer::profile_diffs_with`]: processes
@@ -107,18 +120,22 @@ impl Localizer {
         captures: &[[Signal; 2]],
         alive: &[bool],
     ) {
-        assert_eq!(alive.len(), captures.len(), "mask length mismatch");
-        let n_alive = alive.iter().filter(|&&a| a).count();
-        assert!(n_alive >= 2, "need at least two live chirps");
-        self.diffs_of(ws, tx_ref, captures, Some(alive));
+        self.diffs_of(par::claim(), ws, tx_ref, captures, Some(alive));
     }
 
     /// Shared body of the workspace paths: per antenna, each live chirp
     /// (all of them when `alive` is `None`) is dechirped and
-    /// range-transformed into the profile pool, one FFT per chirp, then
-    /// background-subtracted.
+    /// range-transformed into the antenna's banded profile pool, one FFT
+    /// per chirp, then background-subtracted.
+    ///
+    /// With a `claim`, antenna 0's chain runs on the caller and antenna
+    /// 1's on the `par` helper (DESIGN.md §17.4); without one, antenna 0
+    /// then antenna 1. The chains share nothing mutable and draw no
+    /// random numbers, so both orders give the same bits. Both borrow
+    /// one set of FFT plan and window tables looked up here.
     fn diffs_of(
         &self,
+        claim: Option<par::Claim>,
         ws: &mut DspWorkspace,
         tx_ref: &Signal,
         captures: &[[Signal; 2]],
@@ -128,22 +145,48 @@ impl Localizer {
             Some(mask) => mask[i],
             None => true,
         };
-        let n = (0..captures.len()).filter(|&i| live(i)).count();
-        for ant in 0..2 {
-            DspWorkspace::ensure_pool(&mut ws.profiles[ant], n);
-            let chirps = captures.iter().enumerate().filter(|&(i, _)| live(i));
-            for ((_, pair), prof) in chirps.zip(ws.profiles[ant].iter_mut()) {
-                self.proc.dechirp_into(&pair[ant], tx_ref, &mut ws.dechirp);
-                self.proc.range_profile_into(&ws.dechirp, &mut ws.fft, prof);
+        match alive {
+            Some(mask) => {
+                assert_eq!(mask.len(), captures.len(), "mask length mismatch");
+                let n_alive = mask.iter().filter(|&&a| a).count();
+                assert!(n_alive >= 2, "need at least two live chirps");
             }
-            pairwise_diff_spectra_into(&ws.profiles[ant], &mut ws.diffs[ant]);
+            None => assert!(captures.len() >= 2, "need at least two chirps"),
         }
+        let n = (0..captures.len()).filter(|&i| live(i)).count();
+        let bins = self.profile_bins(tx_ref.fs);
+        let [ant0, ant1] = &mut ws.antennas;
+        self.proc.with_tables(tx_ref.len(), |tables| {
+            let chain = |ant: usize, bufs: &mut AntennaBuffers| {
+                DspWorkspace::ensure_pool(&mut bufs.profiles, n);
+                let chirps = captures.iter().enumerate().filter(|&(i, _)| live(i));
+                for ((_, pair), prof) in chirps.zip(bufs.profiles.iter_mut()) {
+                    self.proc
+                        .dechirp_into(&pair[ant], tx_ref, &mut bufs.dechirp);
+                    self.proc
+                        .profile_with(tables, &bufs.dechirp, bins, &mut bufs.fft, prof);
+                }
+                pairwise_diff_spectra_into(&bufs.profiles, &mut bufs.diffs);
+            };
+            match claim {
+                Some(claim) => {
+                    claim.join(|| chain(0, ant0), || chain(1, ant1));
+                }
+                None => {
+                    chain(0, ant0);
+                    chain(1, ant1);
+                }
+            }
+        });
     }
 
     /// Finds the node's range bin in a detection spectrum: the strongest
     /// in-window bin, provided it rises at least 10 dB above the
-    /// subtraction-residue floor. `scratch` is the caller-owned sort
-    /// buffer for the noise-floor estimate.
+    /// subtraction-residue floor. The window ends below the bin of
+    /// `max_range`, below `fft_len/2 − 1` (the positive-delay half) and
+    /// at the end of `det`, so a spectrum too short to hold it yields
+    /// `None`. `scratch` is the caller-owned sort buffer for the
+    /// noise-floor estimate.
     pub fn find_node_bin_with(
         &self,
         det: &[f64],
@@ -151,7 +194,10 @@ impl Localizer {
         scratch: &mut Vec<f64>,
     ) -> Option<usize> {
         let lo = self.range_to_bin(self.min_range, fs).max(1);
-        let hi = self.range_to_bin(self.max_range, fs).min(det.len() / 2 - 1);
+        let hi = self
+            .range_to_bin(self.max_range, fs)
+            .min((self.proc.fft_len / 2).saturating_sub(1))
+            .min(det.len());
         if lo >= hi {
             return None;
         }
@@ -165,6 +211,45 @@ impl Localizer {
         Some(peak)
     }
 
+    /// The detection tail shared by localization and AP orientation
+    /// sensing, over the diffs already in `ws`: per-antenna detection
+    /// spectra (per-bin maxima over the diffs), their sum in
+    /// `ws.det_sum`, the node's bin ([`Localizer::find_node_bin_with`])
+    /// and the difference pair with the most energy at it. Selecting
+    /// the pair at the node's bin, not by total energy, keeps
+    /// clutter-residue energy smeared across the profile by trigger
+    /// jitter from choosing it. `None` when no bin rises above the
+    /// floor.
+    pub fn detect_with(&self, ws: &mut DspWorkspace, fs: f64) -> Option<NodeDetection> {
+        for (ant, det) in ws.antennas.iter().zip(&mut ws.det) {
+            detection_spectrum_into(&ant.diffs, det);
+        }
+        let [det0, det1] = &ws.det;
+        buffer::track_growth(&mut ws.det_sum, det0.len());
+        ws.det_sum.clear();
+        ws.det_sum.extend(det0.iter().zip(det1).map(|(a, b)| a + b));
+        let bin = self.find_node_bin_with(&ws.det_sum, fs, &mut ws.floor_scratch)?;
+        let pair = Self::strongest_at_bin(&ws.antennas[0].diffs, bin, 2);
+        Some(NodeDetection { bin, pair })
+    }
+
+    /// Index of the difference with the largest energy in the bins
+    /// `[peak−half, peak+half]`.
+    fn strongest_at_bin(diffs: &[Vec<Cpx>], peak: usize, half: usize) -> usize {
+        let mut best = 0;
+        let mut best_e = f64::MIN;
+        for (i, d) in diffs.iter().enumerate() {
+            let lo = peak.saturating_sub(half);
+            let hi = (peak + half + 1).min(d.len());
+            let e: f64 = d[lo..hi].iter().map(|c| c.norm_sq()).sum();
+            if e > best_e {
+                best_e = e;
+                best = i;
+            }
+        }
+        best
+    }
+
     /// Processes a five-chirp (or more) capture.
     ///
     /// `captures[i]` holds the two RX antennas' raw captures of chirp `i`;
@@ -174,17 +259,16 @@ impl Localizer {
     /// The burst runs in `ws`'s buffers, so a warmed workspace makes
     /// the call allocation-free (pinned by `tests/zero_alloc.rs`); the
     /// fixes it returns are pinned to literals by
-    /// `tests/workspace_equivalence.rs`.
+    /// `tests/workspace_equivalence.rs`. The two antennas' chains run at
+    /// once when [`par::claim`] finds an idle core, bit for bit the
+    /// serial result.
     pub fn process_with(
         &self,
         ws: &mut DspWorkspace,
         tx_ref: &Signal,
         captures: &[[Signal; 2]],
     ) -> Option<LocalizationResult> {
-        let _span = milback_telemetry::span("ap.localize.ns");
-        milback_telemetry::counter_add("ap.localize.attempts", 1);
-        self.profile_diffs_with(ws, tx_ref, captures);
-        self.finish_with(ws, tx_ref.fs)
+        self.process_of(par::claim(), ws, tx_ref, captures, None)
     }
 
     /// Masked variant of [`Localizer::process_with`]: localizes from the
@@ -200,49 +284,50 @@ impl Localizer {
         captures: &[[Signal; 2]],
         alive: &[bool],
     ) -> Option<LocalizationResult> {
+        self.process_of(par::claim(), ws, tx_ref, captures, Some(alive))
+    }
+
+    /// Shared body of [`Localizer::process_with`] and
+    /// [`Localizer::process_masked_with`] with the helper claim (or
+    /// `None`) chosen by the caller.
+    fn process_of(
+        &self,
+        claim: Option<par::Claim>,
+        ws: &mut DspWorkspace,
+        tx_ref: &Signal,
+        captures: &[[Signal; 2]],
+        alive: Option<&[bool]>,
+    ) -> Option<LocalizationResult> {
         let _span = milback_telemetry::span("ap.localize.ns");
         milback_telemetry::counter_add("ap.localize.attempts", 1);
-        self.profile_diffs_masked_with(ws, tx_ref, captures, alive);
+        self.diffs_of(claim, ws, tx_ref, captures, alive);
         self.finish_with(ws, tx_ref.fs)
     }
 
-    /// Shared tail of the workspace pipelines: detection spectrum, peak
-    /// search, refinement and AoA over the diffs already in `ws`.
+    /// Tail of the workspace pipelines: detection, refinement and AoA
+    /// over the diffs already in `ws`.
     fn finish_with(&self, ws: &mut DspWorkspace, fs: f64) -> Option<LocalizationResult> {
-        // Detection spectrum: sum the two antennas' per-bin maxima.
-        detection_spectrum_into(&ws.diffs[0], &mut ws.det[0]);
-        detection_spectrum_into(&ws.diffs[1], &mut ws.det[1]);
-        buffer::track_growth(&mut ws.det_sum, ws.det[0].len());
-        ws.det_sum.clear();
-        ws.det_sum
-            .extend(ws.det[0].iter().zip(&ws.det[1]).map(|(a, b)| a + b));
-
-        let peak = match self.find_node_bin_with(&ws.det_sum, fs, &mut ws.floor_scratch) {
-            Some(p) => p,
-            None => {
-                milback_telemetry::counter_add("ap.localize.misses", 1);
-                return None;
-            }
+        let Some(NodeDetection { bin: peak, pair }) = self.detect_with(ws, fs) else {
+            milback_telemetry::counter_add("ap.localize.misses", 1);
+            return None;
         };
         milback_telemetry::counter_add("ap.localize.fixes", 1);
         milback_telemetry::observe("ap.localize.peak_bin", peak as u64);
         let peak_power = ws.det_sum[peak];
         let refined = if self.sub_bin {
-            parabolic_refine(&ws.det_sum[..ws.det_sum.len() / 2], peak)
+            let half = ws.det_sum.len().min(self.proc.fft_len / 2);
+            parabolic_refine(&ws.det_sum[..half], peak)
         } else {
             peak as f64
         };
         let range = self.proc.bin_to_range(refined, fs);
 
-        // AoA from the difference pair with the most energy *at the node's
-        // bin* (total-energy selection can be fooled by clutter-residue
-        // energy smeared across the profile by trigger jitter). The same
-        // pair index is used at both antennas — the node's state sequence
-        // is common.
-        let best = Self::strongest_at_bin(&ws.diffs[0], peak, 2);
+        // AoA over the selected pair; the same pair index is used at both
+        // antennas — the node's state sequence is common.
+        let [ant0, ant1] = &ws.antennas;
         let angle = self
             .aoa
-            .estimate_windowed(&ws.diffs[0][best], &ws.diffs[1][best], peak, 2);
+            .estimate_windowed(&ant0.diffs[pair], &ant1.diffs[pair], peak, 2);
 
         Some(LocalizationResult {
             range,
@@ -416,6 +501,117 @@ mod tests {
                 assert_eq!(got, expect, "mask {alive:?}");
             }
         }
+    }
+
+    /// A helper claim, waiting out other tests that hold it; `None` on
+    /// a 1-core host.
+    fn forced_claim() -> Option<par::Claim> {
+        if par::cores() < 2 {
+            return None;
+        }
+        loop {
+            if let Some(c) = par::claim() {
+                return Some(c);
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn antennas_at_once_match_antennas_in_turn() {
+        type Bits = (Option<(u64, Option<u64>, u64)>, Vec<Vec<(u64, u64)>>);
+        let loc = Localizer::new(RangeProcessor::new(test_chirp(), 2));
+        let (tx, caps) = synthetic_captures(2.5, 0.1, 5.0, 0.8);
+        let bins = loc.profile_bins(tx.fs);
+        let run = |claim: Option<par::Claim>, alive: Option<&[bool]>| -> Bits {
+            let mut ws = DspWorkspace::new();
+            let fix = loc.process_of(claim, &mut ws, &tx, &caps, alive).map(|r| {
+                (
+                    r.range.to_bits(),
+                    r.angle.map(f64::to_bits),
+                    r.peak_power.to_bits(),
+                )
+            });
+            let diffs = ws
+                .antennas
+                .iter()
+                .flat_map(|a| &a.diffs)
+                .map(|d| {
+                    assert_eq!(d.len(), bins, "diffs are banded");
+                    d.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+                })
+                .collect();
+            (fix, diffs)
+        };
+        let masked: &[bool] = &[true, false, true, true, true];
+        for alive in [None, Some(masked)] {
+            let serial = run(None, alive);
+            assert!(serial.0.is_some(), "no fix");
+            assert_eq!(run(forced_claim(), alive), serial, "mask {alive:?}");
+        }
+    }
+
+    #[test]
+    fn captures_shorter_than_the_reference_window_at_their_own_length() {
+        // The burst's shared window is the reference's length; a shorter
+        // capture dechirps shorter and must be windowed at its own
+        // length, as a standalone range profile is.
+        let loc = Localizer::new(RangeProcessor::new(test_chirp(), 2));
+        let (tx, mut caps) = synthetic_captures(2.5, 0.1, 5.0, 0.8);
+        for pair in &mut caps {
+            for sig in pair.iter_mut() {
+                sig.samples.truncate(tx.len() - 3);
+            }
+        }
+        let bins = loc.profile_bins(tx.fs);
+        let mut ws = DspWorkspace::new();
+        loc.profile_diffs_with(&mut ws, &tx, &caps);
+        let (mut de, mut fft) = (Vec::new(), Vec::new());
+        for (ant, bufs) in ws.antennas.iter().enumerate() {
+            let profiles: Vec<Vec<Cpx>> = caps
+                .iter()
+                .map(|pair| {
+                    let mut prof = Vec::new();
+                    loc.proc.dechirp_into(&pair[ant], &tx, &mut de);
+                    loc.proc.range_profile_into(&de, bins, &mut fft, &mut prof);
+                    prof
+                })
+                .collect();
+            let mut diffs = Vec::new();
+            pairwise_diff_spectra_into(&profiles, &mut diffs);
+            assert_eq!(bufs.diffs, diffs, "antenna {ant}");
+        }
+    }
+
+    #[test]
+    fn profile_bins_cover_the_search_window_and_the_gate() {
+        let loc = Localizer::new(RangeProcessor::new(test_chirp(), 2));
+        let fs = test_chirp().fs;
+        let bins = loc.profile_bins(fs);
+        let last_searched = loc.range_to_bin(loc.max_range, fs);
+        assert_eq!(bins, last_searched + loc.gate_half_width());
+        assert!(bins < loc.proc.fft_len / 2, "band {bins} is not a cut");
+    }
+
+    #[test]
+    fn find_node_bin_is_none_on_short_spectra() {
+        let loc = Localizer::new(RangeProcessor::new(test_chirp(), 2));
+        let fs = test_chirp().fs;
+        let mut scratch = Vec::new();
+        for len in [0usize, 1, 2, 3] {
+            let det = vec![1.0; len];
+            assert_eq!(
+                loc.find_node_bin_with(&det, fs, &mut scratch),
+                None,
+                "len {len}"
+            );
+        }
+        // A spectrum cut inside the search window is searched up to its
+        // end: the spike at its last bin is found.
+        let lo = loc.range_to_bin(loc.min_range, fs);
+        let mut det = vec![1.0; lo + 8];
+        det[lo + 7] = 100.0;
+        assert_eq!(loc.find_node_bin_with(&det, fs, &mut scratch), Some(lo + 7));
     }
 
     #[test]

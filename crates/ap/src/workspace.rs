@@ -1,12 +1,14 @@
 //! Reusable DSP workspaces for the AP's hot loops (DESIGN.md §12).
 //!
-//! A five-chirp localization burst runs dechirp → window/zero-pad →
-//! range FFT → background subtraction → detection → noise floor ten
-//! times over (five chirps × two antennas). Rather than a fresh set of
-//! `Vec` buffers per stage per chirp, a [`DspWorkspace`] owns one set
-//! of buffers that every stage writes into through the `_into`
-//! variants, so a warmed burst performs zero heap allocations (pinned
-//! by `tests/zero_alloc.rs`).
+//! A five-chirp localization burst runs dechirp → windowed, zero-padded
+//! range FFT → banded profile → background subtraction ten times over
+//! (five chirps × two antennas), then detection and the noise floor.
+//! Rather than a fresh set of `Vec` buffers per stage per chirp, a
+//! [`DspWorkspace`] owns one set of buffers that every stage writes
+//! into through the `_into` variants, so a warmed burst performs zero
+//! heap allocations (pinned by `tests/zero_alloc.rs`). Each antenna
+//! has its own chain buffers ([`AntennaBuffers`]), so the two chains
+//! can run on two cores at once.
 //!
 //! ## Ownership rules
 //!
@@ -34,21 +36,31 @@ use milback_dsp::num::Cpx;
 use milback_telemetry as telemetry;
 use std::cell::RefCell;
 
+/// One RX antenna's chain buffers: dechirp → range FFT → profiles →
+/// consecutive-chirp differences. Each antenna owns its own set, so the
+/// two chains can run at once (DESIGN.md §17.4).
+#[derive(Debug, Default)]
+pub struct AntennaBuffers {
+    /// Dechirped samples of the chirp currently being processed.
+    pub dechirp: Vec<Cpx>,
+    /// Full-length FFT buffer (the range spectrum).
+    pub fft: Vec<Cpx>,
+    /// Banded complex range profiles, one inner buffer per chirp: bins
+    /// `[0, Localizer::profile_bins)` only.
+    pub profiles: Vec<Vec<Cpx>>,
+    /// Background-subtraction differences of consecutive profiles, as
+    /// long as the profiles.
+    pub diffs: Vec<Vec<Cpx>>,
+}
+
 /// Caller-owned buffer set for the dechirp → FFT → background →
 /// detection chain. Index `[0]`/`[1]` of the per-antenna arrays is the
 /// RX antenna.
 #[derive(Debug, Default)]
 pub struct DspWorkspace {
-    /// Dechirped samples of the chirp currently being processed.
-    pub dechirp: Vec<Cpx>,
-    /// Windowed, zero-padded FFT buffer (the range spectrum).
-    pub fft: Vec<Cpx>,
-    /// Per-antenna complex range profiles, one inner buffer per chirp.
-    pub profiles: [Vec<Vec<Cpx>>; 2],
-    /// Per-antenna background-subtraction differences (the history of
-    /// consecutive-chirp subtractions).
-    pub diffs: [Vec<Vec<Cpx>>; 2],
-    /// Per-antenna detection spectra (range-spectrum magnitudes).
+    /// Per-antenna chain buffers.
+    pub antennas: [AntennaBuffers; 2],
+    /// Per-antenna detection spectra (range-profile magnitudes).
     pub det: [Vec<f64>; 2],
     /// Antenna-summed detection spectrum.
     pub det_sum: Vec<f64>,
@@ -111,13 +123,14 @@ mod tests {
     fn with_workspace_reuses_buffers_and_tolerates_nesting() {
         std::thread::spawn(|| {
             with_workspace(|ws| {
-                ws.dechirp.resize(100, Cpx::new(0.0, 0.0));
+                ws.antennas[1].dechirp.resize(100, Cpx::new(0.0, 0.0));
             });
             with_workspace(|ws| {
-                assert!(ws.dechirp.capacity() >= 100, "workspace was not reused");
+                let cap = ws.antennas[1].dechirp.capacity();
+                assert!(cap >= 100, "workspace was not reused");
                 // Nested checkout must not panic; it sees a fresh set.
                 with_workspace(|inner| {
-                    assert_eq!(inner.dechirp.capacity(), 0);
+                    assert_eq!(inner.antennas[1].dechirp.capacity(), 0);
                 });
             });
         })

@@ -5,7 +5,10 @@
 //!    differing sample: the uplink receiver's decimating FIR on a real
 //!    uplink capture against the full-rate filter plus stride, and a cold
 //!    fabric-style Field-2 burst (target plus three parked neighbours)
-//!    against the uncached per-point-gain render;
+//!    against the uncached per-point-gain render, and the gated
+//!    localization burst with the two antennas' chains at once (the
+//!    two-core helper claimed) against the same burst with every core
+//!    occupied;
 //! 2. four determinism legs, each run at one worker and at the host's
 //!    thread count with identical outcomes and byte-identical telemetry
 //!    deterministic views asserted: `chaos` (sessions under sampled fault
@@ -832,6 +835,40 @@ fn check_burst_fft_work(seed: u64) {
     println!("burst fft work: (transforms, points) = {BURST_FFT_WORK:?}, as recorded");
 }
 
+/// Asserts that the gated localization burst with the two antennas'
+/// chains at once (the `par` helper claimed when a core is idle,
+/// DESIGN.md §17.4) is bitwise the same burst with every core counted
+/// busy, which runs them in turn: every banded difference of both
+/// antennas, at the first differing sample, then the fix. Returns
+/// whether a core was idle for the helper (never on a 1-core host).
+fn check_two_core_burst(seed: u64) -> bool {
+    let (localizer, tx, captures) = burst_fixture(seed);
+    let idle_core = par::claim().is_some();
+    let mut at_once = DspWorkspace::new();
+    let fix_at_once = localizer.process_with(&mut at_once, &tx, &captures);
+    let mut in_turn = DspWorkspace::new();
+    let fix_in_turn = {
+        let _busy = par::occupy(par::cores());
+        localizer.process_with(&mut in_turn, &tx, &captures)
+    };
+    for (ant, (a, b)) in at_once.antennas.iter().zip(&in_turn.antennas).enumerate() {
+        assert_eq!(
+            a.diffs.len(),
+            b.diffs.len(),
+            "antenna {ant}: diff count differs"
+        );
+        for (pair, (got, want)) in a.diffs.iter().zip(&b.diffs).enumerate() {
+            assert_bitwise(
+                &format!("two-core burst antenna {ant} diff {pair} vs one core"),
+                got,
+                want,
+            );
+        }
+    }
+    assert_eq!(fix_at_once, fix_in_turn, "two-core burst fix differs");
+    idle_core
+}
+
 /// Runs the FFT-plan comparison, the per-kernel legs and the five-chirp
 /// localization burst. The planned FFT and the waveform template are
 /// asserted bitwise identical to their references before timing.
@@ -1201,6 +1238,11 @@ fn main() {
     println!(
         "fabric burst: {captures} cold captures of a target plus 3 parked neighbours, \
          bitwise identical to the uncached reference"
+    );
+    let helper = check_two_core_burst(SEED);
+    println!(
+        "two-core burst: antennas at once (helper claimable: {helper}) bitwise identical \
+         to antennas in turn"
     );
 
     // The determinism legs first: each resets telemetry for its own

@@ -438,35 +438,16 @@ impl Network {
             let est = ApOrientationEstimator::new(self.fidelity.sawtooth());
             milback_ap::with_workspace(|ws| {
                 localizer.profile_diffs_with(ws, tx, captures);
-                // Locate the node's range bin from the combined detection
-                // spectrum, exactly as localization does.
-                milback_ap::background::detection_spectrum_into(&ws.diffs[0], &mut ws.det[0]);
-                milback_ap::background::detection_spectrum_into(&ws.diffs[1], &mut ws.det[1]);
-                milback_dsp::buffer::track_growth(&mut ws.det_sum, ws.det[0].len());
-                ws.det_sum.clear();
-                ws.det_sum
-                    .extend(ws.det[0].iter().zip(&ws.det[1]).map(|(a, b)| a + b));
-                let node_bin =
-                    localizer.find_node_bin_with(&ws.det_sum, tx.fs, &mut ws.floor_scratch)?;
-                // Use the difference pair with the most node energy.
-                let d0 = &ws.diffs[0];
-                let best = (0..d0.len()).max_by(|&i, &j| {
-                    let e = |k: usize| -> f64 {
-                        let lo = node_bin.saturating_sub(2);
-                        let hi = (node_bin + 3).min(d0[k].len());
-                        d0[k][lo..hi].iter().map(|c| c.norm_sq()).sum()
-                    };
-                    e(i).total_cmp(&e(j))
-                })?;
-                // Gate half-width: the beam bump's spectral spread is a few tens
-                // of bins at these chirp lengths.
-                let half = (localizer.proc.fft_len / 100).max(16);
+                // Locate the node's range bin and the difference pair
+                // with the most node energy, exactly as localization does.
+                let hit = localizer.detect_with(ws, tx.fs)?;
                 est.estimate_gated(
-                    &d0[best],
-                    node_bin,
-                    half,
+                    &ws.antennas[0].diffs[hit.pair],
+                    hit.bin,
+                    localizer.gate_half_width(),
                     tx.fs,
                     tx.len(),
+                    localizer.proc.fft_len,
                     &self.node.fsa,
                     Port::A,
                 )

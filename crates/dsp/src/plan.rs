@@ -297,6 +297,40 @@ impl FftPlan {
         self.butterflies(out);
     }
 
+    /// Forward DFT of `input` scaled sample by sample by `window` and
+    /// zero-padded to the plan length, into a caller-owned buffer.
+    ///
+    /// Bitwise identical to multiplying `input` by `window` in place,
+    /// resizing it to the plan length with zeros and calling
+    /// [`FftPlan::forward_in_place`]. As in [`FftPlan::forward_into`],
+    /// the windowed samples are gathered straight into bit-reversed
+    /// order, with zeros at every index past the input: one pass
+    /// instead of a window copy, a padding fill and a swap pass. Records
+    /// one `dsp.fft.size` sample.
+    ///
+    /// # Panics
+    /// Panics if `input` is longer than the plan or `window` is not as
+    /// long as `input`.
+    pub fn forward_padded_into(&self, input: &[Cpx], window: &[f64], out: &mut Vec<Cpx>) {
+        let m = input.len();
+        assert!(m <= self.n, "input longer than plan length");
+        assert_eq!(window.len(), m, "window length != input length");
+        telemetry::observe("dsp.fft.size", self.n as u64);
+        crate::buffer::track_growth(out, self.n);
+        out.clear();
+        out.extend(self.bitrev.iter().map(|&j| {
+            let j = j as usize;
+            if j < m {
+                input[j] * window[j]
+            } else {
+                ZERO
+            }
+        }));
+        if self.n > 1 {
+            self.butterflies(out);
+        }
+    }
+
     /// Inverse DFT (normalized) into a caller-owned buffer; the
     /// allocation-free counterpart of [`FftPlan::inverse`].
     pub fn inverse_into(&self, input: &[Cpx], out: &mut Vec<Cpx>) {
@@ -717,6 +751,55 @@ mod tests {
             plan.forward_in_place(&mut fast);
             assert_eq!(golden, fast, "n={n}");
         }
+    }
+
+    #[test]
+    fn padded_gather_matches_window_pad_swap_butterflies_bitwise() {
+        let bits = |xs: &[Cpx]| -> Vec<(u64, u64)> {
+            xs.iter()
+                .map(|c| (c.re.to_bits(), c.im.to_bits()))
+                .collect()
+        };
+        let pairs = [
+            (1usize, 0usize),
+            (1, 1),
+            (2, 1),
+            (8, 3),
+            (1024, 0),
+            (1024, 1),
+            (1024, 512),
+            (1024, 1000),
+            (1024, 1024),
+            (8192, 6400),
+            (16384, 0),
+            (16384, 1),
+            (16384, 8192),
+            (16384, 6400),
+            (16384, 16384),
+        ];
+        let mut out = Vec::new();
+        for (n, m) in pairs {
+            let plan = FftPlan::new(n);
+            let x = ramp(m);
+            let window = crate::window::Window::Hann.generate(m);
+            let mut golden = x.clone();
+            for (c, w) in golden.iter_mut().zip(&window) {
+                *c *= *w;
+            }
+            golden.resize(n, ZERO);
+            plan.forward_in_place(&mut golden);
+            // Twice into one buffer: stale contents must not leak in.
+            for _ in 0..2 {
+                plan.forward_padded_into(&x, &window, &mut out);
+                assert!(bits(&out) == bits(&golden), "n={n} m={m}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "longer than plan")]
+    fn padded_gather_rejects_overlong_input() {
+        FftPlan::new(4).forward_padded_into(&ramp(5), &[1.0; 5], &mut Vec::new());
     }
 
     #[test]

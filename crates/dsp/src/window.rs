@@ -126,8 +126,9 @@ pub fn apply_window(data: &mut [crate::num::Cpx], window: Window) {
 /// Per-thread cache of generated window coefficient vectors, keyed by
 /// `(shape, length)`. A 16384-point Hann window costs 16384 `cos` calls
 /// to generate; the range pipeline applies it on *every* chirp, so the
-/// hot paths multiply by the cached table instead. Coefficients come
-/// from the same [`Window::coeff`] formula, so the cached apply is
+/// hot paths multiply by the cached table instead (the range FFT's
+/// padded gather, `FftPlan::forward_padded_into`). Coefficients come
+/// from the same [`Window::coeff`] formula, so scaling by the table is
 /// bitwise identical to [`apply_window`].
 const MAX_CACHED_WINDOWS: usize = 64;
 
@@ -156,18 +157,6 @@ pub fn cached_coeffs(window: Window, n: usize) -> std::rc::Rc<[f64]> {
         cache.insert((window, n), w.clone());
         w
     })
-}
-
-/// [`apply_window`] through the per-thread coefficient cache: bitwise
-/// identical results, no per-sample `cos`, zero steady-state allocation.
-pub fn apply_window_cached(data: &mut [crate::num::Cpx], window: Window) {
-    if matches!(window, Window::Rect) || data.len() <= 1 {
-        return; // coeff ≡ 1.0: multiplying is the identity, bit for bit
-    }
-    let w = cached_coeffs(window, data.len());
-    for (c, k) in data.iter_mut().zip(w.iter()) {
-        *c *= *k;
-    }
 }
 
 #[cfg(test)]
@@ -274,7 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_apply_matches_uncached_bitwise() {
+    fn cached_coeffs_scale_like_apply_window_bitwise() {
         for win in [
             Window::Rect,
             Window::Hann,
@@ -288,13 +277,13 @@ mod tests {
                     .collect();
                 let mut plain = base.clone();
                 apply_window(&mut plain, win);
-                let mut cached = base.clone();
-                // Twice: the second call hits the cache.
-                apply_window_cached(&mut cached, win);
-                assert_eq!(plain, cached, "{win:?} n={n}");
-                let mut again = base;
-                apply_window_cached(&mut again, win);
-                assert_eq!(plain, again, "{win:?} n={n} (cache hit)");
+                // Twice: the second lookup hits the cache.
+                for pass in 0..2 {
+                    let w = cached_coeffs(win, n);
+                    let scaled: Vec<Cpx> =
+                        base.iter().zip(w.iter()).map(|(c, k)| *c * *k).collect();
+                    assert_eq!(plain, scaled, "{win:?} n={n} pass {pass}");
+                }
             }
         }
     }

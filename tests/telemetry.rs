@@ -12,6 +12,7 @@
 use milback::batch::run_trials_with_threads;
 use milback::chaos::{chaos_sweep_with_threads, ChaosPoint};
 use milback::{batch, Fidelity, Network};
+use milback_ap::RangeProcessor;
 use milback_rf::geometry::{deg_to_rad, Pose};
 use milback_telemetry as telemetry;
 use std::sync::{Mutex, MutexGuard};
@@ -151,4 +152,44 @@ fn localize_records_one_fft_sample_per_range_spectrum() {
     let ffts = snap.histograms.get("dsp.fft.size").map(|h| h.count);
     assert_eq!(spectra, Some(10), "five chirps x two antennas");
     assert_eq!(ffts, spectra, "dsp.fft.size must count every range FFT");
+}
+
+/// A range profile is one padded-gather FFT (`FftPlan::forward_padded_into`):
+/// each call records one `dsp.fft.size` sample at the full transform
+/// length and one `ap.dechirp.spectra` count, whatever band it keeps.
+#[test]
+fn padded_range_transform_records_one_fft_sample_and_one_spectrum() {
+    let _gate = registry_lock();
+    let was = telemetry::enabled();
+    telemetry::set_enabled(true);
+    let chirp = Fidelity::Fast.sawtooth();
+    let proc = RangeProcessor::new(chirp, 2);
+    let tx = chirp.sawtooth();
+    let rx = tx.delayed(20e-9);
+    let mut dechirped = Vec::new();
+    proc.dechirp_into(&rx, &tx, &mut dechirped);
+    assert!(dechirped.len() < proc.fft_len, "input is not zero-padded");
+    let (mut fft_buf, mut profile) = (Vec::new(), Vec::new());
+    let bands = [1, 930, proc.fft_len];
+    telemetry::reset();
+    for bins in bands {
+        proc.range_profile_into(&dechirped, bins, &mut fft_buf, &mut profile);
+    }
+    proc.range_spectrum_into(&dechirped, &mut fft_buf);
+    let snap = telemetry::snapshot();
+    telemetry::set_enabled(was);
+
+    let calls = bands.len() as u64 + 1;
+    let spectra = snap.counters.get("ap.dechirp.spectra").copied();
+    assert_eq!(spectra, Some(calls), "one spectrum count per transform");
+    let ffts = snap
+        .histograms
+        .get("dsp.fft.size")
+        .map(|h| (h.count, h.sum));
+    let points = u128::from(calls) * proc.fft_len as u128;
+    assert_eq!(
+        ffts,
+        Some((calls, points)),
+        "one full-length sample per transform"
+    );
 }

@@ -5,7 +5,9 @@
 //! that steady-state iterations perform **zero** heap allocations:
 //!
 //! * the five-chirp localization burst through
-//!   `Localizer::process_with` on a warmed `DspWorkspace`,
+//!   `Localizer::process_with` on a warmed `DspWorkspace`, with the two
+//!   antennas' chains at once (helper free) and in turn (every core
+//!   occupied),
 //! * the link-side symbol loop: Field-2 waveform assembly into a reused
 //!   `Signal` plus uplink query-tone fetches from the template cache,
 //! * the full Field-2 render: `Network::field2_captures_into` through a
@@ -22,6 +24,7 @@
 use milback::{Fidelity, Network};
 use milback_ap::waveform::{self, TxConfig};
 use milback_ap::workspace::DspWorkspace;
+use milback_dsp::par;
 use milback_dsp::signal::Signal;
 use milback_dsp::template;
 use milback_proto::packet::PacketConfig;
@@ -92,16 +95,22 @@ fn warmed_hot_paths_perform_zero_heap_allocations() {
     );
     assert_eq!(localizer.process_with(&mut ws, &tx, &captures), expect);
 
-    let before = allocs();
-    for _ in 0..5 {
-        let got = localizer.process_with(&mut ws, &tx, &captures);
-        assert_eq!(got, expect);
+    // Both paths (DESIGN.md §17.4): the antennas' chains at once while
+    // the `par` helper is free (on a multi-core host), then in turn with
+    // every core counted busy.
+    for cores_busy in [false, true] {
+        let _busy = cores_busy.then(|| par::occupy(par::cores()));
+        let before = allocs();
+        for _ in 0..5 {
+            let got = localizer.process_with(&mut ws, &tx, &captures);
+            assert_eq!(got, expect);
+        }
+        assert_eq!(
+            allocs() - before,
+            0,
+            "warmed localization burst allocated on the heap (cores busy: {cores_busy})"
+        );
     }
-    assert_eq!(
-        allocs() - before,
-        0,
-        "warmed localization burst allocated on the heap"
-    );
 
     // ---- link symbol loop: waveform assembly + tone templates -------
     let tx_cfg = TxConfig::milback();
