@@ -102,12 +102,12 @@ echo "==> determinism legs (cross-process, cross-thread-count views)"
 # asserts identical outcomes and byte-identical telemetry deterministic
 # views inside one process: chaos (sessions under sampled fault plans,
 # DESIGN.md §14), serve (a Poisson schedule past the virtual server's
-# capacity, §15), net (the 2-AP fabric density sweep with drift,
-# handoffs and interference, §16) and adaptive (the adaptive-vs-fixed
-# scenario sweep, §18). Running each leg again in a fresh process at one
-# worker and at four pins cross-process AND cross-thread-count
-# determinism: the two view files must compare equal with cmp.
-for leg in chaos serve net adaptive; do
+# capacity, §15) and net (the 2-AP fabric density sweep with drift,
+# handoffs and interference, §16). Running each leg again in a fresh
+# process at one worker and at four pins cross-process AND
+# cross-thread-count determinism: the two view files must compare equal
+# with cmp.
+for leg in chaos serve net; do
     for t in 1 4; do
         MILBACK_TELEMETRY=1 MILBACK_THREADS=$t cargo run --release --offline -p milback-bench \
             --bin bench_engine -- --smoke --leg "$leg" --view "target/${leg}_view_$t.txt" >/dev/null
@@ -115,13 +115,15 @@ for leg in chaos serve net adaptive; do
     cmp "target/${leg}_view_1.txt" "target/${leg}_view_4.txt"
 done
 
-echo "==> docs freshness (ARCHITECTURE/README section refs resolve in DESIGN.md)"
-# Every "DESIGN.md §N" reference in the top-level maps must point at a
-# real "## N." heading in DESIGN.md — a renumbered or deleted design
-# section must not leave dangling pointers in the architecture docs.
-for n in $(grep -ho 'DESIGN\.md §[0-9]\+' ARCHITECTURE.md README.md | grep -o '[0-9]\+$' | sort -un); do
+echo "==> docs freshness (DESIGN.md section refs in the maps and the code resolve)"
+# Every "DESIGN.md §N" reference in the top-level maps and in the code,
+# tests and examples must point at a real "## N." heading in DESIGN.md —
+# a renumbered or deleted design section must not leave dangling
+# pointers in the architecture docs or in doc comments.
+for n in $(grep -rho 'DESIGN\.md §[0-9]\+' ARCHITECTURE.md README.md crates tests examples | grep -o '[0-9]\+$' | sort -un); do
     grep -q "^## $n\." DESIGN.md || {
-        echo "ARCHITECTURE.md/README.md reference DESIGN.md §$n but DESIGN.md has no '## $n.' heading" >&2
+        echo "DESIGN.md §$n is referenced (ARCHITECTURE.md, README.md, crates, tests or examples) but DESIGN.md has no '## $n.' heading" >&2
+        grep -rn "DESIGN\.md §$n\b" ARCHITECTURE.md README.md crates tests examples >&2 || true
         exit 1
     }
 done

@@ -6,9 +6,7 @@
 //!   OAQFM/OOK downlink keying,
 //! * [`dechirp`] — FMCW dechirp and range-FFT processing,
 //! * [`background`] — five-chirp background subtraction,
-//! * [`doppler`] — slow-time radial-velocity estimation,
 //! * [`ranging`] — the full localization pipeline (range + AoA),
-//! * [`pulse_compression`] — matched-filter ranging (ablation reference),
 //! * [`aoa`] — two-antenna phase-difference angle estimation,
 //! * [`orientation`] — AP-side node-orientation sensing,
 //! * [`uplink`] — the Figure-7 uplink receive chain,
@@ -25,8 +23,6 @@
 //! orientation sensing is [`orientation`]; the §6.3 uplink receive chain
 //! of Figure 7 is [`uplink`]; and the §6.1 carrier choice that makes
 //! OAQFM work at an oblique node is [`tone_select`].
-//! [`pulse_compression`] is the matched-filter ranging alternative the
-//! ranging-method ablation compares against.
 //!
 //! ## Telemetry
 //!
@@ -41,9 +37,7 @@ pub mod aoa;
 pub mod background;
 pub mod coverage;
 pub mod dechirp;
-pub mod doppler;
 pub mod orientation;
-pub mod pulse_compression;
 pub mod ranging;
 pub mod tone_select;
 pub mod uplink;
@@ -52,9 +46,7 @@ pub mod workspace;
 
 pub use aoa::AoaEstimator;
 pub use dechirp::RangeProcessor;
-pub use doppler::DopplerProcessor;
 pub use orientation::ApOrientationEstimator;
-pub use pulse_compression::PulseCompressionRanger;
 pub use ranging::{LocalizationResult, Localizer};
 pub use tone_select::{select_tones, ToneSelection};
 pub use uplink::{ook_ber, UplinkReceiver, UplinkScratch, UplinkStats, UPLINK_PILOT};

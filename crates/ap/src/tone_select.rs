@@ -33,20 +33,6 @@ impl ToneSelection {
             ToneSelection::Single { .. } => 1,
         }
     }
-
-    /// Collapses a dual-tone plan to single-carrier OOK on port A's
-    /// steering tone — the adaptive controller's interference fallback:
-    /// one carrier, still aimed at the AP through port A's beam, carrying
-    /// one robust bit per symbol instead of two separable ones. (The
-    /// midpoint frequency would steer *neither* beam off-normal, so the
-    /// collapse keeps `f_a`.) A plan that is already `Single` is returned
-    /// unchanged.
-    pub fn collapsed(self) -> ToneSelection {
-        match self {
-            ToneSelection::Dual { f_a, .. } => ToneSelection::Single { f: f_a },
-            single => single,
-        }
-    }
 }
 
 /// Selects carriers for a node whose orientation (incidence angle,

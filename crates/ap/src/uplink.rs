@@ -87,8 +87,8 @@ struct BranchScratch {
     off: Vec<f64>,
     /// Anti-alias FIR designs keyed by `(new_fs, fs)` bit patterns.
     /// The decimation cascade reuses a handful of designs per symbol
-    /// rate (a few stages x the adaptive rate ladder), so the cache
-    /// stays small and a warmed chain stops designing filters.
+    /// rate (a few stages per rate a link runs at), so the cache stays
+    /// small and a warmed chain stops designing filters.
     firs: Vec<((u64, u64), Fir)>,
 }
 

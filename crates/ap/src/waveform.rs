@@ -161,37 +161,6 @@ pub fn oaqfm_waveform(
     Signal::new(tx.fs, fc, samples)
 }
 
-/// Generates an amplitude-shift-keyed waveform on a single tone at `f`:
-/// symbol `k` transmits at `amplitudes[k] × full-scale`. Used by the
-/// dense-OAQFM extension (paper §9.4); OOK is the `{0,1}` special case.
-pub fn ask_waveform(
-    tx: &TxConfig,
-    fc: f64,
-    f: f64,
-    amplitudes: &[f64],
-    symbol_rate: f64,
-) -> Signal {
-    let sps = (tx.fs / symbol_rate).round() as usize;
-    assert!(sps >= 2, "need at least 2 samples per symbol");
-    let full = tx.amplitude();
-    let w = 2.0 * std::f64::consts::PI * (f - fc) / tx.fs;
-    let n = amplitudes.len() * sps;
-    let mut samples = vec![ZERO; n];
-    for (k, &a) in amplitudes.iter().enumerate() {
-        assert!(
-            (0.0..=1.0 + 1e-9).contains(&a),
-            "amplitude {a} out of [0,1]"
-        );
-        if a > 0.0 {
-            for i in 0..sps {
-                let t = (k * sps + i) as f64;
-                samples[k * sps + i] = Cpx::from_polar(full * a, w * t);
-            }
-        }
-    }
-    Signal::new(tx.fs, fc, samples)
-}
-
 /// Generates a single-carrier OOK waveform (the normal-incidence
 /// fallback): one bit per symbol keyed on a single tone at `f`.
 pub fn ook_waveform(tx: &TxConfig, fc: f64, f: f64, bits: &[bool], bit_rate: f64) -> Signal {
@@ -377,30 +346,6 @@ mod tests {
             / sps as f64;
         // Symbol 11 carries both tones → twice the power of symbol 10.
         assert!((p1 / p2 - 2.0).abs() < 0.05, "p1/p2 {}", p1 / p2);
-    }
-
-    #[test]
-    fn ask_waveform_levels() {
-        let tx = small_tx();
-        let amps = [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0];
-        let w = ask_waveform(&tx, 28e9, 28.0e9, &amps, 1e6);
-        let sps = (tx.fs / 1e6) as usize;
-        let p_full = tx.amplitude().powi(2);
-        for (k, &a) in amps.iter().enumerate() {
-            let p: f64 = w.samples[k * sps..(k + 1) * sps]
-                .iter()
-                .map(|c| c.norm_sq())
-                .sum::<f64>()
-                / sps as f64;
-            assert!((p - p_full * a * a).abs() < 1e-9 * p_full, "level {k}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of [0,1]")]
-    fn ask_rejects_over_full_scale() {
-        let tx = small_tx();
-        ask_waveform(&tx, 28e9, 28e9, &[1.5], 1e6);
     }
 
     #[test]

@@ -9,16 +9,13 @@
 //!    localization burst with the two antennas' chains at once (the
 //!    two-core helper claimed) against the same burst with every core
 //!    occupied;
-//! 2. four determinism legs, each run at one worker and at the host's
+//! 2. three determinism legs, each run at one worker and at the host's
 //!    thread count with identical outcomes and byte-identical telemetry
 //!    deterministic views asserted: `chaos` (sessions under sampled fault
 //!    plans, DESIGN.md §14), `serve` (a Poisson schedule past the virtual
 //!    server's capacity, §15, plus a steady-state epoch whose heap
-//!    allocations are counted), `net` (the 2-AP fabric density sweep with
-//!    drift, handoffs and interference, §16) and `adaptive` (the
-//!    adaptive-vs-fixed scenario sweep, §18; full runs require adaptive to
-//!    win under at least three scenarios and write
-//!    `results/adaptive_chaos.{csv,txt}`);
+//!    allocations are counted) and `net` (the 2-AP fabric density sweep
+//!    with drift, handoffs and interference, §16);
 //! 3. the batch engine at one worker against the host's thread count on
 //!    the Fig. 12a localization trial;
 //! 4. the transform core: the cached-plan FFT against an unplanned one,
@@ -49,10 +46,9 @@
 //! embedded under the report's `"telemetry"` key; otherwise it is `null`.
 //!
 //! Usage: `cargo run --release -p milback-bench --bin bench_engine
-//! [-- --smoke] [-- --out path.json] [-- --leg <chaos|serve|net|adaptive>
+//! [-- --smoke] [-- --out path.json] [-- --leg <chaos|serve|net>
 //! [--view path]] [-- --kernels-only [--check-against BENCH_N.json]]`.
 
-use milback::adaptation::adaptive_sweep_with_threads;
 use milback::batch;
 use milback::chaos::{chaos_sweep_with_threads, default_points};
 use milback::net::{density_sweep, DensityPoint, NetConfig};
@@ -456,130 +452,6 @@ fn net_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     format!(
         "{{\n    \"workload\": \"dense-network fabric: slotted polling rounds across 2 APs with drift, handoffs and 3-neighbor interference\",\n    \"densities\": {densities:?},\n    \"rounds_per_density\": {rounds},\n    \"points\": [\n{}\n    ],\n    \"digests_identical\": true,\n    \"views_byte_identical\": true\n  }}",
         points.join(",\n"),
-    )
-}
-
-const ADAPTIVE_CSV_HEADER: &str = "scenario,variant,sessions,delivered_bytes,offered_bytes,\
-     sessions_failed,elapsed_s,energy_uj,goodput_kbps,energy_per_byte_uj,ook_sessions,\
-     trimmed_sessions,slowed_sessions\n";
-
-/// Adaptive-link leg: the closed-loop [`milback::LinkPolicy`] controller
-/// against the fixed configuration across the §14 fault menagerie
-/// (DESIGN.md §18). Runs the paired sweep serially and at `threads`
-/// workers, asserts the comparisons and telemetry views are identical
-/// (thread invariance), and in full (non-smoke) runs writes
-/// `results/adaptive_chaos.{csv,txt}` and requires adaptive to win on
-/// both metrics under >= 3 scenarios.
-fn adaptive_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
-    let (n_sessions, trials) = if smoke { (6, 1) } else { (20, 2) };
-    let seed = 0xADA9_7001;
-
-    let (serial, _, [serial_s, parallel_s], _) = serial_vs_parallel(
-        "adaptive",
-        threads,
-        |t| adaptive_sweep_with_threads(n_sessions, trials, seed, t),
-        Clone::clone,
-    );
-
-    let mut csv = String::from(ADAPTIVE_CSV_HEADER);
-    let mut table = String::from(
-        "adaptive-vs-fixed chaos sweep (closed-loop LinkPolicy, DESIGN.md s18)\n\
-         scenario          variant   deliv/offer  goodput_kbps  energy_uj/B  ook trim slow\n",
-    );
-    let mut wins = 0usize;
-    for c in &serial {
-        let name = c.scenario.name();
-        for (variant, o) in [("fixed", &c.fixed), ("adaptive", &c.adaptive)] {
-            // An arm that delivered nothing has infinite energy per byte.
-            let epb = o.energy_per_byte_uj();
-            let epb = if epb.is_finite() {
-                json_f(epb)
-            } else {
-                "inf".to_string()
-            };
-            let goodput = json_f(o.goodput_kbps());
-            csv.push_str(&format!(
-                "{name},{variant},{},{},{},{},{},{},{goodput},{epb},{},{},{}\n",
-                o.sessions_ok + o.sessions_failed,
-                o.delivered_bytes,
-                o.offered_bytes,
-                o.sessions_failed,
-                json_f(o.elapsed_s),
-                json_f(o.energy_uj),
-                o.ook_sessions,
-                o.trimmed_sessions,
-                o.slowed_sessions,
-            ));
-            table.push_str(&format!(
-                "{name:<17} {variant:<9} {:>5}/{:<5}  {goodput:>12}  {epb:>11}  {:>3} {:>4} {:>4}\n",
-                o.delivered_bytes,
-                o.offered_bytes,
-                o.ook_sessions,
-                o.trimmed_sessions,
-                o.slowed_sessions,
-            ));
-        }
-        if c.adaptive_wins() {
-            wins += 1;
-            table.push_str(&format!("{name:<17} -> adaptive wins on both metrics\n"));
-        }
-    }
-    table.push_str(&format!(
-        "adaptive strictly better on goodput AND energy/byte under {wins}/{} scenarios\n",
-        serial.len(),
-    ));
-    println!("adaptive leg: {n_sessions} sessions x {trials} trials per scenario x variant");
-    print!("{table}");
-    println!(
-        "  serial {serial_s:.2} s, parallel({threads}) {parallel_s:.2} s, comparisons identical"
-    );
-
-    if !smoke {
-        assert!(
-            wins >= 3,
-            "adaptive controller won only {wins} scenarios (need >= 3)"
-        );
-        std::fs::create_dir_all("results").expect("failed to create results/");
-        std::fs::write("results/adaptive_chaos.csv", &csv)
-            .expect("failed to write results/adaptive_chaos.csv");
-        std::fs::write("results/adaptive_chaos.txt", &table)
-            .expect("failed to write results/adaptive_chaos.txt");
-        println!("  wrote results/adaptive_chaos.csv, results/adaptive_chaos.txt");
-    }
-
-    // Deterministic view: CSV + table only (no wall timings), so two
-    // runs at any thread counts must produce identical bytes.
-    write_view("adaptive", view_path, &format!("{csv}\n{table}"));
-
-    let scenario_json: Vec<String> = serial
-        .iter()
-        .map(|c| {
-            let fixed = &c.fixed;
-            let adaptive = &c.adaptive;
-            format!(
-                "      {{\n        \"scenario\": \"{}\",\n        \"fixed\": {{\n          \"delivered_bytes\": {},\n          \"offered_bytes\": {},\n          \"sessions_failed\": {},\n          \"goodput_kbps\": {},\n          \"energy_per_byte_uj\": {}\n        }},\n        \"adaptive\": {{\n          \"delivered_bytes\": {},\n          \"offered_bytes\": {},\n          \"sessions_failed\": {},\n          \"goodput_kbps\": {},\n          \"energy_per_byte_uj\": {},\n          \"ook_sessions\": {},\n          \"trimmed_sessions\": {},\n          \"slowed_sessions\": {}\n        }},\n        \"adaptive_wins\": {}\n      }}",
-                c.scenario.name(),
-                fixed.delivered_bytes,
-                fixed.offered_bytes,
-                fixed.sessions_failed,
-                json_f(fixed.goodput_kbps()),
-                json_f(fixed.energy_per_byte_uj()),
-                adaptive.delivered_bytes,
-                adaptive.offered_bytes,
-                adaptive.sessions_failed,
-                json_f(adaptive.goodput_kbps()),
-                json_f(adaptive.energy_per_byte_uj()),
-                adaptive.ook_sessions,
-                adaptive.trimmed_sessions,
-                adaptive.slowed_sessions,
-                c.adaptive_wins(),
-            )
-        })
-        .collect();
-
-    format!(
-        "{{\n    \"workload\": \"closed-loop LinkPolicy vs fixed configuration, paired seeds, s14 fault menagerie\",\n    \"sessions_per_trial\": {n_sessions},\n    \"trials\": {trials},\n    \"scenarios\": [\n{}\n    ],\n    \"adaptive_wins\": {wins},\n    \"thread_invariant\": true\n  }}",
-        scenario_json.join(",\n"),
     )
 }
 
@@ -1149,12 +1021,7 @@ fn regression_gate(path: &str, smoke: bool, measured: Option<CoreLegs>) {
 type Leg = fn(bool, usize, Option<&str>) -> String;
 
 /// The determinism legs, in the order a full run takes them.
-const LEGS: [(&str, Leg); 4] = [
-    ("chaos", chaos_leg),
-    ("serve", serve_leg),
-    ("net", net_leg),
-    ("adaptive", adaptive_leg),
-];
+const LEGS: [(&str, Leg); 3] = [("chaos", chaos_leg), ("serve", serve_leg), ("net", net_leg)];
 
 /// The parsed command line.
 #[derive(Default)]
@@ -1180,7 +1047,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--leg" => {
                 let name = value()?;
                 let leg = LEGS.iter().find(|(n, _)| *n == name);
-                let err = || format!("--leg takes one of chaos|serve|net|adaptive, got {name:?}");
+                let err = || format!("--leg takes one of chaos|serve|net, got {name:?}");
                 args.leg = Some(leg.ok_or_else(err)?.1);
             }
             "--view" => args.view = Some(value()?),
@@ -1248,8 +1115,7 @@ fn main() {
     // The determinism legs first: each resets telemetry for its own
     // serial/parallel view comparison, so they have to run before (not
     // inside) the measured region below.
-    let [chaos_json, serve_json, net_json, adaptive_json] =
-        LEGS.map(|(_, run)| run(smoke, threads, None));
+    let [chaos_json, serve_json, net_json] = LEGS.map(|(_, run)| run(smoke, threads, None));
 
     // Warm each thread's plan cache so the engine comparison measures
     // scheduling, not first-use table construction.
@@ -1385,7 +1251,7 @@ fn main() {
 
     let calib_us_str = json_f(legs.calib_us);
     let json = format!(
-        "{{\n  \"bench\": \"{bench_name}\",\n  \"description\": \"Batch-engine, FFT-plan, per-kernel and five-chirp-burst timings on a Fig. 12a localization workload, plus a short end-to-end link leg and the chaos and serving-soak determinism legs\",\n  \"host_threads\": {threads},\n  \"smoke\": {smoke},\n  \"timing_calibration\": {{\n    \"workload\": \"fixed pure-FP recurrence; host-speed reference for the CI ratio gate\",\n    \"calib_us\": {calib_us_str}\n  }},\n  \"engine\": {{\n    \"workload\": \"localization trial, node at 3 m, Fidelity::Fast\",\n    \"trials\": {trials},\n    \"serial_s\": {},\n    \"parallel_s\": {},\n    \"speedup\": {},\n    \"deterministic\": true\n  }},\n{},\n  \"channel_render\": {{\n    \"workload\": \"single monostatic render, milback_indoor scene, node at 3 m\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_render\": {},\n    \"cached_ms_per_render\": {},\n    \"speedup\": {},\n    \"uncached_allocs_per_render\": {chan_uncached_allocs},\n    \"cached_allocs_per_render\": {chan_cached_allocs},\n    \"bitwise_identical\": true\n  }},\n  \"channel_burst\": {{\n    \"workload\": \"five-chirp x two-antenna Field-2 channel render, per-chirp gamma runs\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_burst\": {},\n    \"cached_ms_per_burst\": {},\n    \"speedup\": {},\n    \"cached_allocs_per_burst\": {chan_burst_allocs}\n  }},\n  \"end_to_end_trial\": {{\n    \"workload\": \"warm Fig. 12a localization trial: channel render + DSP pipeline through every cache\",\n    \"reps\": {e2e_reps},\n    \"ms_per_trial\": {},\n    \"allocs_per_trial\": {e2e_allocs}\n  }},\n  \"link_leg\": {{\n    \"trials\": {link_trials},\n    \"elapsed_s\": {},\n    \"total_bit_errors\": {total_errors}\n  }},\n  \"adaptive\": {adaptive_json},\n  \"net\": {net_json},\n  \"serve\": {serve_json},\n  \"chaos\": {chaos_json},\n  \"telemetry\": {telemetry_json}\n}}\n",
+        "{{\n  \"bench\": \"{bench_name}\",\n  \"description\": \"Batch-engine, FFT-plan, per-kernel and five-chirp-burst timings on a Fig. 12a localization workload, plus a short end-to-end link leg and the chaos and serving-soak determinism legs\",\n  \"host_threads\": {threads},\n  \"smoke\": {smoke},\n  \"timing_calibration\": {{\n    \"workload\": \"fixed pure-FP recurrence; host-speed reference for the CI ratio gate\",\n    \"calib_us\": {calib_us_str}\n  }},\n  \"engine\": {{\n    \"workload\": \"localization trial, node at 3 m, Fidelity::Fast\",\n    \"trials\": {trials},\n    \"serial_s\": {},\n    \"parallel_s\": {},\n    \"speedup\": {},\n    \"deterministic\": true\n  }},\n{},\n  \"channel_render\": {{\n    \"workload\": \"single monostatic render, milback_indoor scene, node at 3 m\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_render\": {},\n    \"cached_ms_per_render\": {},\n    \"speedup\": {},\n    \"uncached_allocs_per_render\": {chan_uncached_allocs},\n    \"cached_allocs_per_render\": {chan_cached_allocs},\n    \"bitwise_identical\": true\n  }},\n  \"channel_burst\": {{\n    \"workload\": \"five-chirp x two-antenna Field-2 channel render, per-chirp gamma runs\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_burst\": {},\n    \"cached_ms_per_burst\": {},\n    \"speedup\": {},\n    \"cached_allocs_per_burst\": {chan_burst_allocs}\n  }},\n  \"end_to_end_trial\": {{\n    \"workload\": \"warm Fig. 12a localization trial: channel render + DSP pipeline through every cache\",\n    \"reps\": {e2e_reps},\n    \"ms_per_trial\": {},\n    \"allocs_per_trial\": {e2e_allocs}\n  }},\n  \"link_leg\": {{\n    \"trials\": {link_trials},\n    \"elapsed_s\": {},\n    \"total_bit_errors\": {total_errors}\n  }},\n  \"net\": {net_json},\n  \"serve\": {serve_json},\n  \"chaos\": {chaos_json},\n  \"telemetry\": {telemetry_json}\n}}\n",
         json_f(serial_s),
         json_f(parallel_s),
         json_f(engine_speedup),
@@ -1511,6 +1377,7 @@ mod tests {
     fn unknown_flags_legs_and_a_view_without_a_leg_are_usage_errors() {
         assert!(parse(&["--fast"]).is_err());
         assert!(parse(&["--leg", "cfar"]).is_err());
+        assert!(parse(&["--leg", "adaptive"]).is_err());
         assert!(parse(&["--view", "v.txt"]).is_err());
     }
 

@@ -6,14 +6,12 @@
 
 use crate::batch;
 use crate::config::Fidelity;
-use crate::dense_link::DenseDownlinkReport;
 use crate::network::Network;
 use milback_ap::with_workspace;
 use milback_dsp::detect::{argmax, parabolic_refine};
 use milback_dsp::noise::ratio_to_db;
 use milback_dsp::stats;
 use milback_dsp::window::Window;
-use milback_proto::dense::DenseConstellation;
 use milback_rf::fsa::Port;
 use milback_rf::geometry::{deg_to_rad, Pose};
 use rand::rngs::StdRng;
@@ -326,46 +324,6 @@ pub fn ablation_uplink_rate(distance_m: f64, seed: u64) -> Vec<RateRow> {
     .into_iter()
     .flatten()
     .collect()
-}
-
-// ---------------------------------------------------------------------
-// Dense OAQFM sweep
-// ---------------------------------------------------------------------
-
-/// One row of the dense-constellation sweep.
-#[derive(Debug, Clone)]
-pub struct DenseRow {
-    /// Amplitude levels per tone.
-    pub levels: u8,
-    /// Node distance, m.
-    pub distance_m: f64,
-    /// Effective raw bit rate, Mbps.
-    pub bit_rate_mbps: f64,
-    /// The transfer report.
-    pub report: Option<DenseDownlinkReport>,
-}
-
-/// Dense-OAQFM downlink across constellations and distances (the §9.4
-/// extension): rate doubles per level doubling, range shrinks.
-pub fn ablation_dense_oaqfm(seed: u64) -> Vec<DenseRow> {
-    let cells: Vec<(u8, f64)> = [2u8, 4, 8]
-        .iter()
-        .flat_map(|&levels| [2.0, 5.0, 8.0, 11.0, 14.0].map(|d| (levels, d)))
-        .collect();
-    batch::par_map(&cells, |&(levels, d), _| {
-        let c = DenseConstellation::new(levels);
-        // 12°: realistic tone separation where cross-port leakage also
-        // eats into the dense margins.
-        let pose = Pose::facing_ap(d, 0.0, deg_to_rad(12.0));
-        let mut net = Network::new(pose, Fidelity::Fast, seed + levels as u64);
-        let report = net.downlink_dense(&[0x96; 16], 1e6, c, true);
-        DenseRow {
-            levels,
-            distance_m: d,
-            bit_rate_mbps: c.bits_per_symbol() as f64,
-            report,
-        }
-    })
 }
 
 #[cfg(test)]

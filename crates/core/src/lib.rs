@@ -9,10 +9,6 @@
 //!   orientation sensing at both ends (§5.2),
 //! * [`link`] — OAQFM downlink and backscatter uplink (§6),
 //! * [`protocol`] — Field-1 mode signalling (§7),
-//! * [`dense_link`] — multi-amplitude "dense OAQFM" (§9.4 extension),
-//! * [`adaptation`] — the closed-loop [`adaptation::LinkPolicy`]
-//!   controller (rate/OOK/chirp/ARQ levers) and the adaptive-vs-fixed
-//!   chaos evaluation,
 //! * [`session`] — the self-healing session supervisor running the full
 //!   packet exchange (§7): bounded retry, backoff, reduced-chirp
 //!   fallback, ARQ payload delivery, typed degradation reports,
@@ -23,8 +19,6 @@
 //!   nodes by SDM): slotted polling MAC across coverage cells, inter-node interference through the
 //!   cached ray tables, deterministic handoffs, density sweeps,
 //! * [`chaos`] — deterministic chaos sweeps over sampled fault plans,
-//! * [`tracking`] — Kalman tracking over per-packet fixes,
-//! * [`velocity`] — slow-time Doppler radial-velocity measurement,
 //! * [`survey`] — analytic coverage maps for deployment planning,
 //! * [`experiments`] — drivers regenerating every paper figure/table,
 //! * [`ablations`] — what breaks when each design choice is removed,
@@ -57,11 +51,9 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod ablations;
-pub mod adaptation;
 pub mod batch;
 pub mod chaos;
 pub mod config;
-pub mod dense_link;
 pub mod experiments;
 mod lanes;
 pub mod link;
@@ -71,17 +63,10 @@ pub mod protocol;
 pub mod serve;
 pub mod session;
 pub mod survey;
-pub mod tracking;
-pub mod velocity;
 
-pub use adaptation::{
-    adaptive_sweep_with_threads, AdaptiveComparison, AdaptiveOutcome, LinkPolicy, PolicyConfig,
-    PolicyFeedback, ScenarioKind, SessionPlan, SCENARIOS,
-};
 pub use batch::{derive_seed, run_trials, sweep, Trial};
 pub use chaos::{chaos_sweep, ChaosOutcome, ChaosPoint};
 pub use config::{ApParams, Fidelity};
-pub use dense_link::DenseDownlinkReport;
 pub use link::{DownlinkReport, UplinkReport};
 pub use net::{
     ap_line, density_sweep, net_roster, DensityPoint, Fabric, NetConfig, RoundReport,
@@ -96,5 +81,3 @@ pub use session::{
     Degradation, LocalizeSummary, Session, SessionConfig, SessionCtx, SessionError, SessionReport,
 };
 pub use survey::{coverage_map, CoverageCell};
-pub use tracking::{NodeTracker, TrackEstimate};
-pub use velocity::VelocityResult;

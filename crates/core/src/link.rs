@@ -275,23 +275,13 @@ impl Network {
     /// Chooses OAQFM carriers for the node's current (AP-estimated)
     /// orientation. Uses the true orientation when `use_truth` — handy in
     /// microbenchmarks — otherwise runs AP-side orientation sensing first.
-    ///
-    /// When [`Network::force_single_tone`] is set (the adaptive
-    /// controller's CW-interference fallback) the dual-tone plan is
-    /// collapsed to single-carrier OOK *after* selection, so the RNG
-    /// draw order of the sensing path is untouched.
     pub fn plan_tones(&mut self, use_truth: bool) -> Option<ToneSelection> {
         let orientation = if use_truth {
             self.true_orientation()
         } else {
             self.sense_orientation_at_ap()?
         };
-        let sel = select_tones(&self.node.fsa, orientation, MIN_TONE_SEPARATION)?;
-        Some(if self.force_single_tone {
-            sel.collapsed()
-        } else {
-            sel
-        })
+        select_tones(&self.node.fsa, orientation, MIN_TONE_SEPARATION)
     }
 
     /// Runs a full downlink transfer of `payload` at `symbol_rate`

@@ -126,12 +126,6 @@ pub struct Network {
     /// extra RNG draws, no extra arithmetic). The dense-network fabric
     /// fills this per scheduled slot.
     pub interferers: Vec<Interferer>,
-    /// Force every tone plan down to single-carrier OOK, regardless of
-    /// orientation (the adaptive controller's CW-interference fallback,
-    /// DESIGN.md §18). `false` by default; the collapse happens *after*
-    /// [`milback_ap::tone_select::select_tones`], so enabling it changes
-    /// no RNG draw order — only the carrier plan the link runs.
-    pub force_single_tone: bool,
     rng: StdRng,
     /// Pooled link-layer working buffers: downlink/uplink transfers
     /// `mem::take` this, reuse its capacity, and put it back, so warmed
@@ -154,7 +148,6 @@ impl Network {
             faults: FaultPlan::none(),
             clock_s: 0.0,
             interferers: Vec::new(),
-            force_single_tone: false,
             rng: StdRng::seed_from_u64(seed),
             link_scratch: LinkScratch::default(),
         }
@@ -172,7 +165,6 @@ impl Network {
             faults: FaultPlan::none(),
             clock_s: 0.0,
             interferers: Vec::new(),
-            force_single_tone: false,
             rng: StdRng::seed_from_u64(seed),
             link_scratch: LinkScratch::default(),
         }

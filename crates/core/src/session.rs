@@ -119,8 +119,8 @@ impl std::error::Error for SessionError {}
 /// Payload symbol rate the packet's nominal airtime is quoted at:
 /// [`SessionConfig::milback`]'s 1 Msym/s. Sessions at other rates charge
 /// payload airtime scaled by `NOMINAL_SYMBOL_RATE / symbol_rate`, so the
-/// default config is bitwise unchanged while the adaptive controller's
-/// rate steps (DESIGN.md §18) see their real airtime effect.
+/// default config charges exactly the packet's nominal payload airtime
+/// while a faster or slower link pays its real airtime.
 pub const NOMINAL_SYMBOL_RATE: f64 = 1e6;
 
 /// Retry/fallback budgets for one supervised exchange.
@@ -141,10 +141,9 @@ pub struct SessionConfig {
     /// Payload symbol rate, symbols/s.
     pub symbol_rate: f64,
     /// Field-2 chirps rendered for localization (the paper's burst is
-    /// five; the adaptive controller may trim to three when the
-    /// reduced-chirp fallback keeps winning). Must be ≥ 2 — background
-    /// subtraction needs one pair. Charged Field-2 airtime scales with
-    /// the count.
+    /// five; a shorter burst trades subtraction pairs for airtime). Must
+    /// be ≥ 2 — background subtraction needs one pair. Charged Field-2
+    /// airtime scales with the count.
     pub field2_chirps: usize,
 }
 

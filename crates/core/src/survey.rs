@@ -13,6 +13,13 @@ use milback_rf::channel::Scene;
 use milback_rf::fsa::Port;
 use milback_rf::geometry::{Point, Pose};
 
+/// Candidate uplink bit rates, fastest first (OAQFM, 2 bits/symbol).
+pub const UPLINK_RATES: [f64; 4] = [40e6, 20e6, 10e6, 5e6];
+
+/// Decision-SNR margin (linear) required to accept a rate: ~13 dB keeps
+/// the analytic BER under 1e-5.
+pub const SNR_ACCEPT: f64 = 20.0;
+
 /// One grid cell of the coverage map.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoverageCell {
@@ -20,13 +27,15 @@ pub struct CoverageCell {
     pub position: Point,
     /// Uplink decision SNR at 10 Mbps, dB (node facing the AP).
     pub uplink_snr_db: f64,
-    /// Best supported uplink rate from [`crate::adaptation::UPLINK_RATES`],
-    /// bits/s; `None` when even the slowest rate lacks margin.
+    /// Best supported uplink rate from [`UPLINK_RATES`], bits/s; `None`
+    /// when even the slowest rate lacks margin.
     pub best_rate: Option<f64>,
 }
 
 /// Computes the analytic uplink decision SNR (linear) for a node at
-/// `pose`, with the AP steered at it, at `bit_rate` bits/s.
+/// `pose`, with the AP steered at it, at `bit_rate` bits/s. `None` when
+/// the node is outside the FSA scan, at an AP antenna or has a NaN
+/// coordinate ([`Scene::can_render_at`]).
 pub fn analytic_uplink_snr(
     scene: &Scene,
     node: &BackscatterNode,
@@ -34,6 +43,9 @@ pub fn analytic_uplink_snr(
     pose: &Pose,
     bit_rate: f64,
 ) -> Option<f64> {
+    if !scene.can_render_at(&pose.position) {
+        return None;
+    }
     let mut scene = scene.clone();
     scene.steer_towards(&pose.position);
     let inc = pose.incidence_from(&scene.tx_pos);
@@ -88,14 +100,11 @@ pub fn coverage_map(
         let bearing = p.bearing_to(&Point::origin());
         let pose = Pose::new(p, bearing);
         let snr10 = analytic_uplink_snr(scene, node, ap, &pose, 10e6);
-        let best_rate = crate::adaptation::UPLINK_RATES
-            .iter()
-            .copied()
-            .find(|&rate| {
-                analytic_uplink_snr(scene, node, ap, &pose, rate)
-                    .map(|s| s >= crate::adaptation::SNR_ACCEPT)
-                    .unwrap_or(false)
-            });
+        let best_rate = UPLINK_RATES.iter().copied().find(|&rate| {
+            analytic_uplink_snr(scene, node, ap, &pose, rate)
+                .map(|s| s >= SNR_ACCEPT)
+                .unwrap_or(false)
+        });
         CoverageCell {
             position: p,
             uplink_snr_db: snr10.map(ratio_to_db).unwrap_or(f64::NEG_INFINITY),
@@ -151,6 +160,17 @@ mod tests {
         let (scene, node, ap) = setup();
         let pose = Pose::facing_ap(3.0, 0.0, deg_to_rad(50.0));
         assert!(analytic_uplink_snr(&scene, &node, &ap, &pose, 10e6).is_none());
+    }
+
+    #[test]
+    fn poses_at_an_ap_antenna_or_nan_are_none() {
+        let (scene, node, ap) = setup();
+        for p in [scene.tx_pos, scene.rx_pos[0], scene.rx_pos[1]] {
+            let pose = Pose::new(p, 0.3);
+            assert_eq!(analytic_uplink_snr(&scene, &node, &ap, &pose, 10e6), None);
+        }
+        let nan = Pose::new(Point::new(f64::NAN, 1.0), 0.0);
+        assert_eq!(analytic_uplink_snr(&scene, &node, &ap, &nan, 10e6), None);
     }
 
     #[test]

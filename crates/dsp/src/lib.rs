@@ -15,7 +15,6 @@
 //! * [`stats`] — means, percentiles and CDFs for experiment reporting,
 //! * [`resample`] — block-average decimation and arbitrary-time sampling
 //!   (MCU ADC bridging),
-//! * [`xcorr`] — FFT cross-correlation and matched filtering,
 //! * [`stft`] — short-time Fourier transform (spectrograms),
 //! * [`plan`] — cached FFT plans (precomputed twiddles, bit-reversal
 //!   tables, Bluestein kernels, fused radix-4 butterflies) backing the
@@ -69,7 +68,6 @@ pub mod stats;
 pub mod stft;
 pub mod template;
 pub mod window;
-pub mod xcorr;
 
 pub use num::Cpx;
 pub use signal::Signal;

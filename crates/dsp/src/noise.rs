@@ -99,13 +99,15 @@ fn split_claim(n: usize) -> Option<par::Claim> {
 /// loop. With one, the helper fills the head from a clone of `rng`
 /// while the caller skips the head's variates and fills the tail: the
 /// same draws per sample, and `rng` ends where the serial loop leaves
-/// it.
+/// it. The helper's half moves its RNG and its copy of `add` onto the
+/// helper's own stack: read in place, they would share cache lines
+/// with the caller's frame, which the caller writes on every draw.
 fn noise_fill<T: Send>(
     claim: Option<par::Claim>,
     xs: &mut [T],
     variates: usize,
     rng: &mut StdRng,
-    add: impl Fn(&mut T, &mut StdRng) + Sync,
+    add: impl Fn(&mut T, &mut StdRng) + Copy + Send,
 ) {
     let Some(claim) = claim else {
         for x in xs.iter_mut() {
@@ -116,7 +118,6 @@ fn noise_fill<T: Send>(
     let (head, tail) = xs.split_at_mut(xs.len() / 2);
     let head_variates = variates * head.len();
     let mut head_rng = rng.clone();
-    let add = &add;
     claim.join(
         || {
             skip_gaussians(rng, head_variates);
@@ -124,7 +125,7 @@ fn noise_fill<T: Send>(
                 add(x, rng);
             }
         },
-        || {
+        move || {
             for x in head {
                 add(x, &mut head_rng);
             }
@@ -152,7 +153,7 @@ fn awgn_fill(claim: Option<par::Claim>, xs: &mut [Cpx], noise_power: f64, rng: &
     if awgn_variates(xs.len(), noise_power) == 0 {
         return;
     }
-    noise_fill(claim, xs, 2, rng, |c, rng| {
+    noise_fill(claim, xs, 2, rng, move |c, rng| {
         *c += complex_gaussian(rng, noise_power);
     });
 }
@@ -167,7 +168,7 @@ fn real_noise_fill(claim: Option<par::Claim>, xs: &mut [f64], sigma: f64, rng: &
     if sigma <= 0.0 {
         return;
     }
-    noise_fill(claim, xs, 1, rng, |v, rng| *v += gaussian(rng) * sigma);
+    noise_fill(claim, xs, 1, rng, move |v, rng| *v += gaussian(rng) * sigma);
 }
 
 #[cfg(test)]

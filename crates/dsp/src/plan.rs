@@ -4,8 +4,8 @@
 //! factors and the bit-reversal permutation on every call and allocated a
 //! fresh output buffer each time. Every Monte-Carlo trial in the workspace
 //! runs dozens of transforms of a handful of fixed sizes (the range FFT,
-//! the slow-time Doppler FFT, the matched-filter convolution length), so
-//! the same tables were being rebuilt millions of times per sweep.
+//! the STFT frame length, Bluestein's convolution length), so the same
+//! tables were being rebuilt millions of times per sweep.
 //!
 //! An [`FftPlan`] precomputes, per power-of-two size:
 //! * the per-stage twiddle factors (`n − 1` complex values, laid out

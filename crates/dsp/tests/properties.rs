@@ -7,7 +7,6 @@ use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
 use milback_dsp::stats;
 use milback_dsp::window::Window;
-use milback_dsp::xcorr::{correlation_coefficient, xcorr};
 use proptest::prelude::*;
 
 fn arb_signal(max_len: usize) -> impl Strategy<Value = Vec<Cpx>> {
@@ -74,21 +73,6 @@ proptest! {
         let fs = 1e6;
         let f = Fir::lowpass(cutoff_frac * fs, fs, 2 * taps + 1);
         prop_assert!((f.response_at(0.0, fs) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn xcorr_zero_lag_is_inner_product(x in arb_signal(64)) {
-        let (lags, r) = xcorr(&x, &x);
-        let zero_idx = lags.iter().position(|&l| l == 0).unwrap();
-        let energy: f64 = x.iter().map(|c| c.norm_sq()).sum();
-        prop_assert!((r[zero_idx] - Cpx::new(energy, 0.0)).abs() < 1e-6 * (energy + 1.0));
-    }
-
-    #[test]
-    fn correlation_coefficient_bounded(x in arb_signal(64), y in arb_signal(64)) {
-        let n = x.len().min(y.len());
-        let c = correlation_coefficient(&x[..n], &y[..n]);
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&c));
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! * [`envelope`] — the ADL6010-class envelope detector (slope, video
 //!   bandwidth, output noise),
 //! * [`adc`] — the MCU's SAR ADC (rate conversion, quantization),
-//! * [`battery`] — battery/duty-cycle lifetime modeling,
-//! * [`harvest`] — RF energy-harvesting feasibility,
 //! * [`power`] — node power/energy accounting reproducing the paper's
 //!   18 mW / 32 mW / nJ-per-bit numbers.
 //!
@@ -22,20 +20,15 @@
 //! link layer (`milback::link`) multiplies them by measured transfer
 //! durations and records the result as the `node.energy.*_nj` telemetry
 //! histograms, so simulated energy draw shows up in bench snapshots.
-//! [`battery`] and [`harvest`] extend §9.5's lifetime discussion.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod adc;
-pub mod battery;
 pub mod envelope;
-pub mod harvest;
 pub mod power;
 pub mod switch;
 
 pub use adc::Adc;
-pub use battery::{battery_life_years, Battery, DutyCycle};
 pub use envelope::EnvelopeDetector;
-pub use harvest::{harvest_budget, HarvestBudget, Rectifier};
 pub use power::{NodeMode, PowerModel};
 pub use switch::{SpdtSwitch, SwitchSchedule, SwitchState};

@@ -138,44 +138,6 @@ pub fn demodulate_oaqfm_into(
     );
 }
 
-/// Demodulates dense (multi-amplitude) OAQFM: per-symbol levels on each
-/// detector are normalized by a full-scale reference learned from the
-/// pilot, then sliced to the nearest constellation level.
-///
-/// `pilot_symbols` symbols at the start must alternate full-scale/off on
-/// both tones (the dense pilot), providing the per-port full-scale
-/// voltage and zero offset.
-pub fn demodulate_dense(
-    slicer: &EnvelopeSlicer,
-    det_a: &[f64],
-    det_b: &[f64],
-    t0: f64,
-    n_symbols: usize,
-    constellation: milback_proto::dense::DenseConstellation,
-    pilot_symbols: usize,
-) -> Vec<milback_proto::dense::DenseSymbol> {
-    assert!(pilot_symbols >= 2, "dense demod needs a pilot");
-    let la = slicer.symbol_levels(det_a, t0, n_symbols);
-    let lb = slicer.symbol_levels(det_b, t0, n_symbols);
-    // Full-scale / zero references from the pilot (max/min over the
-    // pilot region — it alternates full and off).
-    let reference = |levels: &[f64]| -> (f64, f64) {
-        let pilot = &levels[..pilot_symbols.min(levels.len())];
-        let hi = pilot.iter().cloned().fold(f64::MIN, f64::max);
-        let lo = pilot.iter().cloned().fold(f64::MAX, f64::min);
-        (lo, (hi - lo).max(1e-12))
-    };
-    let (za, fa) = reference(&la);
-    let (zb, fb) = reference(&lb);
-    la.iter()
-        .zip(&lb)
-        .map(|(a, b)| milback_proto::dense::DenseSymbol {
-            a_level: constellation.slice((a - za) / fa),
-            b_level: constellation.slice((b - zb) / fb),
-        })
-        .collect()
-}
-
 /// Demodulates single-carrier OOK (the normal-incidence fallback): both
 /// detectors see the same tone, so their sum is sliced at one bit per
 /// symbol. Intermediates run in `scratch` and the bit decisions land in
@@ -268,65 +230,6 @@ mod tests {
         assert!(levels[0] > 0.9);
         assert!(levels[1] < 0.1);
         assert!(levels[2] > 0.9);
-    }
-
-    #[test]
-    fn dense_demod_round_trip() {
-        use milback_proto::dense::{DenseConstellation, DenseSymbol};
-        let c = DenseConstellation::new(4);
-        let slicer = EnvelopeSlicer::new(20e6, 1e6);
-        // Pilot: full/off/full/off, then data levels.
-        let syms = [
-            DenseSymbol {
-                a_level: 3,
-                b_level: 3,
-            },
-            DenseSymbol {
-                a_level: 0,
-                b_level: 0,
-            },
-            DenseSymbol {
-                a_level: 3,
-                b_level: 3,
-            },
-            DenseSymbol {
-                a_level: 0,
-                b_level: 0,
-            },
-            DenseSymbol {
-                a_level: 1,
-                b_level: 2,
-            },
-            DenseSymbol {
-                a_level: 2,
-                b_level: 0,
-            },
-            DenseSymbol {
-                a_level: 0,
-                b_level: 3,
-            },
-            DenseSymbol {
-                a_level: 3,
-                b_level: 1,
-            },
-        ];
-        let mk = |pick: fn(&DenseSymbol) -> u8, scale: f64| -> Vec<f64> {
-            syms.iter()
-                .flat_map(|s| std::iter::repeat_n(scale * c.amplitude(pick(s)) + 0.003, 20))
-                .collect()
-        };
-        let det_a = mk(|s| s.a_level, 0.8);
-        let det_b = mk(|s| s.b_level, 0.5);
-        let got = demodulate_dense(&slicer, &det_a, &det_b, 0.0, syms.len(), c, 4);
-        assert_eq!(got, syms.to_vec());
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a pilot")]
-    fn dense_demod_requires_pilot() {
-        let c = milback_proto::dense::DenseConstellation::new(4);
-        let slicer = EnvelopeSlicer::new(10e6, 1e6);
-        demodulate_dense(&slicer, &[0.0; 10], &[0.0; 10], 0.0, 1, c, 0);
     }
 
     #[test]

@@ -149,18 +149,6 @@ impl Backoff {
     pub fn total_s(&self, n: usize) -> f64 {
         (1..=n).map(|k| self.delay_s(k)).sum()
     }
-
-    /// This policy with base and ceiling scaled by `k` (the adaptive
-    /// controller's loss-driven stretch): every retry waits `k`× longer,
-    /// preserving the doubling shape, so recovery can outlive a longer
-    /// fault window. `stretched(1.0)` is the identity.
-    pub fn stretched(&self, k: f64) -> Self {
-        Self {
-            base_s: self.base_s * k,
-            factor: self.factor,
-            max_s: self.max_s * k,
-        }
-    }
 }
 
 impl Default for ArqSender {

@@ -5,7 +5,6 @@
 //! * [`arq`] — stop-and-wait reliable delivery over the CRC frames,
 //! * [`bits`] — bit utilities and the OAQFM symbol alphabet,
 //! * [`crc`] — CRC-16/CCITT-FALSE frame protection,
-//! * [`dense`] — multi-amplitude "dense OAQFM" constellations (§9.4),
 //! * [`frame`] — payload ↔ symbol-stream framing,
 //! * [`packet`] — packet structure and preamble timing (Field 1 mode
 //!   signalling, Field 2 localization chirps, payload).
@@ -17,8 +16,8 @@
 //! flows whichever way Field 1 announced. [`packet`] encodes exactly
 //! that structure and [`bits`] the 2-bit OAQFM alphabet of §6. The rest
 //! is the link-layer machinery a deployment needs where the paper stops:
-//! [`crc`] integrity, [`arq`] retransmission and [`dense`] for the §9.4
-//! multi-amplitude extension.
+//! [`crc`] integrity, [`frame`] payload framing and [`arq`]
+//! retransmission.
 //!
 //! ## Telemetry
 //!
@@ -31,12 +30,10 @@
 pub mod arq;
 pub mod bits;
 pub mod crc;
-pub mod dense;
 pub mod frame;
 pub mod packet;
 
 pub use arq::{ArqReceiver, ArqSender, SenderAction, SeqBit};
 pub use bits::OaqfmSymbol;
-pub use dense::{DenseConstellation, DenseSymbol};
 pub use frame::{decode_frame, encode_frame, FrameError};
 pub use packet::{LinkMode, Packet, PacketConfig};

@@ -1,33 +1,10 @@
 //! Integration tests for the extension features built on top of the
-//! paper's core: dense OAQFM, multi-node SDM, velocity measurement,
-//! reliable delivery and coverage planning.
+//! paper's core: multi-node SDM, reliable delivery and coverage planning.
 
 use milback::net::{ap_line, Fabric, NetConfig};
 use milback::{Fidelity, Interferer, Network, Session, SessionConfig, Workload};
-use milback_proto::dense::DenseConstellation;
 use milback_proto::packet::Packet;
 use milback_rf::geometry::{deg_to_rad, Pose};
-
-#[test]
-fn dense_oaqfm_rate_range_tradeoff() {
-    // The §9.4 extension end-to-end: L=4 doubles throughput at short
-    // range; classic OAQFM survives farther.
-    let near = Pose::facing_ap(2.0, 0.0, deg_to_rad(18.0));
-    let mut net = Network::new(near, Fidelity::Fast, 5001);
-    let dense = net
-        .downlink_dense(&[0x3A; 16], 1e6, DenseConstellation::new(4), true)
-        .expect("no dense link");
-    assert_eq!(dense.bit_errors, 0);
-    assert_eq!(dense.bit_rate, 4e6);
-
-    let mut net = Network::new(near, Fidelity::Fast, 5001);
-    let classic = net
-        .downlink(&[0x3A; 16], 1e6, true)
-        .expect("no classic link");
-    assert_eq!(classic.bit_errors, 0);
-    // Same symbol rate, double the bits.
-    assert_eq!(dense.bit_rate, 2.0 * 1e6 * 2.0);
-}
 
 /// SDM with one AP: a single-cell fabric polls both nodes in turn, each
 /// slot a full uplink session with the other node parked in the capture.
@@ -56,18 +33,6 @@ fn multinode_round_localizes_and_delivers_all() {
 }
 
 #[test]
-fn velocity_and_tracking_compose() {
-    // Kinematic state: position from localization, velocity from Doppler.
-    let pose = Pose::facing_ap(3.0, 0.0, 0.0);
-    let mut net = Network::new(pose, Fidelity::Fast, 5003);
-    let fix = net.localize().expect("no fix");
-    assert!((fix.range - 3.0).abs() < 0.1);
-    let vel = net.measure_velocity(1.2, 64).expect("no velocity");
-    assert!(vel.moving);
-    assert!((vel.velocity - 1.2).abs() < 0.4, "v {}", vel.velocity);
-}
-
-#[test]
 fn arq_delivers_over_real_channel() {
     let pose = Pose::facing_ap(3.0, 0.0, deg_to_rad(12.0));
     let mut net = Network::new(pose, Fidelity::Fast, 5200);
@@ -88,7 +53,7 @@ fn arq_delivers_over_real_channel() {
 fn coverage_map_matches_adaptive_rates() {
     // The planning tool's per-cell best rate should agree with what the
     // full simulation actually achieves (within one rate step).
-    use milback::survey::analytic_uplink_snr;
+    use milback::survey::{analytic_uplink_snr, SNR_ACCEPT, UPLINK_RATES};
     use milback::ApParams;
     use milback_node::node::BackscatterNode;
     use milback_rf::channel::Scene;
@@ -98,27 +63,18 @@ fn coverage_map_matches_adaptive_rates() {
     let ap = ApParams::milback();
     for d in [2.0, 5.0, 8.0] {
         let pose = Pose::facing_ap(d, 0.0, deg_to_rad(15.0));
-        let planned = milback::adaptation::UPLINK_RATES
-            .iter()
-            .copied()
-            .find(|&r| {
-                analytic_uplink_snr(&scene, &node, &ap, &pose, r)
-                    .map(|s| s >= milback::adaptation::SNR_ACCEPT)
-                    .unwrap_or(false)
-            });
+        let planned = UPLINK_RATES.iter().copied().find(|&r| {
+            analytic_uplink_snr(&scene, &node, &ap, &pose, r)
+                .map(|s| s >= SNR_ACCEPT)
+                .unwrap_or(false)
+        });
         // Achieved: the fastest rate whose frame decodes cleanly with the
         // same SNR margin, probed fastest first on one network.
         let mut net = Network::new(pose, Fidelity::Fast, 5400 + d as u64);
-        let achieved = milback::adaptation::UPLINK_RATES
-            .iter()
-            .copied()
-            .find(|&r| {
-                net.uplink(&[0x11; 8], r / 2.0, true).is_some_and(|u| {
-                    u.bit_errors == 0
-                        && u.payload.is_ok()
-                        && u.snr >= milback::adaptation::SNR_ACCEPT
-                })
-            });
+        let achieved = UPLINK_RATES.iter().copied().find(|&r| {
+            net.uplink(&[0x11; 8], r / 2.0, true)
+                .is_some_and(|u| u.bit_errors == 0 && u.payload.is_ok() && u.snr >= SNR_ACCEPT)
+        });
         // Allow one rate step of disagreement (the plan is analytic).
         match (planned, achieved) {
             (Some(p), Some(a)) => {
