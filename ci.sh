@@ -47,7 +47,7 @@ if cargo clippy --version >/dev/null 2>&1; then
     # vendored stubs.
     cargo clippy --release --offline --lib --no-deps \
         -p milback -p milback-proto -p milback-node -p milback-rf \
-        -p milback-ap -p milback-dsp \
+        -p milback-ap -p milback-dsp -p milback-hw \
         -- -D warnings -W clippy::unwrap_used
 else
     echo "==> clippy not installed; skipping lint" >&2
@@ -115,7 +115,7 @@ for leg in chaos serve net; do
     cmp "target/${leg}_view_1.txt" "target/${leg}_view_4.txt"
 done
 
-echo "==> docs freshness (DESIGN.md section refs in the maps and the code resolve)"
+echo "==> docs freshness (DESIGN.md section refs and backticked Rust paths in the docs resolve)"
 # Every "DESIGN.md §N" reference in the top-level maps and in the code,
 # tests and examples must point at a real "## N." heading in DESIGN.md —
 # a renumbered or deleted design section must not leave dangling
@@ -127,6 +127,69 @@ for n in $(grep -rho 'DESIGN\.md §[0-9]\+' ARCHITECTURE.md README.md crates tes
         exit 1
     }
 done
+# Every backticked Rust path (`a::b`, one-level groups `a::{b, c}`
+# expanded) in the design and architecture docs must name something
+# still defined in the source: its last segment must be an item, an enum
+# variant or struct field, or a module file under crates, tests,
+# examples or sessbench/src. std/core/alloc, primitive-type and lint
+# (clippy::, rustdoc::) paths are skipped, as are brace globs such as
+# `field{1,2}_x` and `file.rs::test` references. A deleted or renamed
+# item must not leave its name in the docs.
+DOC_SRC=(crates tests examples sessbench/src)
+defined=$(mktemp)
+{
+    grep -rhoE '\b(fn|struct|enum|trait|type|const|static|mod|union)\s+[A-Za-z_][A-Za-z0-9_]*' \
+        --include='*.rs' "${DOC_SRC[@]}" | awk '{print $2}'
+    grep -rhoE '^\s*(pub(\([a-z]+\))?\s+)?[A-Za-z_][A-Za-z0-9_]*\s*(:[^:]|,|\(|\{|=|$)' \
+        --include='*.rs' "${DOC_SRC[@]}" | sed -E 's/^\s*(pub(\([a-z]+\))?\s+)?//; s/[^A-Za-z0-9_].*//'
+    find "${DOC_SRC[@]}" -name '*.rs' | sed -E 's#^.*/##; s#\.rs$##'
+    find "${DOC_SRC[@]}" -name mod.rs | sed -E 's#/mod\.rs$##; s#^.*/##'
+} | sort -u >"$defined"
+stale=0
+for doc in DESIGN.md ARCHITECTURE.md README.md tests/README.md; do
+    while IFS=: read -r line path; do
+        case "$path" in
+            std::* | core::* | alloc::* | clippy::* | rustdoc::* | f32::* | f64::* | i8::* | i16::* | \
+                i32::* | i64::* | i128::* | isize::* | u8::* | u16::* | u32::* | u64::* | u128::* | \
+                usize::* | bool::* | char::* | str::*) continue ;;
+        esac
+        path=${path%::self}
+        if ! grep -qxF "${path##*::}" "$defined"; then
+            echo "$doc:$line: \`$path\` names nothing defined under ${DOC_SRC[*]}" >&2
+            stale=1
+        fi
+    done < <(awk '{
+        rest = $0
+        while (match(rest, /`[^`]*`/)) {
+            span = substr(rest, RSTART + 1, RLENGTH - 2)
+            rest = substr(rest, RSTART + RLENGTH)
+            while (match(span, /[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)*::\{[^{}]*\}/)) {
+                grp = substr(span, RSTART, RLENGTH)
+                pre = substr(span, 1, RSTART - 1)
+                post = substr(span, RSTART + RLENGTH)
+                i = index(grp, "::{")
+                prefix = substr(grp, 1, i - 1)
+                k = split(substr(grp, i + 3, length(grp) - i - 3), parts, ",")
+                out = ""
+                for (j = 1; j <= k; j++) {
+                    p = parts[j]
+                    gsub(/^ +| +$/, "", p)
+                    out = out " " prefix "::" p
+                }
+                span = pre out " " post
+            }
+            while (match(span, /[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+\{?/)) {
+                path = substr(span, RSTART, RLENGTH)
+                before = RSTART > 1 ? substr(span, RSTART - 1, 1) : ""
+                span = substr(span, RSTART + RLENGTH)
+                if (path ~ /\{$/ || before == ".") continue
+                print NR ":" path
+            }
+        }
+    }' "$doc")
+done
+rm -f "$defined"
+[ "$stale" -eq 0 ] || exit 1
 
 echo "==> cargo doc (rustdoc warnings are errors)"
 # Same package list as fmt: vendored stubs are exempt from the docs gate.

@@ -55,16 +55,10 @@ impl AoaEstimator {
     }
 
     /// Estimates the angle from the complex range-spectrum values of the
-    /// node's bin at the two antennas: `θ = asin(arg(x0·x1*)·λ/(2π·d))`.
-    pub fn estimate(&self, bin0: Cpx, bin1: Cpx) -> Option<f64> {
-        if bin0.abs() == 0.0 || bin1.abs() == 0.0 {
-            return None;
-        }
-        self.phase_to_angle((bin0 * bin1.conj()).arg())
-    }
-
-    /// Estimates the angle averaging the phase over a few bins around the
-    /// peak, weighted by magnitude — more robust at low SNR.
+    /// node's bins at the two antennas: `θ = asin(arg(Σ x0·x1*)·λ/(2π·d))`
+    /// over the bins within `half` of `peak`, so the phase average is
+    /// weighted by magnitude — more robust at low SNR than the peak bin
+    /// alone.
     pub fn estimate_windowed(
         &self,
         spec0: &[Cpx],
@@ -129,7 +123,7 @@ mod tests {
         let dphi = est.angle_to_phase(theta);
         let bin0 = Cpx::from_polar(1.0, 0.7 + dphi);
         let bin1 = Cpx::from_polar(1.0, 0.7);
-        let got = est.estimate(bin0, bin1).unwrap();
+        let got = est.estimate_windowed(&[bin0], &[bin1], 0, 0).unwrap();
         assert!((got - theta).abs() < 1e-12);
     }
 
@@ -137,7 +131,7 @@ mod tests {
     fn zero_bin_is_none() {
         let est = AoaEstimator::milback();
         assert!(est
-            .estimate(Cpx::new(0.0, 0.0), Cpx::new(1.0, 0.0))
+            .estimate_windowed(&[Cpx::new(0.0, 0.0)], &[Cpx::new(1.0, 0.0)], 0, 0)
             .is_none());
     }
 

@@ -4,35 +4,18 @@
 //! echoes chirp after chirp; the node, toggling at 10 kHz, does not.
 //! Subtracting consecutive chirp captures therefore cancels everything
 //! *except* the node. The AP takes five consecutive chirps, forms the four
-//! adjacent differences, and uses the strongest difference for detection.
+//! adjacent differences, and keeps per range bin the strongest of them
+//! for detection.
 //!
-//! The subtraction works identically on time-domain dechirped signals and
-//! on their spectra (the FFT is linear); both forms are provided because
-//! ranging wants spectra and AP-side orientation sensing wants the
-//! time-domain difference.
+//! The subtraction runs on the chirps' range spectra: the FFT is linear,
+//! so a spectral difference is the spectrum of the time-domain
+//! difference. Ranging reads the differences directly; AP-side
+//! orientation sensing gates one of them around the node's bin and
+//! transforms it back to the time domain
+//! (`ApOrientationEstimator::estimate_gated`).
 
 use milback_dsp::buffer;
 use milback_dsp::num::Cpx;
-use milback_dsp::signal::Signal;
-
-/// Pairwise differences of consecutive chirp captures (time domain).
-/// Returns `n−1` difference signals.
-pub fn pairwise_diff_signals(chirps: &[Signal]) -> Vec<Signal> {
-    assert!(chirps.len() >= 2, "need at least two chirps to subtract");
-    chirps
-        .windows(2)
-        .map(|w| {
-            assert_eq!(w[0].len(), w[1].len(), "chirp length mismatch");
-            let samples = w[1]
-                .samples
-                .iter()
-                .zip(&w[0].samples)
-                .map(|(b, a)| *b - *a)
-                .collect();
-            Signal::new(w[0].fs, w[0].fc, samples)
-        })
-        .collect()
-}
 
 /// Pairwise differences of consecutive chirp spectra, written into
 /// `out`. Both the outer vector and each inner difference buffer reuse
@@ -53,22 +36,6 @@ pub fn pairwise_diff_spectra_into(spectra: &[Vec<Cpx>], out: &mut Vec<Vec<Cpx>>)
     }
 }
 
-/// Index of the difference with the largest total energy — the pair that
-/// straddled a node state transition.
-pub fn strongest_diff<T: DiffEnergy>(diffs: &[T]) -> usize {
-    assert!(!diffs.is_empty(), "no differences given");
-    let mut best = 0;
-    let mut best_e = f64::MIN;
-    for (i, d) in diffs.iter().enumerate() {
-        let e = d.diff_energy();
-        if e > best_e {
-            best_e = e;
-            best = i;
-        }
-    }
-    best
-}
-
 /// Per-bin detection power: the maximum of `|d[k]|²` across all
 /// differences, written into `out` (capacity reused). Static clutter is
 /// near zero in every difference; the node's bin is large in at least
@@ -86,29 +53,10 @@ pub fn detection_spectrum_into(diffs: &[Vec<Cpx>], out: &mut Vec<f64>) {
     }
 }
 
-/// Total-energy abstraction so [`strongest_diff`] works on both forms.
-/// (Named `diff_energy` so it cannot be shadowed by `Signal`'s inherent
-/// `energy` method.)
-pub trait DiffEnergy {
-    /// Total energy of the difference.
-    fn diff_energy(&self) -> f64;
-}
-
-impl DiffEnergy for Signal {
-    fn diff_energy(&self) -> f64 {
-        self.samples.iter().map(|c| c.norm_sq()).sum()
-    }
-}
-
-impl DiffEnergy for Vec<Cpx> {
-    fn diff_energy(&self) -> f64 {
-        self.iter().map(|c| c.norm_sq()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use milback_dsp::signal::Signal;
 
     fn tone(amp: f64, n: usize) -> Signal {
         Signal::tone(1e6, 0.0, 1e3, amp, n)
@@ -126,30 +74,30 @@ mod tests {
         out
     }
 
+    fn energy(d: &[Cpx]) -> f64 {
+        d.iter().map(|c| c.norm_sq()).sum()
+    }
+
     #[test]
     fn static_returns_cancel() {
-        let chirps = vec![tone(1.0, 64); 5];
-        let diffs = pairwise_diff_signals(&chirps);
+        let spectra = vec![milback_dsp::fft::fft(&tone(1.0, 64).samples); 5];
+        let diffs = diff_spectra(&spectra);
         assert_eq!(diffs.len(), 4);
         for d in &diffs {
-            assert!(
-                d.diff_energy() < 1e-20,
-                "static energy leaked: {}",
-                d.diff_energy()
-            );
+            assert!(energy(d) < 1e-20, "static energy leaked: {}", energy(d));
         }
     }
 
     #[test]
     fn modulated_return_survives() {
         // Node "on" in chirps 0-2, "off" in 3-4 → only diff 2→3 is nonzero.
-        let on = tone(1.0, 64);
-        let off = tone(0.1, 64);
-        let chirps = vec![on.clone(), on.clone(), on, off.clone(), off];
-        let diffs = pairwise_diff_signals(&chirps);
-        assert!(diffs[0].diff_energy() < 1e-20);
-        assert!(diffs[2].diff_energy() > 0.1);
-        assert_eq!(strongest_diff(&diffs), 2);
+        let on = milback_dsp::fft::fft(&tone(1.0, 64).samples);
+        let off = milback_dsp::fft::fft(&tone(0.1, 64).samples);
+        let spectra = vec![on.clone(), on.clone(), on, off.clone(), off];
+        let diffs = diff_spectra(&spectra);
+        assert!(energy(&diffs[0]) < 1e-20);
+        assert!(energy(&diffs[2]) > 0.1);
+        assert!(energy(&diffs[3]) < 1e-20);
     }
 
     #[test]
@@ -223,12 +171,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least two")]
     fn rejects_single_chirp() {
-        pairwise_diff_signals(&[tone(1.0, 8)]);
+        diff_spectra(&[vec![Cpx::new(1.0, 0.0); 8]]);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn rejects_mismatched_lengths() {
-        pairwise_diff_signals(&[tone(1.0, 8), tone(1.0, 9)]);
+        diff_spectra(&[vec![Cpx::new(1.0, 0.0); 8], vec![Cpx::new(1.0, 0.0); 9]]);
     }
 }

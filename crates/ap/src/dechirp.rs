@@ -55,27 +55,6 @@ impl RangeProcessor {
         out.extend((0..n).map(|i| rx.samples[i] * tx_ref.samples[i].conj()));
     }
 
-    /// Windowed, zero-padded complex range spectrum of a dechirped chirp
-    /// (allocating wrapper over [`RangeProcessor::range_spectrum_into`]).
-    pub fn range_spectrum(&self, dechirped: &Signal) -> Vec<Cpx> {
-        let mut out = Vec::new();
-        self.range_spectrum_into(&dechirped.samples, &mut out);
-        out
-    }
-
-    /// Windowed, zero-padded complex range spectrum, written into `out`.
-    ///
-    /// One [`FftPlan::forward_padded_into`] on the cached plan for
-    /// `fft_len` (a power of two by construction) and the cached window
-    /// coefficients: the windowed samples are gathered straight into
-    /// bit-reversed order with zeros past the chirp, bitwise the same as
-    /// windowing a copy, zero-padding it and transforming in place.
-    /// Samples past `fft_len` are dropped after windowing. A warmed
-    /// `out` makes the call allocation-free.
-    pub fn range_spectrum_into(&self, dechirped: &[Cpx], out: &mut Vec<Cpx>) {
-        self.with_tables(dechirped.len(), |t| self.spectrum_with(t, dechirped, out));
-    }
-
     /// Runs `f` with the range-transform tables for `m`-sample dechirps.
     pub(crate) fn with_tables<R>(&self, m: usize, f: impl FnOnce(RangeTables<'_>) -> R) -> R {
         let window = cached_coeffs(self.window, m);
@@ -87,9 +66,18 @@ impl RangeProcessor {
         })
     }
 
-    /// [`RangeProcessor::range_spectrum_into`] on tables looked up by
-    /// the caller. A dechirp whose length differs from the tables'
-    /// window looks its own window up on the running thread.
+    /// Windowed, zero-padded complex range spectrum of a dechirped chirp,
+    /// written into `out`, on tables looked up by the caller. A dechirp
+    /// whose length differs from the tables' window looks its own window
+    /// up on the running thread.
+    ///
+    /// One [`FftPlan::forward_padded_into`] on the cached plan for
+    /// `fft_len` (a power of two by construction) and the cached window
+    /// coefficients: the windowed samples are gathered straight into
+    /// bit-reversed order with zeros past the chirp, bitwise the same as
+    /// windowing a copy, zero-padding it and transforming in place.
+    /// Samples past `fft_len` are dropped after windowing. A warmed
+    /// `out` makes the call allocation-free.
     fn spectrum_with(&self, t: RangeTables<'_>, dechirped: &[Cpx], out: &mut Vec<Cpx>) {
         milback_telemetry::counter_add("ap.dechirp.spectra", 1);
         let own;
@@ -168,11 +156,6 @@ impl RangeProcessor {
     pub fn bin_to_range(&self, bin: f64, fs: f64) -> f64 {
         let tau = self.beat_to_delay(self.bin_to_beat(bin, fs));
         tau * SPEED_OF_LIGHT / 2.0
-    }
-
-    /// The radar's intrinsic range resolution `c / 2B` in meters.
-    pub fn range_resolution(&self) -> f64 {
-        SPEED_OF_LIGHT / (2.0 * self.chirp.bandwidth())
     }
 
     /// Highest unambiguous one-way range for sample rate `fs`: the beat
@@ -257,12 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn range_resolution_is_5cm() {
-        let proc = RangeProcessor::new(test_chirp(), 1);
-        assert!((proc.range_resolution() - 0.04997).abs() < 1e-4);
-    }
-
-    #[test]
     fn two_reflectors_resolved() {
         let cfg = test_chirp();
         let proc = RangeProcessor::new(cfg, 2);
@@ -306,24 +283,15 @@ mod tests {
         proc.dechirp_into(&rx, &tx, &mut de_buf);
         assert_eq!(de.samples, de_buf);
 
-        let spec = proc.range_spectrum(&de);
-        let mut spec_buf = Vec::new();
-        // Reused buffers must keep reproducing the allocating result.
-        for _ in 0..2 {
-            proc.range_spectrum_into(&de_buf, &mut spec_buf);
-            assert_eq!(spec, spec_buf);
-        }
-
         let profile = proc.range_profile(&de);
         assert_eq!(profile.len(), proc.fft_len);
         let mut fft_buf = Vec::new();
         let mut prof_buf = Vec::new();
-        proc.range_profile_into(&de_buf, proc.fft_len, &mut fft_buf, &mut prof_buf);
-        assert_eq!(profile, prof_buf);
-        assert_eq!(
-            fft_buf, spec,
-            "the profile's spectrum is the range spectrum"
-        );
+        // Reused buffers must keep reproducing the allocating result.
+        for _ in 0..2 {
+            proc.range_profile_into(&de_buf, proc.fft_len, &mut fft_buf, &mut prof_buf);
+            assert_eq!(profile, prof_buf);
+        }
 
         // A banded profile is the full profile's prefix, bit for bit,
         // through buffers that held a wider band before.

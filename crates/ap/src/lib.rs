@@ -2,8 +2,9 @@
 //!
 //! The MilBack access point:
 //!
-//! * [`waveform`] — the VXG's role: FMCW chirp trains, two-tone queries,
-//!   OAQFM/OOK downlink keying,
+//! * [`waveform`] — the VXG's role: the transmit configuration and the
+//!   single-carrier OOK downlink keying (the chirps come from
+//!   `milback_dsp::template`),
 //! * [`dechirp`] — FMCW dechirp and range-FFT processing,
 //! * [`background`] — five-chirp background subtraction,
 //! * [`ranging`] — the full localization pipeline (range + AoA),

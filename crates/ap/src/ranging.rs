@@ -105,24 +105,6 @@ impl Localizer {
         self.diffs_of(par::claim(), ws, tx_ref, captures, None);
     }
 
-    /// Masked variant of [`Localizer::profile_diffs_with`]: processes
-    /// only the chirps whose `alive` flag is set, in capture order,
-    /// without copying the retained subset. Bitwise identical to
-    /// filtering `captures` through `alive` and calling
-    /// `profile_diffs_with` on the copy (each chirp's profile is an
-    /// independent computation). The session triage path uses this so a
-    /// reduced-chirp fallback stays allocation-free on a warmed
-    /// workspace.
-    pub fn profile_diffs_masked_with(
-        &self,
-        ws: &mut DspWorkspace,
-        tx_ref: &Signal,
-        captures: &[[Signal; 2]],
-        alive: &[bool],
-    ) {
-        self.diffs_of(par::claim(), ws, tx_ref, captures, Some(alive));
-    }
-
     /// Shared body of the workspace paths: per antenna, each live chirp
     /// (all of them when `alive` is `None`) is dechirped and
     /// range-transformed into the antenna's banded profile pool, one FFT

@@ -294,33 +294,16 @@ impl UplinkReceiver {
     }
 
     /// Demodulates an uplink capture into symbols (pilot included in the
-    /// returned stream) plus link statistics.
+    /// stream written to `out`) and returns the link statistics.
     ///
     /// * `rx0`/`rx1` — the two antenna captures (channel output, no noise),
     /// * `f_a`/`f_b` — the query tone frequencies,
     /// * `t0` — time of the first (pilot) symbol within the capture,
     /// * `n_symbols` — total symbols including the 4-symbol pilot.
-    #[allow(clippy::too_many_arguments)] // one argument per physical input
-    pub fn demodulate(
-        &self,
-        rx0: &Signal,
-        rx1: &Signal,
-        f_a: f64,
-        f_b: f64,
-        t0: f64,
-        n_symbols: usize,
-        rng: &mut StdRng,
-    ) -> (Vec<OaqfmSymbol>, UplinkStats) {
-        let mut scr = UplinkScratch::default();
-        let mut out = Vec::new();
-        let stats =
-            self.demodulate_into(&mut scr, rx0, rx1, f_a, f_b, t0, n_symbols, rng, &mut out);
-        (out, stats)
-    }
-
-    /// [`UplinkReceiver::demodulate`] through pooled buffers: a warmed
-    /// scratch makes the whole demodulation chain allocation-free
-    /// (pinned by `tests/zero_alloc.rs`).
+    ///
+    /// Runs through the pooled buffers of `scr`: a warmed scratch makes
+    /// the whole demodulation chain allocation-free (pinned by
+    /// `tests/zero_alloc.rs`).
     ///
     /// Branch A's LNA draws from `rng` before branch B's, and `rng` ends
     /// past both. When [`par::claim`] finds an idle core, branch B runs
@@ -421,6 +404,33 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
 
+    /// [`UplinkReceiver::demodulate_into`] through a fresh scratch.
+    #[allow(clippy::too_many_arguments)]
+    fn demodulate(
+        rxr: &UplinkReceiver,
+        rx0: &Signal,
+        rx1: &Signal,
+        f_a: f64,
+        f_b: f64,
+        t0: f64,
+        n_symbols: usize,
+        rng: &mut StdRng,
+    ) -> (Vec<OaqfmSymbol>, UplinkStats) {
+        let mut out = Vec::new();
+        let stats = rxr.demodulate_into(
+            &mut UplinkScratch::default(),
+            rx0,
+            rx1,
+            f_a,
+            f_b,
+            t0,
+            n_symbols,
+            rng,
+            &mut out,
+        );
+        (out, stats)
+    }
+
     /// Builds a synthetic capture: DC clutter + keyed node tone + the
     /// other tone keyed with different data, at the capture rate.
     #[allow(clippy::too_many_arguments)]
@@ -499,7 +509,7 @@ mod tests {
         let rx1 = synthetic_rx(fs, fc, f_b, f_a, &tx_b, &tx_a, symbol_rate, 1e-5, 1e-2);
         let n = full_a.len();
         let t0 = GUARD as f64 / symbol_rate;
-        let (symbols, stats) = rxr.demodulate(&rx0, &rx1, f_a, f_b, t0, n, &mut rng);
+        let (symbols, stats) = demodulate(&rxr, &rx0, &rx1, f_a, f_b, t0, n, &mut rng);
         assert_eq!(symbols.len(), n);
         for (k, s) in symbols.iter().enumerate() {
             assert_eq!(s.a_on, full_a[k], "branch A symbol {k}");
@@ -526,7 +536,7 @@ mod tests {
         let rx0 = synthetic_rx(fs, fc, f_a, f_b, &tx_a, &tx_b, symbol_rate, 1e-5, 10.0);
         let rx1 = synthetic_rx(fs, fc, f_b, f_a, &tx_b, &tx_a, symbol_rate, 1e-5, 10.0);
         let t0 = GUARD as f64 / symbol_rate;
-        let (symbols, _) = rxr.demodulate(&rx0, &rx1, f_a, f_b, t0, full_a.len(), &mut rng);
+        let (symbols, _) = demodulate(&rxr, &rx0, &rx1, f_a, f_b, t0, full_a.len(), &mut rng);
         let got_a: Vec<bool> = symbols.iter().map(|s| s.a_on).collect();
         assert_eq!(got_a, full_a);
     }
@@ -536,7 +546,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let rxr = UplinkReceiver::milback(10e6);
         let empty = Signal::new(2e9, 28e9, Vec::new());
-        let (symbols, stats) = rxr.demodulate(&empty, &empty, 27.6e9, 28.4e9, 0.0, 8, &mut rng);
+        let (symbols, stats) = demodulate(&rxr, &empty, &empty, 27.6e9, 28.4e9, 0.0, 8, &mut rng);
         assert_eq!(symbols.len(), 8);
         assert_eq!(stats.snr, 0.0);
         assert_eq!(stats.branch_snr, [0.0, 0.0]);
@@ -637,7 +647,7 @@ mod tests {
         let rx0 = synthetic_rx(fs, fc, f_a, f_b, &tx_a, &tx_b, symbol_rate, 1e-5, 1e-3);
         let rx1 = synthetic_rx(fs, fc, f_b, f_a, &tx_b, &tx_a, symbol_rate, 1e-5, 1e-3);
         let t0 = GUARD as f64 / symbol_rate;
-        let (symbols, _) = rxr.demodulate(&rx0, &rx1, f_a, f_b, t0, full_a.len(), &mut rng);
+        let (symbols, _) = demodulate(&rxr, &rx0, &rx1, f_a, f_b, t0, full_a.len(), &mut rng);
         let got_a: Vec<bool> = symbols.iter().map(|s| s.a_on).collect();
         assert_eq!(got_a, full_a);
     }

@@ -291,7 +291,9 @@ impl Network {
     /// Returns `None` (and counts `core.link.downlink.rejected`) for a
     /// symbol rate that is NaN, not positive, or too fast for 2 samples
     /// per symbol at the 200 MHz minimum simulation rate, before any
-    /// sensing; and `None` when no carrier plan exists.
+    /// sensing; `None` before any RNG draw when the node or a parked
+    /// interferer cannot be rendered (see [`Network::localize`]); and
+    /// `None` when no carrier plan exists.
     ///
     /// Steady-state allocations: only the decoded payload `Vec<u8>` in
     /// the report — all working buffers are pooled in the network's
@@ -305,6 +307,9 @@ impl Network {
         let _span = telemetry::span("core.link.downlink.ns");
         if !downlink_rate_ok(symbol_rate) {
             telemetry::counter_add("core.link.downlink.rejected", 1);
+            return None;
+        }
+        if self.render_rejected() {
             return None;
         }
         let tones = self.plan_tones(use_truth)?;
@@ -521,8 +526,10 @@ impl Network {
     ///
     /// Returns `None` (and counts `core.link.uplink.rejected`) for a
     /// symbol rate that is not finite and positive, before any sensing;
-    /// for a rate past the node switch's toggle limit, after tone
-    /// planning; and when no carrier plan exists.
+    /// `None` before any RNG draw when the node or a parked interferer
+    /// cannot be rendered (see [`Network::localize`]); `None` for a rate
+    /// past the node switch's toggle limit, after tone planning; and
+    /// when no carrier plan exists.
     ///
     /// Steady-state allocations: the decoded payload `Vec<u8>`; the
     /// node, channel and AP receiver buffers are pooled in
@@ -537,6 +544,9 @@ impl Network {
         let _span = telemetry::span("core.link.uplink.ns");
         if !uplink_rate_ok(symbol_rate) {
             telemetry::counter_add("core.link.uplink.rejected", 1);
+            return None;
+        }
+        if self.render_rejected() {
             return None;
         }
         let tones = self.plan_tones(use_truth)?;

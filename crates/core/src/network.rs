@@ -367,18 +367,20 @@ impl Network {
         }
     }
 
-    /// Whether the Field-2 render cannot run: the node or a parked
+    /// Whether the node cannot be rendered: the node or a parked
     /// interferer sits at an AP antenna or has a NaN coordinate (see
-    /// [`Scene::can_render_at`]). Counts `core.network.field2.rejected`
-    /// when so. Draws nothing from the RNG.
-    fn field2_rejected(&self) -> bool {
+    /// [`Scene::can_render_at`]), where the path loss is undefined.
+    /// Counts `core.network.render.rejected` when so. Draws nothing from
+    /// the RNG. Every public path that renders the node checks it on
+    /// entry.
+    pub(crate) fn render_rejected(&self) -> bool {
         let renderable = self.scene.can_render_at(&self.node.pose.position)
             && self
                 .interferers
                 .iter()
                 .all(|itf| self.scene.can_render_at(&itf.pose.position));
         if !renderable {
-            telemetry::counter_add("core.network.field2.rejected", 1);
+            telemetry::counter_add("core.network.render.rejected", 1);
         }
         !renderable
     }
@@ -388,9 +390,9 @@ impl Network {
     ///
     /// Returns `None` when there is no fix, and on entry, before any RNG
     /// draw, when the node or a parked interferer cannot be rendered
-    /// (counted as `core.network.field2.rejected`).
+    /// (counted as `core.network.render.rejected`).
     pub fn localize(&mut self) -> Option<LocalizationResult> {
-        if self.field2_rejected() {
+        if self.render_rejected() {
             return None;
         }
         // Render into the thread-local burst buffers through the cached
@@ -419,7 +421,7 @@ impl Network {
     /// Returns `None` on entry, before any RNG draw, when the node or a
     /// parked interferer cannot be rendered, as [`Self::localize`] does.
     pub fn sense_orientation_at_ap(&mut self) -> Option<f64> {
-        if self.field2_rejected() {
+        if self.render_rejected() {
             return None;
         }
         with_field2_burst(|burst| {
@@ -480,7 +482,13 @@ impl Network {
 
     /// Runs §5.2(b): the node estimates its own orientation from the
     /// triangular chirp's peak separation.
+    ///
+    /// Returns `None` on entry, before any RNG draw, when the node or a
+    /// parked interferer cannot be rendered, as [`Self::localize`] does.
     pub fn sense_orientation_at_node(&mut self) -> Option<f64> {
+        if self.render_rejected() {
+            return None;
+        }
         let (cap_a, cap_b) = self.field1_node_captures();
         let mut est = NodeOrientationEstimator::milback();
         est.chirp = self.fidelity.triangular();

@@ -14,7 +14,14 @@ use milback_rf::fsa::Port;
 impl Network {
     /// Transmits Field 1 for `mode` and lets the node detect the mode by
     /// counting chirps with its energy detector (paper §7).
+    ///
+    /// Returns `None` on entry, before any RNG draw, when the node or a
+    /// parked interferer cannot be rendered (see
+    /// [`Network::localize`]).
     pub fn signal_mode(&mut self, mode: LinkMode) -> Option<LinkMode> {
+        if self.render_rejected() {
+            return None;
+        }
         use milback_proto::packet::{PacketConfig, Slot};
         let pkt = self.fidelity.packet();
         let mut chirp_cfg = pkt.field1_chirp;

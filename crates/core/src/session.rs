@@ -211,13 +211,6 @@ pub struct SessionReport {
     pub backoff_s: f64,
 }
 
-impl SessionReport {
-    /// Whether the exchange was completely clean (no degradations).
-    pub fn is_clean(&self) -> bool {
-        self.degradations.is_empty()
-    }
-}
-
 /// Pooled per-session scratch state (DESIGN.md §15): every reusable
 /// buffer a supervised exchange touches outside the link layer — the
 /// AP's DSP workspace, the channel-synthesis cache, the Field-2 render
@@ -481,7 +474,19 @@ impl Session {
     /// pair. Runs entirely in `ctx` buffers (the masked processing path
     /// avoids copying the retained subset), bitwise identical to the
     /// allocating implementation it replaced.
+    ///
+    /// Renders nothing and returns no fix, before any RNG draw, when the
+    /// node or a parked interferer cannot be rendered (see
+    /// [`Network::localize`]).
     fn triage_localize(&self, ctx: &mut SessionCtx, net: &mut Network) -> LocalizeSummary {
+        if net.render_rejected() {
+            return LocalizeSummary {
+                fix: None,
+                chirps_used: 0,
+                dropped: 0,
+                fell_back: false,
+            };
+        }
         let cfg = &self.config;
         net.field2_captures_into(&mut ctx.chan, cfg.field2_chirps, &mut ctx.burst);
         let n = ctx.burst.captures.len();
@@ -652,7 +657,11 @@ mod tests {
         let report = Session::default()
             .run(&mut net, &packet)
             .expect("clean session failed");
-        assert!(report.is_clean(), "degradations: {:?}", report.degradations);
+        assert!(
+            report.degradations.is_empty(),
+            "degradations: {:?}",
+            report.degradations
+        );
         assert_eq!(report.mode_attempts, 1);
         assert_eq!(report.payload_attempts, 1);
         assert_eq!(report.chirps_used, 5);
@@ -667,7 +676,11 @@ mod tests {
         let report = Session::default()
             .run(&mut net, &packet)
             .expect("clean uplink failed");
-        assert!(report.is_clean(), "degradations: {:?}", report.degradations);
+        assert!(
+            report.degradations.is_empty(),
+            "degradations: {:?}",
+            report.degradations
+        );
         assert!(report.uplink.is_some());
     }
 

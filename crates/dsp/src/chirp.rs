@@ -168,21 +168,9 @@ impl ChirpConfig {
     }
 }
 
-/// Generates a two-tone query signal (paper §6.3): RF tones at `f_a` and
-/// `f_b`, each of amplitude `amp/√2` so that total power equals `amp²`,
-/// represented at baseband relative to `fc`.
-pub fn two_tone(fs: f64, fc: f64, f_a: f64, f_b: f64, amp: f64, n: usize) -> Signal {
-    let a = amp / 2f64.sqrt();
-    let mut s = Signal::tone(fs, fc, f_a - fc, a, n);
-    let b = Signal::tone(fs, fc, f_b - fc, a, n);
-    s.add(&b);
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft::{fft_freqs, power_spectrum};
 
     /// Estimates instantaneous frequency between consecutive samples from
     /// the phase difference.
@@ -280,24 +268,6 @@ mod tests {
         assert!((saw.duration - 18e-6).abs() < 1e-12);
         let tri = ChirpConfig::milback_triangular();
         assert!((tri.duration - 45e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn two_tone_spectrum_has_two_peaks() {
-        let fs = 1e9;
-        let fc = 28e9;
-        let n = 8192;
-        let s = two_tone(fs, fc, 27.9e9, 28.2e9, 1.0, n);
-        assert!((s.power() - 1.0).abs() < 0.01);
-        let spec = power_spectrum(&s.samples);
-        let freqs = fft_freqs(n, fs);
-        // Find the two largest bins.
-        let mut idx: Vec<usize> = (0..n).collect();
-        idx.sort_by(|a, b| spec[*b].partial_cmp(&spec[*a]).unwrap());
-        let mut fpeaks = [freqs[idx[0]] + fc, freqs[idx[1]] + fc];
-        fpeaks.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert!((fpeaks[0] - 27.9e9).abs() < 2.0 * fs / n as f64);
-        assert!((fpeaks[1] - 28.2e9).abs() < 2.0 * fs / n as f64);
     }
 
     #[test]

@@ -42,16 +42,6 @@ pub fn parabolic_refine(data: &[f64], i: usize) -> f64 {
     i as f64 + delta.clamp(-0.5, 0.5)
 }
 
-/// Finds the single strongest peak with sub-sample refinement.
-pub fn strongest_peak(data: &[f64]) -> Option<Peak> {
-    let i = argmax(data)?;
-    Some(Peak {
-        index: i,
-        value: data[i],
-        refined: parabolic_refine(data, i),
-    })
-}
-
 /// Finds all local maxima above `threshold`, enforcing a minimum spacing of
 /// `min_separation` samples between retained peaks (strongest-first greedy
 /// selection). Peaks are returned sorted by descending value.
@@ -86,33 +76,11 @@ pub fn find_peaks(data: &[f64], threshold: f64, min_separation: usize) -> Vec<Pe
     kept
 }
 
-/// Finds the two strongest sufficiently-separated peaks and returns them in
-/// time order `(first, second)`. This is the node-side orientation
-/// primitive: the two beam-crossing power bumps of a triangular chirp.
-pub fn two_peaks(data: &[f64], min_separation: usize) -> Option<(Peak, Peak)> {
-    let peaks = find_peaks(data, f64::NEG_INFINITY, min_separation);
-    if peaks.len() < 2 {
-        return None;
-    }
-    let (a, b) = (peaks[0], peaks[1]);
-    if a.index <= b.index {
-        Some((a, b))
-    } else {
-        Some((b, a))
-    }
-}
-
 /// Mean of the values strictly below the `q`-quantile — a simple robust
-/// noise-floor estimate for thresholding spectra. Allocating wrapper
-/// over [`noise_floor_with`].
-pub fn noise_floor(data: &[f64], q: f64) -> f64 {
-    noise_floor_with(data, q, &mut Vec::new())
-}
-
-/// [`noise_floor`] with a caller-owned sort buffer: identical result
-/// (an unstable sort reorders only equal values, which cannot change
-/// the sorted value sequence), zero allocations once `scratch` has
-/// grown to `data.len()`.
+/// noise-floor estimate for thresholding spectra. Sorts into the
+/// caller-owned `scratch` (an unstable sort reorders only equal values,
+/// which cannot change the sorted value sequence), so it performs zero
+/// allocations once `scratch` has grown to `data.len()`.
 pub fn noise_floor_with(data: &[f64], q: f64, scratch: &mut Vec<f64>) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
     if data.is_empty() {
@@ -162,7 +130,7 @@ mod tests {
     }
 
     #[test]
-    fn strongest_peak_on_sinc() {
+    fn refined_argmax_on_sinc() {
         let data: Vec<f64> = (0..64)
             .map(|i| {
                 let x = (i as f64 - 20.25) * 0.7;
@@ -173,9 +141,10 @@ mod tests {
                 }
             })
             .collect();
-        let p = strongest_peak(&data).unwrap();
-        assert_eq!(p.index, 20);
-        assert!((p.refined - 20.25).abs() < 0.1, "refined {}", p.refined);
+        let i = argmax(&data).unwrap();
+        assert_eq!(i, 20);
+        let refined = parabolic_refine(&data, i);
+        assert!((refined - 20.25).abs() < 0.1, "refined {refined}");
     }
 
     #[test]
@@ -202,46 +171,26 @@ mod tests {
     }
 
     #[test]
-    fn two_peaks_in_time_order() {
-        let mut data = vec![0.0; 100];
-        data[70] = 9.0;
-        data[20] = 6.0;
-        let (a, b) = two_peaks(&data, 10).unwrap();
-        assert_eq!(a.index, 20);
-        assert_eq!(b.index, 70);
-    }
-
-    #[test]
-    fn two_peaks_none_when_single() {
-        let mut data = vec![0.0; 10];
-        data[4] = 1.0;
-        // Plateau of zeros yields one zero-peak candidate at index 0 as well;
-        // enforce separation so only distinct structure counts.
-        let got = two_peaks(&data, 20);
-        assert!(got.is_none() || got.unwrap().0.value == 0.0);
-    }
-
-    #[test]
     fn noise_floor_estimate() {
         let mut data = vec![1.0; 90];
         data.extend(vec![100.0; 10]);
-        let nf = noise_floor(&data, 0.5);
+        let nf = noise_floor_with(&data, 0.5, &mut Vec::new());
         assert!((nf - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn noise_floor_empty() {
-        assert_eq!(noise_floor(&[], 0.5), 0.0);
+        assert_eq!(noise_floor_with(&[], 0.5, &mut Vec::new()), 0.0);
     }
 
     #[test]
-    fn noise_floor_with_matches_allocating_bitwise() {
+    fn noise_floor_with_reused_scratch_is_bitwise_stable() {
         let data: Vec<f64> = (0..500)
             .map(|i| ((i * 7919) % 251) as f64 * 0.013 + 0.1)
             .collect();
         let mut scratch = Vec::new();
         for q in [0.1, 0.5, 0.9] {
-            let expect = noise_floor(&data, q);
+            let expect = noise_floor_with(&data, q, &mut Vec::new());
             // Reused scratch across quantiles must not perturb results.
             assert_eq!(noise_floor_with(&data, q, &mut scratch), expect);
             assert_eq!(noise_floor_with(&data, q, &mut scratch), expect);

@@ -32,19 +32,6 @@ pub fn next_pow2(n: usize) -> usize {
     n.next_power_of_two()
 }
 
-/// In-place forward FFT for power-of-two lengths.
-///
-/// # Panics
-/// Panics if `data.len()` is not a power of two.
-pub fn fft_pow2_in_place(data: &mut [Cpx]) {
-    assert!(
-        is_pow2(data.len()),
-        "fft_pow2_in_place requires power-of-two length, got {}",
-        data.len()
-    );
-    plan::with_plan(data.len(), |p| p.forward_in_place(data));
-}
-
 /// Forward FFT of arbitrary length. Power-of-two inputs take the radix-2
 /// path; other lengths use the Bluestein chirp-z algorithm.
 pub fn fft(input: &[Cpx]) -> Vec<Cpx> {
@@ -78,19 +65,6 @@ pub fn ifft(input: &[Cpx]) -> Vec<Cpx> {
     }
 }
 
-/// In-place inverse FFT for power-of-two lengths (normalized by `1/N`).
-///
-/// # Panics
-/// Panics if `data.len()` is not a power of two.
-pub fn ifft_pow2_in_place(data: &mut [Cpx]) {
-    assert!(
-        is_pow2(data.len()),
-        "ifft_pow2_in_place requires power-of-two length, got {}",
-        data.len()
-    );
-    plan::with_plan(data.len(), |p| p.inverse_in_place(data));
-}
-
 /// Frequency (Hz) of each FFT bin for a transform of length `n` at sample
 /// rate `fs`, in natural FFT order: `[0, fs/n, …, fs/2, -fs/2+fs/n, …, -fs/n]`.
 pub fn fft_freqs(n: usize, fs: f64) -> Vec<f64> {
@@ -104,22 +78,6 @@ pub fn fft_freqs(n: usize, fs: f64) -> Vec<f64> {
             }
         })
         .collect()
-}
-
-/// Reorders an FFT output so that the zero-frequency bin is centered
-/// (matches `fftshift` in NumPy/MATLAB).
-pub fn fft_shift<T: Copy>(data: &[T]) -> Vec<T> {
-    let n = data.len();
-    let half = n.div_ceil(2);
-    let mut out = Vec::with_capacity(n);
-    out.extend_from_slice(&data[half..]);
-    out.extend_from_slice(&data[..half]);
-    out
-}
-
-/// Power spectrum `|X[k]|²` of a signal (no window, no normalization).
-pub fn power_spectrum(input: &[Cpx]) -> Vec<f64> {
-    fft(input).iter().map(|c| c.norm_sq()).collect()
 }
 
 #[cfg(test)]
@@ -243,28 +201,8 @@ mod tests {
     }
 
     #[test]
-    fn fft_shift_centers_dc() {
-        let shifted = fft_shift(&[0, 1, 2, 3, -4, -3, -2, -1]);
-        assert_eq!(shifted, vec![-4, -3, -2, -1, 0, 1, 2, 3]);
-        let odd = fft_shift(&[0, 1, 2, -2, -1]);
-        assert_eq!(odd, vec![-2, -1, 0, 1, 2]);
-    }
-
-    #[test]
     fn empty_input() {
         assert!(fft(&[]).is_empty());
         assert!(ifft(&[]).is_empty());
-    }
-
-    #[test]
-    fn power_spectrum_of_tone() {
-        let n = 64;
-        let x: Vec<Cpx> = (0..n)
-            .map(|t| Cpx::cis(2.0 * PI * 5.0 * t as f64 / n as f64))
-            .collect();
-        let p = power_spectrum(&x);
-        let peak = p.iter().cloned().fold(f64::MIN, f64::max);
-        assert!((peak - (n * n) as f64).abs() < 1e-6);
-        assert_eq!(p.iter().position(|v| *v == peak), Some(5));
     }
 }

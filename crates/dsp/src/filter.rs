@@ -1,11 +1,11 @@
-//! Digital filters: windowed-sinc FIR design, biquad (RBJ cookbook) IIR
-//! sections, and the single-pole low-pass used to model envelope-detector
-//! video bandwidth.
+//! Digital filters: windowed-sinc FIR design with a decimating kernel,
+//! the single-pole low-pass used to model envelope-detector video
+//! bandwidth, and a moving-average smoother.
 //!
 //! The AP's uplink receive chain (paper Fig. 7) mixes the received signal
-//! with each query tone and band-pass filters the product to reject DC
-//! (static clutter + self-interference) and the 2f / f_A±f_B mixing images.
-//! Those band-pass filters live here.
+//! with each query tone and low-pass filters the product down to the
+//! processing rate, rejecting the f_A±f_B cross-tone mixing images.
+//! Those decimating FIRs live here.
 
 use crate::num::{Cpx, ZERO};
 use std::f64::consts::PI;
@@ -23,37 +23,6 @@ pub struct Fir {
 }
 
 impl Fir {
-    /// Designs a windowed-sinc low-pass FIR.
-    ///
-    /// * `cutoff` — cutoff frequency in Hz
-    /// * `fs` — sample rate in Hz
-    /// * `n_taps` — number of taps (odd count gives integer group delay)
-    pub fn lowpass(cutoff: f64, fs: f64, n_taps: usize) -> Self {
-        assert!(cutoff > 0.0 && cutoff < fs / 2.0, "cutoff out of range");
-        assert!(n_taps >= 3, "need at least 3 taps");
-        let fc = cutoff / fs;
-        let m = (n_taps - 1) as f64 / 2.0;
-        let mut taps: Vec<f64> = (0..n_taps)
-            .map(|i| {
-                let x = i as f64 - m;
-                let sinc = if x == 0.0 {
-                    2.0 * fc
-                } else {
-                    (2.0 * PI * fc * x).sin() / (PI * x)
-                };
-                // Hamming window to tame ripple.
-                let w = 0.54 - 0.46 * (2.0 * PI * i as f64 / (n_taps - 1) as f64).cos();
-                sinc * w
-            })
-            .collect();
-        // Normalize for unity DC gain.
-        let sum: f64 = taps.iter().sum();
-        for t in taps.iter_mut() {
-            *t /= sum;
-        }
-        Self { taps }
-    }
-
     /// Designs a windowed-sinc low-pass with an explicit window choice.
     /// The window sets the stopband floor (Hamming ≈ −53 dB, Blackman ≈
     /// −74 dB, Blackman-Harris ≈ −92 dB) — pick Blackman-Harris when a
@@ -87,49 +56,16 @@ impl Fir {
         Self { taps }
     }
 
-    /// Designs a band-pass FIR centered between `f_lo` and `f_hi` by
-    /// modulating a low-pass prototype to the band center.
-    pub fn bandpass(f_lo: f64, f_hi: f64, fs: f64, n_taps: usize) -> Self {
-        assert!(
-            f_lo > 0.0 && f_hi > f_lo && f_hi < fs / 2.0,
-            "band out of range"
-        );
-        let half_bw = (f_hi - f_lo) / 2.0;
-        let center = (f_hi + f_lo) / 2.0;
-        let proto = Self::lowpass(half_bw, fs, n_taps);
-        let m = (n_taps - 1) as f64 / 2.0;
-        let taps = proto
-            .taps
-            .iter()
-            .enumerate()
-            // ×2 restores unity passband gain after modulation.
-            .map(|(i, t)| 2.0 * t * (2.0 * PI * center * (i as f64 - m) / fs).cos())
-            .collect();
-        Self { taps }
-    }
-
-    /// Group delay in samples (linear-phase FIR).
-    pub fn group_delay(&self) -> f64 {
-        (self.taps.len() - 1) as f64 / 2.0
-    }
-
-    /// Convolves the filter with a complex signal ("same" mode: output has
-    /// the input length, aligned to remove the group delay).
-    pub fn apply(&self, input: &[Cpx]) -> Vec<Cpx> {
-        let mut out = Vec::new();
-        self.apply_into(input, &mut out);
-        out
-    }
-
-    /// [`Fir::apply`] into a pooled buffer: `out` is cleared and refilled
-    /// (reusing its capacity). The same kernel as
-    /// [`Fir::decimate_into`] at factor 1.
+    /// Convolves the filter with a complex signal ("same" mode: output
+    /// has the input length, aligned to remove the group delay) into a
+    /// pooled buffer: `out` is cleared and refilled (reusing its
+    /// capacity). The same kernel as [`Fir::decimate_into`] at factor 1.
     pub fn apply_into(&self, input: &[Cpx], out: &mut Vec<Cpx>) {
         self.decimate_into(input, 1, out);
     }
 
     /// Filters and decimates in one pass: `out` is cleared and refilled
-    /// with outputs `0, factor, 2·factor, …` of [`Fir::apply`], and no
+    /// with outputs `0, factor, 2·factor, …` of [`Fir::apply_into`], and no
     /// other output is computed. Each one accumulates from zero over the
     /// taps in order `j = 0..k`, exactly as the full-rate filter does, so
     /// the result is bitwise the full-rate output strided by `factor`.
@@ -201,115 +137,6 @@ impl Fir {
 }
 
 // ---------------------------------------------------------------------------
-// Biquad (RBJ audio-EQ cookbook)
-// ---------------------------------------------------------------------------
-
-/// A single second-order IIR section in direct form I.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Biquad {
-    b0: f64,
-    b1: f64,
-    b2: f64,
-    a1: f64,
-    a2: f64,
-}
-
-impl Biquad {
-    /// Butterworth-Q low-pass biquad at cutoff `f0` Hz, sample rate `fs`.
-    pub fn lowpass(f0: f64, fs: f64) -> Self {
-        Self::from_rbj(f0, fs, std::f64::consts::FRAC_1_SQRT_2, Kind::LowPass)
-    }
-
-    /// Butterworth-Q high-pass biquad at cutoff `f0` Hz.
-    pub fn highpass(f0: f64, fs: f64) -> Self {
-        Self::from_rbj(f0, fs, std::f64::consts::FRAC_1_SQRT_2, Kind::HighPass)
-    }
-
-    /// Band-pass biquad (constant 0 dB peak gain) centered at `f0` with
-    /// quality factor `q`.
-    pub fn bandpass(f0: f64, fs: f64, q: f64) -> Self {
-        Self::from_rbj(f0, fs, q, Kind::BandPass)
-    }
-
-    fn from_rbj(f0: f64, fs: f64, q: f64, kind: Kind) -> Self {
-        assert!(f0 > 0.0 && f0 < fs / 2.0, "corner out of range");
-        assert!(q > 0.0, "Q must be positive");
-        let w0 = 2.0 * PI * f0 / fs;
-        let alpha = w0.sin() / (2.0 * q);
-        let cw = w0.cos();
-        let a0 = 1.0 + alpha;
-        let (b0, b1, b2) = match kind {
-            Kind::LowPass => {
-                let k = (1.0 - cw) / 2.0;
-                (k, 1.0 - cw, k)
-            }
-            Kind::HighPass => {
-                let k = (1.0 + cw) / 2.0;
-                (k, -(1.0 + cw), k)
-            }
-            Kind::BandPass => (alpha, 0.0, -alpha),
-        };
-        Self {
-            b0: b0 / a0,
-            b1: b1 / a0,
-            b2: b2 / a0,
-            a1: -2.0 * cw / a0,
-            a2: (1.0 - alpha) / a0,
-        }
-    }
-
-    /// Runs the filter over a real signal (zero initial state).
-    pub fn apply_real(&self, input: &[f64]) -> Vec<f64> {
-        let mut x1 = 0.0;
-        let mut x2 = 0.0;
-        let mut y1 = 0.0;
-        let mut y2 = 0.0;
-        input
-            .iter()
-            .map(|&x| {
-                let y = self.b0 * x + self.b1 * x1 + self.b2 * x2 - self.a1 * y1 - self.a2 * y2;
-                x2 = x1;
-                x1 = x;
-                y2 = y1;
-                y1 = y;
-                y
-            })
-            .collect()
-    }
-
-    /// Runs the filter over a complex signal (applied to I and Q
-    /// independently).
-    pub fn apply(&self, input: &[Cpx]) -> Vec<Cpx> {
-        let re: Vec<f64> = input.iter().map(|c| c.re).collect();
-        let im: Vec<f64> = input.iter().map(|c| c.im).collect();
-        let yr = self.apply_real(&re);
-        let yi = self.apply_real(&im);
-        yr.into_iter()
-            .zip(yi)
-            .map(|(r, i)| Cpx::new(r, i))
-            .collect()
-    }
-
-    /// Magnitude response at frequency `f` Hz for sample rate `fs`.
-    pub fn response_at(&self, f: f64, fs: f64) -> f64 {
-        let w = 2.0 * PI * f / fs;
-        let z1 = Cpx::cis(-w);
-        let z2 = Cpx::cis(-2.0 * w);
-        let num = Cpx::real(self.b0) + z1 * self.b1 + z2 * self.b2;
-        let den = Cpx::real(1.0) + z1 * self.a1 + z2 * self.a2;
-        (num / den).abs()
-    }
-}
-
-#[derive(Clone, Copy)]
-#[allow(clippy::enum_variant_names)] // LowPass/HighPass/BandPass is the domain vocabulary
-enum Kind {
-    LowPass,
-    HighPass,
-    BandPass,
-}
-
-// ---------------------------------------------------------------------------
 // Single-pole low-pass (RC)
 // ---------------------------------------------------------------------------
 
@@ -332,25 +159,10 @@ impl OnePole {
         Self { alpha, state: 0.0 }
     }
 
-    /// Creates a one-pole from a 10–90% rise time: `t_r ≈ 0.35 / f3db`.
-    pub fn from_rise_time(rise_time: f64, fs: f64) -> Self {
-        Self::new(0.35 / rise_time, fs)
-    }
-
     /// Processes one sample.
     pub fn step(&mut self, x: f64) -> f64 {
         self.state += self.alpha * (x - self.state);
         self.state
-    }
-
-    /// Processes a whole buffer.
-    pub fn run(&mut self, input: &[f64]) -> Vec<f64> {
-        input.iter().map(|&x| self.step(x)).collect()
-    }
-
-    /// Resets internal state to zero.
-    pub fn reset(&mut self) {
-        self.state = 0.0;
     }
 }
 
@@ -377,54 +189,39 @@ pub fn moving_average(input: &[f64], w: usize) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::signal::Signal;
+    use crate::window::Window;
+
+    fn hamming_lowpass(cutoff: f64, fs: f64, n_taps: usize) -> Fir {
+        Fir::lowpass_with_window(cutoff, fs, n_taps, Window::Hamming)
+    }
+
+    fn apply(f: &Fir, input: &[Cpx]) -> Vec<Cpx> {
+        let mut out = Vec::new();
+        f.apply_into(input, &mut out);
+        out
+    }
 
     #[test]
     fn fir_lowpass_passes_dc_rejects_high() {
-        let f = Fir::lowpass(0.1e6, 1e6, 63);
+        let f = hamming_lowpass(0.1e6, 1e6, 63);
         assert!((f.response_at(0.0, 1e6) - 1.0).abs() < 1e-6);
         assert!(f.response_at(0.4e6, 1e6) < 0.01);
         // In-band tone survives, out-of-band tone is crushed.
         let inband = Signal::tone(1e6, 0.0, 0.02e6, 1.0, 2000);
-        let out = f.apply(&inband.samples);
+        let out = apply(&f, &inband.samples);
         let p: f64 = out[500..1500].iter().map(|c| c.norm_sq()).sum::<f64>() / 1000.0;
         assert!((p - 1.0).abs() < 0.05, "in-band power {p}");
         let highband = Signal::tone(1e6, 0.0, 0.45e6, 1.0, 2000);
-        let out = f.apply(&highband.samples);
+        let out = apply(&f, &highband.samples);
         let p: f64 = out[500..1500].iter().map(|c| c.norm_sq()).sum::<f64>() / 1000.0;
         assert!(p < 1e-3, "out-of-band power {p}");
-    }
-
-    #[test]
-    fn fir_bandpass_selects_band() {
-        let f = Fir::bandpass(50e3, 150e3, 1e6, 127);
-        assert!(f.response_at(100e3, 1e6) > 0.9);
-        assert!(
-            f.response_at(0.0, 1e6) < 0.05,
-            "DC leak {}",
-            f.response_at(0.0, 1e6)
-        );
-        assert!(f.response_at(400e3, 1e6) < 0.05);
-    }
-
-    #[test]
-    fn fir_bandpass_rejects_dc_interference() {
-        // Model of the AP chain: DC (clutter) + modulated node signal.
-        let fs = 1e6;
-        let mut sig = Signal::tone(fs, 0.0, 0.0, 10.0, 4000); // strong DC
-        let node = Signal::tone(fs, 0.0, 100e3, 0.1, 4000); // weak node tone
-        sig.add(&node);
-        let f = Fir::bandpass(50e3, 150e3, fs, 127);
-        let out = f.apply(&sig.samples);
-        let p: f64 = out[1000..3000].iter().map(|c| c.norm_sq()).sum::<f64>() / 2000.0;
-        // Output should be ~ the node power (0.01), not the DC power (100).
-        assert!((p - 0.01).abs() < 0.003, "filtered power {p}");
     }
 
     #[test]
     fn fir_decimate_keeps_low_frequency_tone() {
         let fs = 1e6;
         let s = Signal::tone(fs, 0.0, 5e3, 1.0, 8000);
-        let f = Fir::lowpass(0.4 * fs / 10.0, fs, 63);
+        let f = hamming_lowpass(0.4 * fs / 10.0, fs, 63);
         let mut d = Vec::new();
         f.decimate_into(&s.samples, 10, &mut d);
         assert_eq!(d.len(), 800);
@@ -438,7 +235,7 @@ mod tests {
         let fs = 1e6;
         // 90 kHz tone would alias to 10 kHz after /10 decimation (Nyquist 50 kHz).
         let s = Signal::tone(fs, 0.0, 90e3, 1.0, 8000);
-        let f = Fir::lowpass(0.4 * fs / 10.0, fs, 63);
+        let f = hamming_lowpass(0.4 * fs / 10.0, fs, 63);
         let mut d = Vec::new();
         f.decimate_into(&s.samples, 10, &mut d);
         let p: f64 = d[100..700].iter().map(|c| c.norm_sq()).sum::<f64>() / 600.0;
@@ -448,10 +245,10 @@ mod tests {
     #[test]
     fn fir_decimate_by_one_is_the_full_filter() {
         let s = Signal::tone(1e6, 0.0, 1e3, 1.0, 100);
-        let f = Fir::lowpass(0.1e6, 1e6, 63);
+        let f = hamming_lowpass(0.1e6, 1e6, 63);
         let mut d = Vec::new();
         f.decimate_into(&s.samples, 1, &mut d);
-        assert_eq!(d, f.apply(&s.samples));
+        assert_eq!(d, apply(&f, &s.samples));
         // Lengths round up: outputs 0, 3, …, 99.
         f.decimate_into(&s.samples, 3, &mut d);
         assert_eq!(d.len(), 34);
@@ -460,58 +257,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "decimation factor must be at least 1")]
     fn fir_decimate_by_zero_panics() {
-        Fir::lowpass(0.1e6, 1e6, 63).decimate_into(&[ZERO; 4], 0, &mut Vec::new());
-    }
-
-    #[test]
-    fn fir_group_delay() {
-        assert_eq!(Fir::lowpass(1e3, 1e6, 63).group_delay(), 31.0);
-    }
-
-    #[test]
-    fn biquad_lowpass_response() {
-        let b = Biquad::lowpass(1e3, 48e3);
-        assert!((b.response_at(0.0, 48e3) - 1.0).abs() < 1e-9);
-        let r = b.response_at(1e3, 48e3);
-        assert!(
-            (r - std::f64::consts::FRAC_1_SQRT_2).abs() < 0.01,
-            "-3dB point: {r}"
-        );
-        assert!(b.response_at(10e3, 48e3) < 0.02);
-    }
-
-    #[test]
-    fn biquad_highpass_response() {
-        let b = Biquad::highpass(1e3, 48e3);
-        assert!(b.response_at(0.0, 48e3) < 1e-9);
-        assert!(b.response_at(10e3, 48e3) > 0.98);
-    }
-
-    #[test]
-    fn biquad_bandpass_peak_at_center() {
-        let b = Biquad::bandpass(5e3, 48e3, 2.0);
-        assert!((b.response_at(5e3, 48e3) - 1.0).abs() < 1e-6);
-        assert!(b.response_at(0.0, 48e3) < 1e-9);
-        assert!(b.response_at(20e3, 48e3) < 0.3);
-    }
-
-    #[test]
-    fn biquad_impulse_response_is_stable() {
-        let b = Biquad::lowpass(100.0, 48e3);
-        let mut imp = vec![0.0; 20_000];
-        imp[0] = 1.0;
-        let y = b.apply_real(&imp);
-        assert!(y[19_999].abs() < 1e-6, "tail {}", y[19_999]);
-        assert!(y.iter().all(|v| v.is_finite()));
+        hamming_lowpass(0.1e6, 1e6, 63).decimate_into(&[ZERO; 4], 0, &mut Vec::new());
     }
 
     #[test]
     fn one_pole_step_response_rise_time() {
         let fs = 1e9;
         let rise = 10e-9; // 10 ns, like a fast envelope detector
-        let mut lp = OnePole::from_rise_time(rise, fs);
-        let step = vec![1.0; 100];
-        let y = lp.run(&step);
+                          // 10–90% rise time t_r ≈ 0.35 / f3db.
+        let mut lp = OnePole::new(0.35 / rise, fs);
+        let y: Vec<f64> = (0..100).map(|_| lp.step(1.0)).collect();
         // Find 10% and 90% crossing times.
         let t10 = y.iter().position(|v| *v >= 0.1).unwrap() as f64 / fs;
         let t90 = y.iter().position(|v| *v >= 0.9).unwrap() as f64 / fs;
@@ -525,10 +280,8 @@ mod tests {
     #[test]
     fn one_pole_tracks_dc() {
         let mut lp = OnePole::new(1e6, 1e9);
-        let y = lp.run(&vec![2.5; 10_000]);
-        assert!((y[9_999] - 2.5).abs() < 1e-6);
-        lp.reset();
-        assert_eq!(lp.step(0.0), 0.0);
+        let last = (0..10_000).map(|_| lp.step(2.5)).last().unwrap();
+        assert!((last - 2.5).abs() < 1e-6);
     }
 
     #[test]

@@ -6,15 +6,14 @@
 //!
 //! * [`num`] — complex arithmetic ([`num::Cpx`]),
 //! * [`fft`] — radix-2 + Bluestein FFT, spectra and bin-frequency helpers,
-//! * [`window`] — spectral windows and their gain/ENBW figures,
+//! * [`window`] — spectral windows and their cached coefficient tables,
 //! * [`signal`] — the complex-baseband [`signal::Signal`] container,
-//! * [`chirp`] — FMCW sawtooth / triangular chirps and two-tone queries,
-//! * [`filter`] — FIR, biquad and one-pole filters,
+//! * [`chirp`] — FMCW sawtooth / triangular chirps,
+//! * [`filter`] — FIR and one-pole filters,
 //! * [`noise`] — seeded Gaussian noise and thermal-noise arithmetic,
 //! * [`detect`] — peak detection with sub-sample refinement,
 //! * [`stats`] — means, percentiles and CDFs for experiment reporting,
-//! * [`resample`] — block-average decimation and arbitrary-time sampling
-//!   (MCU ADC bridging),
+//! * [`resample`] — arbitrary-time sampling (MCU ADC bridging),
 //! * [`stft`] — short-time Fourier transform (spectrograms),
 //! * [`plan`] — cached FFT plans (precomputed twiddles, bit-reversal
 //!   tables, Bluestein kernels, fused radix-4 butterflies) backing the

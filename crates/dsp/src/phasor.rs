@@ -73,13 +73,6 @@ pub fn fill_linear(amp: f64, phi0: f64, dphi: f64, out: &mut [Cpx]) {
     for_each_linear(amp, phi0, dphi, n, |i, z| out[i] = z);
 }
 
-/// Multiplies `samples[i] *= exp(j(φ₀ + i·Δφ))` in place — the spectrum
-/// shift / carrier re-centering primitive.
-pub fn rotate_linear(phi0: f64, dphi: f64, samples: &mut [Cpx]) {
-    let n = samples.len();
-    for_each_linear(1.0, phi0, dphi, n, |i, z| samples[i] *= z);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,23 +110,7 @@ mod tests {
     }
 
     #[test]
-    fn rotate_matches_direct_rotation() {
-        let n = 300;
-        let mut samples: Vec<Cpx> = (0..n).map(|i| Cpx::new(1.0 + i as f64, -0.5)).collect();
-        let reference: Vec<Cpx> = samples
-            .iter()
-            .enumerate()
-            .map(|(i, c)| *c * Cpx::cis(0.2 + 0.05 * i as f64))
-            .collect();
-        rotate_linear(0.2, 0.05, &mut samples);
-        for (got, want) in samples.iter().zip(&reference) {
-            assert!((*got - *want).abs() < 1e-11 * want.abs().max(1.0));
-        }
-    }
-
-    #[test]
     fn zero_length_is_a_noop() {
         fill_linear(1.0, 0.0, 0.1, &mut []);
-        rotate_linear(0.0, 0.1, &mut []);
     }
 }

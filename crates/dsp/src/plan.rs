@@ -27,7 +27,7 @@
 //! would break the bitwise contract the rest of the workspace is pinned
 //! against. See `DESIGN.md` §17.
 //!
-//! [`with_plan`]/[`with_bluestein`] memoize plans in a thread-local cache
+//! [`with_plan`] and the Bluestein path of [`crate::fft`] memoize plans in a thread-local cache
 //! keyed by size, so callers never manage plan lifetimes; the free
 //! functions in [`crate::fft`] are now thin wrappers over this module and
 //! produce bitwise-identical results to explicit plan usage.
@@ -470,13 +470,6 @@ impl BluesteinPlan {
         out.clear();
         out.extend((0..n).map(|k| scratch[k].conj() * inv_m * chirp(k)));
     }
-
-    /// Allocating wrapper over [`BluesteinPlan::transform_into`].
-    pub fn transform(&self, input: &[Cpx], inverse: bool) -> Vec<Cpx> {
-        let mut out = Vec::new();
-        self.transform_into(input, inverse, &mut out);
-        out
-    }
 }
 
 /// Thread-local memoized plans. Bluestein scratch lives inside each
@@ -526,24 +519,6 @@ fn pow2_plan(cache: &mut PlanCache, n: usize) -> Rc<FftPlan> {
 /// Panics if `n` is not a power of two.
 pub fn with_plan<R>(n: usize, f: impl FnOnce(&FftPlan) -> R) -> R {
     let plan = PLAN_CACHE.with(|c| pow2_plan(&mut c.borrow_mut(), n));
-    f(&plan)
-}
-
-/// Runs `f` with the cached Bluestein plan for arbitrary length `n`.
-pub fn with_bluestein<R>(n: usize, f: impl FnOnce(&BluesteinPlan) -> R) -> R {
-    let plan = PLAN_CACHE.with(|c| {
-        let mut cache = c.borrow_mut();
-        if let Some(p) = cache.bluestein.get(&n) {
-            telemetry::counter_add("dsp.plan_cache.hit.local", 1);
-            p.clone()
-        } else {
-            telemetry::counter_add("dsp.plan_cache.miss.local", 1);
-            let inner = pow2_plan(&mut cache, crate::fft::next_pow2(2 * n - 1));
-            let p = Rc::new(BluesteinPlan::new(n, inner));
-            cache.bluestein.insert(n, p.clone());
-            p
-        }
-    });
     f(&plan)
 }
 
@@ -681,7 +656,8 @@ mod tests {
             }
             let inner = Rc::new(FftPlan::new(crate::fft::next_pow2(2 * n - 1)));
             let standalone = BluesteinPlan::new(n, inner);
-            assert_eq!(standalone.transform(&x, false), expect, "n={n}");
+            standalone.transform_into(&x, false, &mut out);
+            assert_eq!(out, expect, "n={n}");
         }
     }
 

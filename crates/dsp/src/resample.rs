@@ -1,24 +1,10 @@
-//! Rate conversion: block-average decimation and arbitrary-time sampling.
+//! Rate conversion: arbitrary-time sampling of a real sequence.
 //! (Filtered complex decimation is [`crate::filter::Fir::decimate_into`].)
 //!
 //! The node's MCU samples the envelope-detector outputs at 1 MHz while the
 //! RF-level simulation runs at GS/s rates; this module bridges the two.
 
 use std::ops::Range;
-
-/// Decimates a real-valued sequence by integer factor `m` with a moving
-/// average of length `m` as the anti-alias filter (the natural model of an
-/// ADC that integrates over its sample period).
-pub fn decimate_real_avg(input: &[f64], m: usize) -> Vec<f64> {
-    assert!(m >= 1, "decimation factor must be >= 1");
-    if m == 1 {
-        return input.to_vec();
-    }
-    input
-        .chunks(m)
-        .map(|c| c.iter().sum::<f64>() / c.len() as f64)
-        .collect()
-}
 
 /// Samples a real sequence (at rate `fs`) at arbitrary time `t` seconds by
 /// linear interpolation between the two samples around `t` (see
@@ -47,31 +33,9 @@ pub fn sample_at_reads(len: usize, fs: f64, t: f64) -> Range<usize> {
     i.min(len)..i.saturating_add(2).min(len)
 }
 
-/// Resamples a real sequence from rate `fs_in` to rate `fs_out` by linear
-/// interpolation (no anti-alias filter — intended for upsampling or for
-/// already-smooth envelopes).
-pub fn resample_linear(input: &[f64], fs_in: f64, fs_out: f64) -> Vec<f64> {
-    assert!(fs_in > 0.0 && fs_out > 0.0, "rates must be positive");
-    if input.is_empty() {
-        return Vec::new();
-    }
-    let duration = input.len() as f64 / fs_in;
-    let n_out = (duration * fs_out).floor() as usize;
-    (0..n_out)
-        .map(|i| sample_at(input, fs_in, i as f64 / fs_out))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn decimate_real_averages_blocks() {
-        let v = [1.0, 3.0, 5.0, 7.0, 9.0];
-        assert_eq!(decimate_real_avg(&v, 2), vec![2.0, 6.0, 9.0]);
-        assert_eq!(decimate_real_avg(&v, 1), v.to_vec());
-    }
 
     #[test]
     fn sample_at_interpolates() {
@@ -105,22 +69,5 @@ mod tests {
         assert_eq!(sample_at_reads(3, 1.0, 5.0), 3..3);
         assert_eq!(sample_at_reads(3, 1.0, -1.0), 0..0);
         assert_eq!(sample_at_reads(0, 1.0, 0.0), 0..0);
-    }
-
-    #[test]
-    fn resample_linear_preserves_ramp() {
-        let v: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let out = resample_linear(&v, 100.0, 200.0);
-        assert_eq!(out.len(), 200);
-        // At output index 50 (t = 0.25 s) the ramp value is 25.
-        assert!((out[50] - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn resample_downsamples_too() {
-        let v: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let out = resample_linear(&v, 100.0, 50.0);
-        assert_eq!(out.len(), 50);
-        assert!((out[10] - 20.0).abs() < 1e-9);
     }
 }

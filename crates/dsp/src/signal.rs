@@ -65,11 +65,6 @@ impl Signal {
         self.len() as f64 / self.fs
     }
 
-    /// Time of sample `i` in seconds.
-    pub fn time_of(&self, i: usize) -> f64 {
-        i as f64 / self.fs
-    }
-
     /// Mean power of the envelope: `mean(|x|²)`. With the convention that
     /// the envelope is in volts across 1 Ω, this is watts.
     pub fn power(&self) -> f64 {
@@ -77,11 +72,6 @@ impl Signal {
             return 0.0;
         }
         self.samples.iter().map(|c| c.norm_sq()).sum::<f64>() / self.len() as f64
-    }
-
-    /// Total energy: `Σ|x|² / fs` (power × duration).
-    pub fn energy(&self) -> f64 {
-        self.samples.iter().map(|c| c.norm_sq()).sum::<f64>() / self.fs
     }
 
     /// Scales every sample by a real factor.
@@ -126,21 +116,6 @@ impl Signal {
             .map(|i| self.samples[i] * other.samples[i].conj())
             .collect();
         Signal::new(self.fs, self.fc, samples)
-    }
-
-    /// Point-wise product (mixer): `x · y`. Truncates to the shorter length.
-    pub fn multiply(&self, other: &Signal) -> Signal {
-        assert_eq!(self.fs, other.fs, "sample-rate mismatch in multiply");
-        let n = self.len().min(other.len());
-        let samples = (0..n).map(|i| self.samples[i] * other.samples[i]).collect();
-        Signal::new(self.fs, self.fc, samples)
-    }
-
-    /// Extracts samples `[start, start+n)`, clamped to the signal length.
-    pub fn segment(&self, start: usize, n: usize) -> Signal {
-        let s = start.min(self.len());
-        let e = (start + n).min(self.len());
-        Signal::new(self.fs, self.fc, self.samples[s..e].to_vec())
     }
 
     /// Delays the signal by `tau` seconds using linear interpolation,
@@ -237,15 +212,6 @@ impl Signal {
         (whole, shift - shift.floor())
     }
 
-    /// Shifts the baseband spectrum by `f_shift` Hz (multiplies by a complex
-    /// exponential). Used to re-center a signal on a different carrier.
-    pub fn freq_shift(&mut self, f_shift: f64) {
-        let w = 2.0 * std::f64::consts::PI * f_shift / self.fs;
-        for (t, c) in self.samples.iter_mut().enumerate() {
-            *c *= Cpx::cis(w * t as f64);
-        }
-    }
-
     /// Overwrites this signal with a copy of `other`, reusing the
     /// existing sample buffer's capacity — the allocation-free
     /// counterpart of `other.clone()` for template-backed packet
@@ -254,23 +220,6 @@ impl Signal {
         self.fs = other.fs;
         self.fc = other.fc;
         crate::buffer::copy_into(&other.samples, &mut self.samples);
-    }
-
-    /// Concatenates another signal after this one (same `fs`/`fc`).
-    pub fn append(&mut self, other: &Signal) {
-        assert_eq!(self.fs, other.fs, "sample-rate mismatch in append");
-        assert_eq!(self.fc, other.fc, "carrier mismatch in append");
-        self.samples.extend_from_slice(&other.samples);
-    }
-
-    /// The envelope magnitude `|x[n]|` of every sample.
-    pub fn magnitude(&self) -> Vec<f64> {
-        self.samples.iter().map(|c| c.abs()).collect()
-    }
-
-    /// Instantaneous power `|x[n]|²` of every sample.
-    pub fn inst_power(&self) -> Vec<f64> {
-        self.samples.iter().map(|c| c.norm_sq()).collect()
     }
 }
 
@@ -290,7 +239,10 @@ mod tests {
         let fs = 1e6;
         let f = 12_000.0;
         let s = Signal::tone(fs, 0.0, f, 1.0, 4096);
-        let spec = crate::fft::power_spectrum(&s.samples);
+        let spec: Vec<f64> = crate::fft::fft(&s.samples)
+            .iter()
+            .map(|c| c.norm_sq())
+            .collect();
         let peak_bin = spec
             .iter()
             .enumerate()
@@ -429,61 +381,6 @@ mod tests {
             assert!((c.re - 4.0).abs() < 1e-9);
             assert!(c.im.abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn mixer_multiply_sums_frequencies() {
-        let fs = 1e6;
-        let a = Signal::tone(fs, 0.0, 3e3, 1.0, 4096);
-        let b = Signal::tone(fs, 0.0, 4e3, 1.0, 4096);
-        let m = a.multiply(&b);
-        let spec = crate::fft::power_spectrum(&m.samples);
-        let peak_bin = spec
-            .iter()
-            .enumerate()
-            .max_by(|x, y| x.1.partial_cmp(y.1).unwrap())
-            .unwrap()
-            .0;
-        let freqs = crate::fft::fft_freqs(4096, fs);
-        assert!((freqs[peak_bin] - 7e3).abs() < fs / 4096.0);
-    }
-
-    #[test]
-    fn freq_shift_moves_tone() {
-        let fs = 1e6;
-        let mut s = Signal::tone(fs, 0.0, 1e4, 1.0, 4096);
-        s.freq_shift(2e4);
-        let spec = crate::fft::power_spectrum(&s.samples);
-        let peak_bin = spec
-            .iter()
-            .enumerate()
-            .max_by(|x, y| x.1.partial_cmp(y.1).unwrap())
-            .unwrap()
-            .0;
-        let freqs = crate::fft::fft_freqs(4096, fs);
-        assert!((freqs[peak_bin] - 3e4).abs() < fs / 4096.0);
-    }
-
-    #[test]
-    fn segment_clamps() {
-        let s = Signal::tone(1e6, 0.0, 0.0, 1.0, 10);
-        assert_eq!(s.segment(8, 10).len(), 2);
-        assert_eq!(s.segment(20, 10).len(), 0);
-        assert_eq!(s.segment(2, 3).len(), 3);
-    }
-
-    #[test]
-    fn append_concatenates() {
-        let mut a = Signal::tone(1e6, 0.0, 0.0, 1.0, 4);
-        let b = Signal::zeros(1e6, 0.0, 6);
-        a.append(&b);
-        assert_eq!(a.len(), 10);
-    }
-
-    #[test]
-    fn energy_is_power_times_duration() {
-        let s = Signal::tone(2e6, 0.0, 1e3, 3.0, 2000);
-        assert!((s.energy() - s.power() * s.duration()).abs() < 1e-12);
     }
 
     #[test]

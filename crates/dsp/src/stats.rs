@@ -20,19 +20,6 @@ pub fn variance(data: &[f64]) -> f64 {
     data.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / data.len() as f64
 }
 
-/// Population standard deviation.
-pub fn std_dev(data: &[f64]) -> f64 {
-    variance(data).sqrt()
-}
-
-/// Root-mean-square of the data.
-pub fn rms(data: &[f64]) -> f64 {
-    if data.is_empty() {
-        return 0.0;
-    }
-    (data.iter().map(|x| x * x).sum::<f64>() / data.len() as f64).sqrt()
-}
-
 /// `p`-th percentile (0 ≤ p ≤ 100) with linear interpolation between order
 /// statistics (the "linear" / type-7 method used by NumPy's default).
 /// Samples are ordered by [`f64::total_cmp`], so a NaN sample never
@@ -82,35 +69,6 @@ pub fn mean_abs(data: &[f64]) -> f64 {
     data.iter().map(|x| x.abs()).sum::<f64>() / data.len() as f64
 }
 
-/// Summary of a batch of error measurements, in the shape the paper reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ErrorSummary {
-    /// Mean of |error|.
-    pub mean_abs: f64,
-    /// 90th percentile of |error|.
-    pub p90_abs: f64,
-    /// Median of |error|.
-    pub median_abs: f64,
-    /// Population variance of the signed errors.
-    pub variance: f64,
-    /// Number of trials.
-    pub n: usize,
-}
-
-impl ErrorSummary {
-    /// Summarizes a batch of signed errors.
-    pub fn from_errors(errors: &[f64]) -> Self {
-        let abs: Vec<f64> = errors.iter().map(|e| e.abs()).collect();
-        Self {
-            mean_abs: mean(&abs),
-            p90_abs: percentile(&abs, 90.0),
-            median_abs: median(&abs),
-            variance: variance(errors),
-            n: errors.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,14 +78,12 @@ mod tests {
         let d = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&d), 5.0);
         assert_eq!(variance(&d), 4.0);
-        assert_eq!(std_dev(&d), 2.0);
     }
 
     #[test]
     fn empty_slices() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[]), 0.0);
-        assert_eq!(rms(&[]), 0.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
         assert_eq!(mean_abs(&[]), 0.0);
         assert!(empirical_cdf(&[]).is_empty());
@@ -172,21 +128,6 @@ mod tests {
         assert_eq!(&values[..3], &[1.0, 2.0, 3.0]);
         assert!(values[3].is_nan());
         assert_eq!(cdf[3].1, 1.0);
-    }
-
-    #[test]
-    fn rms_of_constant() {
-        assert!((rms(&[-2.0, 2.0, -2.0, 2.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn error_summary() {
-        let errors = [-1.0, 1.0, -1.0, 1.0, 3.0];
-        let s = ErrorSummary::from_errors(&errors);
-        assert!((s.mean_abs - 1.4).abs() < 1e-12);
-        assert_eq!(s.median_abs, 1.0);
-        assert_eq!(s.n, 5);
-        assert!(s.p90_abs > 1.0 && s.p90_abs <= 3.0);
     }
 
     #[test]

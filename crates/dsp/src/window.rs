@@ -46,73 +46,6 @@ impl Window {
     pub fn generate(self, n: usize) -> Vec<f64> {
         (0..n).map(|i| self.coeff(i, n)).collect()
     }
-
-    /// Coherent gain: mean of the window coefficients. Dividing a windowed
-    /// FFT peak by `n * coherent_gain` recovers the amplitude of a tone.
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        if n == 0 {
-            return 1.0;
-        }
-        self.generate(n).iter().sum::<f64>() / n as f64
-    }
-
-    /// Noise-equivalent bandwidth in bins. Multiplying the per-bin noise
-    /// power by this factor gives the effective noise power under the peak.
-    pub fn enbw(self, n: usize) -> f64 {
-        if n == 0 {
-            return 1.0;
-        }
-        let w = self.generate(n);
-        let s1: f64 = w.iter().sum();
-        let s2: f64 = w.iter().map(|v| v * v).sum();
-        n as f64 * s2 / (s1 * s1)
-    }
-}
-
-/// Zeroth-order modified Bessel function of the first kind, via its
-/// rapidly-converging power series — the kernel of the Kaiser window.
-pub fn bessel_i0(x: f64) -> f64 {
-    let mut sum = 1.0;
-    let mut term = 1.0;
-    let half_x = x / 2.0;
-    for k in 1..64 {
-        term *= (half_x / k as f64) * (half_x / k as f64);
-        sum += term;
-        if term < 1e-18 * sum {
-            break;
-        }
-    }
-    sum
-}
-
-/// Generates an `n`-point Kaiser window with shape parameter `beta`.
-/// Kaiser trades main-lobe width against side-lobe level continuously:
-/// β ≈ 0 is rectangular, β ≈ 8.6 matches Blackman.
-pub fn kaiser(n: usize, beta: f64) -> Vec<f64> {
-    assert!(beta >= 0.0, "beta must be non-negative");
-    if n <= 1 {
-        return vec![1.0; n];
-    }
-    let denom = bessel_i0(beta);
-    let m = (n - 1) as f64;
-    (0..n)
-        .map(|i| {
-            let r = 2.0 * i as f64 / m - 1.0;
-            bessel_i0(beta * (1.0 - r * r).sqrt()) / denom
-        })
-        .collect()
-}
-
-/// Kaiser β for a desired side-lobe attenuation `atten_db` (Kaiser's
-/// empirical formula).
-pub fn kaiser_beta(atten_db: f64) -> f64 {
-    if atten_db > 50.0 {
-        0.1102 * (atten_db - 8.7)
-    } else if atten_db >= 21.0 {
-        0.5842 * (atten_db - 21.0).powf(0.4) + 0.07886 * (atten_db - 21.0)
-    } else {
-        0.0
-    }
 }
 
 /// Multiplies a complex signal by a window in place.
@@ -167,8 +100,6 @@ mod tests {
     #[test]
     fn rect_is_all_ones() {
         assert!(Window::Rect.generate(16).iter().all(|v| *v == 1.0));
-        assert!((Window::Rect.coherent_gain(16) - 1.0).abs() < 1e-12);
-        assert!((Window::Rect.enbw(16) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -197,69 +128,9 @@ mod tests {
     }
 
     #[test]
-    fn hann_coherent_gain_is_half() {
-        assert!((Window::Hann.coherent_gain(1024) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hann_enbw_is_1_5() {
-        assert!((Window::Hann.enbw(1024) - 1.5).abs() < 1e-6);
-    }
-
-    #[test]
     fn degenerate_lengths() {
         assert_eq!(Window::Hann.generate(0).len(), 0);
         assert_eq!(Window::Hann.generate(1), vec![1.0]);
-        assert_eq!(Window::Blackman.coherent_gain(0), 1.0);
-    }
-
-    #[test]
-    fn bessel_i0_known_values() {
-        assert!((bessel_i0(0.0) - 1.0).abs() < 1e-15);
-        // I0(1) ≈ 1.2660658, I0(5) ≈ 27.2398718.
-        assert!((bessel_i0(1.0) - 1.2660658).abs() < 1e-6);
-        assert!((bessel_i0(5.0) - 27.2398718).abs() < 1e-5);
-    }
-
-    #[test]
-    fn kaiser_shape() {
-        let w = kaiser(65, 8.0);
-        // Symmetric, peak 1 at the center, small at the edges.
-        assert!((w[32] - 1.0).abs() < 1e-12);
-        for i in 0..32 {
-            assert!((w[i] - w[64 - i]).abs() < 1e-12, "asymmetry at {i}");
-        }
-        assert!(w[0] < 0.01);
-        // Zero beta is rectangular.
-        assert!(kaiser(16, 0.0).iter().all(|v| (*v - 1.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn kaiser_beta_formula() {
-        assert_eq!(kaiser_beta(10.0), 0.0);
-        assert!((kaiser_beta(60.0) - 0.1102 * 51.3).abs() < 1e-9);
-        let b30 = kaiser_beta(30.0);
-        assert!(b30 > 1.0 && b30 < 3.5, "{b30}");
-    }
-
-    #[test]
-    fn kaiser_sidelobes_meet_spec() {
-        use crate::fft::fft;
-        use crate::num::Cpx;
-        // 60 dB design: window's FFT side lobes must sit ≤ −55 dB.
-        let n = 128;
-        let w = kaiser(n, kaiser_beta(60.0));
-        let mut buf: Vec<Cpx> = w.iter().map(|v| Cpx::new(*v, 0.0)).collect();
-        buf.resize(n * 8, crate::num::ZERO);
-        let spec: Vec<f64> = fft(&buf).iter().map(|c| c.norm_sq()).collect();
-        let peak = spec[0];
-        // Skip the main lobe (≈6 window bins at this β = 48 padded bins).
-        let worst = spec[48..spec.len() / 2]
-            .iter()
-            .cloned()
-            .fold(f64::MIN, f64::max);
-        let rel_db = 10.0 * (worst / peak).log10();
-        assert!(rel_db < -55.0, "side lobes {rel_db} dB");
     }
 
     #[test]
@@ -309,7 +180,9 @@ mod tests {
         apply_window(&mut x, Window::Hann);
         let y = fft(&x);
         let peak = y[k0].abs();
-        let recovered = peak / (n as f64 * Window::Hann.coherent_gain(n));
+        // Coherent gain: the mean window coefficient.
+        let coherent_gain = Window::Hann.generate(n).iter().sum::<f64>() / n as f64;
+        let recovered = peak / (n as f64 * coherent_gain);
         assert!((recovered - amp).abs() < 1e-9);
     }
 }

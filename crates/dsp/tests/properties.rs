@@ -1,8 +1,8 @@
 //! Property-based tests of the DSP substrate's invariants.
 
 use milback_dsp::chirp::ChirpConfig;
-use milback_dsp::fft::{fft, fft_shift, ifft};
-use milback_dsp::filter::{Biquad, Fir, OnePole};
+use milback_dsp::fft::{fft, ifft};
+use milback_dsp::filter::{Fir, OnePole};
 use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
 use milback_dsp::stats;
@@ -34,13 +34,6 @@ proptest! {
     }
 
     #[test]
-    fn fft_shift_is_involution_for_even_lengths(n in 1usize..64) {
-        let data: Vec<usize> = (0..2 * n).collect();
-        let twice = fft_shift(&fft_shift(&data));
-        prop_assert_eq!(twice, data);
-    }
-
-    #[test]
     fn windows_never_exceed_unity(n in 2usize..256, kind in 0usize..5) {
         let w = [Window::Rect, Window::Hann, Window::Hamming, Window::Blackman, Window::BlackmanHarris][kind];
         for v in w.generate(n) {
@@ -51,7 +44,7 @@ proptest! {
     #[test]
     fn one_pole_is_bibo_stable(f3db in 1e3f64..1e8, input in proptest::collection::vec(-5.0f64..5.0, 1..200)) {
         let mut lp = OnePole::new(f3db, 1e9);
-        let out = lp.run(&input);
+        let out: Vec<f64> = input.iter().map(|&x| lp.step(x)).collect();
         let bound = input.iter().cloned().fold(0.0f64, |a, b| a.max(b.abs()));
         for v in out {
             prop_assert!(v.abs() <= bound + 1e-9);
@@ -59,19 +52,9 @@ proptest! {
     }
 
     #[test]
-    fn biquad_lowpass_impulse_decays(f0 in 100.0f64..20e3) {
-        let b = Biquad::lowpass(f0, 48e3);
-        let mut imp = vec![0.0; 50_000];
-        imp[0] = 1.0;
-        let y = b.apply_real(&imp);
-        prop_assert!(y[49_999].abs() < 1e-3);
-        prop_assert!(y.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
     fn fir_lowpass_dc_gain_is_unity(cutoff_frac in 0.01f64..0.45, taps in 2usize..40) {
         let fs = 1e6;
-        let f = Fir::lowpass(cutoff_frac * fs, fs, 2 * taps + 1);
+        let f = Fir::lowpass_with_window(cutoff_frac * fs, fs, 2 * taps + 1, Window::Hamming);
         prop_assert!((f.response_at(0.0, fs) - 1.0).abs() < 1e-9);
     }
 

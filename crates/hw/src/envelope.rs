@@ -15,7 +15,6 @@
 use milback_dsp::filter::OnePole;
 use milback_dsp::noise::{add_real_noise, gaussian, skip_gaussians};
 use milback_dsp::num::Cpx;
-use milback_dsp::signal::Signal;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -50,11 +49,6 @@ impl EnvelopeDetector {
         }
     }
 
-    /// 10–90% rise time implied by the video bandwidth: `t_r ≈ 0.35/BW`.
-    pub fn rise_time(&self) -> f64 {
-        0.35 / self.video_bandwidth
-    }
-
     /// RMS output noise over the full video bandwidth, volts.
     pub fn output_noise_rms(&self) -> f64 {
         self.noise_density * self.video_bandwidth.sqrt()
@@ -66,23 +60,13 @@ impl EnvelopeDetector {
         self.slope * (p_in.max(0.0) * self.input_impedance).sqrt()
     }
 
-    /// Detects a complex-baseband RF signal: envelope → slope → video
-    /// low-pass → additive output noise. Returns the output voltage at the
-    /// signal's sample rate.
+    /// Detects complex-baseband RF samples at rate `fs`, each scaled by
+    /// the amplitude `gain` first (see [`EnvelopeDetector::video_into`]):
+    /// envelope → slope → video low-pass → additive output noise, into
+    /// `out` (cleared first, capacity reused) at the input sample rate.
     ///
-    /// The input samples are interpreted as volts across the detector's
-    /// input impedance, so instantaneous input power is `|x|²/R`.
-    pub fn detect(&self, input: &Signal, rng: &mut StdRng) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.detect_into(&input.samples, 1.0, input.fs, rng, &mut out);
-        out
-    }
-
-    /// Allocation-free [`EnvelopeDetector::detect`] of complex samples
-    /// at rate `fs`, each scaled by the amplitude `gain` first (see
-    /// [`EnvelopeDetector::video_into`]): clears and refills `out`,
-    /// reusing its capacity, with the same filter state progression and
-    /// noise draw order.
+    /// The samples are interpreted as volts across the detector's input
+    /// impedance, so instantaneous input power is `|x|²/R`.
     pub fn detect_into(
         &self,
         samples: &[Cpx],
@@ -95,13 +79,6 @@ impl EnvelopeDetector {
         // Noise within the video bandwidth, as seen at the output sample
         // rate: the density integrates to σ² = e_n²·BW regardless of fs.
         add_real_noise(out, self.output_noise_rms(), rng);
-    }
-
-    /// Detects without noise (for calibration / unit tests).
-    pub fn detect_clean(&self, input: &Signal) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.video_into(&input.samples, 1.0, input.fs, &mut out);
-        out
     }
 
     /// The noiseless video output for complex samples at rate `fs`, each
@@ -120,7 +97,7 @@ impl EnvelopeDetector {
         );
     }
 
-    /// Adds the output noise of [`EnvelopeDetector::detect`] to `video`
+    /// Adds the output noise of [`EnvelopeDetector::detect_into`] to `video`
     /// at the indices `reads` only, which must ascend without repeats.
     /// The noise is additive and independent per sample, so each read
     /// sample gets exactly the variate full-rate noising would give it:
@@ -145,20 +122,25 @@ impl EnvelopeDetector {
         }
         skip_gaussians(rng, video.len() - next);
     }
-
-    /// Output SNR (linear power ratio) for an RF input of power `p_in`
-    /// watts: `(slope·√(p·R))² / σ_n²`.
-    pub fn output_snr(&self, p_in: f64) -> f64 {
-        let v = self.ideal_output(p_in);
-        let n = self.output_noise_rms();
-        (v * v) / (n * n)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use milback_dsp::signal::Signal;
     use rand::SeedableRng;
+
+    fn clean(det: &EnvelopeDetector, sig: &Signal) -> Vec<f64> {
+        let mut out = Vec::new();
+        det.video_into(&sig.samples, 1.0, sig.fs, &mut out);
+        out
+    }
+
+    fn detect(det: &EnvelopeDetector, sig: &Signal, rng: &mut StdRng) -> Vec<f64> {
+        let mut out = Vec::new();
+        det.detect_into(&sig.samples, 1.0, sig.fs, rng, &mut out);
+        out
+    }
 
     #[test]
     fn ideal_output_scales_with_sqrt_power() {
@@ -170,13 +152,13 @@ mod tests {
     }
 
     #[test]
-    fn detect_clean_settles_to_ideal() {
+    fn clean_video_settles_to_ideal() {
         let det = EnvelopeDetector::adl6010();
         let fs = 1e9;
         let p_in = 1e-6; // −30 dBm
         let amp = (p_in * det.input_impedance).sqrt();
         let sig = Signal::tone(fs, 28e9, 0.0, amp, 2000);
-        let out = det.detect_clean(&sig);
+        let out = clean(&det, &sig);
         let expected = det.ideal_output(p_in);
         assert!(
             (out[1999] - expected).abs() < 1e-3 * expected,
@@ -184,14 +166,6 @@ mod tests {
             out[1999],
             expected
         );
-    }
-
-    #[test]
-    fn rise_time_matches_bandwidth() {
-        let det = EnvelopeDetector::adl6010();
-        assert!((det.rise_time() - 0.35 / 36e6).abs() < 1e-15);
-        // ≈ 9.7 ns.
-        assert!(det.rise_time() < 10e-9);
     }
 
     #[test]
@@ -209,7 +183,7 @@ mod tests {
             }
         }
         let sig = Signal::new(fs, 28e9, samples);
-        let out = det.detect_clean(&sig);
+        let out = clean(&det, &sig);
         // The output cannot track: swing collapses toward the mean.
         let late = &out[out.len() / 2..];
         let max = late.iter().cloned().fold(f64::MIN, f64::max);
@@ -232,19 +206,11 @@ mod tests {
             }
         }
         let sig = Signal::new(fs, 28e9, samples);
-        let out = det.detect_clean(&sig);
+        let out = clean(&det, &sig);
         let late = &out[out.len() / 2..];
         let max = late.iter().cloned().fold(f64::MIN, f64::max);
         let min = late.iter().cloned().fold(f64::MAX, f64::min);
         assert!((max - min) > 0.9 * full, "slow swing {}", max - min);
-    }
-
-    #[test]
-    fn output_snr_increases_with_power() {
-        let det = EnvelopeDetector::adl6010();
-        let s1 = det.output_snr(1e-9);
-        let s2 = det.output_snr(1e-7);
-        assert!((s2 / s1 - 100.0).abs() < 1e-6);
     }
 
     #[test]
@@ -253,7 +219,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let fs = 1e9;
         let sig = Signal::zeros(fs, 28e9, 100_000);
-        let out = det.detect(&sig, &mut rng);
+        let out = detect(&det, &sig, &mut rng);
         let rms = (out.iter().map(|v| v * v).sum::<f64>() / out.len() as f64).sqrt();
         let expected = det.output_noise_rms();
         assert!(
@@ -266,8 +232,8 @@ mod tests {
     fn detection_is_deterministic_with_seed() {
         let det = EnvelopeDetector::adl6010();
         let sig = Signal::tone(1e9, 28e9, 0.0, 1e-3, 100);
-        let a = det.detect(&sig, &mut StdRng::seed_from_u64(1));
-        let b = det.detect(&sig, &mut StdRng::seed_from_u64(1));
+        let a = detect(&det, &sig, &mut StdRng::seed_from_u64(1));
+        let b = detect(&det, &sig, &mut StdRng::seed_from_u64(1));
         assert_eq!(a, b);
     }
 }

@@ -73,11 +73,6 @@ impl PowerModel {
         2.0 * per_switch + 2.0 * self.detector_mw
     }
 
-    /// Total node power including the MCU, mW.
-    pub fn power_with_mcu_mw(&self, mode: NodeMode) -> f64 {
-        self.power_mw(mode) + self.mcu_mw
-    }
-
     /// Energy per bit in nJ for a communication mode at `bit_rate` bits/s.
     pub fn energy_per_bit_nj(&self, mode: NodeMode, bit_rate: f64) -> f64 {
         assert!(bit_rate > 0.0, "bit rate must be positive");
@@ -130,14 +125,5 @@ mod tests {
         let idle = m.power_mw(NodeMode::Idle);
         assert!(idle <= m.power_mw(NodeMode::Localization));
         assert!(idle <= m.power_mw(NodeMode::Uplink { bit_rate: 1e6 }));
-    }
-
-    #[test]
-    fn mcu_reported_separately() {
-        let m = PowerModel::milback();
-        assert!(
-            (m.power_with_mcu_mw(NodeMode::Downlink) - m.power_mw(NodeMode::Downlink) - 5.76).abs()
-                < 1e-12
-        );
     }
 }

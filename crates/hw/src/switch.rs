@@ -131,14 +131,6 @@ pub enum SwitchSchedule {
 }
 
 impl SwitchSchedule {
-    /// A 10 kHz localization square wave starting reflective (paper §5.1).
-    pub fn milback_localization() -> Self {
-        SwitchSchedule::SquareWave {
-            freq_hz: 10e3,
-            first: SwitchState::Reflective,
-        }
-    }
-
     /// Builds an event schedule, validating time order.
     pub fn from_events(events: Vec<(f64, SwitchState)>) -> Self {
         assert!(!events.is_empty(), "schedule needs at least one event");
@@ -411,7 +403,10 @@ mod tests {
 
     #[test]
     fn square_wave_schedule_10khz() {
-        let s = SwitchSchedule::milback_localization();
+        let s = SwitchSchedule::SquareWave {
+            freq_hz: 10e3,
+            first: SwitchState::Reflective,
+        };
         // Half-period is 50 µs.
         assert_eq!(s.state_at(0.0), SwitchState::Reflective);
         assert_eq!(s.state_at(49e-6), SwitchState::Reflective);

@@ -119,7 +119,10 @@ proptest! {
 /// chirp duration — one fill per chirp.
 #[test]
 fn localization_burst_chirps_expand_to_state_at() {
-    let a = SwitchSchedule::milback_localization();
+    let a = SwitchSchedule::SquareWave {
+        freq_hz: 10e3,
+        first: SwitchState::Reflective,
+    };
     let b = SwitchSchedule::Constant(SwitchState::Absorptive);
     let (fs, duration) = (1.6e9, 40e-6);
     let n = (duration * fs) as usize;

@@ -45,15 +45,9 @@ impl EnvelopeSlicer {
     }
 
     /// Integrates the detector output over each of `n_symbols` symbol
-    /// periods starting at `t0` seconds, skipping the settling guard.
-    pub fn symbol_levels(&self, detector: &[f64], t0: f64, n_symbols: usize) -> Vec<f64> {
-        let mut levels = Vec::new();
-        self.symbol_levels_into(detector, t0, n_symbols, &mut levels);
-        levels
-    }
-
-    /// Allocation-free [`EnvelopeSlicer::symbol_levels`]: clears and
-    /// refills `out`, reusing its capacity.
+    /// periods starting at `t0` seconds, skipping the settling guard:
+    /// clears and refills `out` with one mean level per symbol, reusing
+    /// its capacity.
     pub fn symbol_levels_into(
         &self,
         detector: &[f64],
@@ -174,11 +168,17 @@ mod tests {
             .collect()
     }
 
+    fn levels(slicer: &EnvelopeSlicer, det: &[f64], t0: f64, n_symbols: usize) -> Vec<f64> {
+        let mut out = Vec::new();
+        slicer.symbol_levels_into(det, t0, n_symbols, &mut out);
+        out
+    }
+
     #[test]
     fn levels_integrate_per_symbol() {
         let slicer = EnvelopeSlicer::new(10e6, 1e6);
         let det = stream(&[true, false, true], 10, 1.0, 0.0);
-        let levels = slicer.symbol_levels(&det, 0.0, 3);
+        let levels = levels(&slicer, &det, 0.0, 3);
         assert!(levels[0] > 0.9);
         assert!(levels[1] < 0.1);
         assert!(levels[2] > 0.9);
@@ -226,7 +226,7 @@ mod tests {
         // 5 leading off-symbols of junk, then the payload.
         let pat = [false, false, false, false, false, true, false, true];
         let det = stream(&pat, 10, 1.0, 0.0);
-        let levels = slicer.symbol_levels(&det, 5e-6, 3);
+        let levels = levels(&slicer, &det, 5e-6, 3);
         assert!(levels[0] > 0.9);
         assert!(levels[1] < 0.1);
         assert!(levels[2] > 0.9);
@@ -254,7 +254,7 @@ mod tests {
         det[1] = 0.0;
         det[10] = 1.0;
         det[11] = 1.0;
-        let levels = slicer.symbol_levels(&det, 0.0, 2);
+        let levels = levels(&slicer, &det, 0.0, 2);
         assert!(levels[0] > 0.9, "guard failed: {levels:?}");
         assert!(levels[1] < 0.1, "guard failed: {levels:?}");
     }
@@ -263,7 +263,7 @@ mod tests {
     fn out_of_range_symbols_are_zero() {
         let slicer = EnvelopeSlicer::new(10e6, 1e6);
         let det = stream(&[true], 10, 1.0, 0.0);
-        let levels = slicer.symbol_levels(&det, 0.0, 3);
+        let levels = levels(&slicer, &det, 0.0, 3);
         assert_eq!(levels[1], 0.0);
         assert_eq!(levels[2], 0.0);
     }

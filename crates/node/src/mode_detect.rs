@@ -43,44 +43,12 @@ impl ModeDetector {
         out
     }
 
-    /// Decides which slots contain a chirp: a slot is "on" when its level
-    /// exceeds the midpoint between the strongest and weakest slot. When
-    /// all three slots are essentially equal nothing can be decided.
-    pub fn detect_slots(levels: &[f64; 3]) -> Option<[bool; 3]> {
-        let max = levels.iter().cloned().fold(f64::MIN, f64::max);
-        let min = levels.iter().cloned().fold(f64::MAX, f64::min);
-        if max <= 0.0 || (max - min) / max < 0.2 {
-            // No contrast: either silence or three equal chirps. Three
-            // equal chirps *is* a valid pattern (uplink) but then min is a
-            // chirp too — distinguish by requiring real energy.
-            return if max > 0.0 && min > 0.5 * max {
-                Some([true, true, true])
-            } else {
-                None
-            };
-        }
-        let thr = (max + min) / 2.0;
-        Some([levels[0] > thr, levels[1] > thr, levels[2] > thr])
-    }
-
-    /// Full mode detection: slot energies → chirp count → link mode.
-    ///
-    /// Returns `None` when the pattern matches neither mode (e.g. the
-    /// packet was missed entirely).
-    pub fn detect(&self, capture: &[f64], t0: f64) -> Option<LinkMode> {
-        let levels = self.slot_levels(capture, t0);
-        let mode = match Self::detect_slots(&levels) {
-            Some([true, true, true]) => Some(LinkMode::Uplink),
-            Some([true, false, true]) => Some(LinkMode::Downlink),
-            _ => None,
-        };
-        Self::count_decision(mode);
-        mode
-    }
-
-    /// Noise-robust mode detection. Both valid patterns carry chirps in
-    /// the outer slots; only the *middle* slot differs, so the decision is
-    /// the middle level against the outer-slot baseline. `noise_sigma` is
+    /// Mode detection: slot energies → chirp count → link mode, robust to
+    /// detector noise. Returns `None` when the pattern matches neither
+    /// mode (e.g. the packet was missed entirely). Both valid patterns
+    /// carry chirps in the outer slots; only the *middle* slot differs,
+    /// so the decision is the middle level against the outer-slot
+    /// baseline. `noise_sigma` is
     /// the per-sample detector noise (the MCU measures it on a quiet
     /// window before the packet); the baseline must clear it decisively
     /// or nothing was received.
@@ -114,7 +82,7 @@ impl ModeDetector {
         mode
     }
 
-    /// Telemetry bookkeeping shared by both detection entry points.
+    /// Telemetry bookkeeping of one detection.
     fn count_decision(mode: Option<LinkMode>) {
         match mode {
             Some(LinkMode::Uplink) => milback_telemetry::counter_add("node.mode_detect.uplink", 1),
@@ -132,6 +100,11 @@ mod tests {
 
     /// Builds a capture with the given slot pattern: `level` volts in "on"
     /// slots, `floor` in "off" slots.
+    /// Detection at a per-sample noise σ of 2 mV.
+    fn detect(det: &ModeDetector, capture: &[f64], t0: f64) -> Option<LinkMode> {
+        det.detect_with_floor(capture, t0, 0.002)
+    }
+
     fn capture(pattern: [bool; 3], level: f64, floor: f64) -> Vec<f64> {
         let det = ModeDetector::milback();
         let sps = (det.slot_duration * det.sample_rate) as usize;
@@ -145,21 +118,21 @@ mod tests {
     fn uplink_pattern_detected() {
         let det = ModeDetector::milback();
         let cap = capture([true, true, true], 0.4, 0.01);
-        assert_eq!(det.detect(&cap, 0.0), Some(LinkMode::Uplink));
+        assert_eq!(detect(&det, &cap, 0.0), Some(LinkMode::Uplink));
     }
 
     #[test]
     fn downlink_pattern_detected() {
         let det = ModeDetector::milback();
         let cap = capture([true, false, true], 0.4, 0.01);
-        assert_eq!(det.detect(&cap, 0.0), Some(LinkMode::Downlink));
+        assert_eq!(detect(&det, &cap, 0.0), Some(LinkMode::Downlink));
     }
 
     #[test]
     fn silence_is_none() {
         let det = ModeDetector::milback();
         let cap = capture([false, false, false], 0.4, 0.0);
-        assert_eq!(det.detect(&cap, 0.0), None);
+        assert_eq!(detect(&det, &cap, 0.0), None);
     }
 
     #[test]
@@ -167,10 +140,10 @@ mod tests {
         let det = ModeDetector::milback();
         // Single chirp.
         let cap = capture([true, false, false], 0.4, 0.01);
-        assert_eq!(det.detect(&cap, 0.0), None);
+        assert_eq!(detect(&det, &cap, 0.0), None);
         // Gap-first two chirps — not a defined pattern.
         let cap = capture([false, true, true], 0.4, 0.01);
-        assert_eq!(det.detect(&cap, 0.0), None);
+        assert_eq!(detect(&det, &cap, 0.0), None);
     }
 
     #[test]
@@ -178,7 +151,7 @@ mod tests {
         let det = ModeDetector::milback();
         let mut cap = vec![0.01; 100];
         cap.extend(capture([true, false, true], 0.4, 0.01));
-        assert_eq!(det.detect(&cap, 100e-6), Some(LinkMode::Downlink));
+        assert_eq!(detect(&det, &cap, 100e-6), Some(LinkMode::Downlink));
     }
 
     #[test]
@@ -188,7 +161,7 @@ mod tests {
         for (i, v) in cap.iter_mut().enumerate() {
             *v += 0.02 * ((i as f64) * 0.7).sin();
         }
-        assert_eq!(det.detect(&cap, 0.0), Some(LinkMode::Uplink));
+        assert_eq!(detect(&det, &cap, 0.0), Some(LinkMode::Uplink));
     }
 
     #[test]

@@ -113,7 +113,7 @@ pub fn max_uplink_bit_rate(switch: &SpdtSwitch) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use milback_proto::bits::bits_to_symbols;
+    use milback_proto::bits::bits_to_symbols_into;
 
     fn sym(a: bool, b: bool) -> OaqfmSymbol {
         OaqfmSymbol { a_on: a, b_on: b }
@@ -178,7 +178,8 @@ mod tests {
     fn full_byte_stream_schedule() {
         let sw = SpdtSwitch::adrf5020();
         let bits: Vec<bool> = (0..32).map(|i| i % 3 == 0).collect();
-        let symbols = bits_to_symbols(&bits);
+        let mut symbols = Vec::new();
+        bits_to_symbols_into(&bits, &mut symbols);
         let (a, _b) = modulate(&sw, &symbols, 0.0, 5e6).unwrap();
         // Spot-check: symbol k occupies [k/5e6, (k+1)/5e6).
         for (k, s) in symbols.iter().enumerate() {

@@ -22,7 +22,7 @@ use milback_hw::envelope::EnvelopeDetector;
 use milback_hw::power::PowerModel;
 use milback_hw::switch::{for_each_state_run, SpdtSwitch, SwitchSchedule, SwitchState};
 use milback_rf::channel::GammaRun;
-use milback_rf::fsa::{DualPortFsa, Port};
+use milback_rf::fsa::DualPortFsa;
 use milback_rf::geometry::Pose;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -72,11 +72,6 @@ impl BackscatterNode {
     /// One-way implementation-loss amplitude factor.
     fn impl_loss_amp(&self) -> f64 {
         10f64.powf(-self.impl_loss_db / 20.0)
-    }
-
-    /// Reflection coefficient of one port in a switch state.
-    pub fn port_gamma(&self, state: SwitchState) -> Cpx {
-        self.switch.gamma(state)
     }
 
     /// The node's constant port reflection coefficients while *parked*
@@ -169,35 +164,6 @@ impl BackscatterNode {
         self.detector
             .detect_into(&at_port.samples, self.rx_gain(), at_port.fs, rng, out);
     }
-
-    /// Convenience: the constant absorptive schedule (both ports
-    /// listening).
-    pub fn listening() -> (SwitchSchedule, SwitchSchedule) {
-        (
-            SwitchSchedule::Constant(SwitchState::Absorptive),
-            SwitchSchedule::Constant(SwitchState::Absorptive),
-        )
-    }
-
-    /// The localization schedule of §5.1: port A toggling at 10 kHz, port
-    /// B parked absorptive (as in §5.2's orientation variant, which keeps
-    /// one port absorptive so the AP can background-subtract).
-    pub fn localization_schedule() -> (SwitchSchedule, SwitchSchedule) {
-        (
-            SwitchSchedule::milback_localization(),
-            SwitchSchedule::Constant(SwitchState::Absorptive),
-        )
-    }
-
-    /// OAQFM carrier frequencies for this node's current orientation as
-    /// seen from `ap_pos`: `(f_A, f_B)`. Returns `None` if either beam
-    /// cannot be steered to the AP.
-    pub fn oaqfm_tones(&self, ap_pos: &milback_rf::geometry::Point) -> Option<(f64, f64)> {
-        let inc = self.pose.incidence_from(ap_pos);
-        let fa = self.fsa.frequency_for_angle(Port::A, inc)?;
-        let fb = self.fsa.frequency_for_angle(Port::B, inc)?;
-        Some((fa, fb))
-    }
 }
 
 /// Fills `runs` (cleared first, capacity reused) with the `[Γ_A, Γ_B]`
@@ -237,7 +203,6 @@ pub fn fill_gamma_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use milback_rf::geometry::{deg_to_rad, Point};
     use rand::SeedableRng;
 
     fn node() -> BackscatterNode {
@@ -273,7 +238,10 @@ mod tests {
     #[test]
     fn gamma_runs_follow_square_wave() {
         let n = node();
-        let a = SwitchSchedule::milback_localization();
+        let a = SwitchSchedule::SquareWave {
+            freq_hz: 10e3,
+            first: SwitchState::Reflective,
+        };
         let b = SwitchSchedule::Constant(SwitchState::Absorptive);
         let mut runs = Vec::new();
         // 200 µs at 1 MHz: four 50 µs half-periods. Boundaries follow
@@ -354,7 +322,10 @@ mod tests {
         let reference = |sig: &Signal, rng: &mut StdRng| {
             let mut scaled = sig.clone();
             scaled.scale(n.rx_gain());
-            n.adc.capture(&n.detector.detect(&scaled, rng), sig.fs)
+            let mut video = Vec::new();
+            n.detector
+                .detect_into(&scaled.samples, 1.0, scaled.fs, rng, &mut video);
+            n.adc.capture(&video, sig.fs)
         };
         let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
         let mut rng = StdRng::seed_from_u64(8);
@@ -390,29 +361,5 @@ mod tests {
             (mean / expected - 1.0).abs() < 0.1,
             "mean {mean} vs {expected}"
         );
-    }
-
-    #[test]
-    fn oaqfm_tones_reflect_orientation() {
-        let ap = Point::origin();
-        // Node facing the AP: both tones equal (normal incidence).
-        let n = BackscatterNode::milback(Pose::facing_ap(2.0, 0.0, 0.0));
-        let (fa, fb) = n.oaqfm_tones(&ap).unwrap();
-        assert!((fa - fb).abs() < 1.0);
-        // Rotated node: distinct tones, mirrored around the normal freq.
-        let n = BackscatterNode::milback(Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0)));
-        let (fa2, fb2) = n.oaqfm_tones(&ap).unwrap();
-        assert!((fa2 - fb2).abs() > 100e6);
-        assert!(
-            (fa2 - fa) * (fb2 - fb) < 0.0,
-            "tones move in opposite directions"
-        );
-    }
-
-    #[test]
-    fn localization_schedule_shape() {
-        let (a, b) = BackscatterNode::localization_schedule();
-        assert_eq!(a.transitions_in(1e-3), 20); // 10 kHz over 1 ms
-        assert_eq!(b.transitions_in(1e-3), 0);
     }
 }

@@ -41,15 +41,6 @@ impl SeqBit {
     }
 }
 
-/// Prepends the ARQ header (sequence bit) to a payload; the result is
-/// what gets framed and transmitted. Allocating wrapper over
-/// [`with_header_into`].
-pub fn with_header(seq: SeqBit, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 1);
-    with_header_into(seq, payload, &mut out);
-    out
-}
-
 /// Writes the ARQ header + payload into `out` (cleared first). After
 /// warm-up the buffer is reused without reallocating, which is what
 /// keeps retry loops on the zero-alloc budget of DESIGN.md §12.
@@ -80,20 +71,9 @@ pub struct ArqSender {
     spare: Option<Vec<u8>>,
 }
 
-/// What the sender should do next.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SenderAction {
-    /// Transmit this frame (header already attached).
-    Transmit(Vec<u8>),
-    /// The in-flight payload was delivered; ready for the next one.
-    Delivered,
-    /// Retry budget exhausted; the payload is dropped.
-    GiveUp,
-}
-
-/// Allocation-free variant of [`SenderAction`]: on [`ArqVerdict::Retry`]
-/// the caller re-reads the in-flight frame via [`ArqSender::frame`]
-/// instead of receiving a clone.
+/// What the sender should do next. On [`ArqVerdict::Retry`] the caller
+/// re-reads the in-flight frame via [`ArqSender::frame`] instead of
+/// receiving a clone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArqVerdict {
     /// Retransmit the in-flight frame ([`ArqSender::frame`]).
@@ -144,11 +124,6 @@ impl Backoff {
         let exp = (attempt - 1).min(52) as i32;
         (self.base_s * self.factor.powi(exp)).min(self.max_s)
     }
-
-    /// Total delay across retries `1..=n`, seconds.
-    pub fn total_s(&self, n: usize) -> f64 {
-        (1..=n).map(|k| self.delay_s(k)).sum()
-    }
 }
 
 impl Default for ArqSender {
@@ -175,19 +150,8 @@ impl ArqSender {
         self.in_flight.is_none()
     }
 
-    /// Queues a payload; returns the first frame to transmit.
-    ///
-    /// # Panics
-    /// Panics if a payload is already in flight.
-    pub fn send(&mut self, payload: &[u8]) -> Vec<u8> {
-        assert!(self.is_idle(), "previous payload still in flight");
-        self.start(payload);
-        self.frame().unwrap_or_default().to_vec()
-    }
-
-    /// Allocation-conscious variant of [`Self::send`]: queues the
-    /// payload, reusing the sender's internal frame buffer from the
-    /// previous exchange; the caller reads the frame to transmit via
+    /// Queues a payload, reusing the sender's internal frame buffer from
+    /// the previous exchange; the caller reads the frame to transmit via
     /// [`Self::frame`].
     ///
     /// # Panics
@@ -214,18 +178,8 @@ impl ArqSender {
 
     /// Processes the outcome of the last transmission: `acked_seq` is the
     /// sequence bit the receiver acknowledged (`None` = no/garbled ACK).
-    /// Allocating wrapper over [`Self::on_ack_verdict`].
-    pub fn on_ack(&mut self, acked_seq: Option<SeqBit>) -> SenderAction {
-        match self.on_ack_verdict(acked_seq) {
-            ArqVerdict::Delivered => SenderAction::Delivered,
-            ArqVerdict::GiveUp => SenderAction::GiveUp,
-            ArqVerdict::Retry => SenderAction::Transmit(self.frame().unwrap_or_default().to_vec()),
-        }
-    }
-
-    /// Allocation-free variant of [`Self::on_ack`]: on
-    /// [`ArqVerdict::Retry`] the in-flight frame stays available through
-    /// [`Self::frame`] — nothing is cloned.
+    /// On [`ArqVerdict::Retry`] the in-flight frame stays available
+    /// through [`Self::frame`] — nothing is cloned.
     pub fn on_ack_verdict(&mut self, acked_seq: Option<SeqBit>) -> ArqVerdict {
         if self.in_flight.is_none() {
             return ArqVerdict::Delivered;
@@ -285,9 +239,16 @@ impl ArqReceiver {
 mod tests {
     use super::*;
 
+    /// Queues `payload` and returns a copy of the first frame to send.
+    fn send(tx: &mut ArqSender, payload: &[u8]) -> Vec<u8> {
+        tx.start(payload);
+        tx.frame().expect("in flight").to_vec()
+    }
+
     #[test]
     fn header_round_trip() {
-        let framed = with_header(SeqBit::One, b"abc");
+        let mut framed = Vec::new();
+        with_header_into(SeqBit::One, b"abc", &mut framed);
         let (seq, payload) = parse_header(&framed).unwrap();
         assert_eq!(seq, SeqBit::One);
         assert_eq!(payload, b"abc");
@@ -300,10 +261,10 @@ mod tests {
         let mut tx = ArqSender::new(3);
         let mut rx = ArqReceiver::new();
         for round in 0..4u8 {
-            let frame = tx.send(&[round]);
+            let frame = send(&mut tx, &[round]);
             let (ack, delivered) = rx.on_frame(&frame).unwrap();
             assert_eq!(delivered, Some(&[round][..]), "round {round}");
-            assert_eq!(tx.on_ack(Some(ack)), SenderAction::Delivered);
+            assert_eq!(tx.on_ack_verdict(Some(ack)), ArqVerdict::Delivered);
             assert!(tx.is_idle());
         }
     }
@@ -312,83 +273,77 @@ mod tests {
     fn lost_frame_is_retransmitted() {
         let mut tx = ArqSender::new(3);
         let mut rx = ArqReceiver::new();
-        let frame = tx.send(b"data");
+        let frame = send(&mut tx, b"data");
         // Frame lost: no ACK.
-        let action = tx.on_ack(None);
-        let SenderAction::Transmit(retry) = action else {
-            panic!("expected retransmission, got {action:?}");
-        };
+        assert_eq!(tx.on_ack_verdict(None), ArqVerdict::Retry);
+        let retry = tx.frame().expect("in flight").to_vec();
         assert_eq!(retry, frame);
         // Retry arrives.
         let (ack, delivered) = rx.on_frame(&retry).unwrap();
         assert_eq!(delivered, Some(&b"data"[..]));
-        assert_eq!(tx.on_ack(Some(ack)), SenderAction::Delivered);
+        assert_eq!(tx.on_ack_verdict(Some(ack)), ArqVerdict::Delivered);
     }
 
     #[test]
     fn lost_ack_causes_duplicate_which_is_filtered() {
         let mut tx = ArqSender::new(3);
         let mut rx = ArqReceiver::new();
-        let frame = tx.send(b"once");
+        let frame = send(&mut tx, b"once");
         // Frame arrives, ACK lost.
         let (_ack, delivered) = rx.on_frame(&frame).unwrap();
         assert_eq!(delivered, Some(&b"once"[..]));
-        let SenderAction::Transmit(retry) = tx.on_ack(None) else {
-            panic!("expected retry");
-        };
+        assert_eq!(tx.on_ack_verdict(None), ArqVerdict::Retry);
+        let retry = tx.frame().expect("in flight").to_vec();
         // Duplicate arrives: re-ACKed but NOT delivered twice.
         let (ack2, delivered2) = rx.on_frame(&retry).unwrap();
         assert_eq!(delivered2, None, "duplicate delivered");
-        assert_eq!(tx.on_ack(Some(ack2)), SenderAction::Delivered);
+        assert_eq!(tx.on_ack_verdict(Some(ack2)), ArqVerdict::Delivered);
     }
 
     #[test]
     fn gives_up_after_max_attempts() {
         let mut tx = ArqSender::new(2);
-        let _ = tx.send(b"x");
-        assert!(matches!(tx.on_ack(None), SenderAction::Transmit(_)));
-        assert_eq!(tx.on_ack(None), SenderAction::GiveUp);
+        tx.start(b"x");
+        assert_eq!(tx.on_ack_verdict(None), ArqVerdict::Retry);
+        assert_eq!(tx.on_ack_verdict(None), ArqVerdict::GiveUp);
         assert!(tx.is_idle());
         // Sequence still advances so the next payload isn't mistaken for a
         // duplicate of the dropped one.
-        let next = tx.send(b"y");
+        let next = send(&mut tx, b"y");
         assert_eq!(parse_header(&next).unwrap().0, SeqBit::One);
     }
 
     #[test]
     fn wrong_seq_ack_is_ignored() {
         let mut tx = ArqSender::new(3);
-        let _ = tx.send(b"x");
+        tx.start(b"x");
         // ACK for the other sequence: treated as no ACK.
-        assert!(matches!(
-            tx.on_ack(Some(SeqBit::One)),
-            SenderAction::Transmit(_)
-        ));
+        assert_eq!(tx.on_ack_verdict(Some(SeqBit::One)), ArqVerdict::Retry);
     }
 
     #[test]
     #[should_panic(expected = "still in flight")]
     fn cannot_send_while_in_flight() {
         let mut tx = ArqSender::new(3);
-        let _ = tx.send(b"a");
-        let _ = tx.send(b"b");
+        tx.start(b"a");
+        tx.start(b"b");
     }
 
     #[test]
-    fn with_header_into_matches_allocating_variant() {
+    fn with_header_into_reuses_the_buffer() {
         let mut buf = Vec::new();
         with_header_into(SeqBit::Zero, b"payload", &mut buf);
-        assert_eq!(buf, with_header(SeqBit::Zero, b"payload"));
+        assert_eq!(buf, [&[0xA0][..], b"payload"].concat());
         // Reuse: the buffer is cleared, not appended to.
         with_header_into(SeqBit::One, b"xy", &mut buf);
-        assert_eq!(buf, with_header(SeqBit::One, b"xy"));
+        assert_eq!(buf, [0xA1, b'x', b'y']);
         let cap = buf.capacity();
         with_header_into(SeqBit::Zero, b"z", &mut buf);
         assert_eq!(buf.capacity(), cap, "reuse must not reallocate");
     }
 
     #[test]
-    fn verdict_api_matches_action_api() {
+    fn verdicts_track_attempts_and_keep_the_frame() {
         let mut tx = ArqSender::new(2);
         let mut rx = ArqReceiver::new();
         tx.start(b"data");
@@ -403,13 +358,7 @@ mod tests {
         assert_eq!(tx.on_ack_verdict(Some(ack)), ArqVerdict::Delivered);
         assert!(tx.is_idle());
         assert_eq!(tx.frame(), None);
-        // Budget exhaustion through the verdict API.
-        tx.start(b"next");
-        assert_eq!(tx.on_ack_verdict(None), ArqVerdict::Retry);
-        assert_eq!(tx.on_ack_verdict(None), ArqVerdict::GiveUp);
-        assert!(tx.is_idle());
     }
-
     #[test]
     fn start_reuses_the_retired_buffer() {
         let mut tx = ArqSender::new(1);
@@ -430,6 +379,5 @@ mod tests {
         assert!((b.delay_s(3) - 20e-3).abs() < 1e-12);
         assert_eq!(b.delay_s(10), b.max_s);
         assert_eq!(b.delay_s(100), b.max_s, "large attempts must not overflow");
-        assert!((b.total_s(2) - 15e-3).abs() < 1e-12);
     }
 }

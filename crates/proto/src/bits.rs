@@ -60,57 +60,8 @@ impl OaqfmSymbol {
     }
 }
 
-/// Expands bytes to bits, most-significant bit first.
-pub fn bytes_to_bits(bytes: &[u8]) -> Vec<bool> {
-    let mut bits = Vec::with_capacity(bytes.len() * 8);
-    for &b in bytes {
-        for i in (0..8).rev() {
-            bits.push((b >> i) & 1 == 1);
-        }
-    }
-    bits
-}
-
-/// Packs bits back to bytes (MSB first). The bit count must be a multiple
-/// of 8.
-pub fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
-    assert!(
-        bits.len().is_multiple_of(8),
-        "bit count must be a multiple of 8"
-    );
-    bits.chunks(8)
-        .map(|chunk| {
-            chunk
-                .iter()
-                .fold(0u8, |acc, &bit| (acc << 1) | u8::from(bit))
-        })
-        .collect()
-}
-
-/// Maps a bit stream to OAQFM symbols, two bits per symbol. An odd
-/// trailing bit is padded with 0.
-pub fn bits_to_symbols(bits: &[bool]) -> Vec<OaqfmSymbol> {
-    let mut symbols = Vec::with_capacity(bits.len().div_ceil(2));
-    let mut it = bits.iter();
-    while let Some(&first) = it.next() {
-        let second = it.next().copied().unwrap_or(false);
-        symbols.push(OaqfmSymbol::from_bits(first, second));
-    }
-    symbols
-}
-
-/// Recovers the bit stream from OAQFM symbols (always an even count).
-pub fn symbols_to_bits(symbols: &[OaqfmSymbol]) -> Vec<bool> {
-    let mut bits = Vec::with_capacity(symbols.len() * 2);
-    for s in symbols {
-        let (a, b) = s.to_bits();
-        bits.push(a);
-        bits.push(b);
-    }
-    bits
-}
-
-/// Allocation-free [`bytes_to_bits`]: clears and refills `out`.
+/// Expands bytes to bits, most-significant bit first: clears and
+/// refills `out`.
 pub fn bytes_to_bits_into(bytes: &[u8], out: &mut Vec<bool>) {
     out.clear();
     out.reserve(bytes.len() * 8);
@@ -121,7 +72,7 @@ pub fn bytes_to_bits_into(bytes: &[u8], out: &mut Vec<bool>) {
     }
 }
 
-/// Allocation-free [`bits_to_bytes`]: clears and refills `out`.
+/// Packs bits back to bytes (MSB first): clears and refills `out`.
 ///
 /// # Panics
 /// Panics if the bit count is not a multiple of 8.
@@ -139,8 +90,9 @@ pub fn bits_to_bytes_into(bits: &[bool], out: &mut Vec<u8>) {
     }));
 }
 
-/// Allocation-free [`bits_to_symbols`]: clears and refills `out`,
-/// reusing its capacity (the link layer's pooled symbol buffers).
+/// Maps a bit stream to OAQFM symbols, two bits per symbol (an odd
+/// trailing bit is padded with 0): clears and refills `out`, reusing its
+/// capacity (the link layer's pooled symbol buffers).
 pub fn bits_to_symbols_into(bits: &[bool], out: &mut Vec<OaqfmSymbol>) {
     out.clear();
     out.reserve(bits.len().div_ceil(2));
@@ -151,8 +103,8 @@ pub fn bits_to_symbols_into(bits: &[bool], out: &mut Vec<OaqfmSymbol>) {
     }
 }
 
-/// Allocation-free [`symbols_to_bits`]: clears and refills `out`,
-/// reusing its capacity.
+/// Recovers the bit stream from OAQFM symbols (always an even count):
+/// clears and refills `out`, reusing its capacity.
 pub fn symbols_to_bits_into(symbols: &[OaqfmSymbol], out: &mut Vec<bool>) {
     out.clear();
     out.reserve(symbols.len() * 2);
@@ -172,6 +124,30 @@ pub fn bit_errors(a: &[bool], b: &[bool]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bytes_to_bits(bytes: &[u8]) -> Vec<bool> {
+        let mut out = Vec::new();
+        bytes_to_bits_into(bytes, &mut out);
+        out
+    }
+
+    fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
+        let mut out = Vec::new();
+        bits_to_bytes_into(bits, &mut out);
+        out
+    }
+
+    fn bits_to_symbols(bits: &[bool]) -> Vec<OaqfmSymbol> {
+        let mut out = Vec::new();
+        bits_to_symbols_into(bits, &mut out);
+        out
+    }
+
+    fn symbols_to_bits(symbols: &[OaqfmSymbol]) -> Vec<bool> {
+        let mut out = Vec::new();
+        symbols_to_bits_into(symbols, &mut out);
+        out
+    }
 
     #[test]
     fn symbol_table_matches_paper() {

@@ -22,15 +22,6 @@ pub fn crc16_ccitt(data: &[u8]) -> u16 {
     crc
 }
 
-/// Appends the big-endian CRC of `data` to a copy of it.
-pub fn append_crc(data: &[u8]) -> Vec<u8> {
-    let crc = crc16_ccitt(data);
-    let mut out = data.to_vec();
-    out.push((crc >> 8) as u8);
-    out.push((crc & 0xFF) as u8);
-    out
-}
-
 /// Verifies and strips a trailing CRC. Returns the payload on success.
 pub fn check_crc(framed: &[u8]) -> Option<&[u8]> {
     if framed.len() < 2 {
@@ -50,6 +41,15 @@ pub fn check_crc(framed: &[u8]) -> Option<&[u8]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `data` with its big-endian CRC appended, as the frame encoder
+    /// lays it out.
+    fn append_crc(data: &[u8]) -> Vec<u8> {
+        let crc = crc16_ccitt(data);
+        let mut out = data.to_vec();
+        out.extend_from_slice(&crc.to_be_bytes());
+        out
+    }
 
     #[test]
     fn known_check_value() {

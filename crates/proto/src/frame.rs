@@ -4,8 +4,8 @@
 //! pre-agreed between AP and node (paper §7: "the length of the payload is
 //! predefined for both AP and the nodes"), so no length field is needed.
 
-use crate::bits::{bits_to_bytes, bits_to_symbols, bytes_to_bits, symbols_to_bits, OaqfmSymbol};
-use crate::crc::{append_crc, check_crc};
+use crate::bits::OaqfmSymbol;
+use crate::crc::check_crc;
 
 /// Errors produced when decoding a received frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,30 +43,6 @@ pub fn frame_symbols(payload_bytes: usize) -> usize {
     (payload_bytes + 2) * 4
 }
 
-/// Encodes payload bytes into an OAQFM symbol stream with a CRC-16
-/// trailer.
-pub fn encode_frame(payload: &[u8]) -> Vec<OaqfmSymbol> {
-    let framed = append_crc(payload);
-    bits_to_symbols(&bytes_to_bits(&framed))
-}
-
-/// Decodes an OAQFM symbol stream back into payload bytes, verifying
-/// length and CRC.
-pub fn decode_frame(symbols: &[OaqfmSymbol], payload_bytes: usize) -> Result<Vec<u8>, FrameError> {
-    let expected = frame_symbols(payload_bytes);
-    if symbols.len() != expected {
-        return Err(FrameError::LengthMismatch {
-            expected,
-            got: symbols.len(),
-        });
-    }
-    let bits = symbols_to_bits(symbols);
-    let bytes = bits_to_bytes(&bits);
-    check_crc(&bytes)
-        .map(|p| p.to_vec())
-        .ok_or(FrameError::CrcMismatch)
-}
-
 /// Reusable intermediate buffers for the frame codec, so repeated
 /// transfers (the link layer's steady state) encode and decode without
 /// heap allocation beyond the decoded payload itself.
@@ -76,9 +52,9 @@ pub struct FrameScratch {
     bits: Vec<bool>,
 }
 
-/// Allocation-free (steady-state) [`encode_frame`]: the CRC trailer and
-/// bit expansion run in `scratch`, symbols land in `out`. Produces the
-/// same symbol stream as [`encode_frame`].
+/// Encodes payload bytes into an OAQFM symbol stream with a CRC-16
+/// trailer. The CRC trailer and bit expansion run in `scratch`, symbols
+/// land in `out`; allocation-free in steady state.
 pub fn encode_frame_into(payload: &[u8], scratch: &mut FrameScratch, out: &mut Vec<OaqfmSymbol>) {
     scratch.bytes.clear();
     scratch.bytes.reserve(payload.len() + 2);
@@ -90,7 +66,8 @@ pub fn encode_frame_into(payload: &[u8], scratch: &mut FrameScratch, out: &mut V
     crate::bits::bits_to_symbols_into(&scratch.bits, out);
 }
 
-/// [`decode_frame`] against caller-owned intermediate buffers. The only
+/// Decodes an OAQFM symbol stream back into payload bytes, verifying
+/// length and CRC, against caller-owned intermediate buffers. The only
 /// allocation on success is the returned payload `Vec` itself — an
 /// owned deliverable the caller keeps.
 pub fn decode_frame_with(
@@ -116,34 +93,44 @@ pub fn decode_frame_with(
 mod tests {
     use super::*;
 
+    fn encode(payload: &[u8]) -> Vec<OaqfmSymbol> {
+        let mut symbols = Vec::new();
+        encode_frame_into(payload, &mut FrameScratch::default(), &mut symbols);
+        symbols
+    }
+
+    fn decode(symbols: &[OaqfmSymbol], payload_bytes: usize) -> Result<Vec<u8>, FrameError> {
+        decode_frame_with(&mut FrameScratch::default(), symbols, payload_bytes)
+    }
+
     #[test]
     fn round_trip() {
         let payload: Vec<u8> = (0..32).collect();
-        let symbols = encode_frame(&payload);
+        let symbols = encode(&payload);
         assert_eq!(symbols.len(), frame_symbols(32));
-        let decoded = decode_frame(&symbols, 32).unwrap();
+        let decoded = decode(&symbols, 32).unwrap();
         assert_eq!(decoded, payload);
     }
 
     #[test]
     fn empty_payload_round_trip() {
-        let symbols = encode_frame(&[]);
+        let symbols = encode(&[]);
         assert_eq!(symbols.len(), 8); // 2 CRC bytes = 16 bits = 8 symbols
-        assert_eq!(decode_frame(&symbols, 0).unwrap(), Vec::<u8>::new());
+        assert_eq!(decode(&symbols, 0).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn corrupted_symbol_fails_crc() {
         let payload = vec![0xAA; 16];
-        let mut symbols = encode_frame(&payload);
+        let mut symbols = encode(&payload);
         symbols[5] = OaqfmSymbol::from_bits(!symbols[5].a_on, symbols[5].b_on);
-        assert_eq!(decode_frame(&symbols, 16), Err(FrameError::CrcMismatch));
+        assert_eq!(decode(&symbols, 16), Err(FrameError::CrcMismatch));
     }
 
     #[test]
     fn wrong_length_detected() {
-        let symbols = encode_frame(&[1, 2, 3]);
-        let err = decode_frame(&symbols, 8).unwrap_err();
+        let symbols = encode(&[1, 2, 3]);
+        let err = decode(&symbols, 8).unwrap_err();
         assert!(matches!(err, FrameError::LengthMismatch { .. }));
     }
 

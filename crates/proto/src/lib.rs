@@ -33,7 +33,7 @@ pub mod crc;
 pub mod frame;
 pub mod packet;
 
-pub use arq::{ArqReceiver, ArqSender, SenderAction, SeqBit};
+pub use arq::{ArqReceiver, ArqSender, ArqVerdict, SeqBit};
 pub use bits::OaqfmSymbol;
-pub use frame::{decode_frame, encode_frame, FrameError};
+pub use frame::{decode_frame_with, encode_frame_into, FrameError, FrameScratch};
 pub use packet::{LinkMode, Packet, PacketConfig};

@@ -70,16 +70,6 @@ impl PacketConfig {
         }
     }
 
-    /// Decodes the mode from the number of chirps the node counted in
-    /// Field 1. Returns `None` for counts that match no mode.
-    pub fn mode_from_chirp_count(count: usize) -> Option<LinkMode> {
-        match count {
-            3 => Some(LinkMode::Uplink),
-            2 => Some(LinkMode::Downlink),
-            _ => None,
-        }
-    }
-
     /// Duration of Field 1 (three chirp slots), seconds.
     pub fn field1_duration(&self) -> f64 {
         3.0 * self.field1_chirp.duration
@@ -88,11 +78,6 @@ impl PacketConfig {
     /// Duration of Field 2, seconds.
     pub fn field2_duration(&self) -> f64 {
         self.field2_count as f64 * self.field2_chirp.duration
-    }
-
-    /// Time offset of the start of Field 2 within the packet.
-    pub fn field2_start(&self) -> f64 {
-        self.field1_duration()
     }
 
     /// Time offset of the start of the payload within the packet.
@@ -114,11 +99,6 @@ impl PacketConfig {
     /// Total packet duration, seconds.
     pub fn total_duration(&self) -> f64 {
         self.payload_start() + self.payload_duration()
-    }
-
-    /// Raw payload bit rate (2 bits per OAQFM symbol), bits/s.
-    pub fn bit_rate(&self) -> f64 {
-        2.0 * self.symbol_rate
     }
 }
 
@@ -166,25 +146,10 @@ mod tests {
     }
 
     #[test]
-    fn mode_decoding() {
-        assert_eq!(
-            PacketConfig::mode_from_chirp_count(3),
-            Some(LinkMode::Uplink)
-        );
-        assert_eq!(
-            PacketConfig::mode_from_chirp_count(2),
-            Some(LinkMode::Downlink)
-        );
-        assert_eq!(PacketConfig::mode_from_chirp_count(0), None);
-        assert_eq!(PacketConfig::mode_from_chirp_count(5), None);
-    }
-
-    #[test]
     fn milback_timing() {
         let cfg = PacketConfig::milback();
         assert!((cfg.field1_duration() - 135e-6).abs() < 1e-12);
         assert!((cfg.field2_duration() - 90e-6).abs() < 1e-12);
-        assert!((cfg.field2_start() - 135e-6).abs() < 1e-12);
         assert!((cfg.payload_start() - 225e-6).abs() < 1e-12);
     }
 
@@ -194,7 +159,6 @@ mod tests {
         // 32 bytes payload + 2 CRC = 34 bytes = 272 bits = 136 symbols.
         assert_eq!(cfg.payload_symbols(), 136);
         assert!((cfg.payload_duration() - 136e-6).abs() < 1e-12);
-        assert_eq!(cfg.bit_rate(), 2e6);
     }
 
     #[test]

@@ -427,7 +427,7 @@ impl Scene {
     ///
     /// Routes through the thread-local [`ChannelWorkspace`] so the
     /// frequency LUT and per-sample amplitude table are reused across
-    /// symbols of a downlink burst; see [`Scene::to_node_port_with`].
+    /// symbols of a downlink burst; see [`Scene::to_node_port_into`].
     pub fn to_node_port(
         &self,
         comp: &TxComponent,
@@ -436,30 +436,18 @@ impl Scene {
         port: Port,
     ) -> Signal {
         let wave_fp = wave_fingerprint(comp);
-        with_channel_workspace(|ws| self.to_node_port_with(ws, comp, wave_fp, pose, fsa, port))
-    }
-
-    /// [`Scene::to_node_port`] against a caller-owned workspace with a
-    /// precomputed [`wave_fingerprint`]. Bitwise identical to the
-    /// historical LUT-per-call implementation.
-    pub fn to_node_port_with(
-        &self,
-        ws: &mut ChannelWorkspace,
-        comp: &TxComponent,
-        wave_fp: u64,
-        pose: &Pose,
-        fsa: &DualPortFsa,
-        port: Port,
-    ) -> Signal {
         let mut out = Signal::new(comp.signal.fs, comp.signal.fc, Vec::new());
-        self.to_node_port_into(ws, comp, wave_fp, pose, fsa, port, &mut out);
+        with_channel_workspace(|ws| {
+            self.to_node_port_into(ws, comp, wave_fp, pose, fsa, port, &mut out)
+        });
         out
     }
 
-    /// Allocation-free [`Scene::to_node_port_with`]: overwrites `out`
-    /// (rate, carrier and samples), reusing its capacity. Bitwise
-    /// identical to the allocating form.
-    #[allow(clippy::too_many_arguments)] // mirrors to_node_port_with + out
+    /// [`Scene::to_node_port`] against a caller-owned workspace with a
+    /// precomputed [`wave_fingerprint`], overwriting `out` (rate, carrier
+    /// and samples) and reusing its capacity. Bitwise identical to the
+    /// historical LUT-per-call implementation.
+    #[allow(clippy::too_many_arguments)] // the render inputs + out
     pub fn to_node_port_into(
         &self,
         ws: &mut ChannelWorkspace,
@@ -521,42 +509,14 @@ impl Scene {
         }
     }
 
-    /// Monostatic capture at RX antenna `rx_idx`: node backscatter through
-    /// both FSA ports (weighted by the time-varying reflection
-    /// coefficients), static clutter, the node mirror reflection, and TX
-    /// self-interference. Noiseless.
-    pub fn monostatic_rx(
-        &self,
-        comp: &TxComponent,
-        node: &NodeInterface<'_>,
-        rx_idx: usize,
-    ) -> Signal {
-        self.monostatic_rx_multi(comp, std::slice::from_ref(node), rx_idx)
-    }
-
-    /// Monostatic capture with **multiple** backscatter nodes in the scene
-    /// (SDM operation, paper §7): every node's modulated return is summed,
-    /// plus the shared static paths. The channel is linear, so this is
-    /// exact.
-    ///
-    /// Allocating wrapper over [`Scene::monostatic_rx_multi_into`] using
-    /// the thread-local [`ChannelWorkspace`]; bitwise identical to
+    /// Monostatic capture at RX antenna `rx_idx` with every backscatter
+    /// node in `nodes` (SDM operation, paper §7): each node's return
+    /// through both FSA ports (weighted by its time-varying reflection
+    /// coefficients and its mirror reflection) summed with the static
+    /// clutter and TX self-interference paths. Noiseless. The channel is
+    /// linear, so the sum is exact. This is the cached, allocation-free
+    /// render (DESIGN.md §13), bitwise identical to
     /// [`Scene::monostatic_rx_multi_uncached`].
-    pub fn monostatic_rx_multi(
-        &self,
-        comp: &TxComponent,
-        nodes: &[NodeInterface<'_>],
-        rx_idx: usize,
-    ) -> Signal {
-        let wave_fp = wave_fingerprint(comp);
-        let mut out = Signal::zeros(comp.signal.fs, comp.signal.fc, comp.signal.len());
-        with_channel_workspace(|ws| {
-            self.monostatic_rx_multi_into(ws, comp, wave_fp, nodes, rx_idx, &mut out)
-        });
-        out
-    }
-
-    /// The cached, allocation-free monostatic render (DESIGN.md §13).
     ///
     /// `wave_fp` must be [`wave_fingerprint`]`(comp)` — callers compute
     /// it once per burst and reuse it across chirps/antennas. After the
@@ -823,12 +783,6 @@ impl Scene {
         backscatter_rx_power(1.0, g_tx, g_rx, g_node, 1.0, 1.0, f) * fspl(d_tx, f) * fspl(d_rx, f)
             / fspl(1.0, f).powi(2)
     }
-
-    /// Geometric round-trip delay from TX via the node to RX `rx_idx`.
-    pub fn round_trip_delay(&self, pose: &Pose, rx_idx: usize) -> f64 {
-        (self.tx_pos.distance_to(&pose.position) + self.rx_pos[rx_idx].distance_to(&pose.position))
-            / SPEED_OF_LIGHT
-    }
 }
 
 /// Both ports' FSA gain at incidence `inc` on the LUT grid of the band
@@ -924,6 +878,20 @@ mod tests {
     use super::*;
     use crate::geometry::deg_to_rad;
     use milback_dsp::noise::ratio_to_db;
+
+    /// Monostatic render at `rx_idx` through a fresh workspace.
+    fn render(
+        scene: &Scene,
+        comp: &TxComponent,
+        nodes: &[NodeInterface<'_>],
+        rx_idx: usize,
+    ) -> Signal {
+        let mut ws = crate::workspace::ChannelWorkspace::default();
+        let mut out = Signal::new(comp.signal.fs, comp.signal.fc, Vec::new());
+        let wave_fp = wave_fingerprint(comp);
+        scene.monostatic_rx_multi_into(&mut ws, comp, wave_fp, nodes, rx_idx, &mut out);
+        out
+    }
 
     /// One constant Γ run over the whole of `comp`.
     fn static_gamma(reflective: bool, comp: &TxComponent) -> [GammaRun; 1] {
@@ -1038,8 +1006,8 @@ mod tests {
             fsa: &fsa,
             gamma: &g_abs,
         };
-        let rx_r = scene.monostatic_rx(&comp, &node_r, 0);
-        let rx_a = scene.monostatic_rx(&comp, &node_a, 0);
+        let rx_r = render(&scene, &comp, std::slice::from_ref(&node_r), 0);
+        let rx_a = render(&scene, &comp, std::slice::from_ref(&node_a), 0);
         let pr: f64 = rx_r.samples[100..].iter().map(|c| c.norm_sq()).sum();
         let pa: f64 = rx_a.samples[100..].iter().map(|c| c.norm_sq()).sum();
         let contrast = ratio_to_db(pr / pa);
@@ -1065,7 +1033,7 @@ mod tests {
             fsa: &fsa,
             gamma: &g,
         };
-        let rx = scene.monostatic_rx(&comp, &node, 0);
+        let rx = render(&scene, &comp, std::slice::from_ref(&node), 0);
         let p: f64 =
             rx.samples[200..].iter().map(|c| c.norm_sq()).sum::<f64>() / (rx.len() - 200) as f64;
         let expected = scene.tone_backscatter_gain(&pose, &fsa, Port::A, f, 0);
@@ -1090,7 +1058,7 @@ mod tests {
             fsa: &fsa,
             gamma: &g,
         };
-        let rx = scene.monostatic_rx(&comp, &node, 0);
+        let rx = render(&scene, &comp, std::slice::from_ref(&node), 0);
         let p: f64 =
             rx.samples[100..].iter().map(|c| c.norm_sq()).sum::<f64>() / (rx.len() - 100) as f64;
         assert!(p > 1e-12, "clutter return missing: {p}");
@@ -1110,7 +1078,7 @@ mod tests {
             fsa: &fsa,
             gamma: &g,
         };
-        let rx = scene.monostatic_rx(&comp, &node, 0);
+        let rx = render(&scene, &comp, std::slice::from_ref(&node), 0);
         let p: f64 =
             rx.samples[100..].iter().map(|c| c.norm_sq()).sum::<f64>() / (rx.len() - 100) as f64;
         // −45 dB self-interference >> node return at 8 m (≈ −90 dB).
@@ -1139,7 +1107,7 @@ mod tests {
             fsa: &fsa,
             gamma: &g2,
         };
-        let both = scene.monostatic_rx_multi(&comp, &[n1, n2], 0);
+        let both = render(&scene, &comp, &[n1, n2], 0);
         let g1 = static_gamma(true, &comp);
         let g2 = static_gamma(true, &comp);
         let n1 = NodeInterface {
@@ -1152,8 +1120,8 @@ mod tests {
             fsa: &fsa,
             gamma: &g2,
         };
-        let a = scene.monostatic_rx(&comp, &n1, 0);
-        let b = scene.monostatic_rx(&comp, &n2, 0);
+        let a = render(&scene, &comp, std::slice::from_ref(&n1), 0);
+        let b = render(&scene, &comp, std::slice::from_ref(&n2), 0);
         for i in 0..both.len() {
             let want = a.samples[i] + b.samples[i]; // static paths are zero in free space
             assert!((both.samples[i] - want).abs() < 1e-15, "sample {i}");
@@ -1268,8 +1236,8 @@ mod tests {
             fsa: &fsa,
             gamma: &g,
         };
-        let rx0 = scene.monostatic_rx(&comp, &node, 0);
-        let rx1 = scene.monostatic_rx(&comp, &node, 1);
+        let rx0 = render(&scene, &comp, std::slice::from_ref(&node), 0);
+        let rx1 = render(&scene, &comp, std::slice::from_ref(&node), 1);
         let dphi = (rx0.samples[500] * rx1.samples[500].conj()).arg();
         // Expected phase difference: 2π·d_ant·sin(φ)/λ.
         let d_ant = scene.rx_pos[0].distance_to(&scene.rx_pos[1]);

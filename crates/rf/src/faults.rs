@@ -426,67 +426,6 @@ impl FaultPlan {
             }
         }
     }
-
-    /// Additional envelope delay from clock-drift events at session
-    /// time `t_s` (0 when none are active). Render paths add this to
-    /// their trigger-jitter delay.
-    pub fn timing_skew(&self, t_s: f64) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let mut skew = 0.0;
-        for ev in &self.events {
-            if let FaultKind::ClockDrift { ppm } = ev.kind {
-                if t_s >= ev.start_s && t_s < ev.end_s() {
-                    skew += ppm * 1e-6 * (t_s - ev.start_s);
-                }
-            }
-        }
-        skew
-    }
-
-    /// Fingerprint of the plan (for diagnostics / dedup in reports).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = crate::workspace::Fnv::new();
-        h.word(self.seed);
-        h.word(self.events.len() as u64);
-        for ev in &self.events {
-            h.f64(ev.start_s);
-            h.f64(ev.duration_s);
-            match ev.kind {
-                FaultKind::Blockage { depth_db } => {
-                    h.word(1);
-                    h.f64(depth_db);
-                }
-                FaultKind::Interference {
-                    freq_offset_hz,
-                    amp,
-                } => {
-                    h.word(2);
-                    h.f64(freq_offset_hz);
-                    h.f64(amp);
-                }
-                FaultKind::ClockDrift { ppm } => {
-                    h.word(3);
-                    h.f64(ppm);
-                }
-                FaultKind::Saturation { v_max } => {
-                    h.word(4);
-                    h.f64(v_max);
-                }
-                FaultKind::ChirpDrop => h.word(5),
-                FaultKind::ChirpCorrupt { sigma } => {
-                    h.word(6);
-                    h.f64(sigma);
-                }
-                FaultKind::SnrDroop { extra_noise_db } => {
-                    h.word(7);
-                    h.f64(extra_noise_db);
-                }
-            }
-        }
-        h.finish()
-    }
 }
 
 #[cfg(test)]
@@ -507,7 +446,6 @@ mod tests {
         let mut v = vec![0.5; 64];
         plan.apply_to_video(0.0, 1e6, &mut v);
         assert_eq!(v, vec![0.5; 64]);
-        assert_eq!(plan.timing_skew(1.0), 0.0);
     }
 
     #[test]
@@ -609,26 +547,27 @@ mod tests {
 
     #[test]
     fn drift_skew_grows_inside_window() {
+        // 0.05 ppm: 25 ns (2.5 samples at 100 MS/s) of skew 0.5 s into
+        // the window, 95 ns 1.9 s in.
         let plan = FaultPlan {
             seed: 9,
             events: vec![FaultEvent {
                 start_s: 1.0,
                 duration_s: 2.0,
-                kind: FaultKind::ClockDrift { ppm: 50.0 },
+                kind: FaultKind::ClockDrift { ppm: 0.05 },
             }],
         };
-        assert_eq!(plan.timing_skew(0.5), 0.0);
-        let early = plan.timing_skew(1.5);
-        let late = plan.timing_skew(2.9);
-        assert!(early > 0.0 && late > early, "{early} {late}");
-        assert_eq!(plan.timing_skew(3.5), 0.0);
-    }
-
-    #[test]
-    fn fingerprint_separates_plans() {
-        let a = FaultPlan::chaos(1, 0.7, 0.01);
-        let b = FaultPlan::chaos(2, 0.7, 0.01);
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.fingerprint(), a.fingerprint());
+        let leading_zeros = |t0_s: f64| {
+            let mut rx = capture();
+            plan.apply_to_rx(t0_s, 0, &mut rx);
+            rx.samples.iter().take_while(|c| c.abs() == 0.0).count()
+        };
+        let mut before = capture();
+        plan.apply_to_rx(0.5, 0, &mut before);
+        assert_eq!(before.samples, capture().samples);
+        let early = leading_zeros(1.5);
+        let late = leading_zeros(2.9);
+        assert!(early > 0 && late > early, "{early} {late}");
+        assert_eq!(leading_zeros(3.5), 0);
     }
 }

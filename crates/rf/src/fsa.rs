@@ -39,14 +39,6 @@ pub enum Port {
 }
 
 impl Port {
-    /// The other port.
-    pub fn other(self) -> Port {
-        match self {
-            Port::A => Port::B,
-            Port::B => Port::A,
-        }
-    }
-
     /// Both ports, in `[A, B]` order.
     pub const BOTH: [Port; 2] = [Port::A, Port::B];
 }
@@ -501,12 +493,6 @@ mod tests {
                 g.to_bits()
             );
         }
-    }
-
-    #[test]
-    fn port_other_toggles() {
-        assert_eq!(Port::A.other(), Port::B);
-        assert_eq!(Port::B.other(), Port::A);
     }
 
     #[test]

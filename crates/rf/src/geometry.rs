@@ -117,18 +117,6 @@ impl Pose {
     }
 }
 
-/// Round-trip time of flight for a monostatic radar at distance `d` meters.
-#[inline]
-pub fn round_trip_tof(d: f64) -> f64 {
-    2.0 * d / SPEED_OF_LIGHT
-}
-
-/// One-way time of flight over distance `d` meters.
-#[inline]
-pub fn one_way_tof(d: f64) -> f64 {
-    d / SPEED_OF_LIGHT
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,12 +187,5 @@ mod tests {
         // AP at origin is at bearing π from the node; facing is π/2 → π/2 off.
         let inc = pose.incidence_from(&Point::origin());
         assert!((inc - FRAC_PI_2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tof_round_trip() {
-        let t = round_trip_tof(1.5);
-        assert!((t - 1.0008e-8).abs() < 1e-11);
-        assert!((one_way_tof(3.0) * 2.0 - round_trip_tof(3.0)).abs() < 1e-20);
     }
 }

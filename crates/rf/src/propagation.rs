@@ -5,7 +5,7 @@
 //! the appropriate model. All formulas follow the standard radar/Friis
 //! forms; amplitudes are voltage ratios (power ratio = amplitude²).
 
-use crate::geometry::{wavelength, SPEED_OF_LIGHT};
+use crate::geometry::wavelength;
 use std::f64::consts::PI;
 
 /// Free-space path loss (power ratio < 1) over distance `d` meters at
@@ -53,14 +53,6 @@ pub fn backscatter_rx_power(
 pub fn radar_rx_power(pt: f64, g_tx: f64, g_rx: f64, sigma: f64, d: f64, f: f64) -> f64 {
     let lambda = wavelength(f);
     pt * g_tx * g_rx * sigma * lambda * lambda / ((4.0 * PI).powi(3) * d.powi(4))
-}
-
-/// Complex channel amplitude (voltage ratio and carrier phase) for a path
-/// of total length `path_len` meters with power gain `power_gain`:
-/// amplitude `√power_gain`, phase `−2π·f·path_len/c`.
-pub fn path_coefficient(power_gain: f64, path_len: f64, f: f64) -> milback_dsp::num::Cpx {
-    let phase = -2.0 * PI * f * path_len / SPEED_OF_LIGHT;
-    milback_dsp::num::Cpx::from_polar(power_gain.sqrt(), phase)
 }
 
 #[cfg(test)]
@@ -124,13 +116,6 @@ mod tests {
         let a = radar_rx_power(1.0, 1.0, 1.0, sigma, d, f);
         let b = backscatter_rx_power(1.0, 1.0, 1.0, g_node, 1.0, d, f);
         assert!((a - b).abs() < 1e-25 * a.max(b).max(1.0));
-    }
-
-    #[test]
-    fn path_coefficient_magnitude_and_phase() {
-        let c = path_coefficient(0.25, 1.0, SPEED_OF_LIGHT); // 1 Hz·s path → phase −2π
-        assert!((c.abs() - 0.5).abs() < 1e-12);
-        assert!(c.arg().abs() < 1e-6); // −2π wraps to 0
     }
 
     #[test]

@@ -104,6 +104,7 @@ pub fn observe(name: &'static str, value: u64) {
 /// (it reads whatever has been recorded so far).
 pub fn snapshot() -> Snapshot {
     let mut snap = Snapshot::default();
+    let mut hists: HashMap<&'static str, Histogram> = HashMap::new();
     let shards = all_shards().lock().unwrap();
     for shard in shards.iter() {
         let shard = shard.lock().unwrap();
@@ -116,12 +117,13 @@ pub fn snapshot() -> Snapshot {
             *g = g.max(v);
         }
         for (&name, h) in &shard.hists {
-            snap.histograms
-                .entry(name.to_string())
-                .or_insert_with(HistogramSnapshot::empty)
-                .merge_from(h);
+            hists.entry(name).or_default().merge(h);
         }
     }
+    snap.histograms = hists
+        .into_iter()
+        .map(|(name, h)| (name.to_string(), HistogramSnapshot::from(&h)))
+        .collect();
     snap
 }
 

@@ -7,10 +7,11 @@
 //! hand-rolled (the workspace builds offline, without serde) and emits
 //! keys in sorted order so snapshots diff cleanly.
 
-use crate::hist::{bucket_upper_bound, Histogram, N_BUCKETS};
+use crate::hist::{bucket_upper_bound, Histogram};
 use std::collections::BTreeMap;
 
-/// Aggregated view of one histogram, merge of every shard's buckets.
+/// Aggregated view of one histogram, merge of every shard's buckets,
+/// keeping only the non-empty buckets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total number of observations.
@@ -26,17 +27,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot (identity element of [`Self::merge_from`]).
-    pub fn empty() -> Self {
-        Self {
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-            buckets: Vec::new(),
-        }
-    }
-
     /// Mean observation (`None` when empty).
     pub fn mean(&self) -> Option<f64> {
         if self.count == 0 {
@@ -60,8 +50,7 @@ impl HistogramSnapshot {
     /// for v in [1u64, 2, 3, 1000] {
     ///     h.record(v);
     /// }
-    /// let mut s = HistogramSnapshot::empty();
-    /// s.merge_from(&h);
+    /// let s = HistogramSnapshot::from(&h);
     /// assert_eq!(s.quantile(0.0), Some(1));
     /// assert_eq!(s.quantile(1.0), Some(1000));
     /// assert!(s.quantile(0.5).unwrap() <= 3);
@@ -81,26 +70,24 @@ impl HistogramSnapshot {
         }
         Some(self.max)
     }
+}
 
-    /// Folds one shard's [`Histogram`] into this snapshot.
-    pub fn merge_from(&mut self, h: &Histogram) {
-        self.count = self.count.saturating_add(h.count);
-        self.sum += h.sum;
-        self.min = self.min.min(h.min);
-        self.max = self.max.max(h.max);
-        let mut dense = [0u64; N_BUCKETS];
-        for &(ub, c) in &self.buckets {
-            dense[crate::hist::bucket_index(ub)] = c;
+impl From<&Histogram> for HistogramSnapshot {
+    /// The snapshot of one (shard-merged) histogram.
+    fn from(h: &Histogram) -> Self {
+        Self {
+            count: h.count,
+            sum: h.sum,
+            min: h.min,
+            max: h.max,
+            buckets: h
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(i, &c)| (bucket_upper_bound(i), c))
+                .collect(),
         }
-        for (i, &c) in h.buckets.iter().enumerate() {
-            dense[i] = dense[i].saturating_add(c);
-        }
-        self.buckets = dense
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_upper_bound(i), c))
-            .collect();
     }
 }
 
@@ -276,17 +263,19 @@ mod tests {
         for &v in values {
             h.record(v);
         }
-        let mut s = HistogramSnapshot::empty();
-        s.merge_from(&h);
-        s
+        HistogramSnapshot::from(&h)
     }
 
     #[test]
-    fn merge_from_accumulates() {
-        let mut s = sample_hist(&[1, 2, 3]);
+    fn merged_shards_convert_to_one_snapshot() {
+        let mut h = Histogram::new();
+        for v in [1, 2, 3] {
+            h.record(v);
+        }
         let mut h2 = Histogram::new();
         h2.record(1000);
-        s.merge_from(&h2);
+        h.merge(&h2);
+        let s = HistogramSnapshot::from(&h);
         assert_eq!(s.count, 4);
         assert_eq!(s.sum, 1006);
         assert_eq!(s.max, 1000);
@@ -296,7 +285,10 @@ mod tests {
 
     #[test]
     fn quantile_nearest_rank() {
-        assert_eq!(HistogramSnapshot::empty().quantile(0.5), None);
+        assert_eq!(
+            HistogramSnapshot::from(&Histogram::new()).quantile(0.5),
+            None
+        );
         let s = sample_hist(&[1, 1, 1, 1]);
         assert_eq!(s.quantile(0.5), Some(1));
         assert_eq!(s.quantile(0.99), Some(1));

@@ -282,8 +282,10 @@ fn to_node_port_cache_is_transparent() {
 
     for port in [milback_rf::fsa::Port::A, milback_rf::fsa::Port::B] {
         let mut cold_ws = ChannelWorkspace::default();
-        let cold = scene.to_node_port_with(&mut cold_ws, &comp, fp, &pose, &fsa, port);
-        let warm = scene.to_node_port_with(&mut cold_ws, &comp, fp, &pose, &fsa, port);
+        let mut cold = Signal::new(comp.signal.fs, comp.signal.fc, Vec::new());
+        let mut warm = cold.clone();
+        scene.to_node_port_into(&mut cold_ws, &comp, fp, &pose, &fsa, port, &mut cold);
+        scene.to_node_port_into(&mut cold_ws, &comp, fp, &pose, &fsa, port, &mut warm);
         assert_eq!(cold.samples, warm.samples, "warm {port:?} render diverged");
     }
 }

@@ -2,11 +2,23 @@
 //! for arbitrary payloads, geometries and orientations.
 
 use milback::{Fidelity, Network};
-use milback_proto::bits::{bits_to_bytes, bits_to_symbols, bytes_to_bits, symbols_to_bits};
-use milback_proto::frame::{decode_frame, encode_frame};
+use milback_proto::bits::{
+    bits_to_bytes_into, bits_to_symbols_into, bytes_to_bits_into, symbols_to_bits_into, OaqfmSymbol,
+};
+use milback_proto::frame::{decode_frame_with, encode_frame_into, FrameError, FrameScratch};
 use milback_rf::fsa::{DualPortFsa, Port};
 use milback_rf::geometry::{deg_to_rad, Pose};
 use proptest::prelude::*;
+
+fn encode(payload: &[u8]) -> Vec<OaqfmSymbol> {
+    let mut symbols = Vec::new();
+    encode_frame_into(payload, &mut FrameScratch::default(), &mut symbols);
+    symbols
+}
+
+fn decode(symbols: &[OaqfmSymbol], payload_bytes: usize) -> Result<Vec<u8>, FrameError> {
+    decode_frame_with(&mut FrameScratch::default(), symbols, payload_bytes)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -14,18 +26,22 @@ proptest! {
     /// Frame encode→decode is the identity for any payload.
     #[test]
     fn frame_round_trip(payload in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let symbols = encode_frame(&payload);
-        let decoded = decode_frame(&symbols, payload.len()).unwrap();
+        let symbols = encode(&payload);
+        let decoded = decode(&symbols, payload.len()).unwrap();
         prop_assert_eq!(decoded, payload);
     }
 
     /// Bit/byte/symbol conversions are mutually inverse.
     #[test]
     fn bit_conversions_invertible(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let bits = bytes_to_bits(&bytes);
-        prop_assert_eq!(bits_to_bytes(&bits), bytes);
-        let symbols = bits_to_symbols(&bits);
-        prop_assert_eq!(symbols_to_bits(&symbols), bits);
+        let (mut bits, mut back) = (Vec::new(), Vec::new());
+        bytes_to_bits_into(&bytes, &mut bits);
+        bits_to_bytes_into(&bits, &mut back);
+        prop_assert_eq!(back, bytes);
+        let (mut symbols, mut bits_back) = (Vec::new(), Vec::new());
+        bits_to_symbols_into(&bits, &mut symbols);
+        symbols_to_bits_into(&symbols, &mut bits_back);
+        prop_assert_eq!(bits_back, bits);
     }
 
     /// Any single corrupted symbol makes the CRC fail.
@@ -35,14 +51,14 @@ proptest! {
         idx in 0usize..1000,
         flip_a in any::<bool>(),
     ) {
-        let mut symbols = encode_frame(&payload);
+        let mut symbols = encode(&payload);
         let k = idx % symbols.len();
         if flip_a {
             symbols[k].a_on = !symbols[k].a_on;
         } else {
             symbols[k].b_on = !symbols[k].b_on;
         }
-        prop_assert!(decode_frame(&symbols, payload.len()).is_err());
+        prop_assert!(decode(&symbols, payload.len()).is_err());
     }
 
     /// The FSA scan law and its inverse agree at any in-range orientation.

@@ -153,6 +153,78 @@ fn unrenderable_field2_poses_return_none_instead_of_panicking() {
     }
 }
 
+/// A node at any AP antenna or at a NaN coordinate cannot be rendered
+/// (the path loss to it is undefined). Every public path that renders the
+/// node — Field-1 mode signalling, node-side orientation, both payload
+/// directions (planned from the true or the sensed orientation), both
+/// Field-2 paths and the serving engine's localization — returns no
+/// result on entry without drawing from the RNG, and a whole session ends
+/// in a typed failure instead of a panic.
+#[test]
+fn unrenderable_node_is_rejected_by_every_entry_point() {
+    use milback::session::FailureKind;
+    use milback::{Session, SessionConfig, SessionCtx};
+    use milback_proto::packet::{LinkMode, Packet};
+    use rand::Rng;
+    let scene = Network::new(Pose::facing_ap(2.0, 0.0, 0.0), Fidelity::Fast, 1).scene;
+    let spots = [
+        ("TX antenna", scene.tx_pos),
+        ("RX antenna 0", scene.rx_pos[0]),
+        ("RX antenna 1", scene.rx_pos[1]),
+        ("NaN x", Point::new(f64::NAN, 1.0)),
+    ];
+    for (name, position) in spots {
+        let fresh = || Network::new(Pose::new(position, 0.0), Fidelity::Fast, 2650);
+        let mut net = fresh();
+        let payload = vec![0x5A; net.fidelity.packet().payload_bytes];
+        assert_eq!(
+            net.signal_mode(LinkMode::Downlink),
+            None,
+            "{name}: signal_mode"
+        );
+        assert_eq!(
+            net.sense_orientation_at_node(),
+            None,
+            "{name}: node orientation"
+        );
+        for use_truth in [true, false] {
+            assert!(
+                net.downlink(&payload, 1e6, use_truth).is_none(),
+                "{name}: downlink (truth {use_truth})"
+            );
+            assert!(
+                net.uplink(&payload, 1e6, use_truth).is_none(),
+                "{name}: uplink (truth {use_truth})"
+            );
+        }
+        assert!(net.localize().is_none(), "{name}: localize");
+        assert!(
+            net.sense_orientation_at_ap().is_none(),
+            "{name}: AP orientation"
+        );
+        let session = Session::new(SessionConfig::milback());
+        let summary = session.localize_in(&mut SessionCtx::default(), &mut net);
+        assert!(summary.fix.is_none(), "{name}: localize_in");
+        let next: u64 = net.rng().gen();
+        assert_eq!(next, fresh().rng().gen::<u64>(), "{name}: RNG advanced");
+
+        for packet in [
+            Packet::downlink(payload.clone()),
+            Packet::uplink(payload.clone()),
+        ] {
+            let err = session
+                .run(&mut fresh(), &packet)
+                .expect_err("an unrenderable node cannot complete a session");
+            assert_eq!(
+                err.kind,
+                FailureKind::ModeDetect,
+                "{name}: {:?}",
+                packet.mode
+            );
+        }
+    }
+}
+
 /// Uplink symbol rates beyond the switch's capability are rejected up
 /// front (§9.5's 160 Mbps cap) with a graceful `None` — not a panic,
 /// not silently mangled bytes.

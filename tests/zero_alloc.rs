@@ -8,8 +8,8 @@
 //!   `Localizer::process_with` on a warmed `DspWorkspace`, with the two
 //!   antennas' chains at once (helper free) and in turn (every core
 //!   occupied),
-//! * the link-side symbol loop: Field-2 waveform assembly into a reused
-//!   `Signal` plus uplink query-tone fetches from the template cache,
+//! * the link-side symbol loop: uplink query-tone fetches from the
+//!   template cache,
 //! * the full Field-2 render: `Network::field2_captures_into` through a
 //!   warmed `ChannelWorkspace` + `Field2Burst` — channel synthesis
 //!   included (static-scene response cache + hoisted ray tables,
@@ -22,12 +22,9 @@
 //! so a second concurrently-running test would pollute the deltas.
 
 use milback::{Fidelity, Network};
-use milback_ap::waveform::{self, TxConfig};
 use milback_ap::workspace::DspWorkspace;
 use milback_dsp::par;
-use milback_dsp::signal::Signal;
 use milback_dsp::template;
-use milback_proto::packet::PacketConfig;
 use milback_rf::geometry::{deg_to_rad, Pose};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,21 +109,15 @@ fn warmed_hot_paths_perform_zero_heap_allocations() {
         );
     }
 
-    // ---- link symbol loop: waveform assembly + tone templates -------
-    let tx_cfg = TxConfig::milback();
-    let pkt = PacketConfig::milback();
-    let mut wave = Signal::zeros(tx_cfg.fs, 0.0, 0);
+    // ---- link symbol loop: tone templates -----------------------------
     let (fs, fc, f_off, amp, n) = (4e9, 28e9, 150e6, 1.0, 4096);
 
-    // Warm-up: grows the waveform buffer and populates the template
-    // cache (chirp train + query tone).
-    waveform::field2_waveform_into(&tx_cfg, &pkt, &mut wave);
+    // Warm-up: populates the template cache (query tone).
     let tone_ref = template::tone(fs, fc, f_off, amp, n);
     assert_eq!(tone_ref.len(), n);
 
     let before = allocs();
     for _ in 0..5 {
-        waveform::field2_waveform_into(&tx_cfg, &pkt, &mut wave);
         let tone = template::tone(fs, fc, f_off, amp, n);
         assert!(std::rc::Rc::ptr_eq(&tone, &tone_ref), "tone cache missed");
     }
