@@ -47,8 +47,8 @@ if cargo clippy --version >/dev/null 2>&1; then
     # vendored stubs.
     cargo clippy --release --offline --lib --no-deps \
         -p milback -p milback-proto -p milback-node -p milback-rf \
-        -p milback-ap -p milback-dsp -p milback-hw \
-        -- -D warnings -W clippy::unwrap_used
+        -p milback-ap -p milback-dsp -p milback-hw -p milback-telemetry \
+        -p milback-baseline -- -D warnings -W clippy::unwrap_used
 else
     echo "==> clippy not installed; skipping lint" >&2
 fi
@@ -63,22 +63,23 @@ else
     echo "==> rustfmt not installed; skipping format check" >&2
 fi
 
-echo "==> bench smoke (uplink-decimation/fabric-burst/two-core-burst/FFT-plan/waveform/channel bitwise asserts)"
-# --smoke shrinks every rep count; the run still asserts, before
-# reporting timings, that each stage of the uplink receiver's decimating
-# FIR on a real Network::uplink capture matches the full-rate filter
-# plus stride (DESIGN.md §17.2), that a cold fabric-style Field-2 burst
-# (target plus 3 parked neighbours through a fresh ChannelWorkspace,
-# check_fabric_burst) matches the uncached per-point-gain reference and
-# panics at the first differing sample (§13.5), that the gated
-# localization burst with the two antennas' chains at once (two-core
-# helper claimed, check_two_core_burst) matches the same burst under
+echo "==> bench smoke (uplink-decimation/fabric-burst/two-core-burst/FFT-plan/waveform bitwise asserts, determinism legs)"
+# --smoke shrinks every rep count; the run still asserts, untimed, that
+# each stage of the uplink receiver's decimating FIR on a real
+# Network::uplink capture matches the full-rate filter plus stride
+# (DESIGN.md §17.2), that a cold fabric-style Field-2 burst (target
+# alone, then with 3 parked neighbours, through a fresh
+# ChannelWorkspace, check_fabric_burst) matches the uncached
+# per-point-gain reference of DESIGN.md §13 and panics at the first
+# differing sample (§13.5), that the gated localization burst with the
+# two antennas' chains at once (two-core helper claimed,
+# check_two_core_burst) matches the same burst under
 # par::occupy(cores()) in every banded diff and the fix (§17.4, serial
-# == two-core localization), that the cached-plan FFT matches an unplanned
-# transform, that the waveform template matches fresh synthesis, that
-# the cached channel-synthesis render of DESIGN.md §13 (single render
-# and full Field-2 burst) matches the uncached reference bit for bit,
-# and that repeated workspace localization bursts return the same fix.
+# == two-core localization), that the cached-plan FFT matches an
+# unplanned transform and that the waveform template matches fresh
+# synthesis; then runs the chaos, serve and net determinism legs in one
+# process, and times the two gated kernels, asserting that repeated
+# workspace localization bursts return the same fix.
 cargo run --release --offline -p milback-bench --bin bench_engine -- \
     --smoke --out target/bench_smoke.json >/dev/null
 

@@ -1,37 +1,32 @@
-//! The workspace's timing harness. Writes the next free `BENCH_N.json`
-//! (or `--out path`), in run order:
+//! The workspace's check-and-gate harness: bitwise checks, determinism
+//! legs and the CI kernel gate. A full run writes the next free
+//! `BENCH_N.json` (or `--out path`), in run order:
 //!
 //! 1. bitwise checks, each panicking with the index of the first
 //!    differing sample: the uplink receiver's decimating FIR on a real
-//!    uplink capture against the full-rate filter plus stride, and a cold
+//!    uplink capture against the full-rate filter plus stride; a cold
 //!    fabric-style Field-2 burst (target plus three parked neighbours)
-//!    against the uncached per-point-gain render, and the gated
-//!    localization burst with the two antennas' chains at once (the
-//!    two-core helper claimed) against the same burst with every core
-//!    occupied;
+//!    against the uncached per-point-gain render; the gated localization
+//!    burst with the two antennas' chains at once (the two-core helper
+//!    claimed) against the same burst with every core occupied; the
+//!    cached-plan FFT against an unplanned one; the waveform template
+//!    against fresh synthesis; and the cached channel render (DESIGN.md
+//!    §13) against the uncached reference at both RX antennas;
 //! 2. three determinism legs, each run at one worker and at the host's
 //!    thread count with identical outcomes and byte-identical telemetry
 //!    deterministic views asserted: `chaos` (sessions under sampled fault
 //!    plans, DESIGN.md §14), `serve` (a Poisson schedule past the virtual
-//!    server's capacity, §15, plus a steady-state epoch whose heap
-//!    allocations are counted) and `net` (the 2-AP fabric density sweep
+//!    server's capacity, §15) and `net` (the 2-AP fabric density sweep
 //!    with drift, handoffs and interference, §16);
-//! 3. the batch engine at one worker against the host's thread count on
-//!    the Fig. 12a localization trial;
-//! 4. the transform core: the cached-plan FFT against an unplanned one,
-//!    `dechirp_into` and `forward_into` at the range-FFT size, waveform
-//!    synthesis against a template fetch, and the five-chirp localization
-//!    burst with its heap allocations (DESIGN.md §12);
-//! 5. channel synthesis: the cached workspace render against the uncached
-//!    reference (DESIGN.md §13), as one render and as a Field-2 burst,
-//!    then the warm end-to-end localization trial;
-//! 6. a short downlink + uplink link leg.
+//! 3. the two gated kernels on one core (DESIGN.md §17.3): the range FFT
+//!    and the five-chirp localization burst, next to a calibration
+//!    workload.
 //!
-//! The planned FFT, the waveform template and the cached channel renders
-//! are asserted bitwise equal to their references before they are timed.
-//! `--smoke` shrinks every rep count (the asserts still run).
+//! `--smoke` shrinks every rep count (the asserts still run). Session
+//! throughput and latency are measured end to end by the session
+//! benchmark (`sessbench/`), not here.
 //!
-//! `--kernels-only` runs the transform core alone. With `--check-against
+//! `--kernels-only` runs the gated kernels alone. With `--check-against
 //! BENCH_N.json` it is the CI kernel gate: one warmed, untimed burst must
 //! run the recorded number and total size of FFTs (a host-independent
 //! work count), then the range FFT and the burst must be within 10% of
@@ -42,8 +37,8 @@
 //! and `=4`.
 //!
 //! With `MILBACK_TELEMETRY=1` (README §Observability) the registry is
-//! reset after warm-up and the snapshot of the measured region is
-//! embedded under the report's `"telemetry"` key; otherwise it is `null`.
+//! reset before the gated kernels and their snapshot is embedded under
+//! the report's `"telemetry"` key; otherwise it is `null`.
 //!
 //! Usage: `cargo run --release -p milback-bench --bin bench_engine
 //! [-- --smoke] [-- --out path.json] [-- --leg <chaos|serve|net>
@@ -69,49 +64,11 @@ use milback_rf::channel::{FreqProfile, GammaRun, NodeInterface, TxComponent};
 use milback_rf::geometry::{deg_to_rad, Pose};
 use milback_rf::{wave_fingerprint, ChannelWorkspace};
 use milback_telemetry as telemetry;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Debug;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// A pass-through allocator that counts heap acquisitions, so the timed
-/// legs can report allocations per call alongside the timings. Matches
-/// the accounting in `tests/zero_alloc.rs`: `alloc`, `alloc_zeroed` and
-/// `realloc` each count one; `dealloc` is free.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Master seed of the engine, kernel and channel legs.
+/// Master seed of the checks and the gated kernels.
 const SEED: u64 = 0xB16B_00B5;
 
 /// Timing passes per gated kernel; the fastest pass is reported. Min-of-N
@@ -121,12 +78,9 @@ const SEED: u64 = 0xB16B_00B5;
 /// noise.
 const TIMING_PASSES: usize = 3;
 
-/// Runs `f` `reps` times per pass for `passes` passes. Returns the
-/// fastest pass's seconds per call and the heap allocations per call,
-/// counted across all passes (they are deterministic per call, so the
-/// division is exact).
-fn time_calls(passes: usize, reps: usize, mut f: impl FnMut()) -> (f64, u64) {
-    let a0 = alloc_count();
+/// Runs `f` `reps` times per pass for `passes` passes and returns the
+/// fastest pass's seconds per call.
+fn time_calls(passes: usize, reps: usize, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..passes {
         let t0 = Instant::now();
@@ -135,7 +89,7 @@ fn time_calls(passes: usize, reps: usize, mut f: impl FnMut()) -> (f64, u64) {
         }
         best = best.min(t0.elapsed().as_secs_f64() / reps as f64);
     }
-    (best, (alloc_count() - a0) / (passes * reps) as u64)
+    best
 }
 
 /// Asserts that `got` and `want` hold the same samples bit for bit
@@ -148,27 +102,6 @@ fn assert_bitwise(what: &str, got: &[Cpx], want: &[Cpx]) {
         let (got, want) = (got[i], want[i]);
         panic!("{what} diverged at sample {i}: {got:?} vs {want:?}");
     }
-}
-
-/// One Fig.-12a-style trial: localize a node at 3 m with per-trial noise.
-fn trial(t: batch::Trial) -> Option<u64> {
-    let phi = deg_to_rad((t.index as f64 % 19.0) - 9.0);
-    let pose = Pose::facing_ap(3.0, phi, 0.0);
-    let mut net = Network::new(pose, Fidelity::Fast, t.seed);
-    net.localize().map(|fix| fix.range.to_bits())
-}
-
-/// One link-leg trial: a downlink and an uplink transfer end to end
-/// (OAQFM waveforms, envelope demod, CRC framing). Returns the total bit
-/// errors, which doubles as a determinism witness.
-fn link_trial(t: batch::Trial) -> u64 {
-    let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0));
-    let mut net = Network::new(pose, Fidelity::Fast, t.seed);
-    let payload: Vec<u8> = (0..8u8).map(|i| i * 31 + t.index as u8).collect();
-    let dl = net.downlink(&payload, 1e6, true);
-    let ul = net.uplink(&payload, 5e6, true);
-    dl.map(|r| r.bit_errors as u64).unwrap_or(u64::MAX / 2)
-        + ul.map(|r| r.bit_errors as u64).unwrap_or(u64::MAX / 2)
 }
 
 /// A finite float as 6-decimal JSON, `null` otherwise (bare `inf` or
@@ -184,24 +117,21 @@ fn json_f(v: f64) -> String {
 /// Runs `run` at one worker and at `threads`, each after a telemetry
 /// reset, and asserts that the two runs agree through `project` and
 /// that their telemetry deterministic views are byte-identical. Returns
-/// both outcomes, their wall times and the (shared) view. Resets
-/// telemetry; callers run it outside their own measured region.
+/// the one-worker outcome and the (shared) view. Resets telemetry;
+/// callers run it outside the gated-kernel region.
 fn serial_vs_parallel<T, K: PartialEq + Debug>(
     leg: &str,
     threads: usize,
     run: impl Fn(usize) -> T,
     project: impl Fn(&T) -> K,
-) -> (T, T, [f64; 2], String) {
+) -> (T, String) {
     let side = |t| {
         telemetry::reset();
-        let t0 = Instant::now();
         let out = run(t);
-        let wall_s = t0.elapsed().as_secs_f64();
-        let view = telemetry::snapshot().deterministic_view().to_json(2);
-        (out, wall_s, view)
+        (out, telemetry::snapshot().deterministic_view().to_json(2))
     };
-    let (serial, serial_s, view) = side(1);
-    let (parallel, parallel_s, parallel_view) = side(threads);
+    let (serial, view) = side(1);
+    let (parallel, parallel_view) = side(threads);
     assert_eq!(
         project(&serial),
         project(&parallel),
@@ -211,7 +141,7 @@ fn serial_vs_parallel<T, K: PartialEq + Debug>(
         view, parallel_view,
         "{leg} telemetry deterministic views diverged"
     );
-    (serial, parallel, [serial_s, parallel_s], view)
+    (serial, view)
 }
 
 /// Writes a leg's deterministic view to `path`, when one was given.
@@ -231,7 +161,7 @@ fn chaos_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     let trials = if smoke { 3 } else { 12 };
     let seed = 0xC4A0_5EED;
 
-    let (serial, _, [serial_s, parallel_s], view) = serial_vs_parallel(
+    let (outcomes, view) = serial_vs_parallel(
         "chaos",
         threads,
         |t| chaos_sweep_with_threads(&points, trials, seed, t),
@@ -239,7 +169,7 @@ fn chaos_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     );
     write_view("chaos", view_path, &view);
 
-    let flat: Vec<_> = serial.iter().flatten().collect();
+    let flat: Vec<_> = outcomes.iter().flatten().collect();
     let delivered = flat.iter().filter(|o| o.delivered).count();
     let fallbacks = flat.iter().filter(|o| o.fell_back).count();
     let failures = flat.iter().filter(|o| o.failure.is_some()).count();
@@ -249,25 +179,22 @@ fn chaos_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
         flat.len(),
         points.len(),
     );
-    println!("  serial: {serial_s:.3} s, parallel ({threads} threads): {parallel_s:.3} s");
-    println!("  deterministic: outcomes identical, views byte-identical");
+    println!(
+        "  deterministic at 1 and {threads} threads: outcomes identical, views byte-identical"
+    );
 
     format!(
-        "{{\n    \"workload\": \"supervised sessions under sampled fault plans, intensities 0.0/0.5/0.9\",\n    \"sessions\": {},\n    \"trials_per_point\": {trials},\n    \"serial_s\": {},\n    \"parallel_s\": {},\n    \"delivered\": {delivered},\n    \"reduced_chirp_fallbacks\": {fallbacks},\n    \"typed_failures\": {failures},\n    \"outcomes_identical\": true,\n    \"views_byte_identical\": true\n  }}",
+        "{{\n    \"workload\": \"supervised sessions under sampled fault plans, intensities 0.0/0.5/0.9\",\n    \"sessions\": {},\n    \"trials_per_point\": {trials},\n    \"delivered\": {delivered},\n    \"reduced_chirp_fallbacks\": {fallbacks},\n    \"typed_failures\": {failures},\n    \"outcomes_identical\": true,\n    \"views_byte_identical\": true\n  }}",
         flat.len(),
-        json_f(serial_s),
-        json_f(parallel_s),
     )
 }
 
-/// The serving soak (DESIGN.md §15): a seeded Poisson schedule of mixed
+/// The serving leg (DESIGN.md §15): a seeded Poisson schedule of mixed
 /// sessions — offered load past the virtual server's capacity, so the
 /// shedding policy engages — served by the work-stealing pool serially
 /// and at `threads` workers, with resolution sequences, outcome digests
-/// and telemetry views compared; then p50/p99 session latency and
-/// sessions/sec from the parallel epoch. A second, localize-only soak
-/// measures steady-state heap allocations on a repeat epoch (expected:
-/// zero). Returns the JSON fragment for the report.
+/// and telemetry views compared. Returns the JSON fragment for the
+/// report.
 fn serve_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     let traffic = TrafficConfig {
         nodes: 4,
@@ -281,7 +208,7 @@ fn serve_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     let poses = roster(traffic.nodes, seed);
     let cfg = ServeConfig::milback();
 
-    let ((_, serial), (_, parallel), _, view) = serial_vs_parallel(
+    let ((_, report), view) = serial_vs_parallel(
         "serve",
         threads,
         |t| {
@@ -298,70 +225,30 @@ fn serve_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
         traffic.sessions, traffic.nodes, traffic.rate_hz
     );
     println!(
-        "  serial: {:.3} s, parallel ({threads} threads): {:.3} s, {:.1} sessions/s",
-        serial.wall_s, parallel.wall_s, parallel.sessions_per_s
-    );
-    println!(
-        "  latency: p50 {:.0} µs, p99 {:.0} µs, mean {:.0} µs",
-        parallel.p50_latency_us, parallel.p99_latency_us, parallel.mean_latency_us
-    );
-    println!(
         "  outcomes: {} completed, {} failed, {} shed, {} field2-shed, {} rejected, depth peak {}",
-        parallel.completed,
-        parallel.failed,
-        parallel.shed,
-        parallel.field2_shed,
-        parallel.rejected,
-        parallel.max_depth
+        report.completed,
+        report.failed,
+        report.shed,
+        report.field2_shed,
+        report.rejected,
+        report.max_depth
     );
-    println!("  deterministic: resolutions identical, views byte-identical");
-
-    // Steady-state allocation count: a light localize-only schedule on a
-    // warmed engine. The first epoch grows every pool; a repeat of the
-    // same seeded schedule through the same engine should then touch the
-    // heap zero times (pinned hard by tests/zero_alloc.rs — here we
-    // measure and report).
-    let soak_traffic = TrafficConfig {
-        nodes: 3,
-        sessions: 12,
-        rate_hz: 5.0,
-        localize_fraction: 1.0,
-        ..TrafficConfig::milback()
-    };
-    let soak_schedule = TrafficSchedule::generate(&soak_traffic, seed ^ 0xA110C);
-    let mut soak_engine = ServeEngine::new(&roster(soak_traffic.nodes, seed ^ 0xA110C), cfg);
-    let warm = soak_engine.serve_schedule(&soak_schedule, 1);
-    let (_, steady_allocs) = time_calls(1, 1, || {
-        let steady = soak_engine.serve_schedule(&soak_schedule, 1);
-        assert_eq!(
-            warm.outcome_digest, steady.outcome_digest,
-            "serving soak epochs diverged"
-        );
-    });
     println!(
-        "  steady-state epoch ({} localize sessions): {steady_allocs} heap allocations",
-        soak_traffic.sessions
+        "  deterministic at 1 and {threads} threads: resolutions identical, views byte-identical"
     );
 
     format!(
-        "{{\n    \"workload\": \"mixed Poisson sessions through the work-stealing serving pool, offered load 1.8x virtual capacity, fault intensity 0.25\",\n    \"sessions\": {},\n    \"nodes\": {},\n    \"rate_hz\": {},\n    \"serial_s\": {},\n    \"parallel_s\": {},\n    \"speedup\": {},\n    \"sessions_per_s\": {},\n    \"p50_latency_us\": {},\n    \"p99_latency_us\": {},\n    \"mean_latency_us\": {},\n    \"completed\": {},\n    \"failed\": {},\n    \"shed\": {},\n    \"field2_shed\": {},\n    \"rejected\": {},\n    \"depth_peak\": {},\n    \"outcome_digest\": \"{:#018x}\",\n    \"steady_state_allocs\": {steady_allocs},\n    \"resolutions_identical\": true,\n    \"views_byte_identical\": true\n  }}",
+        "{{\n    \"workload\": \"mixed Poisson sessions through the work-stealing serving pool, offered load 1.8x virtual capacity, fault intensity 0.25\",\n    \"sessions\": {},\n    \"nodes\": {},\n    \"rate_hz\": {},\n    \"completed\": {},\n    \"failed\": {},\n    \"shed\": {},\n    \"field2_shed\": {},\n    \"rejected\": {},\n    \"depth_peak\": {},\n    \"outcome_digest\": \"{:#018x}\",\n    \"resolutions_identical\": true,\n    \"views_byte_identical\": true\n  }}",
         traffic.sessions,
         traffic.nodes,
         json_f(traffic.rate_hz),
-        json_f(serial.wall_s),
-        json_f(parallel.wall_s),
-        json_f(serial.wall_s / parallel.wall_s),
-        json_f(parallel.sessions_per_s),
-        json_f(parallel.p50_latency_us),
-        json_f(parallel.p99_latency_us),
-        json_f(parallel.mean_latency_us),
-        parallel.completed,
-        parallel.failed,
-        parallel.shed,
-        parallel.field2_shed,
-        parallel.rejected,
-        parallel.max_depth,
-        parallel.outcome_digest,
+        report.completed,
+        report.failed,
+        report.shed,
+        report.field2_shed,
+        report.rejected,
+        report.max_depth,
+        report.outcome_digest,
     )
 }
 
@@ -370,8 +257,8 @@ fn serve_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
 /// per-round drift, handoffs and parked-neighbor interference — run
 /// serially and at `threads` workers, with every deterministic
 /// per-density field and the telemetry views compared. Its view is a
-/// per-density table followed by the telemetry view. Reports
-/// sessions/sec and aggregate goodput per density.
+/// per-density table followed by the telemetry view. Reports aggregate
+/// goodput per density.
 fn net_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     let densities: &[usize] = if smoke { &[4, 8, 16] } else { &[10, 100, 1000] };
     let (n_aps, spacing_m, rounds) = (2, 4.0, 2);
@@ -402,7 +289,7 @@ fn net_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
         )
     };
     let witness = |p: &DensityPoint| (row(p), p.goodput_bps.to_bits());
-    let (serial, parallel, _, view) = serial_vs_parallel(
+    let (sweep, view) = serial_vs_parallel(
         "net",
         threads,
         |t| density_sweep(densities, n_aps, spacing_m, rounds, cfg, seed, t),
@@ -410,27 +297,20 @@ fn net_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
     );
 
     let mut table = String::from("dense-network density sweep (deterministic view)\n");
-    table.extend(serial.iter().map(row));
+    table.extend(sweep.iter().map(row));
     table.push_str(&view);
     write_view("net", view_path, &table);
 
     println!("net leg: {n_aps} APs, {rounds} rounds/density, densities {densities:?}");
     let mut points = Vec::new();
-    for p in &parallel {
+    for p in &sweep {
         println!(
-            "  {} nodes: {:.1} sessions/s, {:.0} bit/s goodput, {}/{} delivered, \
-             {} fixes, {} handoffs, {} overruns",
-            p.nodes,
-            p.sessions_per_s,
-            p.goodput_bps,
-            p.delivered,
-            p.sessions,
-            p.fixes,
-            p.handoffs,
-            p.overruns
+            "  {} nodes: {:.0} bit/s goodput, {}/{} delivered, {} fixes, {} handoffs, \
+             {} overruns",
+            p.nodes, p.goodput_bps, p.delivered, p.sessions, p.fixes, p.handoffs, p.overruns
         );
         points.push(format!(
-            "      {{\n        \"nodes\": {},\n        \"aps\": {},\n        \"rounds\": {},\n        \"sessions\": {},\n        \"completed\": {},\n        \"delivered\": {},\n        \"fixes\": {},\n        \"handoffs\": {},\n        \"overruns\": {},\n        \"delivered_bits\": {},\n        \"goodput_bps\": {},\n        \"sessions_per_s\": {},\n        \"wall_s\": {},\n        \"digest\": \"{:#018x}\"\n      }}",
+            "      {{\n        \"nodes\": {},\n        \"aps\": {},\n        \"rounds\": {},\n        \"sessions\": {},\n        \"completed\": {},\n        \"delivered\": {},\n        \"fixes\": {},\n        \"handoffs\": {},\n        \"overruns\": {},\n        \"delivered_bits\": {},\n        \"goodput_bps\": {},\n        \"digest\": \"{:#018x}\"\n      }}",
             p.nodes,
             p.aps,
             p.rounds,
@@ -442,12 +322,10 @@ fn net_leg(smoke: bool, threads: usize, view_path: Option<&str>) -> String {
             p.overruns,
             p.delivered_bits,
             json_f(p.goodput_bps),
-            json_f(p.sessions_per_s),
-            json_f(p.wall_s),
             p.digest,
         ));
     }
-    println!("  deterministic: digests identical, views byte-identical");
+    println!("  deterministic at 1 and {threads} threads: digests identical, views byte-identical");
 
     format!(
         "{{\n    \"workload\": \"dense-network fabric: slotted polling rounds across 2 APs with drift, handoffs and 3-neighbor interference\",\n    \"densities\": {densities:?},\n    \"rounds_per_density\": {rounds},\n    \"points\": [\n{}\n    ],\n    \"digests_identical\": true,\n    \"views_byte_identical\": true\n  }}",
@@ -483,7 +361,7 @@ fn calibration_us() -> f64 {
     const N: usize = 1 << 16;
     const SWEEPS: usize = 16;
     let mut buf: Vec<f64> = (0..N).map(|i| (i as f64 * 0.001).sin()).collect();
-    let (best_s, _) = time_calls(5, 1, || {
+    let best_s = time_calls(5, 1, || {
         for _ in 0..SWEEPS {
             let mut acc = 0.0f64;
             for v in buf.iter_mut() {
@@ -497,30 +375,75 @@ fn calibration_us() -> f64 {
     best_s * 1e6
 }
 
-/// A kernel's JSON entry: its workload and rep count, then each
-/// `(key, JSON value)` field in order.
-fn kernel_json(name: &str, desc: &str, reps: usize, fields: &[(&str, String)]) -> String {
-    let mut out =
-        format!("    \"{name}\": {{\n      \"workload\": \"{desc}\",\n      \"reps\": {reps}");
+/// A report section: `"name": {` its workload, then each `(key, JSON
+/// value)` field in order `}`.
+fn section_json(name: &str, workload: &str, fields: &[(&str, String)]) -> String {
+    let mut out = format!("  \"{name}\": {{\n    \"workload\": \"{workload}\"");
     for (key, value) in fields {
-        out.push_str(&format!(",\n      \"{key}\": {value}"));
+        out.push_str(&format!(",\n    \"{key}\": {value}"));
     }
-    out.push_str("\n    }");
+    out.push_str("\n  }");
     out
 }
 
-/// Results of the FFT-plan, per-kernel and five-chirp-burst legs — the
-/// transform-core region that `--kernels-only` runs on its own (and that
-/// `--check-against` gates on).
+/// The two gated kernels' timings — the region that `--kernels-only`
+/// runs on its own and that `--check-against` gates on.
 struct CoreLegs {
-    /// The `fft_plan`, `kernels` and `localization_burst` report entries.
-    json: String,
+    /// Calls per timing pass, in `GATED` order.
+    reps: [usize; 2],
     /// The gated timings, in `GATED` order: range-FFT µs per call and
     /// burst ms per burst.
     gated: [f64; 2],
     /// Host-speed reference measured in the same invocation (min of a
-    /// pass before the kernel legs and one after the burst leg), µs.
+    /// pass before the range FFT and one after the burst), µs.
     calib_us: f64,
+}
+
+/// The full run's report: the run's shape, the gated kernels with their
+/// calibration, the determinism legs' JSON fragments (in `LEGS` order)
+/// and the telemetry snapshot of the gated region (`null` when telemetry
+/// is off). [`read_baseline`] reads the gated part back, so any report
+/// can serve as a `--check-against` baseline.
+fn report_json(
+    bench: &str,
+    threads: usize,
+    smoke: bool,
+    legs: &CoreLegs,
+    leg_json: &[String; 3],
+    telemetry_json: &str,
+) -> String {
+    let mut sections = vec![
+        section_json(
+            "timing_calibration",
+            "fixed pure-FP recurrence; host-speed reference for the CI ratio gate",
+            &[("calib_us", json_f(legs.calib_us))],
+        ),
+        section_json(
+            "range_fft",
+            "16384-point cached-plan FFT, forward_into a reused buffer",
+            &[
+                ("reps", legs.reps[0].to_string()),
+                ("fast_us", json_f(legs.gated[0])),
+            ],
+        ),
+        section_json(
+            "localization_burst",
+            "five-chirp Field-2 burst, 2 RX antennas, Fidelity::Fast",
+            &[
+                ("reps", legs.reps[1].to_string()),
+                ("workspace_ms_per_burst", json_f(legs.gated[1])),
+                ("deterministic", "true".to_string()),
+            ],
+        ),
+    ];
+    for ((name, _), json) in LEGS.iter().zip(leg_json) {
+        sections.push(format!("  \"{name}\": {json}"));
+    }
+    sections.push(format!("  \"telemetry\": {telemetry_json}"));
+    format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"description\": \"Range-FFT and five-chirp localization-burst kernel timings (the CI kernel gate) and the chaos, serve and net determinism legs\",\n  \"host_threads\": {threads},\n  \"smoke\": {smoke},\n{}\n}}\n",
+        sections.join(",\n")
+    )
 }
 
 /// Asserts, on a real [`Network::uplink`] capture, that every stage of
@@ -558,78 +481,17 @@ fn check_uplink_decimation(seed: u64) -> usize {
     stages
 }
 
-/// One node's five-chirp Field-2 localization burst as the channel
-/// renders it: the AP's sawtooth chirp and, per chirp, the node's Γ runs
-/// (port A square-wave modulated, port B absorptive). The cache never
-/// keys on Γ: the runs are replayed on every render, hit or miss.
-struct LocBurst<'a> {
-    net: &'a Network,
-    comp: TxComponent,
-    chirp_s: f64,
-}
-
-impl<'a> LocBurst<'a> {
-    fn new(net: &'a Network) -> Self {
-        let mut cfg = net.fidelity.sawtooth();
-        cfg.amplitude = net.ap.tx.amplitude();
-        let comp = TxComponent {
-            signal: cfg.sawtooth(),
-            profile: FreqProfile::Sawtooth(cfg),
-        };
-        Self {
-            net,
-            comp,
-            chirp_s: cfg.duration,
-        }
-    }
-
-    /// Fills `runs` with the node's Γ over chirp `chirp` of the burst.
-    fn fill_runs(&self, chirp: usize, runs: &mut Vec<GammaRun>) {
-        let sched_a = SwitchSchedule::SquareWave {
-            freq_hz: self.net.fidelity.localization_mod_freq(),
-            first: SwitchState::Reflective,
-        };
-        let sched_b = SwitchSchedule::Constant(SwitchState::Absorptive);
-        let gamma = |state| self.net.node.switch.gamma(state);
-        let t_off = chirp as f64 * self.chirp_s;
-        let (fs, n) = (self.comp.signal.fs, self.comp.signal.len());
-        fill_gamma_runs(&sched_a, &sched_b, gamma, t_off, fs, n, runs);
-    }
-
-    /// A node carrying this network's FSA at `pose`, with Γ `runs`.
-    fn node<'b>(&'b self, pose: Pose, runs: &'b [GammaRun]) -> NodeInterface<'b> {
-        NodeInterface {
-            pose,
-            fsa: &self.net.node.fsa,
-            gamma: runs,
-        }
-    }
-
-    /// Every capture of the burst: per chirp, fills `runs` and calls
-    /// `render(chirp, antenna, runs)` for both RX antennas.
-    fn for_each_capture(
-        &self,
-        runs: &mut Vec<GammaRun>,
-        mut render: impl FnMut(usize, usize, &[GammaRun]),
-    ) {
-        for chirp in 0..5 {
-            self.fill_runs(chirp, runs);
-            for ant in 0..2 {
-                render(chirp, ant, runs);
-            }
-        }
-    }
-}
-
 /// Asserts that a cold fabric-style Field-2 burst is bitwise the
 /// uncached reference, and panics at the first sample that differs.
 ///
 /// The burst is what a dense-network slot renders: five chirps × two
 /// RX antennas of the target's localization return, with three parked
 /// neighbours layered in per capture, through a fresh
-/// [`ChannelWorkspace`]. Ray tables and gain curves are built cold and
-/// then shared across chirps, antennas and nodes; the reference
-/// evaluates every gain point per point. Returns the captures checked.
+/// [`ChannelWorkspace`]. Each capture is checked twice: the target's
+/// own cached render (DESIGN.md §13), then the capture with the
+/// neighbours added. Ray tables and gain curves are built cold and then
+/// shared across chirps, antennas and nodes; the reference evaluates
+/// every gain point per point. Returns the captures checked.
 fn check_fabric_burst(seed: u64) -> usize {
     let poses = [
         Pose::facing_ap(3.2, deg_to_rad(-6.0), deg_to_rad(9.0)),
@@ -638,35 +500,93 @@ fn check_fabric_burst(seed: u64) -> usize {
         Pose::facing_ap(3.6, deg_to_rad(11.0), deg_to_rad(15.0)),
     ];
     let net = Network::new(poses[0], Fidelity::Fast, seed);
-    let burst = LocBurst::new(&net);
-    let (comp, fp) = (&burst.comp, wave_fingerprint(&burst.comp));
+    let mut cfg = net.fidelity.sawtooth();
+    cfg.amplitude = net.ap.tx.amplitude();
+    let comp = TxComponent {
+        signal: cfg.sawtooth(),
+        profile: FreqProfile::Sawtooth(cfg),
+    };
+    let fp = wave_fingerprint(&comp);
+    let (fs, n) = (comp.signal.fs, comp.signal.len());
+    // The target runs its localization modulation (port A square wave,
+    // port B absorptive); the cache never keys on Γ, so its runs are
+    // replayed on every render, hit or miss. The neighbours sit parked.
+    let sched_a = SwitchSchedule::SquareWave {
+        freq_hz: net.fidelity.localization_mod_freq(),
+        first: SwitchState::Reflective,
+    };
+    let sched_b = SwitchSchedule::Constant(SwitchState::Absorptive);
+    let gamma = |state| net.node.switch.gamma(state);
     let parked = [GammaRun {
-        end: comp.signal.len(),
+        end: n,
         gamma: net.node.parked_gamma(),
     }];
     let mut cw = ChannelWorkspace::default();
-    let mut out = Signal::zeros(comp.signal.fs, comp.signal.fc, 0);
+    let mut out = Signal::zeros(fs, comp.signal.fc, 0);
+    let mut runs = Vec::new();
     let mut captures = 0;
-    burst.for_each_capture(&mut Vec::new(), |chirp, ant, runs| {
-        // The target carries the burst's Γ; its neighbours sit parked.
-        let all: [NodeInterface; 4] =
-            std::array::from_fn(|i| burst.node(poses[i], if i == 0 { runs } else { &parked }));
+    for chirp in 0..5 {
+        let t_off = chirp as f64 * cfg.duration;
+        fill_gamma_runs(&sched_a, &sched_b, gamma, t_off, fs, n, &mut runs);
+        let all: [NodeInterface; 4] = std::array::from_fn(|i| NodeInterface {
+            pose: poses[i],
+            fsa: &net.node.fsa,
+            gamma: if i == 0 { &runs } else { &parked },
+        });
         let (target, neighbours) = all.split_at(1);
-        net.scene
-            .monostatic_rx_multi_into(&mut cw, comp, fp, target, ant, &mut out);
-        for nb in neighbours {
+        for ant in 0..2 {
+            let what = |nodes| {
+                format!("cold fabric burst chirp {chirp} antenna {ant}, {nodes} vs uncached")
+            };
             net.scene
-                .accumulate_backscatter_into(&mut cw, comp, fp, nb, ant, &mut out);
+                .monostatic_rx_multi_into(&mut cw, &comp, fp, target, ant, &mut out);
+            let reference = net.scene.monostatic_rx_multi_uncached(&comp, target, ant);
+            assert_bitwise(&what("target alone"), &out.samples, &reference.samples);
+            for nb in neighbours {
+                net.scene
+                    .accumulate_backscatter_into(&mut cw, &comp, fp, nb, ant, &mut out);
+            }
+            let reference = net.scene.monostatic_rx_multi_uncached(&comp, &all, ant);
+            assert_bitwise(&what("all 4 nodes"), &out.samples, &reference.samples);
+            captures += 1;
         }
-        let reference = net.scene.monostatic_rx_multi_uncached(comp, &all, ant);
-        assert_bitwise(
-            &format!("cold fabric burst chirp {chirp} antenna {ant} vs the uncached reference"),
-            &out.samples,
-            &reference.samples,
-        );
-        captures += 1;
-    });
+    }
     captures
+}
+
+/// Asserts that an 8192-point FFT through the per-thread plan cache, on
+/// the call that builds the plan and on one that reuses it, is bitwise
+/// the same transform as a plan built for the call alone (the twiddle
+/// and bit-reversal tables rebuilt, as before the cache).
+fn check_fft_plan() {
+    let n = 8192;
+    let input: Vec<Cpx> = (0..n)
+        .map(|i| Cpx::cis(i as f64 * 0.37) * (1.0 + (i as f64 * 0.01).sin()))
+        .collect();
+    let unplanned = FftPlan::new(n).forward(&input);
+    for call in 0..2 {
+        let planned = with_plan(n, |p| p.forward(&input));
+        assert_bitwise(&format!("planned FFT (call {call})"), &planned, &unplanned);
+    }
+}
+
+/// Asserts that the waveform template cache returns the Field-2 chirp
+/// bitwise as fresh synthesis makes it, on the fetch that fills the
+/// cache and on one that hits it.
+fn check_waveform_template() {
+    let tx_cfg = TxConfig::milback();
+    let mut cfg = Fidelity::Fast.sawtooth();
+    cfg.fs = tx_cfg.fs;
+    cfg.amplitude = tx_cfg.amplitude();
+    let fresh = cfg.sawtooth();
+    for fetch in 0..2 {
+        let cached = template::sawtooth(&cfg);
+        assert_bitwise(
+            &format!("waveform template (fetch {fetch})"),
+            &cached.samples,
+            &fresh.samples,
+        );
+    }
 }
 
 /// The gated localization burst's inputs: five chirps × two antennas
@@ -675,7 +595,7 @@ fn check_fabric_burst(seed: u64) -> usize {
 fn burst_fixture(seed: u64) -> (Localizer, Signal, Vec<[Signal; 2]>) {
     let pose = Pose::facing_ap(3.0, deg_to_rad(5.0), 0.0);
     let mut net = Network::new(pose, Fidelity::Fast, seed ^ 0xBEEF);
-    let (tx, captures) = net.field2_captures();
+    let (tx, captures) = net.field2_captures(5);
     (net.localizer(), tx, captures)
 }
 
@@ -741,154 +661,57 @@ fn check_two_core_burst(seed: u64) -> bool {
     idle_core
 }
 
-/// Runs the FFT-plan comparison, the per-kernel legs and the five-chirp
-/// localization burst. The planned FFT and the waveform template are
-/// asserted bitwise identical to their references before timing.
+/// Times the two gated kernels on one core: the range FFT and the
+/// five-chirp localization burst, each min-of-`TIMING_PASSES`, between
+/// two calibration samples. Asserts that the burst's fix does not move
+/// across reps.
 fn core_legs(smoke: bool, seed: u64) -> CoreLegs {
     // The committed baselines time one core: with every core counted
     // busy, no noise fill or receive chain claims the two-core helper
     // (DESIGN.md §17.4) while these legs run.
     let _one_core = par::occupy(par::cores());
-    // FFT-plan comparison: the 8192-point range FFT. "Unplanned" rebuilds
-    // the twiddle/bit-reversal tables per call — exactly what the
-    // pre-plan-cache implementation did on every transform.
-    let n = 8192;
-    let reps = if smoke { 10 } else { 200 };
-    let input: Vec<Cpx> = (0..n)
-        .map(|i| Cpx::cis(i as f64 * 0.37) * (1.0 + (i as f64 * 0.01).sin()))
-        .collect();
-
-    let reference = FftPlan::new(n).forward(&input);
-    let mut unplanned_out = Vec::new();
-    let (unplanned_s, _) = time_calls(1, reps, || {
-        unplanned_out = FftPlan::new(n).forward(&input);
-    });
-    let mut planned_out = Vec::new();
-    let (planned_s, _) = time_calls(1, reps, || {
-        planned_out = with_plan(n, |p| p.forward(&input));
-    });
-    assert_bitwise("unplanned FFT", &unplanned_out, &reference);
-    assert_bitwise("planned FFT", &planned_out, &reference);
-    let fft_speedup = unplanned_s / planned_s;
-    println!("fft plan ({n}-point, {reps} reps):");
-    println!("  unplanned: {:.1} µs/fft", unplanned_s * 1e6);
-    println!("  planned:   {:.1} µs/fft", planned_s * 1e6);
-    println!("  speedup: {fft_speedup:.2}x (bitwise identical: true)");
-
-    // ------------------------------------------------------------------
-    // Per-kernel legs: the form of each DSP hot-path kernel a session
-    // runs, into reused buffers.
-    // ------------------------------------------------------------------
-    let kernel_reps = if smoke { 5 } else { 100 };
-    let kernel_us = |f: &mut dyn FnMut()| time_calls(TIMING_PASSES, kernel_reps, f).0 * 1e6;
     // Host-speed reference, sampled next to the kernel timings so both
     // sit in the same interference window (windows on the shared host
-    // last seconds; a second sample after the burst leg takes the min).
+    // last seconds; a second sample after the burst takes the min).
     let mut calib_us = calibration_us();
-    let chirp_cfg = Fidelity::Fast.sawtooth();
-    let proc = milback_ap::RangeProcessor::new(chirp_cfg, 2);
-    let tx_ref = chirp_cfg.sawtooth();
-    let rx = tx_ref.delayed(20e-9);
-    println!("kernels ({kernel_reps} reps each):");
-
-    let mut dechirp_buf = Vec::new();
-    let dechirp_us = kernel_us(&mut || {
-        proc.dechirp_into(&rx, &tx_ref, &mut dechirp_buf);
-        std::hint::black_box(&dechirp_buf);
-    });
-    println!("  dechirp:    {dechirp_us:.1} µs");
 
     // Range FFT at the pipeline's true size (fft_len = pad × chirp len,
     // rounded up), into a reused buffer.
-    let fft_n = proc.fft_len;
+    let fft_reps = if smoke { 5 } else { 100 };
+    let fft_n = milback_ap::RangeProcessor::new(Fidelity::Fast.sawtooth(), 2).fft_len;
     let fft_input: Vec<Cpx> = (0..fft_n)
         .map(|i| Cpx::cis(i as f64 * 0.11) * (i as f64 * 0.003).cos())
         .collect();
     let mut fft_buf = Vec::new();
-    let fft_us = kernel_us(&mut || {
+    let fft_s = time_calls(TIMING_PASSES, fft_reps, || {
         with_plan(fft_n, |p| p.forward_into(&fft_input, &mut fft_buf));
         std::hint::black_box(&fft_buf);
     });
-    println!("  range fft:  {fft_us:.1} µs ({fft_n}-point)");
+    println!(
+        "range fft ({fft_n}-point, {fft_reps} reps): {:.1} µs",
+        fft_s * 1e6
+    );
 
-    // Waveform synthesis: fresh Field-2 chirp synthesis vs a template-
-    // cache fetch.
-    let tx_cfg = TxConfig::milback();
-    let mut synth_cfg = chirp_cfg;
-    synth_cfg.fs = tx_cfg.fs;
-    synth_cfg.amplitude = tx_cfg.amplitude();
-    let wave_ref = synth_cfg.sawtooth();
-    let wave_tmpl = template::sawtooth(&synth_cfg);
-    assert_bitwise("waveform template", &wave_tmpl.samples, &wave_ref.samples);
-    let synth_us = kernel_us(&mut || {
-        std::hint::black_box(synth_cfg.sawtooth());
-    });
-    let template_us = kernel_us(&mut || {
-        std::hint::black_box(template::sawtooth(&synth_cfg));
-    });
-    let wave_speedup = synth_us / template_us;
-    println!("  waveform:   {synth_us:.1} µs -> {template_us:.1} µs ({wave_speedup:.2}x)");
-
-    // ------------------------------------------------------------------
     // The five-chirp localization burst through the workspace pipeline,
-    // with heap allocations per burst from this binary's counting
-    // allocator.
-    // ------------------------------------------------------------------
+    // with the plan cache and the workspace buffers warmed first.
     let burst_reps = if smoke { 3 } else { 40 };
     let (localizer, burst_tx, burst_caps) = burst_fixture(seed);
     let mut ws = DspWorkspace::new();
-
-    // Warm the plan cache and the workspace buffers before counting.
     let burst_ref = localizer.process_with(&mut ws, &burst_tx, &burst_caps);
     let mut burst_out = burst_ref;
-    let (burst_ws_s, burst_ws_allocs) = time_calls(TIMING_PASSES, burst_reps, || {
+    let burst_s = time_calls(TIMING_PASSES, burst_reps, || {
         burst_out = localizer.process_with(&mut ws, &burst_tx, &burst_caps);
     });
     assert_eq!(burst_out, burst_ref, "burst output moved across reps");
-    println!("localization burst (5 chirps x 2 antennas, {burst_reps} reps):");
     println!(
-        "  workspace:  {:.2} ms/burst, {burst_ws_allocs} allocs/burst",
-        burst_ws_s * 1e3
+        "localization burst (5 chirps x 2 antennas, {burst_reps} reps): {:.2} ms/burst",
+        burst_s * 1e3
     );
     calib_us = calib_us.min(calibration_us());
 
-    let kernels = [
-        kernel_json(
-            "dechirp",
-            "6400-sample dechirp_into a reused buffer",
-            kernel_reps,
-            &[("fast_us", json_f(dechirp_us))],
-        ),
-        kernel_json(
-            "range_fft",
-            "16384-point cached-plan FFT, forward_into a reused buffer",
-            kernel_reps,
-            &[("fast_us", json_f(fft_us))],
-        ),
-        kernel_json(
-            "waveform",
-            "Field-2 chirp, fresh synthesis vs template-cache fetch",
-            kernel_reps,
-            &[
-                ("synthesis_us", json_f(synth_us)),
-                ("fast_us", json_f(template_us)),
-                ("speedup", json_f(wave_speedup)),
-                ("bitwise_identical", "true".to_string()),
-            ],
-        ),
-    ]
-    .join(",\n");
-
-    let json = format!(
-        "  \"fft_plan\": {{\n    \"size\": {n},\n    \"reps\": {reps},\n    \"unplanned_us_per_fft\": {},\n    \"planned_us_per_fft\": {},\n    \"speedup\": {},\n    \"bitwise_identical\": true\n  }},\n  \"kernels\": {{\n{kernels}\n  }},\n  \"localization_burst\": {{\n    \"workload\": \"five-chirp Field-2 burst, 2 RX antennas, Fidelity::Fast\",\n    \"reps\": {burst_reps},\n    \"workspace_ms_per_burst\": {},\n    \"workspace_allocs_per_burst\": {burst_ws_allocs},\n    \"deterministic\": true\n  }}",
-        json_f(unplanned_s * 1e6),
-        json_f(planned_s * 1e6),
-        json_f(fft_speedup),
-        json_f(burst_ws_s * 1e3),
-    );
     CoreLegs {
-        json,
-        gated: [fft_us, burst_ws_s * 1e3],
+        reps: [fft_reps, burst_reps],
+        gated: [fft_s * 1e6, burst_s * 1e3],
         calib_us,
     }
 }
@@ -1070,9 +893,9 @@ fn main() {
     });
     let smoke = args.smoke;
 
-    // The transform-core region on its own: the CI regression gate runs
-    // this at full rep counts (stable timings) without paying for the
-    // determinism legs.
+    // The gated kernels on their own: the CI regression gate runs this
+    // at full rep counts (stable timings) without paying for the checks
+    // and the determinism legs.
     if args.kernels_only {
         check_burst_fft_work(SEED);
         match &args.check_against {
@@ -1082,7 +905,6 @@ fn main() {
         return;
     }
 
-    let trials = if smoke { 4 } else { 24 };
     let threads = batch::thread_count();
 
     // One leg on its own: the cross-process determinism check ci.sh
@@ -1103,167 +925,40 @@ fn main() {
     );
     let captures = check_fabric_burst(SEED);
     println!(
-        "fabric burst: {captures} cold captures of a target plus 3 parked neighbours, \
-         bitwise identical to the uncached reference"
+        "fabric burst: {captures} cold captures of a target alone and with 3 parked \
+         neighbours, bitwise identical to the uncached reference"
     );
     let helper = check_two_core_burst(SEED);
     println!(
         "two-core burst: antennas at once (helper claimable: {helper}) bitwise identical \
          to antennas in turn"
     );
+    check_fft_plan();
+    check_waveform_template();
+    println!("caches: planned FFT and waveform template bitwise identical to their references");
 
     // The determinism legs first: each resets telemetry for its own
     // serial/parallel view comparison, so they have to run before (not
-    // inside) the measured region below.
-    let [chaos_json, serve_json, net_json] = LEGS.map(|(_, run)| run(smoke, threads, None));
+    // inside) the gated region below.
+    let leg_json = LEGS.map(|(_, run)| run(smoke, threads, None));
 
-    // Warm each thread's plan cache so the engine comparison measures
-    // scheduling, not first-use table construction.
-    let _ = batch::run_trials_with_threads(threads.max(2), SEED, threads, trial);
-
-    // The telemetry snapshot should describe the measured region only.
+    // The telemetry snapshot should describe the gated region only.
     telemetry::reset();
-
-    println!("batch engine: {trials} localization trials, {threads} worker thread(s)");
-    let t0 = Instant::now();
-    let serial = batch::run_trials_with_threads(trials, SEED, 1, trial);
-    let serial_s = t0.elapsed().as_secs_f64();
-    println!("  serial   (1 thread): {serial_s:.3} s");
-
-    let t0 = Instant::now();
-    let parallel = batch::run_trials_with_threads(trials, SEED, threads, trial);
-    let parallel_s = t0.elapsed().as_secs_f64();
-    println!("  parallel ({threads} threads): {parallel_s:.3} s");
-
-    assert_eq!(serial, parallel, "batch engine lost determinism");
-    let engine_speedup = serial_s / parallel_s;
-    println!("  speedup: {engine_speedup:.2}x (deterministic: outputs identical)");
-
-    // FFT-plan comparison, per-kernel legs and the five-chirp burst.
     let legs = core_legs(smoke, SEED);
-
-    // ------------------------------------------------------------------
-    // Channel synthesis: the cached workspace render (DESIGN.md §13)
-    // against the uncached reference on the Fig. 12a scene — a single
-    // monostatic render, then the burst-shaped workload (five chirps ×
-    // two RX antennas, per-chirp Γ schedules), then the warm end-to-end
-    // localization trial (render + process through every cache).
-    // ------------------------------------------------------------------
-    let chan_reps = if smoke { 3 } else { 40 };
-    let chan_pose = Pose::facing_ap(3.0, deg_to_rad(5.0), 0.0);
-    let chan_net = Network::new(chan_pose, Fidelity::Fast, SEED ^ 0xC0FFEE);
-    let burst = LocBurst::new(&chan_net);
-    let (scene, comp) = (&chan_net.scene, &burst.comp);
-    let fp = wave_fingerprint(comp);
-    let mut cw = ChannelWorkspace::default();
-    let mut chan_out = Signal::zeros(comp.signal.fs, comp.signal.fc, 0);
-
-    // Bitwise check + warm-up for both antennas.
-    let mut chan_runs = Vec::new();
-    burst.fill_runs(0, &mut chan_runs);
-    let node_if = burst.node(chan_pose, &chan_runs);
-    let only = std::slice::from_ref(&node_if);
-    for ant in 0..2 {
-        let reference = scene.monostatic_rx_multi_uncached(comp, only, ant);
-        scene.monostatic_rx_multi_into(&mut cw, comp, fp, only, ant, &mut chan_out);
-        assert_bitwise(
-            &format!("cached channel render (antenna {ant}) vs uncached"),
-            &chan_out.samples,
-            &reference.samples,
-        );
-    }
-
-    // Single render (antenna 0) A/B with allocation counts.
-    let (chan_uncached_s, chan_uncached_allocs) = time_calls(1, chan_reps, || {
-        std::hint::black_box(scene.monostatic_rx_multi_uncached(comp, only, 0));
-    });
-    let (chan_cached_s, chan_cached_allocs) = time_calls(1, chan_reps, || {
-        scene.monostatic_rx_multi_into(&mut cw, comp, fp, only, 0, &mut chan_out);
-        std::hint::black_box(&chan_out);
-    });
-    let chan_speedup = chan_uncached_s / chan_cached_s;
-    println!("channel render (1 chirp, milback_indoor scene, {chan_reps} reps):");
-    println!(
-        "  uncached: {:.2} ms, {chan_uncached_allocs} allocs/render",
-        chan_uncached_s * 1e3
-    );
-    println!(
-        "  cached:   {:.2} ms, {chan_cached_allocs} allocs/render",
-        chan_cached_s * 1e3
-    );
-    println!("  speedup: {chan_speedup:.2}x (bitwise identical: true)");
-
-    // Burst-shaped workload: the ten renders behind one Field-2 capture,
-    // through one capture loop on both sides.
-    let mut uncached_runs = Vec::new();
-    let (chan_burst_uncached_s, _) = time_calls(1, chan_reps, || {
-        burst.for_each_capture(&mut uncached_runs, |_, ant, runs| {
-            let node = [burst.node(chan_pose, runs)];
-            std::hint::black_box(scene.monostatic_rx_multi_uncached(comp, &node, ant));
-        });
-    });
-    let (chan_burst_cached_s, chan_burst_allocs) = time_calls(1, chan_reps, || {
-        burst.for_each_capture(&mut chan_runs, |_, ant, runs| {
-            let node = [burst.node(chan_pose, runs)];
-            scene.monostatic_rx_multi_into(&mut cw, comp, fp, &node, ant, &mut chan_out);
-            std::hint::black_box(&chan_out);
-        });
-    });
-    let chan_burst_speedup = chan_burst_uncached_s / chan_burst_cached_s;
-    println!("channel burst (5 chirps x 2 antennas, {chan_reps} reps):");
-    println!("  uncached: {:.2} ms/burst", chan_burst_uncached_s * 1e3);
-    println!(
-        "  cached:   {:.2} ms/burst, {chan_burst_allocs} allocs/burst",
-        chan_burst_cached_s * 1e3
-    );
-    println!("  speedup: {chan_burst_speedup:.2}x");
-
-    // Warm end-to-end trial: render + dechirp + FFT + subtraction + peak
-    // search through every cache (the quantity a batch worker pays per
-    // Fig. 12a trial once its thread-locals are warm).
-    let e2e_reps = if smoke { 3 } else { 40 };
-    let mut e2e_net = Network::new(chan_pose, Fidelity::Fast, SEED ^ 0xE2E);
-    assert!(
-        e2e_net.localize().is_some(),
-        "end-to-end trial found no node"
-    );
-    let (e2e_s, e2e_allocs) = time_calls(1, e2e_reps, || {
-        std::hint::black_box(e2e_net.localize());
-    });
-    println!("end-to-end trial (render + process, warm, {e2e_reps} reps):");
-    println!("  {:.2} ms/trial, {e2e_allocs} allocs/trial", e2e_s * 1e3);
-
-    // Link leg: a handful of end-to-end transfers so the snapshot carries
-    // node/proto/link counters alongside the localization stages.
-    let link_trials = if smoke { 1 } else { 4 };
-    let t0 = Instant::now();
-    let link_errors = batch::run_trials(link_trials, SEED ^ 0x1111, link_trial);
-    let link_s = t0.elapsed().as_secs_f64();
-    let total_errors: u64 = link_errors.iter().sum();
-    println!("link leg: {link_trials} downlink+uplink transfers in {link_s:.3} s ({total_errors} bit errors)");
-
-    // Indent the snapshot to sit two levels deep in the output object.
+    // Indent the snapshot to sit one level deep in the output object.
     let telemetry_json = if telemetry::enabled() {
         telemetry::snapshot().to_json(2).replace('\n', "\n  ")
     } else {
         "null".to_string()
     };
 
-    let calib_us_str = json_f(legs.calib_us);
-    let json = format!(
-        "{{\n  \"bench\": \"{bench_name}\",\n  \"description\": \"Batch-engine, FFT-plan, per-kernel and five-chirp-burst timings on a Fig. 12a localization workload, plus a short end-to-end link leg and the chaos and serving-soak determinism legs\",\n  \"host_threads\": {threads},\n  \"smoke\": {smoke},\n  \"timing_calibration\": {{\n    \"workload\": \"fixed pure-FP recurrence; host-speed reference for the CI ratio gate\",\n    \"calib_us\": {calib_us_str}\n  }},\n  \"engine\": {{\n    \"workload\": \"localization trial, node at 3 m, Fidelity::Fast\",\n    \"trials\": {trials},\n    \"serial_s\": {},\n    \"parallel_s\": {},\n    \"speedup\": {},\n    \"deterministic\": true\n  }},\n{},\n  \"channel_render\": {{\n    \"workload\": \"single monostatic render, milback_indoor scene, node at 3 m\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_render\": {},\n    \"cached_ms_per_render\": {},\n    \"speedup\": {},\n    \"uncached_allocs_per_render\": {chan_uncached_allocs},\n    \"cached_allocs_per_render\": {chan_cached_allocs},\n    \"bitwise_identical\": true\n  }},\n  \"channel_burst\": {{\n    \"workload\": \"five-chirp x two-antenna Field-2 channel render, per-chirp gamma runs\",\n    \"reps\": {chan_reps},\n    \"uncached_ms_per_burst\": {},\n    \"cached_ms_per_burst\": {},\n    \"speedup\": {},\n    \"cached_allocs_per_burst\": {chan_burst_allocs}\n  }},\n  \"end_to_end_trial\": {{\n    \"workload\": \"warm Fig. 12a localization trial: channel render + DSP pipeline through every cache\",\n    \"reps\": {e2e_reps},\n    \"ms_per_trial\": {},\n    \"allocs_per_trial\": {e2e_allocs}\n  }},\n  \"link_leg\": {{\n    \"trials\": {link_trials},\n    \"elapsed_s\": {},\n    \"total_bit_errors\": {total_errors}\n  }},\n  \"net\": {net_json},\n  \"serve\": {serve_json},\n  \"chaos\": {chaos_json},\n  \"telemetry\": {telemetry_json}\n}}\n",
-        json_f(serial_s),
-        json_f(parallel_s),
-        json_f(engine_speedup),
-        legs.json,
-        json_f(chan_uncached_s * 1e3),
-        json_f(chan_cached_s * 1e3),
-        json_f(chan_speedup),
-        json_f(chan_burst_uncached_s * 1e3),
-        json_f(chan_burst_cached_s * 1e3),
-        json_f(chan_burst_speedup),
-        json_f(e2e_s * 1e3),
-        json_f(link_s),
+    let json = report_json(
+        &bench_name,
+        threads,
+        smoke,
+        &legs,
+        &leg_json,
+        &telemetry_json,
     );
     std::fs::write(&out_path, &json).expect("failed to write benchmark JSON");
     println!("wrote {out_path}");
@@ -1331,12 +1026,21 @@ mod tests {
     }
 
     #[test]
-    fn json_number_after_reads_back_kernel_json() {
-        let entry = kernel_json("range_fft", "probe", 7, &[("fast_us", json_f(12.5))]);
-        let text = format!("{{\n{entry}\n}}");
-        assert_eq!(json_number_after(&text, "range_fft", "fast_us"), Some(12.5));
-        assert_eq!(json_number_after(&text, "range_fft", "reps"), Some(7.0));
-        assert_eq!(json_number_after(&text, "range_fft", "slow_us"), None);
+    fn a_full_run_report_reads_back_as_a_baseline() {
+        let legs = CoreLegs {
+            reps: [100, 40],
+            gated: [97.015625, 2.4375],
+            calib_us: 812.5,
+        };
+        let leg_json = LEGS.map(|(name, _)| format!("{{\"leg\": \"{name}\"}}"));
+        let report = report_json("BENCH_0", 2, false, &legs, &leg_json, "null");
+        let name = format!("bench_engine_report_{}.json", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        std::fs::write(&path, &report).expect("write the report");
+        let back = read_baseline(path.to_str().expect("UTF-8 temp path"));
+        std::fs::remove_file(&path).expect("remove the report");
+        assert_eq!(back, Ok((legs.gated, Some(legs.calib_us))), "{report}");
+        assert_eq!(json_number_after(&report, "range_fft", "reps"), Some(100.0));
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub fn ablation_background_subtraction(trials: usize, seed: u64) -> Vec<Subtract
             .unwrap_or(false);
 
         // Without: peak of a single chirp's raw range profile.
-        let (tx, captures) = net.field2_captures();
+        let (tx, captures) = net.field2_captures(5);
         let loc = net.localizer();
         let profile = loc
             .proc
@@ -197,7 +197,7 @@ pub fn ablation_chirp_count(trials: usize, seed: u64) -> Vec<ChirpCountRow> {
     let results = batch::par_map(&inputs, |&(n_chirps, trial_seed, phi), _| {
         let pose = Pose::facing_ap(d, phi, 0.0);
         let mut net = Network::new(pose, Fidelity::Fast, trial_seed);
-        let (tx, captures) = net.field2_captures_n(n_chirps);
+        let (tx, captures) = net.field2_captures(n_chirps);
         let loc = net.localizer();
         with_workspace(|ws| loc.process_with(ws, &tx, &captures))
             .map(|fix| (fix.range - d).abs())
@@ -257,7 +257,7 @@ pub fn ablation_window(trials: usize, seed: u64) -> Vec<WindowRow> {
     let results = batch::par_map(&inputs, |&(window, trial_seed, phi), _| {
         let pose = Pose::facing_ap(d, phi, 0.0);
         let mut net = Network::new(pose, Fidelity::Fast, trial_seed);
-        let (tx, captures) = net.field2_captures();
+        let (tx, captures) = net.field2_captures(5);
         let mut loc = net.localizer();
         loc.proc.window = window;
         with_workspace(|ws| loc.process_with(ws, &tx, &captures))

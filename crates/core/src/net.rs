@@ -27,8 +27,8 @@
 //!   crossing is a deterministic handoff event.
 //! * **Sharded sweeps** — [`density_sweep`] scales the §10 batch engine
 //!   across *node count* instead of trial count, feeding `bench_engine`'s
-//!   net leg (sessions/sec and aggregate goodput vs density in
-//!   `BENCH_5.json`).
+//!   net leg (per-density outcome counts, aggregate goodput and digests,
+//!   asserted equal at one worker and at many).
 //!
 //! The fabric is a scheduler over the crate's lane pool, the same one
 //! the §15 serving engine runs on: per-node lanes, pooled scratch
@@ -725,8 +725,8 @@ impl Fabric {
 // Density sweeps
 // ---------------------------------------------------------------------
 
-/// Aggregate of one density point of [`density_sweep`]. All fields
-/// except `wall_s` / `sessions_per_s` are deterministic.
+/// Aggregate of one density point of [`density_sweep`]. Every field is
+/// deterministic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DensityPoint {
     /// Nodes in the fabric at this point.
@@ -755,10 +755,6 @@ pub struct DensityPoint {
     pub goodput_bps: f64,
     /// FNV-1a fold of every round digest.
     pub digest: u64,
-    /// Wall-clock dispatch time, seconds.
-    pub wall_s: f64,
-    /// Sessions per wall-clock second (measurement).
-    pub sessions_per_s: f64,
 }
 
 /// Sweeps the fabric across node densities: for each entry of
@@ -798,8 +794,6 @@ pub fn density_sweep(
                 airtime_s: 0.0,
                 goodput_bps: 0.0,
                 digest: 0xcbf2_9ce4_8422_2325_u64,
-                wall_s: 0.0,
-                sessions_per_s: 0.0,
             };
             for _ in 0..rounds {
                 let r = fabric.run_round(threads);
@@ -812,13 +806,9 @@ pub fn density_sweep(
                 point.delivered_bits += r.delivered_bits;
                 point.airtime_s += r.round_airtime_s;
                 point.digest = fnv_word(point.digest, r.digest);
-                point.wall_s += r.wall_s;
             }
             if point.airtime_s > 0.0 {
                 point.goodput_bps = point.delivered_bits as f64 / point.airtime_s;
-            }
-            if point.wall_s > 0.0 {
-                point.sessions_per_s = point.sessions as f64 / point.wall_s;
             }
             point
         })

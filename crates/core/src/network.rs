@@ -210,20 +210,15 @@ impl Network {
     // Field 2: localization + AP-side orientation
     // ------------------------------------------------------------------
 
-    /// Renders the AP's captures of the five Field-2 chirps at both RX
-    /// antennas, with the node running its localization modulation.
+    /// Renders the AP's captures of `n_chirps` Field-2 chirps (the paper
+    /// uses five) at both RX antennas, with the node running its
+    /// localization modulation. Allocating wrapper over
+    /// [`Self::field2_captures_into`].
     ///
     /// Returns `(tx_reference, captures)` where `captures[i]` holds the
     /// two antennas' captures of chirp `i`, already including capture
     /// noise and trigger jitter.
-    pub fn field2_captures(&mut self) -> (Signal, Vec<[Signal; 2]>) {
-        self.field2_captures_n(5)
-    }
-
-    /// Like [`Self::field2_captures`] with a configurable chirp count
-    /// (for the chirp-count ablation; the paper uses five). Allocating
-    /// wrapper over [`Self::field2_captures_into`].
-    pub fn field2_captures_n(&mut self, n_chirps: usize) -> (Signal, Vec<[Signal; 2]>) {
+    pub fn field2_captures(&mut self, n_chirps: usize) -> (Signal, Vec<[Signal; 2]>) {
         let mut burst = Field2Burst::default();
         with_channel_workspace(|cw| self.field2_captures_into(cw, n_chirps, &mut burst));
         (burst.tx, burst.captures)
@@ -231,7 +226,7 @@ impl Network {
 
     /// Renders a Field-2 burst into reusable [`Field2Burst`] buffers
     /// through the cached channel-synthesis path (DESIGN.md §13).
-    /// Bitwise identical to [`Self::field2_captures_n`] — same RNG draw
+    /// Bitwise identical to [`Self::field2_captures`] — same RNG draw
     /// order (one jitter gaussian per chirp, then per-antenna AWGN) and
     /// the same sample arithmetic; only the buffer management differs.
     /// After warm-up (same scene/pose/fidelity on this thread), a burst

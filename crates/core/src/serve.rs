@@ -338,9 +338,9 @@ impl Resolution {
     }
 }
 
-/// Aggregate of one serving epoch. Outcome counts and the digest are
-/// deterministic; the latency and throughput figures are wall-clock
-/// measurements and vary run to run.
+/// Aggregate of one serving epoch: outcome counts and their digest, all
+/// deterministic. Per-session wall-clock time is recorded only as
+/// `core.serve.session.ns` telemetry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Requests ticketed this epoch.
@@ -361,16 +361,6 @@ pub struct ServeReport {
     /// FNV-1a over every [`Resolution`] in ticket order — byte-identical
     /// across runs and thread counts for a fixed schedule.
     pub outcome_digest: u64,
-    /// Median executed-session latency, microseconds (wall clock).
-    pub p50_latency_us: f64,
-    /// 99th-percentile executed-session latency, microseconds.
-    pub p99_latency_us: f64,
-    /// Mean executed-session latency, microseconds.
-    pub mean_latency_us: f64,
-    /// Executed sessions per wall-clock second of drain time.
-    pub sessions_per_s: f64,
-    /// Total wall-clock drain time, seconds.
-    pub wall_s: f64,
 }
 
 // ---------------------------------------------------------------------
@@ -408,14 +398,6 @@ struct ChainEntry {
     shed: bool,
 }
 
-/// A resolution slot plus its wall-clock latency (kept separate from
-/// the deterministic [`Resolution`]).
-#[derive(Debug)]
-struct Slot {
-    res: Resolution,
-    latency_ns: u64,
-}
-
 /// The session-serving engine. Owns every pooled resource — lanes,
 /// scratch contexts, claim flags, resolution slots — and reuses all of
 /// them across submissions, drains and epochs.
@@ -427,15 +409,12 @@ pub struct ServeEngine {
     pending: Vec<PendingEntry>,
     chains: Vec<Vec<ChainEntry>>,
     active: Vec<usize>,
-    slots: Vec<Mutex<Slot>>,
+    slots: Vec<Mutex<Resolution>>,
     resolutions: Vec<Resolution>,
-    latencies: Vec<u64>,
-    lat_sort: Vec<u64>,
     submitted: usize,
     backlog_s: f64,
     last_arrival_s: f64,
     max_depth: usize,
-    wall_s: f64,
 }
 
 impl ServeEngine {
@@ -463,13 +442,10 @@ impl ServeEngine {
             active: Vec::new(),
             slots: Vec::new(),
             resolutions: Vec::new(),
-            latencies: Vec::new(),
-            lat_sort: Vec::new(),
             submitted: 0,
             backlog_s: 0.0,
             last_arrival_s: 0.0,
             max_depth: 0,
-            wall_s: 0.0,
         }
     }
 
@@ -491,9 +467,7 @@ impl ServeEngine {
         self.backlog_s = 0.0;
         self.last_arrival_s = 0.0;
         self.max_depth = 0;
-        self.wall_s = 0.0;
         self.resolutions.clear();
-        self.latencies.clear();
         for lane in self.pool.lanes_mut() {
             lane.net.clock_s = 0.0;
             lane.net.reseed(master_seed);
@@ -568,8 +542,6 @@ impl ServeEngine {
         if self.pending.is_empty() {
             return;
         }
-        let t_drain = Instant::now();
-
         // Resolution slots and chain assembly. Rejected requests and
         // shed `Localize` requests resolve here, without touching a
         // lane; everything else joins its node's chain.
@@ -580,17 +552,16 @@ impl ServeEngine {
         for &PendingEntry { ticket, req, adm } in &self.pending {
             let res = Resolution::unresolved(ticket, req.node, req.workload);
             while self.slots.len() <= ticket {
-                self.slots.push(Mutex::new(Slot { res, latency_ns: 0 }));
+                self.slots.push(Mutex::new(res));
             }
             let slot = self.slots[ticket]
                 .get_mut()
                 .unwrap_or_else(|e| e.into_inner());
-            slot.res = res;
-            slot.latency_ns = 0;
+            *slot = res;
             match adm {
-                Admission::Reject => slot.res.outcome = Outcome::Rejected,
+                Admission::Reject => slot.outcome = Outcome::Rejected,
                 Admission::Shed if req.workload == Workload::Localize => {
-                    slot.res.outcome = Outcome::Shed;
+                    slot.outcome = Outcome::Shed;
                 }
                 adm => {
                     if self.chains[req.node].is_empty() {
@@ -626,13 +597,8 @@ impl ServeEngine {
                     let mut slot = slots[entry.ticket]
                         .lock()
                         .unwrap_or_else(|e| e.into_inner());
-                    debug_assert!(
-                        !slot.res.resolved(),
-                        "ticket {} resolved twice",
-                        entry.ticket
-                    );
-                    slot.res = res;
-                    slot.latency_ns = ns;
+                    debug_assert!(!slot.resolved(), "ticket {} resolved twice", entry.ticket);
+                    *slot = res;
                 }
             },
         );
@@ -644,15 +610,11 @@ impl ServeEngine {
             let slot = self.slots[ticket]
                 .get_mut()
                 .unwrap_or_else(|e| e.into_inner());
-            debug_assert!(slot.res.resolved(), "ticket {ticket} never resolved");
+            debug_assert!(slot.resolved(), "ticket {ticket} never resolved");
             debug_assert_eq!(self.resolutions.len(), ticket, "ticket order broken");
-            self.resolutions.push(slot.res);
-            if slot.res.node_seq != u32::MAX {
-                self.latencies.push(slot.latency_ns);
-            }
+            self.resolutions.push(*slot);
         }
         self.pending.clear();
-        self.wall_s += t_drain.elapsed().as_secs_f64();
     }
 
     /// Resolutions of every drained request this epoch, in ticket
@@ -672,9 +634,8 @@ impl ServeEngine {
         self.report()
     }
 
-    /// Aggregates the epoch so far. Outcome counts and the digest are
-    /// deterministic; latency figures are wall-clock.
-    pub fn report(&mut self) -> ServeReport {
+    /// Aggregates the epoch so far.
+    pub fn report(&self) -> ServeReport {
         let mut completed = 0;
         let mut failed = 0;
         let mut shed = 0;
@@ -710,27 +671,6 @@ impl ServeEngine {
             }
         }
 
-        self.lat_sort.clear();
-        self.lat_sort.extend_from_slice(&self.latencies);
-        self.lat_sort.sort_unstable();
-        let n = self.lat_sort.len();
-        let q = |p: f64| -> f64 {
-            if n == 0 {
-                return 0.0;
-            }
-            let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
-            self.lat_sort[rank - 1] as f64 / 1e3
-        };
-        let mean_latency_us = if n == 0 {
-            0.0
-        } else {
-            self.lat_sort.iter().map(|&v| v as f64).sum::<f64>() / n as f64 / 1e3
-        };
-        let sessions_per_s = if self.wall_s > 0.0 {
-            n as f64 / self.wall_s
-        } else {
-            0.0
-        };
         ServeReport {
             submitted: self.submitted,
             completed,
@@ -740,11 +680,6 @@ impl ServeEngine {
             field2_shed,
             max_depth: self.max_depth,
             outcome_digest: digest,
-            p50_latency_us: q(0.50),
-            p99_latency_us: q(0.99),
-            mean_latency_us,
-            sessions_per_s,
-            wall_s: self.wall_s,
         }
     }
 }

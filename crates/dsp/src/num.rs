@@ -31,9 +31,6 @@ pub const J: Cpx = Cpx { re: 0.0, im: 1.0 };
 /// Complex zero.
 pub const ZERO: Cpx = Cpx { re: 0.0, im: 0.0 };
 
-/// Complex one.
-pub const ONE: Cpx = Cpx { re: 1.0, im: 0.0 };
-
 impl Cpx {
     /// Creates a complex number from rectangular components.
     #[inline]
@@ -260,6 +257,8 @@ impl Sum for Cpx {
 mod tests {
     use super::*;
     use std::f64::consts::PI;
+
+    const ONE: Cpx = Cpx::new(1.0, 0.0);
 
     fn close(a: Cpx, b: Cpx) -> bool {
         (a - b).abs() < 1e-12

@@ -21,26 +21,6 @@ pub struct OaqfmSymbol {
 }
 
 impl OaqfmSymbol {
-    /// All four symbols in bit order 00, 01, 10, 11.
-    pub const ALL: [OaqfmSymbol; 4] = [
-        OaqfmSymbol {
-            a_on: false,
-            b_on: false,
-        },
-        OaqfmSymbol {
-            a_on: false,
-            b_on: true,
-        },
-        OaqfmSymbol {
-            a_on: true,
-            b_on: false,
-        },
-        OaqfmSymbol {
-            a_on: true,
-            b_on: true,
-        },
-    ];
-
     /// Maps a bit pair `(first, second)` to a symbol.
     pub fn from_bits(first: bool, second: bool) -> Self {
         Self {
@@ -164,8 +144,9 @@ mod tests {
 
     #[test]
     fn symbol_index_ordering() {
-        for (i, s) in OaqfmSymbol::ALL.iter().enumerate() {
-            assert_eq!(s.index(), i);
+        let in_bit_order = [(false, false), (false, true), (true, false), (true, true)];
+        for (i, (first, second)) in in_bit_order.into_iter().enumerate() {
+            assert_eq!(OaqfmSymbol::from_bits(first, second).index(), i);
         }
     }
 

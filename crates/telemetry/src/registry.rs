@@ -12,7 +12,7 @@
 use crate::hist::Histogram;
 use crate::snapshot::{HistogramSnapshot, Snapshot};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// One thread's private metric store.
 #[derive(Debug, Default)]
@@ -29,17 +29,24 @@ fn all_shards() -> &'static Mutex<Vec<Arc<Mutex<Shard>>>> {
     SHARDS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
+/// Locks `m` even if a panic poisoned it. A shard is three plain maps
+/// that no update leaves half-written, so a poisoned lock is only a stale
+/// flag; honouring it would fail every later telemetry call.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 thread_local! {
     static LOCAL: Arc<Mutex<Shard>> = {
         let shard = Arc::new(Mutex::new(Shard::default()));
-        all_shards().lock().unwrap().push(shard.clone());
+        lock(all_shards()).push(shard.clone());
         shard
     };
 }
 
 #[inline]
 fn with_local(f: impl FnOnce(&mut Shard)) {
-    LOCAL.with(|s| f(&mut s.lock().unwrap()));
+    LOCAL.with(|s| f(&mut lock(s)));
 }
 
 /// Adds `delta` to the named counter (saturating at `u64::MAX`). A no-op
@@ -105,9 +112,9 @@ pub fn observe(name: &'static str, value: u64) {
 pub fn snapshot() -> Snapshot {
     let mut snap = Snapshot::default();
     let mut hists: HashMap<&'static str, Histogram> = HashMap::new();
-    let shards = all_shards().lock().unwrap();
+    let shards = lock(all_shards());
     for shard in shards.iter() {
-        let shard = shard.lock().unwrap();
+        let shard = lock(shard);
         for (&name, &v) in &shard.counters {
             let c = snap.counters.entry(name.to_string()).or_insert(0);
             *c = c.saturating_add(v);
@@ -131,9 +138,9 @@ pub fn snapshot() -> Snapshot {
 /// this after warm-up so the exported snapshot covers only the measured
 /// region.
 pub fn reset() {
-    let shards = all_shards().lock().unwrap();
+    let shards = lock(all_shards());
     for shard in shards.iter() {
-        let mut shard = shard.lock().unwrap();
+        let mut shard = lock(shard);
         shard.counters.clear();
         shard.gauges.clear();
         shard.hists.clear();
@@ -218,6 +225,25 @@ mod tests {
         });
         reset();
         assert!(!snapshot().counters.contains_key("test.reset"));
+        crate::set_enabled(false);
+    }
+
+    #[test]
+    fn a_panic_under_a_shard_lock_leaves_telemetry_working() {
+        let _g = lock_registry();
+        crate::set_enabled(true);
+        reset();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                counter_add("test.poison", 1);
+                let panicked = std::panic::catch_unwind(|| with_local(|_| panic!("poison")));
+                assert!(panicked.is_err());
+                counter_add("test.poison", 1);
+            });
+        });
+        counter_add("test.poison", 1);
+        assert_eq!(snapshot().counters["test.poison"], 3);
+        reset();
         crate::set_enabled(false);
     }
 }

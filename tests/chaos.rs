@@ -52,8 +52,8 @@ fn empty_fault_plan_is_bitwise_identical() {
     };
 
     // Field-2 captures: the raw rendered signals must match bit for bit.
-    let (tx_a, caps_a) = plain.field2_captures();
-    let (tx_b, caps_b) = with_empty.field2_captures();
+    let (tx_a, caps_a) = plain.field2_captures(5);
+    let (tx_b, caps_b) = with_empty.field2_captures(5);
     assert_eq!(tx_a, tx_b);
     assert_eq!(caps_a, caps_b);
 
