@@ -19,9 +19,13 @@ fn main() {
         // Average a few chirps for a clean display trace (the detector
         // noise is σ ≈ 2.4 mV per sample; the estimator itself works from
         // single chirps).
-        let (mut cap_a, mut cap_b) = net.field1_node_captures();
+        let capture = |net: &mut Network| {
+            net.field1_node_captures()
+                .expect("a node 2 m from the AP is renderable")
+        };
+        let (mut cap_a, mut cap_b) = capture(&mut net);
         for _ in 0..7 {
-            let (a, b) = net.field1_node_captures();
+            let (a, b) = capture(&mut net);
             for (acc, v) in cap_a.iter_mut().zip(&a) {
                 *acc += v;
             }

@@ -71,8 +71,8 @@ struct QueryKey {
 
 /// Cached uplink query tones for one carrier plan: the two rendered
 /// [`TxComponent`]s plus their wave fingerprints. Repeated uplink
-/// transfers on the same plan reuse these instead of cloning out of the
-/// template cache and re-hashing every time.
+/// transfers on the same plan reuse these instead of re-synthesizing
+/// and re-hashing every time.
 #[derive(Debug, Clone)]
 struct QueryCache {
     key: QueryKey,
@@ -611,9 +611,11 @@ impl Network {
         // Each query tone is rendered as its own channel component so the
         // node's FSA gain is evaluated at that tone's frequency (the whole
         // point of OAQFM: each tone talks to one port's beam). Query tones
-        // only depend on the carrier plan, so repeated transfers pull them
-        // from the per-network cache (itself fed once from the template
-        // cache) instead of re-synthesizing and re-fingerprinting.
+        // only depend on the carrier plan, so repeated transfers on one
+        // plan pull them from the per-network cache instead of
+        // re-synthesizing and re-fingerprinting. The plan follows the
+        // sensed orientation continuously, so a new plan synthesizes its
+        // tones straight into this cache and nowhere else.
         let key = QueryKey {
             fs: fs.to_bits(),
             fc: fc.to_bits(),
@@ -623,14 +625,8 @@ impl Network {
             n,
         };
         if scr.query.as_ref().is_none_or(|q| q.key != key) {
-            let tone_a = milback_dsp::template::tone(fs, fc, f_a - fc, amp, n)
-                .as_ref()
-                .clone();
-            let tone_b = milback_dsp::template::tone(fs, fc, f_b - fc, amp, n)
-                .as_ref()
-                .clone();
-            let comp_a = TxComponent::tone(tone_a, f_a);
-            let comp_b = TxComponent::tone(tone_b, f_b);
+            let comp_a = TxComponent::tone(Signal::tone(fs, fc, f_a - fc, amp, n), f_a);
+            let comp_b = TxComponent::tone(Signal::tone(fs, fc, f_b - fc, amp, n), f_b);
             let fp_a = wave_fingerprint(&comp_a);
             let fp_b = wave_fingerprint(&comp_b);
             scr.query = Some(QueryCache {

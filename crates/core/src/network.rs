@@ -21,7 +21,9 @@ use milback_rf::channel::{FreqProfile, GammaRun, NodeInterface, Scene, TxCompone
 use milback_rf::faults::FaultPlan;
 use milback_rf::fsa::{DualPortFsa, Port};
 use milback_rf::geometry::Pose;
-use milback_rf::workspace::{wave_fingerprint, with_channel_workspace, ChannelWorkspace};
+use milback_rf::workspace::{
+    fsa_fingerprint, wave_fingerprint, with_channel_workspace, ChannelWorkspace,
+};
 use milback_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -102,6 +104,64 @@ pub fn with_field2_burst<R>(f: impl FnOnce(&mut Field2Burst) -> R) -> R {
     })
 }
 
+/// Everything the node's noiseless Field-1 port videos depend on, `f64`s
+/// by bit pattern (DESIGN.md §13.6): the scene's static fingerprint
+/// (which folds the steer), the node's pose and FSA, the chirp with its
+/// TX amplitude, and the receive chain ahead of the detector noise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Field1Key {
+    scene: u64,
+    pose: [u64; 3],
+    fsa: u64,
+    /// `f_start`, `f_stop`, `duration`, `fs`, `amplitude`.
+    chirp: [u64; 5],
+    /// Switch through-gain, `impl_loss_db`, detector slope and video
+    /// bandwidth.
+    rx_chain: [u64; 4],
+}
+
+/// The node's noiseless detector videos of the Field-1 chirp at both FSA
+/// ports, rendered once per [`Field1Key`] and reused by every Field-1
+/// reception until the key changes (DESIGN.md §13.6). Only the detector
+/// noise at the ADC's read instants differs between receptions, so each
+/// one copies a video into `noisy` and runs the node's sampling half on
+/// the copy: bitwise the same as rendering the chirp afresh.
+#[derive(Clone, Default)]
+pub(crate) struct Field1Videos {
+    key: Option<Field1Key>,
+    /// Port A and port B video at `fs`.
+    videos: [Vec<f64>; 2],
+    fs: f64,
+    /// Pooled copy the detector noise is added to.
+    noisy: Vec<f64>,
+}
+
+impl std::fmt::Debug for Field1Videos {
+    /// Summarizes the buffers instead of dumping 2 × 144k samples.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Field1Videos")
+            .field("key", &self.key)
+            .field("len", &self.videos[0].len())
+            .field("fs", &self.fs)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Field1Videos {
+    /// One reception of the cached chirp at `port`: detector noise at the
+    /// ADC read indices of a copy of the port's video, then the ADC.
+    pub(crate) fn receive(
+        &mut self,
+        node: &BackscatterNode,
+        port: Port,
+        rng: &mut StdRng,
+    ) -> Vec<f64> {
+        self.noisy.clear();
+        self.noisy.extend_from_slice(&self.videos[port as usize]);
+        node.sample_video(&mut self.noisy, self.fs, rng)
+    }
+}
+
 /// A complete single-node MilBack deployment.
 #[derive(Debug, Clone)]
 pub struct Network {
@@ -131,6 +191,9 @@ pub struct Network {
     /// `mem::take` this, reuse its capacity, and put it back, so warmed
     /// transfers stop allocating (`tests/zero_alloc.rs`).
     pub(crate) link_scratch: LinkScratch,
+    /// The node's noiseless Field-1 port videos, filled by
+    /// [`Self::warm_field1_videos`].
+    pub(crate) field1: Field1Videos,
 }
 
 impl Network {
@@ -150,6 +213,7 @@ impl Network {
             interferers: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             link_scratch: LinkScratch::default(),
+            field1: Field1Videos::default(),
         }
     }
 
@@ -167,6 +231,7 @@ impl Network {
             interferers: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             link_scratch: LinkScratch::default(),
+            field1: Field1Videos::default(),
         }
     }
 
@@ -448,31 +513,78 @@ impl Network {
     // Field 1: node-side orientation
     // ------------------------------------------------------------------
 
-    /// Renders the node's ADC captures of one Field-1 triangular chirp at
-    /// both ports (both ports absorptive/listening).
-    pub fn field1_node_captures(&mut self) -> (Vec<f64>, Vec<f64>) {
+    /// Makes `self.field1` hold the node's noiseless Field-1 port videos
+    /// for the current scene, pose, node and chirp, rendering them only
+    /// when their [`Field1Key`] changed (counted as
+    /// `node.field1.video.render`). A render takes the chirp from the
+    /// template cache through `Scene::to_node_port_into` and the node's
+    /// video half at both ports. Draws nothing from the RNG.
+    pub(crate) fn warm_field1_videos(&mut self) {
         let mut cfg = self.fidelity.triangular();
         cfg.amplitude = self.ap.tx.amplitude();
-        let tx = cfg.triangular();
-        let profile = FreqProfile::Triangular(cfg);
-        let comp = TxComponent {
-            signal: tx,
-            profile,
+        let node = &self.node;
+        let pos = node.pose.position;
+        let key = Field1Key {
+            scene: self.scene.static_fingerprint(),
+            pose: [pos.x, pos.y, node.pose.facing].map(f64::to_bits),
+            fsa: fsa_fingerprint(&node.fsa),
+            chirp: [cfg.f_start, cfg.f_stop, cfg.duration, cfg.fs, cfg.amplitude].map(f64::to_bits),
+            rx_chain: [
+                node.switch.through_gain(),
+                node.impl_loss_db,
+                node.detector.slope,
+                node.detector.video_bandwidth,
+            ]
+            .map(f64::to_bits),
         };
-        let at_a = self
-            .scene
-            .to_node_port(&comp, &self.node.pose, &self.node.fsa, Port::A);
-        let at_b = self
-            .scene
-            .to_node_port(&comp, &self.node.pose, &self.node.fsa, Port::B);
-        let mut cap_a = self.node.receive_port(&at_a, &mut self.rng);
-        let mut cap_b = self.node.receive_port(&at_b, &mut self.rng);
+        if self.field1.key != Some(key) {
+            telemetry::counter_add("node.field1.video.render", 1);
+            let comp = TxComponent {
+                signal: milback_dsp::template::triangular(&cfg).as_ref().clone(),
+                profile: FreqProfile::Triangular(cfg),
+            };
+            let wave_fp = wave_fingerprint(&comp);
+            let mut at_port = empty_signal();
+            let (scene, field1) = (&self.scene, &mut self.field1);
+            with_channel_workspace(|ws| {
+                for (port, video) in [Port::A, Port::B].into_iter().zip(&mut field1.videos) {
+                    scene.to_node_port_into(
+                        ws,
+                        &comp,
+                        wave_fp,
+                        &node.pose,
+                        &node.fsa,
+                        port,
+                        &mut at_port,
+                    );
+                    node.port_video_into(&at_port, video);
+                }
+            });
+            field1.fs = comp.signal.fs;
+            field1.key = Some(key);
+        }
+    }
+
+    /// Renders the node's ADC captures of one Field-1 triangular chirp at
+    /// both ports (both ports absorptive/listening), from the node's
+    /// cached noiseless port videos (DESIGN.md §13.6).
+    ///
+    /// Returns `None` on entry, before any RNG draw, when the node or a
+    /// parked interferer cannot be rendered, as [`Self::localize`] does.
+    pub fn field1_node_captures(&mut self) -> Option<(Vec<f64>, Vec<f64>)> {
+        if self.render_rejected() {
+            return None;
+        }
+        self.warm_field1_videos();
+        let (field1, node, rng) = (&mut self.field1, &self.node, &mut self.rng);
+        let mut cap_a = field1.receive(node, Port::A, rng);
+        let mut cap_b = field1.receive(node, Port::B, rng);
         // Node-side impairments act on the detector output (blockage,
         // saturation, droop); no-op when the plan is empty.
         let adc_fs = self.node.adc.sample_rate;
         self.faults.apply_to_video(self.clock_s, adc_fs, &mut cap_a);
         self.faults.apply_to_video(self.clock_s, adc_fs, &mut cap_b);
-        (cap_a, cap_b)
+        Some((cap_a, cap_b))
     }
 
     /// Runs §5.2(b): the node estimates its own orientation from the
@@ -481,10 +593,7 @@ impl Network {
     /// Returns `None` on entry, before any RNG draw, when the node or a
     /// parked interferer cannot be rendered, as [`Self::localize`] does.
     pub fn sense_orientation_at_node(&mut self) -> Option<f64> {
-        if self.render_rejected() {
-            return None;
-        }
-        let (cap_a, cap_b) = self.field1_node_captures();
+        let (cap_a, cap_b) = self.field1_node_captures()?;
         let mut est = NodeOrientationEstimator::milback();
         est.chirp = self.fidelity.triangular();
         est.sample_rate = self.node.adc.sample_rate;

@@ -8,7 +8,6 @@ use crate::network::Network;
 
 use milback_node::mode_detect::ModeDetector;
 use milback_proto::packet::LinkMode;
-use milback_rf::channel::{FreqProfile, TxComponent};
 use milback_rf::fsa::Port;
 
 impl Network {
@@ -24,38 +23,30 @@ impl Network {
         }
         use milback_proto::packet::{PacketConfig, Slot};
         let pkt = self.fidelity.packet();
-        let mut chirp_cfg = pkt.field1_chirp;
-        chirp_cfg.amplitude = self.ap.tx.amplitude();
-        // Render each Field-1 slot separately so every chirp slot carries
-        // its own triangular frequency profile (slot-local time).
-        let chirp = chirp_cfg.triangular();
-        let comp = TxComponent {
-            signal: chirp,
-            profile: FreqProfile::Triangular(chirp_cfg),
-        };
+        let chirp_cfg = pkt.field1_chirp;
         let mut rng = self.fork_rng();
+        // Every chirp slot is the same triangular chirp (slot-local time)
+        // to a node that does not move, so each one samples the cached
+        // noiseless port videos; only the detector noise is drawn anew.
+        self.warm_field1_videos();
+        let (field1, node) = (&mut self.field1, &self.node);
         let mut combined: Vec<f64> = Vec::new();
         for slot in PacketConfig::field1_slots(mode) {
-            match slot {
-                Slot::Chirp => {
-                    let at_a =
-                        self.scene
-                            .to_node_port(&comp, &self.node.pose, &self.node.fsa, Port::A);
-                    let at_b =
-                        self.scene
-                            .to_node_port(&comp, &self.node.pose, &self.node.fsa, Port::B);
-                    let cap_a = self.node.receive_port(&at_a, &mut rng);
-                    let cap_b = self.node.receive_port(&at_b, &mut rng);
-                    combined.extend(cap_a.iter().zip(&cap_b).map(|(a, b)| a + b));
-                }
+            let (cap_a, cap_b) = match slot {
+                Slot::Chirp => (
+                    field1.receive(node, Port::A, &mut rng),
+                    field1.receive(node, Port::B, &mut rng),
+                ),
                 Slot::Gap => {
                     // Silence: the detectors see only their own noise.
                     let n = chirp_cfg.n_samples();
-                    let cap_a = self.node.receive_silence(n, chirp_cfg.fs, &mut rng);
-                    let cap_b = self.node.receive_silence(n, chirp_cfg.fs, &mut rng);
-                    combined.extend(cap_a.iter().zip(&cap_b).map(|(a, b)| a + b));
+                    (
+                        node.receive_silence(n, chirp_cfg.fs, &mut rng),
+                        node.receive_silence(n, chirp_cfg.fs, &mut rng),
+                    )
                 }
-            }
+            };
+            combined.extend(cap_a.iter().zip(&cap_b).map(|(a, b)| a + b));
         }
         let det = ModeDetector {
             slot_duration: pkt.field1_chirp.duration,

@@ -29,7 +29,7 @@
 //! * [`phasor`] — phasor-recurrence carrier rotation with periodic
 //!   exact re-anchoring (DESIGN.md §13),
 //! * [`template`] — thread-local cache of synthesized reference
-//!   waveforms (chirps, tones) keyed by exact config bits.
+//!   chirps keyed by exact config bits.
 //!
 //! ## Place in the paper's architecture
 //!

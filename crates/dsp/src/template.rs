@@ -2,7 +2,7 @@
 //!
 //! Packet assembly re-synthesizes the same reference waveforms on every
 //! trial: the Field-1 triangular and Field-2 sawtooth chirps of the
-//! preamble (paper §8) and the two query tones of the uplink. Synthesis
+//! preamble (paper §8). Synthesis
 //! is trigonometry per sample — far more expensive than the memcpy that
 //! actually ends up in the packet buffer — so this module memoizes the
 //! generated [`Signal`]s in a thread-local cache keyed by the exact
@@ -42,19 +42,12 @@ enum Key {
         fs: u64,
         amplitude: u64,
     },
-    Tone {
-        fs: u64,
-        fc: u64,
-        f_off: u64,
-        amp: u64,
-        n: usize,
-    },
 }
 
 /// Bound on distinct cached templates per thread. Real workloads use a
-/// handful of chirp configs and tone lengths; the bound only exists so a
-/// pathological caller (e.g. a sweep over payload sizes) cannot grow the
-/// cache without limit.
+/// handful of chirp configs; the bound only exists so a pathological
+/// caller (e.g. a sweep over TX power) cannot grow the cache without
+/// limit.
 const MAX_TEMPLATES: usize = 64;
 
 thread_local! {
@@ -117,19 +110,6 @@ pub fn triangular(cfg: &ChirpConfig) -> Rc<Signal> {
     lookup(chirp_key(cfg, true), || cfg.triangular())
 }
 
-/// The cached constant tone matching
-/// [`Signal::tone`]`(fs, fc, f_off, amp, n)`.
-pub fn tone(fs: f64, fc: f64, f_off: f64, amp: f64, n: usize) -> Rc<Signal> {
-    let key = Key::Tone {
-        fs: fs.to_bits(),
-        fc: fc.to_bits(),
-        f_off: f_off.to_bits(),
-        amp: amp.to_bits(),
-        n,
-    };
-    lookup(key, || Signal::tone(fs, fc, f_off, amp, n))
-}
-
 /// Number of templates currently cached on this thread (diagnostics).
 pub fn cached_count() -> usize {
     TEMPLATES.with(|t| t.borrow().len())
@@ -154,19 +134,28 @@ mod tests {
         assert!(Rc::ptr_eq(&sawtooth(&cfg), &sawtooth(&cfg)));
     }
 
-    #[test]
-    fn tone_template_matches_fresh_synthesis_bitwise() {
-        let t = tone(200e6, 28e9, -5e6, 0.3, 1024);
-        assert_eq!(*t, Signal::tone(200e6, 28e9, -5e6, 0.3, 1024));
+    /// A chirp config that differs from the Fast Field-2 chirp only in
+    /// amplitude, so each `amplitude` is its own template.
+    fn at_amplitude(amplitude: f64) -> ChirpConfig {
+        ChirpConfig {
+            f_start: 26.5e9,
+            f_stop: 29.5e9,
+            duration: 5e-9,
+            fs: 3.2e9,
+            amplitude,
+        }
     }
 
     #[test]
     fn distinct_configs_get_distinct_templates() {
         std::thread::spawn(|| {
-            let a = tone(1e6, 0.0, 1e3, 1.0, 16);
-            let b = tone(1e6, 0.0, 2e3, 1.0, 16);
+            let a = sawtooth(&at_amplitude(1.0));
+            let b = sawtooth(&at_amplitude(0.5));
             assert_ne!(*a, *b);
-            assert_eq!(cached_count(), 2);
+            // Same config, other shape: a template of its own.
+            let c = triangular(&at_amplitude(1.0));
+            assert_ne!(*a, *c);
+            assert_eq!(cached_count(), 3);
         })
         .join()
         .unwrap();
@@ -175,14 +164,14 @@ mod tests {
     #[test]
     fn overflow_flushes_but_stays_correct() {
         std::thread::spawn(|| {
-            for n in 1..=(MAX_TEMPLATES + 8) {
-                let t = tone(1e6, 0.0, 1e3, 1.0, n);
-                assert_eq!(t.len(), n);
+            for k in 1..=(MAX_TEMPLATES + 8) {
+                let cfg = at_amplitude(k as f64);
+                assert_eq!(*sawtooth(&cfg), cfg.sawtooth());
             }
             assert!(cached_count() <= MAX_TEMPLATES);
             // Post-flush lookups still return correct waveforms.
-            let t = tone(1e6, 0.0, 1e3, 1.0, 4);
-            assert_eq!(*t, Signal::tone(1e6, 0.0, 1e3, 1.0, 4));
+            let cfg = at_amplitude(4.0);
+            assert_eq!(*sawtooth(&cfg), cfg.sawtooth());
         })
         .join()
         .unwrap();

@@ -13,7 +13,8 @@
 //!   piecewise-constant runs filled from per-port [`SwitchSchedule`]s
 //!   ([`fill_gamma_runs`]), and
 //! * the receive path: FSA port → switch through-loss → envelope
-//!   detector → ADC.
+//!   detector ([`BackscatterNode::port_video_into`], noiseless) → detector
+//!   noise and ADC ([`BackscatterNode::sample_video`]).
 
 use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
@@ -112,42 +113,49 @@ impl BackscatterNode {
         self.switch.through_gain().sqrt() * self.impl_loss_amp()
     }
 
-    /// The node's receive path for one port: the RF signal at the FSA port
-    /// (as produced by `Scene::to_node_port`) through the switch's
-    /// absorptive through-loss and the envelope detector, sampled by the
-    /// MCU ADC. Returns ADC samples (volts at `adc.sample_rate`).
-    ///
-    /// The video low-pass runs over every sample (it is recursive), but
-    /// detector noise is drawn only at the samples the ADC reads; see
-    /// [`Self::receive_silence`].
-    pub fn receive_port<R: Rng + ?Sized>(&self, at_port: &Signal, rng: &mut R) -> Vec<f64> {
-        let mut video = Vec::new();
+    /// The video half of the node's receive path for one port: the RF
+    /// signal at the FSA port (as produced by `Scene::to_node_port_into`)
+    /// through the switch's absorptive through-loss and the envelope
+    /// detector's video low-pass, into `out` (cleared first, capacity
+    /// reused) at the signal's rate. Noiseless: a pure function of the
+    /// signal and the receive chain, so a caller may keep it and run
+    /// [`Self::sample_video`] on a copy once per reception.
+    pub fn port_video_into(&self, at_port: &Signal, out: &mut Vec<f64>) {
         self.detector
-            .video_into(&at_port.samples, self.rx_gain(), at_port.fs, &mut video);
-        self.sample_video(video, at_port.fs, rng)
+            .video_into(&at_port.samples, self.rx_gain(), at_port.fs, out);
     }
 
-    /// [`Self::receive_port`] for a port that receives nothing for `n`
+    /// The sampling half of the node's receive path: adds detector noise
+    /// to the noiseless `video` at `fs` (in place) and samples it with
+    /// the MCU ADC. Returns ADC samples (volts at `adc.sample_rate`).
+    ///
+    /// The noise is additive, so only the samples the ADC interpolates
+    /// between get a variate; the RNG still advances past every other
+    /// sample's variate, ending where noising the whole stream would
+    /// leave it. Samples the ADC does not read stay noiseless.
+    pub fn sample_video<R: Rng + ?Sized>(
+        &self,
+        video: &mut [f64],
+        fs: f64,
+        rng: &mut R,
+    ) -> Vec<f64> {
+        let reads = self.adc.read_indices(video.len(), fs);
+        self.detector.add_noise_at(video, reads, rng);
+        self.adc.capture(video, fs)
+    }
+
+    /// The receive path for a port that receives nothing for `n`
     /// samples at `fs`: the detector output rests at exactly 0 V (a zero
     /// envelope through the one-pole filter from rest), so only its
-    /// noise reaches the ADC. Bitwise the same as `receive_port` on a
-    /// zero signal, without rendering one.
+    /// noise reaches the ADC. Bitwise the same as
+    /// [`Self::sample_video`] on the video of a zero signal, without
+    /// rendering one.
     pub fn receive_silence<R: Rng + ?Sized>(&self, n: usize, fs: f64, rng: &mut R) -> Vec<f64> {
-        self.sample_video(vec![0.0; n], fs, rng)
+        self.sample_video(&mut vec![0.0; n], fs, rng)
     }
 
-    /// Adds detector noise to a noiseless video stream at `fs` and
-    /// samples it with the ADC. The noise is additive, so only the
-    /// samples the ADC interpolates between get a variate; the RNG
-    /// still advances past every other sample's variate, ending where
-    /// noising the whole stream would leave it.
-    fn sample_video<R: Rng + ?Sized>(&self, mut video: Vec<f64>, fs: f64, rng: &mut R) -> Vec<f64> {
-        let reads = self.adc.read_indices(video.len(), fs);
-        self.detector.add_noise_at(&mut video, reads, rng);
-        self.adc.capture(&video, fs)
-    }
-
-    /// Like [`Self::receive_port`] but keeps the detector's full video
+    /// Like the ADC receive path ([`Self::port_video_into`], then
+    /// [`Self::sample_video`]) but keeps the detector's full video
     /// rate (no ADC) — used for payload demodulation where the MCU samples
     /// at the symbol rate via a comparator rather than the slow ADC.
     pub fn receive_port_video(&self, at_port: &Signal, rng: &mut StdRng) -> Vec<f64> {
@@ -207,6 +215,13 @@ mod tests {
 
     fn node() -> BackscatterNode {
         BackscatterNode::milback(Pose::facing_ap(2.0, 0.0, 0.0))
+    }
+
+    /// Both halves of the ADC receive path, back to back.
+    fn receive(n: &BackscatterNode, sig: &Signal, rng: &mut StdRng) -> Vec<f64> {
+        let mut video = Vec::new();
+        n.port_video_into(sig, &mut video);
+        n.sample_video(&mut video, sig.fs, rng)
     }
 
     /// Expands runs back to one `[Γ_A, Γ_B]` per sample.
@@ -302,7 +317,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         // 100 µs of signal at 100 MHz → 100 samples at the 1 MHz ADC.
         let sig = Signal::tone(1e8, 28e9, 0.0, 1e-3, 10_000);
-        let out = n.receive_port(&sig, &mut rng);
+        let out = receive(&n, &sig, &mut rng);
         assert_eq!(out.len(), 100);
     }
 
@@ -331,7 +346,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let mut ref_rng = rng.clone();
         assert_eq!(
-            bits(n.receive_port(&sig, &mut rng)),
+            bits(receive(&n, &sig, &mut rng)),
             bits(reference(&sig, &mut ref_rng))
         );
         let silence = Signal::zeros(fs, 28e9, 7_000);
@@ -339,6 +354,17 @@ mod tests {
             bits(n.receive_silence(silence.len(), fs, &mut rng)),
             bits(reference(&silence, &mut ref_rng))
         );
+        // One kept video serves repeated receptions: sampling a fresh
+        // copy of it each time matches detecting each reception in full.
+        let mut kept = Vec::new();
+        n.port_video_into(&sig, &mut kept);
+        for _ in 0..2 {
+            let mut copy = kept.clone();
+            assert_eq!(
+                bits(n.sample_video(&mut copy, fs, &mut rng)),
+                bits(reference(&sig, &mut ref_rng))
+            );
+        }
         // Both paths consumed the same number of variates.
         assert_eq!(rng.gen::<u64>(), ref_rng.gen::<u64>());
     }
@@ -350,7 +376,7 @@ mod tests {
         let p_in = 1e-6; // −30 dBm at the port
         let amp = (p_in * n.detector.input_impedance).sqrt();
         let sig = Signal::tone(1e8, 28e9, 0.0, amp, 20_000);
-        let out = n.receive_port(&sig, &mut rng);
+        let out = receive(&n, &sig, &mut rng);
         let settled = &out[50..];
         let mean = settled.iter().sum::<f64>() / settled.len() as f64;
         let one_way = 10f64.powf(-n.impl_loss_db / 10.0);

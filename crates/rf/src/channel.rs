@@ -19,8 +19,8 @@ use crate::fsa::{DualPortFsa, Port};
 use crate::geometry::{Point, Pose, SPEED_OF_LIGHT};
 use crate::propagation::{backscatter_rx_power, fspl, one_way_rx_power, radar_rx_power};
 use crate::workspace::{
-    fsa_fingerprint, pose_bits, wave_fingerprint, with_channel_workspace, ChannelWorkspace,
-    CurveKey, CurvePair, Fnv, GainCurves, PortKey, RayKey, StaticKey,
+    fsa_fingerprint, pose_bits, ChannelWorkspace, CurveKey, CurvePair, Fnv, GainCurves, PortKey,
+    RayKey, StaticKey,
 };
 use milback_dsp::chirp::ChirpConfig;
 use milback_dsp::noise::db_to_ratio;
@@ -261,7 +261,7 @@ pub struct RayTables {
     pub(crate) mirror: Option<(f64, Cpx)>,
 }
 
-/// Hoisted tables for [`Scene::to_node_port`]: the per-sample one-way
+/// Hoisted tables for [`Scene::to_node_port_into`]: the per-sample one-way
 /// LUT amplitude, the carrier phasor and the propagation delay.
 #[derive(Debug, Clone)]
 pub struct PortTables {
@@ -423,30 +423,14 @@ impl Scene {
 
     /// The signal arriving *inside* the node at FSA port `port` (one-way,
     /// downlink direction), including the frequency-dependent FSA beam
-    /// gain. Noiseless; the envelope detector adds its own noise.
+    /// gain, into `out` (rate, carrier and samples overwritten, capacity
+    /// reused). Noiseless; the envelope detector adds its own noise.
     ///
-    /// Routes through the thread-local [`ChannelWorkspace`] so the
-    /// frequency LUT and per-sample amplitude table are reused across
-    /// symbols of a downlink burst; see [`Scene::to_node_port_into`].
-    pub fn to_node_port(
-        &self,
-        comp: &TxComponent,
-        pose: &Pose,
-        fsa: &DualPortFsa,
-        port: Port,
-    ) -> Signal {
-        let wave_fp = wave_fingerprint(comp);
-        let mut out = Signal::new(comp.signal.fs, comp.signal.fc, Vec::new());
-        with_channel_workspace(|ws| {
-            self.to_node_port_into(ws, comp, wave_fp, pose, fsa, port, &mut out)
-        });
-        out
-    }
-
-    /// [`Scene::to_node_port`] against a caller-owned workspace with a
-    /// precomputed [`wave_fingerprint`], overwriting `out` (rate, carrier
-    /// and samples) and reusing its capacity. Bitwise identical to the
-    /// historical LUT-per-call implementation.
+    /// `wave_fp` is the component's
+    /// [`wave_fingerprint`](crate::workspace::wave_fingerprint), computed once
+    /// by the caller. The per-sample amplitude table and carrier phasor
+    /// are cached in `ws` per scene, waveform, pose, FSA and port, so
+    /// the symbols of a downlink burst and repeat transfers replay them.
     #[allow(clippy::too_many_arguments)] // the render inputs + out
     pub fn to_node_port_into(
         &self,
@@ -518,7 +502,8 @@ impl Scene {
     /// render (DESIGN.md §13), bitwise identical to
     /// [`Scene::monostatic_rx_multi_uncached`].
     ///
-    /// `wave_fp` must be [`wave_fingerprint`]`(comp)` — callers compute
+    /// `wave_fp` must be
+    /// [`wave_fingerprint`](crate::workspace::wave_fingerprint)`(comp)` — callers compute
     /// it once per burst and reuse it across chirps/antennas. After the
     /// workspace is warm (same scene, waveform and node geometry), a
     /// render performs **zero** heap allocations: the static-scene
@@ -877,6 +862,7 @@ fn accumulate_node(tables: &RayTables, runs: &[GammaRun], acc: &mut [Cpx]) {
 mod tests {
     use super::*;
     use crate::geometry::deg_to_rad;
+    use crate::workspace::wave_fingerprint;
     use milback_dsp::noise::ratio_to_db;
 
     /// Monostatic render at `rx_idx` through a fresh workspace.
@@ -977,7 +963,10 @@ mod tests {
         let fs = 1e8;
         let sig = Signal::tone(fs, f, 0.0, 1.0, 2000);
         let comp = TxComponent::tone(sig, f);
-        let rx = scene.to_node_port(&comp, &pose, &fsa, Port::A);
+        let mut rx = Signal::zeros(fs, f, 0);
+        let fp = wave_fingerprint(&comp);
+        let mut ws = ChannelWorkspace::new();
+        scene.to_node_port_into(&mut ws, &comp, fp, &pose, &fsa, Port::A, &mut rx);
         let expected = scene.tone_gain_to_port(&pose, &fsa, Port::A, f);
         // Skip the first samples affected by the delay zero-fill.
         let p: f64 =

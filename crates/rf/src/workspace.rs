@@ -14,7 +14,7 @@
 //! * per-node **ray tables** (delayed envelope + per-sample LUT
 //!   amplitude products + round-trip phasor) per (scene, waveform,
 //!   pose, FSA, RX antenna),
-//! * per-port **downlink tables** for `Scene::to_node_port`,
+//! * per-port **downlink tables** for `Scene::to_node_port_into`,
 //! * per-(FSA, incidence, band) **gain curves**: both ports' FSA gain
 //!   on the frequency-LUT grid, shared by every ray and port table
 //!   built at that incidence — whatever the steer, the RX antenna or

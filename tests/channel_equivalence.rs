@@ -3,16 +3,20 @@
 //! §13) against the uncached reference
 //! (`Scene::monostatic_rx_multi_uncached`), plus the content-fingerprint
 //! invalidation rules: any static-scene or node-geometry change must be
-//! reflected on the very next render, with no stale cache reuse.
+//! reflected on the very next render, with no stale cache reuse. The
+//! node's Field-1 video cache (DESIGN.md §13.6) follows the same rule.
 
+use milback::{Fidelity, Network};
 use milback_dsp::chirp::ChirpConfig;
 use milback_dsp::signal::Signal;
 use milback_hw::switch::{SpdtSwitch, SwitchSchedule, SwitchState};
 use milback_node::node::fill_gamma_runs;
-use milback_rf::channel::{FreqProfile, GammaRun, NodeInterface, Scene, TxComponent};
+use milback_proto::packet::LinkMode;
+use milback_rf::channel::{FreqProfile, GammaRun, NodeInterface, Reflector, Scene, TxComponent};
 use milback_rf::fsa::DualPortFsa;
 use milback_rf::geometry::{deg_to_rad, Point, Pose};
 use milback_rf::{wave_fingerprint, ChannelWorkspace};
+use rand::Rng;
 
 /// A short Field-2-style chirp (800 samples) so each uncached reference
 /// render stays cheap.
@@ -269,7 +273,7 @@ fn scene_and_node_mutations_invalidate_the_cache() {
     );
 }
 
-/// The one-way downlink render (`to_node_port`) must give the same
+/// The one-way downlink render (`to_node_port_into`) must give the same
 /// signal through a warm workspace as through a cold one.
 #[test]
 fn to_node_port_cache_is_transparent() {
@@ -374,4 +378,77 @@ fn gain_curves_are_shared_across_steers_and_keyed_on_fsa_and_incidence() {
         "re-steer rebuilt gain curves"
     );
     assert!(hits() > hits_before, "no gain-curve cache hit was counted");
+}
+
+/// Everything Field 1 hands on from a network: both node ADC captures
+/// (as bits), the decoded mode of an uplink and a downlink Field 1, and
+/// the next RNG draw, which moves if a reception drew a different number
+/// of variates.
+type Field1Outcome = (Vec<u64>, Vec<u64>, [Option<LinkMode>; 2], u64);
+
+fn field1_outcome(net: &mut Network) -> Field1Outcome {
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    let (a, b) = net.field1_node_captures().expect("renderable pose");
+    let modes = [
+        net.signal_mode(LinkMode::Uplink),
+        net.signal_mode(LinkMode::Downlink),
+    ];
+    (bits(a), bits(b), modes, net.rng().gen())
+}
+
+/// The node's noiseless Field-1 videos are cached per network and keyed
+/// on their content. Warm a network, change one input, and everything
+/// Field 1 hands on must equal what a network that never rendered Field
+/// 1 gives with the same change, bit for bit. Every change but the
+/// clutter reaches the node's one-way path, so it must also move the
+/// captures: a cache that missed the change would replay the old ones.
+#[test]
+fn field1_video_cache_follows_every_input() {
+    type Edit = fn(&mut Network);
+    let pose = Pose::facing_ap(2.0, deg_to_rad(5.0), deg_to_rad(8.0));
+    let seed = 0xF1E1_D00D;
+    let edits: [(&str, Edit, bool); 6] = [
+        (
+            "node pose",
+            |net| net.set_node_pose(Pose::facing_ap(2.6, deg_to_rad(-4.0), deg_to_rad(-6.0))),
+            true,
+        ),
+        (
+            "clutter reflector",
+            |net| {
+                net.scene.clutter.push(Reflector {
+                    position: Point::new(4.0, -1.0),
+                    rcs: 0.5,
+                })
+            },
+            false,
+        ),
+        (
+            "TX horn gain",
+            |net| net.scene.tx_antenna.peak_dbi -= 3.0,
+            true,
+        ),
+        ("TX power", |net| net.ap.tx.power_dbm -= 3.0, true),
+        (
+            "implementation loss",
+            |net| net.node.impl_loss_db += 2.0,
+            true,
+        ),
+        ("fidelity", |net| net.fidelity = Fidelity::Paper, true),
+    ];
+    for (name, edit, moves) in edits {
+        let mut warm = Network::new(pose, Fidelity::Fast, seed);
+        let before = field1_outcome(&mut warm);
+        edit(&mut warm);
+        warm.reseed(seed);
+        let mut fresh = Network::new(pose, Fidelity::Fast, seed);
+        edit(&mut fresh);
+        let got = field1_outcome(&mut warm);
+        assert!(
+            got == field1_outcome(&mut fresh),
+            "{name}: stale Field-1 videos"
+        );
+        let same = (&before.0, &before.1) == (&got.0, &got.1);
+        assert_eq!(same, !moves, "{name}: captures moved: {}", !same);
+    }
 }

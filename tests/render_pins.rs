@@ -152,7 +152,7 @@ fn field1_node_captures_and_mode_signalling_are_pinned() {
         .enumerate()
     {
         let mut net = Network::new(pose, Fidelity::Fast, 0x5EED_F1E1 + k as u64);
-        let (cap_a, cap_b) = net.field1_node_captures();
+        let (cap_a, cap_b) = net.field1_node_captures().expect("renderable roster pose");
         let digest = adc_digest(&[&cap_a, &cap_b]);
         assert_eq!(net.signal_mode(LinkMode::Uplink), Some(LinkMode::Uplink));
         assert_eq!(

@@ -155,11 +155,12 @@ fn unrenderable_field2_poses_return_none_instead_of_panicking() {
 
 /// A node at any AP antenna or at a NaN coordinate cannot be rendered
 /// (the path loss to it is undefined). Every public path that renders the
-/// node — Field-1 mode signalling, node-side orientation, both payload
-/// directions (planned from the true or the sensed orientation), both
-/// Field-2 paths and the serving engine's localization — returns no
-/// result on entry without drawing from the RNG, and a whole session ends
-/// in a typed failure instead of a panic.
+/// node — Field-1 mode signalling, the node's Field-1 captures and
+/// node-side orientation, both payload directions (planned from the true
+/// or the sensed orientation), both Field-2 paths and the serving
+/// engine's localization — returns no result on entry without drawing
+/// from the RNG, and a whole session ends in a typed failure instead of
+/// a panic.
 #[test]
 fn unrenderable_node_is_rejected_by_every_entry_point() {
     use milback::session::FailureKind;
@@ -186,6 +187,11 @@ fn unrenderable_node_is_rejected_by_every_entry_point() {
             net.sense_orientation_at_node(),
             None,
             "{name}: node orientation"
+        );
+        assert_eq!(
+            net.field1_node_captures(),
+            None,
+            "{name}: Field-1 node captures"
         );
         for use_truth in [true, false] {
             assert!(

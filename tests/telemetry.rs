@@ -7,12 +7,13 @@
 //! whether a batch ran with one worker (`MILBACK_THREADS=1` equivalent)
 //! or many. This file is the acceptance test for that contract, and
 //! for the meaning of the work counters (one `dsp.fft.size` sample per
-//! transform).
+//! transform, one `node.field1.video.render` per Field-1 video render).
 
 use milback::batch::run_trials_with_threads;
 use milback::chaos::{chaos_sweep_with_threads, ChaosPoint};
-use milback::{batch, Fidelity, Network};
+use milback::{batch, Fidelity, Network, Session, SessionConfig};
 use milback_ap::RangeProcessor;
+use milback_proto::packet::Packet;
 use milback_rf::geometry::{deg_to_rad, Pose};
 use milback_telemetry as telemetry;
 use std::sync::{Mutex, MutexGuard};
@@ -191,4 +192,41 @@ fn padded_range_transform_records_one_fft_sample_and_one_spectrum() {
         Some((calls, points)),
         "one full-length sample per transform"
     );
+}
+
+/// `node.field1.video.render` counts renders of the node's noiseless
+/// Field-1 port videos, which are cached per network and pose: the
+/// first uplink session on a network renders them once (its mode
+/// signalling and node-side orientation share them), and a downlink and
+/// an uplink session after it on the same network render none. A
+/// Field-1 path that bypassed the cache would count one per chirp.
+#[test]
+fn field1_videos_render_once_per_network() {
+    let _gate = registry_lock();
+    let was = telemetry::enabled();
+    telemetry::set_enabled(true);
+    let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0));
+    let mut net = Network::new(pose, Fidelity::Fast, 0xF1E1);
+    let session = Session::new(SessionConfig::milback());
+    let mut renders = |packets: &[Packet]| {
+        telemetry::reset();
+        for packet in packets {
+            let report = session.run(&mut net, packet);
+            assert!(report.is_ok(), "{:?} exchange at 2 m failed", packet.mode);
+        }
+        let snap = telemetry::snapshot();
+        snap.counters
+            .get("node.field1.video.render")
+            .copied()
+            .unwrap_or(0)
+    };
+    let first = renders(&[Packet::uplink(vec![0xC3; 16])]);
+    let repeat = renders(&[
+        Packet::downlink((0..16).collect()),
+        Packet::uplink(vec![0x3C; 16]),
+    ]);
+    telemetry::set_enabled(was);
+
+    assert_eq!(first, 1, "first uplink session");
+    assert_eq!(repeat, 0, "repeat sessions rendered Field 1 again");
 }

@@ -8,8 +8,7 @@
 //!   `Localizer::process_with` on a warmed `DspWorkspace`, with the two
 //!   antennas' chains at once (helper free) and in turn (every core
 //!   occupied),
-//! * the link-side symbol loop: uplink query-tone fetches from the
-//!   template cache,
+//! * packet assembly: Field-1 chirp fetches from the template cache,
 //! * the full Field-2 render: `Network::field2_captures_into` through a
 //!   warmed `ChannelWorkspace` + `Field2Burst` — channel synthesis
 //!   included (static-scene response cache + hoisted ray tables,
@@ -109,22 +108,21 @@ fn warmed_hot_paths_perform_zero_heap_allocations() {
         );
     }
 
-    // ---- link symbol loop: tone templates -----------------------------
-    let (fs, fc, f_off, amp, n) = (4e9, 28e9, 150e6, 1.0, 4096);
-
-    // Warm-up: populates the template cache (query tone).
-    let tone_ref = template::tone(fs, fc, f_off, amp, n);
-    assert_eq!(tone_ref.len(), n);
+    // ---- packet assembly: chirp templates ----------------------------
+    // Warm-up: populates the template cache (the Field-1 chirp).
+    let tri_cfg = Fidelity::Fast.triangular();
+    let tri_ref = template::triangular(&tri_cfg);
+    assert_eq!(tri_ref.len(), tri_cfg.n_samples());
 
     let before = allocs();
     for _ in 0..5 {
-        let tone = template::tone(fs, fc, f_off, amp, n);
-        assert!(std::rc::Rc::ptr_eq(&tone, &tone_ref), "tone cache missed");
+        let tri = template::triangular(&tri_cfg);
+        assert!(std::rc::Rc::ptr_eq(&tri, &tri_ref), "chirp cache missed");
     }
     assert_eq!(
         allocs() - before,
         0,
-        "warmed link symbol loop allocated on the heap"
+        "warmed chirp template fetch allocated on the heap"
     );
 
     // ---- full Field-2 render: channel synthesis included ------------
