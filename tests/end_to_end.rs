@@ -92,17 +92,63 @@ fn full_packet_round_trip_both_modes() {
     );
 }
 
+/// Seeds per distance for the Fig. 12a check, fixed before any run:
+/// `5000..5048` at every distance.
+const FIG12A_SEEDS: std::ops::Range<u64> = 5000..5048;
+
 #[test]
 fn localization_works_at_every_paper_distance() {
-    for d in 1..=8 {
-        let pose = Pose::facing_ap(d as f64, 0.0, 0.0);
-        let mut net = Network::new(pose, Fidelity::Fast, 1002 + d);
-        let fix = net.localize().unwrap_or_else(|| panic!("no fix at {d} m"));
+    // Fig. 12a at 1–8 m, judged over many seeds rather than one: a
+    // single noise draw at 8 m misses about 1.5% of the time, so a
+    // one-seed assert pins the noise bits, not the ranging.
+    //
+    // Per distance: a fix on every seed at 1–7 m and on ≥90% at 8 m;
+    // every fix within the 0.25 m band; median error ≤5 cm out to 5 m
+    // and ≤12 cm at 8 m (the DESIGN.md §4 targets).
+    let cases: Vec<(u32, u64)> = (1..=8)
+        .flat_map(|d| FIG12A_SEEDS.map(move |seed| (d, seed)))
+        .collect();
+    let errors = milback::batch::par_map(&cases, |&(d, seed), _| {
+        let mut net = Network::new(Pose::facing_ap(d as f64, 0.0, 0.0), Fidelity::Fast, seed);
+        net.localize().map(|fix| (fix.range - d as f64).abs())
+    });
+    for d in 1..=8u32 {
+        let at_d: Vec<(u64, Option<f64>)> = cases
+            .iter()
+            .zip(&errors)
+            .filter(|((dd, _), _)| *dd == d)
+            .map(|((_, seed), e)| (*seed, *e))
+            .collect();
+        let mut fixes: Vec<f64> = at_d.iter().filter_map(|(_, e)| *e).collect();
+        let misses: Vec<u64> = at_d
+            .iter()
+            .filter(|(_, e)| e.is_none())
+            .map(|(s, _)| *s)
+            .collect();
+        let min_fixes = if d < 8 {
+            at_d.len()
+        } else {
+            (at_d.len() * 9).div_ceil(10)
+        };
         assert!(
-            (fix.range - d as f64).abs() < 0.25,
-            "range {} at true {d} m",
-            fix.range
+            fixes.len() >= min_fixes,
+            "{} of {} fixes at {d} m (no fix at seeds {misses:?})",
+            fixes.len(),
+            at_d.len()
         );
+        for ((seed, e), _) in at_d.iter().zip(0..) {
+            if let Some(e) = e {
+                assert!(*e < 0.25, "range error {e} m at {d} m, seed {seed}");
+            }
+        }
+        fixes.sort_by(f64::total_cmp);
+        let median = fixes[fixes.len() / 2];
+        let bound = match d {
+            1..=5 => 0.05,
+            8 => 0.12,
+            _ => 0.25,
+        };
+        assert!(median <= bound, "median range error {median} m at {d} m");
     }
 }
 
