@@ -11,13 +11,21 @@ use std::ops::Range;
 /// [`sample_at_reads`]). At the last sample it returns that sample;
 /// outside the sequence, 0.
 pub fn sample_at(input: &[f64], fs: f64, t: f64) -> f64 {
-    let reads = sample_at_reads(input.len(), fs, t);
-    match input[reads.clone()] {
-        [a, b] => {
+    sample_at_with(input.len(), fs, t, |i| input[i])
+}
+
+/// [`sample_at`] over a `len`-sample sequence given by `value(i)`, called
+/// only at the indices [`sample_at_reads`] names: bitwise
+/// `sample_at(&seq, fs, t)` when `value(i) == seq[i]` there.
+pub fn sample_at_with(len: usize, fs: f64, t: f64, mut value: impl FnMut(usize) -> f64) -> f64 {
+    let reads = sample_at_reads(len, fs, t);
+    match reads.len() {
+        2 => {
+            let (a, b) = (value(reads.start), value(reads.start + 1));
             let frac = t * fs - reads.start as f64;
             a * (1.0 - frac) + b * frac
         }
-        [v] => v,
+        1 => value(reads.start),
         _ => 0.0,
     }
 }

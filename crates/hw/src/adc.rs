@@ -5,7 +5,7 @@
 //! for downlink data. The model captures sample-rate conversion,
 //! quantization and clipping.
 
-use milback_dsp::resample::{sample_at, sample_at_reads};
+use milback_dsp::resample::{sample_at_reads, sample_at_with};
 
 /// A successive-approximation ADC as found on a low-power MCU.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,9 +52,22 @@ impl Adc {
     /// Samples an analog waveform given at rate `fs_in`, producing
     /// quantized samples at the ADC's own rate.
     pub fn capture(&self, analog: &[f64], fs_in: f64) -> Vec<f64> {
+        self.capture_with(analog.len(), fs_in, |i| analog[i])
+    }
+
+    /// [`Adc::capture`] of an `n_in`-sample waveform given by `value(i)`,
+    /// called only at the indices [`Adc::read_indices`] names (once per
+    /// conversion instant that reads it): bitwise `capture(&wave, fs_in)`
+    /// when `value(i) == wave[i]` there.
+    pub fn capture_with(
+        &self,
+        n_in: usize,
+        fs_in: f64,
+        mut value: impl FnMut(usize) -> f64,
+    ) -> Vec<f64> {
         assert!(fs_in > 0.0, "input rate must be positive");
-        self.instants(analog.len(), fs_in)
-            .map(|t| self.quantize(sample_at(analog, fs_in, t)))
+        self.instants(n_in, fs_in)
+            .map(|t| self.quantize(sample_at_with(n_in, fs_in, t, &mut value)))
             .collect()
     }
 

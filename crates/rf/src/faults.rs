@@ -39,7 +39,9 @@
 //! `corrupt`, `droop`). The counts depend only on the plan and the
 //! exchange flow, so they survive `deterministic_view()` intact.
 
-use milback_dsp::noise::db_to_ratio;
+use milback_dsp::noise::{
+    add_awgn_keyed, add_real_noise_keyed, db_to_ratio, splitmix64, GOLDEN_GAMMA,
+};
 use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
 use milback_telemetry as telemetry;
@@ -58,32 +60,19 @@ struct Mix(u64);
 
 impl Mix {
     /// Stream keyed by the plan seed and a stable site tag (event
-    /// index, chirp index, …). Same finalizer as `batch::derive_seed`.
+    /// index, chirp index, …). Same finaliser as `batch::derive_seed`.
     fn at(seed: u64, tag: u64) -> Self {
-        const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
-        Mix(seed ^ tag.wrapping_mul(PHI))
+        Mix(seed ^ tag.wrapping_mul(GOLDEN_GAMMA))
     }
 
     fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0 = self.0.wrapping_add(GOLDEN_GAMMA);
+        splitmix64(self.0)
     }
 
     /// Uniform in `[0, 1)`.
     fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Standard gaussian (Box–Muller; one draw per call, the sine twin
-    /// is discarded to keep the stream position independent of call
-    /// pairing).
-    fn gaussian(&mut self) -> f64 {
-        let u1 = (1.0 - self.unit()).max(f64::MIN_POSITIVE);
-        let u2 = self.unit();
-        (-2.0 * u1.ln()).sqrt() * (TAU * u2).cos()
     }
 }
 
@@ -347,25 +336,22 @@ impl FaultPlan {
                 }
                 FaultKind::ChirpCorrupt { sigma } => {
                     telemetry::counter_add("rf.fault.corrupt", 1);
-                    let mut rng = Mix::at(
+                    let key = Mix::at(
                         self.seed,
                         (ev_idx as u64) << 32 | chirp_idx as u64 | 0x10_0000,
-                    );
-                    for c in &mut rx.samples {
-                        *c += Cpx::new(rng.gaussian() * sigma, rng.gaussian() * sigma);
-                    }
+                    )
+                    .next_u64();
+                    add_awgn_keyed(&mut rx.samples, 2.0 * sigma * sigma, key);
                 }
                 FaultKind::SnrDroop { extra_noise_db } => {
                     telemetry::counter_add("rf.fault.droop", 1);
-                    let rms = (rx.power()).sqrt();
-                    let sigma = rms * db_to_ratio(extra_noise_db / 2.0) / 2f64.sqrt();
-                    let mut rng = Mix::at(
+                    let power = rx.power() * db_to_ratio(extra_noise_db);
+                    let key = Mix::at(
                         self.seed,
                         (ev_idx as u64) << 32 | chirp_idx as u64 | 0x20_0000,
-                    );
-                    for c in &mut rx.samples[lo..hi] {
-                        *c += Cpx::new(rng.gaussian() * sigma, rng.gaussian() * sigma);
-                    }
+                    )
+                    .next_u64();
+                    add_awgn_keyed(&mut rx.samples[lo..hi], power, key);
                 }
             }
         }
@@ -409,10 +395,8 @@ impl FaultPlan {
                     telemetry::counter_add("rf.fault.droop", 1);
                     let rms = (v.iter().map(|s| s * s).sum::<f64>() / v.len() as f64).sqrt();
                     let sigma = rms * db_to_ratio(extra_noise_db / 2.0);
-                    let mut rng = Mix::at(self.seed, (ev_idx as u64) << 32 | 0x30_0000);
-                    for s in &mut v[lo..hi] {
-                        *s += rng.gaussian() * sigma;
-                    }
+                    let key = Mix::at(self.seed, (ev_idx as u64) << 32 | 0x30_0000).next_u64();
+                    add_real_noise_keyed(&mut v[lo..hi], sigma, key);
                 }
                 FaultKind::ChirpDrop => {
                     telemetry::counter_add("rf.fault.drop", 1);

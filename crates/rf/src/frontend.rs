@@ -9,7 +9,7 @@
 //! (interference rejection) comes from the mixer/filter arithmetic,
 //! which is exact.
 
-use milback_dsp::noise::{add_awgn, awgn_variates, thermal_noise_power};
+use milback_dsp::noise::{add_awgn_keyed, fill_key, thermal_noise_power};
 use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
 use rand::rngs::StdRng;
@@ -33,17 +33,20 @@ impl Lna {
     }
 
     /// Amplifies the signal in place and adds the LNA's referred-to-input
-    /// thermal noise over bandwidth `bw` Hz.
-    pub fn apply(&self, sig: &mut Signal, bw: f64, rng: &mut StdRng) {
+    /// thermal noise over bandwidth `bw` Hz on the noise stream `key`
+    /// (from [`Lna::noise_key`]; `None` adds no noise).
+    pub fn apply(&self, sig: &mut Signal, bw: f64, key: Option<u64>) {
         // Noise added at the input, then everything amplified.
-        add_awgn(sig, self.input_noise_power(bw), rng);
+        if let Some(key) = key {
+            add_awgn_keyed(&mut sig.samples, self.input_noise_power(bw), key);
+        }
         sig.scale_db(self.gain_db);
     }
 
-    /// Standard normals [`Lna::apply`] draws from its RNG for a signal
-    /// of `n` samples over bandwidth `bw`.
-    pub fn noise_variates(&self, n: usize, bw: f64) -> usize {
-        awgn_variates(n, self.input_noise_power(bw))
+    /// The noise stream key of one [`Lna::apply`] over bandwidth `bw`:
+    /// one word from `rng`, or `None` (no draw) at zero noise power.
+    pub fn noise_key(&self, bw: f64, rng: &mut StdRng) -> Option<u64> {
+        fill_key(rng, self.input_noise_power(bw))
     }
 
     /// Equivalent input noise power (watts) over bandwidth `bw`.
@@ -91,7 +94,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut sig = Signal::tone(1e6, 28e9, 0.0, 1e-3, 20_000);
         let p_in = sig.power();
-        lna.apply(&mut sig, 1e6, &mut rng);
+        lna.apply(&mut sig, 1e6, lna.noise_key(1e6, &mut rng));
         let p_out = sig.power();
         // Signal dominates this noise level: output ≈ input × 100.
         assert!(
@@ -106,7 +109,7 @@ mod tests {
         let lna = Lna::milback();
         let mut rng = StdRng::seed_from_u64(2);
         let mut sig = Signal::zeros(1e6, 28e9, 100_000);
-        lna.apply(&mut sig, 1e6, &mut rng);
+        lna.apply(&mut sig, 1e6, lna.noise_key(1e6, &mut rng));
         let expected = lna.input_noise_power(1e6) * 100.0; // ×gain
         assert!((sig.power() / expected - 1.0).abs() < 0.05);
     }
