@@ -258,7 +258,7 @@ fn drifting_two_ap_round_digests_are_pinned() {
     let digests = [fabric.run_round(1).digest, fabric.run_round(1).digest];
     assert_eq!(
         digests,
-        [0xa89f_7503_e4b7_f847, 0x8ed3_4b1e_1646_05fa],
+        [0xc201_d2cd_4b26_4029, 0xaf97_8f83_54e3_14c2],
         "round digests moved: [{:#018x}, {:#018x}]",
         digests[0],
         digests[1]

@@ -58,7 +58,7 @@ fn clutter_free_field2_burst_is_pinned() {
     assert_eq!(captures.len(), 5);
     let digest = burst_digest(&tx, &captures);
     assert_eq!(
-        digest, 0x29e7_d109_f31a_644c,
+        digest, 0x287b_0e73_3dee_7149,
         "clutter-free Field-2 burst digest moved: {digest:#018x}"
     );
 }
@@ -78,7 +78,7 @@ fn indoor_field2_burst_with_parked_interferers_is_pinned() {
     let (tx, captures) = net.field2_captures(5);
     let digest = burst_digest(&tx, &captures);
     assert_eq!(
-        digest, 0x1a99_b1d3_9039_d122,
+        digest, 0x7d62_25e8_8ffe_dd3d,
         "interfered Field-2 burst digest moved: {digest:#018x}"
     );
 }
@@ -106,14 +106,14 @@ fn uplink_transfers_are_pinned() {
         clutter_free(pose(2.5, 3.0, 6.0), 21),
         b"pinned uplink #1",
         5e6,
-        (0x403e_d89c_4071_93d9, 0),
+        (0x403f_49b2_600b_3f16, 0),
     );
     assert_uplink(
         "indoor 9 m",
         Network::new(pose(9.0, 3.0, -14.0), Fidelity::Fast, 22),
         &[0xA5; 24],
         40e6,
-        (0x4015_c1cc_491c_8686, 18),
+        (0x4017_134d_0e2f_0a4f, 10),
     );
 }
 
@@ -141,10 +141,10 @@ fn field1_node_captures_and_mode_signalling_are_pinned() {
     // Per roster pose: the digest of both node ADC captures of one
     // Field-1 chirp, the node's decoded mode for both directions, and
     // the next draw of the network's RNG, which moves if the detector
-    // path consumes a different number of noise variates.
+    // path draws a different number of noise keys.
     let pinned: [(u64, u64); 2] = [
-        (0xc8b2_50e4_827c_e271, 0xcaed_6a09_5a95_9431),
-        (0xde9f_3c79_da58_3c89, 0xcdc2_6b8b_1f6f_3536),
+        (0x2339_f3a9_08a4_461e, 0x5c44_27b8_4326_728f),
+        (0x336a_da8b_d457_6744, 0x6212_3948_54c4_9899),
     ];
     for (k, (pose, pinned)) in milback::serve::roster(2, 11)
         .into_iter()

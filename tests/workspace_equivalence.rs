@@ -3,12 +3,14 @@
 //! kernel's unit tests; this file pins the end-to-end compositions the
 //! pipeline actually runs.
 //!
-//! The localization and orientation constants were recorded from the
-//! allocating reference pipeline (per-chirp `dechirp` → `range_profile`
-//! → pairwise spectrum differences → detection spectrum), which the
-//! workspace path reproduced bit for bit, in debug and release builds
-//! alike. A deliberate change to the render or the DSP re-records them;
-//! a refactor must keep them unchanged.
+//! The localization and orientation constants were first recorded from
+//! the allocating reference pipeline (per-chirp `dechirp` →
+//! `range_profile` → pairwise spectrum differences → detection
+//! spectrum), which the workspace path reproduced bit for bit, in debug
+//! and release builds alike; they were re-recorded from the workspace
+//! path when the Gaussian noise generator changed (the captures' noise
+//! bits moved, the DSP did not). A deliberate change to the render or
+//! the DSP re-records them; a refactor must keep them unchanged.
 
 use milback::{Fidelity, Network};
 use milback_ap::ranging::LocalizationResult;
@@ -38,25 +40,25 @@ fn network_localize_matches_allocating_process() {
         (
             1,
             (
-                0x4008_07f0_3555_6417,
-                Some(0x3fbc_2e66_86dc_b0a9),
-                0x3f35_fc85_1941_963b,
+                0x4007_e1aa_63a1_211e,
+                Some(0x3fbb_1f26_c695_8a30),
+                0x3f36_1a42_1fbb_f6f4,
             ),
         ),
         (
             9,
             (
-                0x4008_1ce4_8fa8_6f47,
-                Some(0x3fba_630a_f04e_7e85),
-                0x3f35_79ab_f875_bd5e,
+                0x4008_2225_a8f6_c0b3,
+                Some(0x3fb9_57d1_0bf6_588c),
+                0x3f34_395f_8f75_3c5b,
             ),
         ),
         (
             42,
             (
-                0x4008_1ae3_e2a8_77df,
-                Some(0x3fb8_5569_0042_8652),
-                0x3f35_c43c_e799_567e,
+                0x4008_188d_0f7c_eeae,
+                Some(0x3fbe_75bf_a997_a639),
+                0x3f34_e19d_8ab5_f520,
             ),
         ),
     ];
@@ -79,7 +81,7 @@ fn sense_orientation_matches_allocating_flow() {
     let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(10.0));
     let mut net = Network::new(pose, Fidelity::Fast, 3);
     let got = net.sense_orientation_at_ap().map(f64::to_bits);
-    assert_eq!(got, Some(0xbfc4_3dd8_32e3_e42b), "{got:#018x?}");
+    assert_eq!(got, Some(0xbfc6_22ae_ea6b_e22e), "{got:#018x?}");
 }
 
 /// Template fetches are bitwise identical to fresh synthesis for every
@@ -113,9 +115,9 @@ fn nested_workspace_checkout_is_equivalent() {
         with_workspace(|ws| localizer.process_with(ws, &tx, &captures))
     });
     let expect = (
-        0x4004_13d1_1a47_3638,
-        Some(0xbf7d_ffa2_dbc2_24f4),
-        0x3f45_de51_557e_0958,
+        0x4004_1609_83ac_108f,
+        Some(0x3f76_3698_6ca7_91f6),
+        0x3f45_1f34_af81_fc2c,
     );
     assert_eq!(bits(got), Some(expect));
 }
