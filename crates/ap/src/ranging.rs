@@ -41,7 +41,24 @@ pub struct Localizer {
     /// (range quantized to `c/2B` steps), which is what Figure 12a's
     /// error magnitudes correspond to.
     pub sub_bin: bool,
+    /// Calibrated range of the AP's TX→RX leakage peak, meters, or
+    /// `None` (the default) when the AP has no leakage reference. With
+    /// a reference, a burst whose leakage peak lies more than
+    /// [`TIMING_TOLERANCE_M`] from it is mistimed and yields no
+    /// detection ([`Localizer::detect_with`]).
+    pub leakage_range: Option<f64>,
 }
+
+/// How far, meters, a burst's leakage peak may sit from its calibrated
+/// range before the burst counts as mistimed: a timing error moves the
+/// node's peak by as much, so this bounds the error timing alone can
+/// add to a fix. The Figure 12a band.
+pub const TIMING_TOLERANCE_M: f64 = 0.25;
+
+/// How far, as a power ratio, the leakage peak must rise above the
+/// raw profile's noise floor (30 dB): below `min_range` a profile that
+/// holds only noise has no leakage peak whose position could be read.
+const LEAKAGE_PROMINENCE: f64 = 1e3;
 
 /// Where the node sits in a burst's detection spectrum: its range bin,
 /// and the consecutive-chirp difference with the most energy there.
@@ -63,6 +80,7 @@ impl Localizer {
             min_range: 0.5,
             max_range: 15.0,
             sub_bin: true,
+            leakage_range: None,
         }
     }
 
@@ -201,8 +219,14 @@ impl Localizer {
     /// the pair at the node's bin, not by total energy, keeps
     /// clutter-residue energy smeared across the profile by trigger
     /// jitter from choosing it. `None` when no bin rises above the
-    /// floor.
+    /// floor, or, first, when the burst is mistimed against the
+    /// [`Localizer::leakage_range`] reference (counted as
+    /// `ap.timing.reject`).
     pub fn detect_with(&self, ws: &mut DspWorkspace, fs: f64) -> Option<NodeDetection> {
+        if !self.timing_ok(ws, fs) {
+            milback_telemetry::counter_add("ap.timing.reject", 1);
+            return None;
+        }
         for (ant, det) in ws.antennas.iter().zip(&mut ws.det) {
             detection_spectrum_into(&ant.diffs, det);
         }
@@ -213,6 +237,37 @@ impl Localizer {
         let bin = self.find_node_bin_with(&ws.det_sum, fs, &mut ws.floor_scratch)?;
         let pair = Self::strongest_at_bin(&ws.antennas[0].diffs, bin, 2);
         Some(NodeDetection { bin, pair })
+    }
+
+    /// Whether the burst in `ws` is timed as the AP's calibration says:
+    /// true without a [`Localizer::leakage_range`]. Background
+    /// subtraction cancels the static TX→RX leakage, but the raw
+    /// profile of antenna 0's first chirp still holds it as the
+    /// strongest return below `min_range`. A capture delayed against
+    /// the AP's reference (node clock drift, DESIGN.md §14) moves that
+    /// peak and the node's alike, so the burst passes only when the
+    /// strongest bin below `min_range` rises [`LEAKAGE_PROMINENCE`]
+    /// above the profile's noise floor and lies within
+    /// [`TIMING_TOLERANCE_M`] of the calibrated range. Reads the
+    /// profile's power through `ws.det[0]`, which detection overwrites.
+    fn timing_ok(&self, ws: &mut DspWorkspace, fs: f64) -> bool {
+        let Some(leakage) = self.leakage_range else {
+            return true;
+        };
+        let Some(profile) = ws.antennas[0].profiles.first() else {
+            return true;
+        };
+        let power = &mut ws.det[0];
+        buffer::track_growth(power, profile.len());
+        power.clear();
+        power.extend(profile.iter().map(|c| c.norm_sq()));
+        let near = self.range_to_bin(self.min_range, fs).min(power.len());
+        let Some(peak) = argmax(&power[..near]) else {
+            return false;
+        };
+        let floor = milback_dsp::detect::noise_floor_with(power, 0.5, &mut ws.floor_scratch);
+        let offset = self.proc.bin_to_range(peak as f64, fs) - leakage;
+        power[peak] >= LEAKAGE_PROMINENCE * floor && offset.abs() <= TIMING_TOLERANCE_M
     }
 
     /// Index of the difference with the largest energy in the bins
@@ -405,6 +460,31 @@ mod tests {
             let r = localize(&loc, &tx, &caps).expect("node not found");
             assert!((r.range - d).abs() < 0.05, "d {d}: range {}", r.range);
         }
+    }
+
+    #[test]
+    fn mistimed_bursts_are_rejected_against_the_leakage_reference() {
+        // The leakage as a strong static return at 0.15 m, the node at 3 m.
+        let (tx, caps) = synthetic_captures(3.0, 0.0, 0.15, 1.0);
+        let skewed = |tau: f64| -> Vec<[Signal; 2]> {
+            let delay = |mut s: Signal| {
+                s.delay_in_place(tau);
+                s
+            };
+            caps.iter().map(|pair| pair.clone().map(delay)).collect()
+        };
+        let mut loc = Localizer::new(RangeProcessor::new(test_chirp(), 2));
+        loc.leakage_range = Some(0.15);
+        let fix = localize(&loc, &tx, &caps).expect("on-time burst rejected");
+        assert!((fix.range - 3.0).abs() < 0.05, "range {}", fix.range);
+        // 0.5 ns moves both peaks 7.5 cm: within the tolerance.
+        assert!(localize(&loc, &tx, &skewed(0.5e-9)).is_some());
+        // 3 ns moves them 45 cm: mistimed.
+        assert!(localize(&loc, &tx, &skewed(3e-9)).is_none());
+        // Without the reference the same burst gives a fix 45 cm long.
+        loc.leakage_range = None;
+        let fix = localize(&loc, &tx, &skewed(3e-9)).expect("node not found");
+        assert!((fix.range - 3.45).abs() < 0.05, "range {}", fix.range);
     }
 
     #[test]

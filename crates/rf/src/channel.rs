@@ -270,6 +270,12 @@ pub struct PortTables {
     pub(crate) tau: f64,
 }
 
+/// Delay of the AP's TX→RX leakage path (a ~30 cm equivalent round
+/// trip): a fixed property of the AP hardware, so the AP knows it and
+/// checks each Field-2 burst's timing against it
+/// (`Localizer::leakage_range`).
+pub const SELF_INTERFERENCE_DELAY_S: f64 = 1e-9;
+
 /// The complete propagation scene.
 #[derive(Debug, Clone)]
 pub struct Scene {
@@ -285,7 +291,8 @@ pub struct Scene {
     pub steer: f64,
     /// Static clutter reflectors.
     pub clutter: Vec<Reflector>,
-    /// TX→RX leakage (self-interference) in dB (negative). `None` disables.
+    /// TX→RX leakage (self-interference) in dB (negative), at delay
+    /// [`SELF_INTERFERENCE_DELAY_S`]. `None` disables.
     pub self_interference_db: Option<f64>,
     /// The node's structural mirror reflection. `None` disables.
     pub mirror: Option<MirrorReflection>,
@@ -729,7 +736,7 @@ impl Scene {
 
         // --- TX → RX self-interference ----------------------------------
         if let Some(si_db) = self.self_interference_db {
-            let tau = 1e-9; // ~30 cm equivalent leakage path
+            let tau = SELF_INTERFERENCE_DELAY_S;
             let coeff = Cpx::cis(-2.0 * PI * fc * tau) * db_to_ratio(si_db).sqrt();
             comp.signal.accumulate_delayed(tau, coeff, acc);
         }
