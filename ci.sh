@@ -116,6 +116,17 @@ for leg in chaos serve net; do
     cmp "target/${leg}_view_1.txt" "target/${leg}_view_4.txt"
 done
 
+echo "==> session paths read no ground truth (no true_orientation/plan_tones/use_truth in session, lanes, serve, net)"
+# A session plans its carriers once per packet, from the AP orientation
+# its own Field-2 burst sensed; a shed session plans from the lane's
+# last sensed one (DESIGN.md §14.2, §15.1). Neither the ground-truth
+# orientation nor the public link wrappers' per-call tone planning may
+# come back onto those paths.
+if grep -nE 'true_orientation|plan_tones|use_truth' crates/core/src/{session,lanes,serve,net}.rs; then
+    echo "ground truth or per-call tone planning on a session path (matches above)" >&2
+    exit 1
+fi
+
 echo "==> docs freshness (DESIGN.md section refs and backticked Rust paths in the docs resolve)"
 # Every "DESIGN.md §N" reference in the top-level maps and in the code,
 # tests and examples must point at a real "## N." heading in DESIGN.md —

@@ -70,9 +70,9 @@ impl ApOrientationEstimator {
     /// realistic SNR.
     ///
     /// * `diff_profile` — one background-subtracted range-profile
-    ///   difference (see `Localizer::profile_diffs_with`); it may be
-    ///   banded (hold only the leading bins), as long as it covers the
-    ///   gate,
+    ///   difference (the pair `ws.detection` names, after
+    ///   `Localizer::process_with`); it may be banded (hold only the
+    ///   leading bins), as long as it covers the gate,
     /// * `node_bin` — the node's range-profile bin,
     /// * `half_width` — gate half-width in bins (cover the bump's
     ///   spectral spread),

@@ -109,20 +109,6 @@ impl Localizer {
         (last_searched + self.gate_half_width()).min(self.proc.fft_len)
     }
 
-    /// Dechirps, FFTs and background-subtracts a multi-chirp capture:
-    /// fills each antenna's banded `profiles` (the first
-    /// [`Localizer::profile_bins`] bins) and their consecutive-chirp
-    /// `diffs` in `ws.antennas`, allocation-free on a warmed workspace.
-    /// The two antennas run at once when a core is idle.
-    pub fn profile_diffs_with(
-        &self,
-        ws: &mut DspWorkspace,
-        tx_ref: &Signal,
-        captures: &[[Signal; 2]],
-    ) {
-        self.diffs_of(par::claim(), ws, tx_ref, captures, None);
-    }
-
     /// Shared body of the workspace paths: per antenna, each live chirp
     /// (all of them when `alive` is `None`) is dechirped and
     /// range-transformed into the antenna's banded profile pool, one FFT
@@ -221,8 +207,9 @@ impl Localizer {
     /// jitter from choosing it. `None` when no bin rises above the
     /// floor, or, first, when the burst is mistimed against the
     /// [`Localizer::leakage_range`] reference (counted as
-    /// `ap.timing.reject`).
+    /// `ap.timing.reject`). Also left in `ws.detection`.
     pub fn detect_with(&self, ws: &mut DspWorkspace, fs: f64) -> Option<NodeDetection> {
+        ws.detection = None;
         if !self.timing_ok(ws, fs) {
             milback_telemetry::counter_add("ap.timing.reject", 1);
             return None;
@@ -236,7 +223,8 @@ impl Localizer {
         ws.det_sum.extend(det0.iter().zip(det1).map(|(a, b)| a + b));
         let bin = self.find_node_bin_with(&ws.det_sum, fs, &mut ws.floor_scratch)?;
         let pair = Self::strongest_at_bin(&ws.antennas[0].diffs, bin, 2);
-        Some(NodeDetection { bin, pair })
+        ws.detection = Some(NodeDetection { bin, pair });
+        ws.detection
     }
 
     /// Whether the burst in `ws` is timed as the AP's calibration says:
@@ -244,7 +232,7 @@ impl Localizer {
     /// subtraction cancels the static TX→RX leakage, but the raw
     /// profile of antenna 0's first chirp still holds it as the
     /// strongest return below `min_range`. A capture delayed against
-    /// the AP's reference (node clock drift, DESIGN.md §14) moves that
+    /// the AP's reference (capture timing drift, DESIGN.md §14) moves that
     /// peak and the node's alike, so the burst passes only when the
     /// strongest bin below `min_range` rises [`LEAKAGE_PROMINENCE`]
     /// above the profile's noise floor and lies within
@@ -627,7 +615,7 @@ mod tests {
         }
         let bins = loc.profile_bins(tx.fs);
         let mut ws = DspWorkspace::new();
-        loc.profile_diffs_with(&mut ws, &tx, &caps);
+        loc.diffs_of(None, &mut ws, &tx, &caps, None);
         let (mut de, mut fft) = (Vec::new(), Vec::new());
         for (ant, bufs) in ws.antennas.iter().enumerate() {
             let profiles: Vec<Vec<Cpx>> = caps

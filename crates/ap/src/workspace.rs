@@ -32,6 +32,7 @@
 //!   (reported by the fill sites via `milback_dsp::buffer`). Growth
 //!   depends on per-thread warm-up order, hence `.local`.
 
+use crate::ranging::NodeDetection;
 use milback_dsp::num::Cpx;
 use milback_telemetry as telemetry;
 use std::cell::RefCell;
@@ -66,6 +67,9 @@ pub struct DspWorkspace {
     pub det_sum: Vec<f64>,
     /// Sort scratch for the noise-floor estimate.
     pub floor_scratch: Vec<f64>,
+    /// The last [`crate::ranging::Localizer::detect_with`] result here:
+    /// the bin and pair AP orientation sensing gates after localization.
+    pub detection: Option<NodeDetection>,
 }
 
 impl DspWorkspace {

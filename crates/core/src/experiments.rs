@@ -8,6 +8,7 @@ use crate::network::Network;
 use milback_ap::tone_select::ToneSelection;
 use milback_ap::uplink::ook_ber;
 use milback_dsp::noise::ratio_to_db;
+use milback_dsp::signal::Signal;
 use milback_dsp::stats;
 use milback_rf::fsa::{DualPortFsa, Port};
 use milback_rf::geometry::{deg_to_rad, rad_to_deg, Pose};
@@ -160,7 +161,8 @@ pub fn fig11_oaqfm_micro(seed: u64) -> Fig11Trace {
     let comp_a = TxComponent::tone(wave_a, f_a);
     let comp_b = TxComponent::tone(wave_b, f_b);
 
-    let (at_a, at_b) = net.render_tones_to_ports(&comp_a, &comp_b);
+    let [mut at_a, mut at_b, mut tmp] = [(); 3].map(|_| Signal::new(fs, fc, Vec::new()));
+    net.render_tones_to_ports_into(&comp_a, &comp_b, &mut at_a, &mut at_b, &mut tmp);
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5111);
     let det_a = net.node.receive_port_video(&at_a, &mut rng);

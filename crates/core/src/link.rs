@@ -245,25 +245,10 @@ fn branch_decision_snr(
 }
 
 impl Network {
-    /// Renders a pair of per-tone downlink components to both FSA ports,
-    /// including the cross-tone leakage each port receives from the other
-    /// tone's side lobes. Returns `(at_port_a, at_port_b)`.
-    pub(crate) fn render_tones_to_ports(
-        &self,
-        comp_a: &TxComponent,
-        comp_b: &TxComponent,
-    ) -> (Signal, Signal) {
-        let fs = comp_a.signal.fs;
-        let fc = comp_a.signal.fc;
-        let mut at_a = Signal::new(fs, fc, Vec::new());
-        let mut at_b = Signal::new(fs, fc, Vec::new());
-        let mut tmp = Signal::new(fs, fc, Vec::new());
-        self.render_tones_to_ports_into(comp_a, comp_b, &mut at_a, &mut at_b, &mut tmp);
-        (at_a, at_b)
-    }
-
-    /// Allocation-free [`Network::render_tones_to_ports`] into pooled
-    /// output signals (`tmp` holds the cross-tone render between adds).
+    /// Renders a pair of per-tone downlink components to both FSA ports
+    /// into `at_a`/`at_b`, including the cross-tone leakage each port
+    /// receives from the other tone's side lobes (`tmp` holds the
+    /// cross-tone render between adds).
     ///
     /// The four port renders share one [`ChannelWorkspace`] borrow and
     /// each component's [`wave_fingerprint`] is computed once, so the
@@ -309,8 +294,10 @@ impl Network {
     }
 
     /// Runs a full downlink transfer of `payload` at `symbol_rate`
-    /// symbols/s. `use_truth` short-circuits orientation sensing (for
-    /// microbenchmarks); the end-to-end path senses first.
+    /// symbols/s over the carriers of [`Network::plan_tones`]:
+    /// `use_truth` plans from the true orientation (for figures and
+    /// microbenchmarks), `false` from one fresh Field-2 sense per call.
+    /// Sessions plan once per packet and do not come through here.
     ///
     /// Returns `None` (and counts `core.link.downlink.rejected`) for a
     /// symbol rate that is NaN, not positive, or too fast for 2 samples
@@ -328,6 +315,17 @@ impl Network {
         symbol_rate: f64,
         use_truth: bool,
     ) -> Option<DownlinkReport> {
+        self.downlink_in(payload, symbol_rate, |net| net.plan_tones(use_truth))
+    }
+
+    /// The one downlink transfer: [`Network::downlink`]'s checks, then
+    /// the carriers `tones` plans once both pass.
+    pub(crate) fn downlink_in(
+        &mut self,
+        payload: &[u8],
+        symbol_rate: f64,
+        tones: impl FnOnce(&mut Self) -> Option<ToneSelection>,
+    ) -> Option<DownlinkReport> {
         let _span = telemetry::span("core.link.downlink.ns");
         if !downlink_rate_ok(symbol_rate) {
             telemetry::counter_add("core.link.downlink.rejected", 1);
@@ -336,7 +334,7 @@ impl Network {
         if self.render_rejected() {
             return None;
         }
-        let tones = self.plan_tones(use_truth)?;
+        let tones = tones(self)?;
         let mut scr = std::mem::take(&mut self.link_scratch);
         encode_frame_into(payload, &mut scr.codec, &mut scr.frame);
         let report = match tones {
@@ -546,7 +544,7 @@ impl Network {
     }
 
     /// Runs a full uplink transfer of `payload` at `symbol_rate`
-    /// symbols/s.
+    /// symbols/s, planning carriers as [`Network::downlink`] does.
     ///
     /// Returns `None` (and counts `core.link.uplink.rejected`) for a
     /// symbol rate that is not finite and positive, before any sensing;
@@ -565,6 +563,16 @@ impl Network {
         symbol_rate: f64,
         use_truth: bool,
     ) -> Option<UplinkReport> {
+        self.uplink_in(payload, symbol_rate, |net| net.plan_tones(use_truth))
+    }
+
+    /// The one uplink transfer, as [`Network::downlink_in`].
+    pub(crate) fn uplink_in(
+        &mut self,
+        payload: &[u8],
+        symbol_rate: f64,
+        tones: impl FnOnce(&mut Self) -> Option<ToneSelection>,
+    ) -> Option<UplinkReport> {
         let _span = telemetry::span("core.link.uplink.ns");
         if !uplink_rate_ok(symbol_rate) {
             telemetry::counter_add("core.link.uplink.rejected", 1);
@@ -573,7 +581,7 @@ impl Network {
         if self.render_rejected() {
             return None;
         }
-        let tones = self.plan_tones(use_truth)?;
+        let tones = tones(self)?;
         let mut scr = std::mem::take(&mut self.link_scratch);
         let report = self.uplink_transfer(&mut scr, payload, symbol_rate, tones);
         self.link_scratch = scr;

@@ -10,6 +10,7 @@ use crate::link::LinkScratch;
 use milback_ap::dechirp::RangeProcessor;
 use milback_ap::orientation::ApOrientationEstimator;
 use milback_ap::ranging::{LocalizationResult, Localizer};
+use milback_ap::workspace::DspWorkspace;
 use milback_dsp::chirp::ChirpConfig;
 use milback_dsp::noise::{add_awgn, thermal_noise_power};
 use milback_dsp::num::Cpx;
@@ -196,6 +197,9 @@ pub struct Network {
     /// The node's noiseless Field-1 port videos, filled by
     /// [`Self::warm_field1_videos`].
     pub(crate) field1: Field1Videos,
+    /// The AP orientation of the last successful Field-2 sense here:
+    /// what a shed session plans its carriers from.
+    pub(crate) sensed_orientation: Option<f64>,
 }
 
 impl Network {
@@ -203,25 +207,15 @@ impl Network {
     /// scene, with the AP's beams steered at the node (the paper steers
     /// mechanically).
     pub fn new(pose: Pose, fidelity: Fidelity, seed: u64) -> Self {
-        let mut scene = Scene::milback_indoor();
-        scene.steer_towards(&pose.position);
-        Self {
-            scene,
-            node: BackscatterNode::milback(pose),
-            ap: ApParams::milback(),
-            fidelity,
-            faults: FaultPlan::none(),
-            clock_s: 0.0,
-            interferers: Vec::new(),
-            rng: StdRng::seed_from_u64(seed),
-            link_scratch: LinkScratch::default(),
-            field1: Field1Videos::default(),
-        }
+        Self::in_scene(Scene::milback_indoor(), pose, fidelity, seed)
     }
 
     /// Builds a clutter-free network (for microbenchmarks).
     pub fn free_space(pose: Pose, fidelity: Fidelity, seed: u64) -> Self {
-        let mut scene = Scene::free_space();
+        Self::in_scene(Scene::free_space(), pose, fidelity, seed)
+    }
+
+    fn in_scene(mut scene: Scene, pose: Pose, fidelity: Fidelity, seed: u64) -> Self {
         scene.steer_towards(&pose.position);
         Self {
             scene,
@@ -234,6 +228,7 @@ impl Network {
             rng: StdRng::seed_from_u64(seed),
             link_scratch: LinkScratch::default(),
             field1: Field1Videos::default(),
+            sensed_orientation: None,
         }
     }
 
@@ -306,6 +301,7 @@ impl Network {
         burst: &mut Field2Burst,
     ) {
         assert!(n_chirps >= 2, "need at least two chirps");
+        telemetry::counter_add("core.network.field2.render", 1);
         let cfg = self.fidelity.sawtooth();
         let mut chirp_cfg = cfg;
         chirp_cfg.amplitude = self.ap.tx.amplitude();
@@ -448,26 +444,36 @@ impl Network {
         !renderable
     }
 
+    /// Renders one five-chirp Field-2 burst into this thread's buffers
+    /// and localizes from it: the tail [`Self::localize`] and
+    /// [`Self::sense_orientation_at_ap`] share. With `orient`, the AP
+    /// orientation is gated from the same diffs. `None` without a fix,
+    /// and on entry, before any RNG draw, when the node or a parked
+    /// interferer cannot be rendered.
+    fn field2_pass(&mut self, orient: bool) -> Option<(LocalizationResult, Option<f64>)> {
+        if self.render_rejected() {
+            return None;
+        }
+        with_field2_burst(|burst| {
+            with_channel_workspace(|cw| self.field2_captures_into(cw, 5, burst));
+            milback_ap::with_workspace(|ws| {
+                let localizer = self.localizer();
+                let fix = localizer.process_with(ws, &burst.tx, &burst.captures)?;
+                let orientation = orient.then(|| self.ap_orientation_in(ws, &burst.tx));
+                Some((fix, orientation.flatten()))
+            })
+        })
+    }
+
     /// Runs the full §5.1 localization: Field-2 capture → dechirp →
     /// background subtraction → range + angle.
     ///
     /// Returns `None` when there is no fix, and on entry, before any RNG
     /// draw, when the node or a parked interferer cannot be rendered
-    /// (counted as `core.network.render.rejected`).
+    /// (counted as `core.network.render.rejected`). Fixes are pinned to
+    /// literals by `tests/workspace_equivalence.rs`.
     pub fn localize(&mut self) -> Option<LocalizationResult> {
-        if self.render_rejected() {
-            return None;
-        }
-        // Render into the thread-local burst buffers through the cached
-        // channel path, then process in the thread-local DSP workspace:
-        // batch workers reuse both trial after trial (fixes pinned to
-        // literals by tests/workspace_equivalence.rs; the cached render
-        // by tests/channel_equivalence.rs).
-        with_field2_burst(|burst| {
-            with_channel_workspace(|cw| self.field2_captures_into(cw, 5, burst));
-            let localizer = self.localizer();
-            milback_ap::with_workspace(|ws| localizer.process_with(ws, &burst.tx, &burst.captures))
-        })
+        self.field2_pass(false).map(|(fix, _)| fix)
     }
 
     /// The localizer matching this network's fidelity, with the AP's
@@ -484,38 +490,34 @@ impl Network {
     }
 
     /// Runs §5.2(a): AP-side orientation sensing — the paper's FFT →
-    /// background subtraction → gate → IFFT flow. Returns the estimated
-    /// incidence angle (radians).
+    /// background subtraction → gate → IFFT flow — on a fresh Field-2
+    /// burst. Returns the estimated incidence angle (radians).
     ///
     /// Returns `None` on entry, before any RNG draw, when the node or a
     /// parked interferer cannot be rendered, as [`Self::localize`] does.
     pub fn sense_orientation_at_ap(&mut self) -> Option<f64> {
-        if self.render_rejected() {
-            return None;
-        }
-        with_field2_burst(|burst| {
-            with_channel_workspace(|cw| self.field2_captures_into(cw, 5, burst));
-            let tx = &burst.tx;
-            let captures = &burst.captures;
-            let localizer = self.localizer();
-            let est = ApOrientationEstimator::new(self.fidelity.sawtooth());
-            milback_ap::with_workspace(|ws| {
-                localizer.profile_diffs_with(ws, tx, captures);
-                // Locate the node's range bin and the difference pair
-                // with the most node energy, exactly as localization does.
-                let hit = localizer.detect_with(ws, tx.fs)?;
-                est.estimate_gated(
-                    &ws.antennas[0].diffs[hit.pair],
-                    hit.bin,
-                    localizer.gate_half_width(),
-                    tx.fs,
-                    tx.len(),
-                    localizer.proc.fft_len,
-                    &self.node.fsa,
-                    Port::A,
-                )
-            })
-        })
+        self.field2_pass(true)?.1
+    }
+
+    /// §5.2(a) on the burst last processed in `ws`: gates antenna 0's
+    /// difference at the node bin and pair `ws.detection` holds, the
+    /// ones localization read. Keeps a successful estimate as
+    /// the network's sensed orientation. `None` without a detection.
+    pub(crate) fn ap_orientation_in(&mut self, ws: &DspWorkspace, tx: &Signal) -> Option<f64> {
+        let hit = ws.detection?;
+        let localizer = self.localizer();
+        let orientation = ApOrientationEstimator::new(self.fidelity.sawtooth()).estimate_gated(
+            &ws.antennas[0].diffs[hit.pair],
+            hit.bin,
+            localizer.gate_half_width(),
+            tx.fs,
+            tx.len(),
+            localizer.proc.fft_len,
+            &self.node.fsa,
+            Port::A,
+        )?;
+        self.sensed_orientation = Some(orientation);
+        Some(orientation)
     }
 
     // ------------------------------------------------------------------

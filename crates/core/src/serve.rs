@@ -32,8 +32,10 @@
 //!   gauge. Past `shed_depth` the engine sheds Field-2 work: `Localize`
 //!   requests resolve as [`Outcome::Shed`] without going on air, and
 //!   exchange requests run with [`Session::run_in`]`(.., shed_field2 =
-//!   true)` — localization dropped, payload ARQ kept alive, recorded as
-//!   the typed [`crate::session::Degradation::Field2Shed`]. Past
+//!   true)` — localization dropped, payload ARQ kept alive on the
+//!   lane's last sensed AP orientation, recorded as the typed
+//!   [`crate::session::Degradation::Field2Shed`]. An exchange on a lane
+//!   that has not sensed this epoch runs its Field 2 instead. Past
 //!   `reject_depth` requests are rejected outright.
 //!
 //! ## Determinism
@@ -454,8 +456,9 @@ impl ServeEngine {
         self.pool.len()
     }
 
-    /// Starts a fresh epoch keyed by `master_seed`: lane clocks, FIFO
-    /// counters, admission state and resolutions reset; every pooled
+    /// Starts a fresh epoch keyed by `master_seed`: lane clocks, sensed
+    /// AP orientations, FIFO counters, admission state and resolutions
+    /// reset; every pooled
     /// buffer keeps its capacity. Requires an empty submission buffer.
     pub fn begin_epoch(&mut self, master_seed: u64) {
         assert!(
@@ -471,6 +474,7 @@ impl ServeEngine {
         for lane in self.pool.lanes_mut() {
             lane.net.clock_s = 0.0;
             lane.net.reseed(master_seed);
+            lane.net.sensed_orientation = None;
             lane.state.served = 0;
         }
     }
@@ -721,7 +725,8 @@ fn run_one(
     let mut res = Resolution::unresolved(ticket, req.node, req.workload);
     res.node_seq = *served;
     *served += 1;
-    res.shed = shed;
+    // A shed payload plans from the lane's last sense; without one, sense.
+    res.shed = shed && net.sensed_orientation.is_some();
     serve_session(session, ctx, net, packet, req.payload_len, seed, &mut res);
     match res.outcome {
         Outcome::Failed(_) => telemetry::counter_add("core.serve.failed", 1),

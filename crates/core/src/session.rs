@@ -14,9 +14,10 @@
 //! re-renders the channel at a later time and genuinely sees it clear —
 //! which is what `tests/robustness.rs` pins.
 
-use crate::link::{DownlinkReport, UplinkReport};
+use crate::link::{DownlinkReport, UplinkReport, MIN_TONE_SEPARATION};
 use crate::network::{Field2Burst, Network};
 use milback_ap::ranging::LocalizationResult;
+use milback_ap::tone_select::{select_tones, ToneSelection};
 use milback_ap::workspace::DspWorkspace;
 use milback_dsp::buffer::track_growth;
 use milback_dsp::signal::Signal;
@@ -56,7 +57,8 @@ pub enum Degradation {
     NoFix,
     /// The node could not estimate its own orientation from Field 1.
     NoNodeOrientation,
-    /// The AP could not estimate the node's orientation from Field 2.
+    /// The AP has no orientation to plan carriers from: Field 2 gave
+    /// none, or a shed session's network never sensed one.
     NoApOrientation,
     /// The payload needed ARQ retries (`attempts` includes the final,
     /// successful one).
@@ -67,8 +69,9 @@ pub enum Degradation {
     /// Field-2 work (localization + AP-side orientation) was shed by the
     /// serving engine's overload policy before any chirps went on air:
     /// no fix was attempted, but Field-1 mode signalling and the payload
-    /// ARQ still ran, with the tone plan taken from the cached
-    /// orientation instead of a fresh Field-2 sense (DESIGN.md §15).
+    /// ARQ still ran, with the tone plan taken from the lane's last
+    /// sensed AP orientation instead of a fresh Field-2 sense
+    /// (DESIGN.md §15).
     Field2Shed,
 }
 
@@ -283,9 +286,10 @@ impl Session {
     ///
     /// On a clean channel with an empty
     /// [`milback_rf::faults::FaultPlan`] every stage runs once: Field-1
-    /// mode signalling ([`crate::protocol`]) and node orientation,
-    /// Field-2 localization and AP orientation, then the payload. A
-    /// one-shot exchange is a session with `mode_attempts` and
+    /// mode signalling ([`crate::protocol`]) and node orientation, one
+    /// Field-2 burst for the fix and the AP orientation, then the payload
+    /// over carriers planned once from that orientation. A one-shot
+    /// exchange is a session with `mode_attempts` and
     /// `payload_attempts` of 1. Under faults the supervisor retries Field 1
     /// with backoff, triages dead Field-2 chirps before localization,
     /// and drives the payload through its ARQ budget; it returns
@@ -304,11 +308,11 @@ impl Session {
     ///
     /// With `shed_field2 == false` this is exactly `run` (same renders,
     /// same RNG draws, same report). With `shed_field2 == true` — the
-    /// serving engine's load-shedding path — the session skips all
-    /// Field-2 work (localization triage and AP-side orientation, their
-    /// airtime included), records [`Degradation::Field2Shed`], and
-    /// delivers the payload over the cached-orientation tone plan so the
-    /// ARQ stays alive under overload.
+    /// serving engine's load-shedding path — no Field 2 goes on air,
+    /// [`Degradation::Field2Shed`] is recorded, and the payload plans
+    /// from the network's last sensed AP orientation so the ARQ stays
+    /// alive under overload; a network that never sensed records
+    /// [`Degradation::NoApOrientation`] and fails [`FailureKind::Payload`].
     pub fn run_in(
         &self,
         ctx: &mut SessionCtx,
@@ -356,27 +360,39 @@ impl Session {
             degradations.push(Degradation::NoNodeOrientation);
         }
 
-        // --- Field 2: localization + AP orientation (or shed) ----------
-        let (fix, chirps_used, ap_orientation) = if shed_field2 {
+        // --- Field 2: one burst, fix + AP orientation (or shed) --------
+        let (fix, chirps_used, ap_orientation, planned) = if shed_field2 {
             // Overload: no Field-2 chirps go on air at all — the airtime
-            // is the saving — and the payload below plans its tones from
-            // the cached orientation instead of a fresh sense.
+            // is the saving — and the payload plans from the last sense.
             telemetry::counter_add("core.session.field2_shed", 1);
             degradations.push(Degradation::Field2Shed);
-            (None, 0, None)
+            if net.sensed_orientation.is_none() {
+                degradations.push(Degradation::NoApOrientation);
+            }
+            (None, 0, None, net.sensed_orientation)
         } else {
-            let (fix, chirps_used) = self.localize_with_triage_in(ctx, net, &mut degradations);
+            let s = self.triage_localize(ctx, net);
             net.clock_s += cfg.field2_airtime_s(&pkt);
-            if fix.is_none() {
+            let (dropped, used) = (s.dropped, s.chirps_used);
+            if dropped > 0 {
+                degradations.push(Degradation::ChirpLoss { dropped, used });
+            }
+            if s.fell_back {
+                degradations.push(Degradation::ReducedChirpFallback { used });
+            }
+            if s.fix.is_none() {
                 degradations.push(Degradation::NoFix);
             }
-            let ap_orientation = net.sense_orientation_at_ap();
-            net.clock_s += cfg.field2_airtime_s(&pkt);
+            // A fix means `ctx.dsp` holds this burst's node detection.
+            let ap_orientation = s
+                .fix
+                .and_then(|_| net.ap_orientation_in(&ctx.dsp, &ctx.burst.tx));
             if ap_orientation.is_none() {
                 degradations.push(Degradation::NoApOrientation);
             }
-            (fix, chirps_used, ap_orientation)
+            (s.fix, used, ap_orientation, ap_orientation)
         };
+        let tones = planned.and_then(|o| select_tones(&net.node.fsa, o, MIN_TONE_SEPARATION));
 
         // --- Payload: ARQ with the shared backoff policy ----------------
         let mut downlink = None;
@@ -386,7 +402,7 @@ impl Session {
                 net,
                 packet,
                 cfg.payload_airtime_s(&pkt),
-                shed_field2,
+                tones,
                 &mut downlink,
                 &mut backoff_s,
             ),
@@ -394,7 +410,7 @@ impl Session {
                 net,
                 packet,
                 cfg.payload_airtime_s(&pkt),
-                shed_field2,
+                tones,
                 &mut uplink,
                 &mut backoff_s,
             ),
@@ -427,31 +443,6 @@ impl Session {
             degradations,
             backoff_s,
         })
-    }
-
-    /// Field-2 localization with energy triage, reporting degradations.
-    /// Thin wrapper over [`Session::triage_localize`] that translates
-    /// its counts into [`Degradation`]s in the order the old inline
-    /// implementation pushed them.
-    fn localize_with_triage_in(
-        &self,
-        ctx: &mut SessionCtx,
-        net: &mut Network,
-        degradations: &mut Vec<Degradation>,
-    ) -> (Option<LocalizationResult>, usize) {
-        let s = self.triage_localize(ctx, net);
-        if s.dropped > 0 {
-            degradations.push(Degradation::ChirpLoss {
-                dropped: s.dropped,
-                used: s.chirps_used,
-            });
-            if s.fell_back {
-                degradations.push(Degradation::ReducedChirpFallback {
-                    used: s.chirps_used,
-                });
-            }
-        }
-        (s.fix, s.chirps_used)
     }
 
     /// Runs one standalone Field-2 localization service request in
@@ -550,23 +541,22 @@ impl Session {
         }
     }
 
-    /// Downlink payload with bounded repeat: the AP re-sends until the
-    /// node's CRC passes or the budget runs out. Returns attempts used,
-    /// or `None` on exhaustion. `cached_tones` plans the carriers from
-    /// the cached orientation instead of a fresh Field-2 sense (the
-    /// shed path, where no Field-2 airtime is spent).
+    /// Downlink payload with bounded repeat over the session's one
+    /// carrier plan: the AP re-sends until the node's CRC passes or the
+    /// budget runs out. Returns attempts used, or `None` on exhaustion
+    /// (every attempt, when there is no plan).
     fn deliver_downlink(
         &self,
         net: &mut Network,
         packet: &Packet,
         airtime_s: f64,
-        cached_tones: bool,
+        tones: Option<ToneSelection>,
         out: &mut Option<DownlinkReport>,
         backoff_s: &mut f64,
     ) -> Option<usize> {
         let cfg = &self.config;
         for attempt in 1..=cfg.payload_attempts {
-            let report = net.downlink(&packet.payload, cfg.symbol_rate, cached_tones);
+            let report = net.downlink_in(&packet.payload, cfg.symbol_rate, |_| tones);
             // Single-carrier OOK carries 1 bit/symbol instead of 2, so
             // the same payload occupies twice the airtime.
             net.clock_s += match &report {
@@ -589,15 +579,14 @@ impl Session {
     }
 
     /// Uplink payload through the stop-and-wait ARQ machine, with the
-    /// session's backoff between attempts. Returns attempts used, or
-    /// `None` on exhaustion. `cached_tones` as in
-    /// [`Session::deliver_downlink`].
+    /// session's backoff between attempts, over the session's one
+    /// carrier plan. Returns attempts used, or `None` on exhaustion.
     fn deliver_uplink(
         &self,
         net: &mut Network,
         packet: &Packet,
         airtime_s: f64,
-        cached_tones: bool,
+        tones: Option<ToneSelection>,
         out: &mut Option<UplinkReport>,
         backoff_s: &mut f64,
     ) -> Option<usize> {
@@ -608,7 +597,7 @@ impl Session {
         let mut attempts = 0;
         loop {
             attempts += 1;
-            let report = net.uplink(tx.frame()?, cfg.symbol_rate, cached_tones);
+            let report = net.uplink_in(tx.frame()?, cfg.symbol_rate, |_| tones);
             // OOK attempts take twice the airtime (see deliver_downlink).
             net.clock_s += match &report {
                 Some(r) if r.tones.bits_per_symbol() == 1 => 2.0 * airtime_s,
@@ -786,32 +775,116 @@ mod tests {
     fn shed_session_keeps_payload_arq_alive() {
         let packet = Packet::downlink((0..16).collect());
         let mut ctx = SessionCtx::new();
+        let session = Session::default();
+        // Two networks that sense once alike, then run the same second
+        // exchange shed and clean.
         let mut net = net_at(2.0, 36);
+        let mut clean_net = net_at(2.0, 36);
+        let cfg = SessionConfig::milback();
         let pkt = net.fidelity.packet();
-        let report = Session::default()
+        for n in [&mut net, &mut clean_net] {
+            session
+                .run_in(&mut ctx, n, &packet, false)
+                .expect("sensing session failed");
+        }
+        let report = session
             .run_in(&mut ctx, &mut net, &packet, true)
             .expect("shed session failed");
         // Field-2 work dropped...
         assert!(report.fix.is_none());
         assert_eq!(report.chirps_used, 0);
         assert!(report.ap_orientation.is_none());
-        assert!(report.degradations.contains(&Degradation::Field2Shed));
+        assert_eq!(report.degradations, [Degradation::Field2Shed]);
         // ...but the payload delivered, and the Field-2 airtime was the
         // saving: a clean run of the same exchange spends exactly the
-        // two skipped Field-2 windows more session time.
+        // one skipped Field-2 window more session time.
         assert_eq!(report.payload_attempts, 1);
         let dl = report.downlink.expect("no downlink report");
         assert!(dl.payload.is_ok(), "shed payload failed CRC");
-        let mut clean_net = net_at(2.0, 36);
-        Session::default()
+        session
             .run_in(&mut ctx, &mut clean_net, &packet, false)
             .expect("clean session failed");
         let saved = clean_net.clock_s - net.clock_s;
         assert!(
-            (saved - 2.0 * pkt.field2_duration()).abs() < 1e-12,
-            "shed saved {} s, expected the two Field-2 windows ({} s)",
+            (saved - cfg.field2_airtime_s(&pkt)).abs() < 1e-12,
+            "shed saved {} s, expected one Field-2 window ({} s)",
             saved,
-            2.0 * pkt.field2_duration()
+            cfg.field2_airtime_s(&pkt)
+        );
+    }
+
+    #[test]
+    fn shed_session_plans_from_the_last_sensed_orientation() {
+        let packet = Packet::downlink((0..16).collect());
+        let mut ctx = SessionCtx::new();
+        let session = Session::default();
+        let mut net = net_at(2.0, 39);
+        let sensed = session
+            .run_in(&mut ctx, &mut net, &packet, false)
+            .expect("sensing session failed")
+            .ap_orientation
+            .expect("no AP orientation sensed");
+        // The node turns after the last sense; the shed plan must not.
+        net.set_node_pose(Pose::facing_ap(2.0, 0.0, deg_to_rad(16.0)));
+        let report = session
+            .run_in(&mut ctx, &mut net, &packet, true)
+            .expect("shed session failed");
+        let fsa = &net.node.fsa;
+        let tones = report.downlink.expect("no downlink report").tones;
+        assert_eq!(
+            Some(tones),
+            select_tones(fsa, sensed, MIN_TONE_SEPARATION),
+            "shed tones did not follow the sensed orientation"
+        );
+        let now = net.node.pose.incidence_from(&net.scene.tx_pos);
+        assert_ne!(Some(tones), select_tones(fsa, now, MIN_TONE_SEPARATION));
+    }
+
+    #[test]
+    fn shed_session_without_a_sense_fails_typed() {
+        let packet = Packet::uplink(vec![0x5C; 16]);
+        let mut net = net_at(2.0, 40);
+        let err = Session::default()
+            .run_in(&mut SessionCtx::new(), &mut net, &packet, true)
+            .expect_err("a never-sensed shed session delivered");
+        assert_eq!(err.kind, FailureKind::Payload);
+        assert_eq!(
+            err.degradations,
+            [Degradation::Field2Shed, Degradation::NoApOrientation]
+        );
+    }
+
+    #[test]
+    fn session_orientation_is_gated_from_the_localized_burst() {
+        use milback_ap::orientation::ApOrientationEstimator;
+        use milback_rf::fsa::Port;
+        let packet = Packet::uplink(vec![0xA7; 16]);
+        let mut ctx = SessionCtx::new();
+        let mut net = net_at(2.5, 41);
+        let report = Session::default()
+            .run_in(&mut ctx, &mut net, &packet, false)
+            .expect("session failed");
+        // Re-derive from the session's own captures in a fresh workspace:
+        // detection through the public tail, then the §5.2(a) gate.
+        let (tx, captures) = (&ctx.burst.tx, &ctx.burst.captures);
+        let localizer = net.localizer();
+        let mut ws = DspWorkspace::new();
+        assert_eq!(localizer.process_with(&mut ws, tx, captures), report.fix);
+        let hit = localizer.detect_with(&mut ws, tx.fs).expect("no detection");
+        let expect = ApOrientationEstimator::new(net.fidelity.sawtooth()).estimate_gated(
+            &ws.antennas[0].diffs[hit.pair],
+            hit.bin,
+            localizer.gate_half_width(),
+            tx.fs,
+            tx.len(),
+            localizer.proc.fft_len,
+            &net.node.fsa,
+            Port::A,
+        );
+        assert!(expect.is_some());
+        assert_eq!(
+            report.ap_orientation.map(f64::to_bits),
+            expect.map(f64::to_bits)
         );
     }
 

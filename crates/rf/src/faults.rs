@@ -99,9 +99,11 @@ pub enum FaultKind {
         /// Tone amplitude at the receiver, linear.
         amp: f64,
     },
-    /// Node clock drift: timing skew that grows linearly over the
-    /// window at `ppm` parts-per-million, shifting chirp-slot alignment
-    /// (applied as an envelope delay, like trigger jitter).
+    /// Capture timing drift at the AP: a skew that grows linearly over
+    /// the window at `ppm` parts-per-million, applied by
+    /// [`FaultPlan::apply_to_rx`] as an envelope delay of each AP-side RF
+    /// capture (like trigger jitter). [`FaultPlan::apply_to_video`]
+    /// ignores it, so node-side receptions never drift.
     ClockDrift {
         /// Drift rate, parts per million of elapsed window time.
         ppm: f64,
@@ -527,6 +529,25 @@ mod tests {
         let mut v = vec![-1.0, -0.1, 0.05, 0.9];
         sat.apply_to_video(0.0, 1e6, &mut v);
         assert_eq!(v, vec![-0.2, -0.1, 0.05, 0.2]);
+    }
+
+    #[test]
+    fn clock_drift_leaves_node_video_untouched() {
+        let plan = FaultPlan {
+            seed: 9,
+            events: vec![FaultEvent {
+                start_s: 0.0,
+                duration_s: 1.0,
+                kind: FaultKind::ClockDrift { ppm: 20.0 },
+            }],
+        };
+        let video: Vec<f64> = (0..256).map(|i| (i as f64 * 0.37).sin()).collect();
+        for t0_s in [0.0, 0.5, 0.999] {
+            let mut v = video.clone();
+            plan.apply_to_video(t0_s, 1e6, &mut v);
+            let bits = |x: &[f64]| x.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&v), bits(&video), "video drifted at t0 = {t0_s} s");
+        }
     }
 
     #[test]

@@ -409,9 +409,8 @@ fn transient_clock_drift_is_tolerated() {
     let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0));
     let mut net = Network::new(pose, Fidelity::Fast, 3201);
     let pkt = net.fidelity.packet();
-    // Drift covering Field 1 and Field 2 only.
-    let fields_end =
-        pkt.field1_duration() + pkt.field1_chirp.duration + 2.0 * pkt.field2_duration();
+    // Drift covering Field 1 and the one Field-2 window only.
+    let fields_end = pkt.field1_duration() + pkt.field1_chirp.duration + pkt.field2_duration();
     net.faults = FaultPlan {
         seed: 13,
         events: vec![FaultEvent {

@@ -12,7 +12,7 @@
 
 use milback::batch::run_trials_with_threads;
 use milback::chaos::{chaos_sweep_with_threads, ChaosPoint};
-use milback::{batch, Fidelity, Network, Session, SessionConfig};
+use milback::{batch, Fidelity, Network, Session, SessionConfig, SessionCtx};
 use milback_ap::RangeProcessor;
 use milback_proto::packet::Packet;
 use milback_rf::geometry::{deg_to_rad, Pose};
@@ -230,6 +230,51 @@ fn field1_videos_render_once_per_network() {
 
     assert_eq!(first, 1, "first uplink session");
     assert_eq!(repeat, 0, "repeat sessions rendered Field 1 again");
+}
+
+/// The Field-2 work ledger: a session renders one Field-2 burst and
+/// reads both the fix and the AP orientation from it, then plans its
+/// carriers once; a shed session renders none. Per clean session that
+/// is one `core.network.field2.render` and `dsp.fft.size` summing
+/// 180,224 points: 10 range transforms of 16,384 (5 chirps × 2
+/// antennas) plus one 16,384-point orientation gate. A session that
+/// rendered Field 2 again for the orientation and once more per payload
+/// attempt would count 3 renders and 524,288 points here.
+#[test]
+fn field2_renders_once_per_session() {
+    let _gate = registry_lock();
+    let was = telemetry::enabled();
+    telemetry::set_enabled(true);
+    let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0));
+    let mut net = Network::new(pose, Fidelity::Fast, 0xF2F2);
+    let session = Session::new(SessionConfig::milback());
+    let mut ctx = SessionCtx::new();
+    let mut work = |net: &mut Network, packet: &Packet, shed: bool| {
+        telemetry::reset();
+        let report = session.run_in(&mut ctx, net, packet, shed);
+        assert!(
+            report.is_ok(),
+            "{:?} exchange (shed {shed}) failed",
+            packet.mode
+        );
+        let snap = telemetry::snapshot();
+        let renders = snap.counters.get("core.network.field2.render").copied();
+        let points = snap.histograms.get("dsp.fft.size").map(|h| h.sum);
+        (renders.unwrap_or(0), points.unwrap_or(0))
+    };
+    let downlink = Packet::downlink((0..16).collect());
+    let uplink = Packet::uplink(vec![0x3C; 16]);
+    let clean = [
+        work(&mut net, &downlink, false),
+        work(&mut net, &uplink, false),
+    ];
+    let shed = work(&mut net, &downlink, true);
+    telemetry::set_enabled(was);
+
+    for (mode, counts) in ["downlink", "uplink"].iter().zip(clean) {
+        assert_eq!(counts, (1, 180_224), "clean {mode} session");
+    }
+    assert_eq!(shed, (0, 0), "shed session rendered Field 2");
 }
 
 /// The noise ledger: `dsp.noise.variates` counts every normal variate
