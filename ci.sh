@@ -63,58 +63,24 @@ else
     echo "==> rustfmt not installed; skipping format check" >&2
 fi
 
-echo "==> bench smoke (uplink-decimation/fabric-burst/two-core-burst/FFT-plan/waveform bitwise asserts, determinism legs)"
-# --smoke shrinks every rep count; the run still asserts, untimed, that
-# each stage of the uplink receiver's decimating FIR on a real
-# Network::uplink capture matches the full-rate filter plus stride
-# (DESIGN.md §17.2), that a cold fabric-style Field-2 burst (target
-# alone, then with 3 parked neighbours, through a fresh
-# ChannelWorkspace, check_fabric_burst) matches the uncached
-# per-point-gain reference of DESIGN.md §13 and panics at the first
-# differing sample (§13.5), that the gated localization burst with the
-# two antennas' chains at once (two-core helper claimed,
-# check_two_core_burst) matches the same burst under
-# par::occupy(cores()) in every banded diff and the fix (§17.4, serial
-# == two-core localization), that the cached-plan FFT matches an
-# unplanned transform and that the waveform template matches fresh
-# synthesis; then runs the chaos, serve and net determinism legs in one
-# process, and times the two gated kernels, asserting that repeated
-# workspace localization bursts return the same fix.
-cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --smoke --out target/bench_smoke.json >/dev/null
-
-echo "==> kernel perf gate (burst + range FFT vs committed baseline)"
-# First checks a host-independent work count: one warmed, untimed
-# localization burst must record the committed number and total size
-# of FFTs (DESIGN.md §17.3). Then re-times just the localization burst
-# and the range-FFT kernel at full reps (matching how the baseline was
-# recorded; ~4 s) and fails if either regressed more than 10% against
-# the committed BENCH_6.json (an unreadable baseline fails at once),
-# with bounded re-measures on a miss. The gate normalizes by the
-# calibration workload (DESIGN.md §17.3) only when the baseline records
+echo "==> kernel perf gate (burst FFT work + range FFT and burst timings vs committed baseline)"
+# bench_engine is the gate and nothing else. It first checks a
+# host-independent work count: one warmed, untimed localization burst
+# must record the committed number and total size of FFTs (DESIGN.md
+# §17.3). Then it times the localization burst and the range-FFT kernel
+# on one core at full reps (matching how the baseline was recorded;
+# ~4 s) and fails if either regressed more than 10% against the
+# committed BENCH_6.json (an unreadable baseline fails at once), with
+# bounded re-measures on a miss. The gate normalizes by the calibration
+# workload (DESIGN.md §17.3) only when the baseline records
 # timing_calibration.calib_us; BENCH_6.json does not, so this step
 # compares raw wall clocks and is exposed to shared-host load. The gate
-# prints which mode it ran in.
+# prints which mode it ran in. The bitwise checks of the receive chain
+# and the caches are tests (tests/README.md maps each), and the
+# cross-process, cross-thread-count determinism views are compared by
+# crates/core/tests/determinism.rs; both run in the cargo test step.
 cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --kernels-only --check-against BENCH_6.json
-
-echo "==> determinism legs (cross-process, cross-thread-count views)"
-# Each bench_engine leg runs its workload serially and in parallel and
-# asserts identical outcomes and byte-identical telemetry deterministic
-# views inside one process: chaos (sessions under sampled fault plans,
-# DESIGN.md §14), serve (a Poisson schedule past the virtual server's
-# capacity, §15) and net (the 2-AP fabric density sweep with drift,
-# handoffs and interference, §16). Running each leg again in a fresh
-# process at one worker and at four pins cross-process AND
-# cross-thread-count determinism: the two view files must compare equal
-# with cmp.
-for leg in chaos serve net; do
-    for t in 1 4; do
-        MILBACK_TELEMETRY=1 MILBACK_THREADS=$t cargo run --release --offline -p milback-bench \
-            --bin bench_engine -- --smoke --leg "$leg" --view "target/${leg}_view_$t.txt" >/dev/null
-    done
-    cmp "target/${leg}_view_1.txt" "target/${leg}_view_4.txt"
-done
+    --check-against BENCH_6.json
 
 echo "==> session paths read no ground truth (no true_orientation/plan_tones/use_truth in session, lanes, serve, net)"
 # A session plans its carriers once per packet, from the AP orientation

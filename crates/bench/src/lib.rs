@@ -7,16 +7,13 @@
 //! Binaries write machine-readable CSV next to the human-readable table
 //! when `--csv <path>` is given.
 //!
-//! The `bench_engine` binary checks and gates: it asserts the decimating
-//! FIR, the channel, FFT-plan and waveform caches and the two-core burst
-//! bitwise against their references, runs the chaos, serve and net
-//! determinism legs, times the two CI-gated kernels (range FFT and
-//! localization burst) and writes an auto-numbered `BENCH_<n>.json`
-//! report; `--kernels-only --check-against` is the CI kernel gate. Run
-//! it with `MILBACK_TELEMETRY=1` and the report additionally embeds a
-//! `milback-telemetry` snapshot of the gated-kernel region (workflow
-//! documented in EXPERIMENTS.md). Session throughput and latency are
-//! measured by the standalone session benchmark in `sessbench/`.
+//! The `bench_engine` binary is the CI kernel gate (DESIGN.md §17.3): it
+//! checks the localization burst's FFT work count, times the range FFT
+//! and the burst on one core next to a calibration workload, and with
+//! `--check-against BENCH_N.json` fails on a regression past 10%;
+//! `--out` writes the timings as a baseline. Session throughput and
+//! latency are measured by the standalone session benchmark in
+//! `sessbench/`.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 

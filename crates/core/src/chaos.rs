@@ -5,8 +5,9 @@
 //! ([`crate::batch::derive_seed`] discipline), runs one supervised
 //! exchange, and compresses the outcome into a [`ChaosOutcome`] — a
 //! `PartialEq` value, so the chaos determinism pin is a single
-//! `assert_eq!` between serial and parallel runs (`tests/chaos.rs`,
-//! `bench_engine` chaos leg, `ci.sh` determinism step).
+//! `assert_eq!` between serial and parallel runs (`tests/chaos.rs`), and
+//! its telemetry view is compared across processes and thread counts by
+//! `crates/core/tests/determinism.rs`.
 
 use crate::batch;
 use crate::config::Fidelity;
@@ -135,25 +136,6 @@ pub fn chaos_sweep_with_threads(
     out
 }
 
-/// The default chaos sweep grid used by the bench leg and CI smoke:
-/// three intensities at two ranges.
-pub fn default_points() -> Vec<ChaosPoint> {
-    vec![
-        ChaosPoint {
-            intensity: 0.0,
-            range_m: 2.0,
-        },
-        ChaosPoint {
-            intensity: 0.5,
-            range_m: 2.0,
-        },
-        ChaosPoint {
-            intensity: 0.9,
-            range_m: 3.0,
-        },
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,7 +165,8 @@ mod tests {
 
     #[test]
     fn sweep_matches_explicit_thread_variant() {
-        let points = default_points();
+        let points = [(0.0, 2.0), (0.5, 2.0), (0.9, 3.0)]
+            .map(|(intensity, range_m)| ChaosPoint { intensity, range_m });
         let a = chaos_sweep(&points, 2, 99);
         let b = chaos_sweep_with_threads(&points, 2, 99, 1);
         assert_eq!(a, b);

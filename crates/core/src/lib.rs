@@ -17,7 +17,7 @@
 //!   telemetry-driven load shedding,
 //! * [`net`] — the dense-network fabric (one or more APs serving many
 //!   nodes by SDM): slotted polling MAC across coverage cells, inter-node interference through the
-//!   cached ray tables, deterministic handoffs, density sweeps,
+//!   cached ray tables, deterministic handoffs,
 //! * [`chaos`] — deterministic chaos sweeps over sampled fault plans,
 //! * [`survey`] — analytic coverage maps for deployment planning,
 //! * [`experiments`] — drivers regenerating every paper figure/table,
@@ -42,11 +42,12 @@
 //! `MILBACK_TELEMETRY=1` (or call `milback_telemetry::set_enabled(true)`)
 //! and every [`link`] transfer, [`session`] exchange, [`experiments`]
 //! driver and [`batch`] run records counters, histograms and spans into
-//! a process-wide registry. `milback_telemetry::snapshot()` drains it;
-//! the `bench_engine` binary embeds the snapshot in its `BENCH_*.json`
-//! output. Aggregation is sharded per worker thread and merged with
+//! a process-wide registry. `milback_telemetry::snapshot()` drains it.
+//! Aggregation is sharded per worker thread and merged with
 //! order-independent integer arithmetic, so batch totals are identical
-//! whether `MILBACK_THREADS=1` or 16 (DESIGN.md §11).
+//! whether `MILBACK_THREADS=1` or 16 (DESIGN.md §11); the workspace test
+//! `crates/core/tests/determinism.rs` compares the deterministic views
+//! of fresh processes at one and four threads.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
@@ -69,8 +70,7 @@ pub use chaos::{chaos_sweep, ChaosOutcome, ChaosPoint};
 pub use config::{ApParams, Fidelity};
 pub use link::{DownlinkReport, UplinkReport};
 pub use net::{
-    ap_line, density_sweep, net_roster, DensityPoint, Fabric, NetConfig, RoundReport,
-    RoundSchedule, Slot, SlotOutcome,
+    ap_line, net_roster, Fabric, NetConfig, RoundReport, RoundSchedule, Slot, SlotOutcome,
 };
 pub use network::{Interferer, Network};
 pub use serve::{

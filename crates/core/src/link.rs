@@ -588,14 +588,6 @@ impl Network {
         report
     }
 
-    /// The AP's two RX-antenna captures (channel output with any
-    /// scheduled impairments, before the receiver's LNA) of the most
-    /// recent [`Network::uplink`] transfer; empty before the first. For
-    /// checks that replay the receiver's stages on a real capture.
-    pub fn uplink_captures(&self) -> [&Signal; 2] {
-        [&self.link_scratch.rx0, &self.link_scratch.rx1]
-    }
-
     fn uplink_transfer(
         &mut self,
         scr: &mut LinkScratch,

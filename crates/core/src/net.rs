@@ -25,10 +25,6 @@
 //!   (`milback_ap::coverage::response_db`), with a hysteresis margin;
 //!   per-round pose drift moves border nodes across cells and every
 //!   crossing is a deterministic handoff event.
-//! * **Sharded sweeps** — [`density_sweep`] scales the §10 batch engine
-//!   across *node count* instead of trial count, feeding `bench_engine`'s
-//!   net leg (per-density outcome counts, aggregate goodput and digests,
-//!   asserted equal at one worker and at many).
 //!
 //! The fabric is a scheduler over the crate's lane pool, the same one
 //! the §15 serving engine runs on: per-node lanes, pooled scratch
@@ -44,9 +40,9 @@
 //! the deterministic per-round response ordering. Worker threads only
 //! decide *where* a slot runs, never *what* it computes, so a round is
 //! bitwise identical at any `MILBACK_THREADS` — mirroring the §15
-//! serving engine, and pinned by `tests/net.rs` plus the two-run `cmp`
-//! in `ci.sh`. Wall-clock time is confined to `.ns` telemetry and the
-//! wall/sessions-per-second report fields.
+//! serving engine, and pinned by `tests/net.rs` plus the cross-process
+//! view comparison in `crates/core/tests/determinism.rs`. Wall-clock time
+//! is confined to `.ns` telemetry and [`RoundReport::wall_s`].
 //!
 //! ## Example: a slotted round never double-books airtime
 //!
@@ -170,7 +166,7 @@ impl NetConfig {
 }
 
 /// AP positions on a line along +x at `spacing_m` intervals, the first
-/// at the origin — the corridor deployment the density sweeps use.
+/// at the origin — a corridor deployment.
 pub fn ap_line(n_aps: usize, spacing_m: f64) -> Vec<Point> {
     assert!(n_aps >= 1, "need at least one AP");
     (0..n_aps)
@@ -719,100 +715,6 @@ impl Fabric {
             overrun: airtime_s > slot.airtime_s,
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Density sweeps
-// ---------------------------------------------------------------------
-
-/// Aggregate of one density point of [`density_sweep`]. Every field is
-/// deterministic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DensityPoint {
-    /// Nodes in the fabric at this point.
-    pub nodes: usize,
-    /// APs (coverage cells).
-    pub aps: usize,
-    /// Polling rounds run.
-    pub rounds: usize,
-    /// Sessions scheduled (= nodes × rounds).
-    pub sessions: usize,
-    /// Sessions that ran to completion.
-    pub completed: usize,
-    /// Sessions that delivered.
-    pub delivered: usize,
-    /// Localization fixes produced.
-    pub fixes: usize,
-    /// Handoffs across the rounds.
-    pub handoffs: usize,
-    /// Slot overruns across the rounds.
-    pub overruns: usize,
-    /// Payload bits delivered.
-    pub delivered_bits: u64,
-    /// Total schedule airtime across the rounds, seconds.
-    pub airtime_s: f64,
-    /// Aggregate goodput over schedule airtime, bits/s (deterministic).
-    pub goodput_bps: f64,
-    /// FNV-1a fold of every round digest.
-    pub digest: u64,
-}
-
-/// Sweeps the fabric across node densities: for each entry of
-/// `densities`, builds an `n_aps`-cell corridor fabric (APs `spacing_m`
-/// apart, roster from [`net_roster`]), runs `rounds` polling rounds on
-/// `threads` workers, and aggregates. This is the §10 batch engine
-/// sharded across *node count* instead of trial count — the work inside
-/// a point is the parallel axis, so dense points scale across workers
-/// while every deterministic field stays thread-invariant.
-pub fn density_sweep(
-    densities: &[usize],
-    n_aps: usize,
-    spacing_m: f64,
-    rounds: usize,
-    config: NetConfig,
-    master_seed: u64,
-    threads: usize,
-) -> Vec<DensityPoint> {
-    let aps = ap_line(n_aps, spacing_m);
-    densities
-        .iter()
-        .map(|&nodes| {
-            let poses = net_roster(nodes, &aps, derive_seed(master_seed, nodes as u64));
-            let mut fabric = Fabric::new(&aps, &poses, config);
-            fabric.reseed(derive_seed(master_seed ^ ROSTER_SALT, nodes as u64));
-            let mut point = DensityPoint {
-                nodes,
-                aps: n_aps,
-                rounds,
-                sessions: 0,
-                completed: 0,
-                delivered: 0,
-                fixes: 0,
-                handoffs: 0,
-                overruns: 0,
-                delivered_bits: 0,
-                airtime_s: 0.0,
-                goodput_bps: 0.0,
-                digest: 0xcbf2_9ce4_8422_2325_u64,
-            };
-            for _ in 0..rounds {
-                let r = fabric.run_round(threads);
-                point.sessions += r.sessions;
-                point.completed += r.completed;
-                point.delivered += r.delivered;
-                point.fixes += r.fixes;
-                point.handoffs += r.handoffs;
-                point.overruns += r.overruns;
-                point.delivered_bits += r.delivered_bits;
-                point.airtime_s += r.round_airtime_s;
-                point.digest = fnv_word(point.digest, r.digest);
-            }
-            if point.airtime_s > 0.0 {
-                point.goodput_bps = point.delivered_bits as f64 / point.airtime_s;
-            }
-            point
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -100,7 +100,7 @@ thread_local! {
 /// Runs `f` with this thread's shared [`Field2Burst`] buffers (the
 /// render-side analogue of `milback_ap::with_workspace`). Re-entrant
 /// checkouts fall back to a fresh temporary burst.
-pub fn with_field2_burst<R>(f: impl FnOnce(&mut Field2Burst) -> R) -> R {
+fn with_field2_burst<R>(f: impl FnOnce(&mut Field2Burst) -> R) -> R {
     BURST.with(|b| match b.try_borrow_mut() {
         Ok(mut burst) => f(&mut burst),
         Err(_) => f(&mut Field2Burst::default()),
@@ -279,11 +279,16 @@ impl Network {
     ///
     /// Returns `(tx_reference, captures)` where `captures[i]` holds the
     /// two antennas' captures of chirp `i`, already including capture
-    /// noise and trigger jitter.
-    pub fn field2_captures(&mut self, n_chirps: usize) -> (Signal, Vec<[Signal; 2]>) {
+    /// noise and trigger jitter; `None` on entry, before any RNG draw,
+    /// when the node or a parked interferer cannot be rendered, as
+    /// [`Self::localize`] does.
+    pub fn field2_captures(&mut self, n_chirps: usize) -> Option<(Signal, Vec<[Signal; 2]>)> {
+        if self.render_rejected() {
+            return None;
+        }
         let mut burst = Field2Burst::default();
         with_channel_workspace(|cw| self.field2_captures_into(cw, n_chirps, &mut burst));
-        (burst.tx, burst.captures)
+        Some((burst.tx, burst.captures))
     }
 
     /// Renders a Field-2 burst into reusable [`Field2Burst`] buffers
@@ -294,6 +299,13 @@ impl Network {
     /// buffer management differs.
     /// After warm-up (same scene/pose/fidelity on this thread), a burst
     /// performs zero steady-state heap allocations.
+    ///
+    /// # Panics
+    ///
+    /// If `n_chirps < 2`, or if the node or a parked interferer sits
+    /// where the scene cannot render it (an AP antenna or a NaN
+    /// coordinate, see [`Scene::can_render_at`]). Callers check that
+    /// first, as [`Self::field2_captures`] does.
     pub fn field2_captures_into(
         &mut self,
         cw: &mut ChannelWorkspace,

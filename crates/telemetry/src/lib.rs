@@ -5,9 +5,11 @@
 //! thread-safe registry and exported as JSON snapshots. The hot pipeline
 //! (`milback-dsp` FFT plans, `milback-ap` localization stages,
 //! `milback-node` demodulation, `milback-proto` CRC/FEC/ARQ and the
-//! `milback::batch` parallel engine) reports into this crate; the
-//! `bench_engine` binary embeds the snapshot in its `BENCH_*.json`
-//! output. See DESIGN.md §11 for the data model and overhead budget.
+//! `milback::batch` parallel engine) reports into this crate; the tests
+//! compare snapshots' deterministic views across thread counts and
+//! processes, and the session benchmark (`sessbench/`) reads its layer
+//! breakdown from them. See DESIGN.md §11 for the data model and
+//! overhead budget.
 //!
 //! ## Enabling
 //!

@@ -2,10 +2,10 @@
 //!
 //! A [`Snapshot`] is an ordinary data structure (sorted maps, no locks)
 //! produced by [`crate::snapshot()`]; [`Snapshot::to_json`] renders it as
-//! a self-contained JSON object that `bench_engine` embeds under the
-//! `"telemetry"` key of its `BENCH_*.json` output. The encoder is
-//! hand-rolled (the workspace builds offline, without serde) and emits
-//! keys in sorted order so snapshots diff cleanly.
+//! a self-contained JSON object, the form in which the determinism tests
+//! compare deterministic views byte for byte. The encoder is hand-rolled
+//! (the workspace builds offline, without serde) and emits keys in sorted
+//! order so snapshots diff cleanly.
 
 use crate::hist::{bucket_upper_bound, Histogram};
 use std::collections::BTreeMap;

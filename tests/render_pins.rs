@@ -54,7 +54,7 @@ fn clutter_free(pose: Pose, seed: u64) -> Network {
 fn clutter_free_field2_burst_is_pinned() {
     let (range, azimuth, facing) = POSE;
     let mut net = clutter_free(pose(range, azimuth, facing), 0x5EED_0015);
-    let (tx, captures) = net.field2_captures(5);
+    let (tx, captures) = net.field2_captures(5).expect("the node renders");
     assert_eq!(captures.len(), 5);
     let digest = burst_digest(&tx, &captures);
     assert_eq!(
@@ -75,7 +75,7 @@ fn indoor_field2_burst_with_parked_interferers_is_pinned() {
             gamma: neighbor.parked_gamma(),
         });
     }
-    let (tx, captures) = net.field2_captures(5);
+    let (tx, captures) = net.field2_captures(5).expect("the node renders");
     let digest = burst_digest(&tx, &captures);
     assert_eq!(
         digest, 0x7d62_25e8_8ffe_dd3d,

@@ -108,7 +108,7 @@ fn templates_match_fresh_synthesis_bitwise() {
 fn nested_workspace_checkout_is_equivalent() {
     let pose = Pose::facing_ap(2.5, 0.0, 0.0);
     let mut net = Network::new(pose, Fidelity::Fast, 7);
-    let (tx, captures) = net.field2_captures(5);
+    let (tx, captures) = net.field2_captures(5).expect("the node renders");
     let localizer = net.localizer();
     let got = with_workspace(|_outer| {
         // `localize`-style inner checkout while the outer one is held.

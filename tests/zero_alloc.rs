@@ -67,7 +67,7 @@ fn warmed_hot_paths_perform_zero_heap_allocations() {
     // ---- five-chirp localization burst ------------------------------
     let pose = Pose::facing_ap(3.0, deg_to_rad(4.0), 0.0);
     let mut net = Network::new(pose, Fidelity::Fast, 0xA110C);
-    let (tx, captures) = net.field2_captures(5);
+    let (tx, captures) = net.field2_captures(5).expect("the node renders");
     let localizer = net.localizer();
     let mut ws = DspWorkspace::new();
 
