@@ -63,25 +63,6 @@ else
     echo "==> rustfmt not installed; skipping format check" >&2
 fi
 
-echo "==> kernel perf gate (burst FFT work + range FFT and burst timings vs committed baseline)"
-# bench_engine is the gate and nothing else. It first checks a
-# host-independent work count: one warmed, untimed localization burst
-# must record the committed number and total size of FFTs (DESIGN.md
-# §17.3). Then it times the localization burst and the range-FFT kernel
-# on one core at full reps (matching how the baseline was recorded;
-# ~4 s) and fails if either regressed more than 10% against the
-# committed BENCH_6.json (an unreadable baseline fails at once), with
-# bounded re-measures on a miss. The gate normalizes by the calibration
-# workload (DESIGN.md §17.3) only when the baseline records
-# timing_calibration.calib_us; BENCH_6.json does not, so this step
-# compares raw wall clocks and is exposed to shared-host load. The gate
-# prints which mode it ran in. The bitwise checks of the receive chain
-# and the caches are tests (tests/README.md maps each), and the
-# cross-process, cross-thread-count determinism views are compared by
-# crates/core/tests/determinism.rs; both run in the cargo test step.
-cargo run --release --offline -p milback-bench --bin bench_engine -- \
-    --check-against BENCH_6.json
-
 echo "==> session paths read no ground truth (no true_orientation/plan_tones/use_truth in session, lanes, serve, net)"
 # A session plans its carriers once per packet, from the AP orientation
 # its own Field-2 burst sensed; a shed session plans from the lane's
@@ -175,5 +156,41 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q \
     -p milback -p milback-dsp -p milback-rf -p milback-hw \
     -p milback-proto -p milback-node -p milback-ap -p milback-baseline \
     -p milback-bench -p milback-repro -p milback-telemetry
+
+echo "==> one scratch home (no thread-local scratch in ap/rf, no retired checkout helpers)"
+# A session renders and decodes only in its SessionCtx (DESIGN.md §12.2,
+# §13); the only scratch thread-local left is Session::run's shared
+# context in crates/core/src/session.rs. The ap and rf crates own no
+# thread-local state at all, and the three retired try-borrow-or-fresh
+# helpers must not come back anywhere in the code.
+if grep -rn 'thread_local!' crates/ap/src crates/rf/src; then
+    echo "thread-local state in the ap or rf crate (matches above)" >&2
+    exit 1
+fi
+if grep -rnwE 'with_workspace|with_channel_workspace|with_field2_burst' crates tests examples src sessbench/src; then
+    echo "a retired scratch checkout helper is back (matches above)" >&2
+    exit 1
+fi
+
+echo "==> kernel perf gate (burst FFT work + range FFT and burst timings vs committed baseline)"
+# bench_engine is the gate and nothing else. It first checks a
+# host-independent work count: one warmed, untimed localization burst
+# must record the committed number and total size of FFTs (DESIGN.md
+# §17.3). Then it times the localization burst and the range-FFT kernel
+# on one core at full reps (matching how the baseline was recorded;
+# ~4 s) and fails if either regressed more than 10% against the
+# committed BENCH_6.json (an unreadable baseline fails at once), with
+# bounded re-measures on a miss. The gate normalizes by the calibration
+# workload (DESIGN.md §17.3) only when the baseline records
+# timing_calibration.calib_us; BENCH_6.json does not, so this step
+# compares raw wall clocks and is exposed to shared-host load. The gate
+# prints which mode it ran in. The bitwise checks of the receive chain
+# and the caches are tests (tests/README.md maps each), and the
+# cross-process, cross-thread-count determinism views are compared by
+# crates/core/tests/determinism.rs; both run in the cargo test step.
+# The gate runs last: under `set -e` a red gate (ROADMAP item 1) would
+# otherwise stop the script before the checks above.
+cargo run --release --offline -p milback-bench --bin bench_engine -- \
+    --check-against BENCH_6.json
 
 echo "==> CI green"

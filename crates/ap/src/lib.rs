@@ -14,6 +14,7 @@
 //! * [`tone_select`] — orientation-driven OAQFM carrier selection,
 //! * [`workspace`] — reusable buffer sets ([`workspace::DspWorkspace`])
 //!   that make the localization hot loop allocation-free (DESIGN.md §12).
+//!   Callers own them; the crate keeps no thread-local scratch.
 //!
 //! ## Place in the paper's architecture
 //!
@@ -52,4 +53,4 @@ pub use ranging::{LocalizationResult, Localizer};
 pub use tone_select::{select_tones, ToneSelection};
 pub use uplink::{ook_ber, UplinkReceiver, UplinkScratch, UplinkStats, UPLINK_PILOT};
 pub use waveform::TxConfig;
-pub use workspace::{with_workspace, DspWorkspace};
+pub use workspace::DspWorkspace;

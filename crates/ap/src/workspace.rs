@@ -12,30 +12,22 @@
 //!
 //! ## Ownership rules
 //!
-//! * A workspace is plain mutable state — callers may own one directly
-//!   ([`DspWorkspace::new`]) and thread it through
-//!   [`crate::ranging::Localizer::process_with`] and friends.
-//! * [`with_workspace`] lends the thread-local workspace instead, which
-//!   is what `milback::batch` workers use: each worker thread warms its
-//!   own workspace on the first trial and reuses it for the rest of the
-//!   batch. Re-entrant use (a closure calling [`with_workspace`] again)
-//!   falls back to a fresh temporary workspace rather than panicking.
-//! * Buffers only ever grow (to the largest capture processed on that
-//!   thread); nothing shrinks or frees until the thread exits.
+//! * A workspace is plain mutable state owned by its caller
+//!   ([`DspWorkspace::new`]) and threaded through
+//!   [`crate::ranging::Localizer::process_with`] and friends. This crate
+//!   keeps no workspace of its own: the `milback` core's `SessionCtx`
+//!   holds the one a session runs in.
+//! * Buffers only ever grow (to the largest capture processed in that
+//!   workspace); nothing shrinks or frees until the owner drops it.
 //!
 //! ## Telemetry
 //!
-//! * `dsp.workspace.reuse` — one count per [`with_workspace`] checkout.
-//!   Checkout counts depend only on the work submitted, so the counter
-//!   is thread-invariant and survives the deterministic telemetry view.
 //! * `dsp.workspace.grow.local` — one count per buffer reallocation
 //!   (reported by the fill sites via `milback_dsp::buffer`). Growth
 //!   depends on per-thread warm-up order, hence `.local`.
 
 use crate::ranging::NodeDetection;
 use milback_dsp::num::Cpx;
-use milback_telemetry as telemetry;
-use std::cell::RefCell;
 
 /// One RX antenna's chain buffers: dechirp → range FFT → profiles →
 /// consecutive-chirp differences. Each antenna owns its own set, so the
@@ -89,24 +81,6 @@ impl DspWorkspace {
     }
 }
 
-thread_local! {
-    static WORKSPACE: RefCell<DspWorkspace> = RefCell::new(DspWorkspace::new());
-}
-
-/// Runs `f` with this thread's shared [`DspWorkspace`].
-///
-/// Counts one `dsp.workspace.reuse` per checkout. If the workspace is
-/// already checked out further up the stack (re-entrant use), `f` runs
-/// on a fresh temporary workspace instead — correctness never depends
-/// on which buffer set a call lands on.
-pub fn with_workspace<R>(f: impl FnOnce(&mut DspWorkspace) -> R) -> R {
-    telemetry::counter_add("dsp.workspace.reuse", 1);
-    WORKSPACE.with(|w| match w.try_borrow_mut() {
-        Ok(mut ws) => f(&mut ws),
-        Err(_) => f(&mut DspWorkspace::new()),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,24 +95,5 @@ mod tests {
         assert_eq!(pool[1].capacity(), caps[1]);
         DspWorkspace::ensure_pool(&mut pool, 1);
         assert_eq!(pool.len(), 1);
-    }
-
-    #[test]
-    fn with_workspace_reuses_buffers_and_tolerates_nesting() {
-        std::thread::spawn(|| {
-            with_workspace(|ws| {
-                ws.antennas[1].dechirp.resize(100, Cpx::new(0.0, 0.0));
-            });
-            with_workspace(|ws| {
-                let cap = ws.antennas[1].dechirp.capacity();
-                assert!(cap >= 100, "workspace was not reused");
-                // Nested checkout must not panic; it sees a fresh set.
-                with_workspace(|inner| {
-                    assert_eq!(inner.antennas[1].dechirp.capacity(), 0);
-                });
-            });
-        })
-        .join()
-        .unwrap();
     }
 }

@@ -7,7 +7,7 @@
 use crate::batch;
 use crate::config::Fidelity;
 use crate::network::Network;
-use milback_ap::with_workspace;
+use crate::session::with_run_ctx;
 use milback_dsp::detect::{argmax, parabolic_refine};
 use milback_dsp::noise::ratio_to_db;
 use milback_dsp::stats;
@@ -199,11 +199,15 @@ pub fn ablation_chirp_count(trials: usize, seed: u64) -> Vec<ChirpCountRow> {
     let results = batch::par_map(&inputs, |&(n_chirps, trial_seed, phi), _| {
         let pose = Pose::facing_ap(d, phi, 0.0);
         let mut net = Network::new(pose, Fidelity::Fast, trial_seed);
-        let (tx, captures) = net.field2_captures(n_chirps)?;
         let loc = net.localizer();
-        with_workspace(|ws| loc.process_with(ws, &tx, &captures))
-            .map(|fix| (fix.range - d).abs())
-            .filter(|err| *err < 0.5)
+        with_run_ctx(|ctx| {
+            if !net.field2_captures_into(&mut ctx.chan, n_chirps, &mut ctx.burst) {
+                return None;
+            }
+            loc.process_with(&mut ctx.dsp, &ctx.burst.tx, &ctx.burst.captures)
+        })
+        .map(|fix| (fix.range - d).abs())
+        .filter(|err| *err < 0.5)
     });
     results
         .chunks(trials.max(1))
@@ -259,12 +263,16 @@ pub fn ablation_window(trials: usize, seed: u64) -> Vec<WindowRow> {
     let results = batch::par_map(&inputs, |&(window, trial_seed, phi), _| {
         let pose = Pose::facing_ap(d, phi, 0.0);
         let mut net = Network::new(pose, Fidelity::Fast, trial_seed);
-        let (tx, captures) = net.field2_captures(5)?;
         let mut loc = net.localizer();
         loc.proc.window = window;
-        with_workspace(|ws| loc.process_with(ws, &tx, &captures))
-            .map(|fix| (fix.range - d).abs())
-            .filter(|err| *err < 0.5)
+        with_run_ctx(|ctx| {
+            if !net.field2_captures_into(&mut ctx.chan, 5, &mut ctx.burst) {
+                return None;
+            }
+            loc.process_with(&mut ctx.dsp, &ctx.burst.tx, &ctx.burst.captures)
+        })
+        .map(|fix| (fix.range - d).abs())
+        .filter(|err| *err < 0.5)
     });
     results
         .chunks(trials.max(1))

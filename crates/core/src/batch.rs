@@ -19,12 +19,13 @@
 //! `MILBACK_THREADS` environment variable (`MILBACK_THREADS=1` forces
 //! serial execution, useful for benchmarking the speedup itself).
 //!
-//! Memory: each worker thread carries its own thread-local
-//! [`milback_ap::workspace::DspWorkspace`] (plus the thread-local FFT plan
-//! cache), so a worker warms its DSP buffers on its first trial and every
-//! later trial in the batch runs allocation-free through the hot pipeline
-//! (DESIGN.md §12). Buffer placement never changes FP values, so the
-//! determinism contract above is unaffected.
+//! Memory: a trial that goes through a public entry point
+//! (`Network::localize`, `Session::run`, ...) runs in its worker
+//! thread's shared [`crate::SessionCtx`] (plus the thread-local FFT plan
+//! cache), so a worker warms its buffers and channel caches on its
+//! first trial and every later trial in the batch runs allocation-free
+//! through the hot pipeline (DESIGN.md §12). Buffer placement never
+//! changes FP values, so the determinism contract above is unaffected.
 //!
 //! Cores: while scoped workers run, the engine holds a
 //! [`par::occupy`]`(threads)` guard, so a trial's receive chains use the

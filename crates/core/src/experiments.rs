@@ -5,6 +5,7 @@
 use crate::batch;
 use crate::config::Fidelity;
 use crate::network::Network;
+use crate::session::with_run_ctx;
 use milback_ap::tone_select::ToneSelection;
 use milback_ap::uplink::ook_ber;
 use milback_dsp::noise::ratio_to_db;
@@ -162,7 +163,16 @@ pub fn fig11_oaqfm_micro(seed: u64) -> Fig11Trace {
     let comp_b = TxComponent::tone(wave_b, f_b);
 
     let [mut at_a, mut at_b, mut tmp] = [(); 3].map(|_| Signal::new(fs, fc, Vec::new()));
-    net.render_tones_to_ports_into(&comp_a, &comp_b, &mut at_a, &mut at_b, &mut tmp);
+    with_run_ctx(|ctx| {
+        net.render_tones_to_ports_into(
+            &mut ctx.chan,
+            &comp_a,
+            &comp_b,
+            &mut at_a,
+            &mut at_b,
+            &mut tmp,
+        )
+    });
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5111);
     let det_a = net.node.receive_port_video(&at_a, &mut rng);

@@ -2,14 +2,15 @@
 //! (paper §6.1–6.2) and backscatter uplink (§6.3), including carrier
 //! selection from the sensed orientation.
 //!
-//! All per-transfer working buffers live in `LinkScratch`, pooled on
-//! the [`Network`]: a warmed downlink or uplink performs zero heap
+//! All per-transfer working buffers live in `LinkScratch`, pooled in
+//! the caller's [`SessionCtx`] next to the channel caches the transfer
+//! renders through: a warmed downlink or uplink performs zero heap
 //! allocations on the node/AP signal path (`tests/zero_alloc.rs` pins
-//! this). The only steady-state allocations left are the decoded payload
-//! `Vec<u8>` handed to the caller and the AP uplink receiver's internal
-//! demodulation buffers (see [`Network::uplink`]).
+//! this). The only steady-state allocation left is the decoded payload
+//! `Vec<u8>` handed to the caller.
 
 use crate::network::Network;
+use crate::session::{with_run_ctx, SessionCtx};
 use milback_ap::tone_select::{select_tones, ToneSelection};
 use milback_ap::uplink::{UplinkReceiver, UplinkScratch, UPLINK_PILOT};
 use milback_ap::waveform;
@@ -25,7 +26,7 @@ use milback_proto::bits::{bit_errors, bits_to_symbols_into, symbols_to_bits_into
 use milback_proto::frame::{decode_frame_with, encode_frame_into, FrameError, FrameScratch};
 use milback_rf::channel::{GammaRun, NodeInterface, TxComponent};
 use milback_rf::fsa::Port;
-use milback_rf::{wave_fingerprint, with_channel_workspace};
+use milback_rf::{wave_fingerprint, ChannelWorkspace};
 use milback_telemetry as telemetry;
 
 /// Minimum tone separation before falling back to single-carrier OOK:
@@ -72,7 +73,6 @@ struct QueryKey {
 /// [`TxComponent`]s plus their wave fingerprints. Repeated uplink
 /// transfers on the same plan reuse these instead of re-synthesizing
 /// and re-hashing every time.
-#[derive(Clone)]
 struct QueryCache {
     key: QueryKey,
     comp_a: TxComponent,
@@ -81,11 +81,9 @@ struct QueryCache {
     fp_b: u64,
 }
 
-/// Pooled working buffers for downlink/uplink transfers, owned by the
-/// [`Network`]. Every transfer `std::mem::take`s the scratch out of the
-/// network, reuses its capacity, and puts it back — so a warmed link
-/// layer stops allocating.
-#[derive(Clone)]
+/// Pooled working buffers for downlink/uplink transfers, held by a
+/// [`SessionCtx`]. Every transfer reuses their capacity, so a warmed
+/// link layer stops allocating.
 pub(crate) struct LinkScratch {
     /// Encoded frame symbols (payload + CRC).
     frame: Vec<OaqfmSymbol>,
@@ -250,13 +248,12 @@ impl Network {
     /// receives from the other tone's side lobes (`tmp` holds the
     /// cross-tone render between adds).
     ///
-    /// The four port renders share one [`ChannelWorkspace`] borrow and
-    /// each component's [`wave_fingerprint`] is computed once, so the
-    /// hoisted port tables are reused across ports and transfers.
-    ///
-    /// [`ChannelWorkspace`]: milback_rf::ChannelWorkspace
+    /// The four port renders go through `cw` and each component's
+    /// [`wave_fingerprint`] is computed once, so the hoisted port tables
+    /// are reused across ports and transfers.
     pub(crate) fn render_tones_to_ports_into(
         &self,
+        cw: &mut ChannelWorkspace,
         comp_a: &TxComponent,
         comp_b: &TxComponent,
         at_a: &mut Signal,
@@ -267,28 +264,28 @@ impl Network {
         let fp_b = wave_fingerprint(comp_b);
         let pose = &self.node.pose;
         let fsa = &self.node.fsa;
-        with_channel_workspace(|ws| {
-            self.scene
-                .to_node_port_into(ws, comp_a, fp_a, pose, fsa, Port::A, at_a);
-            self.scene
-                .to_node_port_into(ws, comp_b, fp_b, pose, fsa, Port::A, tmp);
-            at_a.add(tmp);
-            self.scene
-                .to_node_port_into(ws, comp_b, fp_b, pose, fsa, Port::B, at_b);
-            self.scene
-                .to_node_port_into(ws, comp_a, fp_a, pose, fsa, Port::B, tmp);
-            at_b.add(tmp);
-        });
+        let scene = &self.scene;
+        scene.to_node_port_into(cw, comp_a, fp_a, pose, fsa, Port::A, at_a);
+        scene.to_node_port_into(cw, comp_b, fp_b, pose, fsa, Port::A, tmp);
+        at_a.add(tmp);
+        scene.to_node_port_into(cw, comp_b, fp_b, pose, fsa, Port::B, at_b);
+        scene.to_node_port_into(cw, comp_a, fp_a, pose, fsa, Port::B, tmp);
+        at_b.add(tmp);
     }
 
     /// Chooses OAQFM carriers for the node's current (AP-estimated)
     /// orientation. Uses the true orientation when `use_truth` — handy in
     /// microbenchmarks — otherwise runs AP-side orientation sensing first.
     pub fn plan_tones(&mut self, use_truth: bool) -> Option<ToneSelection> {
+        with_run_ctx(|ctx| self.plan_tones_in(ctx, use_truth))
+    }
+
+    /// [`Self::plan_tones`], sensing in caller-owned scratch.
+    fn plan_tones_in(&mut self, ctx: &mut SessionCtx, use_truth: bool) -> Option<ToneSelection> {
         let orientation = if use_truth {
             self.true_orientation()
         } else {
-            self.sense_orientation_at_ap()?
+            self.sense_orientation_at_ap_in(ctx)?
         };
         select_tones(&self.node.fsa, orientation, MIN_TONE_SEPARATION)
     }
@@ -307,24 +304,29 @@ impl Network {
     /// `None` when no carrier plan exists.
     ///
     /// Steady-state allocations: only the decoded payload `Vec<u8>` in
-    /// the report — all working buffers are pooled in the network's
-    /// `LinkScratch`.
+    /// the report — all working buffers are pooled in the thread's
+    /// shared [`SessionCtx`].
     pub fn downlink(
         &mut self,
         payload: &[u8],
         symbol_rate: f64,
         use_truth: bool,
     ) -> Option<DownlinkReport> {
-        self.downlink_in(payload, symbol_rate, |net| net.plan_tones(use_truth))
+        with_run_ctx(|ctx| {
+            self.downlink_in(ctx, payload, symbol_rate, |net, ctx| {
+                net.plan_tones_in(ctx, use_truth)
+            })
+        })
     }
 
-    /// The one downlink transfer: [`Network::downlink`]'s checks, then
-    /// the carriers `tones` plans once both pass.
+    /// The one downlink transfer, in `ctx`: [`Network::downlink`]'s
+    /// checks, then the carriers `tones` plans once both pass.
     pub(crate) fn downlink_in(
         &mut self,
+        ctx: &mut SessionCtx,
         payload: &[u8],
         symbol_rate: f64,
-        tones: impl FnOnce(&mut Self) -> Option<ToneSelection>,
+        tones: impl FnOnce(&mut Self, &mut SessionCtx) -> Option<ToneSelection>,
     ) -> Option<DownlinkReport> {
         let _span = telemetry::span("core.link.downlink.ns");
         if !downlink_rate_ok(symbol_rate) {
@@ -334,18 +336,15 @@ impl Network {
         if self.render_rejected() {
             return None;
         }
-        let tones = tones(self)?;
-        let mut scr = std::mem::take(&mut self.link_scratch);
+        let tones = tones(self, ctx)?;
+        let scr = &mut ctx.link;
         encode_frame_into(payload, &mut scr.codec, &mut scr.frame);
         let report = match tones {
             ToneSelection::Dual { f_a, f_b } => {
-                self.downlink_dual(&mut scr, payload, f_a, f_b, symbol_rate, tones)
+                self.downlink_dual(ctx, payload, f_a, f_b, symbol_rate, tones)
             }
-            ToneSelection::Single { f } => {
-                self.downlink_ook(&mut scr, payload, f, symbol_rate, tones)
-            }
+            ToneSelection::Single { f } => self.downlink_ook(ctx, payload, f, symbol_rate, tones),
         };
-        self.link_scratch = scr;
         telemetry::counter_add("core.link.downlink.frames", 1);
         telemetry::counter_add("core.link.downlink.bits", report.total_bits as u64);
         telemetry::counter_add("core.link.downlink.bit_errors", report.bit_errors as u64);
@@ -360,13 +359,14 @@ impl Network {
 
     fn downlink_dual(
         &mut self,
-        scr: &mut LinkScratch,
+        ctx: &mut SessionCtx,
         payload: &[u8],
         f_a: f64,
         f_b: f64,
         symbol_rate: f64,
         tones: ToneSelection,
     ) -> DownlinkReport {
+        let (cw, scr) = (&mut ctx.chan, &mut ctx.link);
         // Pilot + frame, so the node's threshold sees both levels early.
         scr.symbols.clear();
         scr.symbols.extend_from_slice(&UPLINK_PILOT);
@@ -397,6 +397,7 @@ impl Network {
 
         // Signal at each FSA port = wanted tone + cross-tone leakage.
         self.render_tones_to_ports_into(
+            cw,
             &comp_a,
             &comp_b,
             &mut scr.at_a,
@@ -475,12 +476,13 @@ impl Network {
 
     fn downlink_ook(
         &mut self,
-        scr: &mut LinkScratch,
+        ctx: &mut SessionCtx,
         payload: &[u8],
         f: f64,
         symbol_rate: f64,
         tones: ToneSelection,
     ) -> DownlinkReport {
+        let (cw, scr) = (&mut ctx.chan, &mut ctx.link);
         // OOK fallback: 1 bit per symbol on a single carrier.
         symbols_to_bits_into(&scr.frame, &mut scr.sent_bits);
         scr.bits_a.clear();
@@ -498,12 +500,10 @@ impl Network {
         let fp = wave_fingerprint(&comp);
         let pose = &self.node.pose;
         let fsa = &self.node.fsa;
-        with_channel_workspace(|ws| {
-            self.scene
-                .to_node_port_into(ws, &comp, fp, pose, fsa, Port::A, &mut scr.at_a);
-            self.scene
-                .to_node_port_into(ws, &comp, fp, pose, fsa, Port::B, &mut scr.at_b);
-        });
+        self.scene
+            .to_node_port_into(cw, &comp, fp, pose, fsa, Port::A, &mut scr.at_a);
+        self.scene
+            .to_node_port_into(cw, &comp, fp, pose, fsa, Port::B, &mut scr.at_b);
 
         let p_tx = self.ap.tx.amplitude().powi(2);
         let chain = self.node_chain_gain();
@@ -554,24 +554,29 @@ impl Network {
     /// when no carrier plan exists.
     ///
     /// Steady-state allocations: the decoded payload `Vec<u8>`; the
-    /// node, channel and AP receiver buffers are pooled in
-    /// `LinkScratch`. `tests/zero_alloc.rs` pins the total with an upper
-    /// bound.
+    /// node, channel and AP receiver buffers are pooled in the thread's
+    /// shared [`SessionCtx`]. `tests/zero_alloc.rs` pins the total with
+    /// an upper bound.
     pub fn uplink(
         &mut self,
         payload: &[u8],
         symbol_rate: f64,
         use_truth: bool,
     ) -> Option<UplinkReport> {
-        self.uplink_in(payload, symbol_rate, |net| net.plan_tones(use_truth))
+        with_run_ctx(|ctx| {
+            self.uplink_in(ctx, payload, symbol_rate, |net, ctx| {
+                net.plan_tones_in(ctx, use_truth)
+            })
+        })
     }
 
-    /// The one uplink transfer, as [`Network::downlink_in`].
+    /// The one uplink transfer, in `ctx`, as [`Network::downlink_in`].
     pub(crate) fn uplink_in(
         &mut self,
+        ctx: &mut SessionCtx,
         payload: &[u8],
         symbol_rate: f64,
-        tones: impl FnOnce(&mut Self) -> Option<ToneSelection>,
+        tones: impl FnOnce(&mut Self, &mut SessionCtx) -> Option<ToneSelection>,
     ) -> Option<UplinkReport> {
         let _span = telemetry::span("core.link.uplink.ns");
         if !uplink_rate_ok(symbol_rate) {
@@ -581,20 +586,18 @@ impl Network {
         if self.render_rejected() {
             return None;
         }
-        let tones = tones(self)?;
-        let mut scr = std::mem::take(&mut self.link_scratch);
-        let report = self.uplink_transfer(&mut scr, payload, symbol_rate, tones);
-        self.link_scratch = scr;
-        report
+        let tones = tones(self, ctx)?;
+        self.uplink_transfer(ctx, payload, symbol_rate, tones)
     }
 
     fn uplink_transfer(
         &mut self,
-        scr: &mut LinkScratch,
+        ctx: &mut SessionCtx,
         payload: &[u8],
         symbol_rate: f64,
         tones: ToneSelection,
     ) -> Option<UplinkReport> {
+        let (cw, scr) = (&mut ctx.chan, &mut ctx.link);
         let (f_a, f_b) = match tones {
             ToneSelection::Dual { f_a, f_b } => (f_a, f_b),
             // Normal incidence: both ports reflect the same tone; the AP
@@ -636,7 +639,7 @@ impl Network {
         // node's FSA gain is evaluated at that tone's frequency (the whole
         // point of OAQFM: each tone talks to one port's beam). Query tones
         // only depend on the carrier plan, so repeated transfers on one
-        // plan pull them from the per-network cache instead of
+        // plan pull them from the scratch's cache instead of
         // re-synthesizing and re-fingerprinting. The plan follows the
         // sensed orientation continuously, so a new plan synthesizes its
         // tones straight into this cache and nowhere else.
@@ -680,9 +683,8 @@ impl Network {
             return None;
         }
         // Four monostatic renders (two tones × two RX antennas) share one
-        // workspace borrow and one Γ-run fill; the per-tone ray tables and
-        // static responses are built once and replayed for the other
-        // antenna/transfer.
+        // Γ-run fill; the per-tone ray tables and static responses are
+        // built once in `cw` and replayed for the other antenna/transfer.
         {
             self.node
                 .gamma_runs_into(&scr.sched_a, &scr.sched_b, fs, n, &mut scr.gamma_runs);
@@ -692,30 +694,13 @@ impl Network {
                 gamma: &scr.gamma_runs,
             };
             let nodes = std::slice::from_ref(&node_if);
-            with_channel_workspace(|ws| {
-                self.scene
-                    .monostatic_rx_multi_into(ws, &q.comp_a, q.fp_a, nodes, 0, &mut scr.rx0);
-                self.scene.monostatic_rx_multi_into(
-                    ws,
-                    &q.comp_b,
-                    q.fp_b,
-                    nodes,
-                    0,
-                    &mut scr.port_tmp,
-                );
-                scr.rx0.add(&scr.port_tmp);
-                self.scene
-                    .monostatic_rx_multi_into(ws, &q.comp_a, q.fp_a, nodes, 1, &mut scr.rx1);
-                self.scene.monostatic_rx_multi_into(
-                    ws,
-                    &q.comp_b,
-                    q.fp_b,
-                    nodes,
-                    1,
-                    &mut scr.port_tmp,
-                );
-                scr.rx1.add(&scr.port_tmp);
-            });
+            let scene = &self.scene;
+            scene.monostatic_rx_multi_into(cw, &q.comp_a, q.fp_a, nodes, 0, &mut scr.rx0);
+            scene.monostatic_rx_multi_into(cw, &q.comp_b, q.fp_b, nodes, 0, &mut scr.port_tmp);
+            scr.rx0.add(&scr.port_tmp);
+            scene.monostatic_rx_multi_into(cw, &q.comp_a, q.fp_a, nodes, 1, &mut scr.rx1);
+            scene.monostatic_rx_multi_into(cw, &q.comp_b, q.fp_b, nodes, 1, &mut scr.port_tmp);
+            scr.rx1.add(&scr.port_tmp);
         }
         // Scheduled impairments act on the AP's captures post-synthesis
         // (no-op, bitwise, when the plan is empty).
@@ -953,15 +938,21 @@ mod tests {
 
     #[test]
     fn debug_output_summarizes_the_pooled_buffers() {
-        // A warmed scratch holds multi-MB signals; printing a network
-        // (a panic message, a log line) must not dump them.
+        // A warmed scratch holds multi-MB signals; printing it or the
+        // network (a panic message, a log line) must not dump them.
         let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0));
         let mut net = Network::new(pose, Fidelity::Fast, 54);
-        net.uplink(&[0x5A; 16], 5e6, true).expect("no uplink");
-        net.downlink(&[0xA5; 16], 1e6, true).expect("no downlink");
-        let printed = format!("{net:?}");
-        assert!(printed.len() < 16_000, "{} bytes", printed.len());
-        assert!(printed.contains("LinkScratch") && printed.contains("QueryKey"));
+        let mut ctx = SessionCtx::new();
+        let truth = |net: &mut Network, ctx: &mut SessionCtx| net.plan_tones_in(ctx, true);
+        net.uplink_in(&mut ctx, &[0x5A; 16], 5e6, truth)
+            .expect("no uplink");
+        net.downlink_in(&mut ctx, &[0xA5; 16], 1e6, truth)
+            .expect("no downlink");
+        let scratch = format!("{:?}", ctx.link);
+        for printed in [&scratch, &format!("{net:?}")] {
+            assert!(printed.len() < 16_000, "{} bytes", printed.len());
+        }
+        assert!(scratch.contains("LinkScratch") && scratch.contains("QueryKey"));
     }
 
     #[test]

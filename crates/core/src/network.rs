@@ -6,7 +6,7 @@
 //! communication procedures live in [`crate::link`].
 
 use crate::config::{ApParams, Fidelity};
-use crate::link::LinkScratch;
+use crate::session::{with_run_ctx, SessionCtx};
 use milback_ap::dechirp::RangeProcessor;
 use milback_ap::orientation::ApOrientationEstimator;
 use milback_ap::ranging::{LocalizationResult, Localizer};
@@ -24,13 +24,10 @@ use milback_rf::channel::{
 use milback_rf::faults::FaultPlan;
 use milback_rf::fsa::{DualPortFsa, Port};
 use milback_rf::geometry::{Pose, SPEED_OF_LIGHT};
-use milback_rf::workspace::{
-    fsa_fingerprint, wave_fingerprint, with_channel_workspace, ChannelWorkspace,
-};
+use milback_rf::workspace::{fsa_fingerprint, wave_fingerprint, ChannelWorkspace};
 use milback_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
 
 /// A neighboring node whose leftover reflection clutters this network's
 /// Field-2 captures (inter-node interference, DESIGN.md §16). Plain
@@ -93,20 +90,6 @@ impl Default for Field2Burst {
     }
 }
 
-thread_local! {
-    static BURST: RefCell<Field2Burst> = RefCell::new(Field2Burst::default());
-}
-
-/// Runs `f` with this thread's shared [`Field2Burst`] buffers (the
-/// render-side analogue of `milback_ap::with_workspace`). Re-entrant
-/// checkouts fall back to a fresh temporary burst.
-fn with_field2_burst<R>(f: impl FnOnce(&mut Field2Burst) -> R) -> R {
-    BURST.with(|b| match b.try_borrow_mut() {
-        Ok(mut burst) => f(&mut burst),
-        Err(_) => f(&mut Field2Burst::default()),
-    })
-}
-
 /// Everything the node's noiseless Field-1 port videos depend on, `f64`s
 /// by bit pattern (DESIGN.md §13.6): the scene's static fingerprint
 /// (which folds the steer), the node's pose and FSA, the chirp with its
@@ -165,7 +148,9 @@ impl Field1Videos {
     }
 }
 
-/// A complete single-node MilBack deployment.
+/// A complete single-node MilBack deployment: deployment state only.
+/// Reusable scratch (DSP and link buffers, the channel caches) lives in
+/// a [`SessionCtx`].
 #[derive(Debug, Clone)]
 pub struct Network {
     /// The propagation scene (clutter, antennas, self-interference).
@@ -190,10 +175,6 @@ pub struct Network {
     /// fills this per scheduled slot.
     pub interferers: Vec<Interferer>,
     rng: StdRng,
-    /// Pooled link-layer working buffers: downlink/uplink transfers
-    /// `mem::take` this, reuse its capacity, and put it back, so warmed
-    /// transfers stop allocating (`tests/zero_alloc.rs`).
-    pub(crate) link_scratch: LinkScratch,
     /// The node's noiseless Field-1 port videos, filled by
     /// [`Self::warm_field1_videos`].
     pub(crate) field1: Field1Videos,
@@ -226,7 +207,6 @@ impl Network {
             clock_s: 0.0,
             interferers: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
-            link_scratch: LinkScratch::default(),
             field1: Field1Videos::default(),
             sensed_orientation: None,
         }
@@ -283,12 +263,10 @@ impl Network {
     /// when the node or a parked interferer cannot be rendered, as
     /// [`Self::localize`] does.
     pub fn field2_captures(&mut self, n_chirps: usize) -> Option<(Signal, Vec<[Signal; 2]>)> {
-        if self.render_rejected() {
-            return None;
-        }
         let mut burst = Field2Burst::default();
-        with_channel_workspace(|cw| self.field2_captures_into(cw, n_chirps, &mut burst));
-        Some((burst.tx, burst.captures))
+        let rendered =
+            with_run_ctx(|ctx| self.field2_captures_into(&mut ctx.chan, n_chirps, &mut burst));
+        rendered.then_some((burst.tx, burst.captures))
     }
 
     /// Renders a Field-2 burst into reusable [`Field2Burst`] buffers
@@ -297,22 +275,29 @@ impl Network {
     /// order (per chirp, one word for the trigger jitter, then one AWGN
     /// stream key per antenna) and the same sample arithmetic; only the
     /// buffer management differs.
-    /// After warm-up (same scene/pose/fidelity on this thread), a burst
-    /// performs zero steady-state heap allocations.
+    /// After warm-up (same scene/pose/fidelity in `cw` and `burst`), a
+    /// burst performs zero steady-state heap allocations.
+    ///
+    /// Returns `false`, having rendered nothing and drawn nothing from
+    /// the RNG, when the node or a parked interferer sits where the scene
+    /// cannot render it (an AP antenna or a NaN coordinate, see
+    /// [`Scene::can_render_at`]; counted as
+    /// `core.network.render.rejected`); `true` once `burst` holds the
+    /// captures.
     ///
     /// # Panics
     ///
-    /// If `n_chirps < 2`, or if the node or a parked interferer sits
-    /// where the scene cannot render it (an AP antenna or a NaN
-    /// coordinate, see [`Scene::can_render_at`]). Callers check that
-    /// first, as [`Self::field2_captures`] does.
+    /// If `n_chirps < 2`.
     pub fn field2_captures_into(
         &mut self,
         cw: &mut ChannelWorkspace,
         n_chirps: usize,
         burst: &mut Field2Burst,
-    ) {
+    ) -> bool {
         assert!(n_chirps >= 2, "need at least two chirps");
+        if self.render_rejected() {
+            return false;
+        }
         telemetry::counter_add("core.network.field2.render", 1);
         let cfg = self.fidelity.sawtooth();
         let mut chirp_cfg = cfg;
@@ -330,7 +315,7 @@ impl Network {
             match burst.comp.as_ref() {
                 Some(c) => c,
                 // Checked `is_some` above; unreachable.
-                None => return,
+                None => return false,
             }
         } else {
             let fresh = TxComponent {
@@ -436,6 +421,7 @@ impl Network {
                 self.faults.apply_to_rx(self.clock_s + t_off, i, rx);
             }
         }
+        true
     }
 
     /// Whether the node cannot be rendered: the node or a parked
@@ -456,25 +442,25 @@ impl Network {
         !renderable
     }
 
-    /// Renders one five-chirp Field-2 burst into this thread's buffers
+    /// Renders one Field-2 burst of the packet's chirp count into `ctx`
     /// and localizes from it: the tail [`Self::localize`] and
     /// [`Self::sense_orientation_at_ap`] share. With `orient`, the AP
     /// orientation is gated from the same diffs. `None` without a fix,
     /// and on entry, before any RNG draw, when the node or a parked
     /// interferer cannot be rendered.
-    fn field2_pass(&mut self, orient: bool) -> Option<(LocalizationResult, Option<f64>)> {
-        if self.render_rejected() {
+    fn field2_pass(
+        &mut self,
+        ctx: &mut SessionCtx,
+        orient: bool,
+    ) -> Option<(LocalizationResult, Option<f64>)> {
+        let n_chirps = self.fidelity.packet().field2_count;
+        if !self.field2_captures_into(&mut ctx.chan, n_chirps, &mut ctx.burst) {
             return None;
         }
-        with_field2_burst(|burst| {
-            with_channel_workspace(|cw| self.field2_captures_into(cw, 5, burst));
-            milback_ap::with_workspace(|ws| {
-                let localizer = self.localizer();
-                let fix = localizer.process_with(ws, &burst.tx, &burst.captures)?;
-                let orientation = orient.then(|| self.ap_orientation_in(ws, &burst.tx));
-                Some((fix, orientation.flatten()))
-            })
-        })
+        let (tx, captures) = (&ctx.burst.tx, &ctx.burst.captures);
+        let fix = self.localizer().process_with(&mut ctx.dsp, tx, captures)?;
+        let orientation = orient.then(|| self.ap_orientation_in(&ctx.dsp, tx));
+        Some((fix, orientation.flatten()))
     }
 
     /// Runs the full §5.1 localization: Field-2 capture → dechirp →
@@ -485,7 +471,7 @@ impl Network {
     /// (counted as `core.network.render.rejected`). Fixes are pinned to
     /// literals by `tests/workspace_equivalence.rs`.
     pub fn localize(&mut self) -> Option<LocalizationResult> {
-        self.field2_pass(false).map(|(fix, _)| fix)
+        with_run_ctx(|ctx| self.field2_pass(ctx, false)).map(|(fix, _)| fix)
     }
 
     /// The localizer matching this network's fidelity, with the AP's
@@ -508,7 +494,12 @@ impl Network {
     /// Returns `None` on entry, before any RNG draw, when the node or a
     /// parked interferer cannot be rendered, as [`Self::localize`] does.
     pub fn sense_orientation_at_ap(&mut self) -> Option<f64> {
-        self.field2_pass(true)?.1
+        with_run_ctx(|ctx| self.sense_orientation_at_ap_in(ctx))
+    }
+
+    /// [`Self::sense_orientation_at_ap`] in caller-owned scratch.
+    pub(crate) fn sense_orientation_at_ap_in(&mut self, ctx: &mut SessionCtx) -> Option<f64> {
+        self.field2_pass(ctx, true)?.1
     }
 
     /// §5.2(a) on the burst last processed in `ws`: gates antenna 0's
@@ -540,9 +531,9 @@ impl Network {
     /// for the current scene, pose, node and chirp, rendering them only
     /// when their [`Field1Key`] changed (counted as
     /// `node.field1.video.render`). A render takes the chirp from the
-    /// template cache through `Scene::to_node_port_into` and the node's
-    /// video half at both ports. Draws nothing from the RNG.
-    pub(crate) fn warm_field1_videos(&mut self) {
+    /// template cache through `Scene::to_node_port_into` on `cw` and the
+    /// node's video half at both ports. Draws nothing from the RNG.
+    pub(crate) fn warm_field1_videos(&mut self, cw: &mut ChannelWorkspace) {
         let mut cfg = self.fidelity.triangular();
         cfg.amplitude = self.ap.tx.amplitude();
         let node = &self.node;
@@ -569,20 +560,18 @@ impl Network {
             let wave_fp = wave_fingerprint(&comp);
             let mut at_port = empty_signal();
             let (scene, field1) = (&self.scene, &mut self.field1);
-            with_channel_workspace(|ws| {
-                for (port, video) in [Port::A, Port::B].into_iter().zip(&mut field1.videos) {
-                    scene.to_node_port_into(
-                        ws,
-                        &comp,
-                        wave_fp,
-                        &node.pose,
-                        &node.fsa,
-                        port,
-                        &mut at_port,
-                    );
-                    node.port_video_into(&at_port, video);
-                }
-            });
+            for (port, video) in [Port::A, Port::B].into_iter().zip(&mut field1.videos) {
+                scene.to_node_port_into(
+                    cw,
+                    &comp,
+                    wave_fp,
+                    &node.pose,
+                    &node.fsa,
+                    port,
+                    &mut at_port,
+                );
+                node.port_video_into(&at_port, video);
+            }
             field1.fs = comp.signal.fs;
             field1.key = Some(key);
         }
@@ -595,10 +584,15 @@ impl Network {
     /// Returns `None` on entry, before any RNG draw, when the node or a
     /// parked interferer cannot be rendered, as [`Self::localize`] does.
     pub fn field1_node_captures(&mut self) -> Option<(Vec<f64>, Vec<f64>)> {
+        with_run_ctx(|ctx| self.field1_node_captures_in(ctx))
+    }
+
+    /// [`Self::field1_node_captures`] in caller-owned scratch.
+    fn field1_node_captures_in(&mut self, ctx: &mut SessionCtx) -> Option<(Vec<f64>, Vec<f64>)> {
         if self.render_rejected() {
             return None;
         }
-        self.warm_field1_videos();
+        self.warm_field1_videos(&mut ctx.chan);
         let (field1, node, rng) = (&mut self.field1, &self.node, &mut self.rng);
         let mut cap_a = field1.receive(node, Port::A, rng);
         let mut cap_b = field1.receive(node, Port::B, rng);
@@ -616,7 +610,12 @@ impl Network {
     /// Returns `None` on entry, before any RNG draw, when the node or a
     /// parked interferer cannot be rendered, as [`Self::localize`] does.
     pub fn sense_orientation_at_node(&mut self) -> Option<f64> {
-        let (cap_a, cap_b) = self.field1_node_captures()?;
+        with_run_ctx(|ctx| self.sense_orientation_at_node_in(ctx))
+    }
+
+    /// [`Self::sense_orientation_at_node`] in caller-owned scratch.
+    pub(crate) fn sense_orientation_at_node_in(&mut self, ctx: &mut SessionCtx) -> Option<f64> {
+        let (cap_a, cap_b) = self.field1_node_captures_in(ctx)?;
         let mut est = NodeOrientationEstimator::milback();
         est.chirp = self.fidelity.triangular();
         est.sample_rate = self.node.adc.sample_rate;

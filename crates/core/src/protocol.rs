@@ -5,6 +5,7 @@
 //! direction Field 1 announced — is run by [`crate::session::Session`].
 
 use crate::network::Network;
+use crate::session::{with_run_ctx, SessionCtx};
 
 use milback_node::mode_detect::ModeDetector;
 use milback_proto::packet::LinkMode;
@@ -18,6 +19,15 @@ impl Network {
     /// parked interferer cannot be rendered (see
     /// [`Network::localize`]).
     pub fn signal_mode(&mut self, mode: LinkMode) -> Option<LinkMode> {
+        with_run_ctx(|ctx| self.signal_mode_in(ctx, mode))
+    }
+
+    /// [`Self::signal_mode`] in caller-owned scratch.
+    pub(crate) fn signal_mode_in(
+        &mut self,
+        ctx: &mut SessionCtx,
+        mode: LinkMode,
+    ) -> Option<LinkMode> {
         if self.render_rejected() {
             return None;
         }
@@ -28,7 +38,7 @@ impl Network {
         // Every chirp slot is the same triangular chirp (slot-local time)
         // to a node that does not move, so each one samples the cached
         // noiseless port videos; only the detector noise is drawn anew.
-        self.warm_field1_videos();
+        self.warm_field1_videos(&mut ctx.chan);
         let (field1, node) = (&mut self.field1, &self.node);
         let mut combined: Vec<f64> = Vec::new();
         for slot in PacketConfig::field1_slots(mode) {

@@ -14,8 +14,8 @@
 //! * **Pooled session state** — the engine is a scheduler over the
 //!   crate's lane pool, shared with the [`crate::net`] fabric: every
 //!   reusable buffer a session touches ([`SessionCtx`]: DSP workspace,
-//!   channel cache, Field-2 render buffers, triage scratch) lives in
-//!   scratch contexts checked out per chain; per-node
+//!   channel cache, Field-2 render and link buffers, triage scratch)
+//!   lives in scratch contexts checked out per chain; per-node
 //!   [`Network`](crate::Network)s, packet buffers and fault plans live
 //!   in the lanes. The steady-state `Localize` serving loop performs **zero
 //!   heap allocations** (pinned by `tests/zero_alloc.rs`; the `Downlink`

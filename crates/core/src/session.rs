@@ -14,7 +14,7 @@
 //! re-renders the channel at a later time and genuinely sees it clear —
 //! which is what `tests/robustness.rs` pins.
 
-use crate::link::{DownlinkReport, UplinkReport, MIN_TONE_SEPARATION};
+use crate::link::{DownlinkReport, LinkScratch, UplinkReport, MIN_TONE_SEPARATION};
 use crate::network::{Field2Burst, Network};
 use milback_ap::ranging::LocalizationResult;
 use milback_ap::tone_select::{select_tones, ToneSelection};
@@ -214,13 +214,14 @@ pub struct SessionReport {
     pub backoff_s: f64,
 }
 
-/// Pooled per-session scratch state (DESIGN.md §15): every reusable
-/// buffer a supervised exchange touches outside the link layer — the
-/// AP's DSP workspace, the channel-synthesis cache, the Field-2 render
-/// buffers and the triage scratch. The serving engine owns one
-/// `SessionCtx` per pool slot and checks it out per session, so the
-/// steady-state localization service loop performs zero heap
-/// allocations (pinned by `tests/zero_alloc.rs`).
+/// Pooled per-session scratch state (DESIGN.md §15), the one home of
+/// every reusable buffer and cache a supervised exchange touches: the
+/// AP's DSP workspace, the channel-synthesis cache every render goes
+/// through, the Field-2 render buffers, the link-layer buffers and the
+/// triage scratch. The [`Network`] keeps deployment state only. The
+/// serving engine owns one `SessionCtx` per pool slot and checks it out
+/// per session, so the steady-state localization service loop performs
+/// zero heap allocations (pinned by `tests/zero_alloc.rs`).
 #[derive(Default)]
 pub struct SessionCtx {
     /// AP-side DSP buffers (dechirp → FFT → background → detection).
@@ -229,6 +230,8 @@ pub struct SessionCtx {
     pub chan: ChannelWorkspace,
     /// Field-2 render buffers: TX reference + per-chirp capture pairs.
     pub burst: Field2Burst,
+    /// Downlink/uplink transfer buffers and the query-tone cache.
+    pub(crate) link: LinkScratch,
     /// Per-chirp burst energies (triage input).
     energies: Vec<f64>,
     /// Sort scratch for the triage energy median.
@@ -245,10 +248,21 @@ impl SessionCtx {
 }
 
 thread_local! {
-    /// Shared context for [`Session::run`] callers that don't pool their
-    /// own (batch workers, tests): warms once per thread, like the other
-    /// thread-local workspaces.
+    /// The context of callers that don't pool their own (batch workers,
+    /// figures, tests): warms once per thread.
     static RUN_CTX: RefCell<SessionCtx> = RefCell::new(SessionCtx::default());
+}
+
+/// Runs `f` with this thread's shared [`SessionCtx`]. The public
+/// convenience entry points ([`Session::run`], `Network::localize`,
+/// `Network::downlink`, ...) borrow it here at their outermost frame and
+/// hand it down. A re-entrant checkout runs `f` on a fresh context
+/// instead: bitwise the same result, only cold.
+pub(crate) fn with_run_ctx<R>(f: impl FnOnce(&mut SessionCtx) -> R) -> R {
+    RUN_CTX.with(|c| match c.try_borrow_mut() {
+        Ok(mut ctx) => f(&mut ctx),
+        Err(_) => f(&mut SessionCtx::default()),
+    })
 }
 
 /// Outcome of one Field-2-only localization request — the serving
@@ -298,10 +312,7 @@ impl Session {
     /// Scratch comes from a thread-local [`SessionCtx`]; pooled callers
     /// (the serving engine) use [`Session::run_in`] with their own.
     pub fn run(&self, net: &mut Network, packet: &Packet) -> Result<SessionReport, SessionError> {
-        RUN_CTX.with(|c| match c.try_borrow_mut() {
-            Ok(mut ctx) => self.run_in(&mut ctx, net, packet, false),
-            Err(_) => self.run_in(&mut SessionCtx::default(), net, packet, false),
-        })
+        with_run_ctx(|ctx| self.run_in(ctx, net, packet, false))
     }
 
     /// [`Session::run`] with caller-owned scratch and an overload flag.
@@ -329,7 +340,7 @@ impl Session {
         let mut mode_attempts = 0;
         loop {
             mode_attempts += 1;
-            let heard = net.signal_mode(packet.mode);
+            let heard = net.signal_mode_in(ctx, packet.mode);
             net.clock_s += pkt.field1_duration();
             if heard == Some(packet.mode) {
                 break;
@@ -354,7 +365,7 @@ impl Session {
         }
 
         // --- Field 1: node-side orientation ----------------------------
-        let node_orientation = net.sense_orientation_at_node();
+        let node_orientation = net.sense_orientation_at_node_in(ctx);
         net.clock_s += pkt.field1_chirp.duration;
         if node_orientation.is_none() {
             degradations.push(Degradation::NoNodeOrientation);
@@ -398,22 +409,12 @@ impl Session {
         let mut downlink = None;
         let mut uplink = None;
         let payload_attempts = match packet.mode {
-            LinkMode::Downlink => self.deliver_downlink(
-                net,
-                packet,
-                cfg.payload_airtime_s(&pkt),
-                tones,
-                &mut downlink,
-                &mut backoff_s,
-            ),
-            LinkMode::Uplink => self.deliver_uplink(
-                net,
-                packet,
-                cfg.payload_airtime_s(&pkt),
-                tones,
-                &mut uplink,
-                &mut backoff_s,
-            ),
+            LinkMode::Downlink => {
+                self.deliver_downlink(ctx, net, packet, tones, &mut downlink, &mut backoff_s)
+            }
+            LinkMode::Uplink => {
+                self.deliver_uplink(ctx, net, packet, tones, &mut uplink, &mut backoff_s)
+            }
         };
         let Some(payload_attempts) = payload_attempts else {
             telemetry::counter_add("core.session.fail", 1);
@@ -468,9 +469,10 @@ impl Session {
     ///
     /// Renders nothing and returns no fix, before any RNG draw, when the
     /// node or a parked interferer cannot be rendered (see
-    /// [`Network::localize`]).
+    /// [`Network::field2_captures_into`]).
     fn triage_localize(&self, ctx: &mut SessionCtx, net: &mut Network) -> LocalizeSummary {
-        if net.render_rejected() {
+        let cfg = &self.config;
+        if !net.field2_captures_into(&mut ctx.chan, cfg.field2_chirps, &mut ctx.burst) {
             return LocalizeSummary {
                 fix: None,
                 chirps_used: 0,
@@ -478,8 +480,6 @@ impl Session {
                 fell_back: false,
             };
         }
-        let cfg = &self.config;
-        net.field2_captures_into(&mut ctx.chan, cfg.field2_chirps, &mut ctx.burst);
         let n = ctx.burst.captures.len();
 
         // Per-chirp energy across both antennas.
@@ -547,16 +547,17 @@ impl Session {
     /// (every attempt, when there is no plan).
     fn deliver_downlink(
         &self,
+        ctx: &mut SessionCtx,
         net: &mut Network,
         packet: &Packet,
-        airtime_s: f64,
         tones: Option<ToneSelection>,
         out: &mut Option<DownlinkReport>,
         backoff_s: &mut f64,
     ) -> Option<usize> {
         let cfg = &self.config;
+        let airtime_s = cfg.payload_airtime_s(&net.fidelity.packet());
         for attempt in 1..=cfg.payload_attempts {
-            let report = net.downlink_in(&packet.payload, cfg.symbol_rate, |_| tones);
+            let report = net.downlink_in(ctx, &packet.payload, cfg.symbol_rate, |_, _| tones);
             // Single-carrier OOK carries 1 bit/symbol instead of 2, so
             // the same payload occupies twice the airtime.
             net.clock_s += match &report {
@@ -583,21 +584,22 @@ impl Session {
     /// carrier plan. Returns attempts used, or `None` on exhaustion.
     fn deliver_uplink(
         &self,
+        ctx: &mut SessionCtx,
         net: &mut Network,
         packet: &Packet,
-        airtime_s: f64,
         tones: Option<ToneSelection>,
         out: &mut Option<UplinkReport>,
         backoff_s: &mut f64,
     ) -> Option<usize> {
         let cfg = &self.config;
+        let airtime_s = cfg.payload_airtime_s(&net.fidelity.packet());
         let mut tx = ArqSender::new(cfg.payload_attempts);
         let mut rx = ArqReceiver::new();
         tx.start(&packet.payload);
         let mut attempts = 0;
         loop {
             attempts += 1;
-            let report = net.uplink_in(tx.frame()?, cfg.symbol_rate, |_| tones);
+            let report = net.uplink_in(ctx, tx.frame()?, cfg.symbol_rate, |_, _| tones);
             // OOK attempts take twice the airtime (see deliver_downlink).
             net.clock_s += match &report {
                 Some(r) if r.tones.bits_per_symbol() == 1 => 2.0 * airtime_s,
@@ -901,6 +903,38 @@ mod tests {
         // fresh network with the same seed.
         assert_eq!(s.fix, net_at(2.0, 38).localize());
         assert!(s.fix.is_some());
+    }
+
+    #[test]
+    fn nested_run_ctx_checkout_falls_back_to_a_fresh_ctx_bitwise() {
+        // A fresh thread, so the shared context starts cold.
+        std::thread::spawn(|| {
+            let localize = || {
+                let pose = Pose::facing_ap(2.5, 0.0, 0.0);
+                let fix = Network::new(pose, Fidelity::Fast, 7).localize();
+                fix.map(|r| {
+                    let angle = r.angle.map(f64::to_bits);
+                    (r.range.to_bits(), angle, r.peak_power.to_bits())
+                })
+            };
+            let (held_entries, nested) = with_run_ctx(|held| {
+                let nested = localize();
+                (held.chan.cached_entries(), nested)
+            });
+            assert_eq!(held_entries, 0, "the nested checkout used the held ctx");
+            let outer = localize();
+            let expect = (
+                0x4004_1609_83ac_108f,
+                Some(0x3f76_3698_6ca7_91f6),
+                0x3f45_1f34_af81_fc2c,
+            );
+            assert_eq!(outer, Some(expect), "outer checkout");
+            assert_eq!(nested, outer, "nested fallback");
+            let warmed = with_run_ctx(|ctx| ctx.chan.cached_entries());
+            assert!(warmed > 0, "the outer checkout did not keep its caches");
+        })
+        .join()
+        .expect("checkout thread panicked");
     }
 
     #[test]

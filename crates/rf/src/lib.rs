@@ -29,7 +29,7 @@
 //!
 //! This crate is pure physics with one observability exception: the
 //! [`workspace`] channel-synthesis caches report their hit/miss/grow
-//! counters (all `.local`-suffixed, per-thread) so the static-scene
+//! counters (all `.local`-suffixed, per workspace) so the static-scene
 //! response cache of DESIGN.md §13 can be audited. Stage counters for
 //! the processing pipeline live in the layers that call this crate
 //! (`milback-ap`, `milback-node`, `milback` core).
@@ -51,4 +51,4 @@ pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use fsa::{DualPortFsa, FsaConfig, Port};
 pub use geometry::{Point, Pose};
 pub use room::Room;
-pub use workspace::{wave_fingerprint, with_channel_workspace, ChannelWorkspace};
+pub use workspace::{wave_fingerprint, ChannelWorkspace};

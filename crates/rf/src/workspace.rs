@@ -35,9 +35,10 @@
 //!
 //! ## Telemetry
 //!
-//! Per-thread caches warm independently, so all counters carry the
-//! `.local` suffix and are stripped from the deterministic telemetry
-//! view (README §Observability):
+//! Each workspace warms on whatever its owner renders, and which pooled
+//! workspace a session lands on depends on the thread schedule, so all
+//! counters carry the `.local` suffix and are stripped from the
+//! deterministic telemetry view (README §Observability):
 //!
 //! * `rf.scene.cache.hit.local` / `rf.scene.cache.miss.local` — static
 //!   response lookups,
@@ -49,16 +50,12 @@
 //!   curves, looked up once per ray- or port-table build,
 //! * `rf.workspace.grow.local` — one count per cache entry built
 //!   (insert or LRU replacement).
-//!
-//! `rf.workspace.reuse` counts thread-local checkouts and is
-//! thread-invariant, mirroring `dsp.workspace.reuse`.
 
 use crate::channel::{PortTables, RayTables, TxComponent};
 use crate::fsa::{DualPortFsa, Port};
 use crate::geometry::Pose;
 use milback_dsp::num::Cpx;
 use milback_telemetry as telemetry;
-use std::cell::RefCell;
 
 // ---------------------------------------------------------------------
 // FNV-1a fingerprints
@@ -250,8 +247,9 @@ impl<K: PartialEq + Copy, V> Lru<K, V> {
 // ---------------------------------------------------------------------
 
 /// Caller-owned cache set for channel synthesis. Mirrors
-/// `milback_ap::workspace::DspWorkspace`: own one directly or borrow
-/// the thread-local instance through [`with_channel_workspace`].
+/// `milback_ap::workspace::DspWorkspace`: this crate keeps no instance
+/// of its own; the `milback` core's `SessionCtx` holds the one a
+/// session renders through.
 pub struct ChannelWorkspace {
     statics: Lru<StaticKey, Vec<Cpx>>,
     rays: Lru<RayKey, RayTables>,
@@ -315,24 +313,6 @@ impl Default for ChannelWorkspace {
     }
 }
 
-thread_local! {
-    static WORKSPACE: RefCell<ChannelWorkspace> = RefCell::new(ChannelWorkspace::new());
-}
-
-/// Runs `f` with this thread's shared [`ChannelWorkspace`].
-///
-/// Counts one `rf.workspace.reuse` per checkout. Re-entrant checkouts
-/// (a closure calling [`with_channel_workspace`] again) fall back to a
-/// fresh temporary workspace rather than panicking — correctness never
-/// depends on which cache set a call lands on.
-pub fn with_channel_workspace<R>(f: impl FnOnce(&mut ChannelWorkspace) -> R) -> R {
-    telemetry::counter_add("rf.workspace.reuse", 1);
-    WORKSPACE.with(|w| match w.try_borrow_mut() {
-        Ok(mut ws) => f(&mut ws),
-        Err(_) => f(&mut ChannelWorkspace::new()),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,28 +367,5 @@ mod tests {
         let mut rx_moved = base;
         rx_moved.rx_pos[1].y += 1e-4;
         assert_ne!(fp, rx_moved.static_fingerprint(), "rx_pos not covered");
-    }
-
-    #[test]
-    fn with_channel_workspace_tolerates_nesting() {
-        std::thread::spawn(|| {
-            with_channel_workspace(|ws| {
-                let key = StaticKey {
-                    scene: 1,
-                    wave: 2,
-                    rx_idx: 0,
-                };
-                ws.static_response(key, Vec::new);
-                assert_eq!(ws.cached_entries(), 1);
-                with_channel_workspace(|inner| {
-                    assert_eq!(inner.cached_entries(), 0, "nested checkout saw outer");
-                });
-            });
-            with_channel_workspace(|ws| {
-                assert_eq!(ws.cached_entries(), 1, "workspace was not reused");
-            });
-        })
-        .join()
-        .unwrap();
     }
 }

@@ -157,8 +157,9 @@ fn unrenderable_field2_poses_return_none_instead_of_panicking() {
 /// (the path loss to it is undefined). Every public path that renders the
 /// node — Field-1 mode signalling, the node's Field-1 captures and
 /// node-side orientation, both payload directions (planned from the true
-/// or the sensed orientation), the AP's Field-2 captures, both Field-2
-/// paths and the serving engine's localization — returns no result on entry without drawing
+/// or the sensed orientation), the AP's Field-2 captures (allocating and
+/// into caller buffers), both Field-2 paths and the serving engine's
+/// localization — returns no result on entry without drawing
 /// from the RNG, and a whole session ends in a typed failure instead of
 /// a panic.
 #[test]
@@ -194,6 +195,12 @@ fn unrenderable_node_is_rejected_by_every_entry_point() {
             "{name}: Field-1 node captures"
         );
         assert!(net.field2_captures(5).is_none(), "{name}: Field-2 captures");
+        let mut ctx = SessionCtx::new();
+        assert!(
+            !net.field2_captures_into(&mut ctx.chan, 5, &mut ctx.burst),
+            "{name}: Field-2 captures into a ctx"
+        );
+        assert!(ctx.burst.captures.is_empty(), "{name}: rendered a burst");
         for use_truth in [true, false] {
             assert!(
                 net.downlink(&payload, 1e6, use_truth).is_none(),

@@ -12,10 +12,10 @@
 //! bits moved, the DSP did not). A deliberate change to the render or
 //! the DSP re-records them; a refactor must keep them unchanged.
 
-use milback::{Fidelity, Network};
+use milback::{Fidelity, Network, Session, SessionCtx};
 use milback_ap::ranging::LocalizationResult;
-use milback_ap::with_workspace;
 use milback_dsp::template;
+use milback_proto::packet::Packet;
 use milback_rf::geometry::{deg_to_rad, Pose};
 
 /// Bit patterns of a fix: `range`, `angle` and `peak_power`.
@@ -31,9 +31,9 @@ fn bits(fix: Option<LocalizationResult>) -> Option<FixBits> {
     })
 }
 
-/// `Network::localize` (the thread-local workspace and
+/// `Network::localize` (the thread's shared `SessionCtx` and
 /// `Localizer::process_with`) must reproduce the fixes the allocating
-/// pipeline recorded, on a cold workspace and on a warmed one.
+/// pipeline recorded, on a cold context and on a warmed one.
 #[test]
 fn network_localize_matches_allocating_process() {
     const PINS: [(u64, FixBits); 3] = [
@@ -67,7 +67,7 @@ fn network_localize_matches_allocating_process() {
         let mut cold = Network::new(pose, Fidelity::Fast, seed);
         assert_eq!(bits(cold.localize()), Some(expect), "seed {seed}");
         // A second network on the same thread reuses the now-warmed
-        // workspace: still the same bits.
+        // context: still the same bits.
         let mut warm = Network::new(pose, Fidelity::Fast, seed);
         assert_eq!(bits(warm.localize()), Some(expect), "seed {seed} (warmed)");
     }
@@ -101,23 +101,30 @@ fn templates_match_fresh_synthesis_bitwise() {
     assert_eq!((fresh.fs, fresh.fc), (cached.fs, cached.fc));
 }
 
-/// The nested-checkout fallback of `with_workspace` stays bitwise
-/// equivalent: running a localization inside an outer checkout lands on
-/// a fresh temporary workspace and must produce the recorded fix.
+/// A session renders every field in the caller's `SessionCtx`: after one
+/// uplink exchange a fresh context holds the Field-1 port tables and the
+/// uplink ray tables besides the Field-2 entries a localize-only session
+/// leaves there.
 #[test]
-fn nested_workspace_checkout_is_equivalent() {
-    let pose = Pose::facing_ap(2.5, 0.0, 0.0);
-    let mut net = Network::new(pose, Fidelity::Fast, 7);
-    let (tx, captures) = net.field2_captures(5).expect("the node renders");
-    let localizer = net.localizer();
-    let got = with_workspace(|_outer| {
-        // `localize`-style inner checkout while the outer one is held.
-        with_workspace(|ws| localizer.process_with(ws, &tx, &captures))
-    });
-    let expect = (
-        0x4004_1609_83ac_108f,
-        Some(0x3f76_3698_6ca7_91f6),
-        0x3f45_1f34_af81_fc2c,
+fn exchange_session_renders_every_field_in_the_callers_ctx() {
+    let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0));
+    let session = Session::default();
+    let mut localize_ctx = SessionCtx::new();
+    let mut net = Network::new(pose, Fidelity::Fast, 5);
+    let summary = session.localize_in(&mut localize_ctx, &mut net);
+    assert!(summary.fix.is_some());
+    let mut exchange_ctx = SessionCtx::new();
+    let mut net = Network::new(pose, Fidelity::Fast, 5);
+    let packet = Packet::uplink(vec![0x5C; 16]);
+    let report = session
+        .run_in(&mut exchange_ctx, &mut net, &packet, false)
+        .expect("exchange failed");
+    assert!(report.uplink.is_some_and(|u| u.payload.is_ok()));
+    let localize = localize_ctx.chan.cached_entries();
+    let exchange = exchange_ctx.chan.cached_entries();
+    // At least two Field-1 port tables and four uplink ray tables more.
+    assert!(
+        exchange >= localize + 6,
+        "exchange ctx holds {exchange} entries, localize-only {localize}"
     );
-    assert_eq!(bits(got), Some(expect));
 }
