@@ -157,18 +157,30 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q \
     -p milback-proto -p milback-node -p milback-ap -p milback-baseline \
     -p milback-bench -p milback-repro -p milback-telemetry
 
-echo "==> one scratch home (no thread-local scratch in ap/rf, no retired checkout helpers)"
+echo "==> one scratch home (no thread-local scratch in ap/rf/dsp, no retired helpers or caches)"
 # A session renders and decodes only in its SessionCtx (DESIGN.md §12.2,
 # §13); the only scratch thread-local left is Session::run's shared
 # context in crates/core/src/session.rs. The ap and rf crates own no
-# thread-local state at all, and the three retired try-borrow-or-fresh
-# helpers must not come back anywhere in the code.
+# thread-local state at all, and the dsp crate only its caches of
+# immutable tables (FFT plans, windows). The three retired
+# try-borrow-or-fresh helpers must not come back anywhere in the code,
+# nor the caches no workload re-read (DESIGN.md §12.3, §13.1): the
+# chirp template module, the uplink query-tone cache, the downlink
+# port-table cache and the keyed anti-alias FIR cache.
 if grep -rn 'thread_local!' crates/ap/src crates/rf/src; then
     echo "thread-local state in the ap or rf crate (matches above)" >&2
     exit 1
 fi
+if grep -rn 'thread_local!' crates/dsp/src | grep -vE '^crates/dsp/src/(plan|window)\.rs:'; then
+    echo "thread-local state in the dsp crate outside plan.rs and window.rs (matches above)" >&2
+    exit 1
+fi
 if grep -rnwE 'with_workspace|with_channel_workspace|with_field2_burst' crates tests examples src sessbench/src; then
     echo "a retired scratch checkout helper is back (matches above)" >&2
+    exit 1
+fi
+if grep -rnE 'milback_dsp::template|\b(QueryCache|PortKey|cached_fir)\b' crates tests examples src sessbench/src; then
+    echo "a retired cache is back (matches above)" >&2
     exit 1
 fi
 

@@ -66,8 +66,8 @@ pub struct UplinkScratch {
 }
 
 /// One branch's buffers: the decision stream, mixer LO, anti-alias
-/// filter output, per-symbol points, decision levels and slices, and
-/// the cached FIR designs.
+/// filter taps and output, per-symbol points, decision levels and
+/// slices.
 #[derive(Debug, Clone, Default)]
 struct BranchScratch {
     /// Branch working signal samples (filtered/decimated in place).
@@ -85,30 +85,18 @@ struct BranchScratch {
     /// On/off level clusters for the SNR estimate.
     on: Vec<f64>,
     off: Vec<f64>,
-    /// Anti-alias FIR designs keyed by `(new_fs, fs)` bit patterns.
-    /// The decimation cascade reuses a handful of designs per symbol
-    /// rate (a few stages per rate a link runs at), so the cache stays
-    /// small and a warmed chain stops designing filters.
-    firs: Vec<((u64, u64), Fir)>,
+    /// The current decimation stage's anti-alias filter, redesigned
+    /// per stage: the stage rates follow each transfer's carrier plan,
+    /// so a kept design would rarely be read again.
+    fir: Fir,
 }
 
-/// The anti-alias low-pass of one decimation stage from `fs` to
-/// `new_fs`: Blackman-Harris, whose stopband must crush the cross-tone
-/// clutter (up to ~60 dB above the node's signal), which a standard
-/// Hamming design cannot.
-pub fn anti_alias_fir(new_fs: f64, fs: f64) -> Fir {
-    Fir::lowpass_with_window(0.35 * new_fs, fs, 127, Window::BlackmanHarris)
-}
-
-/// Index of the cached [`anti_alias_fir`] for `(new_fs, fs)`, building
-/// and inserting it on first use.
-fn cached_fir(firs: &mut Vec<((u64, u64), Fir)>, new_fs: f64, fs: f64) -> usize {
-    let key = (new_fs.to_bits(), fs.to_bits());
-    if let Some(i) = firs.iter().position(|(k, _)| *k == key) {
-        return i;
-    }
-    firs.push((key, anti_alias_fir(new_fs, fs)));
-    firs.len() - 1
+/// Designs into `fir` the anti-alias low-pass of one decimation stage
+/// from `fs` to `new_fs`: Blackman-Harris, whose stopband must crush
+/// the cross-tone clutter (up to ~60 dB above the node's signal), which
+/// a standard Hamming design cannot.
+pub fn anti_alias_fir(new_fs: f64, fs: f64, fir: &mut Fir) {
+    fir.redesign_lowpass(0.35 * new_fs, fs, 127, Window::BlackmanHarris);
 }
 
 /// The AP's uplink receiver.
@@ -177,15 +165,14 @@ impl UplinkReceiver {
         scr.lo.resize(sig.len(), ZERO);
         phasor::fill_linear(1.0, 0.0, w, &mut scr.lo);
         self.mixer.downconvert_in_place(&mut sig, &scr.lo);
-        // Cascaded decimation down to the processing rate through the
-        // anti-alias filters, whose designs are cached per (new rate,
-        // rate) in the scratch. Only the kept outputs are computed
-        // (bitwise the full-rate filter strided by `factor`).
+        // Cascaded decimation down to the processing rate, each stage
+        // through its anti-alias filter designed into the scratch's
+        // taps. Only the kept outputs are computed (bitwise the
+        // full-rate filter strided by `factor`).
         while let Some(factor) = self.decimation_factor(sig.fs) {
             let new_fs = sig.fs / factor as f64;
-            let idx = cached_fir(&mut scr.firs, new_fs, sig.fs);
-            let fir = &scr.firs[idx].1;
-            fir.decimate_into(&sig.samples, factor, &mut scr.filt);
+            anti_alias_fir(new_fs, sig.fs, &mut scr.fir);
+            scr.fir.decimate_into(&sig.samples, factor, &mut scr.filt);
             sig.samples.clear();
             sig.samples.extend_from_slice(&scr.filt);
             sig.fs = new_fs;
@@ -573,6 +560,40 @@ mod tests {
         );
         let (_, _): (u64, u64) = (keys.gen(), keys.gen());
         assert_eq!(next4(&mut rng), next4(&mut keys));
+    }
+
+    #[test]
+    fn distinct_capture_rates_retain_at_most_one_cascade_of_designs() {
+        // A transfer's capture rate follows its carrier plan, so a
+        // scratch that kept every stage's design would grow by a whole
+        // cascade per plan.
+        let rxr = UplinkReceiver::milback(10e6);
+        let mut scr = UplinkScratch::default();
+        let mut out = Vec::new();
+        let mut rng = StdRng::seed_from_u64(0xF1F);
+        let mut max_stages = 0;
+        for k in 0..50 {
+            let fs = 1e9 + k as f64 * 7.3e6;
+            let rx = Signal::zeros(fs, 28e9, 2_000);
+            rxr.demodulate_into(
+                &mut scr, &rx, &rx, 27.6e9, 28.4e9, 0.0, 8, &mut rng, &mut out,
+            );
+            let mut stages = 0;
+            let mut rate = fs;
+            while let Some(factor) = rxr.decimation_factor(rate) {
+                rate /= factor as f64;
+                stages += 1;
+            }
+            max_stages = max_stages.max(stages);
+        }
+        assert!(max_stages >= 2, "{max_stages} stages");
+        let bound = 2 * max_stages * 127;
+        // Taps of every filter design the scratch holds, both branches.
+        let held: usize = scr.branches.iter().map(|b| b.fir.taps.len()).sum();
+        assert!(
+            held <= bound,
+            "{held} taps retained, one cascade is {bound}"
+        );
     }
 
     /// A helper claim, waiting out other tests that hold it; `None` on

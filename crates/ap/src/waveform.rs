@@ -1,8 +1,8 @@
 //! AP waveform generation (the Keysight VXG's role, paper §8): the
 //! transmit configuration every AP waveform is scaled by, and the
 //! single-carrier OOK downlink waveform of the normal-incidence
-//! fallback. The chirps of Fields 1 and 2 come from the cached
-//! templates of `milback_dsp::template`.
+//! fallback. The chirps of Fields 1 and 2 are synthesized by
+//! `milback_dsp::chirp`, once per session context and chirp config.
 
 use milback_dsp::num::{Cpx, ZERO};
 use milback_dsp::signal::Signal;

@@ -11,7 +11,6 @@ use milback_ap::dechirp::RangeProcessor;
 use milback_ap::orientation::ApOrientationEstimator;
 use milback_ap::ranging::{LocalizationResult, Localizer};
 use milback_ap::workspace::DspWorkspace;
-use milback_dsp::chirp::ChirpConfig;
 use milback_dsp::noise::{add_awgn, thermal_noise_power};
 use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
@@ -48,7 +47,7 @@ pub struct Interferer {
 
 /// Reusable buffers and cached identity for a Field-2 render
 /// (DESIGN.md §13). Holds the TX reference, the per-chirp capture
-/// pairs, the node's Γ runs, and the channel component with its
+/// pairs, the node's Γ runs, and the chirp's channel component with its
 /// waveform fingerprint so a warmed burst re-renders with **zero** heap
 /// allocations
 /// (`tests/zero_alloc.rs`).
@@ -58,13 +57,11 @@ pub struct Field2Burst {
     pub tx: Signal,
     /// Per-chirp capture pairs (`[antenna 0, antenna 1]`).
     pub captures: Vec<[Signal; 2]>,
-    /// The channel component (TX chirp + frequency profile), kept so
-    /// repeat bursts skip the template clone.
-    comp: Option<TxComponent>,
-    /// `wave_fingerprint` of `comp`, cached alongside it.
-    wave_fp: u64,
-    /// The chirp config `comp`/`wave_fp` were built for.
-    comp_cfg: Option<ChirpConfig>,
+    /// The channel component (TX chirp + frequency profile) and its
+    /// `wave_fingerprint`, synthesized when the chirp config changes:
+    /// the one waveform a packet repeats, and the key of its cached
+    /// channel tables.
+    comp: Option<(TxComponent, u64)>,
     /// The node's Γ runs for the chirp being rendered, refilled per
     /// chirp and shared by both antennas.
     gamma_runs: Vec<GammaRun>,
@@ -83,8 +80,6 @@ impl Default for Field2Burst {
             tx: empty_signal(),
             captures: Vec::new(),
             comp: None,
-            wave_fp: 0,
-            comp_cfg: None,
             gamma_runs: Vec::new(),
         }
     }
@@ -299,34 +294,30 @@ impl Network {
             return false;
         }
         telemetry::counter_add("core.network.field2.render", 1);
-        let cfg = self.fidelity.sawtooth();
-        let mut chirp_cfg = cfg;
+        let mut chirp_cfg = self.fidelity.sawtooth();
         chirp_cfg.amplitude = self.ap.tx.amplitude();
-        // The TX chirp is loop-invariant across chirps AND trials: fetch it
-        // from the process-wide template cache (bitwise identical to fresh
-        // synthesis) instead of re-synthesizing 6400 samples per burst.
-        // One channel component serves every chirp; only the node's Γ
-        // runs vary with the chirp index — so the component and its
-        // waveform fingerprint are cached in the burst and rebuilt only
-        // when the chirp config changes.
-        let template = milback_dsp::template::sawtooth(&chirp_cfg);
-        burst.tx.copy_from(template.as_ref());
-        let comp: &TxComponent = if burst.comp_cfg == Some(chirp_cfg) && burst.comp.is_some() {
-            match burst.comp.as_ref() {
-                Some(c) => c,
-                // Checked `is_some` above; unreachable.
-                None => return false,
-            }
-        } else {
-            let fresh = TxComponent {
-                signal: template.as_ref().clone(),
-                profile: FreqProfile::Sawtooth(chirp_cfg),
+        // The TX chirp is loop-invariant across chirps AND trials, and
+        // only the node's Γ runs vary with the chirp index: one channel
+        // component serves every chirp, synthesized and fingerprinted
+        // only when the chirp config changes.
+        let profile = FreqProfile::Sawtooth(chirp_cfg);
+        if burst
+            .comp
+            .as_ref()
+            .is_some_and(|(c, _)| c.profile != profile)
+        {
+            burst.comp = None;
+        }
+        let (comp, wave_fp) = burst.comp.get_or_insert_with(|| {
+            let comp = TxComponent {
+                signal: chirp_cfg.sawtooth(),
+                profile,
             };
-            burst.wave_fp = wave_fingerprint(&fresh);
-            burst.comp_cfg = Some(chirp_cfg);
-            burst.comp.insert(fresh)
-        };
-        let wave_fp = burst.wave_fp;
+            let wave_fp = wave_fingerprint(&comp);
+            (comp, wave_fp)
+        });
+        let (comp, wave_fp) = (&*comp, *wave_fp);
+        burst.tx.copy_from(&comp.signal);
         let (fs, n) = (comp.signal.fs, comp.signal.len());
 
         let mod_freq = self.fidelity.localization_mod_freq();
@@ -530,10 +521,11 @@ impl Network {
     /// Makes `self.field1` hold the node's noiseless Field-1 port videos
     /// for the current scene, pose, node and chirp, rendering them only
     /// when their [`Field1Key`] changed (counted as
-    /// `node.field1.video.render`). A render takes the chirp from the
-    /// template cache through `Scene::to_node_port_into` on `cw` and the
-    /// node's video half at both ports. Draws nothing from the RNG.
-    pub(crate) fn warm_field1_videos(&mut self, cw: &mut ChannelWorkspace) {
+    /// `node.field1.video.render`). A render takes the chirp from `ctx`
+    /// (synthesized there once per chirp config) through the one-shot
+    /// `Scene::to_node_port_into` in `ctx.chan` and the node's video
+    /// half at both ports. Draws nothing from the RNG.
+    pub(crate) fn warm_field1_videos(&mut self, ctx: &mut SessionCtx) {
         let mut cfg = self.fidelity.triangular();
         cfg.amplitude = self.ap.tx.amplitude();
         let node = &self.node;
@@ -553,23 +545,20 @@ impl Network {
         };
         if self.field1.key != Some(key) {
             telemetry::counter_add("node.field1.video.render", 1);
-            let comp = TxComponent {
-                signal: milback_dsp::template::triangular(&cfg).as_ref().clone(),
-                profile: FreqProfile::Triangular(cfg),
-            };
-            let wave_fp = wave_fingerprint(&comp);
+            let profile = FreqProfile::Triangular(cfg);
+            let chirp = &mut ctx.field1_chirp;
+            if chirp.as_ref().is_some_and(|c| c.profile != profile) {
+                *chirp = None;
+            }
+            let comp = chirp.get_or_insert_with(|| TxComponent {
+                signal: cfg.triangular(),
+                profile,
+            });
             let mut at_port = empty_signal();
             let (scene, field1) = (&self.scene, &mut self.field1);
-            for (port, video) in [Port::A, Port::B].into_iter().zip(&mut field1.videos) {
-                scene.to_node_port_into(
-                    cw,
-                    &comp,
-                    wave_fp,
-                    &node.pose,
-                    &node.fsa,
-                    port,
-                    &mut at_port,
-                );
+            for (port, video) in Port::BOTH.into_iter().zip(&mut field1.videos) {
+                let (pose, fsa) = (&node.pose, &node.fsa);
+                scene.to_node_port_into(&mut ctx.chan, comp, pose, fsa, port, &mut at_port);
                 node.port_video_into(&at_port, video);
             }
             field1.fs = comp.signal.fs;
@@ -592,7 +581,7 @@ impl Network {
         if self.render_rejected() {
             return None;
         }
-        self.warm_field1_videos(&mut ctx.chan);
+        self.warm_field1_videos(ctx);
         let (field1, node, rng) = (&mut self.field1, &self.node, &mut self.rng);
         let mut cap_a = field1.receive(node, Port::A, rng);
         let mut cap_b = field1.receive(node, Port::B, rng);

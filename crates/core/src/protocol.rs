@@ -38,7 +38,7 @@ impl Network {
         // Every chirp slot is the same triangular chirp (slot-local time)
         // to a node that does not move, so each one samples the cached
         // noiseless port videos; only the detector noise is drawn anew.
-        self.warm_field1_videos(&mut ctx.chan);
+        self.warm_field1_videos(ctx);
         let (field1, node) = (&mut self.field1, &self.node);
         let mut combined: Vec<f64> = Vec::new();
         for slot in PacketConfig::field1_slots(mode) {

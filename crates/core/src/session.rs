@@ -23,6 +23,7 @@ use milback_dsp::buffer::track_growth;
 use milback_dsp::signal::Signal;
 use milback_proto::arq::{ArqReceiver, ArqSender, ArqVerdict, Backoff};
 use milback_proto::packet::{LinkMode, Packet};
+use milback_rf::channel::TxComponent;
 use milback_rf::workspace::ChannelWorkspace;
 use milback_telemetry as telemetry;
 use std::cell::RefCell;
@@ -226,11 +227,16 @@ pub struct SessionReport {
 pub struct SessionCtx {
     /// AP-side DSP buffers (dechirp → FFT → background → detection).
     pub dsp: DspWorkspace,
-    /// Channel-synthesis cache + render scratch (DESIGN.md §13).
+    /// Field-2 channel caches + the one-shot render scratch (DESIGN.md
+    /// §13).
     pub chan: ChannelWorkspace,
-    /// Field-2 render buffers: TX reference + per-chirp capture pairs.
+    /// Field-2 render buffers: TX reference + per-chirp capture pairs,
+    /// and the Field-2 chirp.
     pub burst: Field2Burst,
-    /// Downlink/uplink transfer buffers and the query-tone cache.
+    /// The Field-1 triangular chirp, synthesized on the first Field-1
+    /// render that needs it and again only when its config changes.
+    pub(crate) field1_chirp: Option<TxComponent>,
+    /// Downlink/uplink transfer buffers.
     pub(crate) link: LinkScratch,
     /// Per-chirp burst energies (triage input).
     energies: Vec<f64>,

@@ -15,8 +15,8 @@ use std::f64::consts::PI;
 // ---------------------------------------------------------------------------
 
 /// A finite-impulse-response filter with real taps, applied to complex
-/// signals.
-#[derive(Debug, Clone, PartialEq)]
+/// signals. The default holds no taps: a buffer to design into.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Fir {
     /// Filter taps.
     pub taps: Vec<f64>,
@@ -34,26 +34,38 @@ impl Fir {
         n_taps: usize,
         window: crate::window::Window,
     ) -> Self {
+        let mut fir = Self::default();
+        fir.redesign_lowpass(cutoff, fs, n_taps, window);
+        fir
+    }
+
+    /// [`Fir::lowpass_with_window`] in place: overwrites the taps with
+    /// that design, bit for bit, reusing their capacity.
+    pub fn redesign_lowpass(
+        &mut self,
+        cutoff: f64,
+        fs: f64,
+        n_taps: usize,
+        window: crate::window::Window,
+    ) {
         assert!(cutoff > 0.0 && cutoff < fs / 2.0, "cutoff out of range");
         assert!(n_taps >= 3, "need at least 3 taps");
         let fc = cutoff / fs;
         let m = (n_taps - 1) as f64 / 2.0;
-        let mut taps: Vec<f64> = (0..n_taps)
-            .map(|i| {
-                let x = i as f64 - m;
-                let sinc = if x == 0.0 {
-                    2.0 * fc
-                } else {
-                    (2.0 * PI * fc * x).sin() / (PI * x)
-                };
-                sinc * window.coeff(i, n_taps - 1)
-            })
-            .collect();
-        let sum: f64 = taps.iter().sum();
-        for t in taps.iter_mut() {
+        self.taps.clear();
+        self.taps.extend((0..n_taps).map(|i| {
+            let x = i as f64 - m;
+            let sinc = if x == 0.0 {
+                2.0 * fc
+            } else {
+                (2.0 * PI * fc * x).sin() / (PI * x)
+            };
+            sinc * window.coeff(i, n_taps - 1)
+        }));
+        let sum: f64 = self.taps.iter().sum();
+        for t in self.taps.iter_mut() {
             *t /= sum;
         }
-        Self { taps }
     }
 
     /// Convolves the filter with a complex signal ("same" mode: output

@@ -27,9 +27,7 @@
 //!   fills and runs paired receive chains at once, bit for bit
 //!   (DESIGN.md §17.4),
 //! * [`phasor`] — phasor-recurrence carrier rotation with periodic
-//!   exact re-anchoring (DESIGN.md §13),
-//! * [`template`] — thread-local cache of synthesized reference
-//!   chirps keyed by exact config bits.
+//!   exact re-anchoring (DESIGN.md §13).
 //!
 //! ## Place in the paper's architecture
 //!
@@ -65,7 +63,6 @@ pub mod signal;
 pub mod simd;
 pub mod stats;
 pub mod stft;
-pub mod template;
 pub mod window;
 
 pub use num::Cpx;

@@ -214,8 +214,8 @@ impl Signal {
 
     /// Overwrites this signal with a copy of `other`, reusing the
     /// existing sample buffer's capacity — the allocation-free
-    /// counterpart of `other.clone()` for template-backed packet
-    /// assembly (see `milback_dsp::template`).
+    /// counterpart of `other.clone()` (the Field-2 burst copies its
+    /// kept chirp into its transmit reference this way).
     pub fn copy_from(&mut self, other: &Signal) {
         self.fs = other.fs;
         self.fc = other.fc;

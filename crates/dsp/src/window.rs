@@ -73,8 +73,8 @@ thread_local! {
 }
 
 /// The cached `n`-point coefficient table for `window` (built on first
-/// use per thread). Clear-on-overflow capped like the waveform template
-/// cache, so pathological size churn cannot grow memory unboundedly.
+/// use per thread). Clear-on-overflow capped, so pathological size
+/// churn cannot grow memory unboundedly.
 pub fn cached_coeffs(window: Window, n: usize) -> std::rc::Rc<[f64]> {
     WINDOW_CACHE.with(|c| {
         let mut cache = c.borrow_mut();

@@ -19,8 +19,8 @@ use crate::fsa::{DualPortFsa, Port};
 use crate::geometry::{Point, Pose, SPEED_OF_LIGHT};
 use crate::propagation::{backscatter_rx_power, fspl, one_way_rx_power, radar_rx_power};
 use crate::workspace::{
-    fsa_fingerprint, pose_bits, ChannelWorkspace, CurveKey, CurvePair, Fnv, GainCurves, PortKey,
-    RayKey, StaticKey,
+    fsa_fingerprint, pose_bits, ChannelWorkspace, CurveKey, CurvePair, Fnv, GainCurves, RayKey,
+    StaticKey,
 };
 use milback_dsp::chirp::ChirpConfig;
 use milback_dsp::noise::db_to_ratio;
@@ -108,11 +108,14 @@ pub(crate) fn fold_profile(h: &mut Fnv, p: &FreqProfile) {
 /// instead of evaluating the link budget at every sample's
 /// instantaneous frequency.
 ///
-/// A LUT is built once per ray- or port-table build (a cache miss in
-/// [`ChannelWorkspace`]). Its FSA gain factor comes by grid index from
-/// the workspace's gain-curve cache, which computes each (FSA,
-/// incidence, band) curve once (DESIGN.md §13.5).
-struct FreqLut {
+/// A LUT is filled once per table build, in the pooled scratch of a
+/// [`ChannelWorkspace`]. A cached Field-2 ray-table build reads its FSA
+/// gain factor by grid index from the workspace's gain-curve cache,
+/// which computes each (FSA, incidence, band) curve once (DESIGN.md
+/// §13.5); a one-shot build evaluates the gain point by point, bitwise
+/// the same.
+#[derive(Default)]
+pub(crate) struct FreqLut {
     f_lo: f64,
     step: f64,
     values: Vec<f64>,
@@ -132,13 +135,15 @@ impl FreqLut {
         }
     }
 
-    /// Tabulates `eval(i, f_i)` at every grid point `i`.
-    fn build(f_lo: f64, f_hi: f64, mut eval: impl FnMut(usize, f64) -> f64) -> Self {
+    /// Tabulates `eval(i, f_i)` at every grid point `i`, reusing the
+    /// table's buffer.
+    fn fill(&mut self, f_lo: f64, f_hi: f64, mut eval: impl FnMut(usize, f64) -> f64) {
         let (step, points) = Self::grid(f_lo, f_hi);
-        let values = (0..points)
-            .map(|i| eval(i, f_lo + i as f64 * step))
-            .collect();
-        Self { f_lo, step, values }
+        self.f_lo = f_lo;
+        self.step = step;
+        self.values.clear();
+        self.values
+            .extend((0..points).map(|i| eval(i, f_lo + i as f64 * step)));
     }
 
     #[inline]
@@ -245,7 +250,7 @@ pub struct NodeInterface<'a> {
 /// inner loop that does not depend on the reflection coefficients.
 /// Built once, then replayed per chirp run by run with three
 /// multiply-adds per sample.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RayTables {
     /// Envelope delayed by the round-trip time.
     pub(crate) delayed: Vec<Cpx>,
@@ -259,15 +264,6 @@ pub struct RayTables {
     pub(crate) rt_phase: Cpx,
     /// Mirror `(switch_coupling, depth phasor)` when enabled.
     pub(crate) mirror: Option<(f64, Cpx)>,
-}
-
-/// Hoisted tables for [`Scene::to_node_port_into`]: the per-sample one-way
-/// LUT amplitude, the carrier phasor and the propagation delay.
-#[derive(Debug, Clone)]
-pub struct PortTables {
-    pub(crate) amp: Vec<f64>,
-    pub(crate) carrier_phase: Cpx,
-    pub(crate) tau: f64,
 }
 
 /// Delay of the AP's TX→RX leakage path (a ~30 cm equivalent round
@@ -433,70 +429,39 @@ impl Scene {
     /// gain, into `out` (rate, carrier and samples overwritten, capacity
     /// reused). Noiseless; the envelope detector adds its own noise.
     ///
-    /// `wave_fp` is the component's
-    /// [`wave_fingerprint`](crate::workspace::wave_fingerprint), computed once
-    /// by the caller. The per-sample amplitude table and carrier phasor
-    /// are cached in `ws` per scene, waveform, pose, FSA and port, so
-    /// the symbols of a downlink burst and repeat transfers replay them.
-    #[allow(clippy::too_many_arguments)] // the render inputs + out
+    /// A one-shot render: the one-way amplitude LUT is filled in `ws`'s
+    /// pooled scratch from the FSA gain point by point and read at every
+    /// sample's instantaneous emitted frequency. It leaves no cache
+    /// entry in `ws`.
     pub fn to_node_port_into(
         &self,
         ws: &mut ChannelWorkspace,
         comp: &TxComponent,
-        wave_fp: u64,
         pose: &Pose,
         fsa: &DualPortFsa,
         port: Port,
         out: &mut Signal,
     ) {
-        let fsa_fp = fsa_fingerprint(fsa);
-        let key = PortKey {
-            scene: self.static_fingerprint(),
-            wave: wave_fp,
-            pose: pose_bits(pose),
-            fsa: fsa_fp,
-            port,
-        };
-        let tables = ws.port_tables(key, |curves| {
-            let inc = pose.incidence_from(&self.tx_pos);
-            let pair = cached_curves(curves, fsa, fsa_fp, inc, comp.freq_range());
-            self.build_port_tables(comp, pose, &pair[port as usize])
-        });
-        out.fs = comp.signal.fs;
-        out.fc = comp.signal.fc;
-        comp.signal.delayed_into(tables.tau, &mut out.samples);
-        for (c, amp) in out.samples.iter_mut().zip(&tables.amp) {
-            *c *= tables.carrier_phase * *amp;
-        }
-    }
-
-    /// Builds the hoisted [`PortTables`] for one downlink ray: the
-    /// amplitude LUT evaluated at every sample's instantaneous emitted
-    /// frequency, plus the carrier phasor and delay. `curve` is the
-    /// port's FSA gain on the LUT grid at the node's incidence.
-    fn build_port_tables(&self, comp: &TxComponent, pose: &Pose, curve: &[f64]) -> PortTables {
         let d = self.tx_pos.distance_to(&pose.position);
         let tau = d / SPEED_OF_LIGHT;
         let fc = comp.signal.fc;
         let fs = comp.signal.fs;
         let g_tx = self.tx_gain_towards(&pose.position, fc);
         let carrier_phase = Cpx::cis(-2.0 * PI * fc * tau);
+        let inc = pose.incidence_from(&self.tx_pos);
 
         let (f_lo, f_hi) = comp.freq_range();
-        let amp_lut = FreqLut::build(f_lo, f_hi, |i, f| {
-            one_way_rx_power(1.0, g_tx, curve[i], d, f).sqrt()
+        let lut = &mut ws.scratch.luts[0];
+        lut.fill(f_lo, f_hi, |_, f| {
+            one_way_rx_power(1.0, g_tx, fsa.gain(port, inc, f), d, f).sqrt()
         });
-        let amp = (0..comp.signal.len())
-            .map(|i| {
-                let t_emit = i as f64 / fs - tau;
-                let f_inst = comp.profile.freq_at(t_emit.max(0.0));
-                amp_lut.get(f_inst)
-            })
-            .collect();
-        PortTables {
-            amp,
-            carrier_phase,
-            tau,
+        out.fs = fs;
+        out.fc = fc;
+        comp.signal.delayed_into(tau, &mut out.samples);
+        for (i, c) in out.samples.iter_mut().enumerate() {
+            let t_emit = i as f64 / fs - tau;
+            let amp = lut.get(comp.profile.freq_at(t_emit.max(0.0)));
+            *c *= carrier_phase * amp;
         }
     }
 
@@ -506,8 +471,8 @@ impl Scene {
     /// coefficients and its mirror reflection) summed with the static
     /// clutter and TX self-interference paths. Noiseless. The channel is
     /// linear, so the sum is exact. This is the cached, allocation-free
-    /// render (DESIGN.md §13), bitwise identical to
-    /// [`Scene::monostatic_rx_multi_uncached`].
+    /// render of Field 2 (DESIGN.md §13), bitwise identical to
+    /// [`Scene::monostatic_rx_multi_uncached_into`].
     ///
     /// `wave_fp` must be
     /// [`wave_fingerprint`](crate::workspace::wave_fingerprint)`(comp)` — callers compute
@@ -612,49 +577,85 @@ impl Scene {
             pose: pose_bits(&node.pose),
             fsa: fsa_fp,
         };
-        ws.ray_tables(key, |curves| {
+        ws.ray_tables(key, |curves, luts| {
             let inc = node.pose.incidence_from(&self.tx_pos);
             let pair = cached_curves(curves, node.fsa, fsa_fp, inc, comp.freq_range());
-            self.build_ray_tables(comp, node, rx_idx, pair)
+            let mut tables = RayTables::default();
+            let gain = |port: Port, i: usize, _| pair[port as usize][i];
+            self.build_ray_tables(comp, node, rx_idx, gain, luts, &mut tables);
+            tables
         })
     }
 
-    /// Reference monostatic render that bypasses every cache: gain
-    /// evaluated point by point through [`DualPortFsa::gain`], fresh
-    /// LUTs, fresh ray tables, fresh buffers. The fast path is asserted
-    /// bitwise against this in `tests/channel_equivalence.rs` and the
-    /// bench A/B leg.
+    /// One-shot monostatic render, the reference the cached path is
+    /// asserted against: the static paths straight into `out`, then each
+    /// node's [`RayTables`] built in `ws`'s pooled scratch, with the gain
+    /// evaluated point by point through [`DualPortFsa::gain`], and
+    /// replayed. Renders whose waveform no later render repeats (the
+    /// uplink captures) come through here and leave no cache entry in
+    /// `ws`; a warmed scratch makes the render allocation-free.
+    pub fn monostatic_rx_multi_uncached_into(
+        &self,
+        ws: &mut ChannelWorkspace,
+        comp: &TxComponent,
+        nodes: &[NodeInterface<'_>],
+        rx_idx: usize,
+        out: &mut Signal,
+    ) {
+        assert!(rx_idx < 2, "rx_idx must be 0 or 1");
+        let n = comp.signal.len();
+        out.fs = comp.signal.fs;
+        out.fc = comp.signal.fc;
+        milback_dsp::buffer::track_growth(&mut out.samples, n);
+        out.samples.clear();
+        out.samples.resize(n, ZERO);
+        self.add_static_paths(comp, rx_idx, &mut out.samples);
+        let scratch = &mut ws.scratch;
+        for node in nodes {
+            let inc = node.pose.incidence_from(&self.tx_pos);
+            let gain = |port, _, f| node.fsa.gain(port, inc, f);
+            self.build_ray_tables(
+                comp,
+                node,
+                rx_idx,
+                gain,
+                &mut scratch.luts,
+                &mut scratch.rays,
+            );
+            accumulate_node(&scratch.rays, node.gamma, &mut out.samples);
+        }
+    }
+
+    /// [`Self::monostatic_rx_multi_uncached_into`] into a fresh signal
+    /// through a fresh workspace.
     pub fn monostatic_rx_multi_uncached(
         &self,
         comp: &TxComponent,
         nodes: &[NodeInterface<'_>],
         rx_idx: usize,
     ) -> Signal {
-        assert!(rx_idx < 2, "rx_idx must be 0 or 1");
-        let fs = comp.signal.fs;
-        let mut acc = Signal::zeros(fs, comp.signal.fc, comp.signal.len());
-        self.add_static_paths(comp, rx_idx, &mut acc.samples);
-        for node in nodes {
-            let inc = node.pose.incidence_from(&self.tx_pos);
-            let curves = per_point_curves(node.fsa, inc, comp.freq_range());
-            let tables = self.build_ray_tables(comp, node, rx_idx, &curves);
-            accumulate_node(&tables, node.gamma, &mut acc.samples);
-        }
-        acc
+        let mut out = Signal::new(comp.signal.fs, comp.signal.fc, Vec::new());
+        let mut ws = ChannelWorkspace::new();
+        self.monostatic_rx_multi_uncached_into(&mut ws, comp, nodes, rx_idx, &mut out);
+        out
     }
 
     /// Builds the hoisted [`RayTables`] for one node's backscatter rays
-    /// (both ports + its mirror reflection): the round-trip-delayed
-    /// envelope and, per sample, every frequency-LUT amplitude the
-    /// historical inner loop evaluated on the fly. `curves` holds both
-    /// ports' FSA gain on the LUT grid at the node's incidence.
+    /// (both ports + its mirror reflection) into `out`, reusing its
+    /// buffers: the round-trip-delayed envelope and, per sample, every
+    /// frequency-LUT amplitude the historical inner loop evaluated on
+    /// the fly. `gain(port, i, f)` is the port's FSA gain at the node's
+    /// incidence at point `i` (frequency `f`) of the LUT grid; `luts`
+    /// holds the port-A, port-B and mirror LUTs while they are read.
     fn build_ray_tables(
         &self,
         comp: &TxComponent,
         node: &NodeInterface<'_>,
         rx_idx: usize,
-        curves: &CurvePair,
-    ) -> RayTables {
+        gain: impl Fn(Port, usize, f64) -> f64,
+        luts: &mut [FreqLut; 3],
+        out: &mut RayTables,
+    ) {
         let fc = comp.signal.fc;
         let fs = comp.signal.fs;
         let n = comp.signal.len();
@@ -667,52 +668,52 @@ impl Scene {
         let rt_phase = Cpx::cis(-2.0 * PI * fc * tau_rt);
 
         let (f_lo, f_hi) = comp.freq_range();
-        let port_luts = curves.each_ref().map(|curve| {
-            FreqLut::build(f_lo, f_hi, |i, f| {
-                (backscatter_rx_power(1.0, g_tx, g_rx, curve[i], 1.0, 1.0, f)
+        let [lut_a, lut_b, lut_mirror] = luts;
+        for (port, lut) in Port::BOTH.into_iter().zip([&mut *lut_a, &mut *lut_b]) {
+            lut.fill(f_lo, f_hi, |i, f| {
+                (backscatter_rx_power(1.0, g_tx, g_rx, gain(port, i, f), 1.0, 1.0, f)
                     * fspl(d_tx, f)
                     * fspl(d_rx, f)
                     / fspl(1.0, f).powi(2))
                 .sqrt()
-            })
-        });
-        let mirror_lut = self.mirror.as_ref().map(|m| {
+            });
+        }
+        let mirror = self.mirror.as_ref().map(|m| {
             let sigma = m.rcs_at(inc);
+            lut_mirror.fill(f_lo, f_hi, |_, f| {
+                (radar_rx_power(1.0, g_tx, g_rx, sigma, 1.0, f) * fspl(d_tx, f) * fspl(d_rx, f)
+                    / fspl(1.0, f).powi(2))
+                .sqrt()
+            });
             // The extra 2·depth path shows up as a carrier phase rotation
             // (the mm-scale envelope delay is far below range resolution).
             let phase = Cpx::cis(-2.0 * PI * fc * 2.0 * m.depth_offset / SPEED_OF_LIGHT);
-            (
-                FreqLut::build(f_lo, f_hi, |_, f| {
-                    (radar_rx_power(1.0, g_tx, g_rx, sigma, 1.0, f) * fspl(d_tx, f) * fspl(d_rx, f)
-                        / fspl(1.0, f).powi(2))
-                    .sqrt()
-                }),
-                m.switch_coupling,
-                phase,
-            )
+            (m.switch_coupling, phase)
         });
 
-        let mut delayed = Vec::new();
-        comp.signal.delayed_into(tau_rt, &mut delayed);
-        let mut amp = [Vec::with_capacity(n), Vec::with_capacity(n)];
-        let mut amp_mirror = Vec::with_capacity(if mirror_lut.is_some() { n } else { 0 });
+        comp.signal.delayed_into(tau_rt, &mut out.delayed);
+        let [amp_a, amp_b] = &mut out.amp;
+        let amp_mirror = &mut out.amp_mirror;
+        for amp in [&mut *amp_a, &mut *amp_b, &mut *amp_mirror] {
+            amp.clear();
+        }
+        amp_a.reserve(n);
+        amp_b.reserve(n);
+        if mirror.is_some() {
+            amp_mirror.reserve(n);
+        }
         for i in 0..n {
             let t = i as f64 / fs;
             let t_emit = (t - tau_rt).max(0.0);
             let f_inst = comp.profile.freq_at(t_emit);
-            amp[0].push(port_luts[0].get(f_inst));
-            amp[1].push(port_luts[1].get(f_inst));
-            if let Some((lut, _, _)) = &mirror_lut {
-                amp_mirror.push(lut.get(f_inst));
+            amp_a.push(lut_a.get(f_inst));
+            amp_b.push(lut_b.get(f_inst));
+            if mirror.is_some() {
+                amp_mirror.push(lut_mirror.get(f_inst));
             }
         }
-        RayTables {
-            delayed,
-            amp,
-            amp_mirror,
-            rt_phase,
-            mirror: mirror_lut.map(|(_, coupling, phase)| (coupling, phase)),
-        }
+        out.rt_phase = rt_phase;
+        out.mirror = mirror;
     }
 
     /// Adds the node-independent static paths (clutter + TX→RX leakage)
@@ -803,23 +804,12 @@ fn cached_curves<'c>(
     })
 }
 
-/// The uncached reference of [`cached_curves`]: [`DualPortFsa::gain`]
-/// evaluated point by point.
-fn per_point_curves(fsa: &DualPortFsa, inc: f64, (f_lo, f_hi): (f64, f64)) -> CurvePair {
-    let (step, points) = FreqLut::grid(f_lo, f_hi);
-    Port::BOTH.map(|port| {
-        (0..points)
-            .map(|i| fsa.gain(port, inc, f_lo + i as f64 * step))
-            .collect()
-    })
-}
-
 /// Replays one node's hoisted [`RayTables`] against its Γ runs,
 /// accumulating into `acc`. This is the only per-sample loop left on the
 /// monostatic path: per run, the mirror's switch-coupling gain is
 /// hoisted and each sample costs three multiply-adds — no schedule
 /// lookup, no trigonometry, no LUT walks. Both the cached and the
-/// uncached render call it, so they agree bitwise.
+/// one-shot render call it, so they agree bitwise.
 ///
 /// Panics unless the runs tile the whole capture: ends must not
 /// decrease and the last must equal the sample count.
@@ -971,9 +961,8 @@ mod tests {
         let sig = Signal::tone(fs, f, 0.0, 1.0, 2000);
         let comp = TxComponent::tone(sig, f);
         let mut rx = Signal::zeros(fs, f, 0);
-        let fp = wave_fingerprint(&comp);
         let mut ws = ChannelWorkspace::new();
-        scene.to_node_port_into(&mut ws, &comp, fp, &pose, &fsa, Port::A, &mut rx);
+        scene.to_node_port_into(&mut ws, &comp, &pose, &fsa, Port::A, &mut rx);
         let expected = scene.tone_gain_to_port(&pose, &fsa, Port::A, f);
         // Skip the first samples affected by the delay zero-fill.
         let p: f64 =

@@ -1,6 +1,6 @@
-//! Reusable channel-synthesis workspace: the static-scene response
-//! cache and per-ray tables behind the fast monostatic render path
-//! (DESIGN.md §13).
+//! Reusable channel-synthesis workspace: the Field-2 caches behind the
+//! fast monostatic render path, and the pooled scratch every one-shot
+//! render builds its tables in (DESIGN.md §13).
 //!
 //! A five-chirp Field-2 burst renders the *same* static scene (clutter
 //! plus TX→RX leakage) and the *same* node geometry ten times (five
@@ -14,11 +14,17 @@
 //! * per-node **ray tables** (delayed envelope + per-sample LUT
 //!   amplitude products + round-trip phasor) per (scene, waveform,
 //!   pose, FSA, RX antenna),
-//! * per-port **downlink tables** for `Scene::to_node_port_into`,
 //! * per-(FSA, incidence, band) **gain curves**: both ports' FSA gain
-//!   on the frequency-LUT grid, shared by every ray and port table
-//!   built at that incidence — whatever the steer, the RX antenna or
-//!   the waveform's samples.
+//!   on the frequency-LUT grid, shared by every ray table built at that
+//!   incidence — whatever the steer, the RX antenna or the waveform's
+//!   samples.
+//!
+//! Only Field 2 repeats a waveform, so only its renders go through
+//! these caches. The downlink port renders, the uplink AP captures and
+//! the Field-1 render are one-shot: their tones follow each packet's
+//! sensed orientation, and the Field-1 video is kept by the network.
+//! They build their tables in the workspace's one pooled scratch and
+//! leave no cache entry behind.
 //!
 //! ## Invalidation
 //!
@@ -44,15 +50,13 @@
 //!   response lookups,
 //! * `rf.ray.cache.hit.local` / `rf.ray.cache.miss.local` — node ray
 //!   tables,
-//! * `rf.port.cache.hit.local` / `rf.port.cache.miss.local` — downlink
-//!   port tables,
 //! * `rf.gain.cache.hit.local` / `rf.gain.cache.miss.local` — FSA gain
-//!   curves, looked up once per ray- or port-table build,
+//!   curves, looked up once per ray-table build,
 //! * `rf.workspace.grow.local` — one count per cache entry built
 //!   (insert or LRU replacement).
 
-use crate::channel::{PortTables, RayTables, TxComponent};
-use crate::fsa::{DualPortFsa, Port};
+use crate::channel::{FreqLut, RayTables, TxComponent};
+use crate::fsa::DualPortFsa;
 use crate::geometry::Pose;
 use milback_dsp::num::Cpx;
 use milback_telemetry as telemetry;
@@ -91,9 +95,8 @@ impl Fnv {
 /// frequency profile and every sample's bit pattern. Two components
 /// with equal fingerprints render identically through the channel.
 ///
-/// Callers on the hot path (`Network`, `link`) compute this once per
-/// burst/symbol batch and pass it to the `_into` render entry points;
-/// the allocating wrappers recompute it per call.
+/// Only the Field-2 burst computes it: once per chirp config, kept with
+/// the burst's component and passed to every cached render of it.
 pub fn wave_fingerprint(comp: &TxComponent) -> u64 {
     let mut h = Fnv::new();
     h.f64(comp.signal.fs);
@@ -167,15 +170,6 @@ pub(crate) struct CurveKey {
 
 /// Both ports' gain curves, `[A, B]`, on the frequency-LUT grid.
 pub(crate) type CurvePair = [Vec<f64>; 2];
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PortKey {
-    pub scene: u64,
-    pub wave: u64,
-    pub pose: [u64; 3],
-    pub fsa: u64,
-    pub port: Port,
-}
 
 struct Entry<K, V> {
     key: K,
@@ -253,13 +247,23 @@ impl<K: PartialEq + Copy, V> Lru<K, V> {
 pub struct ChannelWorkspace {
     statics: Lru<StaticKey, Vec<Cpx>>,
     rays: Lru<RayKey, RayTables>,
-    ports: Lru<PortKey, PortTables>,
     curves: GainCurves,
+    pub(crate) scratch: RenderScratch,
 }
 
-/// The gain-curve cache, handed to ray- and port-table builds so they
-/// read their FSA gain points from it.
+/// The gain-curve cache, handed to ray-table builds so they read their
+/// FSA gain points from it.
 pub(crate) type GainCurves = Lru<CurveKey, CurvePair>;
+
+/// The pooled buffers a render builds its tables in: one node's ray
+/// tables for a one-shot monostatic render, and the frequency LUTs
+/// (port A, port B, mirror) of every table build. Rebuilt, never
+/// looked up, so a one-shot render leaves nothing behind but capacity.
+#[derive(Default)]
+pub(crate) struct RenderScratch {
+    pub rays: RayTables,
+    pub luts: [FreqLut; 3],
+}
 
 impl ChannelWorkspace {
     /// An empty workspace; caches fill on first use.
@@ -267,8 +271,8 @@ impl ChannelWorkspace {
         Self {
             statics: Lru::new(8, "rf.scene.cache.hit.local", "rf.scene.cache.miss.local"),
             rays: Lru::new(16, "rf.ray.cache.hit.local", "rf.ray.cache.miss.local"),
-            ports: Lru::new(8, "rf.port.cache.hit.local", "rf.port.cache.miss.local"),
             curves: Lru::new(16, "rf.gain.cache.hit.local", "rf.gain.cache.miss.local"),
+            scratch: RenderScratch::default(),
         }
     }
 
@@ -280,30 +284,20 @@ impl ChannelWorkspace {
         self.statics.get_or_build(key, build)
     }
 
+    /// The cached ray tables under `key`; a miss builds them with the
+    /// gain-curve cache and the scratch LUTs.
     pub(crate) fn ray_tables(
         &mut self,
         key: RayKey,
-        build: impl FnOnce(&mut GainCurves) -> RayTables,
+        build: impl FnOnce(&mut GainCurves, &mut [FreqLut; 3]) -> RayTables,
     ) -> &RayTables {
-        let curves = &mut self.curves;
-        self.rays.get_or_build(key, || build(curves))
-    }
-
-    pub(crate) fn port_tables(
-        &mut self,
-        key: PortKey,
-        build: impl FnOnce(&mut GainCurves) -> PortTables,
-    ) -> &PortTables {
-        let curves = &mut self.curves;
-        self.ports.get_or_build(key, || build(curves))
+        let (curves, luts) = (&mut self.curves, &mut self.scratch.luts);
+        self.rays.get_or_build(key, || build(curves, luts))
     }
 
     /// Number of cached entries across all caches (test/diagnostic aid).
     pub fn cached_entries(&self) -> usize {
-        self.statics.entries.len()
-            + self.rays.entries.len()
-            + self.ports.entries.len()
-            + self.curves.entries.len()
+        self.statics.entries.len() + self.rays.entries.len() + self.curves.entries.len()
     }
 }
 

@@ -1,6 +1,6 @@
 //! Bitwise equivalence of the cached channel-synthesis path
 //! (`Scene::monostatic_rx_multi_into` + `ChannelWorkspace`, DESIGN.md
-//! §13) against the uncached reference
+//! §13) against the one-shot reference
 //! (`Scene::monostatic_rx_multi_uncached`), plus the content-fingerprint
 //! invalidation rules: any static-scene or node-geometry change must be
 //! reflected on the very next render, with no stale cache reuse. The
@@ -273,25 +273,56 @@ fn scene_and_node_mutations_invalidate_the_cache() {
     );
 }
 
-/// The one-way downlink render (`to_node_port_into`) must give the same
-/// signal through a warm workspace as through a cold one.
+/// The one-shot renders (`to_node_port_into` and
+/// `monostatic_rx_multi_uncached_into`) build their tables in the
+/// workspace's pooled scratch: through one scratch shared by renders of
+/// other waveforms, lengths, scenes (mirror on and off) and ports, each
+/// must equal the same render through a fresh workspace, and none may
+/// leave a cache entry behind.
 #[test]
-fn to_node_port_cache_is_transparent() {
-    let comp = test_component();
-    let fsa = DualPortFsa::milback();
-    let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0));
-    let mut scene = Scene::milback_indoor();
-    scene.steer_towards(&pose.position);
-    let fp = wave_fingerprint(&comp);
+fn one_shot_renders_through_a_shared_scratch_match_fresh_ones() {
+    use milback_rf::fsa::Port;
 
-    for port in [milback_rf::fsa::Port::A, milback_rf::fsa::Port::B] {
-        let mut cold_ws = ChannelWorkspace::default();
-        let mut cold = Signal::new(comp.signal.fs, comp.signal.fc, Vec::new());
-        let mut warm = cold.clone();
-        scene.to_node_port_into(&mut cold_ws, &comp, fp, &pose, &fsa, port, &mut cold);
-        scene.to_node_port_into(&mut cold_ws, &comp, fp, &pose, &fsa, port, &mut warm);
-        assert_eq!(cold.samples, warm.samples, "warm {port:?} render diverged");
+    let fsa = DualPortFsa::milback();
+    let pose = Pose::facing_ap(2.0, deg_to_rad(-3.0), deg_to_rad(12.0));
+    let chirp = test_component();
+    let tone = |f: f64, n| TxComponent::tone(Signal::tone(1.6e9, 28e9, f - 28e9, 0.7, n), f);
+    let comps = [chirp.clone(), tone(27.9e9, 1_300), tone(28.3e9, 500), chirp];
+    let mut shared = ChannelWorkspace::default();
+    for (k, comp) in comps.iter().enumerate() {
+        let mut scene = Scene::milback_indoor();
+        if k % 2 == 1 {
+            scene.mirror = None;
+        }
+        scene.steer_towards(&pose.position);
+        let fresh = || Signal::new(1.0, 0.0, Vec::new());
+        for port in Port::BOTH {
+            let (mut got, mut want) = (fresh(), fresh());
+            scene.to_node_port_into(&mut shared, comp, &pose, &fsa, port, &mut got);
+            let mut cold = ChannelWorkspace::default();
+            scene.to_node_port_into(&mut cold, comp, &pose, &fsa, port, &mut want);
+            assert_eq!(got.samples, want.samples, "render {k}: {port:?} port");
+        }
+        let gamma = square_runs(40e6, 0.0, comp);
+        let node = NodeInterface {
+            pose,
+            fsa: &fsa,
+            gamma: &gamma,
+        };
+        for rx_idx in 0..2 {
+            let mut got = fresh();
+            let nodes = std::slice::from_ref(&node);
+            scene.monostatic_rx_multi_uncached_into(&mut shared, comp, nodes, rx_idx, &mut got);
+            let want = scene.monostatic_rx_multi_uncached(comp, nodes, rx_idx);
+            assert_eq!(got.samples, want.samples, "render {k}: rx{rx_idx}");
+            assert_eq!((got.fs, got.fc), (want.fs, want.fc));
+        }
     }
+    assert_eq!(
+        shared.cached_entries(),
+        0,
+        "a one-shot render left a cache entry"
+    );
 }
 
 /// The gain-curve cache keys on (FSA, incidence, band), not on the

@@ -12,7 +12,7 @@
 
 use milback::batch::run_trials_with_threads;
 use milback::chaos::{chaos_sweep_with_threads, ChaosPoint};
-use milback::{batch, Fidelity, Network, Session, SessionConfig, SessionCtx};
+use milback::{batch, serve, Fidelity, Network, Session, SessionConfig, SessionCtx};
 use milback_ap::RangeProcessor;
 use milback_proto::packet::Packet;
 use milback_rf::geometry::{deg_to_rad, Pose};
@@ -230,6 +230,53 @@ fn field1_videos_render_once_per_network() {
 
     assert_eq!(first, 1, "first uplink session");
     assert_eq!(repeat, 0, "repeat sessions rendered Field 1 again");
+}
+
+/// Only Field 2 repeats a waveform within a packet, so only Field 2
+/// renders through the channel caches. Once one ctx has localized each
+/// of four roster networks, alternating uplink and downlink sessions on
+/// them, each planning fresh carriers from its own Field-2 sense, miss
+/// no ray table and no static response: their Field-1, port and
+/// capture renders are one-shot. A payload render that went through the
+/// caches would miss four of each per uplink and evict the Field-2
+/// entries the next session reads.
+#[test]
+fn payload_renders_leave_the_field2_caches_alone() {
+    let _gate = registry_lock();
+    let was = telemetry::enabled();
+    telemetry::set_enabled(true);
+    let session = Session::new(SessionConfig::milback());
+    let mut ctx = SessionCtx::new();
+    let mut nets: Vec<Network> = serve::roster(4, 0x5E55_0001)
+        .into_iter()
+        .zip(0xCA5E..)
+        .map(|(pose, seed)| Network::new(pose, Fidelity::Fast, seed))
+        .collect();
+    for net in &mut nets {
+        assert!(session.localize_in(&mut ctx, net).fix.is_some());
+    }
+    telemetry::reset();
+    for k in 0..8 {
+        let payload = vec![k as u8; 16];
+        let packet = if (k + k / 4) % 2 == 0 {
+            Packet::uplink(payload)
+        } else {
+            Packet::downlink(payload)
+        };
+        let report = session.run_in(&mut ctx, &mut nets[k % 4], &packet, false);
+        assert!(report.is_ok(), "session {k} ({:?}) failed", packet.mode);
+    }
+    let snap = telemetry::snapshot();
+    telemetry::set_enabled(was);
+
+    let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    let misses = (
+        count("rf.ray.cache.miss.local"),
+        count("rf.scene.cache.miss.local"),
+    );
+    assert_eq!(misses, (0, 0), "(ray, static) misses after warm-up");
+    // Five chirps × two antennas per session, every one a hit.
+    assert_eq!(count("rf.ray.cache.hit.local"), 8 * 10, "ray hits");
 }
 
 /// The Field-2 work ledger: a session renders one Field-2 burst and

@@ -1,4 +1,4 @@
-//! Literal pins on the workspace/template fast paths, exercised at the
+//! Literal pins on the workspace fast paths, exercised at the
 //! network level (DESIGN.md §12). The per-kernel pins live next to each
 //! kernel's unit tests; this file pins the end-to-end compositions the
 //! pipeline actually runs.
@@ -14,7 +14,6 @@
 
 use milback::{Fidelity, Network, Session, SessionCtx};
 use milback_ap::ranging::LocalizationResult;
-use milback_dsp::template;
 use milback_proto::packet::Packet;
 use milback_rf::geometry::{deg_to_rad, Pose};
 
@@ -84,27 +83,12 @@ fn sense_orientation_matches_allocating_flow() {
     assert_eq!(got, Some(0xbfc6_22ae_ea6b_e22e), "{got:#018x?}");
 }
 
-/// Template fetches are bitwise identical to fresh synthesis for every
-/// cached waveform family (Field-2 sawtooth, Field-1 triangular).
-#[test]
-fn templates_match_fresh_synthesis_bitwise() {
-    let saw_cfg = Fidelity::Fast.sawtooth();
-    let fresh = saw_cfg.sawtooth();
-    let cached = template::sawtooth(&saw_cfg);
-    assert_eq!(fresh.samples, cached.samples);
-    assert_eq!((fresh.fs, fresh.fc), (cached.fs, cached.fc));
-
-    let tri_cfg = Fidelity::Fast.triangular();
-    let fresh = tri_cfg.triangular();
-    let cached = template::triangular(&tri_cfg);
-    assert_eq!(fresh.samples, cached.samples);
-    assert_eq!((fresh.fs, fresh.fc), (cached.fs, cached.fc));
-}
-
-/// A session renders every field in the caller's `SessionCtx`: after one
-/// uplink exchange a fresh context holds the Field-1 port tables and the
-/// uplink ray tables besides the Field-2 entries a localize-only session
-/// leaves there.
+/// A session renders every field in the caller's `SessionCtx`, and only
+/// Field 2 leaves cache entries there: the Field-1 render and the
+/// payload's port renders and captures are one-shot renders in the
+/// ctx's pooled scratch. After an uplink and a downlink exchange a
+/// fresh context holds exactly the entries a localize-only session
+/// leaves in another.
 #[test]
 fn exchange_session_renders_every_field_in_the_callers_ctx() {
     let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0));
@@ -115,16 +99,21 @@ fn exchange_session_renders_every_field_in_the_callers_ctx() {
     assert!(summary.fix.is_some());
     let mut exchange_ctx = SessionCtx::new();
     let mut net = Network::new(pose, Fidelity::Fast, 5);
-    let packet = Packet::uplink(vec![0x5C; 16]);
+    let uplink = Packet::uplink(vec![0x5C; 16]);
     let report = session
-        .run_in(&mut exchange_ctx, &mut net, &packet, false)
-        .expect("exchange failed");
+        .run_in(&mut exchange_ctx, &mut net, &uplink, false)
+        .expect("uplink exchange failed");
     assert!(report.uplink.is_some_and(|u| u.payload.is_ok()));
+    let downlink = Packet::downlink((0..16).collect());
+    let report = session
+        .run_in(&mut exchange_ctx, &mut net, &downlink, false)
+        .expect("downlink exchange failed");
+    assert!(report.downlink.is_some_and(|d| d.payload.is_ok()));
     let localize = localize_ctx.chan.cached_entries();
     let exchange = exchange_ctx.chan.cached_entries();
-    // At least two Field-1 port tables and four uplink ray tables more.
-    assert!(
-        exchange >= localize + 6,
+    assert!(localize > 0, "localize-only ctx holds no entries");
+    assert_eq!(
+        exchange, localize,
         "exchange ctx holds {exchange} entries, localize-only {localize}"
     );
 }

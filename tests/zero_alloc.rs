@@ -1,14 +1,13 @@
 //! Allocation-regression pin for the DSP hot paths (DESIGN.md §12).
 //!
 //! A counting global allocator wraps the system allocator; the single
-//! test below warms the workspace/template fast paths and then asserts
+//! test below warms the workspace fast paths and then asserts
 //! that steady-state iterations perform **zero** heap allocations:
 //!
 //! * the five-chirp localization burst through
 //!   `Localizer::process_with` on a warmed `DspWorkspace`, with the two
 //!   antennas' chains at once (helper free) and in turn (every core
 //!   occupied),
-//! * packet assembly: Field-1 chirp fetches from the template cache,
 //! * the full Field-2 render: `Network::field2_captures_into` through a
 //!   warmed `ChannelWorkspace` + `Field2Burst` — channel synthesis
 //!   included (static-scene response cache + hoisted ray tables,
@@ -23,7 +22,6 @@
 use milback::{Fidelity, Network};
 use milback_ap::workspace::DspWorkspace;
 use milback_dsp::par;
-use milback_dsp::template;
 use milback_rf::geometry::{deg_to_rad, Pose};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,23 +107,6 @@ fn warmed_hot_paths_perform_zero_heap_allocations() {
         );
     }
 
-    // ---- packet assembly: chirp templates ----------------------------
-    // Warm-up: populates the template cache (the Field-1 chirp).
-    let tri_cfg = Fidelity::Fast.triangular();
-    let tri_ref = template::triangular(&tri_cfg);
-    assert_eq!(tri_ref.len(), tri_cfg.n_samples());
-
-    let before = allocs();
-    for _ in 0..5 {
-        let tri = template::triangular(&tri_cfg);
-        assert!(std::rc::Rc::ptr_eq(&tri, &tri_ref), "chirp cache missed");
-    }
-    assert_eq!(
-        allocs() - before,
-        0,
-        "warmed chirp template fetch allocated on the heap"
-    );
-
     // ---- full Field-2 render: channel synthesis included ------------
     // A caller-owned workspace + burst, so warm-up is explicit. The
     // scene is the clutter-rich indoor default, so this covers the
@@ -147,9 +128,9 @@ fn warmed_hot_paths_perform_zero_heap_allocations() {
         "warmed Field-2 render (channel synthesis) allocated on the heap"
     );
 
-    // And the fully-composed trial the batch engine runs: render through
-    // the thread-local burst/channel workspaces, process through the
-    // thread-local DSP workspace.
+    // And the fully-composed trial the batch engine runs: render and
+    // process in the thread's shared `SessionCtx` (its burst, channel
+    // and DSP workspaces).
     assert!(net.localize().is_some(), "warm-up localize failed");
     let before = allocs();
     for _ in 0..3 {
@@ -280,9 +261,11 @@ fn warmed_hot_paths_perform_zero_heap_allocations() {
     );
 
     // ---- pooled link layer: downlink ---------------------------------
-    // Every per-transfer buffer lives in the network's `LinkScratch`
-    // (waveforms, port renders, detector videos, demod/codec scratch),
-    // so a warmed downlink's only heap allocation is the decoded payload
+    // Every per-transfer buffer lives in the `LinkScratch` of the
+    // thread's shared `SessionCtx` (waveforms, port renders, detector
+    // videos, demod/codec scratch), and the one-shot port renders build
+    // their tables in its channel workspace's pooled scratch, so a
+    // warmed downlink's only heap allocation is the decoded payload
     // `Vec<u8>` handed back in the report — exactly one acquisition per
     // transfer.
     let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0));
@@ -304,8 +287,9 @@ fn warmed_hot_paths_perform_zero_heap_allocations() {
     );
 
     // ---- pooled link layer: uplink -----------------------------------
-    // With the receiver demodulating through the pooled `UplinkScratch`
-    // (branch chains, cached anti-alias designs, symbol points,
+    // With the query tones and one-shot captures built in pooled
+    // buffers and the receiver demodulating through the pooled
+    // `UplinkScratch` (branch chains, anti-alias taps, symbol points,
     // projections, slices), a warmed uplink matches the downlink: the
     // only heap allocation per transfer is the decoded payload `Vec<u8>`
     // handed back in the report.
