@@ -26,6 +26,14 @@ echo "==> sessbench self-tests"
 # the benchmark's build fail CI instead of the next benchmark run.
 cargo test --release --offline --manifest-path sessbench/Cargo.toml
 
+echo "==> figures --check results/ (paper bands + every capture byte for byte)"
+# Regenerates every figure, table, ablation and survey capture in memory
+# (~4 s), first failing on any paper band the typed rows miss (DESIGN.md
+# §4), then at the first line that differs from the committed results/,
+# on a capture results/ lacks and on a file in results/ that no
+# generator writes.
+cargo run --release --offline -p milback-bench --bin figures -- --check results/
+
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy"
     # The allow-by-default lints guard the zero-allocation hot paths

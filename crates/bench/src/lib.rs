@@ -1,26 +1,17 @@
 //! # milback-bench
 //!
-//! Benchmark/reproduction harness for the MilBack paper. Each `fig*` /
-//! `table*` binary regenerates one figure or table of the evaluation
-//! section and prints the series the paper reports.
-//!
-//! Binaries write machine-readable CSV next to the human-readable table
-//! when `--csv <path>` is given.
-//!
-//! The `bench_engine` binary is the CI kernel gate (DESIGN.md §17.3): it
-//! checks the localization burst's FFT work count, times the range FFT
-//! and the burst on one core next to a calibration workload, and with
-//! `--check-against BENCH_N.json` fails on a regression past 10%;
-//! `--out` writes the timings as a baseline. Session throughput and
-//! latency are measured by the standalone session benchmark in
-//! `sessbench/`.
+//! Reproduction harness for the MilBack paper. The `figures` binary
+//! regenerates every figure, table, ablation and survey capture in
+//! `results/` from the generators in [`figures`], asserting the paper's
+//! bands; `bench_engine` is the CI kernel gate (DESIGN.md §17.3), and
+//! session throughput and latency come from the standalone session
+//! benchmark in `sessbench/`.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::Path;
 
+pub mod figures;
 pub mod plot;
 pub use plot::{line_chart, Series};
 
@@ -73,43 +64,8 @@ impl Table {
 
     /// Renders as CSV.
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.header.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Writes the CSV form to a file.
-    pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir)?;
-        }
-        fs::write(path, self.to_csv())
-    }
-}
-
-/// Parses the optional `--csv <path>` argument common to all binaries.
-pub fn csv_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--csv" {
-            return args.next().map(Into::into);
-        }
-    }
-    None
-}
-
-/// Prints the table and optionally writes CSV, honoring `--csv`.
-pub fn emit(title: &str, table: &Table) {
-    println!("== {title} ==");
-    println!("{}", table.render());
-    if let Some(path) = csv_arg() {
-        table.write_csv(&path).expect("failed to write CSV");
-        println!("(csv written to {})", path.display());
+        let lines = std::iter::once(&self.header).chain(&self.rows);
+        lines.map(|cells| cells.join(",") + "\n").collect()
     }
 }
 

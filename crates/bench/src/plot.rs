@@ -1,5 +1,5 @@
-//! Terminal plotting for the figure binaries: multi-series line charts
-//! rendered as Unicode text, so `cargo run --bin fig14_downlink` shows the
+//! Terminal plotting for the figure reports: multi-series line charts
+//! rendered as Unicode text, so `results/fig14_downlink.txt` shows the
 //! curve's *shape* directly, not just a table.
 
 /// One named data series.
