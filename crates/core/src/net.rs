@@ -16,10 +16,12 @@
 //!   outrun their slot are counted (`net.slot.overrun`), not clipped.
 //! * **Inter-node interference** — a scheduled node's Field-2 capture
 //!   accumulates the residual reflections of its strongest parked
-//!   same-cell neighbors as clutter, through the §13 cached ray tables
+//!   same-cell neighbors as clutter, summed once per antenna per burst
+//!   through the §13 cached ray tables
 //!   (`Scene::accumulate_backscatter_into`), reported under the
-//!   `net.interference.*` telemetry family. An empty neighbor list is
-//!   bitwise free.
+//!   `net.interference.*` telemetry family. The tables do not depend
+//!   on the steer, so a neighbor's are built once per round. An empty
+//!   neighbor list is bitwise free.
 //! * **Cells and handoff** — nodes are assigned to the AP with the
 //!   strongest closed-form two-way response
 //!   (`milback_ap::coverage::response_db`), with a hysteresis margin;

@@ -2,7 +2,7 @@
 
 use milback_rf::antenna::{Antenna, Horn, PatchElement};
 use milback_rf::channel::Scene;
-use milback_rf::fsa::{DualPortFsa, Port};
+use milback_rf::fsa::{DualPortFsa, FsaConfig, Port};
 use milback_rf::geometry::{deg_to_rad, wrap_angle, Point, Pose};
 use milback_rf::propagation::{backscatter_rx_power, fspl, one_way_rx_power};
 use proptest::prelude::*;
@@ -51,8 +51,11 @@ proptest! {
         // A width ≤ 0 is a degenerate band: one point at `f_lo`.
         width_ghz in -1.0f64..4.0,
         long in any::<bool>(),
+        // Past `TAPER_ON_STACK` (64) the curve evaluates the taper per
+        // point instead of from its stack table.
+        n_elements in 2usize..80,
     ) {
-        let fsa = DualPortFsa::milback();
+        let fsa = DualPortFsa::new(FsaConfig { n_elements, ..FsaConfig::milback() });
         let theta = deg_to_rad(deg);
         let f_lo = f_lo_ghz * 1e9;
         let f_hi = f_lo + width_ghz * 1e9;

@@ -235,8 +235,9 @@ fn scene_and_node_mutations_invalidate_the_cache() {
     );
     assert_ne!(before.samples, moved.samples, "node motion had no effect");
 
-    // AP re-steers toward the new position: static fingerprint changes,
-    // so clutter response AND ray tables must both refresh.
+    // AP re-steers toward the new position: the static fingerprint
+    // changes, so the clutter response must refresh, and the replay
+    // must take the new horn gain.
     scene.steer_towards(&pose1.position);
     let steered = render_cached(&mut ws, &scene, &comp, std::slice::from_ref(&node1), 0);
     let steered_ref = scene.monostatic_rx_multi_uncached(&comp, std::slice::from_ref(&node1), 0);
@@ -271,6 +272,154 @@ fn scene_and_node_mutations_invalidate_the_cache() {
         before.samples, replay.samples,
         "original geometry corrupted"
     );
+}
+
+/// A scene edit other than the steer still reaches every cache that
+/// reads it. From a warm workspace, each edit's next render equals the
+/// uncached reference of the edited scene, differs from the warm render,
+/// and adds exactly the entries the edit invalidates: a clutter edit a
+/// static response only; an RX antenna move or a mirror edit a static
+/// response and a ray table; a re-steer a static response only.
+#[test]
+fn scene_edits_other_than_the_steer_invalidate_what_they_reach() {
+    type Edit = fn(&mut Scene);
+    let comp = test_component();
+    let fsa = DualPortFsa::milback();
+    let pose = Pose::facing_ap(2.6, deg_to_rad(-4.0), deg_to_rad(-5.0));
+    let gamma = square_runs(40e6, 0.0, &comp);
+    let node = NodeInterface {
+        pose,
+        fsa: &fsa,
+        gamma: &gamma,
+    };
+    let nodes = std::slice::from_ref(&node);
+    let mut base = Scene::milback_indoor();
+    base.steer_towards(&pose.position);
+
+    // (name, edit, static responses added, ray tables added)
+    let edits: [(&str, Edit, usize, usize); 4] = [
+        ("clutter", |s| s.clutter[0].rcs *= 2.0, 1, 0),
+        ("rx_pos", |s| s.rx_pos[0].y += 1e-3, 1, 1),
+        (
+            "mirror",
+            |s| s.mirror.as_mut().unwrap().depth_offset += 0.4e-3,
+            1,
+            1,
+        ),
+        ("steer", |s| s.steer_towards(&Point::new(2.0, 0.4)), 1, 0),
+    ];
+    for (name, edit, statics, rays) in edits {
+        let mut ws = ChannelWorkspace::default();
+        let warm = render_cached(&mut ws, &base, &comp, nodes, 0);
+        let warm_entries = ws.cached_entries();
+        let mut scene = base.clone();
+        edit(&mut scene);
+        let edited = render_cached(&mut ws, &scene, &comp, nodes, 0);
+        let reference = scene.monostatic_rx_multi_uncached(&comp, nodes, 0);
+        assert_eq!(reference.samples, edited.samples, "{name}: stale render");
+        assert_ne!(warm.samples, edited.samples, "{name}: edit had no effect");
+        assert_eq!(
+            ws.cached_entries() - warm_entries,
+            statics + rays,
+            "{name}: wrong cache entries rebuilt"
+        );
+    }
+}
+
+/// A Field-2 burst with parked neighbours, bit for bit, against a
+/// reference composed in the pooled order: per chirp and antenna, the
+/// target's one-shot render plus the neighbours' summed one-shot renders
+/// (in a clutter- and leakage-free copy of the scene, so the sum holds
+/// their returns alone), then the trigger jitter and the capture noise
+/// drawn from a copy of the network's RNG in the network's order.
+#[test]
+fn parked_neighbour_burst_matches_the_pooled_composition() {
+    use milback::Interferer;
+    use milback_dsp::noise::{add_awgn, draw_normal, thermal_noise_power};
+    use milback_node::node::BackscatterNode;
+
+    let pose = Pose::facing_ap(2.2, deg_to_rad(-3.0), deg_to_rad(9.0));
+    let mut net = Network::new(pose, Fidelity::Fast, 0x9A2C);
+    for (range, az, facing) in [(2.6, 7.0, 12.0), (1.8, -11.0, -4.0), (3.3, 2.0, 3.0)] {
+        let nb =
+            BackscatterNode::milback(Pose::facing_ap(range, deg_to_rad(az), deg_to_rad(facing)));
+        net.interferers.push(Interferer {
+            pose: nb.pose,
+            fsa: nb.fsa,
+            gamma: nb.parked_gamma(),
+        });
+    }
+    let mut rng = net.rng().clone();
+    let n_chirps = 5;
+    let (tx, captures) = net.field2_captures(n_chirps).expect("renderable");
+
+    let mut cfg = net.fidelity.sawtooth();
+    cfg.amplitude = net.ap.tx.amplitude();
+    let comp = TxComponent {
+        signal: cfg.sawtooth(),
+        profile: FreqProfile::Sawtooth(cfg),
+    };
+    assert_eq!(tx.samples, comp.signal.samples);
+    let (fs, n) = (comp.signal.fs, comp.signal.len());
+    let schedule_a = SwitchSchedule::SquareWave {
+        freq_hz: net.fidelity.localization_mod_freq(),
+        first: SwitchState::Reflective,
+    };
+    let schedule_b = SwitchSchedule::Constant(SwitchState::Absorptive);
+    let two_way_loss = 10f64.powf(-2.0 * net.node.impl_loss_db / 20.0);
+    let switch = net.node.switch;
+    let gamma = |state| switch.gamma(state) * two_way_loss;
+    let noise_p = thermal_noise_power(fs, net.ap.capture_nf_db);
+
+    let parked: Vec<[GammaRun; 1]> = net
+        .interferers
+        .iter()
+        .map(|itf| {
+            [GammaRun {
+                end: n,
+                gamma: itf.gamma,
+            }]
+        })
+        .collect();
+    let neighbours: Vec<NodeInterface<'_>> = net
+        .interferers
+        .iter()
+        .zip(&parked)
+        .map(|(itf, runs)| NodeInterface {
+            pose: itf.pose,
+            fsa: &itf.fsa,
+            gamma: runs,
+        })
+        .collect();
+    let mut returns_only = net.scene.clone();
+    returns_only.clutter.clear();
+    returns_only.self_interference_db = None;
+    let sums = [0, 1].map(|ant| returns_only.monostatic_rx_multi_uncached(&comp, &neighbours, ant));
+
+    let mut runs = Vec::new();
+    for (i, pair) in captures.iter().enumerate() {
+        let t_off = i as f64 * cfg.duration;
+        fill_gamma_runs(&schedule_a, &schedule_b, gamma, t_off, fs, n, &mut runs);
+        let target = NodeInterface {
+            pose: net.node.pose,
+            fsa: &net.node.fsa,
+            gamma: &runs,
+        };
+        let jitter = draw_normal(&mut rng).abs() * net.ap.jitter_rms;
+        for (ant, got) in pair.iter().enumerate() {
+            let mut want =
+                net.scene
+                    .monostatic_rx_multi_uncached(&comp, std::slice::from_ref(&target), ant);
+            for (s, p) in want.samples.iter_mut().zip(&sums[ant].samples) {
+                *s += *p;
+            }
+            if jitter > 0.0 {
+                want.delay_in_place(jitter);
+            }
+            add_awgn(&mut want, noise_p, &mut rng);
+            assert_eq!(got.samples, want.samples, "chirp {i} rx{ant} diverged");
+        }
+    }
 }
 
 /// The one-shot renders (`to_node_port_into` and
@@ -325,13 +474,14 @@ fn one_shot_renders_through_a_shared_scratch_match_fresh_ones() {
     );
 }
 
-/// The gain-curve cache keys on (FSA, incidence, band), not on the
-/// steer: after a warm render at one steer, a render at another steer
-/// misses every ray table but hits every curve, and must still equal
-/// the uncached per-point reference bit for bit. The neighbours are
-/// chosen so a key missing a field collides: one shares the target's
-/// pose (so its incidence bits) on a different FSA, one shares the
-/// target's FSA at another incidence.
+/// Neither the gain-curve cache nor the ray tables key on the steer:
+/// after a warm render at one steer, a render at another steer rebuilds
+/// only the static responses, hits every ray table and every curve, and
+/// must still equal the uncached per-point reference bit for bit (the
+/// replay applies the new horn gain). The neighbours are chosen so a
+/// key missing a field collides: one shares the target's pose (so its
+/// incidence bits) on a different FSA, one shares the target's FSA at
+/// another incidence.
 #[test]
 fn gain_curves_are_shared_across_steers_and_keyed_on_fsa_and_incidence() {
     use milback_rf::fsa::FsaConfig;
@@ -401,12 +551,12 @@ fn gain_curves_are_shared_across_steers_and_keyed_on_fsa_and_incidence() {
         }
         entries.push(ws.cached_entries());
     }
-    // The re-steer adds two static responses and eight ray tables (four
-    // nodes × two antennas) but no gain curve.
+    // The re-steer adds two static responses (one per antenna) but no
+    // ray table and no gain curve.
     assert_eq!(
         entries[1] - entries[0],
-        2 + 8,
-        "re-steer rebuilt gain curves"
+        2,
+        "re-steer rebuilt ray tables or gain curves"
     );
     assert!(hits() > hits_before, "no gain-curve cache hit was counted");
 }
