@@ -966,10 +966,10 @@ mod tests {
         // dual-tone and a single-tone plan, indoors and in a clutter-free
         // scene; a second transfer in the same ctx renders the same.
         let cases = [
-            (12.0, true, 0x2fbe_1bc0_4c60_5bd1),
+            (12.0, true, 0xf4c6_2f03_c0f6_e2a0),
             (0.0, true, 0x1b97_a04a_ece7_1e90),
-            (12.0, false, 0x63ed_c3c2_8951_2c35),
-            (0.0, false, 0x67f5_2736_f3be_bb42),
+            (12.0, false, 0x20c6_68c1_e746_b5e4),
+            (0.0, false, 0x9db4_c517_4128_4f80),
         ];
         for (facing, indoor, pinned) in cases {
             let mut net = pinned_network(facing, indoor, 0x5EED_0071);

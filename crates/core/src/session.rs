@@ -931,7 +931,7 @@ mod tests {
             let outer = localize();
             let expect = (
                 0x4004_1609_83ac_108f,
-                Some(0x3f76_3698_6ca7_91f6),
+                Some(0x3f76_3698_6ca7_921e),
                 0x3f45_1f34_af81_fc2c,
             );
             assert_eq!(outer, Some(expect), "outer checkout");

@@ -58,7 +58,7 @@ fn clutter_free_field2_burst_is_pinned() {
     assert_eq!(captures.len(), 5);
     let digest = burst_digest(&tx, &captures);
     assert_eq!(
-        digest, 0x287b_0e73_3dee_7149,
+        digest, 0xafb5_b392_f982_2ba8,
         "clutter-free Field-2 burst digest moved: {digest:#018x}"
     );
 }
@@ -78,7 +78,7 @@ fn indoor_field2_burst_with_parked_interferers_is_pinned() {
     let (tx, captures) = net.field2_captures(5).expect("the node renders");
     let digest = burst_digest(&tx, &captures);
     assert_eq!(
-        digest, 0x7d62_25e8_8ffe_dd3d,
+        digest, 0xab67_01ed_9f77_13a7,
         "interfered Field-2 burst digest moved: {digest:#018x}"
     );
 }
@@ -106,7 +106,7 @@ fn uplink_transfers_are_pinned() {
         clutter_free(pose(2.5, 3.0, 6.0), 21),
         b"pinned uplink #1",
         5e6,
-        (0x403f_49b2_600b_3f16, 0),
+        (0x403f_49b2_600b_3f17, 0),
     );
     assert_uplink(
         "indoor 9 m",

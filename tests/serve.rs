@@ -277,7 +277,7 @@ fn faulted_schedule_digest_is_pinned() {
         "the pinned schedule no longer exercises the failure path"
     );
     assert_eq!(
-        report.outcome_digest, 0xb820_5ad9_e05d_4a30,
+        report.outcome_digest, 0xd84a_bdb2_cbd2_4ad2,
         "outcome digest moved: {:#018x}",
         report.outcome_digest
     );

@@ -39,25 +39,25 @@ fn network_localize_matches_allocating_process() {
         (
             1,
             (
-                0x4007_e1aa_63a1_211e,
-                Some(0x3fbb_1f26_c695_8a30),
-                0x3f36_1a42_1fbb_f6f4,
+                0x4007_e1aa_63a1_2120,
+                Some(0x3fbb_1f26_c695_8a2f),
+                0x3f36_1a42_1fbb_f6f2,
             ),
         ),
         (
             9,
             (
                 0x4008_2225_a8f6_c0b3,
-                Some(0x3fb9_57d1_0bf6_588c),
-                0x3f34_395f_8f75_3c5b,
+                Some(0x3fb9_57d1_0bf6_5888),
+                0x3f34_395f_8f75_3c5c,
             ),
         ),
         (
             42,
             (
-                0x4008_188d_0f7c_eeae,
-                Some(0x3fbe_75bf_a997_a639),
-                0x3f34_e19d_8ab5_f520,
+                0x4008_188d_0f7c_eead,
+                Some(0x3fbe_75bf_a997_a63d),
+                0x3f34_e19d_8ab5_f526,
             ),
         ),
     ];

@@ -83,8 +83,8 @@ fn warmed_hot_paths_perform_zero_heap_allocations() {
         ),
         (
             0x4007_d713_b3b4_415d,
-            Some(0x3fb8_642f_c1fb_6d36),
-            0x3f34_0a1e_6517_1dc2
+            Some(0x3fb8_642f_c1fb_6d39),
+            0x3f34_0a1e_6517_1dc3
         ),
         "warm-up fix moved"
     );
