@@ -192,6 +192,18 @@ if grep -rnE 'milback_dsp::template|\b(QueryCache|PortKey|cached_fir)\b' crates 
     exit 1
 fi
 
+echo "==> one dispatcher (thread::scope once in non-test crate code, in crates/core/src/batch.rs)"
+# Worker threads start in one place, batch::run_stealing_with_threads
+# (DESIGN.md §10.2): par_map's trials and the lane pool's session chains
+# both run on its work-stealing loop. Each file is read up to its first
+# #[cfg(test)]; tests may start threads of their own.
+scopes=$(find crates/*/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } /thread::scope/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ "$(printf '%s\n' "$scopes" | grep -c .)" -ne 1 ] || [[ "$scopes" != crates/core/src/batch.rs:* ]]; then
+    printf '%s\n' "$scopes" >&2
+    echo "thread::scope must appear exactly once in non-test crate code, in crates/core/src/batch.rs (matches above)" >&2
+    exit 1
+fi
+
 echo "==> kernel perf gate (burst FFT work + range FFT and burst timings vs committed baseline)"
 # bench_engine is the gate and nothing else. It first checks a
 # host-independent work count: one warmed, untimed localization burst

@@ -14,7 +14,6 @@
 //! transforms it back to the time domain
 //! (`ApOrientationEstimator::estimate_gated`).
 
-use milback_dsp::buffer;
 use milback_dsp::num::Cpx;
 
 /// Pairwise differences of consecutive chirp spectra, written into
@@ -23,14 +22,12 @@ use milback_dsp::num::Cpx;
 pub fn pairwise_diff_spectra_into(spectra: &[Vec<Cpx>], out: &mut Vec<Vec<Cpx>>) {
     assert!(spectra.len() >= 2, "need at least two spectra to subtract");
     let n_diffs = spectra.len() - 1;
-    buffer::track_growth(out, n_diffs);
     out.truncate(n_diffs);
     while out.len() < n_diffs {
         out.push(Vec::new());
     }
     for (d, w) in out.iter_mut().zip(spectra.windows(2)) {
         assert_eq!(w[0].len(), w[1].len(), "spectrum length mismatch");
-        buffer::track_growth(d, w[0].len());
         d.clear();
         d.extend(w[1].iter().zip(&w[0]).map(|(b, a)| *b - *a));
     }
@@ -43,7 +40,6 @@ pub fn pairwise_diff_spectra_into(spectra: &[Vec<Cpx>], out: &mut Vec<Vec<Cpx>>)
 pub fn detection_spectrum_into(diffs: &[Vec<Cpx>], out: &mut Vec<f64>) {
     assert!(!diffs.is_empty(), "no differences given");
     let n = diffs[0].len();
-    buffer::track_growth(out, n);
     out.clear();
     out.resize(n, 0.0);
     for d in diffs {

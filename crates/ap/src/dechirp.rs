@@ -6,7 +6,6 @@
 //! profile*: bin `k` ↔ round-trip delay `k·fs/(N·slope)` ↔ range
 //! `c·τ/2`.
 
-use milback_dsp::buffer;
 use milback_dsp::chirp::ChirpConfig;
 use milback_dsp::num::Cpx;
 use milback_dsp::plan::{with_plan, FftPlan};
@@ -50,7 +49,6 @@ impl RangeProcessor {
     pub fn dechirp_into(&self, rx: &Signal, tx_ref: &Signal, out: &mut Vec<Cpx>) {
         assert_eq!(rx.fs, tx_ref.fs, "sample-rate mismatch in dechirp_into");
         let n = rx.len().min(tx_ref.len());
-        buffer::track_growth(out, n);
         out.clear();
         out.extend((0..n).map(|i| rx.samples[i] * tx_ref.samples[i].conj()));
     }
@@ -184,7 +182,6 @@ pub(crate) struct RangeTables<'a> {
 fn flip_spectrum_into(spectrum: &[Cpx], bins: usize, out: &mut Vec<Cpx>) {
     let n = spectrum.len();
     let bins = bins.min(n);
-    buffer::track_growth(out, bins);
     out.clear();
     if bins == 0 {
         return;

@@ -6,7 +6,6 @@ use crate::aoa::AoaEstimator;
 use crate::background::{detection_spectrum_into, pairwise_diff_spectra_into};
 use crate::dechirp::RangeProcessor;
 use crate::workspace::{AntennaBuffers, DspWorkspace};
-use milback_dsp::buffer;
 use milback_dsp::detect::{argmax, parabolic_refine};
 use milback_dsp::num::Cpx;
 use milback_dsp::par;
@@ -36,11 +35,6 @@ pub struct Localizer {
     pub min_range: f64,
     /// Maximum search range, meters.
     pub max_range: f64,
-    /// Sub-bin (parabolic) peak refinement. `true` is the library
-    /// default; `false` reproduces the paper's bin-resolution pipeline
-    /// (range quantized to `c/2B` steps), which is what Figure 12a's
-    /// error magnitudes correspond to.
-    pub sub_bin: bool,
     /// Calibrated range of the AP's TX→RX leakage peak, meters, or
     /// `None` (the default) when the AP has no leakage reference. With
     /// a reference, a burst whose leakage peak lies more than
@@ -79,7 +73,6 @@ impl Localizer {
             aoa: AoaEstimator::milback(),
             min_range: 0.5,
             max_range: 15.0,
-            sub_bin: true,
             leakage_range: None,
         }
     }
@@ -218,7 +211,6 @@ impl Localizer {
             detection_spectrum_into(&ant.diffs, det);
         }
         let [det0, det1] = &ws.det;
-        buffer::track_growth(&mut ws.det_sum, det0.len());
         ws.det_sum.clear();
         ws.det_sum.extend(det0.iter().zip(det1).map(|(a, b)| a + b));
         let bin = self.find_node_bin_with(&ws.det_sum, fs, &mut ws.floor_scratch)?;
@@ -246,7 +238,6 @@ impl Localizer {
             return true;
         };
         let power = &mut ws.det[0];
-        buffer::track_growth(power, profile.len());
         power.clear();
         power.extend(profile.iter().map(|c| c.norm_sq()));
         let near = self.range_to_bin(self.min_range, fs).min(power.len());
@@ -339,12 +330,8 @@ impl Localizer {
         milback_telemetry::counter_add("ap.localize.fixes", 1);
         milback_telemetry::observe("ap.localize.peak_bin", peak as u64);
         let peak_power = ws.det_sum[peak];
-        let refined = if self.sub_bin {
-            let half = ws.det_sum.len().min(self.proc.fft_len / 2);
-            parabolic_refine(&ws.det_sum[..half], peak)
-        } else {
-            peak as f64
-        };
+        let half = ws.det_sum.len().min(self.proc.fft_len / 2);
+        let refined = parabolic_refine(&ws.det_sum[..half], peak);
         let range = self.proc.bin_to_range(refined, fs);
 
         // AoA over the selected pair; the same pair index is used at both

@@ -19,12 +19,6 @@
 //!   holds the one a session runs in.
 //! * Buffers only ever grow (to the largest capture processed in that
 //!   workspace); nothing shrinks or frees until the owner drops it.
-//!
-//! ## Telemetry
-//!
-//! * `dsp.workspace.grow.local` — one count per buffer reallocation
-//!   (reported by the fill sites via `milback_dsp::buffer`). Growth
-//!   depends on per-thread warm-up order, hence `.local`.
 
 use crate::ranging::NodeDetection;
 use milback_dsp::num::Cpx;
@@ -73,7 +67,6 @@ impl DspWorkspace {
     /// Resizes a buffer pool (outer vector of per-chirp buffers) to `n`
     /// entries, keeping the already-grown inner buffers.
     pub fn ensure_pool(pool: &mut Vec<Vec<Cpx>>, n: usize) {
-        milback_dsp::buffer::track_growth(pool, n);
         pool.truncate(n);
         while pool.len() < n {
             pool.push(Vec::new());

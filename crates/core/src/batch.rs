@@ -13,11 +13,15 @@
 //! run with 16 worker threads is therefore bit-identical to a serial run —
 //! covered by `tests/end_to_end.rs` and the seed-derivation property tests.
 //!
-//! Threads come from [`std::thread::scope`] (the workspace builds offline;
-//! no external thread-pool crate). The worker count defaults to the
-//! machine's available parallelism and can be pinned with the
-//! `MILBACK_THREADS` environment variable (`MILBACK_THREADS=1` forces
-//! serial execution, useful for benchmarking the speedup itself).
+//! Threads come from one place, [`run_stealing_with_threads`]: scoped
+//! workers (the workspace builds offline; no external thread-pool
+//! crate) that claim index-addressed jobs by round-robin ownership and
+//! work stealing. [`par_map`] and the lane pool under the serving
+//! engine and the fabric (DESIGN.md §15–16) both dispatch through it.
+//! The worker count defaults to the machine's available parallelism and
+//! can be pinned with the `MILBACK_THREADS` environment variable
+//! (`MILBACK_THREADS=1` forces serial execution, useful for
+//! benchmarking the speedup itself).
 //!
 //! Memory: a trial that goes through a public entry point
 //! (`Network::localize`, `Session::run`, ...) runs in its worker
@@ -32,21 +36,11 @@
 //! two-core helper of DESIGN.md §17.4 only when a core is left idle —
 //! never in a full-width run. Outputs are bitwise the same either way.
 
-use milback_dsp::noise::{splitmix64, GOLDEN_GAMMA};
+use milback_dsp::noise::Mix;
 use milback_dsp::par;
 use milback_telemetry as telemetry;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
-
-/// One trial's identity within a batch: its index in the batch and the
-/// RNG seed derived for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Trial {
-    /// Index of this trial within the batch, `0..n`.
-    pub index: usize,
-    /// Deterministic per-trial seed, [`derive_seed`]`(master, index)`.
-    pub seed: u64,
-}
 
 /// Derives the RNG seed for trial `index` of a batch keyed by `master`.
 ///
@@ -58,37 +52,15 @@ pub struct Trial {
 /// assert_ne!(derive_seed(42, 7), derive_seed(43, 7));
 /// ```
 ///
-/// The SplitMix64 finaliser ([`splitmix64`]) over `(master ^ index·φ) + φ`
-/// (φ = 2⁶⁴/golden ratio, odd). For a fixed master the map
-/// `index → seed` is injective: `index·φ` is a bijection mod 2⁶⁴ (φ is
-/// odd) and the finaliser is a bijection, so two distinct trial indices can never collide. The seed
-/// depends only on `(master, index)` — never on execution order — which is
-/// what makes the engine thread-count-invariant.
+/// The first word of the SplitMix64 stream [`Mix::at`]`(master, index)`:
+/// the finaliser over `(master ^ index·φ) + φ` (φ = 2⁶⁴/golden ratio,
+/// odd). For a fixed master the map `index → seed` is injective:
+/// `index·φ` is a bijection mod 2⁶⁴ (φ is odd) and the finaliser is a
+/// bijection, so two distinct trial indices can never collide. The seed
+/// depends only on `(master, index)` — never on execution order — which
+/// is what makes the engine thread-count-invariant.
 pub fn derive_seed(master: u64, index: u64) -> u64 {
-    splitmix64((master ^ index.wrapping_mul(GOLDEN_GAMMA)).wrapping_add(GOLDEN_GAMMA))
-}
-
-/// Crate-internal SplitMix64 stream for synthetic-input generation
-/// (traffic schedules, rosters, workload draws — mirrors the generator
-/// in `milback_rf::faults`). NOT for channel/noise randomness: networks
-/// draw from their seeded `StdRng`. Seed it with [`derive_seed`] so the
-/// stream depends only on (master, index).
-pub(crate) struct Mix(u64);
-
-impl Mix {
-    pub(crate) fn new(seed: u64) -> Self {
-        Self(seed)
-    }
-
-    pub(crate) fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(GOLDEN_GAMMA);
-        splitmix64(self.0)
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    pub(crate) fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
+    Mix::at(master, index).next_u64()
 }
 
 /// The number of worker threads the engine uses: `MILBACK_THREADS` when
@@ -108,8 +80,9 @@ pub fn thread_count() -> usize {
 }
 
 /// Parallel map preserving input order: `out[i] == f(&items[i], i)` no
-/// matter how many worker threads run. Work is distributed by an atomic
-/// cursor, so uneven per-item cost does not idle workers.
+/// matter how many worker threads run. Items are jobs on the
+/// work-stealing loop of [`run_stealing_with_threads`], so uneven
+/// per-item cost does not idle workers.
 pub fn par_map<I, T, F>(items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
@@ -128,50 +101,30 @@ where
     F: Fn(&I, usize) -> T + Sync,
 {
     let n = items.len();
-    let threads = threads.max(1).min(n.max(1));
     let batch_span = telemetry::span("core.batch.run.ns");
     telemetry::counter_add("core.batch.items", n as u64);
-    telemetry::gauge_set("core.batch.threads", threads as f64);
+    telemetry::gauge_set("core.batch.threads", threads.max(1).min(n.max(1)) as f64);
     let t0 = telemetry::enabled().then(std::time::Instant::now);
-    // One trial's work, with its per-item span (recorded into the worker
-    // thread's shard and merged at snapshot).
-    let run_one = |it: &I, i: usize| telemetry::time("core.batch.item.ns", || f(it, i));
-    let out = if threads <= 1 || n <= 1 {
-        items
-            .iter()
-            .enumerate()
-            .map(|(i, it)| run_one(it, i))
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        // The workers hold `threads` cores: a trial's receive chains
-        // claim the two-core helper only if a core is still idle.
-        let _busy = par::occupy(threads);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let out = run_one(&items[i], i);
-                    // A poisoned slot mutex just means another worker
-                    // panicked; take the lock anyway — the panic will
-                    // propagate out of the scope regardless.
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("worker skipped a slot")
-            })
-            .collect()
-    };
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let mut queue = StealQueue::new();
+    queue.reset(n);
+    run_stealing_with_threads(&queue, n, threads, |i| {
+        // Per-item span, recorded into the worker thread's shard and
+        // merged at snapshot.
+        let out = telemetry::time("core.batch.item.ns", || f(&items[i], i));
+        // A poisoned slot mutex just means another worker panicked;
+        // take the lock anyway — the panic propagates out of the
+        // dispatcher regardless.
+        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+    });
+    let out = slots
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .expect("the dispatcher ran every job")
+        })
+        .collect();
     if let Some(t0) = t0 {
         let elapsed = t0.elapsed().as_secs_f64();
         if elapsed > 0.0 {
@@ -224,10 +177,11 @@ impl StealQueue {
 /// how workers race — and with `threads <= 1` the loop runs inline on
 /// the calling thread, allocation-free.
 ///
-/// This is the serving engine's dispatch layer (DESIGN.md §15): jobs are
+/// This is the workspace's one dispatcher: [`par_map`] runs its items
+/// as jobs, and the serving engine (DESIGN.md §15) and the fabric run
 /// per-node session chains, so stealing moves whole chains between
 /// workers and per-node FIFO order is preserved by construction. Which
-/// worker runs a chain never affects its result (determinism is the
+/// worker runs a job never affects its result (determinism is the
 /// caller's responsibility via index-derived seeds); only the
 /// `core.batch.steal.local` counter is scheduling-dependent, and the
 /// `.local` suffix excludes it from the deterministic telemetry view.
@@ -242,7 +196,6 @@ where
         "StealQueue::reset(n) before running"
     );
     let threads = threads.max(1).min(n.max(1));
-    telemetry::counter_add("core.batch.steal_jobs", n as u64);
     if threads <= 1 {
         for i in 0..n {
             f(i);
@@ -283,84 +236,35 @@ where
     });
 }
 
-/// Runs `n` independent trials in parallel. `f` receives each trial's
-/// [`Trial`] (index + derived seed) and results come back in index order.
-///
-/// ```
-/// use milback::batch::{run_trials, run_trials_with_threads};
-///
-/// let f = |t: milback::batch::Trial| t.seed.rotate_left(t.index as u32);
-/// // The deterministic contract: any thread count, identical results.
-/// let parallel = run_trials(16, 42, f);
-/// let serial = run_trials_with_threads(16, 42, 1, f);
-/// assert_eq!(parallel, serial);
-/// ```
-pub fn run_trials<T, F>(n: usize, master_seed: u64, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Trial) -> T + Sync,
-{
-    run_trials_with_threads(n, master_seed, thread_count(), f)
-}
-
-/// [`run_trials`] with an explicit worker count, for determinism tests
-/// and serial baselines.
-pub fn run_trials_with_threads<T, F>(n: usize, master_seed: u64, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Trial) -> T + Sync,
-{
-    let trials: Vec<Trial> = (0..n)
-        .map(|index| Trial {
-            index,
-            seed: derive_seed(master_seed, index as u64),
-        })
-        .collect();
-    par_map_with_threads(&trials, threads, |t, _| f(*t))
-}
-
-/// Sweeps `params × trials`: for each parameter point, runs
-/// `trials_per_point` trials, all scheduled on one flat parallel batch so
-/// a slow parameter point does not serialize the sweep. Trial seeds are
-/// derived from the *global* index (`param_idx · trials + trial`), so
-/// adding parameter points does not reshuffle earlier points' seeds
-/// within a run and results are again thread-count-invariant.
-pub fn sweep<P, T, F>(params: &[P], trials_per_point: usize, master_seed: u64, f: F) -> Vec<Vec<T>>
-where
-    P: Sync,
-    T: Send,
-    F: Fn(&P, Trial) -> T + Sync,
-{
-    let jobs: Vec<(usize, Trial)> = (0..params.len() * trials_per_point)
-        .map(|g| {
-            (
-                g / trials_per_point,
-                Trial {
-                    index: g % trials_per_point,
-                    seed: derive_seed(master_seed, g as u64),
-                },
-            )
-        })
-        .collect();
-    let flat = par_map(&jobs, |(pi, trial), _| f(&params[*pi], *trial));
-    let mut out: Vec<Vec<T>> = Vec::with_capacity(params.len());
-    let mut it = flat.into_iter();
-    for _ in 0..params.len() {
-        out.push(it.by_ref().take(trials_per_point).collect());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn par_map_preserves_order() {
         let items: Vec<usize> = (0..97).collect();
         for threads in [1, 2, 7] {
+            // Item 0 holds worker 0 until another worker has stolen
+            // item `threads` from worker 0's lane, so every parallel run
+            // steals; the other items cost more the later they come.
+            let stolen = AtomicBool::new(false);
             let out = par_map_with_threads(&items, threads, |x, i| {
                 assert_eq!(*x, i);
+                if i == 0 && threads > 1 {
+                    let t0 = Instant::now();
+                    while !stolen.load(Ordering::Acquire) {
+                        assert!(t0.elapsed() < Duration::from_secs(30), "nothing stolen");
+                        std::thread::yield_now();
+                    }
+                }
+                if i == threads {
+                    stolen.store(true, Ordering::Release);
+                }
+                std::hint::black_box(
+                    (0..i as u64 * 500).fold(0u64, |a, k| a ^ std::hint::black_box(k)),
+                );
                 x * 3
             });
             assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
@@ -368,11 +272,12 @@ mod tests {
     }
 
     #[test]
-    fn run_trials_is_thread_count_invariant() {
-        let f = |t: Trial| (t.index, t.seed, t.seed.wrapping_mul(t.index as u64 + 1));
-        let serial = run_trials_with_threads(64, 42, 1, f);
+    fn derived_seed_trials_are_thread_count_invariant() {
+        let seeds: Vec<u64> = (0..64).map(|i| derive_seed(42, i)).collect();
+        let f = |s: &u64, i: usize| (i, *s, s.wrapping_mul(i as u64 + 1));
+        let serial = par_map_with_threads(&seeds, 1, f);
         for threads in [2, 3, 8] {
-            assert_eq!(run_trials_with_threads(64, 42, threads, f), serial);
+            assert_eq!(par_map_with_threads(&seeds, threads, f), serial);
         }
     }
 
@@ -397,21 +302,6 @@ mod tests {
     fn different_masters_diverge() {
         assert_ne!(derive_seed(1, 0), derive_seed(2, 0));
         assert_ne!(derive_seed(1, 5), derive_seed(2, 5));
-    }
-
-    #[test]
-    fn sweep_shape_and_seeds() {
-        let params = [10.0f64, 20.0, 30.0];
-        let out = sweep(&params, 4, 9, |p, t| (*p, t.index, t.seed));
-        assert_eq!(out.len(), 3);
-        for (pi, rows) in out.iter().enumerate() {
-            assert_eq!(rows.len(), 4);
-            for (j, (p, idx, seed)) in rows.iter().enumerate() {
-                assert_eq!(*p, params[pi]);
-                assert_eq!(*idx, j);
-                assert_eq!(*seed, derive_seed(9, (pi * 4 + j) as u64));
-            }
-        }
     }
 
     #[test]
@@ -445,9 +335,7 @@ mod tests {
 
     #[test]
     fn empty_batch() {
-        let out: Vec<u64> = run_trials(0, 5, |t| t.seed);
-        assert!(out.is_empty());
-        let out = par_map(&[] as &[u8], |_, _| 0u8);
-        assert!(out.is_empty());
+        assert!(par_map(&[] as &[u8], |_, _| 0u8).is_empty());
+        assert!(par_map_with_threads(&[] as &[u8], 4, |_, _| 0u8).is_empty());
     }
 }

@@ -93,16 +93,17 @@ pub fn chaos_trial(point: &ChaosPoint, seed: u64) -> ChaosOutcome {
 }
 
 /// Sweeps fault intensities over the batch engine: `trials` supervised
-/// exchanges per point, per-trial seeds derived from `master_seed` by
-/// the engine. Thread-count-invariant (pinned by `tests/chaos.rs`).
+/// exchanges per point, all `points × trials` on one flat batch so a slow
+/// point does not serialize the sweep. Trial `g` of the flat batch
+/// (point `g / trials`) runs on seed [`batch::derive_seed`]`(master_seed,
+/// g)`, so results are thread-count-invariant (pinned by
+/// `tests/chaos.rs`).
 pub fn chaos_sweep(
     points: &[ChaosPoint],
     trials: usize,
     master_seed: u64,
 ) -> Vec<Vec<ChaosOutcome>> {
-    batch::sweep(points, trials, master_seed, |point, trial| {
-        chaos_trial(point, trial.seed)
-    })
+    chaos_sweep_with_threads(points, trials, master_seed, batch::thread_count())
 }
 
 /// [`chaos_sweep`] with an explicit thread count (determinism checks).
@@ -112,28 +113,17 @@ pub fn chaos_sweep_with_threads(
     master_seed: u64,
     threads: usize,
 ) -> Vec<Vec<ChaosOutcome>> {
-    // `batch::sweep` flattens to one global job list; mirror it here so
-    // point-major ordering and seed derivation match exactly.
-    let jobs: Vec<(usize, batch::Trial)> = (0..points.len() * trials)
-        .map(|g| {
-            (
-                g / trials,
-                batch::Trial {
-                    index: g,
-                    seed: batch::derive_seed(master_seed, g as u64),
-                },
-            )
-        })
+    let seeds: Vec<u64> = (0..points.len() * trials)
+        .map(|g| batch::derive_seed(master_seed, g as u64))
         .collect();
-    let flat = batch::par_map_with_threads(&jobs, threads, |(p, trial), _| {
-        chaos_trial(&points[*p], trial.seed)
+    let flat = batch::par_map_with_threads(&seeds, threads, |&seed, g| {
+        chaos_trial(&points[g / trials], seed)
     });
-    let mut out: Vec<Vec<ChaosOutcome>> = Vec::with_capacity(points.len());
     let mut it = flat.into_iter();
-    for _ in 0..points.len() {
-        out.push(it.by_ref().take(trials).collect());
-    }
-    out
+    points
+        .iter()
+        .map(|_| it.by_ref().take(trials).collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -170,5 +160,8 @@ mod tests {
         let a = chaos_sweep(&points, 2, 99);
         let b = chaos_sweep_with_threads(&points, 2, 99, 1);
         assert_eq!(a, b);
+        assert_eq!(a.iter().map(Vec::len).collect::<Vec<_>>(), [2, 2, 2]);
+        // Point-major: trial `j` of point `p` is flat trial `2p + j`.
+        assert_eq!(a[2][1], chaos_trial(&points[2], batch::derive_seed(99, 5)));
     }
 }

@@ -18,6 +18,7 @@ use crate::serve::{Outcome, Resolution, Workload};
 use crate::session::{FailureKind, Session, SessionCtx};
 use milback_proto::packet::{LinkMode, Packet};
 use milback_rf::geometry::Pose;
+use milback_telemetry as telemetry;
 use std::sync::{Mutex, MutexGuard};
 
 /// One node's lane: its [`Network`], a pooled packet buffer and the
@@ -109,6 +110,7 @@ impl<S: Send> LanePool<S> {
         if n == 0 {
             return;
         }
+        telemetry::counter_add("core.batch.steal_jobs", n as u64);
         run_stealing_with_threads(&self.claims, n, workers, |job| {
             let i = lane_of(job);
             let mut lane = self.lock(i);

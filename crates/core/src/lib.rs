@@ -65,7 +65,7 @@ pub mod serve;
 pub mod session;
 pub mod survey;
 
-pub use batch::{derive_seed, run_trials, sweep, Trial};
+pub use batch::derive_seed;
 pub use chaos::{chaos_sweep, ChaosOutcome, ChaosPoint};
 pub use config::{ApParams, Fidelity};
 pub use link::{DownlinkReport, UplinkReport};

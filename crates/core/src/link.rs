@@ -751,7 +751,6 @@ fn query_tone_into(tone: &mut TxComponent, fs: f64, fc: f64, f_rf: f64, amp: f64
     let wave = &mut tone.signal;
     wave.fs = fs;
     wave.fc = fc;
-    milback_dsp::buffer::track_growth(&mut wave.samples, n);
     wave.samples.clear();
     wave.samples.resize(n, ZERO);
     let w = 2.0 * std::f64::consts::PI * (f_rf - fc) / fs;

@@ -90,13 +90,14 @@
 //! assert!(cells.contains(&0) && cells.contains(&1));
 //! ```
 
-use crate::batch::{derive_seed, Mix};
+use crate::batch::derive_seed;
 use crate::config::Fidelity;
 use crate::lanes::{serve_session, Lane, LanePool};
 use crate::network::Interferer;
 use crate::serve::{fnv_word, workload_code, Outcome, Resolution, Workload};
 use crate::session::{Session, SessionConfig, SessionCtx};
 use milback_ap::coverage;
+use milback_dsp::noise::Mix;
 use milback_dsp::num::Cpx;
 use milback_node::node::BackscatterNode;
 use milback_rf::fsa::DualPortFsa;
@@ -110,12 +111,16 @@ const ROSTER_SALT: u64 = 0x0E75_0E75;
 const DRIFT_SALT: u64 = 0xD21F_7D21;
 const WORK_SALT: u64 = 0x3108_AD00;
 
+/// Handoff hysteresis, dB: a node moves cells only when another AP
+/// beats its current response by more than this.
+const HANDOFF_MARGIN_DB: f64 = 1.0;
+
 // ---------------------------------------------------------------------
 // Configuration and topology
 // ---------------------------------------------------------------------
 
 /// Dense-network fabric policy: slot geometry, interference model,
-/// handoff hysteresis, drift and workload mix.
+/// drift and workload mix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetConfig {
     /// Session supervisor budgets for every scheduled session.
@@ -130,9 +135,6 @@ pub struct NetConfig {
     /// Strongest same-cell neighbors layered into a scheduled capture
     /// as parked-neighbor clutter; `0` turns interference off.
     pub max_interferers: usize,
-    /// Handoff hysteresis, dB: a node moves cells only when another AP
-    /// beats its current response by more than this.
-    pub handoff_margin_db: f64,
     /// Per-round bounded pose drift: each round every node sits at its
     /// roster pose plus a per-axis offset uniform in `±drift_step_m`.
     /// `0.0` pins every node (and makes rounds bit-identical repeats).
@@ -148,8 +150,8 @@ pub struct NetConfig {
 impl NetConfig {
     /// Paper-shaped defaults: slots sized for one supervised session
     /// (three packet durations), 1 ms steering guard, three-neighbor
-    /// interference, 1 dB handoff hysteresis, no drift, and the §15
-    /// serving mix (60% localize, 40/60 uplink/downlink split).
+    /// interference, no drift, and the §15 serving mix (60% localize,
+    /// 40/60 uplink/downlink split).
     pub fn milback(fidelity: Fidelity) -> Self {
         let pkt = fidelity.packet();
         Self {
@@ -158,7 +160,6 @@ impl NetConfig {
             slot_s: 3.0 * pkt.total_duration(),
             guard_s: 1e-3,
             max_interferers: 3,
-            handoff_margin_db: 1.0,
             drift_step_m: 0.0,
             localize_fraction: 0.6,
             uplink_fraction: 0.4,
@@ -188,7 +189,7 @@ pub fn net_roster(n: usize, aps: &[Point], seed: u64) -> Vec<Pose> {
     assert!(!aps.is_empty(), "need at least one AP");
     (0..n)
         .map(|k| {
-            let mut mix = Mix::new(derive_seed(seed ^ ROSTER_SALT, k as u64));
+            let mut mix = Mix::at(derive_seed(seed ^ ROSTER_SALT, k as u64), 0);
             let home = k % aps.len();
             let border = aps.len() >= 2 && mix.unit() < 0.3;
             if border {
@@ -488,9 +489,9 @@ impl Fabric {
         }
     }
 
-    /// Assigns every node to its strongest-response cell (with the
-    /// hysteresis of [`NetConfig::handoff_margin_db`]) from the current
-    /// poses, rebuilding the per-cell interference orderings.
+    /// Assigns every node to its strongest-response cell (with 1 dB of
+    /// handoff hysteresis) from the current poses, rebuilding the
+    /// per-cell interference orderings.
     /// Returns the number of handoffs (re-assignments of an already
     /// assigned node). Pure closed-form math — no signal rendering — and
     /// deterministic in the pose set.
@@ -507,8 +508,7 @@ impl Fabric {
             }
             let prev = self.assignment[i];
             let current = (prev != usize::MAX).then_some(prev);
-            let cell =
-                coverage::pick_cell(current, &self.resp_scratch, self.config.handoff_margin_db);
+            let cell = coverage::pick_cell(current, &self.resp_scratch, HANDOFF_MARGIN_DB);
             if prev != usize::MAX && cell != prev {
                 handoffs += 1;
             }
@@ -550,7 +550,7 @@ impl Fabric {
         let step = self.config.drift_step_m;
         if step > 0.0 {
             for i in 0..n {
-                let mut mix = Mix::new(derive_seed(round_seed ^ DRIFT_SALT, i as u64));
+                let mut mix = Mix::at(derive_seed(round_seed ^ DRIFT_SALT, i as u64), 0);
                 let base = self.base[i];
                 self.poses[i] = Pose::new(
                     Point::new(
@@ -677,7 +677,7 @@ impl Fabric {
         }
         let interferers = net.interferers.len().min(255) as u8;
 
-        let mut mix = Mix::new(derive_seed(round_seed ^ WORK_SALT, i as u64));
+        let mut mix = Mix::at(derive_seed(round_seed ^ WORK_SALT, i as u64), 0);
         let workload = if mix.unit() < cfg.localize_fraction {
             Workload::Localize
         } else if mix.unit() < cfg.uplink_fraction {

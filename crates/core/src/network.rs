@@ -333,7 +333,6 @@ impl Network {
         let schedule_b = SwitchSchedule::Constant(SwitchState::Absorptive);
 
         let noise_p = thermal_noise_power(burst.tx.fs, self.ap.capture_nf_db);
-        milback_dsp::buffer::track_growth(&mut burst.captures, n_chirps);
         burst.captures.truncate(n_chirps);
         while burst.captures.len() < n_chirps {
             burst.captures.push([empty_signal(), empty_signal()]);
@@ -358,7 +357,6 @@ impl Network {
             for (ant, sum) in burst.parked.iter_mut().enumerate() {
                 sum.fs = fs;
                 sum.fc = comp.signal.fc;
-                milback_dsp::buffer::track_growth(&mut sum.samples, n);
                 sum.samples.clear();
                 sum.samples.resize(n, ZERO);
                 for itf in &self.interferers {

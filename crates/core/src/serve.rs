@@ -27,8 +27,8 @@
 //!   the caller pay for a drain first (blocking backpressure). Nothing
 //!   grows without bound.
 //! * **Telemetry-driven load shedding** — admission tracks a virtual
-//!   service backlog (drained at `virtual_workers` × elapsed arrival
-//!   time) and exports its depth as the `core.serve.depth` histogram /
+//!   service backlog (one modeled server drains it by the elapsed
+//!   arrival time) and exports its depth as the `core.serve.depth` histogram /
 //!   gauge. Past `shed_depth` the engine sheds Field-2 work: `Localize`
 //!   requests resolve as [`Outcome::Shed`] without going on air, and
 //!   exchange requests run with [`Session::run_in`]`(.., shed_field2 =
@@ -56,10 +56,11 @@
 //!   counts; [`ServeReport::outcome_digest`] fingerprints the resolved
 //!   outcomes for cheap two-run comparison.
 
-use crate::batch::{derive_seed, Mix};
+use crate::batch::derive_seed;
 use crate::config::Fidelity;
 use crate::lanes::{serve_session, Lane, LanePool};
 use crate::session::{FailureKind, Session, SessionConfig, SessionCtx};
+use milback_dsp::noise::Mix;
 use milback_rf::faults::FaultPlan;
 use milback_rf::geometry::{deg_to_rad, Pose};
 use milback_telemetry as telemetry;
@@ -161,13 +162,13 @@ impl TrafficSchedule {
     pub fn generate(cfg: &TrafficConfig, master_seed: u64) -> Self {
         assert!(cfg.nodes >= 1, "roster must not be empty");
         assert!(cfg.rate_hz > 0.0, "arrival rate must be positive");
-        let mut mix = Mix::new(derive_seed(master_seed ^ 0x074A_FF1C, 0));
+        let mut mix = Mix::at(derive_seed(master_seed ^ 0x074A_FF1C, 0), 0);
         let mut t = 0.0_f64;
         let mut requests = Vec::with_capacity(cfg.sessions);
         for _ in 0..cfg.sessions {
             let u = mix.unit();
             t += -(1.0 - u).max(f64::MIN_POSITIVE).ln() / cfg.rate_hz;
-            let node = (mix.next() % cfg.nodes as u64) as usize;
+            let node = (mix.next_u64() % cfg.nodes as u64) as usize;
             let workload = if mix.unit() < cfg.localize_fraction {
                 Workload::Localize
             } else if mix.unit() < cfg.uplink_fraction {
@@ -197,7 +198,7 @@ impl TrafficSchedule {
 pub fn roster(n: usize, seed: u64) -> Vec<Pose> {
     (0..n)
         .map(|k| {
-            let mut mix = Mix::new(derive_seed(seed ^ 0x5e57_e001, k as u64));
+            let mut mix = Mix::at(derive_seed(seed ^ 0x5e57_e001, k as u64), 0);
             let r = 1.7 + 0.9 * mix.unit();
             let phi = deg_to_rad(-8.0 + 16.0 * mix.unit());
             let psi = deg_to_rad(8.0 + 6.0 * mix.unit());
@@ -230,8 +231,6 @@ pub struct ServeConfig {
     pub virtual_service_s: f64,
     /// Modeled service time of a shed session, seconds.
     pub shed_service_s: f64,
-    /// Modeled parallel servers draining the admission backlog.
-    pub virtual_workers: usize,
 }
 
 impl ServeConfig {
@@ -247,7 +246,6 @@ impl ServeConfig {
             reject_depth: 12,
             virtual_service_s: 0.030,
             shed_service_s: 0.010,
-            virtual_workers: 1,
         }
     }
 }
@@ -487,7 +485,7 @@ impl ServeEngine {
         let cfg = &self.config;
         let dt = (req.arrival_s - self.last_arrival_s).max(0.0);
         self.last_arrival_s = self.last_arrival_s.max(req.arrival_s);
-        self.backlog_s = (self.backlog_s - dt * cfg.virtual_workers as f64).max(0.0);
+        self.backlog_s = (self.backlog_s - dt).max(0.0);
         let depth = (self.backlog_s / cfg.virtual_service_s).ceil() as usize;
         self.max_depth = self.max_depth.max(depth);
         telemetry::observe("core.serve.depth", depth as u64);

@@ -19,7 +19,6 @@ use crate::network::{Field2Burst, Network};
 use milback_ap::ranging::LocalizationResult;
 use milback_ap::tone_select::{select_tones, ToneSelection};
 use milback_ap::workspace::DspWorkspace;
-use milback_dsp::buffer::track_growth;
 use milback_dsp::signal::Signal;
 use milback_proto::arq::{ArqReceiver, ArqSender, ArqVerdict, Backoff};
 use milback_proto::packet::{LinkMode, Packet};
@@ -494,16 +493,13 @@ impl Session {
                 .map(|s| s.samples.iter().map(|c| c.norm_sq()).sum::<f64>())
                 .sum()
         };
-        track_growth(&mut ctx.energies, n);
         ctx.energies.clear();
         ctx.energies.extend(ctx.burst.captures.iter().map(energy));
-        track_growth(&mut ctx.energy_sort, n);
         ctx.energy_sort.clear();
         ctx.energy_sort.extend_from_slice(&ctx.energies);
         ctx.energy_sort.sort_by(f64::total_cmp);
         let median = ctx.energy_sort[n / 2];
 
-        track_growth(&mut ctx.alive, n);
         ctx.alive.clear();
         ctx.alive
             .extend(ctx.energies.iter().map(|&e| e > cfg.energy_floor * median));

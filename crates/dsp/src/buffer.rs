@@ -2,34 +2,16 @@
 //!
 //! The DSP and AP pipelines run the same transform chain millions of
 //! times per sweep, so the `_into` variants across the workspace write
-//! into caller-owned buffers instead of allocating. These helpers keep
-//! that discipline observable: every fill site reports a
-//! `dsp.workspace.grow.local` telemetry count when the target buffer
-//! must reallocate, so a warmed-up hot loop shows a growth count of
-//! zero (see DESIGN.md §12).
-//!
-//! The counter carries the `.local` suffix because buffer capacities are
-//! per-thread state: different `MILBACK_THREADS` settings warm different
-//! numbers of workspaces, so growth counts are excluded from the
-//! deterministic telemetry view.
+//! into caller-owned buffers instead of allocating: a warmed-up hot loop
+//! allocates nothing, which the counting allocator of
+//! `tests/zero_alloc.rs` checks (DESIGN.md §12).
 
 use crate::num::Cpx;
-use milback_telemetry as telemetry;
-
-/// Records a `dsp.workspace.grow.local` count if filling `buf` to
-/// `needed` elements would force a reallocation. Call before the fill.
-#[inline]
-pub fn track_growth<T>(buf: &mut Vec<T>, needed: usize) {
-    if needed > buf.capacity() {
-        telemetry::counter_add("dsp.workspace.grow.local", 1);
-    }
-}
 
 /// Overwrites `out` with a copy of `src`, reusing `out`'s capacity.
 /// Allocation-free once `out` has grown to `src.len()`.
 #[inline]
 pub fn copy_into(src: &[Cpx], out: &mut Vec<Cpx>) {
-    track_growth(out, src.len());
     out.clear();
     out.extend_from_slice(src);
 }

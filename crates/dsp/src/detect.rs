@@ -86,7 +86,6 @@ pub fn noise_floor_with(data: &[f64], q: f64, scratch: &mut Vec<f64>) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
-    crate::buffer::track_growth(scratch, data.len());
     scratch.clear();
     scratch.extend(data.iter().copied().filter(|v| !v.is_nan()));
     scratch.sort_unstable_by(f64::total_cmp);

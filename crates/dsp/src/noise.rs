@@ -52,6 +52,32 @@ pub fn splitmix64(z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A SplitMix64 stream for synthetic inputs and fault draws (traffic
+/// schedules, rosters, fault plans). Never channel noise: networks draw
+/// from their seeded `StdRng`, and noise from [`normal`].
+#[derive(Debug, Clone)]
+pub struct Mix(u64);
+
+impl Mix {
+    /// The stream keyed by `seed` and a stable site tag (trial index,
+    /// event index, …); its first word is the batch engine's
+    /// `derive_seed(seed, tag)`.
+    pub fn at(seed: u64, tag: u64) -> Self {
+        Mix(seed ^ tag.wrapping_mul(GOLDEN_GAMMA))
+    }
+
+    /// The next word.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(GOLDEN_GAMMA);
+        splitmix64(self.0)
+    }
+
+    /// Uniform draw in `[0, 1)`.
+    pub fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+}
+
 /// Ziggurat layers. A power of two: the layer index is the low 7 bits
 /// of a word.
 const LAYERS: usize = 128;

@@ -287,7 +287,6 @@ impl FftPlan {
     pub fn forward_into(&self, input: &[Cpx], out: &mut Vec<Cpx>) {
         assert_eq!(input.len(), self.n, "buffer length != plan length");
         telemetry::observe("dsp.fft.size", self.n as u64);
-        crate::buffer::track_growth(out, self.n);
         out.clear();
         if self.n <= 1 {
             out.extend_from_slice(input);
@@ -316,7 +315,6 @@ impl FftPlan {
         assert!(m <= self.n, "input longer than plan length");
         assert_eq!(window.len(), m, "window length != input length");
         telemetry::observe("dsp.fft.size", self.n as u64);
-        crate::buffer::track_growth(out, self.n);
         out.clear();
         out.extend(self.bitrev.iter().map(|&j| {
             let j = j as usize;
@@ -466,7 +464,6 @@ impl BluesteinPlan {
         }
         self.inner.transform_in_place(&mut scratch);
         let inv_m = 1.0 / m as f64;
-        crate::buffer::track_growth(out, n);
         out.clear();
         out.extend((0..n).map(|k| scratch[k].conj() * inv_m * chirp(k)));
     }

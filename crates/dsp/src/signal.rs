@@ -151,7 +151,6 @@ impl Signal {
         assert!(tau >= 0.0, "delay must be non-negative");
         let (whole, frac) = self.split_shift(tau);
         let n = self.len();
-        crate::buffer::track_growth(out, n);
         out.resize(n, ZERO);
         for (i, slot) in out.iter_mut().enumerate() {
             if i < whole {

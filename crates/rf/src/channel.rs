@@ -523,7 +523,6 @@ impl Scene {
         let n = comp.signal.len();
         out.fs = fs;
         out.fc = comp.signal.fc;
-        milback_dsp::buffer::track_growth(&mut out.samples, n);
         out.samples.resize(n, ZERO);
 
         // Static paths first (summation order matters bitwise: the
@@ -635,7 +634,6 @@ impl Scene {
         let n = comp.signal.len();
         out.fs = comp.signal.fs;
         out.fc = comp.signal.fc;
-        milback_dsp::buffer::track_growth(&mut out.samples, n);
         out.samples.clear();
         out.samples.resize(n, ZERO);
         self.add_static_paths(comp, rx_idx, &mut out.samples);

@@ -16,8 +16,9 @@
 //!
 //! Fault application is a pure function of `(plan, site)` — the plan's
 //! own seed plus stable indices (event index, chirp index, sample
-//! index) drive an internal SplitMix64 stream, mirroring the
-//! `milback::batch::derive_seed` discipline. No thread state, no shared
+//! index) key a [`Mix`] stream, the one `milback::batch::derive_seed`
+//! reads. Faults never touch the simulation's `StdRng` (that would
+//! break the empty-plan bitwise guarantee). No thread state, no shared
 //! RNG, no allocation on the apply path: a chaos batch run is
 //! thread-count-invariant, and serial == parallel holds under injected
 //! faults (pinned by `tests/chaos.rs`).
@@ -39,42 +40,11 @@
 //! `corrupt`, `droop`). The counts depend only on the plan and the
 //! exchange flow, so they survive `deterministic_view()` intact.
 
-use milback_dsp::noise::{
-    add_awgn_keyed, add_real_noise_keyed, db_to_ratio, splitmix64, GOLDEN_GAMMA,
-};
+use milback_dsp::noise::{add_awgn_keyed, add_real_noise_keyed, db_to_ratio, Mix};
 use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
 use milback_telemetry as telemetry;
 use std::f64::consts::TAU;
-
-// ---------------------------------------------------------------------
-// Deterministic stream
-// ---------------------------------------------------------------------
-
-/// SplitMix64 stream for fault-local randomness. Deliberately private
-/// and tiny: faults must never touch the simulation's `StdRng` (that
-/// would break the empty-plan bitwise guarantee) nor any thread state
-/// (that would break serial == parallel).
-#[derive(Debug, Clone)]
-struct Mix(u64);
-
-impl Mix {
-    /// Stream keyed by the plan seed and a stable site tag (event
-    /// index, chirp index, …). Same finaliser as `batch::derive_seed`.
-    fn at(seed: u64, tag: u64) -> Self {
-        Mix(seed ^ tag.wrapping_mul(GOLDEN_GAMMA))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(GOLDEN_GAMMA);
-        splitmix64(self.0)
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
 
 // ---------------------------------------------------------------------
 // Events

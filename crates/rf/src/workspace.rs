@@ -58,9 +58,7 @@
 //! * `rf.ray.cache.hit.local` / `rf.ray.cache.miss.local` — node ray
 //!   tables,
 //! * `rf.gain.cache.hit.local` / `rf.gain.cache.miss.local` — FSA gain
-//!   curves, looked up once per ray-table build,
-//! * `rf.workspace.grow.local` — one count per cache entry built
-//!   (insert or LRU replacement).
+//!   curves, looked up once per ray-table build.
 
 use crate::channel::{FreqLut, RayTables, TxComponent};
 use crate::fsa::DualPortFsa;
@@ -216,7 +214,6 @@ impl<K: PartialEq + Copy, V> Lru<K, V> {
             }
             None => {
                 telemetry::counter_add(self.miss, 1);
-                telemetry::counter_add("rf.workspace.grow.local", 1);
                 let entry = Entry {
                     key,
                     value: build(),

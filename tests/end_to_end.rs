@@ -189,21 +189,24 @@ fn batch_engine_parallel_matches_serial() {
     // worker count: trial seeds derive from (master, index) alone, and
     // results land in index-addressed slots. Run a real localization
     // workload serially and at several thread counts and compare.
-    let trial = |t: milback::batch::Trial| {
-        let phi = deg_to_rad((t.index as f64 % 13.0) - 6.0);
-        let pose = Pose::facing_ap(2.5 + 0.1 * (t.index % 4) as f64, phi, 0.0);
-        let mut net = Network::new(pose, Fidelity::Fast, t.seed);
+    let trial = |&seed: &u64, index: usize| {
+        let phi = deg_to_rad((index as f64 % 13.0) - 6.0);
+        let pose = Pose::facing_ap(2.5 + 0.1 * (index % 4) as f64, phi, 0.0);
+        let mut net = Network::new(pose, Fidelity::Fast, seed);
         net.localize()
             .map(|fix| (fix.range.to_bits(), fix.angle.map(f64::to_bits)))
     };
     let master = 0xDEC0DE;
-    let serial = milback::batch::run_trials_with_threads(12, master, 1, trial);
+    let seeds: Vec<u64> = (0..12)
+        .map(|i| milback::batch::derive_seed(master, i))
+        .collect();
+    let serial = milback::batch::par_map_with_threads(&seeds, 1, trial);
     for threads in [2, 3, 8] {
-        let parallel = milback::batch::run_trials_with_threads(12, master, threads, trial);
+        let parallel = milback::batch::par_map_with_threads(&seeds, threads, trial);
         assert_eq!(serial, parallel, "diverged at {threads} threads");
     }
     // And the default entry point (machine thread count) agrees too.
-    assert_eq!(serial, milback::batch::run_trials(12, master, trial));
+    assert_eq!(serial, milback::batch::par_map(&seeds, trial));
 }
 
 #[test]

@@ -192,11 +192,12 @@ proptest! {
         );
     }
 
-    /// run_trials hands each closure the seed derived from its own index,
-    /// and returns results in index order.
+    /// par_map over derived seeds hands each closure the seed derived
+    /// from its own index, and returns results in index order.
     #[test]
-    fn run_trials_seeds_match_derivation(master in any::<u64>(), n in 0usize..32) {
-        let got = milback::batch::run_trials(n, master, |t| (t.index, t.seed));
+    fn par_map_seeds_match_derivation(master in any::<u64>(), n in 0usize..32) {
+        let seeds: Vec<u64> = (0..n).map(|i| milback::batch::derive_seed(master, i as u64)).collect();
+        let got = milback::batch::par_map(&seeds, |&seed, index| (index, seed));
         let expect: Vec<(usize, u64)> =
             (0..n).map(|i| (i, milback::batch::derive_seed(master, i as u64))).collect();
         prop_assert_eq!(got, expect);

@@ -10,9 +10,9 @@
 //! transform, one `node.field1.video.render` per Field-1 video render,
 //! one `dsp.noise.variates` count per normal variate computed).
 
-use milback::batch::run_trials_with_threads;
+use milback::batch::{derive_seed, par_map_with_threads};
 use milback::chaos::{chaos_sweep_with_threads, ChaosPoint};
-use milback::{batch, serve, Fidelity, Network, Session, SessionConfig, SessionCtx};
+use milback::{serve, Fidelity, Network, Session, SessionConfig, SessionCtx};
 use milback_ap::RangeProcessor;
 use milback_proto::packet::Packet;
 use milback_rf::geometry::{deg_to_rad, Pose};
@@ -28,12 +28,12 @@ fn registry_lock() -> MutexGuard<'static, ()> {
 
 /// One full-stack trial: localization, then a downlink and an uplink
 /// transfer, so the snapshot covers dsp, ap, node, proto and core.
-fn full_stack_trial(t: batch::Trial) -> u64 {
-    let phi = deg_to_rad((t.index as f64 % 13.0) - 6.0);
+fn full_stack_trial(&seed: &u64, index: usize) -> u64 {
+    let phi = deg_to_rad((index as f64 % 13.0) - 6.0);
     let pose = Pose::facing_ap(2.5, phi, deg_to_rad(8.0));
-    let mut net = Network::new(pose, Fidelity::Fast, t.seed);
+    let mut net = Network::new(pose, Fidelity::Fast, seed);
     let fix = net.localize().map(|f| f.range.to_bits()).unwrap_or(0);
-    let payload: Vec<u8> = (0..6u8).map(|i| i * 37 + t.index as u8).collect();
+    let payload: Vec<u8> = (0..6u8).map(|i| i * 37 + index as u8).collect();
     let dl = net.downlink(&payload, 1e6, true);
     let ul = net.uplink(&payload, 5e6, true);
     fix ^ dl.map(|r| r.bit_errors as u64).unwrap_or(u64::MAX)
@@ -44,7 +44,8 @@ fn full_stack_trial(t: batch::Trial) -> u64 {
 /// deterministic view of the resulting snapshot.
 fn run_and_snapshot(threads: usize) -> telemetry::Snapshot {
     telemetry::reset();
-    let results = run_trials_with_threads(6, 0xDECAF, threads, full_stack_trial);
+    let seeds: Vec<u64> = (0..6).map(|i| derive_seed(0xDECAF, i)).collect();
+    let results = par_map_with_threads(&seeds, threads, full_stack_trial);
     assert_eq!(results.len(), 6);
     telemetry::snapshot().deterministic_view()
 }
