@@ -192,15 +192,22 @@ if grep -rnE 'milback_dsp::template|\b(QueryCache|PortKey|cached_fir)\b' crates 
     exit 1
 fi
 
-echo "==> one dispatcher (thread::scope once in non-test crate code, in crates/core/src/batch.rs)"
+echo "==> one dispatcher (thread::scope once, in crates/core/src/batch.rs; thread::spawn/Builder only in crates/dsp/src/par.rs)"
 # Worker threads start in one place, batch::run_stealing_with_threads
 # (DESIGN.md §10.2): par_map's trials and the lane pool's session chains
-# both run on its work-stealing loop. Each file is read up to its first
-# #[cfg(test)]; tests may start threads of their own.
+# both run on its work-stealing loop. The one other thread starter is
+# the dsp::par helper thread (DESIGN.md §17.4). Each file is read up to
+# its first #[cfg(test)]; tests may start threads of their own.
 scopes=$(find crates/*/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } /thread::scope/ { print FILENAME ":" FNR ": " $0 }' {} +)
 if [ "$(printf '%s\n' "$scopes" | grep -c .)" -ne 1 ] || [[ "$scopes" != crates/core/src/batch.rs:* ]]; then
     printf '%s\n' "$scopes" >&2
     echo "thread::scope must appear exactly once in non-test crate code, in crates/core/src/batch.rs (matches above)" >&2
+    exit 1
+fi
+spawns=$(find crates/*/src -name '*.rs' ! -path crates/dsp/src/par.rs -exec awk '/#\[cfg\(test\)\]/ { nextfile } /thread::(spawn|Builder)/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ -n "$spawns" ]; then
+    printf '%s\n' "$spawns" >&2
+    echo "thread::spawn and thread::Builder may appear in non-test crate code only in crates/dsp/src/par.rs (matches above)" >&2
     exit 1
 fi
 

@@ -450,14 +450,18 @@ fn fig11(out: &mut Figures) -> Result<(), String> {
     Ok(())
 }
 
+/// Trials per distance of Fig. 12a.
+const FIG12A_TRIALS: usize = 20;
+
 /// Figure 12a: mean and p90 ranging error versus distance, 20 trials each.
 fn fig12a(out: &mut Figures) -> Result<(), String> {
-    let rows = fig12a_ranging(20, 1201);
+    let rows = fig12a_ranging(FIG12A_TRIALS, 1201);
     fig12a_bands(&rows)?;
     let mut t = Table::new(&["distance_m", "mean_err_cm", "p90_err_cm", "fixes"]);
     for r in &rows {
         let (mean, p90) = (f(r.mean_cm, 2), f(r.p90_cm, 2));
-        t.row(&[f(r.distance_m, 0), mean, p90, format!("{}/20", r.n)]);
+        let fixes = format!("{}/{FIG12A_TRIALS}", r.n);
+        t.row(&[f(r.distance_m, 0), mean, p90, fixes]);
     }
     let curve = |label, err: fn(&RangingRow) -> f64| {
         Series::new(label, rows.iter().map(|r| (r.distance_m, err(r))).collect())
@@ -489,12 +493,16 @@ fn fig12b(out: &mut Figures) -> Result<(), String> {
     Ok(())
 }
 
+/// Trials per orientation of Figs. 13a and 13b.
+const FIG13_TRIALS: usize = 25;
+
 /// The Figs. 13a/13b table: mean error and variance per orientation.
 fn orientation_table(rows: &[OrientationRow]) -> Table {
     let mut t = Table::new(&["orientation_deg", "mean_err_deg", "variance_deg2", "n"]);
     for r in rows {
         let (err, var) = (f(r.mean_err_deg, 2), f(r.variance_deg2, 3));
-        t.row(&[f(r.orientation_deg, 0), err, var, format!("{}/25", r.n)]);
+        let n = format!("{}/{FIG13_TRIALS}", r.n);
+        t.row(&[f(r.orientation_deg, 0), err, var, n]);
     }
     t
 }
@@ -502,7 +510,7 @@ fn orientation_table(rows: &[OrientationRow]) -> Table {
 /// Figure 13a: orientation estimation at the node (triangular-chirp
 /// peak separation), 25 trials per orientation at 2 m.
 fn fig13a(out: &mut Figures) -> Result<(), String> {
-    let rows = fig13a_node_orientation(25, 1301);
+    let rows = fig13a_node_orientation(FIG13_TRIALS, 1301);
     fig13a_bands(&rows)?;
     let t = orientation_table(&rows);
     let txt = heading("Figure 13a: Orientation estimation at the node", &t)
@@ -519,7 +527,7 @@ fn fig13a(out: &mut Figures) -> Result<(), String> {
 /// Figure 13b: orientation estimation at the AP, including the
 /// mirror-reflection error bump between −6° and −2°.
 fn fig13b(out: &mut Figures) -> Result<(), String> {
-    let rows = fig13b_ap_orientation(25, 1302);
+    let rows = fig13b_ap_orientation(FIG13_TRIALS, 1302);
     fig13b_bands(&rows)?;
     let t = orientation_table(&rows);
     let txt = heading("Figure 13b: Orientation estimation at the AP", &t)
@@ -630,10 +638,11 @@ fn table1_features(out: &mut Figures) -> Result<(), String> {
         "orientation",
         "uplink_nj_per_bit",
     ]);
-    for r in &table1() {
+    for r in &milback_baseline::table1() {
         let (name, nj) = (r.name.to_string(), r.uplink_nj_per_bit);
         let nj = nj.map_or("-".into(), |v| format!("{v:.1}"));
-        let (up, loc, down, orient) = (r.uplink, r.localization, r.downlink, r.orientation);
+        let c = r.capabilities;
+        let (up, loc, down, orient) = (c.uplink, c.localization, c.downlink, c.orientation);
         t.row(&[name, yn(up), yn(loc), yn(down), yn(orient), nj]);
     }
     let title = "Table 1: Comparison with state-of-the-art mmWave backscatter";

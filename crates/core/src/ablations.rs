@@ -6,6 +6,7 @@
 
 use crate::batch;
 use crate::config::Fidelity;
+use crate::experiments::monte_carlo;
 use crate::network::Network;
 use crate::session::with_run_ctx;
 use milback_dsp::detect::{argmax, parabolic_refine};
@@ -15,7 +16,12 @@ use milback_dsp::window::Window;
 use milback_rf::fsa::Port;
 use milback_rf::geometry::{deg_to_rad, Pose};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
+
+/// The ±10° azimuth every clutter ablation draws per trial, in radians.
+fn draw_azimuth(rng: &mut StdRng) -> f64 {
+    deg_to_rad(rng.gen_range(-10.0..10.0))
+}
 
 // ---------------------------------------------------------------------
 // Background subtraction on/off
@@ -40,21 +46,8 @@ pub struct SubtractionRow {
 /// node's reflection is much weaker than the reflection of some other
 /// objects").
 pub fn ablation_background_subtraction(trials: usize, seed: u64) -> Vec<SubtractionRow> {
-    // Randomness drawn serially up front, simulations on the batch engine.
-    let mut master = StdRng::seed_from_u64(seed);
-    let inputs: Vec<(f64, u64, f64)> = [2.0, 4.0, 6.0]
-        .iter()
-        .flat_map(|&d| {
-            (0..trials)
-                .map(|_| {
-                    let trial_seed: u64 = master.gen();
-                    let phi = deg_to_rad(master.gen_range(-10.0..10.0));
-                    (d, trial_seed, phi)
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let results = batch::par_map(&inputs, |&(d, trial_seed, phi), _| {
+    let distances = [2.0, 4.0, 6.0];
+    let trial = |&d: &f64, trial_seed: u64, &phi: &f64| {
         let pose = Pose::facing_ap(d, phi, 0.0);
         let mut net = Network::new(pose, Fidelity::Fast, trial_seed);
 
@@ -87,14 +80,15 @@ pub fn ablation_background_subtraction(trials: usize, seed: u64) -> Vec<Subtract
             })
             .unwrap_or(false);
         (with_ok, without_ok)
-    });
+    };
+    let results = monte_carlo(&distances, trials, seed, draw_azimuth, trial);
     results
-        .chunks(trials.max(1))
-        .zip([2.0, 4.0, 6.0])
-        .map(|(chunk, d)| SubtractionRow {
+        .iter()
+        .zip(distances)
+        .map(|(group, d)| SubtractionRow {
             distance_m: d,
-            with_ok: chunk.iter().filter(|(w, _)| *w).count(),
-            without_ok: chunk.iter().filter(|(_, wo)| *wo).count(),
+            with_ok: group.iter().filter(|(w, _)| *w).count(),
+            without_ok: group.iter().filter(|(_, wo)| *wo).count(),
             trials,
         })
         .collect()
@@ -111,7 +105,7 @@ pub struct AssistRow {
     pub orientation_deg: f64,
     /// Downlink SINR with orientation-selected tones, dB.
     pub assisted_sinr_db: f64,
-    /// Downlink SINR with fixed tones chosen for 0° orientation, dB.
+    /// Downlink SINR with fixed tones chosen for a 5° orientation, dB.
     pub fixed_sinr_db: f64,
 }
 
@@ -130,7 +124,6 @@ pub fn ablation_orientation_assist(seed: u64) -> Vec<AssistRow> {
             .unwrap_or(f64::NEG_INFINITY);
         // Fixed: evaluate the link budget with ±5°-orientation tones
         // (a "blind" AP that ignores the node's rotation).
-        let net = Network::new(pose, Fidelity::Fast, seed);
         let fsa = net.node.fsa;
         // Both angles sit inside the FSA's scan range by construction;
         // if a config change ever moves them out, report the misalign
@@ -181,47 +174,48 @@ pub struct ChirpCountRow {
 /// Localization quality vs the number of Field-2 chirps (the paper uses
 /// five: four pairwise differences).
 pub fn ablation_chirp_count(trials: usize, seed: u64) -> Vec<ChirpCountRow> {
-    let mut master = StdRng::seed_from_u64(seed);
-    let d = 5.0;
     let chirp_counts = [2usize, 3, 5, 7, 9];
-    let inputs: Vec<(usize, u64, f64)> = chirp_counts
-        .iter()
-        .flat_map(|&n_chirps| {
-            (0..trials)
-                .map(|_| {
-                    let trial_seed: u64 = master.gen();
-                    let phi = deg_to_rad(master.gen_range(-10.0..10.0));
-                    (n_chirps, trial_seed, phi)
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let results = batch::par_map(&inputs, |&(n_chirps, trial_seed, phi), _| {
-        let pose = Pose::facing_ap(d, phi, 0.0);
-        let mut net = Network::new(pose, Fidelity::Fast, trial_seed);
-        let loc = net.localizer();
-        with_run_ctx(|ctx| {
-            if !net.field2_captures_into(&mut ctx.chan, n_chirps, &mut ctx.burst) {
-                return None;
-            }
-            loc.process_with(&mut ctx.dsp, &ctx.burst.tx, &ctx.burst.captures)
-        })
-        .map(|fix| (fix.range - d).abs())
-        .filter(|err| *err < 0.5)
-    });
+    let trial = |&n: &usize, s, &phi: &f64| clutter_trial(s, phi, n, Window::Hann);
+    let results = monte_carlo(&chirp_counts, trials, seed, draw_azimuth, trial);
     results
-        .chunks(trials.max(1))
+        .iter()
         .zip(chirp_counts)
-        .map(|(chunk, n_chirps)| {
-            let errs: Vec<f64> = chunk.iter().filter_map(|e| *e).collect();
+        .map(|(group, n_chirps)| {
+            let (detections, mean_err_cm) = detection_stats(group);
             ChirpCountRow {
                 n_chirps,
-                detections: errs.len(),
-                mean_err_cm: stats::mean(&errs) * 100.0,
+                detections,
+                mean_err_cm,
                 trials,
             }
         })
         .collect()
+}
+
+/// One trial of the chirp-count and window ablations: a node at 5 m and
+/// azimuth `phi` is localized from an `n_chirps` burst with `window` on
+/// the range FFT. The |range error| if the fix lands within 0.5 m.
+fn clutter_trial(trial_seed: u64, phi: f64, n_chirps: usize, window: Window) -> Option<f64> {
+    let d = 5.0;
+    let pose = Pose::facing_ap(d, phi, 0.0);
+    let mut net = Network::new(pose, Fidelity::Fast, trial_seed);
+    let mut loc = net.localizer();
+    loc.proc.window = window;
+    with_run_ctx(|ctx| {
+        if !net.field2_captures_into(&mut ctx.chan, n_chirps, &mut ctx.burst) {
+            return None;
+        }
+        loc.process_with(&mut ctx.dsp, &ctx.burst.tx, &ctx.burst.captures)
+    })
+    .map(|fix| (fix.range - d).abs())
+    .filter(|err| *err < 0.5)
+}
+
+/// Detections and their mean |range error| (cm) among one point's
+/// [`clutter_trial`]s.
+fn detection_stats(group: &[Option<f64>]) -> (usize, f64) {
+    let errs: Vec<f64> = group.iter().flatten().copied().collect();
+    (errs.len(), stats::mean(&errs) * 100.0)
 }
 
 // ---------------------------------------------------------------------
@@ -245,44 +239,18 @@ pub struct WindowRow {
 /// leaks clutter side lobes over the node; Hann (the default) is the
 /// standard compromise.
 pub fn ablation_window(trials: usize, seed: u64) -> Vec<WindowRow> {
-    let mut master = StdRng::seed_from_u64(seed);
-    let d = 5.0;
     let windows = [Window::Rect, Window::Hann, Window::Blackman];
-    let inputs: Vec<(Window, u64, f64)> = windows
-        .iter()
-        .flat_map(|&window| {
-            (0..trials)
-                .map(|_| {
-                    let trial_seed: u64 = master.gen();
-                    let phi = deg_to_rad(master.gen_range(-10.0..10.0));
-                    (window, trial_seed, phi)
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let results = batch::par_map(&inputs, |&(window, trial_seed, phi), _| {
-        let pose = Pose::facing_ap(d, phi, 0.0);
-        let mut net = Network::new(pose, Fidelity::Fast, trial_seed);
-        let mut loc = net.localizer();
-        loc.proc.window = window;
-        with_run_ctx(|ctx| {
-            if !net.field2_captures_into(&mut ctx.chan, 5, &mut ctx.burst) {
-                return None;
-            }
-            loc.process_with(&mut ctx.dsp, &ctx.burst.tx, &ctx.burst.captures)
-        })
-        .map(|fix| (fix.range - d).abs())
-        .filter(|err| *err < 0.5)
-    });
+    let trial = |&w: &Window, s, &phi: &f64| clutter_trial(s, phi, 5, w);
+    let results = monte_carlo(&windows, trials, seed, draw_azimuth, trial);
     results
-        .chunks(trials.max(1))
+        .iter()
         .zip(windows)
-        .map(|(chunk, window)| {
-            let errs: Vec<f64> = chunk.iter().filter_map(|e| *e).collect();
+        .map(|(group, window)| {
+            let (detections, mean_err_cm) = detection_stats(group);
             WindowRow {
                 window,
-                detections: errs.len(),
-                mean_err_cm: stats::mean(&errs) * 100.0,
+                detections,
+                mean_err_cm,
                 trials,
             }
         })
@@ -313,9 +281,8 @@ pub fn ablation_uplink_rate(distance_m: f64, seed: u64) -> Vec<RateRow> {
     let rates = [10.0, 20.0, 40.0, 80.0, 160.0, 200.0];
     batch::par_map(&rates, |&mbps, _| {
         let symbol_rate = mbps * 1e6 / 2.0;
-        let net = Network::new(pose, Fidelity::Fast, seed);
-        let supported = net.node.switch.supports_rate(symbol_rate);
-        if !supported {
+        let mut net = Network::new(pose, Fidelity::Fast, seed);
+        if !net.node.switch.supports_rate(symbol_rate) {
             return Some(RateRow {
                 bit_rate_mbps: mbps,
                 supported: false,
@@ -323,7 +290,6 @@ pub fn ablation_uplink_rate(distance_m: f64, seed: u64) -> Vec<RateRow> {
                 bit_errors: 0,
             });
         }
-        let mut net = Network::new(pose, Fidelity::Fast, seed);
         net.uplink(&[0x6C; 16], symbol_rate, true).map(|r| RateRow {
             bit_rate_mbps: mbps,
             supported: true,

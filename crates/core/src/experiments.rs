@@ -1,6 +1,7 @@
-//! Experiment drivers regenerating every table and figure of the paper's
-//! evaluation (§9). Each function is deterministic given its seed and
-//! returns plain row structs; the `milback-bench` binaries print them.
+//! Experiment drivers regenerating the figures and the power table of the
+//! paper's evaluation (§9); Table 1 is data, `milback_baseline::table1`.
+//! Each function is deterministic given its seed and returns plain row
+//! structs; the `milback-bench` binaries print them.
 
 use crate::batch;
 use crate::config::Fidelity;
@@ -20,6 +21,37 @@ use rand::{Rng, SeedableRng};
 /// normal, where the two OAQFM tones are well separated (the paper's
 /// microbenchmark geometry, tones 27.5/28.5 GHz).
 pub const COMM_ORIENTATION_DEG: f64 = 15.0;
+
+/// The Monte-Carlo trial driver behind every multi-trial figure and
+/// ablation: `trials` runs of `run(point, trial_seed, draw)` at each of
+/// `points`, returned grouped by point. All randomness comes from one
+/// `seed` stream in serial order (per point, per trial: the trial's
+/// seed, then `draw`); the runs go to the batch engine, so the result
+/// is the same at any thread count.
+pub(crate) fn monte_carlo<P: Sync, D: Sync, R: Send>(
+    points: &[P],
+    trials: usize,
+    seed: u64,
+    mut draw: impl FnMut(&mut StdRng) -> D,
+    run: impl Fn(&P, u64, &D) -> R + Sync,
+) -> Vec<Vec<R>> {
+    let mut master = StdRng::seed_from_u64(seed);
+    let mut inputs = Vec::with_capacity(points.len() * trials);
+    for point in points {
+        for _ in 0..trials {
+            let trial_seed: u64 = master.gen();
+            inputs.push((point, trial_seed, draw(&mut master)));
+        }
+    }
+    let mut results = batch::par_map(&inputs, |(point, trial_seed, d), _| {
+        run(point, *trial_seed, d)
+    })
+    .into_iter();
+    points
+        .iter()
+        .map(|_| results.by_ref().take(trials).collect())
+        .collect()
+}
 
 // ---------------------------------------------------------------------
 // Figure 10 — dual-port FSA beam pattern
@@ -41,8 +73,6 @@ pub struct Fig10Row {
 /// Sweeps the dual-port FSA pattern over ±40° for the paper's seven
 /// sample frequencies (Fig. 10).
 pub fn fig10_fsa_pattern() -> Vec<Fig10Row> {
-    let _span = milback_telemetry::span("core.experiments.fig10_fsa_pattern.ns");
-    milback_telemetry::counter_add("core.experiments.runs", 1);
     let fsa = DualPortFsa::milback();
     let freqs_ghz = [26.5, 27.0, 27.5, 28.0, 28.5, 29.0, 29.5];
     let mut rows = Vec::new();
@@ -115,8 +145,6 @@ pub struct Fig11Trace {
 /// Reproduces Fig. 11: node at 2 m, AP sends symbols 00, 01, 10, 11 at
 /// 1 µs per symbol on the orientation-selected tones.
 pub fn fig11_oaqfm_micro(seed: u64) -> Fig11Trace {
-    let _span = milback_telemetry::span("core.experiments.fig11_oaqfm_micro.ns");
-    milback_telemetry::counter_add("core.experiments.runs", 1);
     use milback_ap::waveform::ook_waveform;
     use milback_proto::bits::OaqfmSymbol;
     use milback_rf::channel::TxComponent;
@@ -217,35 +245,20 @@ pub struct RangingRow {
 /// repetitions each (20 in the paper), node facing the AP at a small
 /// random azimuth per trial.
 pub fn fig12a_ranging(trials: usize, seed: u64) -> Vec<RangingRow> {
-    let _span = milback_telemetry::span("core.experiments.fig12a_ranging.ns");
-    milback_telemetry::counter_add("core.experiments.runs", 1);
-    // Draw every trial's randomness up front in the serial order, then run
-    // the expensive simulations on the batch engine — results are
-    // identical to the historical serial loop at any thread count.
-    let mut master = StdRng::seed_from_u64(seed);
-    let inputs: Vec<(f64, u64, f64)> = (1..=8)
-        .flat_map(|d| {
-            (0..trials)
-                .map(|_| {
-                    let trial_seed: u64 = master.gen();
-                    let phi = deg_to_rad(master.gen_range(-10.0..10.0));
-                    (d as f64, trial_seed, phi)
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let results = batch::par_map(&inputs, |&(d, trial_seed, phi), _| {
+    let distances: Vec<f64> = (1..=8).map(f64::from).collect();
+    let draw = |rng: &mut StdRng| deg_to_rad(rng.gen_range(-10.0..10.0));
+    let results = monte_carlo(&distances, trials, seed, draw, |&d, trial_seed, &phi| {
         let pose = Pose::facing_ap(d, phi, 0.0);
         let mut net = Network::new(pose, Fidelity::Fast, trial_seed);
         net.localize().map(|fix| (fix.range - d).abs())
     });
     results
-        .chunks(trials.max(1))
-        .zip(1..=8)
-        .map(|(chunk, d)| {
-            let errs: Vec<f64> = chunk.iter().filter_map(|e| *e).collect();
+        .iter()
+        .zip(distances)
+        .map(|(group, d)| {
+            let errs: Vec<f64> = group.iter().flatten().copied().collect();
             RangingRow {
-                distance_m: d as f64,
+                distance_m: d,
                 mean_cm: stats::mean(&errs) * 100.0,
                 p90_cm: stats::percentile(&errs, 90.0) * 100.0,
                 n: errs.len(),
@@ -268,31 +281,20 @@ pub struct AngleCdf {
 /// Runs the Fig. 12b angle experiment: trials pooled across distances and
 /// azimuths, as the paper pools its CDF.
 pub fn fig12b_angle_cdf(trials_per_point: usize, seed: u64) -> AngleCdf {
-    let _span = milback_telemetry::span("core.experiments.fig12b_angle_cdf.ns");
-    milback_telemetry::counter_add("core.experiments.runs", 1);
-    let mut master = StdRng::seed_from_u64(seed);
-    let inputs: Vec<(f64, u64, f64)> = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        .iter()
-        .flat_map(|&d| {
-            (0..trials_per_point)
-                .map(|_| {
-                    let trial_seed: u64 = master.gen();
-                    let phi = deg_to_rad(master.gen_range(-20.0..20.0));
-                    (d, trial_seed, phi)
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let errs_deg: Vec<f64> = batch::par_map(&inputs, |&(d, trial_seed, phi), _| {
+    let distances = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+    let draw = |rng: &mut StdRng| deg_to_rad(rng.gen_range(-20.0..20.0));
+    let trial = |&d: &f64, trial_seed: u64, &phi: &f64| {
         let pose = Pose::facing_ap(d, phi, 0.0);
         let mut net = Network::new(pose, Fidelity::Fast, trial_seed);
         net.localize()
             .and_then(|fix| fix.angle)
             .map(|a| rad_to_deg(a - phi).abs())
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    };
+    let errs_deg: Vec<f64> = monte_carlo(&distances, trials_per_point, seed, draw, trial)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .collect();
     AngleCdf {
         cdf: stats::empirical_cdf(&errs_deg),
         median_deg: stats::median(&errs_deg),
@@ -323,22 +325,8 @@ fn orientation_sweep(
     seed: u64,
     at_node: bool,
 ) -> Vec<OrientationRow> {
-    // Preserve the serial draw order (trial seed, then depth offset) so
-    // the parallel run reproduces the historical serial results exactly.
-    let mut master = StdRng::seed_from_u64(seed);
-    let inputs: Vec<(f64, u64, f64)> = orientations_deg
-        .iter()
-        .flat_map(|&odeg| {
-            (0..trials)
-                .map(|_| {
-                    let trial_seed: u64 = master.gen();
-                    let depth_offset = master.gen_range(0.0..0.006);
-                    (odeg, trial_seed, depth_offset)
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let results = batch::par_map(&inputs, |&(odeg, trial_seed, depth_offset), _| {
+    let draw = |rng: &mut StdRng| rng.gen_range(0.0..0.006);
+    let trial = |&odeg: &f64, trial_seed: u64, &depth_offset: &f64| {
         // The node is rotated by ψ = −orientation so its incidence angle
         // equals `odeg`.
         let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(-odeg));
@@ -354,12 +342,13 @@ fn orientation_sweep(
             net.sense_orientation_at_ap()
         };
         est.map(|e| rad_to_deg(e) - odeg)
-    });
+    };
+    let results = monte_carlo(orientations_deg, trials, seed, draw, trial);
     results
-        .chunks(trials.max(1))
+        .iter()
         .zip(orientations_deg)
-        .map(|(chunk, &odeg)| {
-            let errs: Vec<f64> = chunk.iter().filter_map(|e| *e).collect();
+        .map(|(group, &odeg)| {
+            let errs: Vec<f64> = group.iter().flatten().copied().collect();
             OrientationRow {
                 orientation_deg: odeg,
                 mean_err_deg: stats::mean_abs(&errs),
@@ -373,8 +362,6 @@ fn orientation_sweep(
 /// Fig. 13a: orientation sensing at the node, sweep of orientations at
 /// 2 m, `trials` repetitions (25 in the paper).
 pub fn fig13a_node_orientation(trials: usize, seed: u64) -> Vec<OrientationRow> {
-    let _span = milback_telemetry::span("core.experiments.fig13a_node_orientation.ns");
-    milback_telemetry::counter_add("core.experiments.runs", 1);
     let orientations: Vec<f64> = (-5..=5).map(|k| k as f64 * 4.0).collect();
     orientation_sweep(&orientations, trials, seed, true)
 }
@@ -382,8 +369,6 @@ pub fn fig13a_node_orientation(trials: usize, seed: u64) -> Vec<OrientationRow> 
 /// Fig. 13b: orientation sensing at the AP — a finer sweep around the
 /// −6°…−2° mirror-collision region.
 pub fn fig13b_ap_orientation(trials: usize, seed: u64) -> Vec<OrientationRow> {
-    let _span = milback_telemetry::span("core.experiments.fig13b_ap_orientation.ns");
-    milback_telemetry::counter_add("core.experiments.runs", 1);
     let orientations: Vec<f64> = (-6..=6).map(|k| k as f64 * 2.0).collect();
     orientation_sweep(&orientations, trials, seed, false)
 }
@@ -409,8 +394,6 @@ pub struct LinkRow {
 
 /// Fig. 14: downlink SINR vs distance (1–12 m).
 pub fn fig14_downlink(seed: u64) -> Vec<LinkRow> {
-    let _span = milback_telemetry::span("core.experiments.fig14_downlink.ns");
-    milback_telemetry::counter_add("core.experiments.runs", 1);
     let distances: Vec<f64> = (1..=12).map(|d| d as f64).collect();
     batch::par_map(&distances, |&d, _| {
         let pose = Pose::facing_ap(d, 0.0, deg_to_rad(COMM_ORIENTATION_DEG));
@@ -436,8 +419,6 @@ pub fn fig14_downlink(seed: u64) -> Vec<LinkRow> {
 /// Fig. 15: uplink SNR vs distance at `bit_rate` bits/s (10 Mbps for
 /// 15a, 40 Mbps for 15b; OAQFM carries 2 bits/symbol).
 pub fn fig15_uplink(bit_rate: f64, max_distance_m: usize, seed: u64) -> Vec<LinkRow> {
-    let _span = milback_telemetry::span("core.experiments.fig15_uplink.ns");
-    milback_telemetry::counter_add("core.experiments.runs", 1);
     let symbol_rate = bit_rate / 2.0;
     let distances: Vec<f64> = (1..=max_distance_m).map(|d| d as f64).collect();
     batch::par_map(&distances, |&d, _| {
@@ -459,45 +440,8 @@ pub fn fig15_uplink(bit_rate: f64, max_distance_m: usize, seed: u64) -> Vec<Link
 }
 
 // ---------------------------------------------------------------------
-// Table 1 and §9.6 — comparison and power
+// §9.6 — power
 // ---------------------------------------------------------------------
-
-/// A row of Table 1 plus the §9.6 energy figures.
-#[derive(Debug, Clone)]
-pub struct Table1Row {
-    /// System name.
-    pub name: &'static str,
-    /// Uplink capability.
-    pub uplink: bool,
-    /// Localization capability.
-    pub localization: bool,
-    /// Downlink capability.
-    pub downlink: bool,
-    /// Orientation-sensing capability.
-    pub orientation: bool,
-    /// Uplink energy efficiency, nJ/bit.
-    pub uplink_nj_per_bit: Option<f64>,
-}
-
-/// Regenerates Table 1 (with §9.6 energy efficiency attached).
-pub fn table1() -> Vec<Table1Row> {
-    let _span = milback_telemetry::span("core.experiments.table1.ns");
-    milback_telemetry::counter_add("core.experiments.runs", 1);
-    milback_baseline::table1_systems()
-        .iter()
-        .map(|s| {
-            let c = s.capabilities();
-            Table1Row {
-                name: s.name(),
-                uplink: c.uplink,
-                localization: c.localization,
-                downlink: c.downlink,
-                orientation: c.orientation,
-                uplink_nj_per_bit: s.uplink_energy_nj_per_bit(),
-            }
-        })
-        .collect()
-}
 
 /// §9.6 power-consumption row.
 #[derive(Debug, Clone, Copy)]
@@ -514,8 +458,6 @@ pub struct PowerRow {
 
 /// Regenerates the §9.6 power table.
 pub fn power_table() -> Vec<PowerRow> {
-    let _span = milback_telemetry::span("core.experiments.power_table.ns");
-    milback_telemetry::counter_add("core.experiments.runs", 1);
     use milback_hw::power::{NodeMode, PowerModel};
     let m = PowerModel::milback();
     vec![
@@ -543,6 +485,29 @@ pub fn power_table() -> Vec<PowerRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn monte_carlo_groups_match_a_serial_loop() {
+        let points = [10u64, 20];
+        let draw = |rng: &mut StdRng| rng.gen_range(0.0..1.0) + f64::from(rng.gen::<u32>());
+        let run = |&p: &u64, trial_seed: u64, &x: &f64| (p, trial_seed, x.to_bits());
+        let groups = monte_carlo(&points, 3, 41, draw, run);
+
+        let mut master = StdRng::seed_from_u64(41);
+        let mut serial = Vec::new();
+        for p in &points {
+            let mut group = Vec::new();
+            for _ in 0..3 {
+                let trial_seed: u64 = master.gen();
+                let x = draw(&mut master);
+                group.push(run(p, trial_seed, &x));
+            }
+            serial.push(group);
+        }
+        assert_eq!(groups, serial);
+        assert_eq!(groups[0].len(), 3);
+        assert_ne!(groups[0][0].1, groups[1][0].1);
+    }
 
     #[test]
     fn fig10_has_both_ports_and_high_gain() {
@@ -580,17 +545,6 @@ mod tests {
         let a01 = in_window(&t.time_us, &t.port_a_mv, 1.4, 1.9);
         let b01 = in_window(&t.time_us, &t.port_b_mv, 1.4, 1.9);
         assert!(b01 > 3.0 * a01.max(0.1), "a {a01} b {b01}");
-    }
-
-    #[test]
-    fn table1_only_milback_complete() {
-        let rows = table1();
-        let complete: Vec<&str> = rows
-            .iter()
-            .filter(|r| r.uplink && r.downlink && r.localization && r.orientation)
-            .map(|r| r.name)
-            .collect();
-        assert_eq!(complete, vec!["MilBack (This Work)"]);
     }
 
     #[test]

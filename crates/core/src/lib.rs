@@ -20,7 +20,7 @@
 //!   cached ray tables, deterministic handoffs,
 //! * [`chaos`] — deterministic chaos sweeps over sampled fault plans,
 //! * [`survey`] — analytic coverage maps for deployment planning,
-//! * [`experiments`] — drivers regenerating every paper figure/table,
+//! * [`experiments`] — drivers regenerating the paper's figures and tables,
 //! * [`ablations`] — what breaks when each design choice is removed,
 //! * [`batch`] — the deterministic parallel batch engine the drivers
 //!   above run on,

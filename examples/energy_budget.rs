@@ -6,7 +6,6 @@
 //! cargo run --release --example energy_budget
 //! ```
 
-use milback_baseline::{BackscatterSystem, MilBackSystem, MmTag};
 use milback_hw::power::{NodeMode, PowerModel};
 
 /// CR2032 coin cell: ~225 mAh at 3 V ≈ 2430 J.
@@ -57,19 +56,18 @@ fn main() {
 
     // Comparison per §9.6.
     println!("energy-per-bit comparison:");
-    let milback = MilBackSystem;
-    let mmtag = MmTag::default();
+    let [mmtag, .., milback] = milback_baseline::table1();
     println!(
         "  MilBack uplink   : {:.2} nJ/bit",
-        milback.uplink_energy_nj_per_bit().unwrap()
+        milback.uplink_nj_per_bit.unwrap()
     );
     println!(
         "  MilBack downlink : {:.2} nJ/bit",
-        milback.downlink_energy_nj_per_bit().unwrap()
+        milback.downlink_nj_per_bit.unwrap()
     );
     println!(
         "  mmTag uplink     : {:.2} nJ/bit (no downlink at all)",
-        mmtag.uplink_energy_nj_per_bit().unwrap()
+        mmtag.uplink_nj_per_bit.unwrap()
     );
     // An active 28 GHz radio (phased array + mixers) draws watts; even an
     // optimistic 500 mW at 100 Mbps is 5 nJ/bit — and cannot run from a

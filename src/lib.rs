@@ -12,7 +12,7 @@
 //! * [`milback_proto`] — OAQFM symbols, CRC framing, packet structure,
 //! * [`milback_node`] — the backscatter node,
 //! * [`milback_ap`] — the access point,
-//! * [`milback_baseline`] — mmTag/Millimetro/OmniScatter comparators,
+//! * [`milback_baseline`] — Table 1's rows (mmTag, Millimetro, OmniScatter, MilBack),
 //! * [`milback_telemetry`] — counters/histograms/spans over the whole
 //!   pipeline (`MILBACK_TELEMETRY=1` to enable),
 //! * [`milback`] — the end-to-end `Network` simulator and experiment
