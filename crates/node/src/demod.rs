@@ -105,7 +105,8 @@ pub struct DemodScratch {
 /// `det_a` / `det_b` are the port-A / port-B detector (or comparator)
 /// sample streams; `t0` is the payload start time within them.
 /// Intermediates run in `scratch` and the symbols land in `out`, both
-/// reusing their capacity.
+/// reusing their capacity. Returns the weaker branch's
+/// [`measured_decision_snr`].
 pub fn demodulate_oaqfm_into(
     slicer: &EnvelopeSlicer,
     det_a: &[f64],
@@ -114,7 +115,7 @@ pub fn demodulate_oaqfm_into(
     n_symbols: usize,
     scratch: &mut DemodScratch,
     out: &mut Vec<OaqfmSymbol>,
-) {
+) -> f64 {
     milback_telemetry::counter_add("node.demod.oaqfm.symbols", n_symbols as u64);
     slicer.symbol_levels_into(det_a, t0, n_symbols, &mut scratch.levels_a);
     slicer.symbol_levels_into(det_b, t0, n_symbols, &mut scratch.levels_b);
@@ -130,12 +131,16 @@ pub fn demodulate_oaqfm_into(
             .zip(&scratch.bits_b)
             .map(|(&a_on, &b_on)| OaqfmSymbol { a_on, b_on }),
     );
+    let (a, b) = (&scratch.bits_a, &scratch.bits_b);
+    let snr_a = measured_decision_snr(&scratch.levels_a, a, b);
+    snr_a.min(measured_decision_snr(&scratch.levels_b, b, a))
 }
 
 /// Demodulates single-carrier OOK (the normal-incidence fallback): both
 /// detectors see the same tone, so their sum is sliced at one bit per
 /// symbol. Intermediates run in `scratch` and the bit decisions land in
-/// `out`, both reusing their capacity.
+/// `out`, both reusing their capacity. Returns the summed stream's
+/// [`measured_decision_snr`].
 pub fn demodulate_ook_into(
     slicer: &EnvelopeSlicer,
     det_a: &[f64],
@@ -144,7 +149,7 @@ pub fn demodulate_ook_into(
     n_bits: usize,
     scratch: &mut DemodScratch,
     out: &mut Vec<bool>,
-) {
+) -> f64 {
     milback_telemetry::counter_add("node.demod.ook.bits", n_bits as u64);
     scratch.combined.clear();
     scratch
@@ -153,6 +158,43 @@ pub fn demodulate_ook_into(
     slicer.symbol_levels_into(&scratch.combined, t0, n_bits, &mut scratch.levels_a);
     let thr = EnvelopeSlicer::threshold(&scratch.levels_a);
     EnvelopeSlicer::slice_into(&scratch.levels_a, thr, out);
+    measured_decision_snr(&scratch.levels_a, out, &[])
+}
+
+/// Decision SNR of one detector branch, measured from its per-symbol
+/// levels (linear): the squared gap between the weakest "on" cluster
+/// and the strongest "off" cluster over the pooled within-cluster
+/// variance. Symbols cluster by (`own` decision, `other` branch's
+/// decision; `false` past the end of `other`), so the other tone's
+/// cross-port leak forms clusters of its own and narrows the margin
+/// instead of counting as noise — the quantity the link layer's
+/// analytic decision SNR predicts. 0 when either side is empty,
+/// infinite when every cluster is noiseless.
+pub fn measured_decision_snr(levels: &[f64], own: &[bool], other: &[bool]) -> f64 {
+    let class = |k: usize| 2 * usize::from(own[k]) + usize::from(other.get(k) == Some(&true));
+    let (mut count, mut sum) = ([0usize; 4], [0.0f64; 4]);
+    for (k, &l) in levels.iter().enumerate() {
+        count[class(k)] += 1;
+        sum[class(k)] += l;
+    }
+    let mean: [f64; 4] = std::array::from_fn(|c| sum[c] / count[c].max(1) as f64);
+    let filled = |cs: [usize; 2]| cs.into_iter().filter(|&c| count[c] > 0).map(|c| mean[c]);
+    let (Some(on), Some(off)) = (
+        filled([2, 3]).reduce(f64::min),
+        filled([0, 1]).reduce(f64::max),
+    ) else {
+        return 0.0;
+    };
+    let ss: f64 = levels
+        .iter()
+        .enumerate()
+        .map(|(k, &l)| (l - mean[class(k)]).powi(2))
+        .sum();
+    let dof = levels.len() - count.iter().filter(|&&n| n > 0).count();
+    if dof == 0 || ss <= 0.0 {
+        return f64::INFINITY;
+    }
+    (on - off).max(0.0).powi(2) / (ss / dof as f64)
 }
 
 #[cfg(test)]

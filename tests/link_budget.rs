@@ -1,8 +1,13 @@
-//! Field-2 link-budget oracle: the rendered monostatic return of a tone
-//! must carry the power the closed-form two-way budget
-//! (`Scene::tone_backscatter_gain`, the radar/Friis forms of
-//! `milback_rf::propagation`) predicts. Bit pins cannot judge a render
-//! whose bits move on purpose; this test judges it against physics.
+//! Link-budget oracles. Bit pins cannot judge a render whose bits move
+//! on purpose; these tests judge it against physics:
+//!
+//! * Field 2: the rendered monostatic return of a tone must carry the
+//!   power the closed-form two-way budget (`Scene::tone_backscatter_gain`,
+//!   the radar/Friis forms of `milback_rf::propagation`) predicts;
+//! * the uplink's measured SNR must track `survey::analytic_uplink_snr`
+//!   across range and facing;
+//! * the downlink's slicer-measured decision SNR must match the analytic
+//!   one the link reports from the detector model.
 
 use milback_dsp::noise::ratio_to_db;
 use milback_dsp::num::Cpx;
@@ -67,6 +72,94 @@ fn field2_tone_power_matches_the_two_way_budget_across_steers() {
                     ratio_to_db(budget)
                 );
             }
+        }
+    }
+}
+
+/// What a noise-limited uplink branch measures over the analytic SNR:
+/// `analytic_uplink_snr` is the half swing squared over the noise in the
+/// symbol bandwidth, while the receiver averages 5 of each symbol's 8
+/// branch samples and `level_snr` takes the full swing over the summed
+/// on/off cluster variances, which reads 4·5/8 = 2.5× (3.98 dB) more.
+const NOISE_LIMITED_GAIN: f64 = 2.5;
+
+/// Half-width of the uplink oracle's band, dB: the scatter of a
+/// variance estimated from ~290 symbols plus the mirror's coupling.
+const UPLINK_BAND_DB: f64 = 2.0;
+
+/// Uplink oracle (ROADMAP item 3): `Network::uplink`'s measured SNR at
+/// 5 Msym/s tracks `survey::analytic_uplink_snr` across range and
+/// facing. The analytic budget is noise-limited; close in, each branch
+/// also hears the other port's keyed return through its side lobes, so
+/// the measured SNR may fall to the combination of the noise-limited
+/// value and that cross-port ceiling (`2·G_own/G_cross` at the worst
+/// phase, from the narrowband `Scene::tone_backscatter_gain`), and no
+/// lower. A wrong noise figure, a wrong FSA gain in the render or a
+/// noise bandwidth that is not the branch's shifts the noise-limited
+/// points out of the band.
+#[test]
+fn uplink_snr_tracks_the_analytic_budget() {
+    use milback::survey::analytic_uplink_snr;
+    use milback::{Fidelity, Network};
+    use milback_ap::tone_select::ToneSelection;
+    for d in [1.0, 2.0, 4.0, 6.0, 8.0] {
+        for facing in [-15.0, -8.0, 8.0, 15.0] {
+            let pose = Pose::facing_ap(d, 0.0, deg_to_rad(facing));
+            let mut net = Network::new(pose, Fidelity::Fast, 0x11B0 + d as u64);
+            let analytic =
+                analytic_uplink_snr(&net.scene, &net.node, &net.ap, &pose, 10e6).expect("in scan");
+            let report = net.uplink(&[0x5A; 32], 5e6, true).expect("no uplink");
+            let ToneSelection::Dual { f_a, f_b } = report.tones else {
+                panic!("{d} m, {facing}°: single-tone plan");
+            };
+            let mut scene = net.scene.clone();
+            scene.steer_towards(&pose.position);
+            let gain = |port, f, rx| scene.tone_backscatter_gain(&pose, &net.node.fsa, port, f, rx);
+            let ceiling = [(Port::A, Port::B, f_a, 0), (Port::B, Port::A, f_b, 1)]
+                .map(|(own, cross, f, rx)| 2.0 * gain(own, f, rx) / gain(cross, f, rx))
+                .into_iter()
+                .fold(f64::INFINITY, f64::min);
+            let high = NOISE_LIMITED_GAIN * analytic;
+            let low = 1.0 / (1.0 / high + 1.0 / ceiling);
+            let got = ratio_to_db(report.snr);
+            let (low, high) = (ratio_to_db(low), ratio_to_db(high));
+            assert!(
+                got >= low - UPLINK_BAND_DB && got <= high + UPLINK_BAND_DB,
+                "{d} m, {facing}°: measured {got:.2} dB outside {low:.2}..{high:.2} dB \
+                 ± {UPLINK_BAND_DB} dB (analytic {:.2} dB)",
+                ratio_to_db(analytic)
+            );
+        }
+    }
+}
+
+/// Half-width of the downlink oracle's band, dB: the scatter of a
+/// variance estimated from ~150 (dual-tone) or ~290 (OOK) symbols.
+const DOWNLINK_BAND_DB: f64 = 1.5;
+
+/// Downlink oracle: the decision SNR the node's slicer measures from its
+/// level clusters (`DownlinkReport::measured_snr`) matches the analytic
+/// decision SNR the link reports from the known components
+/// (`DownlinkReport::decision_snr`: detector law, cross-port leak and
+/// the detector noise integrated over the slicer's window), for
+/// dual-tone plans and for the OOK fallback at normal incidence. A
+/// detector video whose law or noise density departs from the model
+/// fails it.
+#[test]
+fn downlink_decision_snr_matches_the_analytic_budget() {
+    use milback::{Fidelity, Network};
+    use milback_ap::tone_select::ToneSelection;
+    for d in [1.0, 2.0, 4.0, 8.0] {
+        for (facing, dual) in [(0.0, false), (-8.0, true), (12.0, true)] {
+            let pose = Pose::facing_ap(d, 0.0, deg_to_rad(facing));
+            let mut net = Network::new(pose, Fidelity::Fast, 0xD0 + d as u64);
+            let r = net.downlink(&[0x5A; 32], 1e6, true).expect("no downlink");
+            assert_eq!(matches!(r.tones, ToneSelection::Dual { .. }), dual);
+            let (got, want) = (ratio_to_db(r.measured_snr), ratio_to_db(r.decision_snr));
+            assert!(
+                (got - want).abs() <= DOWNLINK_BAND_DB,
+                "{d} m, {facing}°: measured {got:.2} dB vs analytic {want:.2} dB"
+            );
         }
     }
 }
