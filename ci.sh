@@ -191,6 +191,12 @@ if grep -rnE 'milback_dsp::template|\b(QueryCache|PortKey|cached_fir)\b' crates 
     echo "a retired cache is back (matches above)" >&2
     exit 1
 fi
+# The payload renders at the receivers' detection bandwidth (DESIGN.md
+# §5): no RF-span query tone, mixer or decimation cascade comes back.
+if grep -rnwE 'query_tone_into|downconvert_in_place|anti_alias_fir|decimate_into' crates tests examples src; then
+    echo "a capture-rate payload path is back (matches above)" >&2
+    exit 1
+fi
 
 echo "==> one dispatcher (thread::scope once, in crates/core/src/batch.rs; thread::spawn/Builder only in crates/dsp/src/par.rs)"
 # Worker threads start in one place, batch::run_stealing_with_threads

@@ -2,9 +2,8 @@
 //!
 //! The MilBack access point:
 //!
-//! * [`waveform`] — the VXG's role: the transmit configuration and the
-//!   single-carrier OOK downlink keying (the chirps are synthesized by
-//!   `milback_dsp::chirp`),
+//! * [`waveform`] — the VXG's role: the transmit configuration (the
+//!   chirps are synthesized by `milback_dsp::chirp`),
 //! * [`dechirp`] — FMCW dechirp and range-FFT processing,
 //! * [`background`] — five-chirp background subtraction,
 //! * [`ranging`] — the full localization pipeline (range + AoA),

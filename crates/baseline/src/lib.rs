@@ -72,12 +72,12 @@ pub fn table1() -> [SystemRow; 4] {
             downlink_nj_per_bit: None,
         },
         // Commodity-FMCW-radar backscatter: uplink and localization. The
-        // paper compares capabilities only, so the uplink figure is a
-        // representative one for its class of VCO-less tags.
+        // paper compares its capabilities only and gives no energy
+        // figure for it.
         SystemRow {
             name: "OmniScatter",
             capabilities: caps(true, false, true, false),
-            uplink_nj_per_bit: Some(1.0),
+            uplink_nj_per_bit: None,
             downlink_nj_per_bit: None,
         },
         SystemRow {
@@ -184,10 +184,14 @@ mod tests {
     }
 
     #[test]
-    fn non_communicating_systems_have_no_energy_figures() {
-        let [mmtag, millimetro, ..] = table1();
+    fn only_the_paper_s_energy_figures_are_present() {
+        // The paper gives mmTag's uplink energy and MilBack's own; every
+        // other cell is absent, not estimated.
+        let [mmtag, millimetro, omniscatter, _] = table1();
         assert!(millimetro.uplink_nj_per_bit.is_none());
         assert!(millimetro.downlink_nj_per_bit.is_none());
         assert!(mmtag.downlink_nj_per_bit.is_none());
+        assert!(omniscatter.uplink_nj_per_bit.is_none());
+        assert!(omniscatter.downlink_nj_per_bit.is_none());
     }
 }

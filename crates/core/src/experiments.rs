@@ -6,11 +6,9 @@
 use crate::batch;
 use crate::config::Fidelity;
 use crate::network::Network;
-use crate::session::with_run_ctx;
 use milback_ap::tone_select::ToneSelection;
 use milback_ap::uplink::ook_ber;
 use milback_dsp::noise::ratio_to_db;
-use milback_dsp::signal::Signal;
 use milback_dsp::stats;
 use milback_rf::fsa::{DualPortFsa, Port};
 use milback_rf::geometry::{deg_to_rad, rad_to_deg, Pose};
@@ -143,11 +141,10 @@ pub struct Fig11Trace {
 }
 
 /// Reproduces Fig. 11: node at 2 m, AP sends symbols 00, 01, 10, 11 at
-/// 1 µs per symbol on the orientation-selected tones.
+/// 1 µs per symbol on the orientation-selected tones; each port's
+/// detector output as the downlink renders it (DESIGN.md §5).
 pub fn fig11_oaqfm_micro(seed: u64) -> Fig11Trace {
-    use milback_ap::waveform::ook_waveform;
     use milback_proto::bits::OaqfmSymbol;
-    use milback_rf::channel::TxComponent;
 
     let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(COMM_ORIENTATION_DEG));
     let mut net = Network::new(pose, Fidelity::Fast, seed);
@@ -158,55 +155,24 @@ pub fn fig11_oaqfm_micro(seed: u64) -> Fig11Trace {
     };
 
     let symbol_rate = 1e6; // 1 µs symbols, as in §9.1
-    let symbols = [
-        OaqfmSymbol {
-            a_on: false,
-            b_on: false,
-        },
-        OaqfmSymbol {
-            a_on: false,
-            b_on: true,
-        },
-        OaqfmSymbol {
-            a_on: true,
-            b_on: false,
-        },
-        OaqfmSymbol {
-            a_on: true,
-            b_on: true,
-        },
-    ];
+    let symbols = [(false, false), (false, true), (true, false), (true, true)]
+        .map(|(a_on, b_on)| OaqfmSymbol { a_on, b_on });
     let bits_a: Vec<bool> = symbols.iter().map(|s| s.a_on).collect();
     let bits_b: Vec<bool> = symbols.iter().map(|s| s.b_on).collect();
 
-    let fs = (2.5 * (f_a - f_b).abs()).max(200e6);
-    let fc = 0.5 * (f_a + f_b);
-    let mut tx = net.ap.tx;
-    tx.fs = fs;
-    let mut wave_a = ook_waveform(&tx, fc, f_a, &bits_a, symbol_rate);
-    let mut wave_b = ook_waveform(&tx, fc, f_b, &bits_b, symbol_rate);
-    wave_a.scale(1.0 / 2f64.sqrt());
-    wave_b.scale(1.0 / 2f64.sqrt());
-    let comp_a = TxComponent::tone(wave_a, f_a);
-    let comp_b = TxComponent::tone(wave_b, f_b);
+    // Each tone at half the transmit power, through the downlink's
+    // port videos.
+    let p_tone = net.ap.tx.amplitude().powi(2) / 2.0;
+    let [port_a, port_b] = net.dual_port_powers(p_tone, f_a, f_b);
+    let ports = [
+        (port_a, &bits_a[..], &bits_b[..]),
+        (port_b, &bits_b[..], &bits_a[..]),
+    ];
+    let fs = net.node.detector.payload_video_rate(symbol_rate);
+    let (mut det_a, mut det_b) = (Vec::new(), Vec::new());
+    net.node_videos_into(ports, symbol_rate, fs, [&mut det_a, &mut det_b]);
 
-    let [mut at_a, mut at_b, mut tmp] = [(); 3].map(|_| Signal::new(fs, fc, Vec::new()));
-    with_run_ctx(|ctx| {
-        net.render_tones_to_ports_into(
-            &mut ctx.chan,
-            &comp_a,
-            &comp_b,
-            &mut at_a,
-            &mut at_b,
-            &mut tmp,
-        )
-    });
-
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5111);
-    let det_a = net.node.receive_port_video(&at_a, &mut rng);
-    let det_b = net.node.receive_port_video(&at_b, &mut rng);
-
-    // Decimate the traces to ~100 points per symbol for plotting.
+    // Decimate the traces to ≤100 points per symbol for plotting.
     let step = (fs / symbol_rate / 100.0).max(1.0) as usize;
     let time_us: Vec<f64> = (0..det_a.len())
         .step_by(step)

@@ -9,7 +9,7 @@
 //! * [`window`] — spectral windows and their cached coefficient tables,
 //! * [`signal`] — the complex-baseband [`signal::Signal`] container,
 //! * [`chirp`] — FMCW sawtooth / triangular chirps,
-//! * [`filter`] — FIR and one-pole filters,
+//! * [`filter`] — the one-pole video filter and a moving average,
 //! * [`noise`] — seeded Gaussian noise and thermal-noise arithmetic,
 //! * [`detect`] — peak detection with sub-sample refinement,
 //! * [`stats`] — means, percentiles and CDFs for experiment reporting,
@@ -34,8 +34,8 @@
 //! This crate implements no paper section by itself; it is the numeric
 //! substrate every reproduced section runs on. The FMCW dechirp/range
 //! FFT of §5.1 is [`fft`] + [`window`], the triangular-chirp orientation
-//! sensing of §5.2 uses [`chirp`] and [`stft`], the §6 OAQFM links run
-//! on [`filter`], and every Monte-Carlo figure draws its noise from
+//! sensing of §5.2 uses [`chirp`] and [`stft`], the §6 OAQFM downlink
+//! video runs on [`filter`], and every Monte-Carlo figure draws its noise from
 //! [`noise`] and reports through [`stats`].
 //!
 //! ## Telemetry

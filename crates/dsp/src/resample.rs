@@ -1,5 +1,4 @@
 //! Rate conversion: arbitrary-time sampling of a real sequence.
-//! (Filtered complex decimation is [`crate::filter::Fir::decimate_into`].)
 //!
 //! The node's MCU samples the envelope-detector outputs at 1 MHz while the
 //! RF-level simulation runs at GS/s rates; this module bridges the two.

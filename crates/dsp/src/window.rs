@@ -1,8 +1,8 @@
 //! Window functions for spectral analysis.
 //!
 //! The AP's range FFT uses a Hann window to keep strong clutter returns from
-//! leaking over the node's weak backscatter peak; the other classic windows
-//! are provided for experimentation and for the ablation benches.
+//! leaking over the node's weak backscatter peak; the rectangular and
+//! Blackman windows are the window ablation's alternatives.
 
 use std::f64::consts::PI;
 
@@ -13,12 +13,8 @@ pub enum Window {
     Rect,
     /// Hann window: −31 dB first side lobe, the default for range processing.
     Hann,
-    /// Hamming window: −41 dB first side lobe, slightly wider main lobe.
-    Hamming,
     /// Blackman window: −58 dB side lobes for clutter-dominated scenes.
     Blackman,
-    /// 4-term Blackman-Harris: −92 dB side lobes.
-    BlackmanHarris,
 }
 
 impl Window {
@@ -34,11 +30,7 @@ impl Window {
         match self {
             Window::Rect => 1.0,
             Window::Hann => 0.5 - 0.5 * x.cos(),
-            Window::Hamming => 0.54 - 0.46 * x.cos(),
             Window::Blackman => 0.42 - 0.5 * x.cos() + 0.08 * (2.0 * x).cos(),
-            Window::BlackmanHarris => {
-                0.35875 - 0.48829 * x.cos() + 0.14128 * (2.0 * x).cos() - 0.01168 * (3.0 * x).cos()
-            }
         }
     }
 
@@ -111,13 +103,7 @@ mod tests {
 
     #[test]
     fn windows_bounded_zero_one() {
-        for win in [
-            Window::Rect,
-            Window::Hann,
-            Window::Hamming,
-            Window::Blackman,
-            Window::BlackmanHarris,
-        ] {
+        for win in [Window::Rect, Window::Hann, Window::Blackman] {
             for v in win.generate(97) {
                 assert!(
                     (-1e-9..=1.0 + 1e-9).contains(&v),
@@ -135,13 +121,7 @@ mod tests {
 
     #[test]
     fn cached_coeffs_scale_like_apply_window_bitwise() {
-        for win in [
-            Window::Rect,
-            Window::Hann,
-            Window::Hamming,
-            Window::Blackman,
-            Window::BlackmanHarris,
-        ] {
+        for win in [Window::Rect, Window::Hann, Window::Blackman] {
             for n in [1usize, 7, 64, 1000] {
                 let base: Vec<Cpx> = (0..n)
                     .map(|i| Cpx::new(i as f64 * 0.3 - 1.0, -(i as f64) * 0.7))

@@ -2,7 +2,7 @@
 
 use milback_dsp::chirp::ChirpConfig;
 use milback_dsp::fft::{fft, ifft};
-use milback_dsp::filter::{Fir, OnePole};
+use milback_dsp::filter::OnePole;
 use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
 use milback_dsp::stats;
@@ -34,8 +34,8 @@ proptest! {
     }
 
     #[test]
-    fn windows_never_exceed_unity(n in 2usize..256, kind in 0usize..5) {
-        let w = [Window::Rect, Window::Hann, Window::Hamming, Window::Blackman, Window::BlackmanHarris][kind];
+    fn windows_never_exceed_unity(n in 2usize..256, kind in 0usize..3) {
+        let w = [Window::Rect, Window::Hann, Window::Blackman][kind];
         for v in w.generate(n) {
             prop_assert!((-1e-9..=1.0 + 1e-9).contains(&v));
         }
@@ -51,12 +51,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn fir_lowpass_dc_gain_is_unity(cutoff_frac in 0.01f64..0.45, taps in 2usize..40) {
-        let fs = 1e6;
-        let f = Fir::lowpass_with_window(cutoff_frac * fs, fs, 2 * taps + 1, Window::Hamming);
-        prop_assert!((f.response_at(0.0, fs) - 1.0).abs() < 1e-9);
-    }
 
     #[test]
     fn percentile_is_monotone(data in proptest::collection::vec(-100.0f64..100.0, 1..100), p1 in 0.0f64..100.0, p2 in 0.0f64..100.0) {
@@ -98,54 +92,5 @@ proptest! {
             prop_assert!(t1 <= t2);
             prop_assert!(t1 >= 0.0 && t2 <= cfg.duration);
         }
-    }
-}
-
-/// The "same"-mode convolution by definition: output `i` accumulates
-/// `input[i + delay − j]·taps[j]` for `j = 0..k`, skipping indices
-/// outside the input.
-fn same_mode_reference(taps: &[f64], input: &[Cpx]) -> Vec<Cpx> {
-    let n = input.len() as isize;
-    let delay = (taps.len() as isize - 1) / 2;
-    (0..n)
-        .map(|i| {
-            let mut acc = Cpx::new(0.0, 0.0);
-            for (j, t) in taps.iter().enumerate() {
-                let idx = i + delay - j as isize;
-                if (0..n).contains(&idx) {
-                    acc += input[idx as usize] * *t;
-                }
-            }
-            acc
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn fir_decimate_equals_full_rate_filter_strided(
-        input in proptest::collection::vec((-10.0f64..10.0, -10.0f64..10.0), 0..700),
-        taps in proptest::collection::vec(-1.0f64..1.0, 3..128),
-        factor in 1usize..9,
-    ) {
-        let input: Vec<Cpx> = input.into_iter().map(|(re, im)| Cpx::new(re, im)).collect();
-        let fir = Fir { taps };
-        let bits = |v: &[Cpx]| -> Vec<(u64, u64)> {
-            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
-        };
-        let reference: Vec<Cpx> = same_mode_reference(&fir.taps, &input)
-            .into_iter()
-            .step_by(factor)
-            .collect();
-        let mut full = Vec::new();
-        fir.apply_into(&input, &mut full);
-        let strided: Vec<Cpx> = full.iter().step_by(factor).copied().collect();
-        // A reused, dirty output buffer must not leak into the result.
-        let mut decimated = vec![Cpx::new(1.0, -1.0); 3];
-        fir.decimate_into(&input, factor, &mut decimated);
-        prop_assert_eq!(bits(&decimated), bits(&reference));
-        prop_assert_eq!(bits(&strided), bits(&reference));
     }
 }

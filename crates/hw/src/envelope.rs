@@ -65,27 +65,43 @@ impl EnvelopeDetector {
         fill_key(rng, self.output_noise_rms())
     }
 
-    /// Detects complex-baseband RF samples at rate `fs`, each scaled by
-    /// the amplitude `gain` first (see [`EnvelopeDetector::video_into`]):
-    /// envelope → slope → video low-pass → additive output noise on the
-    /// stream `key` (from [`EnvelopeDetector::noise_key`]), into `out`
-    /// (cleared first, capacity reused) at the input sample rate.
-    ///
-    /// The samples are interpreted as volts across the detector's input
-    /// impedance, so instantaneous input power is `|x|²/R`.
-    pub fn detect_into(
+    /// Sample rate of a payload's video at `symbol_rate`: twice the
+    /// video bandwidth, or 8 samples per symbol when that is faster.
+    pub fn payload_video_rate(&self, symbol_rate: f64) -> f64 {
+        (2.0 * self.video_bandwidth).max(8.0 * symbol_rate)
+    }
+
+    /// RMS of the output noise as a white stream at `fs`: the noise
+    /// density over the stream's `fs/2` band, so that its density, not
+    /// its per-sample σ, is the same at every rate. At `fs = 2·BW` it is
+    /// [`Self::output_noise_rms`].
+    pub fn noise_rms_at(&self, fs: f64) -> f64 {
+        self.noise_density * (fs / 2.0).sqrt()
+    }
+
+    /// The video of a detector input whose RF envelope holds
+    /// `envelope(k)` volts (across the input impedance) over symbol `k`
+    /// of `n_symbols` at `symbol_rate`: the detector law (`slope ·
+    /// |v|`) and video low-pass at `fs`, then output noise white at `fs`
+    /// ([`Self::noise_rms_at`]) on the stream `key` (from
+    /// [`Self::noise_key`]), into `out` (cleared first, capacity
+    /// reused).
+    pub fn symbol_video_into(
         &self,
-        samples: &[Cpx],
-        gain: f64,
+        n_symbols: usize,
+        envelope: impl Fn(usize) -> f64,
+        symbol_rate: f64,
         fs: f64,
         key: Option<u64>,
         out: &mut Vec<f64>,
     ) {
-        self.video_into(samples, gain, fs, out);
-        // Noise within the video bandwidth, as seen at the output sample
-        // rate: the density integrates to σ² = e_n²·BW regardless of fs.
+        let mut lp = OnePole::new(self.video_bandwidth, fs);
+        let n = (n_symbols as f64 * fs / symbol_rate).round() as usize;
+        let symbol = |i: usize| ((i as f64 * symbol_rate / fs) as usize).min(n_symbols - 1);
+        out.clear();
+        out.extend((0..n).map(|i| lp.step(self.slope * envelope(symbol(i)).abs())));
         if let Some(key) = key {
-            add_real_noise_keyed(out, self.output_noise_rms(), key);
+            add_real_noise_keyed(out, self.noise_rms_at(fs), key);
         }
     }
 
@@ -106,6 +122,31 @@ impl EnvelopeDetector {
     }
 }
 
+/// The mean envelope of two tones of amplitudes `a` and `b` beating
+/// at a rate far above the video bandwidth: the mean of `|a + b·e^{jθ}|`
+/// over a beat period, `(2/π)(a+b)·E(m)` with `m = 4ab/(a+b)²` and `E`
+/// the complete elliptic integral of the second kind, evaluated by the
+/// arithmetic-geometric mean.
+pub fn two_tone_envelope(a: f64, b: f64) -> f64 {
+    let (a, b) = (a.abs(), b.abs());
+    let s = a + b;
+    if a == b {
+        // m = 1: E = 1 (the AGM below would not converge).
+        return 2.0 * s / std::f64::consts::PI;
+    }
+    // E(m) = π/(2·M) · (1 − Σ 2^(n−1)·c_n²), M = AGM(1, √(1−m)),
+    // with c_0² = m; here (a+b) and |a−b| stand for 1 and √(1−m).
+    let (mut x, mut y) = (s, (a - b).abs());
+    let (mut sum, mut weight) = (0.5 * (4.0 * a * b), 0.5);
+    while x - y > 1e-15 * s {
+        let c = 0.5 * (x - y);
+        weight *= 2.0;
+        sum += weight * c * c;
+        (x, y) = (0.5 * (x + y), (x * y).sqrt());
+    }
+    (s * s - sum) / x
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,9 +159,11 @@ mod tests {
         out
     }
 
-    fn detect(det: &EnvelopeDetector, sig: &Signal, rng: &mut StdRng) -> Vec<f64> {
+    /// A noisy payload video of `levels` (one envelope per symbol).
+    fn detect(det: &EnvelopeDetector, levels: &[f64], fs: f64, rng: &mut StdRng) -> Vec<f64> {
         let mut out = Vec::new();
-        det.detect_into(&sig.samples, 1.0, sig.fs, det.noise_key(rng), &mut out);
+        let key = det.noise_key(rng);
+        det.symbol_video_into(levels.len(), |k| levels[k], 1e6, fs, key, &mut out);
         out
     }
 
@@ -196,26 +239,84 @@ mod tests {
     }
 
     #[test]
-    fn noisy_detection_statistics() {
+    fn payload_noise_has_the_same_density_at_every_rate() {
+        // White at the stream rate: σ² = e_n²·fs/2, which is the
+        // full-band output noise at fs = 2·BW.
         let det = EnvelopeDetector::adl6010();
         let mut rng = StdRng::seed_from_u64(9);
-        let fs = 1e9;
-        let sig = Signal::zeros(fs, 28e9, 100_000);
-        let out = detect(&det, &sig, &mut rng);
-        let rms = (out.iter().map(|v| v * v).sum::<f64>() / out.len() as f64).sqrt();
-        let expected = det.output_noise_rms();
-        assert!(
-            (rms / expected - 1.0).abs() < 0.05,
-            "rms {rms} vs {expected}"
-        );
+        for fs in [2.0 * det.video_bandwidth, 1e9] {
+            let out = detect(&det, &[0.0; 100], fs, &mut rng);
+            let rms = (out.iter().map(|v| v * v).sum::<f64>() / out.len() as f64).sqrt();
+            let expected = det.noise_density * (fs / 2.0).sqrt();
+            assert!(
+                (rms / expected - 1.0).abs() < 0.05,
+                "fs {fs}: rms {rms} vs {expected}"
+            );
+        }
+        let at_2bw = det.noise_rms_at(2.0 * det.video_bandwidth);
+        assert!((at_2bw / det.output_noise_rms() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn payload_video_settles_to_the_detector_law_per_symbol() {
+        let det = EnvelopeDetector {
+            noise_density: 0.0,
+            ..EnvelopeDetector::adl6010()
+        };
+        let fs = det.payload_video_rate(1e6);
+        assert_eq!(fs, 72e6);
+        let levels = [1e-3, 0.0, 4e-3];
+        let out = detect(&det, &levels, fs, &mut StdRng::seed_from_u64(1));
+        assert_eq!(out.len(), 216);
+        for (k, &v) in levels.iter().enumerate() {
+            let settled = out[72 * k + 71];
+            assert!(
+                (settled - det.slope * v).abs() < 1e-9,
+                "symbol {k}: {settled}"
+            );
+        }
+        assert_eq!(det.payload_video_rate(20e6), 160e6);
+    }
+
+    #[test]
+    fn two_tone_envelope_is_the_beat_mean() {
+        // Trapezoid over one beat period converges fast on this smooth
+        // periodic integrand (away from a = b, where it has a kink).
+        let mean = |a: f64, b: f64| {
+            let n = 4096;
+            (0..n)
+                .map(|i| {
+                    (Cpx::new(a, 0.0)
+                        + Cpx::from_polar(b, i as f64 * std::f64::consts::TAU / n as f64))
+                    .abs()
+                })
+                .sum::<f64>()
+                / n as f64
+        };
+        for (a, b) in [
+            (1.0, 0.0),
+            (1.0, 0.1),
+            (0.3, 1.0),
+            (2e-3, 1.5e-3),
+            (1.0, 0.9),
+        ] {
+            let got = two_tone_envelope(a, b);
+            assert!(
+                (got / mean(a, b) - 1.0).abs() < 1e-9,
+                "({a}, {b}): {got} vs {}",
+                mean(a, b)
+            );
+        }
+        let equal = two_tone_envelope(1.0, 1.0);
+        assert!((equal - 4.0 / std::f64::consts::PI).abs() < 1e-15);
+        assert_eq!(two_tone_envelope(0.0, 0.0), 0.0);
     }
 
     #[test]
     fn detection_is_deterministic_with_seed() {
         let det = EnvelopeDetector::adl6010();
-        let sig = Signal::tone(1e9, 28e9, 0.0, 1e-3, 100);
-        let a = detect(&det, &sig, &mut StdRng::seed_from_u64(1));
-        let b = detect(&det, &sig, &mut StdRng::seed_from_u64(1));
+        let a = detect(&det, &[1e-3, 0.0], 72e6, &mut StdRng::seed_from_u64(1));
+        let b = detect(&det, &[1e-3, 0.0], 72e6, &mut StdRng::seed_from_u64(1));
         assert_eq!(a, b);
     }
 }

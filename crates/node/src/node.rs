@@ -14,13 +14,15 @@
 //!   ([`fill_gamma_runs`]), and
 //! * the receive path: FSA port → switch through-loss → envelope
 //!   detector ([`BackscatterNode::port_video_into`], noiseless) → detector
-//!   noise and ADC ([`BackscatterNode::sample_video`]).
+//!   noise and ADC ([`BackscatterNode::sample_video`]) for Field 1, and
+//!   the symbol-rate payload video
+//!   ([`BackscatterNode::payload_video_into`]) for the downlink.
 
 use milback_dsp::noise::{add_real_noise_at, count_variates, normal};
 use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
 use milback_hw::adc::Adc;
-use milback_hw::envelope::EnvelopeDetector;
+use milback_hw::envelope::{two_tone_envelope, EnvelopeDetector};
 use milback_hw::power::PowerModel;
 use milback_hw::switch::{for_each_state_run, SpdtSwitch, SwitchSchedule, SwitchState};
 use milback_rf::channel::GammaRun;
@@ -162,24 +164,39 @@ impl BackscatterNode {
             .capture_with(n, fs, |i| 0.0 + normal(key, i, 0) * sigma)
     }
 
-    /// Like the ADC receive path ([`Self::port_video_into`], then
-    /// [`Self::sample_video`]) but keeps the detector's full video
-    /// rate (no ADC) — used for payload demodulation where the MCU samples
-    /// at the symbol rate via a comparator rather than the slow ADC.
-    pub fn receive_port_video(&self, at_port: &Signal, rng: &mut StdRng) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.receive_port_video_into(at_port, self.detector.noise_key(rng), &mut out);
-        out
-    }
-
-    /// Allocation-free [`Self::receive_port_video`] on the noise stream
-    /// `key` (from the detector's `noise_key`): the video stream lands in
-    /// `out`, reusing its capacity. The port gain scales each complex
-    /// sample before envelope detection, bitwise as scaling a copy of
-    /// the signal would.
-    pub fn receive_port_video_into(&self, at_port: &Signal, key: Option<u64>, out: &mut Vec<f64>) {
+    /// The payload half of the node's receive path for one port
+    /// (DESIGN.md §5), at the symbol-rate comparator's video rate `fs`
+    /// rather than the slow ADC's. Over symbol `k` the port receives the
+    /// wanted tone (power `p_own` watts at the FSA port) when `own[k]`,
+    /// the other tone's cross-port leak (`p_other`) when `other[k]`
+    /// (`false` past its end), both, or nothing; two tones beat far
+    /// above the video bandwidth, so the detector sees their beat
+    /// averaged over its period ([`two_tone_envelope`]). Through the
+    /// switch's through-loss and the detector's video with noise on the
+    /// stream `key` (from the detector's `noise_key`), into `out`
+    /// (cleared first, capacity reused).
+    #[allow(clippy::too_many_arguments)] // one argument per physical input
+    pub fn payload_video_into(
+        &self,
+        [p_own, p_other]: [f64; 2],
+        own: &[bool],
+        other: &[bool],
+        symbol_rate: f64,
+        fs: f64,
+        key: Option<u64>,
+        out: &mut Vec<f64>,
+    ) {
+        let volts = |p: f64| (p * self.detector.input_impedance).sqrt() * self.rx_gain();
+        let (a, b) = (volts(p_own), volts(p_other));
+        let both = two_tone_envelope(a, b);
+        let envelope = |k: usize| match (own[k], other.get(k) == Some(&true)) {
+            (true, true) => both,
+            (true, false) => a,
+            (false, true) => b,
+            (false, false) => 0.0,
+        };
         self.detector
-            .detect_into(&at_port.samples, self.rx_gain(), at_port.fs, key, out);
+            .symbol_video_into(own.len(), envelope, symbol_rate, fs, key, out);
     }
 }
 
@@ -220,6 +237,7 @@ pub fn fill_gamma_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use milback_dsp::noise::add_real_noise_keyed;
     use rand::{Rng, SeedableRng};
 
     fn node() -> BackscatterNode {
@@ -347,9 +365,11 @@ mod tests {
             let mut scaled = sig.clone();
             scaled.scale(n.rx_gain());
             let mut video = Vec::new();
-            let key = n.detector.noise_key(rng);
             n.detector
-                .detect_into(&scaled.samples, 1.0, scaled.fs, key, &mut video);
+                .video_into(&scaled.samples, 1.0, scaled.fs, &mut video);
+            if let Some(key) = n.detector.noise_key(rng) {
+                add_real_noise_keyed(&mut video, n.detector.output_noise_rms(), key);
+            }
             n.adc.capture(&video, sig.fs)
         };
         let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();

@@ -619,8 +619,7 @@ impl Scene {
     /// asserted against: the static paths straight into `out`, then each
     /// node's [`RayTables`] built in `ws`'s pooled scratch, with the gain
     /// evaluated point by point through [`DualPortFsa::gain`], and
-    /// replayed with the same horn factor. Renders whose waveform no later render repeats (the
-    /// uplink captures) come through here and leave no cache entry in
+    /// replayed with the same horn factor. It leaves no cache entry in
     /// `ws`; a warmed scratch makes the render allocation-free.
     pub fn monostatic_rx_multi_uncached_into(
         &self,
@@ -796,6 +795,86 @@ impl Scene {
         let g_node = fsa.gain(port, inc, f);
         backscatter_rx_power(1.0, g_tx, g_rx, g_node, 1.0, 1.0, f) * fspl(d_tx, f) * fspl(d_rx, f)
             / fspl(1.0, f).powi(2)
+    }
+
+    /// The complex gain of every path a CW tone at RF `f` takes from the
+    /// AP TX to RX antenna `rx_idx` with a node at `pose`, split by what
+    /// the node's switches control (see [`ToneResponse::at`]). Each path
+    /// carries its exact phasor `e^{−j2πf·τ}`: a tone's complex envelope
+    /// mixed down at its own frequency, which is what the uplink
+    /// receiver detects.
+    pub fn tone_response(
+        &self,
+        pose: &Pose,
+        fsa: &DualPortFsa,
+        f: f64,
+        rx_idx: usize,
+    ) -> ToneResponse {
+        let path = |tau: f64, power: f64| Cpx::cis(-2.0 * PI * f * tau) * power.sqrt();
+        let rx = self.rx_pos[rx_idx];
+        let mut static_paths = ZERO;
+        for r in &self.clutter {
+            let (d1, d2) = (
+                self.tx_pos.distance_to(&r.position),
+                rx.distance_to(&r.position),
+            );
+            let g_t = self.tx_gain_towards(&r.position, f);
+            let g_r = self.rx_gain_from(rx_idx, &r.position, f);
+            let p = radar_rx_power(1.0, g_t, g_r, r.rcs, 1.0, f) * fspl(d1, f) * fspl(d2, f)
+                / fspl(1.0, f).powi(2);
+            static_paths += path((d1 + d2) / SPEED_OF_LIGHT, p);
+        }
+        if let Some(si_db) = self.self_interference_db {
+            static_paths += path(SELF_INTERFERENCE_DELAY_S, db_to_ratio(si_db));
+        }
+
+        let node = pose.position;
+        let (d_tx, d_rx) = (self.tx_pos.distance_to(&node), rx.distance_to(&node));
+        let legs = fspl(d_tx, f) * fspl(d_rx, f) / fspl(1.0, f).powi(2);
+        let round_trip =
+            path((d_tx + d_rx) / SPEED_OF_LIGHT, 1.0) * self.horn_amplitude(&node, rx_idx, f);
+        let inc = pose.incidence_from(&self.tx_pos);
+        let ports = Port::BOTH.map(|port| {
+            let g_node = fsa.gain(port, inc, f);
+            round_trip * (backscatter_rx_power(1.0, 1.0, 1.0, g_node, 1.0, 1.0, f) * legs).sqrt()
+        });
+        let (mirror, coupling) = self.mirror.map_or((ZERO, 0.0), |m| {
+            let p = radar_rx_power(1.0, 1.0, 1.0, m.rcs_at(inc), 1.0, f) * legs;
+            let depth = path(2.0 * m.depth_offset / SPEED_OF_LIGHT, 1.0);
+            (round_trip * depth * p.sqrt(), m.switch_coupling)
+        });
+        ToneResponse {
+            static_paths,
+            ports,
+            mirror,
+            coupling,
+        }
+    }
+}
+
+/// A tone's complex gain from the AP TX to one RX antenna, split by what
+/// the node's switches control ([`Scene::tone_response`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ToneResponse {
+    /// The static paths: clutter and TX→RX leakage.
+    pub static_paths: Cpx,
+    /// Each FSA port's antenna-mode return at |Γ| = 1.
+    pub ports: [Cpx; 2],
+    /// The node's mirror reflection at rest (zero without a mirror
+    /// model).
+    pub mirror: Cpx,
+    /// The mirror's coupling to port A's switch state.
+    pub coupling: f64,
+}
+
+impl ToneResponse {
+    /// The gain while the node's ports reflect with `[Γ_A, Γ_B]`: the
+    /// static paths, each port's return weighted by its Γ, and the
+    /// mirror, switch-coupled to port A as in the wideband render.
+    pub fn at(&self, gamma: [Cpx; 2]) -> Cpx {
+        let [ga, gb] = gamma;
+        let mirror_gain = 1.0 + self.coupling * (2.0 * ga.abs() - 1.0);
+        self.static_paths + ga * self.ports[0] + gb * self.ports[1] + self.mirror * mirror_gain
     }
 }
 

@@ -125,6 +125,16 @@ impl FaultEvent {
     }
 }
 
+/// The RF band an uplink branch is filtered from: the AP front end's
+/// capture around both query tones ([`FaultPlan::apply_to_branch`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RfBand {
+    /// Band center, Hz: the reference of interference offsets.
+    pub fc: f64,
+    /// Bandwidth, Hz, over which fault noise is white.
+    pub bw: f64,
+}
+
 /// A deterministic schedule of impairments for one packet exchange.
 ///
 /// The default plan is empty: every render hook takes a single
@@ -250,9 +260,39 @@ impl FaultPlan {
     ///
     /// No-op (bitwise) when the plan is empty or nothing overlaps.
     pub fn apply_to_rx(&self, t0_s: f64, chirp_idx: usize, rx: &mut Signal) {
+        self.apply_rf(t0_s, chirp_idx, None, rx);
+    }
+
+    /// Applies every overlapping event to an uplink branch: the complex
+    /// envelope of one query tone (`branch.fc`) after the AP's mixer
+    /// and band-pass, at its detection bandwidth `branch.fs`, filtered
+    /// from an RF capture of `band`. `idx` tags the branch as
+    /// `chirp_idx` does a capture. The rules are the RF capture's, with
+    /// what the branch filter keeps of each additive term (DESIGN.md
+    /// §14.1):
+    ///
+    /// * blockage scales, drift delays and a drop zeroes the envelope,
+    ///   as in the capture;
+    /// * an interference tone at `band.fc + freq_offset_hz` enters at
+    ///   its offset from the branch's tone, and only when that offset
+    ///   lies inside the branch's `±fs/2`;
+    /// * corruption and droop noise is white over `band.bw`, so the
+    ///   branch keeps `fs / band.bw` of its power; droop is relative to
+    ///   the branch's own RMS.
+    ///
+    /// No-op (bitwise) when the plan is empty or nothing overlaps.
+    pub fn apply_to_branch(&self, t0_s: f64, idx: usize, band: RfBand, branch: &mut Signal) {
+        self.apply_rf(t0_s, idx, Some(band), branch);
+    }
+
+    /// [`Self::apply_to_rx`] on a wideband capture (`band` = `None`),
+    /// [`Self::apply_to_branch`] on a branch filtered from `band`.
+    fn apply_rf(&self, t0_s: f64, chirp_idx: usize, band: Option<RfBand>, rx: &mut Signal) {
         if self.is_empty() || rx.is_empty() {
             return;
         }
+        // The share of a white fault noise's power that reaches `rx`.
+        let in_band = band.map_or(1.0, |band| (rx.fs / band.bw).min(1.0));
         let t1_s = t0_s + rx.duration();
         let fs = rx.fs;
         for (ev_idx, ev) in self.events.iter().enumerate() {
@@ -278,6 +318,15 @@ impl FaultPlan {
                     amp,
                 } => {
                     telemetry::counter_add("rf.fault.interference", 1);
+                    // Where the tone lands in `rx`; a branch filter
+                    // rejects it outside `±fs/2`.
+                    let freq_offset_hz = match band {
+                        None => freq_offset_hz,
+                        Some(band) => band.fc + freq_offset_hz - rx.fc,
+                    };
+                    if freq_offset_hz.abs() >= fs / 2.0 {
+                        continue;
+                    }
                     let phase0 = Mix::at(self.seed, ev_idx as u64).unit() * TAU;
                     for (k, c) in rx.samples[lo..hi].iter_mut().enumerate() {
                         // Phase continuous in *session* time so the tone is
@@ -313,11 +362,11 @@ impl FaultPlan {
                         (ev_idx as u64) << 32 | chirp_idx as u64 | 0x10_0000,
                     )
                     .next_u64();
-                    add_awgn_keyed(&mut rx.samples, 2.0 * sigma * sigma, key);
+                    add_awgn_keyed(&mut rx.samples, 2.0 * sigma * sigma * in_band, key);
                 }
                 FaultKind::SnrDroop { extra_noise_db } => {
                     telemetry::counter_add("rf.fault.droop", 1);
-                    let power = rx.power() * db_to_ratio(extra_noise_db);
+                    let power = rx.power() * db_to_ratio(extra_noise_db) * in_band;
                     let key = Mix::at(
                         self.seed,
                         (ev_idx as u64) << 32 | chirp_idx as u64 | 0x20_0000,

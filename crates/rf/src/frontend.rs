@@ -1,16 +1,13 @@
-//! AP RF front-end component models: the LNA and mixer of the paper's
-//! Figure 7.
+//! AP RF front-end component models: the LNA of the paper's Figure 7.
 //!
 //! The chain per RX antenna is: antenna → LNA → mixer (×query tone) →
-//! filter → baseband capture; the filter is the uplink receiver's
-//! decimating FIR (`milback_ap::uplink`). The models are deliberately
-//! simple — gain, noise figure, conversion loss — because those are the
-//! only parameters that enter the link budget; the interesting behaviour
-//! (interference rejection) comes from the mixer/filter arithmetic,
-//! which is exact.
+//! band-pass → baseband capture. The uplink receiver
+//! (`milback_ap::uplink`) takes each branch after the mixer and filter,
+//! at its detection bandwidth, so the LNA's gain and noise figure are
+//! the only front-end parameters that enter the link budget: the mixer's
+//! conversion loss scales signal and noise alike.
 
 use milback_dsp::noise::{add_awgn_keyed, fill_key, thermal_noise_power};
-use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
 use rand::rngs::StdRng;
 
@@ -55,34 +52,6 @@ impl Lna {
     }
 }
 
-/// Ideal multiplying mixer with conversion loss (ZMDB-44H-style).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Mixer {
-    /// Conversion loss in dB (positive).
-    pub conversion_loss_db: f64,
-}
-
-impl Mixer {
-    /// The Mini-Circuits ZMDB-44H-style mixer: 7 dB conversion loss.
-    pub fn milback() -> Self {
-        Self {
-            conversion_loss_db: 7.0,
-        }
-    }
-
-    /// Mixes `rf` in place with the conjugate of the local-oscillator
-    /// reference `lo` (down-conversion): `rf[i] *= lo[i]*`, truncated to
-    /// the shorter length, then the conversion loss.
-    pub fn downconvert_in_place(&self, rf: &mut Signal, lo: &[Cpx]) {
-        let n = rf.len().min(lo.len());
-        rf.samples.truncate(n);
-        for (s, l) in rf.samples.iter_mut().zip(lo) {
-            *s *= l.conj();
-        }
-        rf.scale_db(-self.conversion_loss_db);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,22 +81,5 @@ mod tests {
         lna.apply(&mut sig, 1e6, lna.noise_key(1e6, &mut rng));
         let expected = lna.input_noise_power(1e6) * 100.0; // ×gain
         assert!((sig.power() / expected - 1.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn mixer_shifts_tone_to_baseband() {
-        let fs = 1e6;
-        let mut out = Signal::tone(fs, 28e9, 120e3, 1.0, 4096);
-        let lo = Signal::tone(fs, 28e9, 100e3, 1.0, 4096);
-        Mixer::milback().downconvert_in_place(&mut out, &lo.samples);
-        // Output should be a 20 kHz tone with −7 dB power.
-        let spec: Vec<f64> = milback_dsp::fft::fft(&out.samples)
-            .iter()
-            .map(|c| c.norm_sq())
-            .collect();
-        let freqs = milback_dsp::fft::fft_freqs(4096, fs);
-        let peak = milback_dsp::detect::argmax(&spec).unwrap();
-        assert!((freqs[peak] - 20e3).abs() <= fs / 4096.0);
-        assert!((10.0 * out.power().log10() + 7.0).abs() < 0.1);
     }
 }

@@ -10,7 +10,7 @@
 //! * [`propagation`] — Friis / radar-equation link budgets,
 //! * [`channel`] — the discrete-ray scene: node backscatter, clutter,
 //!   mirror reflection and self-interference,
-//! * [`frontend`] — AP front-end models (LNA, mixer, baseband BPF),
+//! * [`frontend`] — the AP front end's LNA,
 //! * [`room`] — parametric indoor-room clutter scenes,
 //! * [`faults`] — deterministic scheduled impairments (blockage,
 //!   interference, clock drift, saturation, chirp loss) for chaos

@@ -24,11 +24,12 @@
 //!   samples.
 //!
 //! Only Field 2 repeats a waveform, so only its renders go through
-//! these caches. The downlink port renders, the uplink AP captures and
-//! the Field-1 render are one-shot: their tones follow each packet's
-//! sensed orientation, and the Field-1 video is kept by the network.
-//! They build their tables in the workspace's one pooled scratch and
-//! leave no cache entry behind.
+//! these caches. The Field-1 render is one-shot (its video is kept by
+//! the network): it builds its tables in the workspace's one pooled
+//! scratch and leaves no cache entry behind. The payload never renders
+//! here: both link directions work at the receivers' detection
+//! bandwidth from the narrowband `Scene::tone_response` and
+//! `Scene::tone_gain_to_port`.
 //!
 //! ## Invalidation
 //!

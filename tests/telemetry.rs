@@ -375,6 +375,57 @@ fn noise_variates_are_pinned_per_fix_and_per_field1_reception() {
     );
 }
 
+/// The link's work ledger: a 16-byte transfer at 1 Msym/s renders its
+/// payload at the receivers' detection bandwidth, so these literals fail
+/// on any host if a transfer goes back to RF-span samples or noises
+/// samples nobody reads (`core.link.{downlink,uplink}.samples`,
+/// `dsp.noise.variates`).
+///
+/// - Downlink (dual-tone): 4 pilot + 72 frame symbols (16 bytes + CRC,
+///   2 bits each) at the 72 MS/s video rate (2 × 36 MHz), two ports,
+///   one real variate per video sample.
+/// - Uplink (dual-tone): the same 76 symbols plus 2 × 6 guard symbols
+///   at 8 samples per symbol, two branches, one complex variate (2
+///   components) per branch sample.
+#[test]
+fn link_work_is_pinned_per_transfer() {
+    let _gate = registry_lock();
+    let was = telemetry::enabled();
+    telemetry::set_enabled(true);
+    let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0));
+    let mut net = Network::new(pose, Fidelity::Fast, 0x1ED7);
+    let work = |net: &mut Network, run: fn(&mut Network) -> bool, samples: &str| {
+        assert!(run(net), "warm-up failed");
+        telemetry::reset();
+        assert!(run(net), "counted run failed");
+        let snap = telemetry::snapshot();
+        let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        (count(samples), count("dsp.noise.variates"))
+    };
+    let downlink = work(
+        &mut net,
+        |net| net.downlink(&[0xA5; 16], 1e6, true).is_some(),
+        "core.link.downlink.samples",
+    );
+    let uplink = work(
+        &mut net,
+        |net| net.uplink(&[0xA5; 16], 1e6, true).is_some(),
+        "core.link.uplink.samples",
+    );
+    telemetry::set_enabled(was);
+
+    let symbols = 4 + 72;
+    assert_eq!(
+        downlink,
+        (2 * symbols * 72, 2 * symbols * 72),
+        "downlink work"
+    );
+    assert_eq!(downlink, (10_944, 10_944));
+    let branch = (symbols + 12) * 8;
+    assert_eq!(uplink, (2 * branch, 2 * 2 * branch), "uplink work");
+    assert_eq!(uplink, (1_408, 2_816));
+}
+
 /// A silent Field-1 slot counts what sampling an all-zero video counts:
 /// one variate per ADC read sample, also at rates where conversion
 /// instants share input samples.

@@ -84,11 +84,11 @@ fn sense_orientation_matches_allocating_flow() {
 }
 
 /// A session renders every field in the caller's `SessionCtx`, and only
-/// Field 2 leaves cache entries there: the Field-1 render and the
-/// payload's port renders and captures are one-shot renders in the
-/// ctx's pooled scratch. After an uplink and a downlink exchange a
-/// fresh context holds exactly the entries a localize-only session
-/// leaves in another.
+/// Field 2 leaves cache entries there: the Field-1 render is a one-shot
+/// render in the ctx's pooled scratch, and the payload renders at the
+/// receivers' detection bandwidth without the channel workspace. After
+/// an uplink and a downlink exchange a fresh context holds exactly the
+/// entries a localize-only session leaves in another.
 #[test]
 fn exchange_session_renders_every_field_in_the_callers_ctx() {
     let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0));

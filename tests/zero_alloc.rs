@@ -262,12 +262,10 @@ fn warmed_hot_paths_perform_zero_heap_allocations() {
 
     // ---- pooled link layer: downlink ---------------------------------
     // Every per-transfer buffer lives in the `LinkScratch` of the
-    // thread's shared `SessionCtx` (waveforms, port renders, detector
-    // videos, demod/codec scratch), and the one-shot port renders build
-    // their tables in its channel workspace's pooled scratch, so a
-    // warmed downlink's only heap allocation is the decoded payload
-    // `Vec<u8>` handed back in the report — exactly one acquisition per
-    // transfer.
+    // thread's shared `SessionCtx` (symbol streams, detector videos,
+    // demod/codec scratch), so a warmed downlink's only heap allocation
+    // is the decoded payload `Vec<u8>` handed back in the report —
+    // exactly one acquisition per transfer.
     let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0));
     let mut link_net = Network::new(pose, Fidelity::Fast, 0x11A8);
     let payload: Vec<u8> = (0..16).collect();
@@ -287,10 +285,10 @@ fn warmed_hot_paths_perform_zero_heap_allocations() {
     );
 
     // ---- pooled link layer: uplink -----------------------------------
-    // With the query tones and one-shot captures built in pooled
-    // buffers and the receiver demodulating through the pooled
-    // `UplinkScratch` (branch chains, anti-alias taps, symbol points,
-    // projections, slices), a warmed uplink matches the downlink: the
+    // With the Γ runs and branch envelopes built in pooled buffers and
+    // the receiver demodulating through the pooled `UplinkScratch`
+    // (noisy branches, symbol points, projections, slices), a warmed
+    // uplink matches the downlink: the
     // only heap allocation per transfer is the decoded payload `Vec<u8>`
     // handed back in the report.
     for _ in 0..2 {
