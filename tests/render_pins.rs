@@ -106,14 +106,14 @@ fn uplink_transfers_are_pinned() {
         clutter_free(pose(2.5, 3.0, 6.0), 21),
         b"pinned uplink #1",
         5e6,
-        (0x403f_49b2_600b_3f17, 0),
+        (0x403e_781c_0c8b_8228, 0),
     );
     assert_uplink(
         "indoor 9 m",
         Network::new(pose(9.0, 3.0, -14.0), Fidelity::Fast, 22),
         &[0xA5; 24],
         40e6,
-        (0x4017_134d_0e2f_0a4f, 10),
+        (0x4013_5c26_b1b1_4f58, 15),
     );
 }
 
