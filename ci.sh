@@ -174,7 +174,8 @@ echo "==> one scratch home (no thread-local scratch in ap/rf/dsp, no retired hel
 # try-borrow-or-fresh helpers must not come back anywhere in the code,
 # nor the caches no workload re-read (DESIGN.md §12.3, §13.1): the
 # chirp template module, the uplink query-tone cache, the downlink
-# port-table cache and the keyed anti-alias FIR cache.
+# port-table cache, the keyed anti-alias FIR cache and the Field-1 video
+# cache.
 if grep -rn 'thread_local!' crates/ap/src crates/rf/src; then
     echo "thread-local state in the ap or rf crate (matches above)" >&2
     exit 1
@@ -195,6 +196,13 @@ fi
 # §5): no RF-span query tone, mixer or decimation cascade comes back.
 if grep -rnwE 'query_tone_into|downconvert_in_place|anti_alias_fir|decimate_into' crates tests examples src; then
     echo "a capture-rate payload path is back (matches above)" >&2
+    exit 1
+fi
+# Field 1 is read at the node ADC's instants through the same detector
+# law (DESIGN.md §5): no chirp-rate port render, video law or per-network
+# video cache comes back.
+if grep -rnE '\b(Field1Videos|warm_field1_videos|port_video_into|to_node_port_into)\b|\.video_into\(' crates tests examples src; then
+    echo "a chirp-rate Field-1 path is back (matches above)" >&2
     exit 1
 fi
 

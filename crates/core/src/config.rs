@@ -6,11 +6,12 @@ use milback_proto::packet::PacketConfig;
 
 /// Simulation fidelity preset.
 ///
-/// `Paper` uses the paper's exact waveform parameters (18 µs / 45 µs
-/// chirps at 4 GS/s); `Fast` shrinks chirp durations (same 3 GHz
-/// bandwidth, so the same range resolution) to keep unit tests and quick
-/// experiments cheap. Benches default to `Fast`; nothing in the signal
-/// processing depends on the preset.
+/// `Paper` uses the paper's exact Field-2 waveform (18 µs chirps at 4
+/// GS/s); `Fast` shrinks the chirp (same 3 GHz bandwidth, so the same
+/// range resolution) to keep unit tests and quick experiments cheap.
+/// Field 1 is the paper's 45 µs triangular chirp at both. Benches
+/// default to `Fast`; nothing in the signal processing depends on the
+/// preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
     /// The paper's exact waveform timing.
@@ -34,29 +35,15 @@ impl Fidelity {
         }
     }
 
-    /// The Field-1 (orientation) triangular chirp for this preset.
-    pub fn triangular(self) -> ChirpConfig {
-        match self {
-            Fidelity::Paper => ChirpConfig::milback_triangular(),
-            Fidelity::Fast => ChirpConfig {
-                f_start: 26.5e9,
-                f_stop: 29.5e9,
-                duration: 45e-6,
-                // The node-side estimator is limited by the 1 MHz MCU ADC,
-                // so the triangular chirp must stay slow even in Fast mode;
-                // the lower fs keeps it affordable.
-                fs: 3.2e9,
-                amplitude: 1.0,
-            },
-        }
-    }
-
-    /// Packet configuration for this preset.
+    /// Packet configuration for this preset: its Field-2 chirp, and the
+    /// paper's Field-1 chirp at every preset (the node reads only its
+    /// power at the ADC's instants, so no preset shortens or resamples
+    /// it).
     pub fn packet(self) -> PacketConfig {
-        let mut p = PacketConfig::milback();
-        p.field1_chirp = self.triangular();
-        p.field2_chirp = self.sawtooth();
-        p
+        PacketConfig {
+            field2_chirp: self.sawtooth(),
+            ..PacketConfig::milback()
+        }
     }
 
     /// Node modulation frequency during Field 2, chosen so the state
@@ -115,7 +102,7 @@ mod tests {
     fn paper_preset_matches_paper() {
         let p = Fidelity::Paper;
         assert!((p.sawtooth().duration - 18e-6).abs() < 1e-12);
-        assert!((p.triangular().duration - 45e-6).abs() < 1e-12);
+        assert_eq!(p.packet().field1_chirp, ChirpConfig::milback_triangular());
         // ~11 kHz — the paper's "10 kHz rate".
         let f = p.localization_mod_freq();
         assert!((9e3..15e3).contains(&f), "{f}");
@@ -124,6 +111,7 @@ mod tests {
     #[test]
     fn fast_packet_uses_fast_chirps() {
         let pkt = Fidelity::Fast.packet();
+        assert_eq!(pkt.field1_chirp, ChirpConfig::milback_triangular());
         assert_eq!(pkt.field2_chirp.duration, 2e-6);
         assert_eq!(pkt.field2_count, 5);
     }

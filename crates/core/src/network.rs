@@ -11,19 +11,18 @@ use milback_ap::dechirp::RangeProcessor;
 use milback_ap::orientation::ApOrientationEstimator;
 use milback_ap::ranging::{LocalizationResult, Localizer};
 use milback_ap::workspace::DspWorkspace;
+use milback_dsp::chirp::ChirpConfig;
 use milback_dsp::noise::{add_awgn, thermal_noise_power};
 use milback_dsp::num::{Cpx, ZERO};
 use milback_dsp::signal::Signal;
 use milback_hw::switch::{SwitchSchedule, SwitchState};
 use milback_node::node::{fill_gamma_runs, BackscatterNode};
 use milback_node::orientation::NodeOrientationEstimator;
-use milback_rf::channel::{
-    FreqProfile, GammaRun, NodeInterface, Scene, TxComponent, SELF_INTERFERENCE_DELAY_S,
-};
+use milback_rf::channel::{GammaRun, NodeInterface, Scene, TxComponent, SELF_INTERFERENCE_DELAY_S};
 use milback_rf::faults::FaultPlan;
 use milback_rf::fsa::{DualPortFsa, Port};
 use milback_rf::geometry::{Pose, SPEED_OF_LIGHT};
-use milback_rf::workspace::{fsa_fingerprint, wave_fingerprint, ChannelWorkspace};
+use milback_rf::workspace::{wave_fingerprint, ChannelWorkspace};
 use milback_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -90,64 +89,6 @@ impl Default for Field2Burst {
     }
 }
 
-/// Everything the node's noiseless Field-1 port videos depend on, `f64`s
-/// by bit pattern (DESIGN.md §13.6): the scene's static fingerprint
-/// (which folds the steer), the node's pose and FSA, the chirp with its
-/// TX amplitude, and the receive chain ahead of the detector noise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Field1Key {
-    scene: u64,
-    pose: [u64; 3],
-    fsa: u64,
-    /// `f_start`, `f_stop`, `duration`, `fs`, `amplitude`.
-    chirp: [u64; 5],
-    /// Switch through-gain, `impl_loss_db`, detector slope and video
-    /// bandwidth.
-    rx_chain: [u64; 4],
-}
-
-/// The node's noiseless detector videos of the Field-1 chirp at both FSA
-/// ports, rendered once per [`Field1Key`] and reused by every Field-1
-/// reception until the key changes (DESIGN.md §13.6). Only the detector
-/// noise at the ADC's read instants differs between receptions, so each
-/// one copies a video into `noisy` and runs the node's sampling half on
-/// the copy: bitwise the same as rendering the chirp afresh.
-#[derive(Clone, Default)]
-pub(crate) struct Field1Videos {
-    key: Option<Field1Key>,
-    /// Port A and port B video at `fs`.
-    videos: [Vec<f64>; 2],
-    fs: f64,
-    /// Pooled copy the detector noise is added to.
-    noisy: Vec<f64>,
-}
-
-impl std::fmt::Debug for Field1Videos {
-    /// Summarizes the buffers instead of dumping 2 × 144k samples.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Field1Videos")
-            .field("key", &self.key)
-            .field("len", &self.videos[0].len())
-            .field("fs", &self.fs)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Field1Videos {
-    /// One reception of the cached chirp at `port`: detector noise at the
-    /// ADC read indices of a copy of the port's video, then the ADC.
-    pub(crate) fn receive(
-        &mut self,
-        node: &BackscatterNode,
-        port: Port,
-        rng: &mut StdRng,
-    ) -> Vec<f64> {
-        self.noisy.clear();
-        self.noisy.extend_from_slice(&self.videos[port as usize]);
-        node.sample_video(&mut self.noisy, self.fs, rng)
-    }
-}
-
 /// A complete single-node MilBack deployment: deployment state only.
 /// Reusable scratch (DSP and link buffers, the channel caches) lives in
 /// a [`SessionCtx`].
@@ -175,9 +116,6 @@ pub struct Network {
     /// fills this per scheduled slot.
     pub interferers: Vec<Interferer>,
     rng: StdRng,
-    /// The node's noiseless Field-1 port videos, filled by
-    /// [`Self::warm_field1_videos`].
-    pub(crate) field1: Field1Videos,
     /// The AP orientation of the last successful Field-2 sense here:
     /// what a shed session plans its carriers from.
     pub(crate) sensed_orientation: Option<f64>,
@@ -207,7 +145,6 @@ impl Network {
             clock_s: 0.0,
             interferers: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
-            field1: Field1Videos::default(),
             sensed_orientation: None,
         }
     }
@@ -305,18 +242,17 @@ impl Network {
         // only the node's Γ runs vary with the chirp index: one channel
         // component serves every chirp, synthesized and fingerprinted
         // only when the chirp config changes.
-        let profile = FreqProfile::Sawtooth(chirp_cfg);
         if burst
             .comp
             .as_ref()
-            .is_some_and(|(c, _)| c.profile != profile)
+            .is_some_and(|(c, _)| c.sweep != chirp_cfg)
         {
             burst.comp = None;
         }
         let (comp, wave_fp) = burst.comp.get_or_insert_with(|| {
             let comp = TxComponent {
                 signal: chirp_cfg.sawtooth(),
-                profile,
+                sweep: chirp_cfg,
             };
             let wave_fp = wave_fingerprint(&comp);
             (comp, wave_fp)
@@ -527,73 +463,20 @@ impl Network {
     // Field 1: node-side orientation
     // ------------------------------------------------------------------
 
-    /// Makes `self.field1` hold the node's noiseless Field-1 port videos
-    /// for the current scene, pose, node and chirp, rendering them only
-    /// when their [`Field1Key`] changed (counted as
-    /// `node.field1.video.render`). A render takes the chirp from `ctx`
-    /// (synthesized there once per chirp config) through the one-shot
-    /// `Scene::to_node_port_into` in `ctx.chan` and the node's video
-    /// half at both ports. Draws nothing from the RNG.
-    pub(crate) fn warm_field1_videos(&mut self, ctx: &mut SessionCtx) {
-        let mut cfg = self.fidelity.triangular();
-        cfg.amplitude = self.ap.tx.amplitude();
-        let node = &self.node;
-        let pos = node.pose.position;
-        let key = Field1Key {
-            scene: self.scene.static_fingerprint(),
-            pose: [pos.x, pos.y, node.pose.facing].map(f64::to_bits),
-            fsa: fsa_fingerprint(&node.fsa),
-            chirp: [cfg.f_start, cfg.f_stop, cfg.duration, cfg.fs, cfg.amplitude].map(f64::to_bits),
-            rx_chain: [
-                node.switch.through_gain(),
-                node.impl_loss_db,
-                node.detector.slope,
-                node.detector.video_bandwidth,
-            ]
-            .map(f64::to_bits),
-        };
-        if self.field1.key != Some(key) {
-            telemetry::counter_add("node.field1.video.render", 1);
-            let profile = FreqProfile::Triangular(cfg);
-            let chirp = &mut ctx.field1_chirp;
-            if chirp.as_ref().is_some_and(|c| c.profile != profile) {
-                *chirp = None;
-            }
-            let comp = chirp.get_or_insert_with(|| TxComponent {
-                signal: cfg.triangular(),
-                profile,
-            });
-            let mut at_port = empty_signal();
-            let (scene, field1) = (&self.scene, &mut self.field1);
-            for (port, video) in Port::BOTH.into_iter().zip(&mut field1.videos) {
-                let (pose, fsa) = (&node.pose, &node.fsa);
-                scene.to_node_port_into(&mut ctx.chan, comp, pose, fsa, port, &mut at_port);
-                node.port_video_into(&at_port, video);
-            }
-            field1.fs = comp.signal.fs;
-            field1.key = Some(key);
-        }
-    }
-
     /// Renders the node's ADC captures of one Field-1 triangular chirp at
-    /// both ports (both ports absorptive/listening), from the node's
-    /// cached noiseless port videos (DESIGN.md §13.6).
+    /// both ports (both ports absorptive/listening).
     ///
     /// Returns `None` on entry, before any RNG draw, when the node or a
     /// parked interferer cannot be rendered, as [`Self::localize`] does.
     pub fn field1_node_captures(&mut self) -> Option<(Vec<f64>, Vec<f64>)> {
-        with_run_ctx(|ctx| self.field1_node_captures_in(ctx))
-    }
-
-    /// [`Self::field1_node_captures`] in caller-owned scratch.
-    fn field1_node_captures_in(&mut self, ctx: &mut SessionCtx) -> Option<(Vec<f64>, Vec<f64>)> {
         if self.render_rejected() {
             return None;
         }
-        self.warm_field1_videos(ctx);
-        let (field1, node, rng) = (&mut self.field1, &self.node, &mut self.rng);
-        let mut cap_a = field1.receive(node, Port::A, rng);
-        let mut cap_b = field1.receive(node, Port::B, rng);
+        let chirp = self.fidelity.packet().field1_chirp;
+        let (scene, node, p_tx) = (&self.scene, &self.node, self.ap.tx.amplitude().powi(2));
+        let rng = &mut self.rng;
+        let mut cap_a = field1_reception(scene, node, p_tx, &chirp, Some(Port::A), rng);
+        let mut cap_b = field1_reception(scene, node, p_tx, &chirp, Some(Port::B), rng);
         // Node-side impairments act on the detector output (blockage,
         // saturation, droop); no-op when the plan is empty.
         let adc_fs = self.node.adc.sample_rate;
@@ -608,15 +491,11 @@ impl Network {
     /// Returns `None` on entry, before any RNG draw, when the node or a
     /// parked interferer cannot be rendered, as [`Self::localize`] does.
     pub fn sense_orientation_at_node(&mut self) -> Option<f64> {
-        with_run_ctx(|ctx| self.sense_orientation_at_node_in(ctx))
-    }
-
-    /// [`Self::sense_orientation_at_node`] in caller-owned scratch.
-    pub(crate) fn sense_orientation_at_node_in(&mut self, ctx: &mut SessionCtx) -> Option<f64> {
-        let (cap_a, cap_b) = self.field1_node_captures_in(ctx)?;
-        let mut est = NodeOrientationEstimator::milback();
-        est.chirp = self.fidelity.triangular();
-        est.sample_rate = self.node.adc.sample_rate;
+        let (cap_a, cap_b) = self.field1_node_captures()?;
+        let est = NodeOrientationEstimator {
+            sample_rate: self.node.adc.sample_rate,
+            ..NodeOrientationEstimator::milback()
+        };
         est.estimate(&self.node.fsa, &cap_a, &cap_b)
     }
 
@@ -625,6 +504,31 @@ impl Network {
     pub fn fork_rng(&mut self) -> StdRng {
         StdRng::seed_from_u64(self.rng.gen())
     }
+}
+
+/// One Field-1 reception at the node's FSA `port` of the triangular
+/// chirp `chirp` sent at `p_tx` watts, or of a silent slot for `None`
+/// (DESIGN.md §5): the ADC reads of the detector law on the one-way port
+/// power `p_tx·Scene::tone_gain_to_port` at the frequency the AP emitted
+/// one path delay before each read, and zero before the chirp arrives.
+/// One noise key from `rng` either way.
+pub(crate) fn field1_reception(
+    scene: &Scene,
+    node: &BackscatterNode,
+    p_tx: f64,
+    chirp: &ChirpConfig,
+    port: Option<Port>,
+    rng: &mut StdRng,
+) -> Vec<f64> {
+    let tau = scene.tx_pos.distance_to(&node.pose.position) / SPEED_OF_LIGHT;
+    let p_port = |t: f64| match port {
+        Some(port) if t >= tau => {
+            let f = chirp.triangular_freq_at(t - tau);
+            p_tx * scene.tone_gain_to_port(&node.pose, &node.fsa, port, f)
+        }
+        _ => 0.0,
+    };
+    node.receive(chirp.duration, p_port, rng)
 }
 
 #[cfg(test)]

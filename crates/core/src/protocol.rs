@@ -4,11 +4,10 @@
 //! Field 2 localization and orientation, then the payload in whichever
 //! direction Field 1 announced — is run by [`crate::session::Session`].
 
-use crate::network::Network;
-use crate::session::{with_run_ctx, SessionCtx};
+use crate::network::{field1_reception, Network};
 
 use milback_node::mode_detect::ModeDetector;
-use milback_proto::packet::LinkMode;
+use milback_proto::packet::{LinkMode, PacketConfig, Slot};
 use milback_rf::fsa::Port;
 
 impl Network {
@@ -19,47 +18,23 @@ impl Network {
     /// parked interferer cannot be rendered (see
     /// [`Network::localize`]).
     pub fn signal_mode(&mut self, mode: LinkMode) -> Option<LinkMode> {
-        with_run_ctx(|ctx| self.signal_mode_in(ctx, mode))
-    }
-
-    /// [`Self::signal_mode`] in caller-owned scratch.
-    pub(crate) fn signal_mode_in(
-        &mut self,
-        ctx: &mut SessionCtx,
-        mode: LinkMode,
-    ) -> Option<LinkMode> {
         if self.render_rejected() {
             return None;
         }
-        use milback_proto::packet::{PacketConfig, Slot};
-        let pkt = self.fidelity.packet();
-        let chirp_cfg = pkt.field1_chirp;
+        let chirp = self.fidelity.packet().field1_chirp;
         let mut rng = self.fork_rng();
-        // Every chirp slot is the same triangular chirp (slot-local time)
-        // to a node that does not move, so each one samples the cached
-        // noiseless port videos; only the detector noise is drawn anew.
-        self.warm_field1_videos(ctx);
-        let (field1, node) = (&mut self.field1, &self.node);
+        let (scene, node, p_tx) = (&self.scene, &self.node, self.ap.tx.amplitude().powi(2));
         let mut combined: Vec<f64> = Vec::new();
         for slot in PacketConfig::field1_slots(mode) {
-            let (cap_a, cap_b) = match slot {
-                Slot::Chirp => (
-                    field1.receive(node, Port::A, &mut rng),
-                    field1.receive(node, Port::B, &mut rng),
-                ),
-                Slot::Gap => {
-                    // Silence: the detectors see only their own noise.
-                    let n = chirp_cfg.n_samples();
-                    (
-                        node.receive_silence(n, chirp_cfg.fs, &mut rng),
-                        node.receive_silence(n, chirp_cfg.fs, &mut rng),
-                    )
-                }
-            };
+            // A gap slot is a reception of silence: the detectors see
+            // only their own noise.
+            let lit = |port| (slot == Slot::Chirp).then_some(port);
+            let cap_a = field1_reception(scene, node, p_tx, &chirp, lit(Port::A), &mut rng);
+            let cap_b = field1_reception(scene, node, p_tx, &chirp, lit(Port::B), &mut rng);
             combined.extend(cap_a.iter().zip(&cap_b).map(|(a, b)| a + b));
         }
         let det = ModeDetector {
-            slot_duration: pkt.field1_chirp.duration,
+            slot_duration: chirp.duration,
             sample_rate: self.node.adc.sample_rate,
         };
         // Scheduled impairments hit the node's detector stream before

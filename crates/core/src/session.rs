@@ -22,7 +22,6 @@ use milback_ap::workspace::DspWorkspace;
 use milback_dsp::signal::Signal;
 use milback_proto::arq::{ArqReceiver, ArqSender, ArqVerdict, Backoff};
 use milback_proto::packet::{LinkMode, Packet};
-use milback_rf::channel::TxComponent;
 use milback_rf::workspace::ChannelWorkspace;
 use milback_telemetry as telemetry;
 use std::cell::RefCell;
@@ -232,9 +231,6 @@ pub struct SessionCtx {
     /// Field-2 render buffers: TX reference + per-chirp capture pairs,
     /// and the Field-2 chirp.
     pub burst: Field2Burst,
-    /// The Field-1 triangular chirp, synthesized on the first Field-1
-    /// render that needs it and again only when its config changes.
-    pub(crate) field1_chirp: Option<TxComponent>,
     /// Downlink/uplink transfer buffers.
     pub(crate) link: LinkScratch,
     /// Per-chirp burst energies (triage input).
@@ -345,7 +341,7 @@ impl Session {
         let mut mode_attempts = 0;
         loop {
             mode_attempts += 1;
-            let heard = net.signal_mode_in(ctx, packet.mode);
+            let heard = net.signal_mode(packet.mode);
             net.clock_s += pkt.field1_duration();
             if heard == Some(packet.mode) {
                 break;
@@ -370,7 +366,7 @@ impl Session {
         }
 
         // --- Field 1: node-side orientation ----------------------------
-        let node_orientation = net.sense_orientation_at_node_in(ctx);
+        let node_orientation = net.sense_orientation_at_node();
         net.clock_s += pkt.field1_chirp.duration;
         if node_orientation.is_none() {
             degradations.push(Degradation::NoNodeOrientation);

@@ -9,9 +9,11 @@
 //!   frequency sweeps up for half the duration and back down, producing the
 //!   V-shape whose two beam-crossing power peaks encode orientation.
 //!
-//! Chirps are generated at complex baseband relative to the band center
-//! `fc = (f_start + f_stop)/2`, so the instantaneous baseband offset sweeps
-//! `−B/2 … +B/2`.
+//! The sawtooth is synthesized at complex baseband relative to the band
+//! center `fc = (f_start + f_stop)/2`, so the instantaneous baseband
+//! offset sweeps `−B/2 … +B/2`. The triangular chirp is never
+//! synthesized: the node's detector reads only its power at each ADC
+//! instant, which follows from [`ChirpConfig::triangular_freq_at`].
 
 use crate::num::Cpx;
 use crate::signal::Signal;
@@ -109,32 +111,6 @@ impl ChirpConfig {
         Signal::new(self.fs, self.center(), samples)
     }
 
-    /// Generates one triangular chirp: up-sweep for `duration/2`, then an
-    /// equal down-sweep. Total length is `duration`.
-    pub fn triangular(&self) -> Signal {
-        self.validate();
-        let n = self.n_samples();
-        let half_t = self.duration / 2.0;
-        let b = self.bandwidth();
-        let k = b / half_t; // slope of each leg
-        let dt = 1.0 / self.fs;
-        let mut phase = 0.0f64;
-        // Integrate the instantaneous frequency numerically so the phase is
-        // continuous across the apex.
-        let mut samples = Vec::with_capacity(n);
-        for i in 0..n {
-            let t = i as f64 * dt;
-            let f = if t < half_t {
-                -0.5 * b + k * t
-            } else {
-                0.5 * b - k * (t - half_t)
-            };
-            samples.push(Cpx::from_polar(self.amplitude, phase));
-            phase += 2.0 * PI * f * dt;
-        }
-        Signal::new(self.fs, self.center(), samples)
-    }
-
     /// Instantaneous RF frequency of the sawtooth chirp at time `t` seconds.
     pub fn sawtooth_freq_at(&self, t: f64) -> f64 {
         self.f_start + self.slope() * t.clamp(0.0, self.duration)
@@ -209,19 +185,6 @@ mod tests {
         cfg.amplitude = 2.0;
         let s = cfg.sawtooth();
         assert!((s.power() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn triangular_sweeps_up_then_down() {
-        let cfg = small_cfg();
-        let s = cfg.triangular();
-        let f0 = inst_freq(&s, 0);
-        assert!((f0 + 3e9 / 2.0).abs() < 1e7);
-        // Apex near the middle: baseband ≈ +B/2.
-        let fa = inst_freq(&s, 3999);
-        assert!((fa - 1.5e9).abs() < 2e7, "apex {fa}");
-        let fe = inst_freq(&s, 7998);
-        assert!((fe + 1.5e9).abs() < 2e7, "end {fe}");
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! * [`noise`] — seeded Gaussian noise and thermal-noise arithmetic,
 //! * [`detect`] — peak detection with sub-sample refinement,
 //! * [`stats`] — means, percentiles and CDFs for experiment reporting,
-//! * [`resample`] — arbitrary-time sampling (MCU ADC bridging),
 //! * [`stft`] — short-time Fourier transform (spectrograms),
 //! * [`plan`] — cached FFT plans (precomputed twiddles, bit-reversal
 //!   tables, Bluestein kernels, fused radix-4 butterflies) backing the
@@ -58,7 +57,6 @@ pub mod num;
 pub mod par;
 pub mod phasor;
 pub mod plan;
-pub mod resample;
 pub mod signal;
 pub mod simd;
 pub mod stats;

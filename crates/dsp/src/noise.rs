@@ -17,8 +17,8 @@
 //! [`add_real_noise_keyed`]) splits at any index across two cores when
 //! [`par::claim`] finds one idle, with nothing shared but the key: each
 //! half computes its own indices, bitwise the serial fill. And a
-//! receiver that reads only some samples ([`add_real_noise_at`], the
-//! node's ADC) computes the noise of those samples only.
+//! receiver that reads a few instants (the node's ADC) computes the
+//! noise of those reads only, [`normal`]`(key, k, 0)` for read `k`.
 //!
 //! Every variate computed is counted in the deterministic
 //! `dsp.noise.variates` counter (DESIGN.md §11).
@@ -332,28 +332,6 @@ fn real_noise_fill(claim: Option<par::Claim>, xs: &mut [f64], sigma: f64, key: u
     });
 }
 
-/// [`add_real_noise_keyed`] at the indices `reads` only: each read
-/// sample gets exactly what the full fill would give it, and no other
-/// sample is touched or computed. `reads` must ascend without repeats
-/// (as `Adc::read_indices` does): a repeated index would get its noise
-/// twice.
-pub fn add_real_noise_at(
-    samples: &mut [f64],
-    reads: impl IntoIterator<Item = usize>,
-    sigma: f64,
-    key: u64,
-) {
-    let z = ziggurat();
-    let (mut n, mut next) = (0, 0);
-    for i in reads {
-        debug_assert!(i >= next, "read index {i} repeats or descends");
-        next = i + 1;
-        samples[i] += variate(z, key, i, 0) * sigma;
-        n += 1;
-    }
-    count_variates(n);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,27 +569,6 @@ mod tests {
                     "real-noise RNG, n={n} path {path}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn noise_at_reads_matches_the_full_fill() {
-        // The read samples carry the full fill's bits; the rest stay
-        // untouched.
-        let n = 9_000;
-        let start: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let mut full = start.clone();
-        add_real_noise_keyed(&mut full, 0.4, 0xAB);
-        let reads = [0, 1, 2, 517, 518, 4_000, n - 2, n - 1];
-        let mut sparse = start.clone();
-        add_real_noise_at(&mut sparse, reads, 0.4, 0xAB);
-        for i in 0..n {
-            let want = if reads.contains(&i) {
-                full[i]
-            } else {
-                start[i]
-            };
-            assert_eq!(sparse[i].to_bits(), want.to_bits(), "sample {i}");
         }
     }
 

@@ -14,7 +14,6 @@
 
 use milback_dsp::filter::OnePole;
 use milback_dsp::noise::{add_real_noise_keyed, fill_key};
-use milback_dsp::num::Cpx;
 use rand::rngs::StdRng;
 
 /// An envelope detector.
@@ -104,22 +103,6 @@ impl EnvelopeDetector {
             add_real_noise_keyed(out, self.noise_rms_at(fs), key);
         }
     }
-
-    /// The noiseless video output for complex samples at rate `fs`, each
-    /// scaled by the amplitude `gain` before detection: `|gain·x|` →
-    /// slope → video low-pass, into `out` (cleared first, capacity
-    /// reused). A gain applied here is bitwise the same as scaling the
-    /// signal first, without the scaled copy.
-    pub fn video_into(&self, samples: &[Cpx], gain: f64, fs: f64, out: &mut Vec<f64>) {
-        let mut lp = OnePole::new(self.video_bandwidth, fs);
-        out.clear();
-        out.reserve(samples.len());
-        out.extend(
-            samples
-                .iter()
-                .map(|c| lp.step(self.slope * (*c * gain).abs())),
-        );
-    }
 }
 
 /// The mean envelope of two tones of amplitudes `a` and `b` beating
@@ -150,12 +133,14 @@ pub fn two_tone_envelope(a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use milback_dsp::signal::Signal;
+    use milback_dsp::num::Cpx;
     use rand::SeedableRng;
 
-    fn clean(det: &EnvelopeDetector, sig: &Signal) -> Vec<f64> {
+    /// The noiseless video of one envelope (volts) per symbol at
+    /// `symbol_rate`, rendered at `fs`.
+    fn clean(det: &EnvelopeDetector, levels: &[f64], symbol_rate: f64, fs: f64) -> Vec<f64> {
         let mut out = Vec::new();
-        det.video_into(&sig.samples, 1.0, sig.fs, &mut out);
+        det.symbol_video_into(levels.len(), |k| levels[k], symbol_rate, fs, None, &mut out);
         out
     }
 
@@ -182,8 +167,7 @@ mod tests {
         let fs = 1e9;
         let p_in = 1e-6; // −30 dBm
         let amp = (p_in * det.input_impedance).sqrt();
-        let sig = Signal::tone(fs, 28e9, 0.0, amp, 2000);
-        let out = clean(&det, &sig);
+        let out = clean(&det, &[amp; 2000], fs, fs);
         let expected = det.ideal_output(p_in);
         assert!(
             (out[1999] - expected).abs() < 1e-3 * expected,
@@ -198,44 +182,25 @@ mod tests {
         let det = EnvelopeDetector::adl6010();
         let fs = 2e9;
         let amp = 1e-3;
-        // 200 Mbps OOK: 10 ns bits — far beyond the 36 MHz video BW.
-        let fast_bit = (fs / 200e6) as usize;
-        let mut samples = Vec::new();
-        for k in 0..40 {
-            let on = k % 2 == 0;
-            for _ in 0..fast_bit {
-                samples.push(milback_dsp::num::Cpx::new(if on { amp } else { 0.0 }, 0.0));
-            }
-        }
-        let sig = Signal::new(fs, 28e9, samples);
-        let out = clean(&det, &sig);
-        // The output cannot track: swing collapses toward the mean.
-        let late = &out[out.len() / 2..];
-        let max = late.iter().cloned().fold(f64::MIN, f64::max);
-        let min = late.iter().cloned().fold(f64::MAX, f64::min);
+        let ook = |n: usize| {
+            (0..n)
+                .map(|k| if k % 2 == 0 { amp } else { 0.0 })
+                .collect::<Vec<_>>()
+        };
+        let swing = |out: &[f64]| {
+            let late = &out[out.len() / 2..];
+            let max = late.iter().cloned().fold(f64::MIN, f64::max);
+            let min = late.iter().cloned().fold(f64::MAX, f64::min);
+            max - min
+        };
         let full = det.ideal_output(amp * amp / det.input_impedance);
-        assert!(
-            (max - min) < 0.6 * full,
-            "swing {} vs full {}",
-            max - min,
-            full
-        );
-
+        // 200 Mbps OOK: 10 ns bits — far beyond the 36 MHz video BW. The
+        // output cannot track: swing collapses toward the mean.
+        let fast = swing(&clean(&det, &ook(40), 200e6, fs));
+        assert!(fast < 0.6 * full, "swing {fast} vs full {full}");
         // 10 Mbps OOK: 100 ns bits — comfortably within the video BW.
-        let slow_bit = (fs / 10e6) as usize;
-        let mut samples = Vec::new();
-        for k in 0..10 {
-            let on = k % 2 == 0;
-            for _ in 0..slow_bit {
-                samples.push(milback_dsp::num::Cpx::new(if on { amp } else { 0.0 }, 0.0));
-            }
-        }
-        let sig = Signal::new(fs, 28e9, samples);
-        let out = clean(&det, &sig);
-        let late = &out[out.len() / 2..];
-        let max = late.iter().cloned().fold(f64::MIN, f64::max);
-        let min = late.iter().cloned().fold(f64::MAX, f64::min);
-        assert!((max - min) > 0.9 * full, "slow swing {}", max - min);
+        let slow = swing(&clean(&det, &ook(10), 10e6, fs));
+        assert!(slow > 0.9 * full, "slow swing {slow}");
     }
 
     #[test]

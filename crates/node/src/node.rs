@@ -12,15 +12,13 @@
 //! * the reflection coefficients `Γ` the channel renders, as
 //!   piecewise-constant runs filled from per-port [`SwitchSchedule`]s
 //!   ([`fill_gamma_runs`]), and
-//! * the receive path: FSA port → switch through-loss → envelope
-//!   detector ([`BackscatterNode::port_video_into`], noiseless) → detector
-//!   noise and ADC ([`BackscatterNode::sample_video`]) for Field 1, and
-//!   the symbol-rate payload video
+//! * the receive path: FSA port power → switch through-loss → envelope
+//!   detector law, read by the MCU ADC for Field 1
+//!   ([`BackscatterNode::receive`]) and as the symbol-rate payload video
 //!   ([`BackscatterNode::payload_video_into`]) for the downlink.
 
-use milback_dsp::noise::{add_real_noise_at, count_variates, normal};
+use milback_dsp::noise::{count_variates, normal};
 use milback_dsp::num::Cpx;
-use milback_dsp::signal::Signal;
 use milback_hw::adc::Adc;
 use milback_hw::envelope::{two_tone_envelope, EnvelopeDetector};
 use milback_hw::power::PowerModel;
@@ -115,53 +113,49 @@ impl BackscatterNode {
         self.switch.through_gain().sqrt() * self.impl_loss_amp()
     }
 
-    /// The video half of the node's receive path for one port: the RF
-    /// signal at the FSA port (as produced by `Scene::to_node_port_into`)
-    /// through the switch's absorptive through-loss and the envelope
-    /// detector's video low-pass, into `out` (cleared first, capacity
-    /// reused) at the signal's rate. Noiseless: a pure function of the
-    /// signal and the receive chain, so a caller may keep it and run
-    /// [`Self::sample_video`] on a copy once per reception.
-    pub fn port_video_into(&self, at_port: &Signal, out: &mut Vec<f64>) {
-        self.detector
-            .video_into(&at_port.samples, self.rx_gain(), at_port.fs, out);
+    /// The envelope, in volts across the detector input, of `p` watts at
+    /// an FSA port: `√(p·R)` through the switch's through-loss and the
+    /// one-way implementation loss. Both receive paths, Field 1's ADC
+    /// reads and the payload video, convert port power to volts here, so
+    /// they share one detector law (`slope` times this envelope).
+    fn detector_envelope(&self, p: f64) -> f64 {
+        (p * self.detector.input_impedance).sqrt() * self.rx_gain()
     }
 
-    /// The sampling half of the node's receive path: adds detector noise
-    /// to the noiseless `video` at `fs` (in place) and samples it with
-    /// the MCU ADC. Returns ADC samples (volts at `adc.sample_rate`).
+    /// One reception at an FSA port, as the MCU ADC reads it (DESIGN.md
+    /// §5): at each conversion instant `t_k` in `duration` seconds, the
+    /// detector law on the port power `p_port(t_k)` watts (node time, `0`
+    /// for silence) plus the detector's output noise, then quantized.
     ///
-    /// The noise is additive and addressable per sample, so only the
-    /// samples the ADC interpolates between get (and cost) a variate:
-    /// the same bits full-rate noising on the reception's key would give
-    /// them, from one key word of `rng`. Samples the ADC does not read
-    /// stay noiseless.
-    pub fn sample_video(&self, video: &mut [f64], fs: f64, rng: &mut StdRng) -> Vec<f64> {
-        if let Some(key) = self.detector.noise_key(rng) {
-            let reads = self.adc.read_indices(video.len(), fs);
-            add_real_noise_at(video, reads, self.detector.output_noise_rms(), key);
-        }
-        self.adc.capture(video, fs)
-    }
-
-    /// The receive path for a port that receives nothing for `n`
-    /// samples at `fs`: the detector output rests at exactly 0 V (a zero
-    /// envelope through the one-pole filter from rest), so only its
-    /// noise at the ADC's read indices reaches the ADC. Bitwise the same
-    /// as [`Self::sample_video`] on an all-zero video, with the same
-    /// key draw, without any video buffer.
-    pub fn receive_silence(&self, n: usize, fs: f64, rng: &mut StdRng) -> Vec<f64> {
-        let Some(key) = self.detector.noise_key(rng) else {
-            return self.adc.capture_with(n, fs, |_| 0.0);
-        };
+    /// The ADC reads the detector output unfiltered, so each read carries
+    /// the full video-band noise, `σ = output_noise_rms()`, independent
+    /// from read to read: one key word of `rng` per reception (none for a
+    /// noiseless detector) and read `k`'s variate `normal(key, k, 0)`.
+    /// The detector's video one-pole (τ ≈ 4.4 ns at 36 MHz) settles long
+    /// before the next 1 µs read, so the reads skip it.
+    pub fn receive(
+        &self,
+        duration: f64,
+        p_port: impl Fn(f64) -> f64,
+        rng: &mut StdRng,
+    ) -> Vec<f64> {
+        let key = self.detector.noise_key(rng);
         let sigma = self.detector.output_noise_rms();
-        // Instants that share an input sample evaluate its variate
-        // again; the ledger counts each read sample once, as
-        // `sample_video` does.
-        count_variates(self.adc.read_indices(n, fs).count());
-        // `0.0 +` as `sample_video` adds the noise to a zero sample.
-        self.adc
-            .capture_with(n, fs, |i| 0.0 + normal(key, i, 0) * sigma)
+        let reads: Vec<f64> = self
+            .adc
+            .instants(duration)
+            .enumerate()
+            .map(|(k, t)| {
+                let v = self.detector.slope * self.detector_envelope(p_port(t));
+                let noise = key.map_or(0.0, |key| normal(key, k, 0) * sigma);
+                self.adc.quantize(v + noise)
+            })
+            .collect();
+        milback_telemetry::counter_add("node.adc.reads", reads.len() as u64);
+        if key.is_some() {
+            count_variates(reads.len());
+        }
+        reads
     }
 
     /// The payload half of the node's receive path for one port
@@ -186,8 +180,10 @@ impl BackscatterNode {
         key: Option<u64>,
         out: &mut Vec<f64>,
     ) {
-        let volts = |p: f64| (p * self.detector.input_impedance).sqrt() * self.rx_gain();
-        let (a, b) = (volts(p_own), volts(p_other));
+        let (a, b) = (
+            self.detector_envelope(p_own),
+            self.detector_envelope(p_other),
+        );
         let both = two_tone_envelope(a, b);
         let envelope = |k: usize| match (own[k], other.get(k) == Some(&true)) {
             (true, true) => both,
@@ -237,18 +233,10 @@ pub fn fill_gamma_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use milback_dsp::noise::add_real_noise_keyed;
     use rand::{Rng, SeedableRng};
 
     fn node() -> BackscatterNode {
         BackscatterNode::milback(Pose::facing_ap(2.0, 0.0, 0.0))
-    }
-
-    /// Both halves of the ADC receive path, back to back.
-    fn receive(n: &BackscatterNode, sig: &Signal, rng: &mut StdRng) -> Vec<f64> {
-        let mut video = Vec::new();
-        n.port_video_into(sig, &mut video);
-        n.sample_video(&mut video, sig.fs, rng)
     }
 
     /// Expands runs back to one `[Γ_A, Γ_B]` per sample.
@@ -339,82 +327,84 @@ mod tests {
     }
 
     #[test]
-    fn receive_port_produces_adc_rate_samples() {
+    fn receive_reads_at_the_adc_rate() {
         let n = node();
         let mut rng = StdRng::seed_from_u64(3);
-        // 100 µs of signal at 100 MHz → 100 samples at the 1 MHz ADC.
-        let sig = Signal::tone(1e8, 28e9, 0.0, 1e-3, 10_000);
-        let out = receive(&n, &sig, &mut rng);
+        // 100 µs of a port → 100 reads of the 1 MHz ADC.
+        let out = n.receive(100e-6, |_| 1e-6, &mut rng);
         assert_eq!(out.len(), 100);
     }
 
     #[test]
-    fn receive_port_matches_full_rate_detection_bitwise() {
-        // The reference path: scale a copy of the signal, detect with
-        // noise on every sample, then let the ADC read it.
+    fn silence_reads_the_detector_noise_alone() {
+        // One key word per reception, silent or not, and reads of
+        // silence carry the full video-band noise (clipped below 0 V by
+        // the ADC, so half the reads sit at 0 and the rest at |noise|).
         let n = node();
-        let fs = 3.3e8;
-        let samples = (0..20_001)
-            .map(|i| {
-                let amp = 1e-2 * (1.0 + (i as f64 * 1e-3).sin());
-                Cpx::from_polar(amp, i as f64 * 0.1)
-            })
-            .collect();
-        let sig = Signal::new(fs, 28e9, samples);
-        let reference = |sig: &Signal, rng: &mut StdRng| {
-            let mut scaled = sig.clone();
-            scaled.scale(n.rx_gain());
-            let mut video = Vec::new();
-            n.detector
-                .video_into(&scaled.samples, 1.0, scaled.fs, &mut video);
-            if let Some(key) = n.detector.noise_key(rng) {
-                add_real_noise_keyed(&mut video, n.detector.output_noise_rms(), key);
-            }
-            n.adc.capture(&video, sig.fs)
-        };
-        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        let mut rng = StdRng::seed_from_u64(8);
+        let mut rng = StdRng::seed_from_u64(5);
         let mut ref_rng = rng.clone();
-        assert_eq!(
-            bits(receive(&n, &sig, &mut rng)),
-            bits(reference(&sig, &mut ref_rng))
+        let quiet = n.receive(20e-3, |_| 0.0, &mut rng);
+        let _ = ref_rng.gen::<u64>();
+        assert_eq!(rng, ref_rng, "one key word per reception");
+        let sigma = n.detector.output_noise_rms();
+        let second_moment = quiet.iter().map(|v| v * v).sum::<f64>() / quiet.len() as f64;
+        assert!(
+            (second_moment / (0.5 * sigma * sigma) - 1.0).abs() < 0.1,
+            "read noise {} vs σ {sigma}",
+            second_moment.sqrt()
         );
-        let silence = Signal::zeros(fs, 28e9, 7_000);
+        let noiseless = BackscatterNode {
+            detector: EnvelopeDetector {
+                noise_density: 0.0,
+                ..n.detector
+            },
+            ..n.clone()
+        };
+        let mut still = StdRng::seed_from_u64(5);
+        assert!(noiseless
+            .receive(45e-6, |_| 0.0, &mut still)
+            .iter()
+            .all(|&v| v == 0.0));
         assert_eq!(
-            bits(n.receive_silence(silence.len(), fs, &mut rng)),
-            bits(reference(&silence, &mut ref_rng))
+            still,
+            StdRng::seed_from_u64(5),
+            "a noiseless detector draws no key"
         );
-        // One kept video serves repeated receptions: sampling a fresh
-        // copy of it each time matches detecting each reception in full.
-        let mut kept = Vec::new();
-        n.port_video_into(&sig, &mut kept);
-        for _ in 0..2 {
-            let mut copy = kept.clone();
-            assert_eq!(
-                bits(n.sample_video(&mut copy, fs, &mut rng)),
-                bits(reference(&sig, &mut ref_rng))
-            );
-        }
-        // Both paths drew one key word per reception.
-        assert_eq!(rng.gen::<u64>(), ref_rng.gen::<u64>());
     }
 
     #[test]
-    fn silence_matches_sampling_a_zero_video() {
-        // `receive_silence` renders no video: pinned bit for bit, with
-        // the RNG after, against `sample_video` on an all-zero one, at
-        // the Field-1 rate and at rates where instants share reads.
-        let n = node();
-        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        for (len, fs) in [(144_000, 1.44e9), (7_001, 3.3e8), (50, 1.5e6), (0, 1e8)] {
-            let mut rng = StdRng::seed_from_u64(len as u64);
-            let mut ref_rng = rng.clone();
-            assert_eq!(
-                bits(n.receive_silence(len, fs, &mut rng)),
-                bits(n.sample_video(&mut vec![0.0; len], fs, &mut ref_rng)),
-                "{len} samples at {fs}"
+    fn adc_reads_match_the_video_read_at_the_same_instants() {
+        // The reads skip the detector's video one-pole: evaluated at the
+        // ADC instants, the detector law on a Field-1-like power bump
+        // (a 2 µs Gaussian, as the FSA beam sweeps past the AP) equals
+        // the one-pole video of the same envelope rendered at 2·B_video
+        // and quantized at those instants, to within 1% of the peak plus
+        // one ADC step. The one-pole's 4.4 ns lag is all that separates
+        // them.
+        let n = BackscatterNode {
+            detector: EnvelopeDetector {
+                noise_density: 0.0,
+                ..EnvelopeDetector::adl6010()
+            },
+            ..node()
+        };
+        let p = |t: f64| 1e-4 * (-((t - 20e-6) / 2e-6).powi(2)).exp();
+        let reads = n.receive(45e-6, p, &mut StdRng::seed_from_u64(1));
+        let fs = 2.0 * n.detector.video_bandwidth;
+        let mut video = Vec::new();
+        let samples = (45e-6 * fs).round() as usize;
+        let envelope = |i: usize| n.detector_envelope(p(i as f64 / fs));
+        n.detector
+            .symbol_video_into(samples, envelope, fs, fs, None, &mut video);
+        let peak = n.detector.slope * n.detector_envelope(1e-4);
+        for (k, &read) in reads.iter().enumerate() {
+            let at = n
+                .adc
+                .quantize(video[(k as f64 * 1e-6 * fs).round() as usize]);
+            assert!(
+                (read - at).abs() <= 0.01 * peak + n.adc.lsb(),
+                "read {k}: {read} V vs video {at} V (peak {peak} V)"
             );
-            assert_eq!(rng, ref_rng, "RNG after {len} samples at {fs}");
         }
     }
 
@@ -423,11 +413,8 @@ mod tests {
         let n = node();
         let mut rng = StdRng::seed_from_u64(4);
         let p_in = 1e-6; // −30 dBm at the port
-        let amp = (p_in * n.detector.input_impedance).sqrt();
-        let sig = Signal::tone(1e8, 28e9, 0.0, amp, 20_000);
-        let out = receive(&n, &sig, &mut rng);
-        let settled = &out[50..];
-        let mean = settled.iter().sum::<f64>() / settled.len() as f64;
+        let out = n.receive(200e-6, |_| p_in, &mut rng);
+        let mean = out.iter().sum::<f64>() / out.len() as f64;
         let one_way = 10f64.powf(-n.impl_loss_db / 10.0);
         let expected = n
             .detector

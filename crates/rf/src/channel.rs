@@ -28,78 +28,27 @@ use milback_dsp::num::{Cpx, ZERO};
 use milback_dsp::signal::Signal;
 use std::f64::consts::PI;
 
-/// Instantaneous-frequency profile of a transmitted waveform. The FSA's
-/// beam direction depends on instantaneous frequency, so the channel must
-/// know *what* RF frequency is being emitted at every instant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FreqProfile {
-    /// A fixed-frequency tone at the given RF frequency (Hz).
-    Constant(f64),
-    /// A sawtooth FMCW chirp.
-    Sawtooth(ChirpConfig),
-    /// A triangular FMCW chirp.
-    Triangular(ChirpConfig),
-}
-
-impl FreqProfile {
-    /// Instantaneous RF frequency at waveform-local time `t` (seconds).
-    pub fn freq_at(&self, t: f64) -> f64 {
-        match self {
-            FreqProfile::Constant(f) => *f,
-            FreqProfile::Sawtooth(cfg) => cfg.sawtooth_freq_at(t),
-            FreqProfile::Triangular(cfg) => cfg.triangular_freq_at(t),
-        }
-    }
-}
-
-/// A transmitted waveform plus its instantaneous-frequency profile.
+/// A transmitted waveform plus the sawtooth sweep it follows. The FSA's
+/// beam direction depends on the instantaneous frequency, so the channel
+/// must know *what* RF frequency is being emitted at every instant. A
+/// tone is the zero-span sweep, `f_start == f_stop`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TxComponent {
     /// The complex-baseband waveform (its `fc` is the reference carrier).
     pub signal: Signal,
-    /// Frequency profile matching the waveform.
-    pub profile: FreqProfile,
+    /// The sweep the waveform follows.
+    pub sweep: ChirpConfig,
 }
 
 impl TxComponent {
-    /// A constant tone component at RF frequency `f_rf`.
-    pub fn tone(signal: Signal, f_rf: f64) -> Self {
-        Self {
-            signal,
-            profile: FreqProfile::Constant(f_rf),
-        }
+    /// Instantaneous RF frequency at waveform-local time `t` (seconds).
+    pub fn freq_at(&self, t: f64) -> f64 {
+        self.sweep.sawtooth_freq_at(t)
     }
 
     /// RF frequency range swept by this component.
     pub fn freq_range(&self) -> (f64, f64) {
-        match self.profile {
-            FreqProfile::Constant(f) => (f, f),
-            FreqProfile::Sawtooth(c) | FreqProfile::Triangular(c) => (c.f_start, c.f_stop),
-        }
-    }
-}
-
-/// Folds a frequency profile into a fingerprint, domain-separated by a
-/// discriminant word so e.g. `Constant(f)` and a degenerate chirp at
-/// `f` cannot collide.
-pub(crate) fn fold_profile(h: &mut Fnv, p: &FreqProfile) {
-    match p {
-        FreqProfile::Constant(f) => {
-            h.word(1);
-            h.f64(*f);
-        }
-        FreqProfile::Sawtooth(c) | FreqProfile::Triangular(c) => {
-            h.word(if matches!(p, FreqProfile::Sawtooth(_)) {
-                2
-            } else {
-                3
-            });
-            h.f64(c.f_start);
-            h.f64(c.f_stop);
-            h.f64(c.duration);
-            h.f64(c.fs);
-            h.f64(c.amplitude);
-        }
+        (self.sweep.f_start, self.sweep.f_stop)
     }
 }
 
@@ -112,9 +61,8 @@ pub(crate) fn fold_profile(h: &mut Fnv, p: &FreqProfile) {
 /// [`ChannelWorkspace`]. A cached Field-2 ray-table build reads its FSA
 /// gain factor by grid index from the workspace's gain-curve cache,
 /// which computes each (FSA, incidence, band) curve once (DESIGN.md
-/// §13.5); the one-shot port render fills its curve in the pooled
-/// scratch, and the one-shot monostatic reference evaluates the gain
-/// point by point, all bitwise the same.
+/// §13.5), and the one-shot monostatic reference evaluates the gain
+/// point by point, bitwise the same.
 #[derive(Default)]
 pub(crate) struct FreqLut {
     f_lo: f64,
@@ -449,49 +397,6 @@ impl Scene {
     // Wideband signal-level operations
     // -----------------------------------------------------------------
 
-    /// The signal arriving *inside* the node at FSA port `port` (one-way,
-    /// downlink direction), including the frequency-dependent FSA beam
-    /// gain, into `out` (rate, carrier and samples overwritten, capacity
-    /// reused). Noiseless; the envelope detector adds its own noise.
-    ///
-    /// A one-shot render: the port's FSA gain curve and the one-way
-    /// amplitude LUT are filled in `ws`'s pooled scratch and the LUT is
-    /// read at every sample's instantaneous emitted frequency. It leaves
-    /// no cache entry in `ws`.
-    pub fn to_node_port_into(
-        &self,
-        ws: &mut ChannelWorkspace,
-        comp: &TxComponent,
-        pose: &Pose,
-        fsa: &DualPortFsa,
-        port: Port,
-        out: &mut Signal,
-    ) {
-        let d = self.tx_pos.distance_to(&pose.position);
-        let tau = d / SPEED_OF_LIGHT;
-        let fc = comp.signal.fc;
-        let fs = comp.signal.fs;
-        let g_tx = self.tx_gain_towards(&pose.position, fc);
-        let carrier_phase = Cpx::cis(-2.0 * PI * fc * tau);
-        let inc = pose.incidence_from(&self.tx_pos);
-
-        let (f_lo, f_hi) = comp.freq_range();
-        let RenderScratch { curve, luts, .. } = &mut ws.scratch;
-        gain_curve(fsa, port, inc, (f_lo, f_hi), curve);
-        let lut = &mut luts[0];
-        lut.fill(f_lo, f_hi, |i, f| {
-            one_way_rx_power(1.0, g_tx, curve[i], d, f).sqrt()
-        });
-        out.fs = fs;
-        out.fc = fc;
-        comp.signal.delayed_into(tau, &mut out.samples);
-        for (i, c) in out.samples.iter_mut().enumerate() {
-            let t_emit = i as f64 / fs - tau;
-            let amp = lut.get(comp.profile.freq_at(t_emit.max(0.0)));
-            *c *= carrier_phase * amp;
-        }
-    }
-
     /// Monostatic capture at RX antenna `rx_idx` with every backscatter
     /// node in `nodes` (SDM operation, paper §7): each node's return
     /// through both FSA ports (weighted by its time-varying reflection
@@ -636,7 +541,7 @@ impl Scene {
         out.samples.clear();
         out.samples.resize(n, ZERO);
         self.add_static_paths(comp, rx_idx, &mut out.samples);
-        let RenderScratch { rays, luts, .. } = &mut ws.scratch;
+        let RenderScratch { rays, luts } = &mut ws.scratch;
         for node in nodes {
             let inc = node.pose.incidence_from(&self.tx_pos);
             let gain = |port, _, f| node.fsa.gain(port, inc, f);
@@ -725,7 +630,7 @@ impl Scene {
         for i in 0..n {
             let t = i as f64 / fs;
             let t_emit = (t - tau_rt).max(0.0);
-            let f_inst = comp.profile.freq_at(t_emit);
+            let f_inst = comp.freq_at(t_emit);
             amp_a.push(lut_a.get(f_inst));
             amp_b.push(lut_b.get(f_inst));
             if mirror.is_some() {
@@ -895,27 +800,13 @@ fn cached_curves<'c>(
         f_hi: f_hi.to_bits(),
     };
     curves.get_or_build(key, || {
+        let (step, points) = FreqLut::grid(f_lo, f_hi);
         Port::BOTH.map(|port| {
-            let mut curve = Vec::new();
-            gain_curve(fsa, port, inc, (f_lo, f_hi), &mut curve);
+            let mut curve = vec![0.0; points];
+            fsa.gain_curve_into(port, inc, f_lo, step, &mut curve);
             curve
         })
     })
-}
-
-/// Fills `curve` with `port`'s FSA gain at incidence `inc` on the LUT
-/// grid of the band `f_lo..=f_hi`, reusing its buffer.
-fn gain_curve(
-    fsa: &DualPortFsa,
-    port: Port,
-    inc: f64,
-    (f_lo, f_hi): (f64, f64),
-    curve: &mut Vec<f64>,
-) {
-    let (step, points) = FreqLut::grid(f_lo, f_hi);
-    curve.clear();
-    curve.resize(points, 0.0);
-    fsa.gain_curve_into(port, inc, f_lo, step, curve);
 }
 
 /// Replays one node's hoisted [`RayTables`] against its Γ runs,
@@ -1005,15 +896,33 @@ mod tests {
         }]
     }
 
+    /// A tone at RF `f`: the zero-span sweep.
+    fn tone(signal: Signal, f: f64) -> TxComponent {
+        let sweep = ChirpConfig {
+            f_start: f,
+            f_stop: f,
+            duration: signal.duration(),
+            fs: signal.fs,
+            amplitude: 1.0,
+        };
+        TxComponent { signal, sweep }
+    }
+
     #[test]
-    fn freq_profile_evaluation() {
+    fn component_frequency_follows_its_sweep() {
         let cfg = ChirpConfig::milback_sawtooth();
-        let p = FreqProfile::Sawtooth(cfg);
-        assert_eq!(p.freq_at(0.0), 26.5e9);
-        let p = FreqProfile::Constant(27.5e9);
-        assert_eq!(p.freq_at(1.0), 27.5e9);
-        let p = FreqProfile::Triangular(ChirpConfig::milback_triangular());
-        assert_eq!(p.freq_at(22.5e-6), 29.5e9);
+        let chirp = TxComponent {
+            signal: Signal::zeros(cfg.fs, cfg.center(), 0),
+            sweep: cfg,
+        };
+        assert_eq!(chirp.freq_at(0.0), 26.5e9);
+        assert_eq!(chirp.freq_at(cfg.duration), 29.5e9);
+        assert_eq!(chirp.freq_range(), (26.5e9, 29.5e9));
+        let tone = tone(Signal::tone(1e8, 27.5e9, 0.0, 1.0, 100), 27.5e9);
+        for t in [0.0, 0.3e-6, 1.0] {
+            assert_eq!(tone.freq_at(t), 27.5e9);
+        }
+        assert_eq!(tone.freq_range(), (27.5e9, 27.5e9));
     }
 
     #[test]
@@ -1068,25 +977,6 @@ mod tests {
     }
 
     #[test]
-    fn to_node_port_power_matches_tone_gain() {
-        let scene = Scene::free_space();
-        let fsa = DualPortFsa::milback();
-        let pose = Pose::facing_ap(2.0, 0.0, 0.0);
-        let f = fsa.frequency_for_angle(Port::A, 0.0).unwrap();
-        let fs = 1e8;
-        let sig = Signal::tone(fs, f, 0.0, 1.0, 2000);
-        let comp = TxComponent::tone(sig, f);
-        let mut rx = Signal::zeros(fs, f, 0);
-        let mut ws = ChannelWorkspace::new();
-        scene.to_node_port_into(&mut ws, &comp, &pose, &fsa, Port::A, &mut rx);
-        let expected = scene.tone_gain_to_port(&pose, &fsa, Port::A, f);
-        // Skip the first samples affected by the delay zero-fill.
-        let p: f64 =
-            rx.samples[100..].iter().map(|c| c.norm_sq()).sum::<f64>() / (rx.len() - 100) as f64;
-        assert!((p / expected - 1.0).abs() < 0.05, "p {p} vs {expected}");
-    }
-
-    #[test]
     fn monostatic_reflective_vs_absorptive_contrast() {
         let scene = Scene::free_space();
         let fsa = DualPortFsa::milback();
@@ -1094,7 +984,7 @@ mod tests {
         let f = fsa.frequency_for_angle(Port::A, 0.0).unwrap();
         let fs = 1e8;
         let sig = Signal::tone(fs, f, 0.0, 1.0, 2000);
-        let comp = TxComponent::tone(sig, f);
+        let comp = tone(sig, f);
         let g_refl = static_gamma(true, &comp);
         let g_abs = static_gamma(false, &comp);
         let node_r = NodeInterface {
@@ -1123,7 +1013,7 @@ mod tests {
         let pose = Pose::facing_ap(2.0, 0.0, 0.0);
         let f = fsa.frequency_for_angle(Port::A, 0.0).unwrap();
         let fs = 1e8;
-        let comp = TxComponent::tone(Signal::tone(fs, f, 0.0, 1.0, 4000), f);
+        let comp = tone(Signal::tone(fs, f, 0.0, 1.0, 4000), f);
         // Only port A reflective, |Γ| = 1, port B perfectly absorbing.
         let g = [GammaRun {
             end: comp.signal.len(),
@@ -1152,7 +1042,7 @@ mod tests {
         // Node far off to the side so its return is negligible.
         let pose = Pose::facing_ap(2.0, deg_to_rad(80.0), 0.0);
         let f = 28e9;
-        let comp = TxComponent::tone(Signal::tone(1e8, f, 0.0, 1.0, 2000), f);
+        let comp = tone(Signal::tone(1e8, f, 0.0, 1.0, 2000), f);
         let g = static_gamma(false, &comp);
         let node = NodeInterface {
             pose,
@@ -1172,7 +1062,7 @@ mod tests {
         let fsa = DualPortFsa::milback();
         let pose = Pose::facing_ap(8.0, 0.0, 0.0);
         let f = fsa.frequency_for_angle(Port::A, 0.0).unwrap();
-        let comp = TxComponent::tone(Signal::tone(1e8, f, 0.0, 1.0, 2000), f);
+        let comp = tone(Signal::tone(1e8, f, 0.0, 1.0, 2000), f);
         let g = static_gamma(true, &comp);
         let node = NodeInterface {
             pose,
@@ -1195,7 +1085,7 @@ mod tests {
         let pose1 = Pose::facing_ap(2.0, deg_to_rad(-10.0), 0.0);
         let pose2 = Pose::facing_ap(4.0, deg_to_rad(15.0), 0.0);
         let f = fsa.frequency_for_angle(Port::A, 0.0).unwrap();
-        let comp = TxComponent::tone(Signal::tone(1e8, f, 0.0, 1.0, 1000), f);
+        let comp = tone(Signal::tone(1e8, f, 0.0, 1.0, 1000), f);
         let g1 = static_gamma(true, &comp);
         let g2 = static_gamma(true, &comp);
         let n1 = NodeInterface {
@@ -1242,7 +1132,7 @@ mod tests {
         let cfg = ChirpConfig::milback_sawtooth();
         let comp = TxComponent {
             signal: cfg.sawtooth(),
-            profile: FreqProfile::Sawtooth(cfg),
+            sweep: cfg,
         };
         let wave_fp = crate::workspace::wave_fingerprint(&comp);
         let g_t = static_gamma(true, &comp);
@@ -1330,7 +1220,7 @@ mod tests {
         let phi = deg_to_rad(20.0);
         let pose = Pose::facing_ap(3.0, phi, 0.0);
         let f = fsa.frequency_for_angle(Port::A, 0.0).unwrap();
-        let comp = TxComponent::tone(Signal::tone(1e8, f, 0.0, 1.0, 1000), f);
+        let comp = tone(Signal::tone(1e8, f, 0.0, 1.0, 1000), f);
         let g = static_gamma(true, &comp);
         let node = NodeInterface {
             pose,

@@ -98,7 +98,7 @@ impl Fnv {
 }
 
 /// Fingerprint of a transmitted component: sample rate, carrier,
-/// frequency profile and every sample's bit pattern. Two components
+/// sweep and every sample's bit pattern. Two components
 /// with equal fingerprints render identically through the channel.
 ///
 /// Only the Field-2 burst computes it: once per chirp config, kept with
@@ -107,7 +107,16 @@ pub fn wave_fingerprint(comp: &TxComponent) -> u64 {
     let mut h = Fnv::new();
     h.f64(comp.signal.fs);
     h.f64(comp.signal.fc);
-    crate::channel::fold_profile(&mut h, &comp.profile);
+    let sweep = &comp.sweep;
+    for f in [
+        sweep.f_start,
+        sweep.f_stop,
+        sweep.duration,
+        sweep.fs,
+        sweep.amplitude,
+    ] {
+        h.f64(f);
+    }
     h.word(comp.signal.len() as u64);
     for c in &comp.signal.samples {
         h.f64(c.re);
@@ -261,15 +270,13 @@ pub struct ChannelWorkspace {
 pub(crate) type GainCurves = Lru<CurveKey, CurvePair>;
 
 /// The pooled buffers a render builds its tables in: one node's ray
-/// tables for a one-shot monostatic render, the frequency LUTs (port A,
-/// port B, mirror) of every table build, and the FSA gain curve of a
-/// one-shot port render. Rebuilt, never looked up, so a one-shot render
-/// leaves nothing behind but capacity.
+/// tables for a one-shot monostatic render and the frequency LUTs (port
+/// A, port B, mirror) of every table build. Rebuilt, never looked up, so
+/// a one-shot render leaves nothing behind but capacity.
 #[derive(Default)]
 pub(crate) struct RenderScratch {
     pub rays: RayTables,
     pub luts: [FreqLut; 3],
-    pub curve: Vec<f64>,
 }
 
 impl ChannelWorkspace {
@@ -335,8 +342,10 @@ mod tests {
 
     #[test]
     fn wave_fingerprint_separates_contents_and_metadata() {
-        let mk =
-            |f_off: f64| TxComponent::tone(Signal::tone(1e8, 28e9, f_off, 1.0, 64), 28e9 + f_off);
+        let mk = |f_off: f64| TxComponent {
+            signal: Signal::tone(1e8, 28e9, f_off, 1.0, 64),
+            sweep: milback_dsp::chirp::ChirpConfig::milback_sawtooth(),
+        };
         let a = wave_fingerprint(&mk(0.0));
         let b = wave_fingerprint(&mk(1e6));
         assert_ne!(a, b, "different samples must fingerprint differently");

@@ -11,12 +11,10 @@ use milback_dsp::chirp::ChirpConfig;
 use milback_dsp::signal::Signal;
 use milback_hw::switch::{SpdtSwitch, SwitchSchedule, SwitchState};
 use milback_node::node::fill_gamma_runs;
-use milback_proto::packet::LinkMode;
-use milback_rf::channel::{FreqProfile, GammaRun, NodeInterface, Reflector, Scene, TxComponent};
+use milback_rf::channel::{GammaRun, NodeInterface, Reflector, Scene, TxComponent};
 use milback_rf::fsa::DualPortFsa;
 use milback_rf::geometry::{deg_to_rad, Point, Pose};
 use milback_rf::{wave_fingerprint, ChannelWorkspace};
-use rand::Rng;
 
 /// A short Field-2-style chirp (800 samples) so each uncached reference
 /// render stays cheap.
@@ -30,7 +28,7 @@ fn test_component() -> TxComponent {
     };
     TxComponent {
         signal: cfg.sawtooth(),
-        profile: FreqProfile::Sawtooth(cfg),
+        sweep: cfg,
     }
 }
 
@@ -248,7 +246,7 @@ fn scene_and_node_mutations_invalidate_the_cache() {
     assert_ne!(moved.samples, steered.samples, "re-steering had no effect");
 
     // Clutter mutation through the public field (no setter involved).
-    scene.clutter.push(milback_rf::channel::Reflector {
+    scene.clutter.push(Reflector {
         position: Point::new(5.0, 0.5),
         rcs: 0.4,
     });
@@ -357,7 +355,7 @@ fn parked_neighbour_burst_matches_the_pooled_composition() {
     cfg.amplitude = net.ap.tx.amplitude();
     let comp = TxComponent {
         signal: cfg.sawtooth(),
-        profile: FreqProfile::Sawtooth(cfg),
+        sweep: cfg,
     };
     assert_eq!(tx.samples, comp.signal.samples);
     let (fs, n) = (comp.signal.fs, comp.signal.len());
@@ -422,21 +420,32 @@ fn parked_neighbour_burst_matches_the_pooled_composition() {
     }
 }
 
-/// The one-shot renders (`to_node_port_into` and
-/// `monostatic_rx_multi_uncached_into`) build their tables in the
-/// workspace's pooled scratch: through one scratch shared by renders of
-/// other waveforms, lengths, scenes (mirror on and off) and ports, each
-/// must equal the same render through a fresh workspace, and none may
-/// leave a cache entry behind.
+/// The one-shot render (`monostatic_rx_multi_uncached_into`) builds its
+/// tables in the workspace's pooled scratch: through one scratch shared
+/// by renders of other waveforms, lengths and scenes (mirror on and off),
+/// each must equal the same render through a fresh workspace, and none
+/// may leave a cache entry behind.
 #[test]
 fn one_shot_renders_through_a_shared_scratch_match_fresh_ones() {
-    use milback_rf::fsa::Port;
-
     let fsa = DualPortFsa::milback();
     let pose = Pose::facing_ap(2.0, deg_to_rad(-3.0), deg_to_rad(12.0));
     let chirp = test_component();
-    let tone = |f: f64, n| TxComponent::tone(Signal::tone(1.6e9, 28e9, f - 28e9, 0.7, n), f);
-    let comps = [chirp.clone(), tone(27.9e9, 1_300), tone(28.3e9, 500), chirp];
+    // A tone is the zero-span sweep.
+    let tone = |f: f64, n| {
+        let signal = Signal::tone(1.6e9, 28e9, f - 28e9, 0.7, n);
+        let sweep = ChirpConfig {
+            f_start: f,
+            f_stop: f,
+            ..chirp.sweep
+        };
+        TxComponent { signal, sweep }
+    };
+    let comps = [
+        chirp.clone(),
+        tone(27.9e9, 1_300),
+        tone(28.3e9, 500),
+        chirp.clone(),
+    ];
     let mut shared = ChannelWorkspace::default();
     for (k, comp) in comps.iter().enumerate() {
         let mut scene = Scene::milback_indoor();
@@ -445,13 +454,6 @@ fn one_shot_renders_through_a_shared_scratch_match_fresh_ones() {
         }
         scene.steer_towards(&pose.position);
         let fresh = || Signal::new(1.0, 0.0, Vec::new());
-        for port in Port::BOTH {
-            let (mut got, mut want) = (fresh(), fresh());
-            scene.to_node_port_into(&mut shared, comp, &pose, &fsa, port, &mut got);
-            let mut cold = ChannelWorkspace::default();
-            scene.to_node_port_into(&mut cold, comp, &pose, &fsa, port, &mut want);
-            assert_eq!(got.samples, want.samples, "render {k}: {port:?} port");
-        }
         let gamma = square_runs(40e6, 0.0, comp);
         let node = NodeInterface {
             pose,
@@ -559,77 +561,4 @@ fn gain_curves_are_shared_across_steers_and_keyed_on_fsa_and_incidence() {
         "re-steer rebuilt ray tables or gain curves"
     );
     assert!(hits() > hits_before, "no gain-curve cache hit was counted");
-}
-
-/// Everything Field 1 hands on from a network: both node ADC captures
-/// (as bits), the decoded mode of an uplink and a downlink Field 1, and
-/// the next RNG draw, which moves if a reception drew a different number
-/// of variates.
-type Field1Outcome = (Vec<u64>, Vec<u64>, [Option<LinkMode>; 2], u64);
-
-fn field1_outcome(net: &mut Network) -> Field1Outcome {
-    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-    let (a, b) = net.field1_node_captures().expect("renderable pose");
-    let modes = [
-        net.signal_mode(LinkMode::Uplink),
-        net.signal_mode(LinkMode::Downlink),
-    ];
-    (bits(a), bits(b), modes, net.rng().gen())
-}
-
-/// The node's noiseless Field-1 videos are cached per network and keyed
-/// on their content. Warm a network, change one input, and everything
-/// Field 1 hands on must equal what a network that never rendered Field
-/// 1 gives with the same change, bit for bit. Every change but the
-/// clutter reaches the node's one-way path, so it must also move the
-/// captures: a cache that missed the change would replay the old ones.
-#[test]
-fn field1_video_cache_follows_every_input() {
-    type Edit = fn(&mut Network);
-    let pose = Pose::facing_ap(2.0, deg_to_rad(5.0), deg_to_rad(8.0));
-    let seed = 0xF1E1_D00D;
-    let edits: [(&str, Edit, bool); 6] = [
-        (
-            "node pose",
-            |net| net.set_node_pose(Pose::facing_ap(2.6, deg_to_rad(-4.0), deg_to_rad(-6.0))),
-            true,
-        ),
-        (
-            "clutter reflector",
-            |net| {
-                net.scene.clutter.push(Reflector {
-                    position: Point::new(4.0, -1.0),
-                    rcs: 0.5,
-                })
-            },
-            false,
-        ),
-        (
-            "TX horn gain",
-            |net| net.scene.tx_antenna.peak_dbi -= 3.0,
-            true,
-        ),
-        ("TX power", |net| net.ap.tx.power_dbm -= 3.0, true),
-        (
-            "implementation loss",
-            |net| net.node.impl_loss_db += 2.0,
-            true,
-        ),
-        ("fidelity", |net| net.fidelity = Fidelity::Paper, true),
-    ];
-    for (name, edit, moves) in edits {
-        let mut warm = Network::new(pose, Fidelity::Fast, seed);
-        let before = field1_outcome(&mut warm);
-        edit(&mut warm);
-        warm.reseed(seed);
-        let mut fresh = Network::new(pose, Fidelity::Fast, seed);
-        edit(&mut fresh);
-        let got = field1_outcome(&mut warm);
-        assert!(
-            got == field1_outcome(&mut fresh),
-            "{name}: stale Field-1 videos"
-        );
-        let same = (&before.0, &before.1) == (&got.0, &got.1);
-        assert_eq!(same, !moves, "{name}: captures moved: {}", !same);
-    }
 }

@@ -7,8 +7,9 @@
 //! whether a batch ran with one worker (`MILBACK_THREADS=1` equivalent)
 //! or many. This file is the acceptance test for that contract, and
 //! for the meaning of the work counters (one `dsp.fft.size` sample per
-//! transform, one `node.field1.video.render` per Field-1 video render,
-//! one `dsp.noise.variates` count per normal variate computed).
+//! transform, one `node.adc.reads` per ADC read a Field-1 reception
+//! evaluates, one `dsp.noise.variates` count per normal variate
+//! computed).
 
 use milback::batch::{derive_seed, par_map_with_threads};
 use milback::chaos::{chaos_sweep_with_threads, ChaosPoint};
@@ -196,43 +197,6 @@ fn padded_range_transform_records_one_fft_sample_and_one_spectrum() {
     );
 }
 
-/// `node.field1.video.render` counts renders of the node's noiseless
-/// Field-1 port videos, which are cached per network and pose: the
-/// first uplink session on a network renders them once (its mode
-/// signalling and node-side orientation share them), and a downlink and
-/// an uplink session after it on the same network render none. A
-/// Field-1 path that bypassed the cache would count one per chirp.
-#[test]
-fn field1_videos_render_once_per_network() {
-    let _gate = registry_lock();
-    let was = telemetry::enabled();
-    telemetry::set_enabled(true);
-    let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(12.0));
-    let mut net = Network::new(pose, Fidelity::Fast, 0xF1E1);
-    let session = Session::new(SessionConfig::milback());
-    let mut renders = |packets: &[Packet]| {
-        telemetry::reset();
-        for packet in packets {
-            let report = session.run(&mut net, packet);
-            assert!(report.is_ok(), "{:?} exchange at 2 m failed", packet.mode);
-        }
-        let snap = telemetry::snapshot();
-        snap.counters
-            .get("node.field1.video.render")
-            .copied()
-            .unwrap_or(0)
-    };
-    let first = renders(&[Packet::uplink(vec![0xC3; 16])]);
-    let repeat = renders(&[
-        Packet::downlink((0..16).collect()),
-        Packet::uplink(vec![0x3C; 16]),
-    ]);
-    telemetry::set_enabled(was);
-
-    assert_eq!(first, 1, "first uplink session");
-    assert_eq!(repeat, 0, "repeat sessions rendered Field 1 again");
-}
-
 /// Only Field 2 repeats a waveform within a packet, so only Field 2
 /// renders through the channel caches. Once one ctx has localized each
 /// of four roster networks, alternating uplink and downlink sessions on
@@ -332,9 +296,10 @@ fn field2_renders_once_per_session() {
 /// - A warmed localization fix: 10 captures (5 chirps × 2 antennas) ×
 ///   6400 samples × 2 components, plus one trigger-jitter draw per
 ///   chirp.
-/// - A Field-1 reception (both ports): the detector noise at the ADC's
-///   read indices only, 2 ports × 45 ADC instants × 2 interpolated
-///   samples, not 2 × 144,000 video samples.
+/// - A Field-1 reception (both ports): 2 ports × 45 ADC instants over
+///   the 45 µs chirp, each one evaluation of the detector law
+///   (`node.adc.reads`) and one variate, and nothing at the chirp's
+///   RF-span rate.
 #[test]
 fn noise_variates_are_pinned_per_fix_and_per_field1_reception() {
     let _gate = registry_lock();
@@ -342,18 +307,16 @@ fn noise_variates_are_pinned_per_fix_and_per_field1_reception() {
     telemetry::set_enabled(true);
     let pose = Pose::facing_ap(2.5, 0.0, deg_to_rad(8.0));
     let mut net = Network::new(pose, Fidelity::Fast, 0x1ED6);
-    let variates = |net: &mut Network, run: fn(&mut Network) -> bool| {
+    let work = |net: &mut Network, run: fn(&mut Network) -> bool| {
         assert!(run(net), "warm-up failed");
         telemetry::reset();
         assert!(run(net), "counted run failed");
-        let n = telemetry::snapshot()
-            .counters
-            .get("dsp.noise.variates")
-            .copied();
-        n.unwrap_or(0)
+        let snap = telemetry::snapshot();
+        let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        (count("dsp.noise.variates"), count("node.adc.reads"))
     };
-    let fix = variates(&mut net, |net| net.localize().is_some());
-    let field1 = variates(&mut net, |net| net.field1_node_captures().is_some());
+    let (fix, _) = work(&mut net, |net| net.localize().is_some());
+    let (field1, reads) = work(&mut net, |net| net.field1_node_captures().is_some());
     telemetry::set_enabled(was);
 
     let capture = Fidelity::Fast.sawtooth().n_samples() as u64;
@@ -361,18 +324,16 @@ fn noise_variates_are_pinned_per_fix_and_per_field1_reception() {
     assert_eq!(fix, 10 * capture * 2 + 5, "variates per warmed fix");
     assert_eq!(fix, 128_005);
 
-    let chirp = Fidelity::Fast.triangular();
-    let reads = net
-        .node
-        .adc
-        .read_indices(chirp.n_samples(), chirp.fs)
-        .count() as u64;
-    assert_eq!(field1, 2 * reads, "variates per Field-1 reception");
-    assert_eq!(field1, 180);
-    assert!(
-        field1 * 100 < chirp.n_samples() as u64,
-        "Field 1 noised unread samples"
+    let chirp = Fidelity::Fast.packet().field1_chirp;
+    let instants = (chirp.duration * net.node.adc.sample_rate).floor() as u64;
+    assert_eq!(instants, 45);
+    assert_eq!(
+        reads,
+        2 * instants,
+        "detector-law reads per Field-1 reception"
     );
+    assert_eq!(field1, reads, "variates per Field-1 reception");
+    assert_eq!(field1, 90);
 }
 
 /// The link's work ledger: a 16-byte transfer at 1 Msym/s renders its
@@ -426,9 +387,9 @@ fn link_work_is_pinned_per_transfer() {
     assert_eq!(uplink, (1_408, 2_816));
 }
 
-/// A silent Field-1 slot counts what sampling an all-zero video counts:
-/// one variate per ADC read sample, also at rates where conversion
-/// instants share input samples.
+/// A silent Field-1 slot is a reception of a zero port power: it counts
+/// what a lit reception over the same window counts, one detector-law
+/// read and one variate per ADC instant, at any window length.
 #[test]
 fn silence_counts_the_variates_of_sampling_a_zero_video() {
     use rand::rngs::StdRng;
@@ -438,25 +399,24 @@ fn silence_counts_the_variates_of_sampling_a_zero_video() {
     let was = telemetry::enabled();
     telemetry::set_enabled(true);
     let node = milback_node::BackscatterNode::milback(Pose::facing_ap(2.0, 0.0, 0.0));
-    let variates = |run: &dyn Fn()| {
+    let work = |p: f64, duration: f64| {
         telemetry::reset();
-        run();
-        let n = telemetry::snapshot()
-            .counters
-            .get("dsp.noise.variates")
-            .copied();
-        n.unwrap_or(0)
+        node.receive(duration, |_| p, &mut StdRng::seed_from_u64(1));
+        let snap = telemetry::snapshot();
+        let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        (count("dsp.noise.variates"), count("node.adc.reads"))
     };
-    for (len, fs) in [(144_000, 1.44e9), (7_001, 3.3e8), (50, 1.5e6)] {
-        let reads = node.adc.read_indices(len, fs).count() as u64;
-        let silence = variates(&|| {
-            node.receive_silence(len, fs, &mut StdRng::seed_from_u64(1));
-        });
-        let video = variates(&|| {
-            node.sample_video(&mut vec![0.0; len], fs, &mut StdRng::seed_from_u64(1));
-        });
-        assert_eq!(silence, reads, "silence, {len} samples at {fs}");
-        assert_eq!(video, reads, "zero video, {len} samples at {fs}");
+    for (duration, instants) in [(45e-6, 45), (7.5e-6, 7), (0.5e-6, 0)] {
+        assert_eq!(
+            work(0.0, duration),
+            (instants, instants),
+            "silence over {duration} s"
+        );
+        assert_eq!(
+            work(1e-6, duration),
+            (instants, instants),
+            "a lit port over {duration} s"
+        );
     }
     telemetry::set_enabled(was);
 }
