@@ -258,7 +258,7 @@ fn drifting_two_ap_round_digests_are_pinned() {
     let digests = [fabric.run_round(1).digest, fabric.run_round(1).digest];
     assert_eq!(
         digests,
-        [0x0793_2b40_e51e_1873, 0x1873_caf5_fc38_4647],
+        [0x3f96_a8d9_8eda_2af9, 0x37a2_ba9c_237a_4328],
         "round digests moved: [{:#018x}, {:#018x}]",
         digests[0],
         digests[1]
@@ -302,5 +302,5 @@ fn drifting_round_ray_table_builds_are_pinned() {
         "net.interference.rays",
     ]
     .map(count);
-    assert_eq!(ledger, [18, 126, 9, 54], "round work moved: {ledger:?}");
+    assert_eq!(ledger, [24, 136, 10, 60], "round work moved: {ledger:?}");
 }

@@ -277,7 +277,7 @@ fn faulted_schedule_digest_is_pinned() {
         "the pinned schedule no longer exercises the failure path"
     );
     assert_eq!(
-        report.outcome_digest, 0xd84a_bdb2_cbd2_4ad2,
+        report.outcome_digest, 0x085d_2be4_d2b3_95c9,
         "outcome digest moved: {:#018x}",
         report.outcome_digest
     );
