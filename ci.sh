@@ -205,6 +205,14 @@ if grep -rnE '\b(Field1Videos|warm_field1_videos|port_video_into|to_node_port_in
     echo "a chirp-rate Field-1 path is back (matches above)" >&2
     exit 1
 fi
+# The node's Γ has the two shapes its switches take (DESIGN.md §13.1):
+# one per Field-2 chirp and one per uplink symbol. No general
+# switch-schedule engine, Γ-run list or modulation-frequency setting
+# comes back.
+if grep -rnE '\b(SwitchSchedule|for_each_state_run|fill_gamma_runs|gamma_runs_into|modulate_uplink_into|GammaRun|localization_mod_freq)\b' crates tests examples src; then
+    echo "a retired switch-schedule or Γ-run name is back (matches above)" >&2
+    exit 1
+fi
 
 echo "==> one dispatcher (thread::scope once, in crates/core/src/batch.rs; thread::spawn/Builder only in crates/dsp/src/par.rs)"
 # Worker threads start in one place, batch::run_stealing_with_threads

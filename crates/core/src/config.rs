@@ -45,16 +45,6 @@ impl Fidelity {
             ..PacketConfig::milback()
         }
     }
-
-    /// Node modulation frequency during Field 2, chosen so the state
-    /// holds for exactly two chirps (half-period = 2 chirps): the chirp
-    /// sequence sees states R,R,A,A,R, so two of the four pairwise
-    /// differences carry the full node contrast and none straddles a
-    /// mid-chirp flip. With the paper's 18 µs chirps this is ≈ 14 kHz —
-    /// the same regime as the paper's "10 kHz rate".
-    pub fn localization_mod_freq(self) -> f64 {
-        1.0 / (4.0 * self.sawtooth().duration)
-    }
 }
 
 /// AP receiver parameters beyond the ideal front-end models.
@@ -103,8 +93,10 @@ mod tests {
         let p = Fidelity::Paper;
         assert!((p.sawtooth().duration - 18e-6).abs() < 1e-12);
         assert_eq!(p.packet().field1_chirp, ChirpConfig::milback_triangular());
-        // ~11 kHz — the paper's "10 kHz rate".
-        let f = p.localization_mod_freq();
+        // The node toggles port A every two chirps
+        // (`BackscatterNode::field2_gamma`): a square wave at
+        // 1/(4·T_chirp), ≈ 14 kHz — the paper's "10 kHz rate".
+        let f = 1.0 / (4.0 * p.sawtooth().duration);
         assert!((9e3..15e3).contains(&f), "{f}");
     }
 

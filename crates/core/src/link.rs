@@ -4,9 +4,10 @@
 //!
 //! Both directions render the payload at the receiver's detection
 //! bandwidth, not at an RF span (DESIGN.md §5): the uplink as each RX
-//! branch's complex envelope at its query tone, one value per Γ run from
-//! [`milback_rf::channel::Scene::tone_response`]; the downlink as each
-//! port's detector video, one of four input levels per symbol.
+//! branch's complex envelope at its query tone, one value per symbol
+//! segment from [`milback_rf::channel::Scene::tone_response`]; the
+//! downlink as each port's detector video, one of four input levels per
+//! symbol.
 //!
 //! All per-transfer working buffers live in `LinkScratch`, pooled in
 //! the caller's [`SessionCtx`]: a warmed downlink or uplink performs zero
@@ -20,14 +21,12 @@ use milback_ap::tone_select::{select_tones, ToneSelection};
 use milback_ap::uplink::{UplinkReceiver, UplinkScratch, UPLINK_PILOT};
 use milback_dsp::signal::Signal;
 use milback_hw::power::NodeMode;
-use milback_hw::switch::{SwitchSchedule, SwitchState};
 use milback_node::demod::{
     demodulate_oaqfm_into, demodulate_ook_into, DemodScratch, EnvelopeSlicer,
 };
-use milback_node::modulator::modulate_uplink_into;
+use milback_node::node::uplink_fill_into;
 use milback_proto::bits::{bit_errors, bits_to_symbols_into, symbols_to_bits_into, OaqfmSymbol};
 use milback_proto::frame::{decode_frame_with, encode_frame_into, FrameError, FrameScratch};
-use milback_rf::channel::GammaRun;
 use milback_rf::faults::RfBand;
 use milback_rf::fsa::Port;
 use milback_telemetry as telemetry;
@@ -52,13 +51,6 @@ fn downlink_rate_ok(symbol_rate: f64) -> bool {
     symbol_rate > 0.0 && symbol_rate <= MAX_DOWNLINK_SYMBOL_RATE
 }
 
-/// Whether `symbol_rate` can size an uplink capture at all: finite and
-/// positive. (Rates past the node switch's toggle limit are rejected
-/// after tone planning, by the modulator.)
-fn uplink_rate_ok(symbol_rate: f64) -> bool {
-    symbol_rate.is_finite() && symbol_rate > 0.0
-}
-
 /// Pooled working buffers for downlink/uplink transfers, held by a
 /// [`SessionCtx`]. Every transfer reuses their capacity, so a warmed
 /// link layer stops allocating.
@@ -81,13 +73,6 @@ pub(crate) struct LinkScratch {
     got_bits: Vec<bool>,
     demod: DemodScratch,
     codec: FrameScratch,
-    /// Uplink switch schedules (their event buffers are reclaimed by
-    /// `modulate_uplink_into`).
-    sched_a: SwitchSchedule,
-    sched_b: SwitchSchedule,
-    /// The uplink's Γ runs at the branch rate, filled once per transfer
-    /// from the schedules and shared by both branches.
-    gamma_runs: Vec<GammaRun>,
     /// The uplink's branch envelopes, one per RX antenna.
     rx0: Signal,
     rx1: Signal,
@@ -124,9 +109,6 @@ impl Default for LinkScratch {
             got_bits: Vec::new(),
             demod: DemodScratch::default(),
             codec: FrameScratch::default(),
-            sched_a: SwitchSchedule::Constant(SwitchState::Absorptive),
-            sched_b: SwitchSchedule::Constant(SwitchState::Absorptive),
-            gamma_runs: Vec::new(),
             rx0: sig(),
             rx1: sig(),
             uplink: UplinkScratch::default(),
@@ -204,6 +186,13 @@ fn integration_gain(slicer: &EnvelopeSlicer, video_bandwidth: f64) -> f64 {
 }
 
 impl Network {
+    /// Whether an uplink can run at `symbol_rate`: finite, positive and
+    /// within the node switch's toggle limit (the node toggles each port
+    /// at most once per symbol).
+    fn uplink_rate_ok(&self, symbol_rate: f64) -> bool {
+        symbol_rate.is_finite() && symbol_rate > 0.0 && self.node.switch.supports_rate(symbol_rate)
+    }
+
     /// Chooses OAQFM carriers for the node's current (AP-estimated)
     /// orientation. Uses the true orientation when `use_truth` — handy in
     /// microbenchmarks — otherwise runs AP-side orientation sensing first.
@@ -446,11 +435,11 @@ impl Network {
     /// symbols/s, planning carriers as [`Network::downlink`] does.
     ///
     /// Returns `None` (and counts `core.link.uplink.rejected`) for a
-    /// symbol rate that is not finite and positive, before any sensing;
-    /// `None` before any RNG draw when the node or a parked interferer
-    /// cannot be rendered (see [`Network::localize`]); `None` for a rate
-    /// past the node switch's toggle limit, after tone planning; and
-    /// when no carrier plan exists.
+    /// symbol rate that is not finite and positive or is past the node
+    /// switch's toggle limit, before any sensing or RNG draw; `None`
+    /// before any RNG draw when the node or a parked interferer cannot be
+    /// rendered (see [`Network::localize`]); and `None` when no carrier
+    /// plan exists.
     ///
     /// Steady-state allocations: the decoded payload `Vec<u8>`; the
     /// node, channel and AP receiver buffers are pooled in the thread's
@@ -478,7 +467,7 @@ impl Network {
         tones: impl FnOnce(&mut Self, &mut SessionCtx) -> Option<ToneSelection>,
     ) -> Option<UplinkReport> {
         let _span = telemetry::span("core.link.uplink.ns");
-        if !uplink_rate_ok(symbol_rate) {
+        if !self.uplink_rate_ok(symbol_rate) {
             telemetry::counter_add("core.link.uplink.rejected", 1);
             return None;
         }
@@ -523,30 +512,14 @@ impl Network {
             scr.symbols.extend_from_slice(&scr.frame);
         }
         let n_symbols = scr.symbols.len();
-
-        // The node modulates its ports per symbol. A symbol rate beyond
-        // the switch's capability is a planning error, not a physics
-        // outcome — reject the transfer gracefully instead of panicking.
         let t0 = GUARD_SYMBOLS as f64 / symbol_rate;
-        if modulate_uplink_into(
-            &self.node.switch,
-            &scr.symbols,
-            t0,
-            symbol_rate,
-            &mut scr.sched_a,
-            &mut scr.sched_b,
-        )
-        .is_err()
-        {
-            telemetry::counter_add("core.link.uplink.rejected", 1);
-            return None;
-        }
 
         // Query: guard before and after the modulated payload. Each
         // branch is the complex envelope of its tone after the mixer at
-        // the receiver's branch rate, one value per Γ run: the static
-        // paths plus the node's return at that tone. A single-tone plan
-        // lights both query tones at `f`, so their returns add.
+        // the receiver's branch rate, one value per symbol segment: the
+        // static paths plus the node's return at that tone while its
+        // ports hold the symbol. A single-tone plan lights both query
+        // tones at `f`, so their returns add.
         let mut receiver = UplinkReceiver::milback(symbol_rate);
         // Uplink noise figure: the LNA's own 3 dB (the node's reflected
         // signal is the weak one; the scope contribution is lumped into
@@ -554,8 +527,8 @@ impl Network {
         receiver.lna.nf_db = 3.0;
         let fs = receiver.branch_rate();
         let n = (n_symbols + 2 * GUARD_SYMBOLS) * receiver.samples_per_symbol;
-        self.node
-            .gamma_runs_into(&scr.sched_a, &scr.sched_b, fs, n, &mut scr.gamma_runs);
+        let [off, on] = self.node.port_gammas();
+        let port = |bit: bool| if bit { on } else { off };
         let tones_per_branch = if single { 2.0 } else { 1.0 };
         let amp = tones_per_branch * self.ap.tx.amplitude() / 2f64.sqrt();
         // The AP's RF capture of both tones, which fault noise spans.
@@ -569,10 +542,9 @@ impl Network {
                 .tone_response(&self.node.pose, &self.node.fsa, f, idx);
             branch.fs = fs;
             branch.fc = f;
-            branch.samples.clear();
-            for run in &scr.gamma_runs {
-                branch.samples.resize(run.end, response.at(run.gamma) * amp);
-            }
+            let level = |s: OaqfmSymbol| response.at([port(s.a_on), port(s.b_on)]) * amp;
+            let samples = &mut branch.samples;
+            uplink_fill_into(&scr.symbols, t0, symbol_rate, fs, n, level, samples);
             // Scheduled impairments act on the branch post-synthesis
             // (no-op, bitwise, when the plan is empty).
             self.faults.apply_to_branch(self.clock_s, idx, band, branch);
@@ -890,6 +862,30 @@ mod tests {
                     "facing {facing}°, indoor {indoor}, pass {pass}: branches moved: {digest:#018x}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn uplink_symbol_edges_at_5_msym_are_pinned() {
+        // Each symbol edge is found by the `t0 + k·ts <= i/fs` predicate,
+        // not snapped onto the branch-sample grid `(GUARD_SYMBOLS + k)·8`,
+        // so rounding puts a few one sample late. The DC block's stream
+        // mean reads those samples; the decision window (samples 2–6 of
+        // each symbol) does not. Snapping them would move the uplink pins.
+        let symbol_rate = 5e6;
+        let receiver = UplinkReceiver::milback(symbol_rate);
+        let sps = receiver.samples_per_symbol;
+        let t0 = GUARD_SYMBOLS as f64 / symbol_rate;
+        let edges: Vec<usize> =
+            milback_node::node::symbol_edges(t0, symbol_rate, receiver.branch_rate())
+                .take(31)
+                .collect();
+        let late: Vec<usize> = (0..=30)
+            .filter(|&k| edges[k] != (GUARD_SYMBOLS + k) * sps)
+            .collect();
+        assert_eq!(late, [15, 22, 30]);
+        for k in late {
+            assert_eq!(edges[k], (GUARD_SYMBOLS + k) * sps + 1, "symbol {k}");
         }
     }
 

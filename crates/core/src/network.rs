@@ -15,10 +15,9 @@ use milback_dsp::chirp::ChirpConfig;
 use milback_dsp::noise::{add_awgn, thermal_noise_power};
 use milback_dsp::num::{Cpx, ZERO};
 use milback_dsp::signal::Signal;
-use milback_hw::switch::{SwitchSchedule, SwitchState};
-use milback_node::node::{fill_gamma_runs, BackscatterNode};
+use milback_node::node::BackscatterNode;
 use milback_node::orientation::NodeOrientationEstimator;
-use milback_rf::channel::{GammaRun, NodeInterface, Scene, TxComponent, SELF_INTERFERENCE_DELAY_S};
+use milback_rf::channel::{NodeInterface, Scene, TxComponent, SELF_INTERFERENCE_DELAY_S};
 use milback_rf::faults::FaultPlan;
 use milback_rf::fsa::{DualPortFsa, Port};
 use milback_rf::geometry::{Pose, SPEED_OF_LIGHT};
@@ -46,7 +45,7 @@ pub struct Interferer {
 
 /// Reusable buffers and cached identity for a Field-2 render
 /// (DESIGN.md §13). Holds the TX reference, the per-chirp capture
-/// pairs, the node's Γ runs, the parked neighbours' summed returns, and
+/// pairs, the parked neighbours' summed returns, and
 /// the chirp's channel component with its waveform fingerprint so a
 /// warmed burst re-renders with **zero** heap allocations
 /// (`tests/zero_alloc.rs`).
@@ -61,9 +60,6 @@ pub struct Field2Burst {
     /// the one waveform a packet repeats, and the key of its cached
     /// channel tables.
     comp: Option<(TxComponent, u64)>,
-    /// The node's Γ runs for the chirp being rendered, refilled per
-    /// chirp and shared by both antennas.
-    gamma_runs: Vec<GammaRun>,
     /// Per antenna, the sum of every parked neighbour's return: their Γ
     /// is constant, so it is the same in every chirp and is rendered
     /// once per burst.
@@ -83,7 +79,6 @@ impl Default for Field2Burst {
             tx: empty_signal(),
             captures: Vec::new(),
             comp: None,
-            gamma_runs: Vec::new(),
             parked: [empty_signal(), empty_signal()],
         }
     }
@@ -239,7 +234,7 @@ impl Network {
         let mut chirp_cfg = self.fidelity.sawtooth();
         chirp_cfg.amplitude = self.ap.tx.amplitude();
         // The TX chirp is loop-invariant across chirps AND trials, and
-        // only the node's Γ runs vary with the chirp index: one channel
+        // only the node's Γ varies with the chirp index: one channel
         // component serves every chirp, synthesized and fingerprinted
         // only when the chirp config changes.
         if burst
@@ -261,22 +256,11 @@ impl Network {
         burst.tx.copy_from(&comp.signal);
         let (fs, n) = (comp.signal.fs, comp.signal.len());
 
-        let mod_freq = self.fidelity.localization_mod_freq();
-        let schedule_a = SwitchSchedule::SquareWave {
-            freq_hz: mod_freq,
-            first: SwitchState::Reflective,
-        };
-        let schedule_b = SwitchSchedule::Constant(SwitchState::Absorptive);
-
         let noise_p = thermal_noise_power(burst.tx.fs, self.ap.capture_nf_db);
         burst.captures.truncate(n_chirps);
         while burst.captures.len() < n_chirps {
             burst.captures.push([empty_signal(), empty_signal()]);
         }
-        // Backscatter passes the node's implementation loss twice. This
-        // expression can differ from the node's own `impl_loss_amp()²` in
-        // the last bit, and every Field-2 digest depends on it.
-        let two_way_loss = 10f64.powf(-2.0 * self.node.impl_loss_db / 20.0);
         // Inter-node interference (DESIGN.md §16). A parked neighbor's Γ
         // is constant, so its return is the same in every chirp: each
         // antenna's neighbor sum is rendered once per burst, one replay
@@ -296,31 +280,23 @@ impl Network {
                 sum.samples.clear();
                 sum.samples.resize(n, ZERO);
                 for itf in &self.interferers {
-                    let runs = [GammaRun {
-                        end: n,
-                        gamma: itf.gamma,
-                    }];
                     let node_if = NodeInterface {
                         pose: itf.pose,
                         fsa: &itf.fsa,
-                        gamma: &runs,
+                        gamma: itf.gamma,
                     };
                     self.scene
                         .accumulate_backscatter_into(cw, comp, wave_fp, &node_if, ant, sum);
                 }
             }
         }
-        let switch = self.node.switch;
-        let gamma = |state| switch.gamma(state) * two_way_loss;
         for (i, pair) in burst.captures.iter_mut().enumerate() {
-            // One Γ-run fill per chirp, shared by both antennas.
+            // One Γ per chirp, shared by both antennas.
             let t_off = i as f64 * chirp_cfg.duration;
-            let runs = &mut burst.gamma_runs;
-            fill_gamma_runs(&schedule_a, &schedule_b, gamma, t_off, fs, n, runs);
             let node_if = NodeInterface {
                 pose: self.node.pose,
                 fsa: &self.node.fsa,
-                gamma: runs,
+                gamma: self.node.field2_gamma(i),
             };
             // Common trigger jitter for both antennas of this chirp. The
             // TX and RX share the synthesizer, so jitter shifts only the
@@ -601,6 +577,41 @@ mod tests {
         assert!((net.true_range() - 4.0).abs() < 1e-9);
         assert!((rad_to_deg(net.true_angle()) - 20.0).abs() < 1e-9);
         assert!((rad_to_deg(net.true_orientation()) + 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn field2_gamma_is_the_square_wave_at_every_sample() {
+        // The reference: port A a square wave at 1/(4·T_chirp) from node
+        // time 0, starting reflective, evaluated at every sample instant
+        // `i·T_chirp + j/fs` of chirp `i`. At both presets every sample of
+        // a chirp sits in the same half-period, `i / 2`, so the chirp's
+        // one Γ is the wave's.
+        use milback_hw::switch::SwitchState;
+        let node = BackscatterNode::milback(Pose::facing_ap(2.0, 0.0, 0.0));
+        let two_way_loss = 10f64.powf(-2.0 * node.impl_loss_db / 20.0);
+        let gamma = |state| node.switch.gamma(state) * two_way_loss;
+        for fidelity in [Fidelity::Fast, Fidelity::Paper] {
+            let chirp = fidelity.sawtooth();
+            let half_period = 0.5 / (1.0 / (4.0 * chirp.duration));
+            let n = chirp.n_samples();
+            for i in 0..64usize {
+                let t_off = i as f64 * chirp.duration;
+                for j in 0..n {
+                    let phase = ((t_off + j as f64 / chirp.fs) / half_period).floor() as i64;
+                    assert_eq!(phase, (i / 2) as i64, "{fidelity:?} chirp {i} sample {j}");
+                }
+                let a = if (i / 2).is_multiple_of(2) {
+                    SwitchState::Reflective
+                } else {
+                    SwitchState::Absorptive
+                };
+                assert_eq!(
+                    node.field2_gamma(i),
+                    [gamma(a), gamma(SwitchState::Absorptive)],
+                    "{fidelity:?} chirp {i}"
+                );
+            }
+        }
     }
 
     #[test]

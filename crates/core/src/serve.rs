@@ -19,8 +19,8 @@
 //!   [`Network`](crate::Network)s, packet buffers and fault plans live
 //!   in the lanes. The steady-state `Localize` serving loop performs **zero
 //!   heap allocations** (pinned by `tests/zero_alloc.rs`; the `Downlink`
-//!   / `Uplink` classes still allocate inside the link layer's
-//!   modulator, documented in DESIGN.md §15).
+//!   / `Uplink` classes still allocate inside the link layer,
+//!   documented in DESIGN.md §15).
 //! * **Bounded queues + backpressure** — the submission buffer holds at
 //!   most `queue_capacity` requests. [`ServeEngine::try_submit`] returns
 //!   the request back when full; [`ServeEngine::submit`] instead makes

@@ -3,7 +3,7 @@
 //! Hardware-component models for the MilBack node:
 //!
 //! * [`switch`] — SPDT RF switch (reflective/absorptive throw, toggle-rate
-//!   limit, switching energy) and time-stamped switch schedules,
+//!   limit, switching energy),
 //! * [`envelope`] — the ADL6010-class envelope detector (slope, video
 //!   bandwidth, output noise),
 //! * [`adc`] — the MCU's SAR ADC (rate conversion, quantization),
@@ -31,4 +31,4 @@ pub mod switch;
 pub use adc::Adc;
 pub use envelope::EnvelopeDetector;
 pub use power::{NodeMode, PowerModel};
-pub use switch::{SpdtSwitch, SwitchSchedule, SwitchState};
+pub use switch::{SpdtSwitch, SwitchState};

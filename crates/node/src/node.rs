@@ -9,9 +9,10 @@
 //! The struct here owns the hardware models and exposes the two things the
 //! rest of the system needs:
 //!
-//! * the reflection coefficients `Γ` the channel renders, as
-//!   piecewise-constant runs filled from per-port [`SwitchSchedule`]s
-//!   ([`fill_gamma_runs`]), and
+//! * the reflection coefficients `Γ` the channel renders, in the two
+//!   shapes the node's switches take: one `[Γ_A, Γ_B]` per Field-2 chirp
+//!   ([`BackscatterNode::field2_gamma`], paper §5.1) and one per uplink
+//!   OAQFM symbol ([`uplink_fill_into`], §6.3), and
 //! * the receive path: FSA port power → switch through-loss → envelope
 //!   detector law, read by the MCU ADC for Field 1
 //!   ([`BackscatterNode::receive`]) and as the symbol-rate payload video
@@ -22,8 +23,8 @@ use milback_dsp::num::Cpx;
 use milback_hw::adc::Adc;
 use milback_hw::envelope::{two_tone_envelope, EnvelopeDetector};
 use milback_hw::power::PowerModel;
-use milback_hw::switch::{for_each_state_run, SpdtSwitch, SwitchSchedule, SwitchState};
-use milback_rf::channel::GammaRun;
+use milback_hw::switch::{SpdtSwitch, SwitchState};
+use milback_proto::bits::OaqfmSymbol;
 use milback_rf::fsa::DualPortFsa;
 use milback_rf::geometry::Pose;
 use rand::rngs::StdRng;
@@ -75,6 +76,15 @@ impl BackscatterNode {
         10f64.powf(-self.impl_loss_db / 20.0)
     }
 
+    /// The `[absorptive, reflective]` reflection coefficient of one
+    /// port as the channel sees it, indexed by the bit the port keys:
+    /// the switch throw's Γ through the two-way implementation loss
+    /// (backscatter passes it in and out).
+    pub fn port_gammas(&self) -> [Cpx; 2] {
+        let two_way = self.impl_loss_amp() * self.impl_loss_amp();
+        [SwitchState::Absorptive, SwitchState::Reflective].map(|s| self.switch.gamma(s) * two_way)
+    }
+
     /// The node's constant port reflection coefficients while *parked*
     /// (not scheduled on the MAC): both SPDT switches rest on the
     /// absorptive throw, so only the residual switch mismatch — through
@@ -83,27 +93,28 @@ impl BackscatterNode {
     /// neighbor whose leftover reflection clutters a scheduled node's
     /// capture.
     pub fn parked_gamma(&self) -> [Cpx; 2] {
-        let two_way = self.impl_loss_amp() * self.impl_loss_amp();
-        let g = self.switch.gamma(SwitchState::Absorptive) * two_way;
+        let [g, _] = self.port_gammas();
         [g, g]
     }
 
-    /// Fills `runs` with the channel-facing Γ runs of per-port
-    /// schedules over `n` samples at `fs`, starting at node time 0: each
-    /// throw's switch reflection coefficient through the two-way
-    /// implementation loss. See [`fill_gamma_runs`].
-    pub fn gamma_runs_into(
-        &self,
-        port_a: &SwitchSchedule,
-        port_b: &SwitchSchedule,
-        fs: f64,
-        n: usize,
-        runs: &mut Vec<GammaRun>,
-    ) {
-        // Backscatter passes the implementation loss twice (in and out).
-        let two_way = self.impl_loss_amp() * self.impl_loss_amp();
-        let gamma = |state| self.switch.gamma(state) * two_way;
-        fill_gamma_runs(port_a, port_b, gamma, 0.0, fs, n, runs);
+    /// The node's `[Γ_A, Γ_B]` over Field-2 chirp `chirp` of a burst
+    /// (paper §5.1). Port A holds each throw for two chirps, starting
+    /// reflective: a square wave at `1/(4·T_chirp)`, ≈ 14 kHz at the
+    /// paper's 18 µs chirps, the paper's "10 kHz rate". The chirps see
+    /// R, R, A, A, R, so two of the four chirp-pair differences carry
+    /// the full node contrast, and no chirp straddles a toggle: Γ is
+    /// constant over every chirp. Port B rests absorptive.
+    pub fn field2_gamma(&self, chirp: usize) -> [Cpx; 2] {
+        // Backscatter passes the implementation loss twice. This
+        // expression can differ from `port_gammas`'s `impl_loss_amp()²`
+        // in the last bit, and every Field-2 digest depends on it.
+        let two_way = 10f64.powf(-2.0 * self.impl_loss_db / 20.0);
+        let a = if (chirp / 2).is_multiple_of(2) {
+            SwitchState::Reflective
+        } else {
+            SwitchState::Absorptive
+        };
+        [a, SwitchState::Absorptive].map(|s| self.switch.gamma(s) * two_way)
     }
 
     /// Amplitude gain from the FSA port to the detector input: the
@@ -196,38 +207,62 @@ impl BackscatterNode {
     }
 }
 
-/// Fills `runs` (cleared first, capacity reused) with the `[Γ_A, Γ_B]`
-/// runs of two port schedules over `n` samples at the instants
-/// `t_off + i as f64 / fs`, ready for a
-/// [`milback_rf::channel::NodeInterface`].
+/// The parked symbol: both ports absorptive, before and after an
+/// uplink payload.
+const PARKED: OaqfmSymbol = OaqfmSymbol {
+    a_on: false,
+    b_on: false,
+};
+
+/// The switch edges of an uplink symbol stream starting at node time
+/// `t0`, at sample rate `fs`, as an endless iterator: edge `k` is the
+/// first sample `i` with `t0 + k·(1/symbol_rate) <= i/fs`, where symbol
+/// `k` starts (the edge past the last symbol returns the ports to
+/// parked). Each edge is found by that predicate, scanning on from the
+/// previous one, never rounded onto the symbol grid, so an edge may
+/// land one sample past `(t0 + k·ts)·fs`.
+pub fn symbol_edges(t0: f64, symbol_rate: f64, fs: f64) -> impl Iterator<Item = usize> {
+    let ts = 1.0 / symbol_rate;
+    let mut i = 0usize;
+    (0usize..).map(move |k| {
+        let start = t0 + k as f64 * ts;
+        while (i as f64 / fs) < start {
+            i += 1;
+        }
+        i
+    })
+}
+
+/// Fills `out` (cleared first, capacity reused) with `n` samples at `fs`
+/// of an uplink transmission from node time 0 (paper §6.3): the node
+/// holds each port's switch throw for a whole OAQFM symbol, port A
+/// reflective for the first bit and port B for the second, and parks
+/// both absorptive before `t0` and after the last symbol, so the AP's
+/// baseband is quiet around the payload. Symbol `k` fills from
+/// [`symbol_edges`]'s edge `k` up to edge `k + 1`.
 ///
-/// `gamma` maps a switch throw to the port's reflection coefficient; it
-/// is called once per throw per fill, not per sample. Each run's states
-/// come from [`for_each_state_run`], so expanding the runs gives, bit
-/// for bit, `gamma(schedule.state_at(t_off + i as f64 / fs))` per port
-/// and sample.
-pub fn fill_gamma_runs(
-    port_a: &SwitchSchedule,
-    port_b: &SwitchSchedule,
-    gamma: impl Fn(SwitchState) -> Cpx,
-    t_off: f64,
+/// `value` maps a held symbol to its sample (a branch envelope, say);
+/// it is called once per symbol segment, not per sample. Sample `i`
+/// therefore holds `value` of the last symbol whose edge predicate
+/// holds at `i`, or of the parked symbol before the first edge and past
+/// the last.
+pub fn uplink_fill_into<T: Copy>(
+    symbols: &[OaqfmSymbol],
+    t0: f64,
+    symbol_rate: f64,
     fs: f64,
     n: usize,
-    runs: &mut Vec<GammaRun>,
+    mut value: impl FnMut(OaqfmSymbol) -> T,
+    out: &mut Vec<T>,
 ) {
-    let reflective = gamma(SwitchState::Reflective);
-    let absorptive = gamma(SwitchState::Absorptive);
-    let of = |state| match state {
-        SwitchState::Reflective => reflective,
-        SwitchState::Absorptive => absorptive,
-    };
-    runs.clear();
-    for_each_state_run(port_a, port_b, t_off, fs, n, |end, [a, b]| {
-        runs.push(GammaRun {
-            end,
-            gamma: [of(a), of(b)],
-        });
-    });
+    out.clear();
+    let mut held = value(PARKED);
+    let stream = symbols.iter().copied().chain([PARKED]);
+    for (symbol, edge) in stream.zip(symbol_edges(t0, symbol_rate, fs)) {
+        out.resize(edge.min(n), held);
+        held = value(symbol);
+    }
+    out.resize(n, held);
 }
 
 #[cfg(test)]
@@ -239,91 +274,36 @@ mod tests {
         BackscatterNode::milback(Pose::facing_ap(2.0, 0.0, 0.0))
     }
 
-    /// Expands runs back to one `[Γ_A, Γ_B]` per sample.
-    fn expand(runs: &[GammaRun]) -> Vec<[Cpx; 2]> {
-        let mut out = Vec::new();
-        for run in runs {
-            out.resize(run.end, run.gamma);
-        }
-        out
-    }
-
     #[test]
-    fn gamma_runs_track_states() {
+    fn port_gammas_keep_the_switch_contrast() {
         let n = node();
-        let a = SwitchSchedule::Constant(SwitchState::Reflective);
-        let b = SwitchSchedule::Constant(SwitchState::Absorptive);
-        let mut runs = Vec::new();
-        n.gamma_runs_into(&a, &b, 1e8, 500, &mut runs);
-        assert_eq!(runs.len(), 1, "constant ports are one run");
-        assert_eq!(runs[0].end, 500);
-        let [ga, gb] = runs[0].gamma;
+        let [off, on] = n.port_gammas();
         // Two-way implementation loss scales both, but the reflective
-        // port must stay far stronger than the absorptive one.
+        // throw must stay far stronger than the absorptive one.
         let two_way = 10f64.powf(-2.0 * n.impl_loss_db / 20.0);
-        assert!((ga.re - n.switch.gamma(SwitchState::Reflective).re * two_way).abs() < 1e-12);
-        assert!(ga.abs() / gb.abs() > 5.0, "contrast lost: {ga:?} vs {gb:?}");
-    }
-
-    #[test]
-    fn gamma_runs_follow_square_wave() {
-        let n = node();
-        let a = SwitchSchedule::SquareWave {
-            freq_hz: 10e3,
-            first: SwitchState::Reflective,
-        };
-        let b = SwitchSchedule::Constant(SwitchState::Absorptive);
-        let mut runs = Vec::new();
-        // 200 µs at 1 MHz: four 50 µs half-periods. Boundaries follow
-        // the schedule's own floating-point arithmetic, so one may land
-        // a sample late (i/fs just below a multiple of 50 µs).
-        n.gamma_runs_into(&a, &b, 1e6, 200, &mut runs);
-        assert_eq!(runs.len(), 4);
-        for (k, run) in runs.iter().enumerate() {
-            assert!(
-                run.end.abs_diff(50 * (k + 1)) <= 1,
-                "run {k} ends at {}",
-                run.end
-            );
-        }
-        assert_eq!(runs[3].end, 200);
-        let (g0, g1) = (runs[0].gamma[0], runs[1].gamma[0]);
+        assert!((on.re - n.switch.gamma(SwitchState::Reflective).re * two_way).abs() < 1e-12);
         assert!(
-            g0.abs() / g1.abs() > 5.0,
-            "square wave lost: {g0:?} vs {g1:?}"
+            on.abs() / off.abs() > 5.0,
+            "contrast lost: {on:?} vs {off:?}"
         );
-        assert_eq!(runs[0].gamma, runs[2].gamma);
+        assert_eq!(n.parked_gamma(), [off, off]);
     }
 
     #[test]
-    fn filled_runs_expand_to_per_sample_gamma() {
-        // Every sample of the expansion equals Γ of that instant's
-        // switch state, computed the per-sample way.
+    fn field2_gamma_toggles_port_a_every_two_chirps() {
         let n = node();
-        let two_way = 10f64.powf(-2.0 * n.impl_loss_db / 20.0);
-        let per_state = |s| n.switch.gamma(s) * two_way;
-        let a = SwitchSchedule::from_events(vec![
-            (0.0, SwitchState::Absorptive),
-            (1e-6, SwitchState::Reflective),
-            (1e-6, SwitchState::Absorptive),
-            (2.5e-6, SwitchState::Reflective),
-        ]);
-        let b = SwitchSchedule::SquareWave {
-            freq_hz: 300e3,
-            first: SwitchState::Absorptive,
-        };
-        let (t_off, fs, len) = (0.4e-6, 20e6, 90);
-        let mut runs = Vec::new();
-        fill_gamma_runs(&a, &b, per_state, t_off, fs, len, &mut runs);
-        let expanded = expand(&runs);
-        assert_eq!(expanded.len(), len);
-        for (i, g) in expanded.iter().enumerate() {
-            let t = t_off + i as f64 / fs;
-            assert_eq!(*g, [per_state(a.state_at(t)), per_state(b.state_at(t))]);
+        let [first, parked] = n.field2_gamma(0);
+        assert!(first.abs() / parked.abs() > 5.0, "{first:?} vs {parked:?}");
+        for chirp in 0..8 {
+            let [a, b] = n.field2_gamma(chirp);
+            let want = if [0, 1, 4, 5].contains(&chirp) {
+                first
+            } else {
+                parked
+            };
+            assert_eq!(a, want, "chirp {chirp}");
+            assert_eq!(b, parked, "chirp {chirp}");
         }
-        // Refilling reuses the buffer and replaces its contents.
-        fill_gamma_runs(&a, &a, per_state, 0.0, fs, 10, &mut runs);
-        assert_eq!(runs.last().map(|r| r.end), Some(10));
     }
 
     #[test]

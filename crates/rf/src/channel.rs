@@ -164,40 +164,25 @@ impl MirrorReflection {
     }
 }
 
-/// One stretch of constant port reflection coefficients: `gamma =
-/// [Γ_A, Γ_B]` (complex voltage ratios) holds for every sample from the
-/// previous run's `end` (0 for the first run) up to, not including,
-/// `end`.
-///
-/// The node's SPDT switches have two throws, so its Γ is piecewise
-/// constant by construction. A render takes the whole capture as a slice
-/// of runs that tiles `0..n` in order; `milback_node::node` fills one
-/// from the two ports' switch schedules.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GammaRun {
-    /// One past the last sample index of the run.
-    pub end: usize,
-    /// `[Γ_A, Γ_B]` over the run.
-    pub gamma: [Cpx; 2],
-}
-
 /// The node as seen by the channel: where it is, how it is oriented, which
-/// FSA it carries, and how its port reflection coefficients evolve over
-/// the capture.
+/// FSA it carries, and the port reflection coefficients it holds over the
+/// capture.
 pub struct NodeInterface<'a> {
     /// Node pose.
     pub pose: Pose,
     /// The node's dual-port FSA.
     pub fsa: &'a DualPortFsa,
-    /// Port reflection coefficients as runs in sample-index space; the
-    /// last run must end at the rendered capture's sample count.
-    pub gamma: &'a [GammaRun],
+    /// `[Γ_A, Γ_B]` (complex voltage ratios), held over the whole
+    /// render: the node's SPDT switches hold one throw per Field-2 chirp
+    /// (`milback_node::node::BackscatterNode::field2_gamma`), and a parked
+    /// node never toggles.
+    pub gamma: [Cpx; 2],
 }
 
 /// Hoisted per-ray synthesis tables for one (scene, waveform, node
 /// geometry, RX antenna) tuple: everything in `add_node_backscatter`'s
 /// inner loop that does not depend on the reflection coefficients.
-/// Built once, then replayed per chirp run by run with three
+/// Built once, then replayed per chirp against that chirp's Γ with three
 /// multiply-adds per sample.
 #[derive(Debug, Clone, Default)]
 pub struct RayTables {
@@ -412,7 +397,7 @@ impl Scene {
     /// workspace is warm (same scene, waveform and node geometry), a
     /// render performs **zero** heap allocations: the static-scene
     /// response is copied from cache and each node's hoisted ray tables
-    /// are replayed against each node's Γ runs (pinned by
+    /// are replayed against each node's Γ (pinned by
     /// `tests/zero_alloc.rs`).
     pub fn monostatic_rx_multi_into(
         &self,
@@ -809,56 +794,38 @@ fn cached_curves<'c>(
     })
 }
 
-/// Replays one node's hoisted [`RayTables`] against its Γ runs,
-/// accumulating into `acc`. This is the only per-sample loop left on the
-/// monostatic path: per run, the mirror's switch-coupling gain is
-/// hoisted and each sample costs three multiply-adds — no schedule
-/// lookup, no trigonometry, no LUT walks. The steered horns' amplitude
-/// factor `horn` ([`Scene::horn_amplitude`]) is folded into the
-/// round-trip phasor once per replay. Both the cached and the one-shot
-/// render call it, so they agree bitwise.
-///
-/// Panics unless the runs tile the whole capture: ends must not
-/// decrease and the last must equal the sample count.
-fn accumulate_node(tables: &RayTables, runs: &[GammaRun], horn: f64, acc: &mut [Cpx]) {
-    let n = tables.delayed.len();
-    assert_eq!(
-        runs.last().map(|r| r.end),
-        Some(n),
-        "Γ runs must cover the capture"
-    );
+/// Replays one node's hoisted [`RayTables`] against its Γ, accumulating
+/// into `acc`. This is the only per-sample loop left on the monostatic
+/// path: the mirror's switch-coupling gain is hoisted and each sample
+/// costs three multiply-adds — no Γ lookup, no trigonometry, no LUT
+/// walks. The steered horns' amplitude factor `horn`
+/// ([`Scene::horn_amplitude`]) is folded into the round-trip phasor once
+/// per replay. Both the cached and the one-shot render call it, so they
+/// agree bitwise.
+fn accumulate_node(tables: &RayTables, [ga, gb]: [Cpx; 2], horn: f64, acc: &mut [Cpx]) {
     let rt_phase = tables.rt_phase * horn;
-    let mut start = 0;
-    for run in runs {
-        let span = start..run.end;
-        let [ga, gb] = run.gamma;
-        let delayed = &tables.delayed[span.clone()];
-        let samples = delayed
-            .iter()
-            .zip(&tables.amp[0][span.clone()])
-            .zip(&tables.amp[1][span.clone()])
-            .zip(&mut acc[span.clone()]);
-        for (((&s, &amp_a), &amp_b), out) in samples {
-            let coeff = ga * amp_a + gb * amp_b;
-            *out += s * coeff * rt_phase;
-        }
+    let samples = tables
+        .delayed
+        .iter()
+        .zip(&tables.amp[0])
+        .zip(&tables.amp[1])
+        .zip(&mut *acc);
+    for (((&s, &amp_a), &amp_b), out) in samples {
+        let coeff = ga * amp_a + gb * amp_b;
+        *out += s * coeff * rt_phase;
+    }
 
-        // --- Mirror (structural) reflection, switch-coupled ----------
-        // Added after the port term, sample by sample, exactly as a
-        // single fused loop would.
-        if let Some((coupling, phase)) = tables.mirror {
-            // Weak coupling to port A's switch state.
-            let state = 2.0 * ga.abs() - 1.0;
-            let gain = 1.0 + coupling * state;
-            let samples = delayed
-                .iter()
-                .zip(&tables.amp_mirror[span.clone()])
-                .zip(&mut acc[span]);
-            for ((&s, &amp_m), out) in samples {
-                *out += s * rt_phase * phase * (amp_m * gain);
-            }
+    // --- Mirror (structural) reflection, switch-coupled --------------
+    // Added after the port term, sample by sample, exactly as a single
+    // fused loop would.
+    if let Some((coupling, phase)) = tables.mirror {
+        // Weak coupling to port A's switch state.
+        let state = 2.0 * ga.abs() - 1.0;
+        let gain = 1.0 + coupling * state;
+        let samples = tables.delayed.iter().zip(&tables.amp_mirror).zip(acc);
+        for ((&s, &amp_m), out) in samples {
+            *out += s * rt_phase * phase * (amp_m * gain);
         }
-        start = run.end;
     }
 }
 
@@ -883,17 +850,14 @@ mod tests {
         out
     }
 
-    /// One constant Γ run over the whole of `comp`.
-    fn static_gamma(reflective: bool, comp: &TxComponent) -> [GammaRun; 1] {
+    /// Both ports reflective or both absorptive.
+    fn static_gamma(reflective: bool) -> [Cpx; 2] {
         let g = if reflective {
             Cpx::new(-0.94, 0.0)
         } else {
             Cpx::new(0.05, 0.0)
         };
-        [GammaRun {
-            end: comp.signal.len(),
-            gamma: [g, g],
-        }]
+        [g, g]
     }
 
     /// A tone at RF `f`: the zero-span sweep.
@@ -985,17 +949,17 @@ mod tests {
         let fs = 1e8;
         let sig = Signal::tone(fs, f, 0.0, 1.0, 2000);
         let comp = tone(sig, f);
-        let g_refl = static_gamma(true, &comp);
-        let g_abs = static_gamma(false, &comp);
+        let g_refl = static_gamma(true);
+        let g_abs = static_gamma(false);
         let node_r = NodeInterface {
             pose,
             fsa: &fsa,
-            gamma: &g_refl,
+            gamma: g_refl,
         };
         let node_a = NodeInterface {
             pose,
             fsa: &fsa,
-            gamma: &g_abs,
+            gamma: g_abs,
         };
         let rx_r = render(&scene, &comp, std::slice::from_ref(&node_r), 0);
         let rx_a = render(&scene, &comp, std::slice::from_ref(&node_a), 0);
@@ -1015,14 +979,11 @@ mod tests {
         let fs = 1e8;
         let comp = tone(Signal::tone(fs, f, 0.0, 1.0, 4000), f);
         // Only port A reflective, |Γ| = 1, port B perfectly absorbing.
-        let g = [GammaRun {
-            end: comp.signal.len(),
-            gamma: [Cpx::new(-1.0, 0.0), Cpx::new(0.0, 0.0)],
-        }];
+        let g = [Cpx::new(-1.0, 0.0), Cpx::new(0.0, 0.0)];
         let node = NodeInterface {
             pose,
             fsa: &fsa,
-            gamma: &g,
+            gamma: g,
         };
         let rx = render(&scene, &comp, std::slice::from_ref(&node), 0);
         let p: f64 =
@@ -1043,11 +1004,11 @@ mod tests {
         let pose = Pose::facing_ap(2.0, deg_to_rad(80.0), 0.0);
         let f = 28e9;
         let comp = tone(Signal::tone(1e8, f, 0.0, 1.0, 2000), f);
-        let g = static_gamma(false, &comp);
+        let g = static_gamma(false);
         let node = NodeInterface {
             pose,
             fsa: &fsa,
-            gamma: &g,
+            gamma: g,
         };
         let rx = render(&scene, &comp, std::slice::from_ref(&node), 0);
         let p: f64 =
@@ -1063,11 +1024,11 @@ mod tests {
         let pose = Pose::facing_ap(8.0, 0.0, 0.0);
         let f = fsa.frequency_for_angle(Port::A, 0.0).unwrap();
         let comp = tone(Signal::tone(1e8, f, 0.0, 1.0, 2000), f);
-        let g = static_gamma(true, &comp);
+        let g = static_gamma(true);
         let node = NodeInterface {
             pose,
             fsa: &fsa,
-            gamma: &g,
+            gamma: g,
         };
         let rx = render(&scene, &comp, std::slice::from_ref(&node), 0);
         let p: f64 =
@@ -1086,30 +1047,30 @@ mod tests {
         let pose2 = Pose::facing_ap(4.0, deg_to_rad(15.0), 0.0);
         let f = fsa.frequency_for_angle(Port::A, 0.0).unwrap();
         let comp = tone(Signal::tone(1e8, f, 0.0, 1.0, 1000), f);
-        let g1 = static_gamma(true, &comp);
-        let g2 = static_gamma(true, &comp);
+        let g1 = static_gamma(true);
+        let g2 = static_gamma(true);
         let n1 = NodeInterface {
             pose: pose1,
             fsa: &fsa,
-            gamma: &g1,
+            gamma: g1,
         };
         let n2 = NodeInterface {
             pose: pose2,
             fsa: &fsa,
-            gamma: &g2,
+            gamma: g2,
         };
         let both = render(&scene, &comp, &[n1, n2], 0);
-        let g1 = static_gamma(true, &comp);
-        let g2 = static_gamma(true, &comp);
+        let g1 = static_gamma(true);
+        let g2 = static_gamma(true);
         let n1 = NodeInterface {
             pose: pose1,
             fsa: &fsa,
-            gamma: &g1,
+            gamma: g1,
         };
         let n2 = NodeInterface {
             pose: pose2,
             fsa: &fsa,
-            gamma: &g2,
+            gamma: g2,
         };
         let a = render(&scene, &comp, std::slice::from_ref(&n1), 0);
         let b = render(&scene, &comp, std::slice::from_ref(&n2), 0);
@@ -1135,17 +1096,17 @@ mod tests {
             sweep: cfg,
         };
         let wave_fp = crate::workspace::wave_fingerprint(&comp);
-        let g_t = static_gamma(true, &comp);
-        let g_n = static_gamma(false, &comp);
+        let g_t = static_gamma(true);
+        let g_n = static_gamma(false);
         let node_t = NodeInterface {
             pose: target,
             fsa: &fsa,
-            gamma: &g_t,
+            gamma: g_t,
         };
         let node_n = NodeInterface {
             pose: neighbor,
             fsa: &fsa,
-            gamma: &g_n,
+            gamma: g_n,
         };
         for rx_idx in 0..2 {
             let mut ws = crate::workspace::ChannelWorkspace::default();
@@ -1172,12 +1133,12 @@ mod tests {
                     NodeInterface {
                         pose: target,
                         fsa: &fsa,
-                        gamma: &g_t,
+                        gamma: g_t,
                     },
                     NodeInterface {
                         pose: neighbor,
                         fsa: &fsa,
-                        gamma: &g_n,
+                        gamma: g_n,
                     },
                 ],
                 rx_idx,
@@ -1221,11 +1182,11 @@ mod tests {
         let pose = Pose::facing_ap(3.0, phi, 0.0);
         let f = fsa.frequency_for_angle(Port::A, 0.0).unwrap();
         let comp = tone(Signal::tone(1e8, f, 0.0, 1.0, 1000), f);
-        let g = static_gamma(true, &comp);
+        let g = static_gamma(true);
         let node = NodeInterface {
             pose,
             fsa: &fsa,
-            gamma: &g,
+            gamma: g,
         };
         let rx0 = render(&scene, &comp, std::slice::from_ref(&node), 0);
         let rx1 = render(&scene, &comp, std::slice::from_ref(&node), 1);

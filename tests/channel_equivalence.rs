@@ -4,14 +4,14 @@
 //! (`Scene::monostatic_rx_multi_uncached`), plus the content-fingerprint
 //! invalidation rules: any static-scene or node-geometry change must be
 //! reflected on the very next render, with no stale cache reuse. The
-//! node's Field-1 video cache (DESIGN.md §13.6) follows the same rule.
+//! node's Γ (one per render, DESIGN.md §13.1) is outside every key.
 
 use milback::{Fidelity, Network};
 use milback_dsp::chirp::ChirpConfig;
+use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
-use milback_hw::switch::{SpdtSwitch, SwitchSchedule, SwitchState};
-use milback_node::node::fill_gamma_runs;
-use milback_rf::channel::{GammaRun, NodeInterface, Reflector, Scene, TxComponent};
+use milback_hw::switch::{SpdtSwitch, SwitchState};
+use milback_rf::channel::{NodeInterface, Reflector, Scene, TxComponent};
 use milback_rf::fsa::DualPortFsa;
 use milback_rf::geometry::{deg_to_rad, Point, Pose};
 use milback_rf::{wave_fingerprint, ChannelWorkspace};
@@ -32,21 +32,11 @@ fn test_component() -> TxComponent {
     }
 }
 
-/// Γ runs over `comp` for port A square-wave modulated at `freq` from
-/// node time `t_off`, port B parked absorptive, through the prototype
-/// switch — the shape of the localization modulation.
-fn square_runs(freq: f64, t_off: f64, comp: &TxComponent) -> Vec<GammaRun> {
-    let a = SwitchSchedule::SquareWave {
-        freq_hz: freq,
-        first: SwitchState::Reflective,
-    };
-    let b = SwitchSchedule::Constant(SwitchState::Absorptive);
+/// `[Γ_A, Γ_B]` through the prototype switch with port A on the given
+/// throw and port B parked absorptive — the shape of a Field-2 chirp.
+fn chirp_gamma(port_a: SwitchState) -> [Cpx; 2] {
     let switch = SpdtSwitch::adrf5020();
-    let gamma = |state| switch.gamma(state);
-    let (fs, n) = (comp.signal.fs, comp.signal.len());
-    let mut runs = Vec::new();
-    fill_gamma_runs(&a, &b, gamma, t_off, fs, n, &mut runs);
-    runs
+    [switch.gamma(port_a), switch.gamma(SwitchState::Absorptive)]
 }
 
 fn render_cached(
@@ -71,18 +61,16 @@ fn cached_render_matches_uncached_across_scene_variants() {
     let fsa = DualPortFsa::milback();
     let pose_a = Pose::facing_ap(3.0, deg_to_rad(5.0), deg_to_rad(8.0));
     let pose_b = Pose::facing_ap(4.5, deg_to_rad(-10.0), 0.0);
-    let gamma_a = square_runs(40e6, 0.0, &comp);
-    let gamma_b = square_runs(25e6, 0.1e-6, &comp);
     let nodes = [
         NodeInterface {
             pose: pose_a,
             fsa: &fsa,
-            gamma: &gamma_a,
+            gamma: chirp_gamma(SwitchState::Reflective),
         },
         NodeInterface {
             pose: pose_b,
             fsa: &fsa,
-            gamma: &gamma_b,
+            gamma: chirp_gamma(SwitchState::Absorptive),
         },
     ];
 
@@ -118,9 +106,10 @@ fn cached_render_matches_uncached_across_scene_variants() {
     }
 }
 
-/// Γ runs are deliberately outside the cache keys (they are replayed on
-/// every render): two chirps of the same burst must reuse the hoisted
-/// tables yet produce different, each-correct output.
+/// Γ is deliberately outside the cache keys (it is replayed on every
+/// render): the chirps of a burst, port A reflective, absorptive, then
+/// reflective again, must reuse the hoisted tables yet each produce its
+/// own correct output.
 #[test]
 fn gamma_runs_are_applied_per_render_not_cached() {
     let comp = test_component();
@@ -131,12 +120,18 @@ fn gamma_runs_are_applied_per_render_not_cached() {
 
     let mut ws = ChannelWorkspace::default();
     let mut chirps = Vec::new();
-    for chirp in 0..3 {
-        let gamma = square_runs(40e6, chirp as f64 * 0.31e-6, &comp);
+    for (chirp, throw) in [
+        SwitchState::Reflective,
+        SwitchState::Absorptive,
+        SwitchState::Reflective,
+    ]
+    .into_iter()
+    .enumerate()
+    {
         let node = NodeInterface {
             pose,
             fsa: &fsa,
-            gamma: &gamma,
+            gamma: chirp_gamma(throw),
         };
         let cached = render_cached(&mut ws, &scene, &comp, std::slice::from_ref(&node), 0);
         let reference = scene.monostatic_rx_multi_uncached(&comp, std::slice::from_ref(&node), 0);
@@ -145,57 +140,12 @@ fn gamma_runs_are_applied_per_render_not_cached() {
     }
     assert_ne!(
         chirps[0].samples, chirps[1].samples,
-        "distinct chirp offsets must yield distinct renders"
+        "distinct Γ must yield distinct renders"
     );
-}
-
-/// Run granularity is invisible: the same Γ split into one-sample runs
-/// renders the same capture bit for bit, cached and uncached, so the
-/// per-run hoisting in the replay loop changes no arithmetic.
-#[test]
-fn run_granularity_does_not_change_the_render() {
-    let comp = test_component();
-    let fsa = DualPortFsa::milback();
-    let pose = Pose::facing_ap(3.0, deg_to_rad(-3.0), deg_to_rad(-4.0));
-    let mut scene = Scene::milback_indoor();
-    scene.steer_towards(&pose.position);
-
-    let runs = square_runs(25e6, 0.07e-6, &comp);
-    assert!(runs.len() > 10, "want many runs, got {}", runs.len());
-    let mut per_sample = Vec::new();
-    let mut start = 0;
-    for run in &runs {
-        per_sample.extend((start..run.end).map(|i| GammaRun {
-            end: i + 1,
-            gamma: run.gamma,
-        }));
-        start = run.end;
-    }
-    assert_eq!(per_sample.len(), comp.signal.len());
-
-    let node = |gamma| NodeInterface {
-        pose,
-        fsa: &fsa,
-        gamma,
-    };
-    let mut ws = ChannelWorkspace::default();
-    for rx_idx in 0..2 {
-        let whole = [node(&runs)];
-        let split = [node(&per_sample)];
-        let reference = scene.monostatic_rx_multi_uncached(&comp, &whole, rx_idx);
-        assert_eq!(
-            reference.samples,
-            scene
-                .monostatic_rx_multi_uncached(&comp, &split, rx_idx)
-                .samples,
-            "rx{rx_idx}: one-sample runs diverged (uncached)"
-        );
-        assert_eq!(
-            reference.samples,
-            render_cached(&mut ws, &scene, &comp, &split, rx_idx).samples,
-            "rx{rx_idx}: one-sample runs diverged (cached)"
-        );
-    }
+    assert_eq!(
+        chirps[0].samples, chirps[2].samples,
+        "the same Γ must yield the same render"
+    );
 }
 
 /// Moving the node or re-steering the AP mid-burst must invalidate the
@@ -205,7 +155,7 @@ fn run_granularity_does_not_change_the_render() {
 fn scene_and_node_mutations_invalidate_the_cache() {
     let comp = test_component();
     let fsa = DualPortFsa::milback();
-    let gamma = square_runs(40e6, 0.0, &comp);
+    let gamma = chirp_gamma(SwitchState::Reflective);
     let pose0 = Pose::facing_ap(3.0, 0.0, deg_to_rad(5.0));
     let mut scene = Scene::milback_indoor();
     scene.steer_towards(&pose0.position);
@@ -214,7 +164,7 @@ fn scene_and_node_mutations_invalidate_the_cache() {
     let node0 = NodeInterface {
         pose: pose0,
         fsa: &fsa,
-        gamma: &gamma,
+        gamma,
     };
     let before = render_cached(&mut ws, &scene, &comp, std::slice::from_ref(&node0), 0);
 
@@ -223,7 +173,7 @@ fn scene_and_node_mutations_invalidate_the_cache() {
     let node1 = NodeInterface {
         pose: pose1,
         fsa: &fsa,
-        gamma: &gamma,
+        gamma,
     };
     let moved = render_cached(&mut ws, &scene, &comp, std::slice::from_ref(&node1), 0);
     let moved_ref = scene.monostatic_rx_multi_uncached(&comp, std::slice::from_ref(&node1), 0);
@@ -284,11 +234,11 @@ fn scene_edits_other_than_the_steer_invalidate_what_they_reach() {
     let comp = test_component();
     let fsa = DualPortFsa::milback();
     let pose = Pose::facing_ap(2.6, deg_to_rad(-4.0), deg_to_rad(-5.0));
-    let gamma = square_runs(40e6, 0.0, &comp);
+    let gamma = chirp_gamma(SwitchState::Reflective);
     let node = NodeInterface {
         pose,
         fsa: &fsa,
-        gamma: &gamma,
+        gamma,
     };
     let nodes = std::slice::from_ref(&node);
     let mut base = Scene::milback_indoor();
@@ -358,35 +308,15 @@ fn parked_neighbour_burst_matches_the_pooled_composition() {
         sweep: cfg,
     };
     assert_eq!(tx.samples, comp.signal.samples);
-    let (fs, n) = (comp.signal.fs, comp.signal.len());
-    let schedule_a = SwitchSchedule::SquareWave {
-        freq_hz: net.fidelity.localization_mod_freq(),
-        first: SwitchState::Reflective,
-    };
-    let schedule_b = SwitchSchedule::Constant(SwitchState::Absorptive);
-    let two_way_loss = 10f64.powf(-2.0 * net.node.impl_loss_db / 20.0);
-    let switch = net.node.switch;
-    let gamma = |state| switch.gamma(state) * two_way_loss;
-    let noise_p = thermal_noise_power(fs, net.ap.capture_nf_db);
+    let noise_p = thermal_noise_power(comp.signal.fs, net.ap.capture_nf_db);
 
-    let parked: Vec<[GammaRun; 1]> = net
-        .interferers
-        .iter()
-        .map(|itf| {
-            [GammaRun {
-                end: n,
-                gamma: itf.gamma,
-            }]
-        })
-        .collect();
     let neighbours: Vec<NodeInterface<'_>> = net
         .interferers
         .iter()
-        .zip(&parked)
-        .map(|(itf, runs)| NodeInterface {
+        .map(|itf| NodeInterface {
             pose: itf.pose,
             fsa: &itf.fsa,
-            gamma: runs,
+            gamma: itf.gamma,
         })
         .collect();
     let mut returns_only = net.scene.clone();
@@ -394,14 +324,11 @@ fn parked_neighbour_burst_matches_the_pooled_composition() {
     returns_only.self_interference_db = None;
     let sums = [0, 1].map(|ant| returns_only.monostatic_rx_multi_uncached(&comp, &neighbours, ant));
 
-    let mut runs = Vec::new();
     for (i, pair) in captures.iter().enumerate() {
-        let t_off = i as f64 * cfg.duration;
-        fill_gamma_runs(&schedule_a, &schedule_b, gamma, t_off, fs, n, &mut runs);
         let target = NodeInterface {
             pose: net.node.pose,
             fsa: &net.node.fsa,
-            gamma: &runs,
+            gamma: net.node.field2_gamma(i),
         };
         let jitter = draw_normal(&mut rng).abs() * net.ap.jitter_rms;
         for (ant, got) in pair.iter().enumerate() {
@@ -454,11 +381,11 @@ fn one_shot_renders_through_a_shared_scratch_match_fresh_ones() {
         }
         scene.steer_towards(&pose.position);
         let fresh = || Signal::new(1.0, 0.0, Vec::new());
-        let gamma = square_runs(40e6, 0.0, comp);
+        let gamma = chirp_gamma(SwitchState::Reflective);
         let node = NodeInterface {
             pose,
             fsa: &fsa,
-            gamma: &gamma,
+            gamma,
         };
         for rx_idx in 0..2 {
             let mut got = fresh();
@@ -497,25 +424,21 @@ fn gain_curves_are_shared_across_steers_and_keyed_on_fsa_and_incidence() {
         ..FsaConfig::milback()
     });
     let target = Pose::facing_ap(3.0, deg_to_rad(4.0), deg_to_rad(7.0));
-    let gamma = square_runs(40e6, 0.0, &comp);
-    let parked = [GammaRun {
-        end: n,
-        gamma: [milback_dsp::num::Cpx::new(0.21, -0.05); 2],
-    }];
-    // (pose, FSA, Γ runs): the target first, then three parked
-    // neighbours.
-    let nodes: [(Pose, &DualPortFsa, &[GammaRun]); 4] = [
-        (target, &fsa, &gamma),
-        (target, &other_fsa, &parked),
+    let gamma = chirp_gamma(SwitchState::Reflective);
+    let parked = [Cpx::new(0.21, -0.05); 2];
+    // (pose, FSA, Γ): the target first, then three parked neighbours.
+    let nodes: [(Pose, &DualPortFsa, [Cpx; 2]); 4] = [
+        (target, &fsa, gamma),
+        (target, &other_fsa, parked),
         (
             Pose::facing_ap(2.4, deg_to_rad(-9.0), deg_to_rad(-11.0)),
             &fsa,
-            &parked,
+            parked,
         ),
         (
             Pose::facing_ap(4.2, deg_to_rad(13.0), deg_to_rad(2.0)),
             &other_fsa,
-            &parked,
+            parked,
         ),
     ];
     let interfaces = || nodes.map(|(pose, fsa, gamma)| NodeInterface { pose, fsa, gamma });

@@ -17,7 +17,7 @@ use milback_dsp::chirp::ChirpConfig;
 use milback_dsp::noise::ratio_to_db;
 use milback_dsp::num::Cpx;
 use milback_dsp::signal::Signal;
-use milback_rf::channel::{GammaRun, NodeInterface, Scene, TxComponent};
+use milback_rf::channel::{NodeInterface, Scene, TxComponent};
 use milback_rf::fsa::{DualPortFsa, Port};
 use milback_rf::geometry::{deg_to_rad, Point, Pose};
 use milback_rf::{wave_fingerprint, ChannelWorkspace};
@@ -55,14 +55,10 @@ fn field2_tone_power_matches_the_two_way_budget_across_steers() {
     };
     let comp = TxComponent { signal, sweep };
     let wave_fp = wave_fingerprint(&comp);
-    let gamma = [GammaRun {
-        end: comp.signal.len(),
-        gamma: [Cpx::new(-1.0, 0.0), Cpx::new(0.0, 0.0)],
-    }];
     let node = NodeInterface {
         pose,
         fsa: &fsa,
-        gamma: &gamma,
+        gamma: [Cpx::new(-1.0, 0.0), Cpx::new(0.0, 0.0)],
     };
     let nodes = std::slice::from_ref(&node);
 

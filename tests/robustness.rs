@@ -252,6 +252,23 @@ fn uplink_beyond_switch_rate_rejected_gracefully() {
     assert_eq!(ul.payload.as_deref().unwrap(), &[1, 2]);
 }
 
+/// A rate past the switch's toggle limit is rejected before any tone
+/// planning: with sensed planning it renders no Field-2 burst and leaves
+/// the network's RNG where an untouched twin's is.
+#[test]
+fn uplink_beyond_switch_rate_draws_nothing() {
+    use rand::Rng;
+    let pose = Pose::facing_ap(2.0, 0.0, deg_to_rad(10.0));
+    let mut net = Network::new(pose, Fidelity::Fast, 2601);
+    let mut twin = net.clone();
+    assert!(net.uplink(&[1, 2], 100e6, false).is_none());
+    assert_eq!(
+        net.fork_rng().gen::<u64>(),
+        twin.fork_rng().gen::<u64>(),
+        "a rejected rate advanced the RNG"
+    );
+}
+
 /// The frame layer detects corruption: a link pushed far beyond its range
 /// yields either a CRC error or no link at all — never silently wrong
 /// bytes.

@@ -181,7 +181,7 @@ fn warmed_hot_paths_perform_zero_heap_allocations() {
     // ---- serving loop: all three service classes ---------------------
     // The mixed workload exercises `Downlink` and `Uplink` sessions
     // through the same pooled lanes. The link layer proper (captures,
-    // modulator schedules, uplink demod scratch, ARQ state) is pooled;
+    // uplink branch envelopes, uplink demod scratch, ARQ state) is pooled;
     // the measured steady-state remainder per exchange session lives in
     // the Field-1 mode-signalling / orientation-sensing chain (fresh
     // video and smoothing buffers per chirp) plus the decoded payload
